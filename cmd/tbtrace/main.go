@@ -70,6 +70,7 @@ func buildScenario(name string) (runs.Run, []history.Record, string, error) {
 			Params:       p,
 			Delay:        engine.DelaySpec{Mode: engine.DelayWorst},
 			ClockOffsets: make([]model.Time, p.N),
+			Trace:        true,
 		}.Build()
 		if err != nil {
 			return runs.Run{}, nil, "", err

@@ -89,17 +89,6 @@ func Check(dt spec.DataType, h *history.History) Result {
 	return CheckOpts(dt, h, Options{})
 }
 
-// CheckCached is Check with a shared transition cache: Apply/EncodeState
-// results are reused across histories of the same data type. The engine
-// passes one Cache per data type to all workers of a grid; a nil cache
-// falls back to the arena's local cache.
-//
-// Deprecated: call CheckOpts with Options{Cache: cache} — the one
-// coherent options surface; this shim survives only for old call sites.
-func CheckCached(dt spec.DataType, h *history.History, cache *Cache) Result {
-	return CheckOpts(dt, h, Options{Cache: cache})
-}
-
 // CheckOpts is the full-surface check: shared cache, reusable arena, and
 // island-parallel search. The verdict is identical to Check's at every
 // option combination — options only change where the work happens.

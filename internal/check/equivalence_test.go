@@ -74,7 +74,7 @@ func TestCheckMatchesReference(t *testing.T) {
 				t.Fatalf("%s seed %d: optimized=%v reference=%v\n%s",
 					dt.Name(), seed, got.Linearizable, want.Linearizable, h)
 			}
-			cached := check.CheckCached(dt, h, shared)
+			cached := check.CheckOpts(dt, h, check.Options{Cache: shared})
 			if cached.Linearizable != want.Linearizable {
 				t.Fatalf("%s seed %d: shared-cache=%v reference=%v\n%s",
 					dt.Name(), seed, cached.Linearizable, want.Linearizable, h)
@@ -196,7 +196,7 @@ func TestSharedCacheAcrossValueTypes(t *testing.T) {
 	_ = ha.Respond(id, nil, 2*ms)
 	id = ha.Invoke(1, types.OpRead, nil, 1*ms)
 	_ = ha.Respond(id, 1, 3*ms)
-	if !check.CheckCached(intReg, ha, cache).Linearizable {
+	if !check.CheckOpts(intReg, ha, check.Options{Cache: cache}).Linearizable {
 		t.Fatal("int-register history should linearize")
 	}
 
@@ -207,7 +207,7 @@ func TestSharedCacheAcrossValueTypes(t *testing.T) {
 	_ = hb.Respond(id, nil, 2*ms)
 	id = hb.Invoke(1, types.OpRead, nil, 1*ms)
 	_ = hb.Respond(id, "1", 3*ms)
-	got := check.CheckCached(strReg, hb, cache)
+	got := check.CheckOpts(strReg, hb, check.Options{Cache: cache})
 	want := check.CheckReference(strReg, hb)
 	if got.Linearizable != want.Linearizable {
 		t.Fatalf("shared cache across value types flipped the verdict: got %v want %v",
@@ -240,7 +240,7 @@ func TestSharedCacheConcurrentUse(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i, j := range jobs {
-				if got := check.CheckCached(dt, j.h, cache).Linearizable; got != j.want {
+				if got := check.CheckOpts(dt, j.h, check.Options{Cache: cache}).Linearizable; got != j.want {
 					errs <- fmt.Errorf("worker %d job %d: got %v want %v", w, i, got, j.want)
 					return
 				}

@@ -90,16 +90,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// entry is one buffered operation in To_Execute: ⟨op, arg, ts⟩.
-type entry struct {
-	ts   model.Timestamp
-	kind spec.OpKind
-	arg  spec.Value
-}
-
 // opMsg is the broadcast payload for MOP/OOP operations.
 type opMsg struct {
-	Entry entry
+	Entry Entry
 }
 
 // syncReq solicits a full state copy from serving peers; a recovering
@@ -194,72 +187,18 @@ func (f *fifo[T]) pop(now model.Time) T {
 	return it.v
 }
 
-// execHeap is the priority queue To_Execute, keyed by timestamp. It is a
-// hand-rolled binary heap: container/heap's `any` interface would box
-// every entry on Push and Pop, right on the simulator's hot path.
-type execHeap []entry
-
-func (h *execHeap) pushEntry(e entry) {
-	q := append(*h, e)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q[i].ts.Less(q[parent].ts) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-	*h = q
-}
-
-func (h *execHeap) popMin() entry {
-	q := *h
-	n := len(q) - 1
-	top := q[0]
-	q[0] = q[n]
-	q[n] = entry{}
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		least := l
-		if r := l + 1; r < n && q[r].ts.Less(q[l].ts) {
-			least = r
-		}
-		if !q[least].ts.Less(q[i].ts) {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
-	}
-	return top
-}
-
-func (h execHeap) peekMin() (entry, bool) {
-	if len(h) == 0 {
-		return entry{}, false
-	}
-	return h[0], true
-}
-
-// Replica is one process of Algorithm 1. It implements sim.Process.
+// Replica is one process of Algorithm 1 hosted on the simulator. It
+// implements sim.Process: the shared ToExecute core does the ordering and
+// execution, the replica adds timers, broadcast and the lifecycle.
 type Replica struct {
-	cfg       Config
-	dt        spec.DataType
-	local     spec.State
-	toExecute execHeap
-	// pendingOOP maps the timestamps of locally invoked OOP operations to
-	// their operation ids, so the invoker can respond upon local execution.
-	pendingOOP map[model.Timestamp]history.OpID
-	// applied counts operations executed on the local copy (diagnostics).
-	applied int
+	cfg  Config
+	dt   spec.DataType
+	exec ToExecute
+	// waits are the four durations, fixed for the replica's lifetime — the
+	// invariant the per-class timer FIFOs rely on.
+	waits Waits
 	// Per-timer-class FIFOs; see the *Tick types.
-	selfQ fifo[entry]
+	selfQ fifo[Entry]
 	execQ fifo[model.Timestamp]
 	mutQ  fifo[history.OpID]
 	accQ  fifo[accessorPending]
@@ -274,6 +213,7 @@ var (
 	_ sim.Process     = (*Replica)(nil)
 	_ sim.Restartable = (*Replica)(nil)
 	_ sim.Retireable  = (*Replica)(nil)
+	_ Responder       = sim.Env(nil)
 )
 
 // NewReplica builds one replica of dt under cfg. A fresh replica is born
@@ -282,10 +222,10 @@ var (
 // copy and starts out serving.
 func NewReplica(cfg Config, dt spec.DataType) *Replica {
 	r := &Replica{
-		cfg:        cfg,
-		dt:         dt,
-		local:      dt.InitialState(),
-		pendingOOP: make(map[model.Timestamp]history.OpID),
+		cfg:   cfg,
+		dt:    dt,
+		exec:  NewToExecute(dt),
+		waits: WaitsFor(cfg.Params, cfg.X, cfg.Tuning),
 	}
 	r.life = NewLifecycle()
 	r.life.OnEnterSuper = r.onEnterSuper
@@ -305,18 +245,17 @@ func (r *Replica) onEnterSuper(s SuperState, _ model.Time) {
 	}
 }
 
-// dropVolatile clears everything a crash loses: the To_Execute buffer, the
-// four timer-class FIFOs (their armed timers die with the restart epoch),
-// and the locally pending OOP responses. The applied copy of the object is
-// lost too, logically — it is re-acquired from a peer on recovery.
+// dropVolatile clears everything a crash loses: the To_Execute buffer and
+// the locally pending OOP responses, the four timer-class FIFOs (their
+// armed timers die with the restart epoch), and buffered invocations. The
+// applied copy of the object is lost too, logically — it is re-acquired
+// from a peer on recovery.
 func (r *Replica) dropVolatile() {
-	clear(r.toExecute)
-	r.toExecute = r.toExecute[:0]
+	r.exec.Reset()
 	r.selfQ.reset()
 	r.execQ.reset()
 	r.mutQ.reset()
 	r.accQ.reset()
-	clear(r.pendingOOP)
 	r.joinBuf = r.joinBuf[:0]
 }
 
@@ -338,19 +277,10 @@ func (r *Replica) Recover(env sim.Env) {
 func (r *Replica) Retire(at model.Time) { _ = r.life.Fire(EvRetire, at) }
 
 // Applied returns the number of operations executed on the local copy.
-func (r *Replica) Applied() int { return r.applied }
+func (r *Replica) Applied() int { return r.exec.Applied() }
 
 // LocalStateEncoding returns the canonical encoding of the local copy.
-func (r *Replica) LocalStateEncoding() string { return r.dt.EncodeState(r.local) }
-
-// clampWait floors a (possibly tuned-negative) wait at 0, mirroring
-// sim.Env.SetTimerAfter's clamp so FIFO due times match actual fire times.
-func clampWait(w model.Time) model.Time {
-	if w < 0 {
-		return 0
-	}
-	return w
-}
+func (r *Replica) LocalStateEncoding() string { return r.dt.EncodeState(r.exec.State()) }
 
 // OnInvoke implements sim.Process.
 func (r *Replica) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg spec.Value) {
@@ -363,38 +293,33 @@ func (r *Replica) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg s
 		}
 		return
 	}
-	p := r.cfg.Params
 	switch r.dt.Class(kind) {
 	case spec.ClassPureAccessor:
 		// Timestamp ⟨clock - X, pid⟩: pretend to be invoked X earlier.
 		ts := model.Timestamp{Clock: env.ClockTime() - r.cfg.X, Proc: env.Self()}
-		wait := clampWait(r.cfg.Tuning.AccessorResponse.Or(p.D + p.Epsilon - r.cfg.X))
-		r.accQ.push(env.ClockTime()+wait, accessorPending{id: id, kind: kind, arg: arg, ts: ts})
-		env.SetTimerAfter(wait, accessorRespondTick{})
+		r.accQ.push(env.ClockTime()+r.waits.AccessorResponse, accessorPending{id: id, kind: kind, arg: arg, ts: ts})
+		env.SetTimerAfter(r.waits.AccessorResponse, accessorRespondTick{})
 	case spec.ClassPureMutator:
 		r.stampAndBroadcast(env, kind, arg)
-		wait := clampWait(r.cfg.Tuning.MutatorResponse.Or(p.Epsilon + r.cfg.X))
-		r.mutQ.push(env.ClockTime()+wait, id)
-		env.SetTimerAfter(wait, mutatorRespondTick{})
+		r.mutQ.push(env.ClockTime()+r.waits.MutatorResponse, id)
+		env.SetTimerAfter(r.waits.MutatorResponse, mutatorRespondTick{})
 	default: // OOP
 		e := r.stampAndBroadcast(env, kind, arg)
-		r.pendingOOP[e.ts] = id
+		r.exec.AwaitOOP(e.TS, id)
 	}
 }
 
 // stampAndBroadcast stamps a MOP/OOP operation, broadcasts it, and starts
 // the d-u self-insertion timer.
-func (r *Replica) stampAndBroadcast(env sim.Env, kind spec.OpKind, arg spec.Value) entry {
-	p := r.cfg.Params
-	e := entry{
-		ts:   model.Timestamp{Clock: env.ClockTime(), Proc: env.Self()},
-		kind: kind,
-		arg:  arg,
+func (r *Replica) stampAndBroadcast(env sim.Env, kind spec.OpKind, arg spec.Value) Entry {
+	e := Entry{
+		TS:   model.Timestamp{Clock: env.ClockTime(), Proc: env.Self()},
+		Kind: kind,
+		Arg:  arg,
 	}
 	env.Broadcast(opMsg{Entry: e})
-	wait := clampWait(r.cfg.Tuning.SelfAddDelay.Or(p.D - p.U))
-	r.selfQ.push(env.ClockTime()+wait, e)
-	env.SetTimerAfter(wait, selfAddTick{})
+	r.selfQ.push(env.ClockTime()+r.waits.SelfAdd, e)
+	env.SetTimerAfter(r.waits.SelfAdd, selfAddTick{})
 	return e
 }
 
@@ -412,13 +337,13 @@ func (r *Replica) OnMessage(env sim.Env, from model.ProcessID, payload any) {
 		r.enqueue(env, m.Entry)
 	case syncReq:
 		if r.life.CanServe() {
-			env.Send(from, syncResp{State: r.local})
+			env.Send(from, syncResp{State: r.exec.State()})
 		}
 	case syncResp:
 		if r.life.State() != StateSyncing {
 			return
 		}
-		r.local = m.State
+		r.exec.SetState(m.State)
 		_ = r.life.Fire(EvSynced, env.ClockTime())
 		r.drainJoinBuf(env)
 	}
@@ -438,12 +363,10 @@ func (r *Replica) drainJoinBuf(env sim.Env) {
 }
 
 // enqueue adds an entry to To_Execute and arms its u+ε execution timer.
-func (r *Replica) enqueue(env sim.Env, e entry) {
-	p := r.cfg.Params
-	r.toExecute.pushEntry(e)
-	wait := clampWait(r.cfg.Tuning.ExecuteWait.Or(p.U + p.Epsilon))
-	r.execQ.push(env.ClockTime()+wait, e.ts)
-	env.SetTimerAfter(wait, executeTick{})
+func (r *Replica) enqueue(env sim.Env, e Entry) {
+	r.exec.Add(e)
+	r.execQ.push(env.ClockTime()+r.waits.Execute, e.TS)
+	env.SetTimerAfter(r.waits.Execute, executeTick{})
 }
 
 // OnTimer implements sim.Process.
@@ -453,39 +376,15 @@ func (r *Replica) OnTimer(env sim.Env, payload any) {
 	case selfAddTick:
 		r.enqueue(env, r.selfQ.pop(now))
 	case executeTick:
-		r.executeUpTo(env, r.execQ.pop(now), true)
+		r.exec.ExecuteUpTo(r.execQ.pop(now), true, env.Self(), env)
 	case mutatorRespondTick:
 		env.Respond(r.mutQ.pop(now), nil)
 	case accessorRespondTick:
 		// Execute every buffered operation with a smaller timestamp, then
 		// evaluate the accessor on the local copy.
 		a := r.accQ.pop(now)
-		r.executeUpTo(env, a.ts, false)
-		_, ret := r.dt.Apply(r.local, a.kind, a.arg)
+		r.exec.ExecuteUpTo(a.ts, false, env.Self(), env)
+		_, ret := r.dt.Apply(r.exec.State(), a.kind, a.arg)
 		env.Respond(a.id, ret)
-	}
-}
-
-// executeUpTo applies every buffered entry with timestamp ≤ ts (inclusive)
-// or < ts (when inclusive is false), in timestamp order. Locally invoked
-// OOP operations respond as they are applied.
-func (r *Replica) executeUpTo(env sim.Env, ts model.Timestamp, inclusive bool) {
-	for {
-		e, ok := r.toExecute.peekMin()
-		if !ok {
-			return
-		}
-		cmp := e.ts.Compare(ts)
-		if cmp > 0 || (!inclusive && cmp == 0) {
-			return
-		}
-		r.toExecute.popMin()
-		next, ret := r.dt.Apply(r.local, e.kind, e.arg)
-		r.local = next
-		r.applied++
-		if id, mine := r.pendingOOP[e.ts]; mine && e.ts.Proc == env.Self() {
-			delete(r.pendingOOP, e.ts)
-			env.Respond(id, ret)
-		}
 	}
 }

@@ -1,6 +1,9 @@
 package engine
 
-import "timebounds/internal/spec"
+import (
+	"timebounds/internal/history"
+	"timebounds/internal/spec"
+)
 
 // SetSharedCheckerDisabled toggles cross-run checker-state sharing, so the
 // equivalence tests can prove sharing is unobservable in Reports. It
@@ -44,4 +47,16 @@ func SetCorruptHandoff(f func(key string, v spec.Value) spec.Value) (restore fun
 	prev := corruptHandoff
 	corruptHandoff = f
 	return func() { corruptHandoff = prev }
+}
+
+// StitchedRecords returns key's stitched whole-key client history from a
+// merged migrating run — the records the stitched component checks, with
+// synthetic handoff writes excluded.
+func StitchedRecords(plan ShardPlan, rep ShardedReport, key string) []history.Record {
+	byShard := make(map[int]*Result)
+	for ri, idx := range plan.run {
+		byShard[idx] = &rep.Shards[ri]
+	}
+	_, stitched := plan.mig.keyRecords(key, byShard)
+	return stitched
 }

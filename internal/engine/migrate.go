@@ -90,8 +90,10 @@ type handoffSpec struct {
 }
 
 // syntheticID identifies a synthetic handoff write inside one shard's
-// history: handoff writes get unique invocation instants at the cutover,
-// so (shard, instant, key) pins the record.
+// history: handoff writes get unique offered instants at the cutover, so
+// (shard, instant, key) pins the record. The instant is the record's
+// Arrival — a write offered while its process still has an operation
+// pending invokes later, but keeps the offered instant as its arrival.
 type syntheticID struct {
 	shard int
 	at    model.Time
@@ -458,7 +460,7 @@ func keyOf(op history.Record) (string, bool) {
 }
 
 // isHandoff reports whether the record is a synthetic handoff write of
-// the given shard.
+// the given shard, deferred or not.
 func (st *migrateState) isHandoff(shard int, op history.Record) bool {
 	if st == nil || shard < 0 || op.Kind != types.OpPut {
 		return false
@@ -467,7 +469,7 @@ func (st *migrateState) isHandoff(shard int, op history.Record) bool {
 	if !ok {
 		return false
 	}
-	return st.synthetic[syntheticID{shard: shard, at: op.Invoke, key: kv.Key}]
+	return st.synthetic[syntheticID{shard: shard, at: op.Arrival, key: kv.Key}]
 }
 
 // migratedKeys returns the distinct migrated (touched) keys, sorted.

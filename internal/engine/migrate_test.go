@@ -9,6 +9,7 @@ import (
 	"timebounds/internal/check"
 	"timebounds/internal/engine"
 	"timebounds/internal/fault"
+	"timebounds/internal/history"
 	"timebounds/internal/keyspace"
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
@@ -368,5 +369,86 @@ func TestShardedMigrationGuards(t *testing.T) {
 	ss.Plan.Migrations = []keyspace.Migration{{At: 0}}
 	if _, err := engine.RunSharded(ss); err == nil {
 		t.Error("invalid plan accepted")
+	}
+}
+
+// TestShardedDeferredHandoffNotCountedAsClientOp pins the seed where the
+// destination process still had an operation pending at the cutover, so
+// the synthetic handoff write was deferred past its offered instant. The
+// write must still be recognized as synthetic: it stays out of the client
+// op counts and out of the stitched whole-key history. The shape is the
+// benchmark's zipf-migrate workload.
+func TestShardedDeferredHandoffNotCountedAsClientOp(t *testing.T) {
+	const ops, shards = 2400, 12
+	space := keyspace.Space{N: 120_000}
+	p := model.Params{N: 4, D: 10 * time.Millisecond, U: 4 * time.Millisecond}
+	p.Epsilon = p.OptimalSkew()
+	w := keyspace.Workload{Name: "zipf-migrate", Space: space, Model: keyspace.Zipf{S: 1.25}, Ops: ops}
+	hot := space.Key(0)
+	ss := engine.ShardedScenario{
+		Params:   p,
+		Seed:     25852639249,
+		Workload: w.Sharded(shards),
+		Plan: &keyspace.Plan{
+			Base: keyspace.RangePartition(space, shards),
+			Migrations: []keyspace.Migration{{
+				At:    p.D + ops/2*(2*p.D/model.Time(p.N)),
+				Moves: []keyspace.Move{keyspace.MoveKey(hot, shards-1)},
+			}},
+		},
+		Verify: true,
+	}
+	plan, scs, err := engine.ExpandSharded(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := engine.MergeSharded(plan, engine.Run(scs))
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stats.HandoffOps != 1 {
+		t.Fatalf("HandoffOps = %d, want 1", rep.Stats.HandoffOps)
+	}
+
+	// The handoff write really was deferred at this seed: that is the case
+	// under test.
+	var handoff *history.Record
+	for _, res := range rep.Shards {
+		for _, op := range res.History.Ops() {
+			if kv, ok := op.Arg.(types.KV); ok && op.Kind == types.OpPut && kv.Key == hot &&
+				op.Arrival == rep.Handoffs[0].Cutover {
+				op := op
+				handoff = &op
+			}
+		}
+	}
+	if handoff == nil || handoff.Invoke == handoff.Arrival {
+		t.Fatalf("no deferred handoff write found at the cutover (%+v)", handoff)
+	}
+
+	if rep.Ops != ops {
+		t.Errorf("Ops = %d, want the %d client operations", rep.Ops, ops)
+	}
+	sum := 0
+	for _, n := range rep.Stats.PerShardOps {
+		sum += n
+	}
+	if sum != ops {
+		t.Errorf("Σ PerShardOps = %d, want %d", sum, ops)
+	}
+	stitched := engine.StitchedRecords(plan, rep, hot)
+	for _, op := range stitched {
+		if op.Invoke == handoff.Invoke && op.Proc == handoff.Proc && op.Kind == handoff.Kind {
+			t.Fatalf("stitched history of %s includes the synthetic handoff write %+v", hot, op)
+		}
+	}
+	clientOps := -1
+	for _, kl := range rep.HotKeys {
+		if kl.Key == hot {
+			clientOps = kl.Ops
+		}
+	}
+	if len(stitched) != clientOps {
+		t.Errorf("stitched history of %s has %d records, want its %d client operations", hot, len(stitched), clientOps)
 	}
 }

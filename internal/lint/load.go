@@ -18,7 +18,7 @@ import (
 // Package is one type-checked, non-test package of a loaded module tree.
 // Test files (_test.go) are deliberately excluded: the analyzers state
 // invariants about shipped code, and tests are free to use wall clocks,
-// global randomness, and deprecated shims.
+// global randomness, and deprecated symbols.
 type Package struct {
 	// ImportPath is the module-qualified import path.
 	ImportPath string

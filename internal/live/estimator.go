@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"timebounds/internal/core"
 	"timebounds/internal/model"
 )
 
@@ -142,7 +143,7 @@ func (e *Estimator) Snapshot() Estimate {
 	if e.total < e.cfg.MinSamples {
 		p := e.cfg.Prior
 		return Estimate{
-			D: p, U: p, Epsilon: optimalSkew(e.n, p),
+			D: p, U: p, Epsilon: model.Params{N: e.n, U: p}.OptimalSkew(),
 			Samples: e.total, FromPrior: true,
 		}
 	}
@@ -166,28 +167,9 @@ func (e *Estimator) Snapshot() Estimate {
 		u = d
 	}
 	return Estimate{
-		D: d, U: u, Epsilon: optimalSkew(e.n, u),
+		D: d, U: u, Epsilon: model.Params{N: e.n, U: u}.OptimalSkew(),
 		Samples: e.total, WindowMin: min, WindowMax: max,
 	}
-}
-
-// optimalSkew is Theorem 5.5's (1 − 1/n)·u, in integer duration math.
-func optimalSkew(n int, u model.Time) model.Time {
-	if n < 1 {
-		return 0
-	}
-	return u * model.Time(n-1) / model.Time(n)
-}
-
-// Waits are Algorithm 1's four tuned delays, derived from an Estimate
-// exactly as the simulator derives them from the true (u, d, ε):
-// self-add d−u, execute u+ε, mutator response ε+X, accessor response
-// d+ε−X.
-type Waits struct {
-	SelfAdd          model.Time
-	Execute          model.Time
-	MutatorResponse  model.Time
-	AccessorResponse model.Time
 }
 
 // Tuner turns estimator snapshots into the waits live replicas consult,
@@ -201,7 +183,7 @@ type Tuner struct {
 	applied bool
 	cur     Estimate
 	peak    Estimate
-	waits   Waits
+	waits   core.Waits
 	retunes int
 }
 
@@ -238,15 +220,8 @@ func (t *Tuner) Apply(e Estimate) {
 	if e.Epsilon > t.peak.Epsilon {
 		t.peak.Epsilon = e.Epsilon
 	}
-	d := t.scaled(e.D)
-	u := t.scaled(e.U)
-	eps := t.scaled(e.Epsilon)
-	t.waits = Waits{
-		SelfAdd:          maxTime(0, d-u),
-		Execute:          u + eps,
-		MutatorResponse:  eps + t.x,
-		AccessorResponse: maxTime(0, d+eps-t.x),
-	}
+	scaled := model.Params{D: t.scaled(e.D), U: t.scaled(e.U), Epsilon: t.scaled(e.Epsilon)}
+	t.waits = core.WaitsFor(scaled, t.x, core.Tuning{})
 }
 
 func (t *Tuner) scaled(d model.Time) model.Time {
@@ -257,7 +232,7 @@ func (t *Tuner) scaled(d model.Time) model.Time {
 }
 
 // Waits returns the currently installed waits.
-func (t *Tuner) Waits() Waits {
+func (t *Tuner) Waits() core.Waits {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.waits
@@ -270,11 +245,4 @@ func (t *Tuner) Snapshot() (cur, peak Estimate, retunes int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.cur, t.peak, t.retunes
-}
-
-func maxTime(a, b model.Time) model.Time {
-	if a > b {
-		return a
-	}
-	return b
 }

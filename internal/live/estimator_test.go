@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"timebounds/internal/core"
 	"timebounds/internal/model"
 )
 
@@ -204,5 +205,27 @@ func TestTunerTracksPeakAndRetunes(t *testing.T) {
 	}
 	if peak.D != b.D || peak.U != a.U || peak.Epsilon != a.Epsilon {
 		t.Fatalf("peak = %+v, want componentwise max of %+v and %+v", peak, a, b)
+	}
+}
+
+// TestTunerWaitsAreCoreFormula: the live tuner has no wait formula of its
+// own — at every scale its waits are core.WaitsFor on the scaled
+// (d̂, û, ε̂), the same formula the simulator's replicas use.
+func TestTunerWaitsAreCoreFormula(t *testing.T) {
+	est := Estimate{
+		D:       model.Time(10 * time.Millisecond),
+		U:       model.Time(4 * time.Millisecond),
+		Epsilon: model.Time(3 * time.Millisecond),
+	}
+	for _, x := range []model.Time{0, model.Time(2 * time.Millisecond), model.Time(20 * time.Millisecond)} {
+		for _, scale := range []float64{1, 0.5, 0.03} {
+			tun := NewTuner(x, scale)
+			tun.Apply(est)
+			s := func(d model.Time) model.Time { return model.Time(float64(d) * scale) }
+			scaled := model.Params{D: s(est.D), U: s(est.U), Epsilon: s(est.Epsilon)}
+			if got, want := tun.Waits(), core.WaitsFor(scaled, x, core.Tuning{}); got != want {
+				t.Errorf("x=%s scale=%v: Tuner waits %+v, core.WaitsFor %+v", x, scale, got, want)
+			}
+		}
 	}
 }

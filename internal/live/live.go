@@ -179,7 +179,7 @@ func (rec *recorder) invoke(proc model.ProcessID, kind spec.OpKind, arg spec.Val
 	return id, ch
 }
 
-func (rec *recorder) respond(id history.OpID, ret spec.Value) {
+func (rec *recorder) Respond(id history.OpID, ret spec.Value) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	if err := rec.h.Respond(id, ret, rec.now()); err != nil {

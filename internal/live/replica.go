@@ -4,71 +4,20 @@ import (
 	"sync"
 	"time"
 
+	"timebounds/internal/core"
 	"timebounds/internal/history"
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
 )
 
-// execHeap is the live To_Execute priority queue, keyed by timestamp.
-// Unlike the simulator twin this is not an allocation hot path, but the
-// timestamp-order semantics are identical.
-type execHeap []Entry
-
-func (h *execHeap) push(e Entry) {
-	q := append(*h, e)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q[i].TS.Less(q[parent].TS) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-	*h = q
-}
-
-func (h *execHeap) popMin() Entry {
-	q := *h
-	n := len(q) - 1
-	top := q[0]
-	q[0] = q[n]
-	q[n] = Entry{}
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		least := l
-		if r := l + 1; r < n && q[r].TS.Less(q[l].TS) {
-			least = r
-		}
-		if !q[least].TS.Less(q[i].TS) {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
-	}
-	return top
-}
-
-func (h execHeap) peekMin() (Entry, bool) {
-	if len(h) == 0 {
-		return Entry{}, false
-	}
-	return h[0], true
-}
-
-// replica is one live process of Algorithm 1: the wall-clock twin of
-// core.Replica. Where the simulator replica rides deterministic event-loop
-// timers, the live replica arms time.AfterFunc callbacks whose durations
-// come from the Tuner on every arm — so a mid-run retune changes the
-// waits of subsequently armed timers without desynchronizing anything
-// (there is no due-time FIFO to keep in step; each callback closes over
-// its own payload).
+// replica is one live process of Algorithm 1: the wall-clock host of
+// core.ToExecute, the same To_Execute core core.Replica drives. Where the
+// simulator replica rides deterministic event-loop timers, the live
+// replica arms time.AfterFunc callbacks whose durations come from the
+// Tuner on every arm — so a mid-run retune changes the waits of
+// subsequently armed timers without desynchronizing anything (there is no
+// due-time FIFO to keep in step; each callback closes over its own
+// payload).
 type replica struct {
 	id    model.ProcessID
 	n     int
@@ -80,14 +29,11 @@ type replica struct {
 	rec   *recorder
 	clock func() model.Time // skewed local clock, safe without the lock
 
-	mu         sync.Mutex
-	local      spec.State
-	toExecute  execHeap
-	pendingOOP map[model.Timestamp]history.OpID
-	applied    int
-	lastStamp  model.Time
-	timers     int
-	stopped    bool
+	mu        sync.Mutex
+	exec      core.ToExecute
+	lastStamp model.Time
+	timers    int
+	stopped   bool
 
 	done chan struct{} // closed when the receive loop exits
 }
@@ -96,10 +42,9 @@ func newReplica(id model.ProcessID, n int, x model.Time, dt spec.DataType,
 	ep Endpoint, tun *Tuner, est *Estimator, rec *recorder, clock func() model.Time) *replica {
 	return &replica{
 		id: id, n: n, x: x, dt: dt, ep: ep, tun: tun, est: est, rec: rec,
-		clock:      clock,
-		local:      dt.InitialState(),
-		pendingOOP: make(map[model.Timestamp]history.OpID),
-		done:       make(chan struct{}),
+		clock: clock,
+		exec:  core.NewToExecute(dt),
+		done:  make(chan struct{}),
 	}
 }
 
@@ -140,7 +85,7 @@ func (r *replica) afterLocked(d model.Time, f func()) {
 
 // stamp returns a fresh ⟨clock, pid⟩ timestamp, strictly monotonic per
 // replica: two invocations landing on the same wall-clock nanosecond
-// must not collide in the total order (or in pendingOOP).
+// must not collide in the total order (or among awaited OOP responses).
 func (r *replica) stampLocked() model.Timestamp {
 	c := r.clock()
 	if c <= r.lastStamp {
@@ -177,23 +122,23 @@ func (r *replica) invoke(id history.OpID, kind spec.OpKind, arg spec.Value) {
 		ts := model.Timestamp{Clock: r.clock() - r.x, Proc: r.id}
 		k, a := kind, arg
 		r.afterLocked(w.AccessorResponse, func() {
-			r.executeUpToLocked(ts, false)
-			_, ret := r.dt.Apply(r.local, k, a)
-			r.rec.respond(id, ret)
+			r.exec.ExecuteUpTo(ts, false, r.id, r.rec)
+			_, ret := r.dt.Apply(r.exec.State(), k, a)
+			r.rec.Respond(id, ret)
 		})
 	case spec.ClassPureMutator:
 		r.stampAndBroadcastLocked(kind, arg, w)
-		r.afterLocked(w.MutatorResponse, func() { r.rec.respond(id, nil) })
+		r.afterLocked(w.MutatorResponse, func() { r.rec.Respond(id, nil) })
 	default: // OOP: respond upon local execution.
 		e := r.stampAndBroadcastLocked(kind, arg, w)
-		r.pendingOOP[e.TS] = id
+		r.exec.AwaitOOP(e.TS, id)
 	}
 }
 
 // stampAndBroadcastLocked stamps a MOP/OOP entry, broadcasts it, and arms
 // the d̂−û self-insertion timer.
-func (r *replica) stampAndBroadcastLocked(kind spec.OpKind, arg spec.Value, w Waits) Entry {
-	e := Entry{TS: r.stampLocked(), Kind: kind, Arg: arg}
+func (r *replica) stampAndBroadcastLocked(kind spec.OpKind, arg spec.Value, w core.Waits) core.Entry {
+	e := core.Entry{TS: r.stampLocked(), Kind: kind, Arg: arg}
 	for p := 0; p < r.n; p++ {
 		if model.ProcessID(p) == r.id {
 			continue
@@ -206,34 +151,10 @@ func (r *replica) stampAndBroadcastLocked(kind spec.OpKind, arg spec.Value, w Wa
 
 // enqueueLocked adds an entry to To_Execute and arms its û+ε̂ execution
 // timer with the waits tuned at arming time.
-func (r *replica) enqueueLocked(e Entry) {
-	r.toExecute.push(e)
+func (r *replica) enqueueLocked(e core.Entry) {
+	r.exec.Add(e)
 	ts := e.TS
-	r.afterLocked(r.tun.Waits().Execute, func() { r.executeUpToLocked(ts, true) })
-}
-
-// executeUpToLocked applies every buffered entry with timestamp ≤ ts
-// (inclusive) or < ts, in timestamp order, responding to locally invoked
-// OOP operations as they apply — exactly core.Replica.executeUpTo.
-func (r *replica) executeUpToLocked(ts model.Timestamp, inclusive bool) {
-	for {
-		e, ok := r.toExecute.peekMin()
-		if !ok {
-			return
-		}
-		cmp := e.TS.Compare(ts)
-		if cmp > 0 || (!inclusive && cmp == 0) {
-			return
-		}
-		r.toExecute.popMin()
-		next, ret := r.dt.Apply(r.local, e.Kind, e.Arg)
-		r.local = next
-		r.applied++
-		if id, mine := r.pendingOOP[e.TS]; mine && e.TS.Proc == r.id {
-			delete(r.pendingOOP, e.TS)
-			r.rec.respond(id, ret)
-		}
-	}
+	r.afterLocked(r.tun.Waits().Execute, func() { r.exec.ExecuteUpTo(ts, true, r.id, r.rec) })
 }
 
 // idle reports whether the replica has nothing buffered and no armed
@@ -241,7 +162,7 @@ func (r *replica) executeUpToLocked(ts model.Timestamp, inclusive bool) {
 func (r *replica) idle() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.toExecute) == 0 && r.timers == 0
+	return r.exec.Len() == 0 && r.timers == 0
 }
 
 // stop freezes the replica: armed timers and late messages become no-ops.
@@ -255,12 +176,5 @@ func (r *replica) stop() {
 func (r *replica) stateEncoding() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dt.EncodeState(r.local)
-}
-
-// appliedCount returns how many entries the local copy has executed.
-func (r *replica) appliedCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.applied
+	return r.dt.EncodeState(r.exec.State())
 }

@@ -6,8 +6,8 @@ import (
 	"sync"
 	"time"
 
+	"timebounds/internal/core"
 	"timebounds/internal/model"
-	"timebounds/internal/spec"
 )
 
 // Message is the wire unit replicas exchange: either an estimator probe or
@@ -22,15 +22,7 @@ type Message struct {
 	// Probe marks an estimator warm-up probe carrying no operation.
 	Probe bool
 	// Entry is the broadcast operation (valid when !Probe).
-	Entry Entry
-}
-
-// Entry is one timestamped operation, the live analogue of the simulator
-// replica's To_Execute element.
-type Entry struct {
-	TS   model.Timestamp
-	Kind spec.OpKind
-	Arg  spec.Value
+	Entry core.Entry
 }
 
 // Transport connects the n replicas of one live cluster. Implementations

@@ -112,53 +112,14 @@ type RunOptions struct {
 	Verify bool
 	// Check carries the verifier's resource options (shared transition
 	// cache, reusable arena, island-parallelism budget) by value, exactly
-	// as check.CheckOpts receives them. This is the one way to configure
-	// the checker; the four field-at-a-time knobs below are deprecated
-	// shims that fold into it.
+	// as check.CheckOpts receives them.
 	Check check.Options
-	// Checker optionally shares a transition cache with the verifier.
-	//
-	// Deprecated: set Check.Cache instead.
-	Checker *check.Cache
-	// Arena optionally reuses checker scratch across runs.
-	//
-	// Deprecated: set Check.Arena instead.
-	Arena *check.Arena
-	// CheckWorkers caps island-parallel checking within a verified
-	// history.
-	//
-	// Deprecated: set Check.Workers instead.
-	CheckWorkers int
-	// NoIslands forces the verifier's single whole-history search.
-	//
-	// Deprecated: set Check.NoIslands instead.
-	NoIslands bool
 	// AllowPending accepts a history with operations still pending at the
 	// horizon instead of failing the run — required for fault scenarios,
 	// where a crash legitimately orphans its in-flight operation. The
 	// checker treats forever-pending operations as removable, so Verify
 	// still composes.
 	AllowPending bool
-}
-
-// checkOptions folds the deprecated field-at-a-time checker knobs into
-// the coherent Check options value; a field set in Check wins over its
-// deprecated twin.
-func (o RunOptions) checkOptions() check.Options {
-	opt := o.Check
-	if opt.Cache == nil {
-		opt.Cache = o.Checker
-	}
-	if opt.Arena == nil {
-		opt.Arena = o.Arena
-	}
-	if opt.Workers == 0 {
-		opt.Workers = o.CheckWorkers
-	}
-	if !opt.NoIslands {
-		opt.NoIslands = o.NoIslands
-	}
-	return opt
 }
 
 // Target is the slice of a shared-object instance the harness needs: the
@@ -203,7 +164,7 @@ func Run(target Target, sched Schedule, opt RunOptions) (Report, error) {
 	rep := Report{PerKind: Summarize(h), History: h, Pending: h.PendingCount()}
 	if opt.Verify {
 		rep.Checked = true
-		rep.Linearizable = check.CheckOpts(target.DataType(), h, opt.checkOptions()).Linearizable
+		rep.Linearizable = check.CheckOpts(target.DataType(), h, opt.Check).Linearizable
 	}
 	return rep, nil
 }

@@ -24,7 +24,6 @@ import (
 //   §4 Streaming & study  — result streams, online aggregation, studies
 //   §5 Faults             — fault-plan axes and dichotomy verdicts
 //   §6 Live runtime       — wall-clock clusters, estimation, retuning
-//   §7 Deprecated bridge  — the pre-redesign Config surface
 //
 // Every name here is a thin alias or constructor over the internal
 // packages; the full export list is pinned by TestPublicAPIGolden.
@@ -533,35 +532,3 @@ func LiveRuntime() Runtime { return engine.LiveRuntime() }
 
 // LiveTCPRuntime returns a live Runtime over loopback TCP.
 func LiveTCPRuntime() Runtime { return engine.LiveTCPRuntime() }
-
-// ---------------------------------------------------------------------------
-// §7 Deprecated bridge
-//
-// The pre-redesign Config surface remains as a thin shim over the same
-// engine; see timebounds.go for Config itself.
-
-// Scenario bridges the deprecated Config surface onto the Scenario API:
-// the returned scenario reproduces exactly the simulator NewCluster(cfg, dt)
-// would have built. Like the Config surface it bridges, the result is
-// single-run: when cfg.Delay is set, the bridged DelaySpec reuses that one
-// policy instance, so do not fan the scenario out across a grid — declare a
-// Scenario with a fresh-per-call DelaySpec.Policy, or an AdversarySpec
-// whose runs build their policies fresh per expansion (all bundled
-// adversaries do, which is why adversary grids are bit-identical at any
-// engine parallelism).
-func (c Config) Scenario(dt DataType) Scenario {
-	sc := Scenario{
-		DataType: dt,
-		Params:   c.params(),
-		X:        c.X,
-		Seed:     c.Seed,
-	}
-	if c.Delay != nil {
-		policy := c.Delay
-		sc.Delay = DelaySpec{Policy: func(model.Params, int64) DelayPolicy { return policy }}
-	}
-	if c.ClockOffsets != nil {
-		sc.ClockOffsets = append([]Time(nil), c.ClockOffsets...)
-	}
-	return sc
-}

@@ -158,31 +158,43 @@ func TestRaceWorkloadStaysLinearizable(t *testing.T) {
 	}
 }
 
-func TestConfigScenarioBridge(t *testing.T) {
-	// The deprecated Config surface and the Scenario bridge build the same
-	// world: identical history for identical coordinates.
-	cfg := facadeConfig(3)
-	cluster, err := timebounds.NewCluster(cfg, timebounds.NewRegister(0))
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
+// TestScenarioBuildMatchesRunScenario drives a Scenario.Build instance by
+// hand and runs the same invocations through RunScenario as an explicit
+// workload: the hand-driven instance and the streaming engine build the
+// same world, so histories and converged states are bit-identical.
+func TestScenarioBuildMatchesRunScenario(t *testing.T) {
+	invs := []timebounds.Invocation{
+		{At: 5 * time.Millisecond, Proc: 0, Kind: timebounds.OpEnqueue, Arg: 1},
+		{At: 7 * time.Millisecond, Proc: 1, Kind: timebounds.OpEnqueue, Arg: 2},
+		{At: 40 * time.Millisecond, Proc: 2, Kind: timebounds.OpPeek},
+		{At: 60 * time.Millisecond, Proc: 0, Kind: timebounds.OpDequeue},
 	}
-	cluster.Invoke(0, 0, timebounds.OpWrite, 7)
-	cluster.Invoke(30*time.Millisecond, 1, timebounds.OpRead, nil)
-	if err := cluster.Run(time.Second); err != nil {
+	sc := timebounds.Scenario{DataType: timebounds.NewQueue(), Params: scenarioParams(3), Seed: 1}
+	inst, err := sc.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	for _, inv := range invs {
+		inst.Invoke(inv.At, inv.Proc, inv.Kind, inv.Arg)
+	}
+	if err := inst.Run(time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 
-	sc := cfg.Scenario(timebounds.NewRegister(0))
-	sc.Workload = timebounds.Workload{Explicit: []timebounds.Invocation{
-		{At: 0, Proc: 0, Kind: timebounds.OpWrite, Arg: 7},
-		{At: 30 * time.Millisecond, Proc: 1, Kind: timebounds.OpRead},
-	}}
+	sc.Workload = timebounds.Workload{Explicit: invs}
+	sc.Verify = true
 	res, err := timebounds.RunScenario(sc)
 	if err != nil {
 		t.Fatalf("RunScenario: %v", err)
 	}
-	if got, want := res.History.String(), cluster.History().String(); got != want {
-		t.Errorf("scenario history differs from shim history:\n%s\nvs\n%s", got, want)
+	if got, want := inst.History().String(), res.History.String(); got != want {
+		t.Fatalf("hand-driven history diverged from the engine's:\n--- Build ---\n%s\n--- RunScenario ---\n%s", got, want)
+	}
+	if !res.Linearizable {
+		t.Error("scenario history not linearizable")
+	}
+	if state, err := inst.ConvergedState(); err != nil || state != res.State {
+		t.Errorf("states differ: Build %q (%v) vs RunScenario %q", state, err, res.State)
 	}
 }
 

@@ -30,12 +30,11 @@
 //
 // Scenario grids (sweeping backends × objects × parameters × workloads ×
 // seeds) expand via Grid and run in parallel via Engine; see scenario.go.
-// The pre-redesign Config/NewCluster one-shot surface remains as a thin
-// deprecated shim over the same engine.
+// For a hand-driven run, Scenario.Build returns the isolated Instance.
 //
 // # Facade map
 //
-// The public surface is grouped into sections (scenario.go carries §1–§7):
+// The public surface is grouped into sections (scenario.go carries §1–§6):
 //
 //   - §1 Core run surface — Scenario, Engine, Grid, Workload, the four
 //     backends (Algorithm1, AllOOP, Centralized, TOB), and Result/Report.
@@ -51,20 +50,15 @@
 //     a wall-clock goroutine cluster over a real Transport with online
 //     (u, d) estimation, adaptive retuning, and post-hoc checking
 //     (Runtime, TransportSpec, LiveReport).
-//   - §7 Deprecated bridge — the pre-redesign Config surface.
 //
 // This file (timebounds.go) holds the fundamental aliases (DataType, Time,
-// History, …), the bundled data types of Chapter VI, the operation
-// algebra, bound tables, proof machinery, and the deprecated Config
-// surface.
+// History, …), the bundled data types of Chapter VI, the linearizability
+// checker and the bound tables.
 package timebounds
 
 import (
-	"time"
-
 	"timebounds/internal/bounds"
 	"timebounds/internal/check"
-	"timebounds/internal/engine"
 	"timebounds/internal/history"
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
@@ -165,128 +159,8 @@ func NewPQueue() DataType { return types.NewPQueue() }
 // NewAccount returns a bank account (deposit/withdraw/balance).
 func NewAccount() DataType { return types.NewAccount() }
 
-// Config configures a cluster of Algorithm 1 replicas.
-//
-// Deprecated: Config predates the Scenario API and survives as a shim; new
-// code should declare a Scenario (see Config.Scenario for the bridge).
-type Config struct {
-	// N is the number of processes (≥ 1; the lower bounds need ≥ 3).
-	N int
-	// D is the message delay upper bound d.
-	D time.Duration
-	// U is the message delay uncertainty u; delays lie in [D-U, D].
-	U time.Duration
-	// Epsilon is the clock skew bound ε. Zero means the optimal
-	// (1-1/n)·U of Lundelius–Lynch, which Chapter V assumes.
-	Epsilon time.Duration
-	// X is the accessor/mutator latency tradeoff in [0, D+Epsilon-U]:
-	// pure mutators respond in Epsilon+X, pure accessors in D+Epsilon-X.
-	X time.Duration
-	// Seed drives the random delay policy when Delay is nil.
-	Seed int64
-	// Delay optionally fixes the message delay policy. Nil means seeded
-	// uniform-random delays over [D-U, D].
-	Delay DelayPolicy
-	// ClockOffsets optionally fixes per-process clock offsets (pairwise
-	// within Epsilon). Nil means offsets spread evenly across [−ε/2, +ε/2].
-	ClockOffsets []time.Duration
-}
-
-// params converts the public config to model parameters.
-func (c Config) params() model.Params {
-	p := model.Params{N: c.N, D: c.D, U: c.U, Epsilon: c.Epsilon}
-	if p.Epsilon == 0 {
-		p.Epsilon = p.OptimalSkew()
-	}
-	return p
-}
-
-// Params exposes the resolved model parameters (with defaulted ε).
-func (c Config) Params() model.Params { return c.params() }
-
-// Cluster is a set of Algorithm 1 replicas of one data type wired through
-// the deterministic simulator.
-//
-// Deprecated: Cluster predates the Scenario API; it is now a thin wrapper
-// over the engine's Algorithm1 backend instance. New code should build an
-// Instance via Scenario.Build or run whole scenarios via RunScenario.
-type Cluster struct {
-	inner engine.Instance
-}
-
-// NewCluster builds a cluster of cfg.N replicas of dt.
-//
-// Deprecated: declare a Scenario instead and call Scenario.Build (for a
-// hand-driven instance) or RunScenario (for a measured run).
-func NewCluster(cfg Config, dt DataType) (*Cluster, error) {
-	inner, err := cfg.Scenario(dt).Build()
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{inner: inner}, nil
-}
-
-// Invoke schedules an operation at real time at on process proc. If the
-// process still has a pending operation then, the invocation is deferred to
-// just after its response.
-func (c *Cluster) Invoke(at time.Duration, proc ProcessID, kind OpKind, arg Value) {
-	c.inner.Invoke(at, proc, kind, arg)
-}
-
-// Run drives the simulation until quiescence or the horizon.
-func (c *Cluster) Run(horizon time.Duration) error { return c.inner.Run(horizon) }
-
-// History returns the recorded history.
-func (c *Cluster) History() *History { return c.inner.History() }
-
-// DataType returns the replicated data type.
-func (c *Cluster) DataType() DataType { return c.inner.DataType() }
-
-// ConvergedState returns the common replica state encoding, or an error if
-// replicas diverged.
-func (c *Cluster) ConvergedState() (string, error) { return c.inner.ConvergedState() }
-
 // CheckLinearizable decides whether h is a linearizable history of dt.
 func CheckLinearizable(dt DataType, h *History) CheckResult { return check.Check(dt, h) }
 
 // Tables returns the paper's Tables I–IV.
 func Tables() []Table { return bounds.AllTables() }
-
-// RenderTable formats a table for the given configuration, optionally with
-// measured worst-case latencies per row label.
-//
-// Deprecated: RenderTable is part of the pre-Scenario surface; measured
-// columns now come from Engine reports (internal/experiments.MeasureTable).
-func RenderTable(t Table, cfg Config, measured map[string]Time) string {
-	return bounds.Render(t, cfg.params(), cfg.X, measured)
-}
-
-// OptimalSkew returns the optimal clock skew (1-1/n)·u for the config.
-func OptimalSkew(cfg Config) time.Duration { return cfg.params().OptimalSkew() }
-
-// Bound formulas (Chapters IV–V), exposed for reporting and tests.
-
-// LowerBoundINSC returns d+min{ε,u,d/3} (Theorem C.1).
-func LowerBoundINSC(cfg Config) time.Duration { return bounds.StronglyINSCLower(cfg.params()) }
-
-// LowerBoundMutator returns (1-1/n)·u (Theorem D.1 with k=n).
-func LowerBoundMutator(cfg Config) time.Duration {
-	p := cfg.params()
-	return bounds.PermuteLower(p.N, p.U)
-}
-
-// UpperBoundOOP returns d+ε (Theorem D.2 of Chapter V).
-func UpperBoundOOP(cfg Config) time.Duration { return bounds.UpperOOP(cfg.params()) }
-
-// UpperBoundMutator returns ε+X.
-func UpperBoundMutator(cfg Config) time.Duration {
-	return bounds.UpperMutator(cfg.params(), cfg.X)
-}
-
-// UpperBoundAccessor returns d+ε-X.
-func UpperBoundAccessor(cfg Config) time.Duration {
-	return bounds.UpperAccessor(cfg.params(), cfg.X)
-}
-
-// UpperBoundPair returns d+2ε (|mop|+|aop|, Chapter V.D).
-func UpperBoundPair(cfg Config) time.Duration { return bounds.UpperPair(cfg.params()) }
