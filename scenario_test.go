@@ -158,43 +158,58 @@ func TestRaceWorkloadStaysLinearizable(t *testing.T) {
 	}
 }
 
-// TestScenarioBuildMatchesRunScenario drives a Scenario.Build instance by
-// hand and runs the same invocations through RunScenario as an explicit
-// workload: the hand-driven instance and the streaming engine build the
-// same world, so histories and converged states are bit-identical.
-func TestScenarioBuildMatchesRunScenario(t *testing.T) {
-	invs := []timebounds.Invocation{
-		{At: 5 * time.Millisecond, Proc: 0, Kind: timebounds.OpEnqueue, Arg: 1},
-		{At: 7 * time.Millisecond, Proc: 1, Kind: timebounds.OpEnqueue, Arg: 2},
-		{At: 40 * time.Millisecond, Proc: 2, Kind: timebounds.OpPeek},
-		{At: 60 * time.Millisecond, Proc: 0, Kind: timebounds.OpDequeue},
+// slowestDelay fixes every message delay at d and counts the messages it
+// was asked about.
+type slowestDelay struct {
+	d     timebounds.Time
+	calls *int
+}
+
+func (s slowestDelay) Delay(_, _ timebounds.ProcessID, _ timebounds.Time, _ int) timebounds.Time {
+	*s.calls++
+	return s.d
+}
+
+// TestConfigScenarioBridge pins the world-building fields the old Config
+// bridge carried — a caller-supplied delay policy, explicit clock offsets
+// and a defaulted ε — reaching Scenario.Build and RunScenario alike:
+// identical history for identical coordinates, with the policy consulted
+// on both paths.
+func TestConfigScenarioBridge(t *testing.T) {
+	var calls []*int
+	sc := timebounds.Scenario{
+		DataType: timebounds.NewRegister(0),
+		Params:   scenarioParams(3),
+		Seed:     1,
+		Delay: timebounds.DelaySpec{Policy: func(p timebounds.Params, _ int64) timebounds.DelayPolicy {
+			calls = append(calls, new(int))
+			return slowestDelay{d: p.D, calls: calls[len(calls)-1]}
+		}},
+		ClockOffsets: []timebounds.Time{-time.Millisecond, 0, time.Millisecond},
 	}
-	sc := timebounds.Scenario{DataType: timebounds.NewQueue(), Params: scenarioParams(3), Seed: 1}
-	inst, err := sc.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	for _, inv := range invs {
-		inst.Invoke(inv.At, inv.Proc, inv.Kind, inv.Arg)
-	}
+	inst := mustBuild(t, sc)
+	inst.Invoke(0, 0, timebounds.OpWrite, 7)
+	inst.Invoke(30*time.Millisecond, 1, timebounds.OpRead, nil)
 	if err := inst.Run(time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 
-	sc.Workload = timebounds.Workload{Explicit: invs}
-	sc.Verify = true
+	sc.Workload = timebounds.Workload{Explicit: []timebounds.Invocation{
+		{At: 0, Proc: 0, Kind: timebounds.OpWrite, Arg: 7},
+		{At: 30 * time.Millisecond, Proc: 1, Kind: timebounds.OpRead},
+	}}
 	res, err := timebounds.RunScenario(sc)
 	if err != nil {
 		t.Fatalf("RunScenario: %v", err)
 	}
-	if got, want := inst.History().String(), res.History.String(); got != want {
-		t.Fatalf("hand-driven history diverged from the engine's:\n--- Build ---\n%s\n--- RunScenario ---\n%s", got, want)
+	if got, want := res.History.String(), inst.History().String(); got != want {
+		t.Errorf("RunScenario history differs from the built instance's:\n%s\nvs\n%s", got, want)
 	}
-	if !res.Linearizable {
-		t.Error("scenario history not linearizable")
+	if got, want := res.Params.Epsilon, sc.Params.OptimalSkew(); got != want {
+		t.Errorf("ε = %v, want the defaulted (1-1/n)·u = %v", got, want)
 	}
-	if state, err := inst.ConvergedState(); err != nil || state != res.State {
-		t.Errorf("states differ: Build %q (%v) vs RunScenario %q", state, err, res.State)
+	if len(calls) != 2 || *calls[0] == 0 || *calls[0] != *calls[1] {
+		t.Fatalf("delay policy built %d times, want 2 (one per path) with equal non-zero message counts", len(calls))
 	}
 }
 
