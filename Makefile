@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-adversary test-faults test-keyspace test-live fuzz-smoke bench bench-json bench-compare cover vet vet-json fmt examples
+.PHONY: build test test-adversary test-faults test-keyspace test-live fuzz-smoke bench cover vet vet-json fmt examples
 
 build:
 	$(GO) build ./...
@@ -87,36 +87,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCheckIslands -fuzztime $(FUZZTIME) ./internal/check
 
 # Benchmarks report simulated-model-time latencies as custom *-ms metrics;
-# ns/op measures simulator throughput. Record trajectories with -count.
+# ns/op measures simulator throughput. Wall-clock regressions are judged
+# by the repository benchmark (BENCHMARK.json, bash benchmark/run.sh).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# bench-json records one point on the benchmark trajectory: the tracked
-# hot-path suite (internal/perf — large verified grid, sharded store,
-# Wing–Gong checker, sim event loop). BENCH_OUT picks the file (default:
-# BENCH_<today>.json at the repo root) and BENCH_LABEL the point label —
-# the knobs CI uses for its per-run artifact. An existing file gains an
-# appended point (a trajectory is history — it is never silently
-# truncated); see docs/PERFORMANCE.md.
-BENCH_OUT ?=
-BENCH_LABEL ?= bench-json
-bench-json:
-	$(GO) run ./cmd/tbbench -label "$(BENCH_LABEL)" $(if $(BENCH_OUT),-out "$(BENCH_OUT)")
-
-# bench-compare is the regression gate: judge a fresh suite run (or, with
-# BENCH_AGAINST, an already-recorded file) against the newest point of
-# BENCH_BASELINE (default: the newest committed BENCH_*.json) and fail
-# beyond BENCH_TOLERANCE (default 25%). BENCH_METRICS narrows the gated
-# metrics (e.g. allocs/op — the machine-independent one CI gates on).
-# A zero baseline gets absolute treatment: any drift beyond
-# perf.ZeroBaselineEpsilon fails regardless of tolerance.
-# The per-package steady-state allocation budgets (internal/perf,
-# TestAllocBudgets) run first — an absolute, machine-independent gate
-# that names the leaking package before the trajectory diff runs.
-BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-BENCH_TOLERANCE ?= 0.25
-BENCH_METRICS ?=
-bench-compare:
-	@test -n "$(BENCH_BASELINE)" || { echo "bench-compare: no BENCH_*.json baseline found (set BENCH_BASELINE)"; exit 1; }
-	$(GO) test -run TestAllocBudgets ./internal/perf
-	$(GO) run ./cmd/tbbench -compare "$(BENCH_BASELINE)" -tolerance $(BENCH_TOLERANCE) $(if $(BENCH_AGAINST),-against "$(BENCH_AGAINST)") $(if $(BENCH_METRICS),-metrics "$(BENCH_METRICS)")

@@ -1,6 +1,7 @@
 // Extension benchmarks beyond the paper's tables/figures: the TOB folklore
 // route, the empirical bound-threshold search, the wait-rule ablations, and
-// the in-simulator clock synchronization round. See DESIGN.md §4 (E15–E18).
+// the in-simulator clock synchronization round (E15–E18; see
+// internal/experiments for the experiment index).
 package timebounds_test
 
 import (

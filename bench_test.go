@@ -1,8 +1,8 @@
 // Benchmark harness: one benchmark per evaluation artifact of the paper
-// (see DESIGN.md §4 for the experiment index). Latency metrics are in
-// *simulated* model time — reported via b.ReportMetric as "*-ms" custom
-// metrics — since the paper's bounds are statements about model time, not
-// wall-clock time; ns/op measures simulator throughput.
+// (see internal/experiments for the E1–E18 experiment index). Latency
+// metrics are in *simulated* model time — reported via b.ReportMetric as
+// "*-ms" custom metrics — since the paper's bounds are statements about
+// model time, not wall-clock time; ns/op measures simulator throughput.
 package timebounds_test
 
 import (
@@ -17,7 +17,6 @@ import (
 	"timebounds/internal/experiments"
 	"timebounds/internal/model"
 	"timebounds/internal/runs"
-	"timebounds/internal/sim"
 	"timebounds/internal/types"
 )
 
@@ -328,5 +327,4 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(ops)/sec, "sim-ops/s")
 	}
-	_ = sim.FixedDelay(0) // keep the sim import for figure helpers
 }

@@ -8,7 +8,7 @@
 // The package never materializes the key universe: a Workload emits a
 // workload.Sharded whose schedule is a constant-memory stream — memory is
 // bounded by the operation count and the partition's range table, not by
-// Space.N — which is what makes the tracked engine/zipf-store benchmark
+// Space.N — which is what makes the zipf-migrate benchmark workload
 // feasible at ≥100k keys.
 package keyspace
 

@@ -1,3 +1,14 @@
+// Package perf holds the repository's allocation budgets and the micro
+// benchmarks no workload of the repository benchmark (BENCHMARK.json,
+// benchmark/) covers.
+//
+// Each budget pins the steady-state allocs-per-unit of one hot path,
+// measured with testing.AllocsPerRun after an explicit warmup. The
+// budgets are absolute and local — "this loop, once warm, allocates at
+// most N times" — so a leak pinpoints its package instead of surfacing as
+// a diffuse grid-wide regression in the benchmark's allocs_per_op.
+// TestAllocBudgets gates them in the ordinary test suite; the micro
+// benchmarks live in perf_test.go.
 package perf
 
 import (
@@ -13,16 +24,6 @@ import (
 	"timebounds/internal/types"
 	"timebounds/internal/workload"
 )
-
-// The per-package allocation budgets: each entry pins the steady-state
-// allocs-per-unit of one hot path, measured with testing.AllocsPerRun
-// after an explicit warmup. Where the benchmark trajectory (BENCH_*.json,
-// Compare) gates whole-suite drift against a committed baseline at a
-// relative tolerance, these budgets are absolute and local — "this loop,
-// once warm, allocates at most N times" — so a leak pinpoints its package
-// instead of surfacing as a diffuse grid-wide regression. The gate runs
-// in `go test ./internal/perf` (TestAllocBudgets) and under
-// `make bench-compare`, alongside the trajectory gate.
 
 // AllocBudget is one steady-state allocation budget.
 type AllocBudget struct {

@@ -8,8 +8,7 @@ import (
 
 // TestAllocBudgets is the per-package steady-state allocation gate: every
 // registered hot path, once warm, must stay within its absolute budget.
-// Unlike the trajectory gate (relative to a committed BENCH_*.json
-// baseline), a budget violation names the leaking package directly.
+// A budget violation names the leaking package directly.
 func TestAllocBudgets(t *testing.T) {
 	budgets := perf.AllocBudgets()
 	if len(budgets) == 0 {

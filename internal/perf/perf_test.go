@@ -3,78 +3,113 @@ package perf_test
 import (
 	"testing"
 
-	"timebounds/internal/perf"
+	"timebounds/internal/check"
+	"timebounds/internal/engine"
+	"timebounds/internal/experiments"
+	"timebounds/internal/spec"
+	"timebounds/internal/types"
+	"timebounds/internal/workload"
 )
 
-// The tracked benchmarks double as go-test benchmarks, so `make bench`
-// and CI's bench smoke exercise exactly what cmd/tbbench records.
+// The micro benchmarks no benchmark/ workload covers: the checker on one
+// long history, cold and warm, and the simulator event loop alone. The
+// end-to-end shapes (verified grids, sharded and migrating stores, load
+// studies, live clusters) are measured by the repository benchmark; see
+// BENCHMARK.json and benchmark/README.md.
 
-func BenchmarkLargeGrid(b *testing.B)            { perf.BenchLargeGrid(b) }
-func BenchmarkCheckerLongHistory(b *testing.B)   { perf.BenchCheckerLongHistory(b) }
-func BenchmarkCheckerGridHistories(b *testing.B) { perf.BenchCheckerGridHistories(b) }
-func BenchmarkSimEventLoop(b *testing.B)         { perf.BenchSimEventLoop(b) }
-func BenchmarkShardedStore(b *testing.B)         { perf.BenchShardedStore(b) }
-func BenchmarkStreamGrid(b *testing.B)           { perf.BenchStreamGrid(b) }
-func BenchmarkSaturationSearch(b *testing.B)     { perf.BenchSaturationSearch(b) }
-func BenchmarkCheckerIslandSteady(b *testing.B)  { perf.BenchCheckerIslandSteady(b) }
-func BenchmarkZipfStore(b *testing.B)            { perf.BenchZipfStore(b) }
-func BenchmarkLiveInprocCluster(b *testing.B)    { perf.BenchLiveInprocCluster(b) }
-
-// TestBenchmarkCatalog pins the tracked-suite names: renaming or removing
-// a benchmark breaks comparability of the recorded trajectory, so it must
-// be a conscious change here too.
-func TestBenchmarkCatalog(t *testing.T) {
-	want := []string{
-		"engine/large-grid",
-		"check/long-history",
-		"check/grid-histories",
-		"sim/event-loop",
-		"engine/sharded-store",
-		"engine/stream-grid",
-		"study/saturation-search",
-		"check/island-steady",
-		"engine/zipf-store",
-		"live/inproc-cluster",
+// longHistory produces the checker benchmarks' input: a deterministic
+// ≥ 240-operation register history with real concurrency (extremal delays,
+// maximal admissible skew), recorded from one engine run.
+func longHistory(b *testing.B) (spec.DataType, *workload.Report) {
+	b.Helper()
+	dt := types.NewRegister(0)
+	sc := engine.Scenario{
+		DataType: dt,
+		Params:   experiments.DefaultParams(4),
+		Seed:     7,
+		Delay:    engine.DelaySpec{Mode: engine.DelayExtremal},
+		Workload: workload.Spec{OpsPerProcess: 60},
 	}
-	got := perf.Benchmarks()
-	if len(got) != len(want) {
-		t.Fatalf("tracked suite has %d benchmarks, want %d", len(got), len(want))
+	inst, err := sc.Build()
+	if err != nil {
+		b.Fatalf("build long-history scenario: %v", err)
 	}
-	for i, bm := range got {
-		if bm.Name != want[i] {
-			t.Errorf("benchmark %d named %q, want %q", i, bm.Name, want[i])
-		}
-		if bm.Func == nil {
-			t.Errorf("benchmark %q has no body", bm.Name)
-		}
+	sched, err := sc.Workload.WithDefaults(sc.Params, dt).Schedule(sc.Params, sc.Seed)
+	if err != nil {
+		b.Fatalf("schedule long-history workload: %v", err)
 	}
-}
-
-// TestGridScenariosShape guards the acceptance shape: hundreds of
-// scenarios, each verifying a ≥200-operation history.
-func TestGridScenariosShape(t *testing.T) {
-	scs := perf.GridScenarios()
-	if len(scs) < 200 {
-		t.Fatalf("large grid has %d scenarios, want ≥ 200", len(scs))
+	rep, err := workload.Run(inst, sched, workload.RunOptions{})
+	if err != nil {
+		b.Fatalf("run long-history scenario: %v", err)
 	}
-	_, rep := perf.LongHistory()
 	if rep.History.Len() < 200 {
-		t.Fatalf("long history has %d ops, want ≥ 200", rep.History.Len())
+		b.Fatalf("long history has %d ops, want ≥ 200", rep.History.Len())
 	}
+	return dt, &rep
 }
 
-// TestZipfStoreScenarioShape guards the zipf-store benchmark's acceptance
-// shape: a ≥100k-key streamed universe, a planned migration, and composed
-// verification on.
-func TestZipfStoreScenarioShape(t *testing.T) {
-	ss := perf.ZipfStoreScenario()
-	if ss.Workload.KeySpace < 100_000 {
-		t.Fatalf("zipf store spans %d keys, want ≥ 100 000", ss.Workload.KeySpace)
+// BenchmarkCheckerLongHistory measures repeated Wing–Gong checks of one
+// long concurrent history — the steady-state checker cost with any
+// per-history precomputation amortized away by the iteration count.
+func BenchmarkCheckerLongHistory(b *testing.B) {
+	dt, rep := longHistory(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := check.Check(dt, rep.History); !res.Linearizable {
+			b.Fatal("long history should be linearizable")
+		}
 	}
-	if !ss.Verify {
-		t.Fatal("zipf store must verify the composed report")
+	b.ReportMetric(float64(rep.History.Len()), "history-ops")
+}
+
+// BenchmarkCheckerIslandSteady measures the checker's steady state as an
+// engine worker sees it: the same long history re-verified with a reused
+// arena and a warm shared transition cache, islands enabled. With every
+// slab warm, allocs/op here is the checker's true floor — the witness
+// slice handed back in the Result and nothing else.
+func BenchmarkCheckerIslandSteady(b *testing.B) {
+	dt, rep := longHistory(b)
+	opts := check.Options{Arena: check.NewArena(), Cache: check.NewCache()}
+	for i := 0; i < 3; i++ {
+		check.CheckOpts(dt, rep.History, opts)
 	}
-	if ss.Plan == nil || len(ss.Plan.Migrations) == 0 {
-		t.Fatal("zipf store must schedule a migration")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := check.CheckOpts(dt, rep.History, opts); !res.Linearizable {
+			b.Fatal("long history should be linearizable")
+		}
+	}
+	b.ReportMetric(float64(rep.History.Len()), "history-ops")
+}
+
+// BenchmarkSimEventLoop measures one engine scenario run per iteration —
+// an Algorithm 1 cluster pushing 400 operations' worth of invocations,
+// broadcasts, and timers through the discrete-event loop, exactly the way
+// a grid's worker pool drives it (fresh isolated instance, no verifier).
+func BenchmarkSimEventLoop(b *testing.B) {
+	sc := engine.Scenario{
+		DataType: types.NewRegister(0),
+		Params:   experiments.DefaultParams(4),
+		Seed:     3,
+		Delay:    engine.DelaySpec{Mode: engine.DelayWorst},
+		Workload: workload.Spec{OpsPerProcess: 100},
+	}
+	eng := engine.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	ops := 0
+	for i := 0; i < b.N; i++ {
+		res, err := eng.RunOne(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops = res.Ops
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(ops), "ops")
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(ops)*float64(b.N)/sec, "sim-ops/s")
 	}
 }
