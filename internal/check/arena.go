@@ -27,15 +27,23 @@ type Arena struct {
 	specs  []boundary       // speculated island boundary states scratch
 	isl    []islandRes      // per-island verdict scratch
 	free   []*scratch       // search scratch freelist (one per concurrent island)
-	locals map[string]map[string]transition
+	locals map[string]*Cache
 	inits  map[string]boundary
 }
 
-// boundary is a state with its canonical encoding — an island's start or
-// end point.
+// boundary is a state with its identity — an island's start or end point.
 type boundary struct {
 	state spec.State
-	enc   string
+	id    stateID
+}
+
+// sameState reports whether two boundaries hold the same state of dt:
+// equal encodings, or equal fingerprints confirmed by EqualStates.
+func sameState(dt spec.DataType, a, b boundary) bool {
+	if fpr, ok := dt.(spec.Fingerprinter); ok {
+		return a.id.fp == b.id.fp && fpr.EqualStates(a.state, b.state)
+	}
+	return a.id.enc == b.id.enc
 }
 
 // NewArena returns an empty arena.
@@ -52,10 +60,14 @@ type scratch struct {
 	next, prev []int32
 	done       []uint64 // done-set bitset, the memo key prefix
 	order      []int32  // linearized segment indexes, search order
-	memo       map[string]struct{}
-	fronts     [][]int32 // per-depth frontier scratch
-	keyBuf     []byte    // memo key scratch
-	tkeyBuf    []byte    // transition key scratch
+	// memo holds the dead ends of encoding-identified searches; fpMemo
+	// those of fingerprinted ones, each with a representative state for
+	// EqualStates to confirm a hit against.
+	memo    map[string]struct{}
+	fpMemo  map[string]spec.State
+	fronts  [][]int32 // per-depth frontier scratch
+	keyBuf  []byte    // memo key scratch
+	tkeyBuf []byte    // transition key scratch
 }
 
 // reset sizes the scratch for an n-record segment and clears per-search
@@ -74,8 +86,10 @@ func (s *scratch) reset(n int) {
 	s.order = s.order[:0]
 	if s.memo == nil {
 		s.memo = make(map[string]struct{})
+		s.fpMemo = make(map[string]spec.State)
 	} else {
 		clear(s.memo)
+		clear(s.fpMemo)
 	}
 }
 
@@ -105,19 +119,20 @@ func (a *Arena) releaseScratch(s *scratch) { a.free = append(a.free, s) }
 // on first use. Name-keying is sound for the same reason CacheSet's is;
 // the cache persists across checks so repeated histories of one data type
 // replay from memoized transitions.
-func (a *Arena) localFor(dt spec.DataType) map[string]transition {
+func (a *Arena) localFor(dt spec.DataType) *Cache {
 	if a.locals == nil {
-		a.locals = make(map[string]map[string]transition)
+		a.locals = make(map[string]*Cache)
 	}
-	m := a.locals[dt.Name()]
-	if m == nil {
-		m = make(map[string]transition)
-		a.locals[dt.Name()] = m
+	c := a.locals[dt.Name()]
+	if c == nil {
+		c = NewCache()
+		c.local = true
+		a.locals[dt.Name()] = c
 	}
-	return m
+	return c
 }
 
-// initFor returns dt's initial state and encoding, memoized per data-type
+// initFor returns dt's initial state and identity, memoized per data-type
 // name (states are immutable by the DataType contract).
 func (a *Arena) initFor(dt spec.DataType) boundary {
 	if a.inits == nil {
@@ -125,11 +140,31 @@ func (a *Arena) initFor(dt spec.DataType) boundary {
 	}
 	b, ok := a.inits[dt.Name()]
 	if !ok {
-		st := dt.InitialState()
-		b = boundary{state: st, enc: dt.EncodeState(st)}
+		b.state = dt.InitialState()
+		if fpr, ok := dt.(spec.Fingerprinter); ok {
+			b.id.fp = fpr.Fingerprint(b.state)
+		} else {
+			b.id.enc = dt.EncodeState(b.state)
+		}
 		a.inits[dt.Name()] = b
 	}
 	return b
+}
+
+// newChecker returns a search over the segment ops, whose transition-key
+// offsets are argOff, on scratch s.
+func (a *Arena) newChecker(dt spec.DataType, ops []history.Record, argOff []int32, cache *Cache, s *scratch) checker {
+	fpr, _ := dt.(spec.Fingerprinter)
+	return checker{
+		dt:      dt,
+		fpr:     fpr,
+		ops:     ops,
+		n:       len(ops),
+		argBuf:  a.argBuf,
+		argOff:  argOff,
+		cache:   cache,
+		scratch: s,
+	}
 }
 
 // buildArgKeys fills the transition-key slab: operation i's key suffix is
@@ -162,29 +197,29 @@ func (a *Arena) check(dt spec.DataType, h *history.History, opt Options) Result 
 		return res
 	}
 	a.buildArgKeys(ops)
-	var local map[string]transition
-	if opt.Cache == nil {
-		local = a.localFor(dt)
+	cache := opt.Cache
+	if cache == nil {
+		cache = a.localFor(dt)
 	}
 	init := a.initFor(dt)
 	if !opt.NoIslands {
 		if bounds := a.islandBounds(ops); len(bounds) > 2 {
-			if res, ok := a.checkIslands(dt, ops, bounds, opt, local, init); ok {
+			if res, ok := a.checkIslands(dt, ops, bounds, opt.Workers, cache, init); ok {
 				return res
 			}
 			// Speculation failed somewhere: fall through to the single
 			// whole-history search, whose verdict is authoritative.
 		}
 	}
-	return a.checkWhole(dt, ops, opt.Cache, local, init)
+	return a.checkWhole(dt, ops, cache, init)
 }
 
 // checkWhole runs one Wing–Gong search over the full record list.
-func (a *Arena) checkWhole(dt spec.DataType, ops []history.Record, shared *Cache, local map[string]transition, init boundary) Result {
+func (a *Arena) checkWhole(dt spec.DataType, ops []history.Record, cache *Cache, init boundary) Result {
 	s := a.acquireScratch()
 	defer a.releaseScratch(s)
 	wit := make([]history.OpID, len(ops))
-	r := a.runSegment(dt, ops, a.argOff, shared, local, s, init, wit)
+	r := a.runSegment(dt, ops, a.argOff, cache, s, init, wit)
 	res := Result{Linearizable: r.ok, StatesExplored: r.explored}
 	if r.ok {
 		res.Witness = wit[:r.witN]
@@ -195,9 +230,9 @@ func (a *Arena) checkWhole(dt spec.DataType, ops []history.Record, shared *Cache
 // islandRes is one segment search's outcome.
 type islandRes struct {
 	ok       bool
-	finalEnc string // state encoding the found linearization ended in
-	explored int    // memoized dead ends
-	witN     int    // witness entries written (== segment size unless pending ops were skipped)
+	final    boundary // state the found linearization ended in
+	explored int      // memoized dead ends
+	witN     int      // witness entries written (== segment size unless pending ops were skipped)
 }
 
 // runSegment searches one record segment from the given start state,
@@ -205,20 +240,11 @@ type islandRes struct {
 // hold len(ops) entries).
 //
 //tb:hotpath
-func (a *Arena) runSegment(dt spec.DataType, ops []history.Record, argOff []int32, shared *Cache, local map[string]transition, s *scratch, start boundary, wit []history.OpID) islandRes {
-	c := checker{
-		dt:      dt,
-		ops:     ops,
-		n:       len(ops),
-		argBuf:  a.argBuf,
-		argOff:  argOff,
-		shared:  shared,
-		local:   local,
-		scratch: s,
-	}
+func (a *Arena) runSegment(dt spec.DataType, ops []history.Record, argOff []int32, cache *Cache, s *scratch, start boundary, wit []history.OpID) islandRes {
+	c := a.newChecker(dt, ops, argOff, cache, s)
 	c.reset()
-	ok := c.search(start.state, start.enc)
-	r := islandRes{ok: ok, finalEnc: c.finalEnc, explored: len(s.memo)}
+	ok := c.search(start.state, start.id)
+	r := islandRes{ok: ok, final: c.final, explored: len(s.memo) + len(s.fpMemo)}
 	if ok {
 		for i, idx := range s.order {
 			wit[i] = ops[idx].ID

@@ -22,11 +22,17 @@
 //     linearized without branching or memoization, which reduces fully
 //     sequential histories (and the sequential windows between concurrent
 //     bursts) to a linear-time replay.
-//   - Memo keys are done-set bitset bytes plus the canonical state
-//     encoding, built into a reused buffer.
-//   - State transitions (Apply + EncodeState) are memoized per
-//     (state, operation) — in an arena-local cache, or across runs via a
-//     shared Cache handed down by the engine's worker pool.
+//   - A state's identity is its canonical encoding (EncodeState), or —
+//     when the data type is a spec.Fingerprinter — its 64-bit
+//     fingerprint, which ApplyFP maintains in O(1) per transition instead
+//     of rendering the whole state. A fingerprint is never trusted alone:
+//     every memo hit, transition-cache hit and island stitch it decides
+//     is confirmed by EqualStates.
+//   - Memo keys are done-set bitset bytes plus the state identity, built
+//     into a reused buffer.
+//   - State transitions (Apply plus the next identity) are memoized per
+//     (state identity, operation) — in an arena-local cache, or across
+//     runs via a shared Cache handed down by the engine's worker pool.
 //   - Histories decompose into concurrency islands — maximal
 //     invocation-order segments with no real-time overlap across the cut
 //     (the same Herlihy–Wing locality Compose exploits across objects) —
@@ -64,7 +70,7 @@ type Result struct {
 
 // Options configures a check beyond the data type and history.
 type Options struct {
-	// Cache optionally shares a transition cache (Apply + EncodeState
+	// Cache optionally shares a transition cache (Apply + next-identity
 	// memoization) across histories of the same data type. The engine
 	// passes one Cache per data type to all workers of a grid; nil falls
 	// back to the arena's per-data-type local cache.
@@ -130,21 +136,42 @@ func sequentialFastPath(dt spec.DataType, ops []history.Record) (Result, bool) {
 	return Result{Linearizable: true, Witness: witness}, true
 }
 
-// transition is one memoized state transition.
+// stateID is a state's identity in the search: its canonical encoding,
+// or, for a spec.Fingerprinter, its fingerprint (enc stays empty).
+type stateID struct {
+	enc string
+	fp  uint64
+}
+
+// transition is one memoized state transition of a data type identified
+// by encoding.
 type transition struct {
 	next spec.State
 	enc  string
 	ret  spec.Value
 }
 
-// Cache memoizes state transitions (Apply plus EncodeState) of one data
-// type, keyed by (canonical state encoding, operation kind, canonical
-// argument). It is safe for concurrent use: states are immutable by the
-// DataType contract, so sharing them across goroutines is sound. The
-// engine shares one Cache per data type across a grid's worker pool.
+// fpTransition is one memoized transition of a spec.Fingerprinter. It
+// keeps the state it was computed from, because a fingerprint-keyed hit
+// counts only if EqualStates confirms that state.
+type fpTransition struct {
+	from, next spec.State
+	fp         uint64
+	ret        spec.Value
+}
+
+// Cache memoizes state transitions of one data type, keyed by (state
+// identity, operation kind, canonical argument): m for types identified
+// by encoding, fm for spec.Fingerprinters. It is safe for concurrent use:
+// states are immutable by the DataType contract, so sharing them across
+// goroutines is sound. The engine shares one Cache per data type across a
+// grid's worker pool.
 type Cache struct {
 	mu sync.RWMutex
 	m  map[string]transition
+	fm map[string]fpTransition
+	// local marks an arena-owned cache: one goroutine uses it, unlocked.
+	local bool
 }
 
 // maxCacheEntries bounds a transition cache; beyond it the cache serves
@@ -153,28 +180,38 @@ type Cache struct {
 const maxCacheEntries = 1 << 20
 
 // NewCache returns an empty transition cache.
-func NewCache() *Cache { return &Cache{m: make(map[string]transition)} }
+func NewCache() *Cache {
+	return &Cache{m: make(map[string]transition), fm: make(map[string]fpTransition)}
+}
 
 // Len returns the number of memoized transitions.
 func (c *Cache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.m)
+	return len(c.m) + len(c.fm)
 }
 
-func (c *Cache) lookup(key []byte) (transition, bool) {
+// lookup reads one of c's tables.
+func lookup[T any](c *Cache, m map[string]T, key []byte) (t T, ok bool) {
+	if c.local {
+		t, ok = m[string(key)] // compiler avoids allocating the string for the lookup
+		return t, ok
+	}
 	c.mu.RLock()
-	t, ok := c.m[string(key)] // compiler avoids allocating the string for the lookup
+	t, ok = m[string(key)]
 	c.mu.RUnlock()
 	return t, ok
 }
 
-func (c *Cache) store(key string, t transition) {
-	c.mu.Lock()
-	if len(c.m) < maxCacheEntries {
-		c.m[key] = t
+// store writes one of c's tables.
+func store[T any](c *Cache, m map[string]T, key []byte, t T) {
+	if !c.local {
+		c.mu.Lock()
+		defer c.mu.Unlock()
 	}
-	c.mu.Unlock()
+	if len(m) < maxCacheEntries {
+		m[string(key)] = t
+	}
 }
 
 // CacheSet lazily hands out one transition Cache per data-type name.
@@ -184,6 +221,10 @@ func (c *Cache) store(key string, t transition) {
 // different dynamic types, e.g. int 1 vs string "1") must encode
 // differently, which the bundled types guarantee by rendering values
 // with spec.CanonicalValue. TestSharedCacheAcrossValueTypes pins this.
+// Fingerprints need no injectivity: every fingerprint-keyed hit is
+// confirmed by EqualStates. Fingerprint keys and encoding keys never
+// share a table, because a data-type name either always fingerprints or
+// never does, so each Cache fills only one of its two tables.
 type CacheSet struct {
 	mu sync.Mutex
 	m  map[string]*Cache
@@ -213,20 +254,21 @@ func (s *CacheSet) For(dt spec.DataType) *Cache {
 // boundary state. Search scratch lives in the embedded *scratch (arena
 // owned); the argument-key slab is shared across the history's islands.
 type checker struct {
-	dt  spec.DataType
+	dt spec.DataType
+	// fpr is dt as a spec.Fingerprinter, or nil: it selects the identity.
+	fpr spec.Fingerprinter
 	ops []history.Record // the segment's records, invocation order
 	n   int
 	// argBuf/argOff are the history-wide transition-key slab: the key
 	// suffix of segment operation i is argBuf[argOff[i]:argOff[i+1]].
 	argBuf []byte
 	argOff []int32
-	shared *Cache
-	local  map[string]transition
+	cache  *Cache // the shared Cache, or the arena-local one
 	// remaining counts completed operations not yet linearized.
 	remaining int
-	// finalEnc is the state encoding the successful search ended in — the
-	// island stitch compares it against the next speculated boundary.
-	finalEnc string
+	// final is the state the successful search ended in — the island
+	// stitch compares it against the next speculated boundary.
+	final boundary
 	*scratch
 }
 
@@ -242,7 +284,7 @@ func (c *checker) reset() {
 			c.remaining++
 		}
 	}
-	c.finalEnc = ""
+	c.final = boundary{}
 }
 
 // frontier collects the candidate operations at the current node: undone
@@ -298,57 +340,101 @@ func (c *checker) untake(i int32) {
 	}
 }
 
-// memoKey builds the (done set, state) key into the reused buffer.
+// memoKey builds the (done set, state identity) key into the reused
+// buffer.
 //
 //tb:hotpath
-func (c *checker) memoKey(enc string) []byte {
+func (c *checker) memoKey(id stateID) []byte {
 	buf := c.keyBuf[:0]
 	for _, w := range c.done {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
-	buf = append(buf, enc...)
+	if c.fpr != nil {
+		buf = binary.LittleEndian.AppendUint64(buf, id.fp)
+	} else {
+		buf = append(buf, id.enc...)
+	}
 	c.keyBuf = buf
 	return buf
 }
 
-// apply resolves the transition for op i from the state with encoding enc,
-// through the shared or arena-local cache. The key length-prefixes enc so
-// that (state encoding, op key) pairs cannot collide across different
-// splits.
+// dead reports whether the current done set from state is a memoized
+// dead end. A fingerprint-keyed entry counts only if its representative
+// state equals state; on a collision the node is searched again.
 //
 //tb:hotpath
-func (c *checker) apply(state spec.State, enc string, i int32) (spec.State, string, spec.Value) {
-	buf := binary.AppendUvarint(c.tkeyBuf[:0], uint64(len(enc)))
-	buf = append(buf, enc...)
+func (c *checker) dead(state spec.State, id stateID) bool {
+	if c.fpr == nil {
+		_, dead := c.memo[string(c.memoKey(id))]
+		return dead
+	}
+	rep, ok := c.fpMemo[string(c.memoKey(id))]
+	return ok && c.fpr.EqualStates(rep, state)
+}
+
+// markDead memoizes the current done set from state as a dead end.
+//
+//tb:hotpath
+func (c *checker) markDead(state spec.State, id stateID) {
+	if c.fpr == nil {
+		c.memo[string(c.memoKey(id))] = struct{}{}
+		return
+	}
+	c.fpMemo[string(c.memoKey(id))] = state
+}
+
+// apply resolves the transition for op i from state (identified by id)
+// through the cache. The encoding-keyed table length-prefixes enc so that
+// (state encoding, op key) pairs cannot collide across different splits.
+//
+//tb:hotpath
+func (c *checker) apply(state spec.State, id stateID, i int32) (spec.State, stateID, spec.Value) {
+	if c.fpr != nil {
+		return c.applyFP(state, id.fp, i)
+	}
+	buf := binary.AppendUvarint(c.tkeyBuf[:0], uint64(len(id.enc)))
+	buf = append(buf, id.enc...)
 	buf = append(buf, c.argBuf[c.argOff[i]:c.argOff[i+1]]...)
 	c.tkeyBuf = buf
-	if c.shared != nil {
-		if t, ok := c.shared.lookup(buf); ok {
-			return t.next, t.enc, t.ret
-		}
-	} else if t, ok := c.local[string(buf)]; ok {
-		return t.next, t.enc, t.ret
+	if t, ok := lookup(c.cache, c.cache.m, buf); ok {
+		return t.next, stateID{enc: t.enc}, t.ret
 	}
 	op := &c.ops[i]
 	next, ret := c.dt.Apply(state, op.Kind, op.Arg)
 	t := transition{next: next, enc: c.dt.EncodeState(next), ret: ret}
-	if c.shared != nil {
-		c.shared.store(string(buf), t)
-	} else if len(c.local) < maxCacheEntries {
-		c.local[string(buf)] = t
+	store(c.cache, c.cache.m, buf, t)
+	return t.next, stateID{enc: t.enc}, t.ret
+}
+
+// applyFP is apply for a spec.Fingerprinter, keyed on the fingerprint. A
+// hit counts only if its entry was computed from a state equal to state;
+// on a collision the transition is computed and not cached.
+//
+//tb:hotpath
+func (c *checker) applyFP(state spec.State, fp uint64, i int32) (spec.State, stateID, spec.Value) {
+	buf := binary.LittleEndian.AppendUint64(c.tkeyBuf[:0], fp)
+	buf = append(buf, c.argBuf[c.argOff[i]:c.argOff[i+1]]...)
+	c.tkeyBuf = buf
+	t, hit := lookup(c.cache, c.cache.fm, buf)
+	if hit && c.fpr.EqualStates(t.from, state) {
+		return t.next, stateID{fp: t.fp}, t.ret
 	}
-	return t.next, t.enc, t.ret
+	op := &c.ops[i]
+	next, nextFP, ret := c.fpr.ApplyFP(state, fp, op.Kind, op.Arg)
+	if !hit {
+		store(c.cache, c.cache.fm, buf, fpTransition{from: state, next: next, fp: nextFP, ret: ret})
+	}
+	return next, stateID{fp: nextFP}, ret
 }
 
 // search tries to linearize all completed operations from the given state
-// (with canonical encoding enc). Pending operations are linearized
-// opportunistically when doing so unblocks progress; they never have to be
-// linearized.
+// (identified by id). Pending operations are linearized opportunistically
+// when doing so unblocks progress; they never have to be linearized.
 //
 //tb:hotpath
-func (c *checker) search(state spec.State, enc string) bool {
+func (c *checker) search(state spec.State, id stateID) bool {
 	if c.remaining == 0 {
-		c.finalEnc = enc
+		c.final = boundary{state: state, id: id}
 		return true
 	}
 	front := c.frontier(len(c.order))
@@ -358,34 +444,34 @@ func (c *checker) search(state spec.State, enc string) bool {
 		// a pending op never bounds the frontier), so every linearization
 		// puts it next. No branching, no memo entry.
 		i := front[0]
-		next, nextEnc, ret := c.apply(state, enc, i)
+		next, nextID, ret := c.apply(state, id, i)
 		if !spec.ValueEqual(ret, c.ops[i].Ret) {
 			return false
 		}
 		c.take(i)
-		if c.search(next, nextEnc) {
+		if c.search(next, nextID) {
 			return true
 		}
 		c.untake(i)
 		return false
 	}
-	if _, dead := c.memo[string(c.memoKey(enc))]; dead {
+	if c.dead(state, id) {
 		return false
 	}
 	for _, i := range front {
 		op := &c.ops[i]
-		next, nextEnc, ret := c.apply(state, enc, i)
+		next, nextID, ret := c.apply(state, id, i)
 		if !op.Pending && !spec.ValueEqual(ret, op.Ret) {
 			// A completed op must return exactly what the spec dictates.
 			continue
 		}
 		c.take(i)
-		if c.search(next, nextEnc) {
+		if c.search(next, nextID) {
 			return true
 		}
 		c.untake(i)
 	}
-	c.memo[string(c.memoKey(enc))] = struct{}{} // dead end
+	c.markDead(state, id)
 	return false
 }
 

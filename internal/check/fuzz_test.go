@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -24,17 +25,44 @@ func fuzzDataTypes() []spec.DataType {
 		types.NewCounter(),
 		types.NewQueue(),
 		types.NewRMWRegister(0),
+		types.NewDict(),
+		types.NewSet(),
 	}
+}
+
+// fuzzArg decodes the argument of one kind-operation from b; b&3 == 3
+// leaves it nil. Dict put takes a KV and dict delete/get a string key
+// (bits 2–3); set elements and dict values (bits 4–5) are ints, or their
+// decimal strings when bit 6 is set, so int 1 and "1" meet in one state.
+// Every other kind takes a small int.
+func fuzzArg(kind spec.OpKind, b byte) spec.Value {
+	if b&3 == 3 {
+		return nil
+	}
+	key := string(rune('a' + int(b>>2)&3))
+	var v spec.Value = int(b>>4) & 3
+	if b&0x40 != 0 {
+		v = strconv.Itoa(int(b>>4) & 3)
+	}
+	switch kind {
+	case types.OpPut:
+		return types.KV{Key: key, Value: v}
+	case types.OpDelete, types.OpDictGet:
+		return key
+	case types.OpInsert, types.OpRemove, types.OpContains:
+		return v
+	}
+	return int(b>>2) % 5
 }
 
 // decodeFuzzHistory deterministically decodes a bounded history — at most
 // fuzzMaxOps operations over at most 4 processes — from raw fuzz bytes.
-// Each operation consumes 4 bytes: process and kind, argument, invocation
-// gap, and duration (with reserved patterns for pending operations and
-// corrupted returns, so both checker verdicts stay reachable). Returns are
-// generated by replaying a running state in invocation order, which is a
-// plausible-but-not-necessarily-linearizable assignment once operations
-// overlap.
+// Each operation consumes 4 bytes: process and kind, argument (fuzzArg),
+// invocation gap, and duration (with reserved patterns for pending
+// operations and corrupted returns, so both checker verdicts stay
+// reachable). Returns are generated by replaying a running state in
+// invocation order, which is a plausible-but-not-necessarily-linearizable
+// assignment once operations overlap.
 func decodeFuzzHistory(data []byte) (spec.DataType, *history.History) {
 	if len(data) < 5 {
 		return nil, nil
@@ -58,10 +86,7 @@ func decodeFuzzHistory(data []byte) (spec.DataType, *history.History) {
 		b0, b1, b2, b3 := data[i], data[i+1], data[i+2], data[i+3]
 		proc := model.ProcessID(b0 & 3)
 		kind := kinds[int(b0>>2)%len(kinds)]
-		var arg spec.Value
-		if b1&3 != 3 {
-			arg = int(b1>>2) % 5
-		}
+		arg := fuzzArg(kind, b1)
 		// A zero gap keeps the new invocation concurrent with open ones.
 		now += model.Time(b2%4) * ms
 		var ret spec.Value
@@ -94,7 +119,9 @@ func decodeFuzzHistory(data []byte) (spec.DataType, *history.History) {
 func FuzzCheckIslands(f *testing.F) {
 	// Seeds cover each data type plus shapes that exercise the interesting
 	// paths: sequential fast path, overlap, pending ops, corrupted returns
-	// (byte%7==0 → non-linearizable), and multi-island histories.
+	// (byte%7==0 → non-linearizable), and multi-island histories. The
+	// dict and set seeds — the fingerprinted identity path — are committed
+	// under testdata/fuzz/FuzzCheckIslands.
 	f.Add([]byte{0, 0x00, 0x04, 1, 1, 0x41, 0x08, 1, 2})                   // register: write then read, sequential
 	f.Add([]byte{1, 0x04, 0x08, 0, 3, 0x05, 0x0b, 0, 3})                   // counter: concurrent increments
 	f.Add([]byte{2, 0x00, 0x04, 1, 1, 0x05, 0x03, 0, 1})                   // queue: enq overlapping deq

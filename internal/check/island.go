@@ -66,25 +66,16 @@ func (a *Arena) islandBounds(ops []history.Record) []int32 {
 // proposes a state chain for the stitch to verify.
 //
 //tb:hotpath
-func (a *Arena) speculate(dt spec.DataType, ops []history.Record, bounds []int32, shared *Cache, local map[string]transition, init boundary, s *scratch) []boundary {
+func (a *Arena) speculate(dt spec.DataType, ops []history.Record, bounds []int32, cache *Cache, init boundary, s *scratch) []boundary {
 	specs := a.specs[:0]
 	specs = append(specs, init)
-	c := checker{
-		dt:      dt,
-		ops:     ops,
-		n:       len(ops),
-		argBuf:  a.argBuf,
-		argOff:  a.argOff,
-		shared:  shared,
-		local:   local,
-		scratch: s,
-	}
-	state, enc := init.state, init.enc
+	c := a.newChecker(dt, ops, a.argOff, cache, s)
+	b := init
 	for k := 1; k < len(bounds)-1; k++ {
 		for i := bounds[k-1]; i < bounds[k]; i++ {
-			state, enc, _ = c.apply(state, enc, i)
+			b.state, b.id, _ = c.apply(b.state, b.id, i)
 		}
-		specs = append(specs, boundary{state: state, enc: enc})
+		specs = append(specs, b)
 	}
 	a.specs = specs
 	return specs
@@ -94,10 +85,10 @@ func (a *Arena) speculate(dt spec.DataType, ops []history.Record, bounds []int32
 // boundary states. ok is false when the speculation failed to stitch (or
 // some island rejected), in which case the caller must fall back to the
 // whole-history search — a false ok says nothing about linearizability.
-func (a *Arena) checkIslands(dt spec.DataType, ops []history.Record, bounds []int32, opt Options, local map[string]transition, init boundary) (Result, bool) {
+func (a *Arena) checkIslands(dt spec.DataType, ops []history.Record, bounds []int32, workers int, cache *Cache, init boundary) (Result, bool) {
 	m := len(bounds) - 1
 	rs := a.acquireScratch()
-	specs := a.speculate(dt, ops, bounds, opt.Cache, local, init, rs)
+	specs := a.speculate(dt, ops, bounds, cache, init, rs)
 	a.releaseScratch(rs)
 
 	if cap(a.isl) < m {
@@ -106,8 +97,7 @@ func (a *Arena) checkIslands(dt spec.DataType, ops []history.Record, bounds []in
 	results := a.isl[:m]
 	wit := make([]history.OpID, len(ops))
 
-	workers := opt.Workers
-	if opt.Cache == nil {
+	if cache.local {
 		// The arena-local transition cache is unlocked; island parallelism
 		// requires the shared Cache.
 		workers = 1
@@ -137,7 +127,7 @@ func (a *Arena) checkIslands(dt spec.DataType, ops []history.Record, bounds []in
 						return
 					}
 					lo, hi := bounds[k], bounds[k+1]
-					results[k] = a.runSegment(dt, ops[lo:hi], a.argOff[lo:hi+1], opt.Cache, nil, s, specs[k], wit[lo:hi])
+					results[k] = a.runSegment(dt, ops[lo:hi], a.argOff[lo:hi+1], cache, s, specs[k], wit[lo:hi])
 				}
 			}(scrs[w])
 		}
@@ -149,8 +139,8 @@ func (a *Arena) checkIslands(dt spec.DataType, ops []history.Record, bounds []in
 		s := a.acquireScratch()
 		for k := 0; k < m; k++ {
 			lo, hi := bounds[k], bounds[k+1]
-			results[k] = a.runSegment(dt, ops[lo:hi], a.argOff[lo:hi+1], opt.Cache, local, s, specs[k], wit[lo:hi])
-			if !results[k].ok || (k < m-1 && results[k].finalEnc != specs[k+1].enc) {
+			results[k] = a.runSegment(dt, ops[lo:hi], a.argOff[lo:hi+1], cache, s, specs[k], wit[lo:hi])
+			if !results[k].ok || (k < m-1 && !sameState(dt, results[k].final, specs[k+1])) {
 				break // stitch below rejects at k; later islands are moot
 			}
 		}
@@ -164,7 +154,7 @@ func (a *Arena) checkIslands(dt spec.DataType, ops []history.Record, bounds []in
 	explored := 0
 	for k := 0; k < m; k++ {
 		r := results[k]
-		if !r.ok || (k < m-1 && r.finalEnc != specs[k+1].enc) {
+		if !r.ok || (k < m-1 && !sameState(dt, r.final, specs[k+1])) {
 			return Result{}, false
 		}
 		explored += r.explored

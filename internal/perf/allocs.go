@@ -13,6 +13,7 @@ package perf
 
 import (
 	"math/rand"
+	"strconv"
 	"time"
 
 	"timebounds/internal/check"
@@ -48,6 +49,19 @@ func AllocBudgets() []AllocBudget {
 			// Result — the only per-check state the caller keeps.
 			Budget: 1,
 			Make:   makeCheckSteady,
+		},
+		{
+			Name:  "check/dict-cold",
+			Brief: "check a 64-op bursty dict history with a reused arena and a fresh shared cache",
+			// Every transition is computed, so this counts what each one
+			// costs: the dict's map clone and the cache entry's key, plus
+			// the fmt rendering of each put's KV transition-key suffix.
+			// The state identity is a fingerprint and allocates nothing:
+			// 141 measured (155–157 under -race, whose sync.Pool drops
+			// fmt's printers), where rendering EncodeState on every
+			// transition costs about 1 900.
+			Budget: 160,
+			Make:   makeCheckDictCold,
 		},
 		{
 			Name:   "sim/event-wave",
@@ -87,8 +101,21 @@ func makeCheckSteady() func() {
 	return unit
 }
 
+// makeCheckDictCold: a first check of a dict history, where no transition
+// is cached yet and each one resolves the next state's identity.
+func makeCheckDictCold() func() {
+	dt := types.NewDict()
+	h := burstyHistory(dt, 3, 64)
+	arena := check.NewArena()
+	unit := func() { check.CheckOpts(dt, h, check.Options{Arena: arena, Cache: check.NewCache()}) }
+	for i := 0; i < 5; i++ {
+		unit()
+	}
+	return unit
+}
+
 // burstyHistory builds a small concurrent history with idle gaps, so the
-// steady-recheck budget exercises the island decomposition path.
+// budgets exercise the island decomposition path.
 func burstyHistory(dt spec.DataType, seed int64, n int) *history.History {
 	rng := rand.New(rand.NewSource(seed))
 	kinds := dt.Kinds()
@@ -108,7 +135,7 @@ func burstyHistory(dt spec.DataType, seed int64, n int) *history.History {
 			now += model.Time(rng.Intn(3)) * model.Time(time.Millisecond)
 		}
 		kind := kinds[rng.Intn(len(kinds))]
-		arg := spec.Value(rng.Intn(3))
+		arg := opArg(rng, kind)
 		next, ret := dt.Apply(state, kind, arg)
 		state = next
 		id := h.Invoke(model.ProcessID(rng.Intn(3)), kind, arg, now)
@@ -121,6 +148,18 @@ func burstyHistory(dt spec.DataType, seed int64, n int) *history.History {
 		}
 	}
 	return h
+}
+
+// opArg draws kind's argument: a KV over 32 keys for dict put, one of
+// those keys for dict delete/get, and a small int for every other kind.
+func opArg(rng *rand.Rand, kind spec.OpKind) spec.Value {
+	switch kind {
+	case types.OpPut:
+		return types.KV{Key: strconv.Itoa(rng.Intn(32)), Value: rng.Intn(3)}
+	case types.OpDelete, types.OpDictGet:
+		return strconv.Itoa(rng.Intn(32))
+	}
+	return rng.Intn(3)
 }
 
 // waveProc answers each invocation with a broadcast, a timer, and a

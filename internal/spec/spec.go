@@ -17,7 +17,6 @@ package spec
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -68,6 +67,14 @@ func (c OpClass) String() string {
 }
 
 // DataType is a deterministic sequential specification (Definition A.1).
+//
+// A DataType may also implement Fingerprinter, giving its states a 64-bit
+// identity that is maintained incrementally instead of rendered. The
+// contract ties it to EncodeState: the fingerprint is a function of the
+// EncodeState class (equal encodings give equal fingerprints), ApplyFP
+// returns Apply's (next, ret) together with Fingerprint(next), and
+// EqualStates(a, b) holds iff EncodeState(a) == EncodeState(b). A type
+// that embeds a Fingerprinter and changes Apply must override ApplyFP too.
 type DataType interface {
 	// Name returns the human-readable type name, e.g. "queue".
 	Name() string
@@ -84,6 +91,21 @@ type DataType interface {
 	// EncodeState returns a canonical string encoding of a state; two
 	// states are behaviourally equivalent iff their encodings are equal.
 	EncodeState(s State) string
+}
+
+// Fingerprinter is the optional state-identity interface of a DataType
+// (see the DataType contract). The linearizability checker keys its memo
+// and transition cache on the fingerprint of a Fingerprinter instead of
+// rendering EncodeState on every transition. Fingerprints may collide;
+// the checker never trusts one without EqualStates.
+type Fingerprinter interface {
+	// Fingerprint computes the identity of s from scratch.
+	Fingerprint(s State) uint64
+	// ApplyFP is Apply on a state whose fingerprint is fp; it also returns
+	// the fingerprint of the next state, updated without rescanning it.
+	ApplyFP(s State, fp uint64, kind OpKind, arg Value) (next State, nextFP uint64, ret Value)
+	// EqualStates reports whether a and b encode equally, exactly.
+	EqualStates(a, b State) bool
 }
 
 // Op is an operation instance op = OP(arg, ret) (Chapter II.A).
@@ -311,15 +333,4 @@ func Permutations(ops []Op, fn func([]Op) bool) {
 		return true
 	}
 	rec(0)
-}
-
-// CanonicalValues renders a slice of values deterministically, sorting the
-// rendered forms; useful for EncodeState implementations over sets/maps.
-func CanonicalValues(vs []Value) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = fmt.Sprintf("%v", v)
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
 }

@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -38,7 +39,10 @@ type dictState map[string]spec.Value
 // because a put does not erase other keys.
 type Dict struct{}
 
-var _ spec.DataType = Dict{}
+var (
+	_ spec.DataType      = Dict{}
+	_ spec.Fingerprinter = Dict{}
+)
 
 // NewDict returns an initially empty dictionary.
 func NewDict() Dict { return Dict{} }
@@ -122,4 +126,70 @@ func (Dict) EncodeState(s spec.State) string {
 	}
 	sort.Strings(parts)
 	return "dict:{" + strings.Join(parts, ",") + "}"
+}
+
+// Fingerprint implements spec.Fingerprinter.
+func (Dict) Fingerprint(s spec.State) uint64 {
+	d, _ := s.(dictState)
+	var fp uint64
+	for k, v := range d {
+		fp += entryHash(k, v)
+	}
+	return fp
+}
+
+// ApplyFP implements spec.Fingerprinter: put and delete swap the hash of
+// the one entry they touch in the running sum.
+//
+//tb:hotpath
+func (dt Dict) ApplyFP(s spec.State, fp uint64, kind spec.OpKind, arg spec.Value) (spec.State, uint64, spec.Value) {
+	d, _ := s.(dictState)
+	switch kind {
+	case OpPut:
+		if kv, ok := arg.(KV); ok {
+			fp += entryHash(kv.Key, kv.Value) - d.entryHashOf(kv.Key)
+		}
+	case OpDelete:
+		if key, ok := arg.(string); ok {
+			fp -= d.entryHashOf(key)
+		}
+	}
+	next, ret := dt.Apply(s, kind, arg)
+	return next, fp, ret
+}
+
+// entryHashOf is the hash d's entry under key adds to the fingerprint, 0
+// when there is none.
+//
+//tb:hotpath
+func (d dictState) entryHashOf(key string) uint64 {
+	if v, ok := d[key]; ok {
+		return entryHash(key, v)
+	}
+	return 0
+}
+
+// EqualStates implements spec.Fingerprinter. Two states holding the same
+// map — the checker's cached transitions hand back shared snapshots —
+// compare in O(1); otherwise entries compare by their canonical values,
+// as EncodeState renders them. Only value pairs outside spec.ValueEqual's
+// same-typed scalar fast path (int 1 against int64 1, struct values)
+// allocate.
+//
+//tb:hotpath
+func (Dict) EqualStates(a, b spec.State) bool {
+	x, _ := a.(dictState)
+	y, _ := b.(dictState)
+	if len(x) != len(y) {
+		return false
+	}
+	if reflect.ValueOf(x).UnsafePointer() == reflect.ValueOf(y).UnsafePointer() {
+		return true
+	}
+	for k, v := range x {
+		if w, ok := y[k]; !ok || !spec.ValueEqual(v, w) {
+			return false
+		}
+	}
+	return true
 }

@@ -27,7 +27,10 @@ type setState []spec.Value
 // example of eventually self-commuting mutators (Chapter II.C).
 type Set struct{}
 
-var _ spec.DataType = Set{}
+var (
+	_ spec.DataType      = Set{}
+	_ spec.Fingerprinter = Set{}
+)
 
 // NewSet returns an initially empty set.
 func NewSet() Set { return Set{} }
@@ -101,4 +104,54 @@ func (Set) EncodeState(s spec.State) string {
 		parts[i] = encodeElem(v)
 	}
 	return "set:{" + strings.Join(parts, ",") + "}"
+}
+
+// Fingerprint implements spec.Fingerprinter.
+func (Set) Fingerprint(s spec.State) uint64 {
+	set, _ := s.(setState)
+	var fp uint64
+	for _, v := range set {
+		fp += elemHash(v)
+	}
+	return fp
+}
+
+// ApplyFP implements spec.Fingerprinter. Elements have distinct
+// encodings, so insert and remove change the set exactly when they change
+// its size, and then by the one element encoded like arg.
+//
+//tb:hotpath
+func (st Set) ApplyFP(s spec.State, fp uint64, kind spec.OpKind, arg spec.Value) (spec.State, uint64, spec.Value) {
+	next, ret := st.Apply(s, kind, arg)
+	before, _ := s.(setState)
+	after, _ := next.(setState)
+	switch {
+	case len(after) > len(before):
+		fp += elemHash(arg)
+	case len(after) < len(before):
+		fp -= elemHash(arg)
+	}
+	return next, fp, ret
+}
+
+// EqualStates implements spec.Fingerprinter. States are sorted by
+// encoding, so they are equal iff their elements are pairwise; as in
+// Dict.EqualStates, only pairs off spec.ValueEqual's fast path allocate.
+//
+//tb:hotpath
+func (Set) EqualStates(a, b spec.State) bool {
+	x, _ := a.(setState)
+	y, _ := b.(setState)
+	if len(x) != len(y) {
+		return false
+	}
+	if len(x) == 0 || &x[0] == &y[0] {
+		return true
+	}
+	for i := range x {
+		if !spec.ValueEqual(x[i], y[i]) {
+			return false
+		}
+	}
+	return true
 }
