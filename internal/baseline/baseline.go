@@ -38,7 +38,7 @@ type Centralized struct {
 	// Coordinator is the object owner's process id.
 	Coordinator model.ProcessID
 	dt          spec.DataType
-	state       spec.State
+	state       spec.Owned
 }
 
 var _ sim.Process = (*Centralized)(nil)
@@ -46,15 +46,13 @@ var _ sim.Process = (*Centralized)(nil)
 // NewCentralized builds one process of the centralized scheme. Only the
 // coordinator's state is ever used.
 func NewCentralized(coordinator model.ProcessID, dt spec.DataType) *Centralized {
-	return &Centralized{Coordinator: coordinator, dt: dt, state: dt.InitialState()}
+	return &Centralized{Coordinator: coordinator, dt: dt, state: spec.NewOwned(dt)}
 }
 
 // OnInvoke implements sim.Process.
 func (c *Centralized) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg spec.Value) {
 	if env.Self() == c.Coordinator {
-		next, ret := c.dt.Apply(c.state, kind, arg)
-		c.state = next
-		env.Respond(id, ret)
+		env.Respond(id, c.state.Apply(kind, arg))
 		return
 	}
 	env.Send(c.Coordinator, request{ID: id, Kind: kind, Arg: arg})
@@ -64,9 +62,7 @@ func (c *Centralized) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, a
 func (c *Centralized) OnMessage(env sim.Env, from model.ProcessID, payload any) {
 	switch m := payload.(type) {
 	case request:
-		next, ret := c.dt.Apply(c.state, m.Kind, m.Arg)
-		c.state = next
-		env.Send(from, response{ID: m.ID, Ret: ret})
+		env.Send(from, response{ID: m.ID, Ret: c.state.Apply(m.Kind, m.Arg)})
 	case response:
 		env.Respond(m.ID, m.Ret)
 	}
@@ -76,7 +72,7 @@ func (c *Centralized) OnMessage(env sim.Env, from model.ProcessID, payload any) 
 func (c *Centralized) OnTimer(sim.Env, any) {}
 
 // StateEncoding returns the coordinator's object encoding (diagnostics).
-func (c *Centralized) StateEncoding() string { return c.dt.EncodeState(c.state) }
+func (c *Centralized) StateEncoding() string { return c.dt.EncodeState(c.state.State()) }
 
 // AllOOP wraps a data type so that every operation kind is classified as
 // OOP. Running core.Replica over an AllOOP-wrapped type yields the folklore
@@ -86,7 +82,14 @@ type AllOOP struct {
 	Inner spec.DataType
 }
 
-var _ spec.DataType = AllOOP{}
+var (
+	_ spec.DataType  = AllOOP{}
+	_ spec.Unwrapper = AllOOP{}
+)
+
+// Unwrap implements spec.Unwrapper: only Class differs from Inner, so
+// Inner's Fingerprinter and Mutator hold for the wrapper's states.
+func (a AllOOP) Unwrap() spec.DataType { return a.Inner }
 
 // Name implements spec.DataType.
 func (a AllOOP) Name() string { return a.Inner.Name() + "-all-oop" }

@@ -143,3 +143,23 @@ func TestAllOOPDelegates(t *testing.T) {
 		t.Error("Kinds not delegated")
 	}
 }
+
+// TestAllOOPKeepsInnerOptionalInterfaces: the wrapper changes only Class,
+// so spec.Optional finds the inner type's Fingerprinter and Mutator
+// through Unwrap — and finds none when the inner type has none.
+func TestAllOOPKeepsInnerOptionalInterfaces(t *testing.T) {
+	dict := baseline.AllOOP{Inner: types.NewDict()}
+	if _, ok := spec.Optional[spec.Fingerprinter](dict); !ok {
+		t.Error("all-oop dict hides the dict's Fingerprinter")
+	}
+	if _, ok := spec.Optional[spec.Mutator](dict); !ok {
+		t.Error("all-oop dict hides the dict's Mutator")
+	}
+	queue := baseline.AllOOP{Inner: types.NewQueue()}
+	if _, ok := spec.Optional[spec.Fingerprinter](queue); ok {
+		t.Error("all-oop queue claims a Fingerprinter")
+	}
+	if _, ok := spec.Optional[spec.Mutator](queue); ok {
+		t.Error("all-oop queue claims a Mutator")
+	}
+}

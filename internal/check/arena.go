@@ -40,7 +40,7 @@ type boundary struct {
 // sameState reports whether two boundaries hold the same state of dt:
 // equal encodings, or equal fingerprints confirmed by EqualStates.
 func sameState(dt spec.DataType, a, b boundary) bool {
-	if fpr, ok := dt.(spec.Fingerprinter); ok {
+	if fpr, ok := spec.Optional[spec.Fingerprinter](dt); ok {
 		return a.id.fp == b.id.fp && fpr.EqualStates(a.state, b.state)
 	}
 	return a.id.enc == b.id.enc
@@ -141,7 +141,7 @@ func (a *Arena) initFor(dt spec.DataType) boundary {
 	b, ok := a.inits[dt.Name()]
 	if !ok {
 		b.state = dt.InitialState()
-		if fpr, ok := dt.(spec.Fingerprinter); ok {
+		if fpr, ok := spec.Optional[spec.Fingerprinter](dt); ok {
 			b.id.fp = fpr.Fingerprint(b.state)
 		} else {
 			b.id.enc = dt.EncodeState(b.state)
@@ -154,7 +154,7 @@ func (a *Arena) initFor(dt spec.DataType) boundary {
 // newChecker returns a search over the segment ops, whose transition-key
 // offsets are argOff, on scratch s.
 func (a *Arena) newChecker(dt spec.DataType, ops []history.Record, argOff []int32, cache *Cache, s *scratch) checker {
-	fpr, _ := dt.(spec.Fingerprinter)
+	fpr, _ := spec.Optional[spec.Fingerprinter](dt)
 	return checker{
 		dt:      dt,
 		fpr:     fpr,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"timebounds/internal/fault"
@@ -60,6 +61,97 @@ func TestCrashRecoverResyncsAndConverges(t *testing.T) {
 	}
 	if st.DroppedToDown == 0 {
 		t.Fatal("expected the down replica to miss deliveries")
+	}
+}
+
+// TestCrashRecoverResyncsDictAndConverges is the dict variant of
+// TestCrashRecoverResyncsAndConverges, with writes after recovery. Serving
+// replicas update their dicts in place, so the donor and the recovered
+// replica must each clone the transferred state before their next put:
+// after the run no two replicas may hold the same map.
+func TestCrashRecoverResyncsDictAndConverges(t *testing.T) {
+	p := model.Params{N: 3, D: 1000, U: 200, Epsilon: 100}
+	plan := &fault.Plan{
+		Name:    "crash-recover",
+		Crashes: []fault.Crash{{Proc: 2, At: 2500, RecoverAt: 20_000}},
+	}
+	dt := types.NewDict()
+	c := faultCluster(t, p, dt, plan)
+
+	invs := []struct {
+		at   model.Time
+		proc model.ProcessID
+		kind spec.OpKind
+		arg  spec.Value
+	}{
+		{1000, 0, types.OpPut, types.KV{Key: "a", Value: 1}}, // completes everywhere pre-crash
+		{5000, 1, types.OpPut, types.KV{Key: "b", Value: 2}}, // missed by replica 2
+		{30_000, 2, types.OpPut, types.KV{Key: "c", Value: 3}},
+		{33_000, 0, types.OpDelete, "a"},
+		{36_000, 1, types.OpPut, types.KV{Key: "b", Value: 4}},
+	}
+	want := dt.InitialState()
+	for _, in := range invs {
+		c.Invoke(in.at, in.proc, in.kind, in.arg)
+		want, _ = dt.Apply(want, in.kind, in.arg)
+	}
+	if err := c.Run(100_000); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := c.Replica(2).LifecycleState(); got != StateServing {
+		t.Fatalf("recovered replica state = %s, want serving", got)
+	}
+	enc, err := c.ConvergedState()
+	if err != nil {
+		t.Fatalf("ConvergedState: %v", err)
+	}
+	if enc != dt.EncodeState(want) {
+		t.Fatalf("converged state %s, want %s", enc, dt.EncodeState(want))
+	}
+	maps := map[uintptr]int{}
+	for i := 0; i < p.N; i++ {
+		m := reflect.ValueOf(c.Replica(i).exec.State()).Pointer()
+		if j, dup := maps[m]; dup {
+			t.Fatalf("replicas %d and %d hold the same map after the state transfer", j, i)
+		}
+		maps[m] = i
+	}
+}
+
+// sendEnv records what a replica sends; the rest of sim.Env is unused.
+type sendEnv struct {
+	sim.Env
+	sent []any
+}
+
+func (e *sendEnv) Send(_ model.ProcessID, payload any) { e.sent = append(e.sent, payload) }
+
+// TestResyncDonorSharesItsState: the state a serving replica sends to a
+// syncing peer must keep its encoding while the donor executes further
+// operations on its own copy. (Dict puts are idempotent, so a recovered
+// replica that aliased its donor would still converge; this pins the
+// donor side directly.)
+func TestResyncDonorSharesItsState(t *testing.T) {
+	dt := types.NewDict()
+	r := NewReplica(Config{Params: model.Params{N: 3, D: 1000, U: 200, Epsilon: 100}}, dt)
+	clock := model.Time(0)
+	execute := func(kind spec.OpKind, arg spec.Value) {
+		clock++
+		r.exec.Add(Entry{TS: ts(clock, 0), Kind: kind, Arg: arg})
+		r.exec.ExecuteUpTo(ts(clock, 0), true, 0, &responses{})
+	}
+	execute(types.OpPut, types.KV{Key: "a", Value: 1})
+	env := &sendEnv{}
+	r.OnMessage(env, 2, syncReq{})
+	if len(env.sent) != 1 {
+		t.Fatalf("donor sent %d messages, want one syncResp", len(env.sent))
+	}
+	sent := env.sent[0].(syncResp).State
+	want := dt.EncodeState(sent)
+	execute(types.OpPut, types.KV{Key: "a", Value: 2})
+	execute(types.OpPut, types.KV{Key: "b", Value: 3})
+	if got := dt.EncodeState(sent); got != want {
+		t.Fatalf("transferred state changed under the donor's later puts: %s → %s", want, got)
 	}
 }
 

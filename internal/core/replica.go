@@ -100,8 +100,9 @@ type opMsg struct {
 type syncReq struct{}
 
 // syncResp carries a serving replica's current state to a syncing peer.
-// States are immutable by the spec.DataType contract ("never mutate a State
-// in Apply"), so handing over the reference is safe.
+// The donor sends it through ToExecute.Share and the receiver adopts it
+// through SetState, so each clones before its next in-place update and
+// neither sees the other's later operations.
 type syncResp struct {
 	State spec.State
 }
@@ -337,7 +338,7 @@ func (r *Replica) OnMessage(env sim.Env, from model.ProcessID, payload any) {
 		r.enqueue(env, m.Entry)
 	case syncReq:
 		if r.life.CanServe() {
-			env.Send(from, syncResp{State: r.exec.State()})
+			env.Send(from, syncResp{State: r.exec.Share()})
 		}
 	case syncResp:
 		if r.life.State() != StateSyncing {

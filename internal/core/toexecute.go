@@ -26,10 +26,13 @@ type Responder interface {
 // their own execution. It is the replica core both hosts share — Replica on
 // the simulator and the live wall-clock replica — and holds no timer or
 // transport state. Build one with NewToExecute.
+//
+// The local copy is the replica's own (spec.Owned): for a spec.Mutator
+// data type it is cloned once, on the first execution after NewToExecute,
+// SetState or Share, and updated in place from then on.
 type ToExecute struct {
-	dt    spec.DataType
 	heap  []Entry
-	local spec.State
+	local spec.Owned
 	// ownOOP maps the timestamps of locally invoked OOP operations to their
 	// operation ids, so the invoker responds upon local execution.
 	ownOOP  map[model.Timestamp]history.OpID
@@ -39,17 +42,22 @@ type ToExecute struct {
 // NewToExecute returns an empty queue over dt's initial state.
 func NewToExecute(dt spec.DataType) ToExecute {
 	return ToExecute{
-		dt:     dt,
-		local:  dt.InitialState(),
+		local:  spec.NewOwned(dt),
 		ownOOP: make(map[model.Timestamp]history.OpID),
 	}
 }
 
-// State returns the local copy of the object.
-func (q *ToExecute) State() spec.State { return q.local }
+// State returns the local copy of the object for reading; the next
+// ExecuteUpTo may change it in place. Hand it to another holder with Share.
+func (q *ToExecute) State() spec.State { return q.local.State() }
 
-// SetState replaces the local copy (state transfer on recovery).
-func (q *ToExecute) SetState(s spec.State) { q.local = s }
+// Share returns the local copy for another holder to keep (a state
+// transfer to a recovering peer); the next execution clones it first.
+func (q *ToExecute) Share() spec.State { return q.local.Share() }
+
+// SetState replaces the local copy (state transfer on recovery). The
+// sender may still hold s, so the next execution clones it first.
+func (q *ToExecute) SetState(s spec.State) { q.local.Set(s) }
 
 // Applied returns the number of entries executed on the local copy.
 func (q *ToExecute) Applied() int { return q.applied }
@@ -130,8 +138,7 @@ func (q *ToExecute) ExecuteUpTo(ts model.Timestamp, inclusive bool, self model.P
 			return
 		}
 		q.popMin()
-		next, ret := q.dt.Apply(q.local, e.Kind, e.Arg)
-		q.local = next
+		ret := q.local.Apply(e.Kind, e.Arg)
 		q.applied++
 		if id, mine := q.ownOOP[e.TS]; mine && e.TS.Proc == self {
 			delete(q.ownOOP, e.TS)

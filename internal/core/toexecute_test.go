@@ -23,7 +23,8 @@ func ts(clock model.Time, proc model.ProcessID) model.Timestamp {
 // TestToExecuteTimestampOrder adds entries out of order and requires them
 // applied in timestamp order, ties on the clock broken by process id.
 func TestToExecuteTimestampOrder(t *testing.T) {
-	q := NewToExecute(types.NewQueue())
+	dt := types.NewQueue()
+	q := NewToExecute(dt)
 	for _, e := range []Entry{
 		{TS: ts(30, 0), Kind: types.OpEnqueue, Arg: "d"},
 		{TS: ts(10, 2), Kind: types.OpEnqueue, Arg: "b"},
@@ -37,7 +38,7 @@ func TestToExecuteTimestampOrder(t *testing.T) {
 	if q.Len() != 0 || q.Applied() != 4 {
 		t.Fatalf("after draining: Len %d Applied %d, want 0 and 4", q.Len(), q.Applied())
 	}
-	if got := q.dt.EncodeState(q.State()); got != q.dt.EncodeState(queueOf("a", "b", "c", "d")) {
+	if got := dt.EncodeState(q.State()); got != dt.EncodeState(queueOf("a", "b", "c", "d")) {
 		t.Fatalf("state %s, want a b c d applied in timestamp order", got)
 	}
 }
@@ -108,20 +109,63 @@ func TestToExecuteOwnOOPRespondsOnlyForSelf(t *testing.T) {
 // TestToExecuteResetKeepsState: a crash drops buffered entries and awaited
 // responses but not the applied copy.
 func TestToExecuteResetKeepsState(t *testing.T) {
-	q := NewToExecute(types.NewCounter())
+	dt := types.NewCounter()
+	q := NewToExecute(dt)
 	q.Add(Entry{TS: ts(10, 0), Kind: types.OpIncrement, Arg: 3})
 	q.ExecuteUpTo(ts(10, 0), true, 0, &responses{})
 	q.Add(Entry{TS: ts(20, 0), Kind: types.OpIncrement, Arg: 4})
 	q.AwaitOOP(ts(20, 0), 1)
-	before := q.dt.EncodeState(q.State())
+	before := dt.EncodeState(q.State())
 	q.Reset()
 	var r responses
 	q.ExecuteUpTo(ts(100, 0), true, 0, &r)
 	if q.Len() != 0 || len(r) != 0 || q.Applied() != 1 {
 		t.Fatalf("after Reset: Len %d, responses %v, applied %d", q.Len(), r, q.Applied())
 	}
-	if got := q.dt.EncodeState(q.State()); got != before {
+	if got := dt.EncodeState(q.State()); got != before {
 		t.Fatalf("Reset changed the local copy: %s → %s", before, got)
+	}
+}
+
+// TestToExecuteKeepsHandedOverStatesIntact: the local copy of a dict is
+// updated in place, so a state handed out by Share, or adopted through
+// SetState, must keep its encoding while the queue executes further puts
+// and deletes — the copy clones before its first change.
+func TestToExecuteKeepsHandedOverStatesIntact(t *testing.T) {
+	dt := types.NewDict()
+	clock := model.Time(0)
+	execute := func(q *ToExecute, kind spec.OpKind, arg spec.Value) {
+		clock++
+		q.Add(Entry{TS: ts(clock, 0), Kind: kind, Arg: arg})
+		q.ExecuteUpTo(ts(clock, 0), true, 0, &responses{})
+	}
+
+	q := NewToExecute(dt)
+	execute(&q, types.OpPut, types.KV{Key: "a", Value: 1})
+	execute(&q, types.OpPut, types.KV{Key: "b", Value: 2})
+	shared := q.Share()
+	sharedEnc := dt.EncodeState(shared)
+	execute(&q, types.OpPut, types.KV{Key: "a", Value: 3})
+	execute(&q, types.OpDelete, "b")
+	execute(&q, types.OpPut, types.KV{Key: "c", Value: 4})
+	if got := dt.EncodeState(shared); got != sharedEnc {
+		t.Fatalf("Share()d state changed under later executions: %s → %s", sharedEnc, got)
+	}
+	if got, want := dt.EncodeState(q.State()), `dict:{"a"=3,"c"=4}`; got != want {
+		t.Fatalf("local copy %s, want %s", got, want)
+	}
+
+	adopted, _ := dt.Apply(dt.InitialState(), types.OpPut, types.KV{Key: "x", Value: 9})
+	adoptedEnc := dt.EncodeState(adopted)
+	r := NewToExecute(dt)
+	r.SetState(adopted)
+	execute(&r, types.OpPut, types.KV{Key: "x", Value: 10})
+	execute(&r, types.OpDelete, "x")
+	if got := dt.EncodeState(adopted); got != adoptedEnc {
+		t.Fatalf("SetState's state changed under later executions: %s → %s", adoptedEnc, got)
+	}
+	if got, want := dt.EncodeState(r.State()), "dict:{}"; got != want {
+		t.Fatalf("local copy after SetState %s, want %s", got, want)
 	}
 }
 

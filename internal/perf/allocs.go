@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"timebounds/internal/check"
+	"timebounds/internal/core"
 	"timebounds/internal/history"
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
@@ -62,6 +63,14 @@ func AllocBudgets() []AllocBudget {
 			// transition costs about 1 900.
 			Budget: 160,
 			Make:   makeCheckDictCold,
+		},
+		{
+			Name:  "core/dict-execute",
+			Brief: "execute one 16-put round overwriting keys of a warm 256-entry dict replica copy",
+			// The replica owns its copy and updates it in place: an
+			// overwrite put neither clones the map nor grows it.
+			Budget: 0,
+			Make:   makeDictExecute,
 		},
 		{
 			Name:   "sim/event-wave",
@@ -113,6 +122,40 @@ func makeCheckDictCold() func() {
 	}
 	return unit
 }
+
+// makeDictExecute: Algorithm 1's execution step on a replica's local dict
+// copy, with the entries built (and their KV arguments boxed) up front.
+func makeDictExecute() func() {
+	q := core.NewToExecute(types.NewDict())
+	round := make([]core.Entry, 16)
+	var clock model.Time
+	for i := 0; i < 256; i++ {
+		clock++
+		q.Add(core.Entry{TS: model.Timestamp{Clock: clock}, Kind: types.OpPut,
+			Arg: types.KV{Key: strconv.Itoa(i), Value: i}})
+	}
+	q.ExecuteUpTo(model.Timestamp{Clock: clock}, true, 0, nopResponder{})
+	for i := range round {
+		round[i] = core.Entry{Kind: types.OpPut, Arg: types.KV{Key: strconv.Itoa(i * 16), Value: -i}}
+	}
+	unit := func() {
+		for _, e := range round {
+			clock++
+			e.TS = model.Timestamp{Clock: clock}
+			q.Add(e)
+		}
+		q.ExecuteUpTo(model.Timestamp{Clock: clock}, true, 0, nopResponder{})
+	}
+	for i := 0; i < 5; i++ {
+		unit()
+	}
+	return unit
+}
+
+// nopResponder discards responses; the dict budget awaits none.
+type nopResponder struct{}
+
+func (nopResponder) Respond(history.OpID, spec.Value) {}
 
 // burstyHistory builds a small concurrent history with idle gaps, so the
 // budgets exercise the island decomposition path.

@@ -26,8 +26,9 @@ import (
 // or nil for "no value"/"ack".
 type Value = any
 
-// State is an immutable object state. Implementations of DataType must
-// never mutate a State in Apply; they return fresh values instead.
+// State is an object state. Apply treats it as an immutable value and
+// returns fresh states instead of mutating; only a Mutator's Mutate may
+// modify one, and only a copy its caller owns (see Owned).
 type State = any
 
 // OpKind names an operation type on a data type, e.g. "read", "enqueue".
@@ -75,6 +76,14 @@ func (c OpClass) String() string {
 // returns Apply's (next, ret) together with Fingerprint(next), and
 // EqualStates(a, b) holds iff EncodeState(a) == EncodeState(b). A type
 // that embeds a Fingerprinter and changes Apply must override ApplyFP too.
+//
+// A DataType may also implement Mutator, letting the one host that owns a
+// state update it in place. Mutate(Clone(s), kind, arg) must equal
+// Apply(s, kind, arg) — same encoding, same return value — while Apply
+// itself stays pure: the checker, Replay and classify share its states.
+//
+// Optional finds either interface, looking through wrappers that
+// implement Unwrapper.
 type DataType interface {
 	// Name returns the human-readable type name, e.g. "queue".
 	Name() string
@@ -106,6 +115,41 @@ type Fingerprinter interface {
 	ApplyFP(s State, fp uint64, kind OpKind, arg Value) (next State, nextFP uint64, ret Value)
 	// EqualStates reports whether a and b encode equally, exactly.
 	EqualStates(a, b State) bool
+}
+
+// Mutator is the optional in-place update interface of a DataType (see
+// the DataType contract). Hosts use it through Owned.
+type Mutator interface {
+	// Clone returns a copy of s that shares nothing Mutate modifies.
+	Clone(s State) State
+	// Mutate is Apply on a state the caller owns: it may modify s, and
+	// returns the next state (typically s itself) and the return value.
+	// The return value must never alias s, since a later Mutate would
+	// change it.
+	Mutate(s State, kind OpKind, arg Value) (State, Value)
+}
+
+// Unwrapper is implemented by a DataType that wraps another and keeps its
+// InitialState, Apply and EncodeState unchanged, so the inner type's
+// optional interfaces hold for the wrapper's states too.
+type Unwrapper interface {
+	Unwrap() DataType
+}
+
+// Optional returns dt as the optional interface T (Fingerprinter or
+// Mutator), following Unwrap through wrappers until one implements it.
+func Optional[T any](dt DataType) (T, bool) {
+	for {
+		if t, ok := dt.(T); ok {
+			return t, true
+		}
+		u, ok := dt.(Unwrapper)
+		if !ok {
+			var zero T
+			return zero, false
+		}
+		dt = u.Unwrap()
+	}
 }
 
 // Op is an operation instance op = OP(arg, ret) (Chapter II.A).

@@ -145,7 +145,7 @@ type opBody struct {
 type Object struct {
 	bcast *Broadcaster
 	dt    spec.DataType
-	state spec.State
+	state spec.Owned
 }
 
 var _ sim.Process = (*Object)(nil)
@@ -154,7 +154,7 @@ var _ Deliverer = (*Object)(nil)
 // NewObject builds the process with the given id; sequencer is the
 // ordering process shared by the whole cluster.
 func NewObject(self, sequencer model.ProcessID, dt spec.DataType) *Object {
-	o := &Object{dt: dt, state: dt.InitialState()}
+	o := &Object{dt: dt, state: spec.NewOwned(dt)}
 	o.bcast = &Broadcaster{Self: self, Sequencer: sequencer, Target: o}
 	return o
 }
@@ -178,12 +178,11 @@ func (o *Object) Deliver(env sim.Env, _ int, origin model.ProcessID, body any) {
 	if !ok {
 		return
 	}
-	next, ret := o.dt.Apply(o.state, op.Kind, op.Arg)
-	o.state = next
+	ret := o.state.Apply(op.Kind, op.Arg)
 	if origin == env.Self() {
 		env.Respond(op.ID, ret)
 	}
 }
 
 // StateEncoding returns the canonical encoding of the local copy.
-func (o *Object) StateEncoding() string { return o.dt.EncodeState(o.state) }
+func (o *Object) StateEncoding() string { return o.dt.EncodeState(o.state.State()) }

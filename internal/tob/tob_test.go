@@ -57,6 +57,34 @@ func TestTOBLinearizable(t *testing.T) {
 	}
 }
 
+// TestTOBDictLinearizable: every process updates its own dict in place;
+// the copies must still converge and the history stay linearizable.
+func TestTOBDictLinearizable(t *testing.T) {
+	p := params(3)
+	dt := types.NewDict()
+	s, objs := newTOBSim(t, p, dt, sim.NewRandomDelay(5, p.MinDelay(), p.D))
+	s.Invoke(0, 1, types.OpPut, types.KV{Key: "a", Value: 1})
+	s.Invoke(0, 2, types.OpPut, types.KV{Key: "a", Value: 2})
+	s.Invoke(p.D/3, 0, types.OpDictGet, "a")
+	s.Invoke(3*p.D, 2, types.OpDelete, "a")
+	s.Invoke(3*p.D, 1, types.OpPut, types.KV{Key: "b", Value: 3})
+	s.Invoke(8*p.D, 0, types.OpSize, nil)
+	if err := s.Run(model.Infinity); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !s.History().Complete() {
+		t.Fatalf("pending operations:\n%s", s.History())
+	}
+	if res := check.Check(dt, s.History()); !res.Linearizable {
+		t.Fatalf("TOB dict history not linearizable:\n%s", s.History())
+	}
+	for i := 1; i < len(objs); i++ {
+		if objs[i].StateEncoding() != objs[0].StateEncoding() {
+			t.Errorf("replica %d diverged: %s vs %s", i, objs[i].StateEncoding(), objs[0].StateEncoding())
+		}
+	}
+}
+
 func TestTOBDeliveryOrderIdenticalEverywhere(t *testing.T) {
 	// Queue contents after concurrent enqueues must agree across replicas
 	// even with adversarial delays reordering the rebroadcasts.

@@ -29,7 +29,8 @@ type KV struct {
 	Value spec.Value
 }
 
-// dictState is an immutable key → value snapshot.
+// dictState is a key → value map. Apply never modifies one; Mutate
+// modifies the caller's own clone in place (spec.Mutator).
 type dictState map[string]spec.Value
 
 // Dict is a map/dictionary shared object. It is not one of the paper's
@@ -42,6 +43,7 @@ type Dict struct{}
 var (
 	_ spec.DataType      = Dict{}
 	_ spec.Fingerprinter = Dict{}
+	_ spec.Mutator       = Dict{}
 )
 
 // NewDict returns an initially empty dictionary.
@@ -61,29 +63,58 @@ func (d dictState) clone() dictState {
 	return next
 }
 
-// Apply implements spec.DataType.
-func (Dict) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+// changes reports whether the operation modifies d: a well-formed put, or
+// a delete of a present key.
+func (d dictState) changes(kind spec.OpKind, arg spec.Value) bool {
+	switch kind {
+	case OpPut:
+		_, ok := arg.(KV)
+		return ok
+	case OpDelete:
+		key, _ := arg.(string)
+		_, exists := d[key]
+		return exists
+	}
+	return false
+}
+
+// Apply implements spec.DataType: Mutate on a clone when the operation
+// changes the map, on d itself otherwise.
+func (dt Dict) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+	d, _ := s.(dictState)
+	if d.changes(kind, arg) {
+		d = d.clone()
+	}
+	return dt.Mutate(d, kind, arg)
+}
+
+// Clone implements spec.Mutator.
+func (Dict) Clone(s spec.State) spec.State {
+	d, _ := s.(dictState)
+	return d.clone()
+}
+
+// Mutate implements spec.Mutator: put and delete modify s in place. It
+// writes to the map only when the operation changes it — even a no-op
+// delete counts as a map write to concurrent readers — so Apply can run
+// it on a shared state for every operation that does not.
+//
+//tb:hotpath
+func (Dict) Mutate(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
 	d, _ := s.(dictState)
 	switch kind {
 	case OpPut:
-		kv, ok := arg.(KV)
-		if !ok {
-			return d, nil
+		if kv, ok := arg.(KV); ok {
+			d[kv.Key] = kv.Value
 		}
-		next := d.clone()
-		next[kv.Key] = kv.Value
-		return next, nil
+		return d, nil
 	case OpDelete:
-		key, ok := arg.(string)
-		if !ok {
-			return d, nil
+		if key, ok := arg.(string); ok {
+			if _, exists := d[key]; exists {
+				delete(d, key)
+			}
 		}
-		if _, exists := d[key]; !exists {
-			return d, nil
-		}
-		next := d.clone()
-		delete(next, key)
-		return next, nil
+		return d, nil
 	case OpDictGet:
 		key, _ := arg.(string)
 		v, exists := d[key]
@@ -92,7 +123,7 @@ func (Dict) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, s
 		}
 		return d, v
 	case OpSize:
-		return d, len(d)
+		return d, spec.BoxInt(len(d))
 	default:
 		return d, nil
 	}
