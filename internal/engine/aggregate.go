@@ -95,7 +95,7 @@ func (a *Aggregate) Add(dt spec.DataType, res Result) {
 	}
 	var first model.Time = model.Infinity
 	var last model.Time
-	for _, op := range res.History.Ops() {
+	for op := range res.History.All() {
 		if op.Pending {
 			continue
 		}

@@ -1,14 +1,49 @@
 package engine
 
 import (
+	"cmp"
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
+	"timebounds/internal/history"
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
 	"timebounds/internal/types"
 	"timebounds/internal/workload"
 )
+
+// TestAggregateFoldIgnoresAppendOrder: Add walks a history in Ops() order
+// through History.All — in place for a simulator history, through a
+// sorted copy for one recorded out of order — so Welford's order-sensitive
+// float fold is bit-identical for the same operations recorded either way.
+func TestAggregateFoldIgnoresAppendOrder(t *testing.T) {
+	dt := types.NewRegister(0)
+	res := New(1).Run(streamGrid(1)[:1]).Results[0]
+	if res.Err != "" || res.History.Len() == 0 {
+		t.Fatalf("reference run: %q, %d records", res.Err, res.History.Len())
+	}
+	// Latest invocation first; simultaneous ones keep their relative
+	// order, so Ops() — (Invoke, ID) — is unchanged.
+	ops := res.History.Ops()
+	slices.SortStableFunc(ops, func(a, b history.Record) int { return cmp.Compare(b.Invoke, a.Invoke) })
+	reversed := history.New()
+	for _, op := range ops {
+		id := reversed.InvokeArrived(op.Proc, op.Kind, op.Arg, op.Invoke, op.Arrival)
+		if err := reversed.Respond(id, op.Ret, op.Respond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	back := res
+	back.History = reversed
+	a, b := NewAggregate(), NewAggregate()
+	a.Add(dt, res)
+	b.Add(dt, back)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("aggregate depends on append order:\nin order: %+v\nreversed: %+v", a.Latency, b.Latency)
+	}
+}
 
 // TestAggregateMatchesExactStats is the acceptance criterion for online
 // aggregation: folding a grid's streamed Results into an Aggregate must

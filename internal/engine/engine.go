@@ -59,9 +59,11 @@ type IndexedResult struct {
 
 // Stream executes the scenarios across the worker pool and returns an
 // iterator yielding (input index, Result) pairs in completion order. Each
-// scenario still gets a fresh simulator, delay policy, and workload drawn
-// from its own seed, so every yielded Result is bit-identical to what Run
-// would report at that index — only the yield order depends on scheduling.
+// scenario gets fresh simulator state on storage its worker owns and
+// reuses, with the worker's delay and workload sources re-seeded from the
+// scenario's own seed, so every yielded Result is bit-identical to what
+// Run would report at that index — only the yield order depends on
+// scheduling.
 //
 // Cancelling ctx stops the stream promptly: no new scenarios start,
 // in-flight runs finish but may be dropped, and the iterator ends after
@@ -70,8 +72,9 @@ type IndexedResult struct {
 //
 // Verified runs share memoized checker state for the lifetime of the
 // stream: one transition cache per data type (check.CacheSet), safe across
-// the worker pool because object states are immutable and the cache is
-// internally locked. Sharing only reuses deterministic
+// the worker pool because checker states are immutable values (replicas
+// update their own copies in place, but never one the checker holds) and
+// the cache is internally locked. Sharing only reuses deterministic
 // (state, operation) → (state, return) computations, so it cannot change
 // any verdict — only make it cheaper.
 func (e *Engine) Stream(ctx context.Context, scenarios []Scenario) iter.Seq2[int, Result] {
@@ -129,22 +132,17 @@ func (e *Engine) StreamChan(ctx context.Context, scenarios []Scenario) <-chan In
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns one checker arena for the stream's lifetime,
-			// so steady-state verified runs reuse search scratch instead of
-			// allocating it per history. Verified histories may additionally
-			// fan their concurrency islands out across the pool's worker
-			// budget (see internal/check); like the shared caches, neither
-			// reuse nor fan-out can change a verdict — only its cost.
-			arena := check.NewArena()
+			// Each worker owns its run storage for the stream's lifetime —
+			// checker arena, simulator arena, schedule buffer, re-seeded
+			// workload and delay sources — so steady-state runs reuse it
+			// instead of allocating it per scenario. Verified histories may
+			// additionally fan their concurrency islands out across the
+			// pool's worker budget (see internal/check); like the shared
+			// caches, neither reuse nor fan-out can change a Result — only
+			// its cost.
+			w := newWorker(caches, workers)
 			for i := range next {
-				res := scenarios[i].run(runConfig{
-					caches: caches,
-					check: check.Options{
-						Arena:     arena,
-						Workers:   workers,
-						NoIslands: disableIslandCheck,
-					},
-				})
+				res := scenarios[i].run(w)
 				select {
 				case out <- IndexedResult{Index: i, Result: res}:
 				case <-done:
@@ -161,10 +159,11 @@ func (e *Engine) StreamChan(ctx context.Context, scenarios []Scenario) <-chan In
 }
 
 // Run executes every scenario and returns their results in input order.
-// It is a thin collect over Stream: each scenario gets a fresh simulator,
-// delay policy, and workload drawn from its own seed, so the Report is a
-// pure function of the scenario list — same scenarios ⇒ identical Report,
-// regardless of worker count or completion order.
+// It is a thin collect over Stream: each scenario gets fresh simulator
+// state on worker-owned storage, with delay and workload sources
+// re-seeded from its own seed, so the Report is a pure function of the
+// scenario list — same scenarios ⇒ identical Report, regardless of worker
+// count or completion order.
 func (e *Engine) Run(scenarios []Scenario) Report {
 	return e.RunContext(context.Background(), scenarios)
 }

@@ -142,7 +142,7 @@ func faultReport(sc Scenario, dt spec.DataType, plan *fault.Plan, in *fault.Inje
 	// The drift/window horizon is the run's last response: fault activity
 	// after every operation answered cannot have delayed one.
 	var lastRespond model.Time
-	for _, op := range res.History.Ops() {
+	for op := range res.History.All() {
 		if !op.Pending && op.Respond > lastRespond {
 			lastRespond = op.Respond
 		}
@@ -152,7 +152,7 @@ func faultReport(sc Scenario, dt spec.DataType, plan *fault.Plan, in *fault.Inje
 	var worstExcess model.Time
 	var worstOp history.OpID
 	var worstKind spec.OpKind
-	for _, op := range res.History.Ops() {
+	for op := range res.History.All() {
 		if op.Pending {
 			continue
 		}

@@ -414,7 +414,7 @@ func (ss ShardedScenario) runPrefix(index int, invs []workload.Invocation, reads
 	})
 	sc.Verify = false
 	sc = sc.resolved()
-	inst, err := sc.build(nil)
+	inst, err := sc.build(nil, &worker{})
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +428,7 @@ func (ss ShardedScenario) runPrefix(index int, invs []workload.Invocation, reads
 	}
 	out := make([]spec.Value, len(invs)-reads)
 	found := 0
-	for _, op := range rep.History.Ops() {
+	for op := range rep.History.All() {
 		if int(op.ID) < reads {
 			continue
 		}
@@ -506,7 +506,7 @@ func (st *migrateState) keyRecords(key string, byShard map[int]*Result) (pieces 
 		if e < len(st.plan.Migrations) {
 			hi = st.plan.Migrations[e].At
 		}
-		for _, op := range res.History.Ops() {
+		for op := range res.History.All() {
 			if k, ok := keyOf(op); !ok || k != key {
 				continue
 			}

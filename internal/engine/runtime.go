@@ -271,7 +271,7 @@ func (sc Scenario) liveTransport() (live.Transport, error) {
 // runLive executes a live-runtime scenario: run the wall-clock cluster,
 // check the recorded history post hoc with the worker's checker
 // resources, and reduce to a Result carrying a LiveReport.
-func (sc Scenario) runLive(cfg runConfig) Result {
+func (sc Scenario) runLive(w *worker) Result {
 	res := Result{
 		Name:    sc.Name,
 		Backend: sc.Backend.Name(),
@@ -352,8 +352,8 @@ func (sc Scenario) runLive(cfg runConfig) Result {
 	}
 	res.PerKind = workload.Summarize(h)
 	if sc.Verify {
-		opts := cfg.check
-		opts.Cache = cfg.caches.For(sc.DataType)
+		opts := w.check
+		opts.Cache = w.caches.For(sc.DataType)
 		res.Checked = true
 		res.Linearizable = check.CheckOpts(sc.DataType, h, opts).Linearizable
 	}
@@ -373,7 +373,7 @@ func (sc Scenario) runLive(cfg runConfig) Result {
 	// Per-class wall-clock latency samples, classed by the data type.
 	samples := make(map[spec.OpClass][]model.Time)
 	counts := make(map[spec.OpClass]int)
-	for _, op := range h.Ops() {
+	for op := range h.All() {
 		if op.Pending {
 			continue
 		}

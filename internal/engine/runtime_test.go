@@ -141,7 +141,7 @@ func TestScenarioLiveRejections(t *testing.T) {
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
-			res := mutate(base).run(runConfig{})
+			res := mutate(base).run(&worker{})
 			if res.Err == "" {
 				t.Fatalf("live scenario with %s accepted; want rejection", name)
 			}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"timebounds/internal/check"
@@ -85,8 +86,10 @@ func (ds DelaySpec) validate() error {
 	}
 }
 
-// build returns the run's delay policy.
-func (ds DelaySpec) build(p model.Params, seed int64) sim.DelayPolicy {
+// build returns the run's delay policy. The random mode re-seeds rd in
+// place when the caller owns one (an engine worker), and otherwise
+// allocates a fresh source; both draw the same delays.
+func (ds DelaySpec) build(p model.Params, seed int64, rd *sim.RandomDelay) sim.DelayPolicy {
 	if ds.Policy != nil {
 		return ds.Policy(p, seed)
 	}
@@ -98,7 +101,11 @@ func (ds DelaySpec) build(p model.Params, seed int64) sim.DelayPolicy {
 	case DelayExtremal:
 		return sim.ExtremalDelay{Params: p}
 	default:
-		return sim.NewRandomDelay(seed, p.MinDelay(), p.D)
+		if rd == nil {
+			return sim.NewRandomDelay(seed, p.MinDelay(), p.D)
+		}
+		rd.Reseed(seed, p.MinDelay(), p.D)
+		return rd
 	}
 }
 
@@ -223,7 +230,7 @@ func (sc Scenario) Build() (Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
 	}
-	inst, err := sc.build(in)
+	inst, err := sc.build(in, &worker{})
 	if err != nil {
 		return nil, fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
 	}
@@ -235,8 +242,9 @@ func (sc Scenario) Build() (Instance, error) {
 // Untraced scenarios get a simulator that skips step/message trace
 // recording — measurement grids never read those traces, and not
 // recording them is a measurable win on large grids. in is the run's
-// fault injector (nil for fault-free scenarios).
-func (sc Scenario) build(in *fault.Injector) (Instance, error) {
+// fault injector (nil for fault-free scenarios); w lends its simulator
+// arena and delay source, if it has them.
+func (sc Scenario) build(in *fault.Injector, w *worker) (Instance, error) {
 	if sc.expandErr != nil {
 		return nil, sc.expandErr
 	}
@@ -261,27 +269,55 @@ func (sc Scenario) build(in *fault.Injector) (Instance, error) {
 		DataType: sc.DataType,
 		Sim: sim.Config{
 			ClockOffsets:  offsets,
-			Delay:         sc.Delay.build(sc.Params, sc.Seed),
+			Delay:         sc.Delay.build(sc.Params, sc.Seed, w.delay),
 			StrictDelays:  true,
 			DiscardTraces: !sc.Trace,
 			Faults:        in,
+			Arena:         w.sim,
 		},
 	})
 }
 
-// runConfig carries the worker-pool checker resources into a run: the
-// per-data-type shared transition caches plus the worker's check.Options
-// (reusable arena, island-parallelism budget). The options' Cache field
-// is filled per run from the cache set once the data type is known.
-type runConfig struct {
+// worker is what one pool worker owns for the life of a stream and reuses
+// from one scenario to the next:
+//   - the stream's shared per-data-type transition caches and the
+//     worker's check.Options (private check.Arena, island budget); the
+//     options' Cache is filled per run once the data type is known;
+//   - the simulator's event storage (sim.Arena), lent to each run and
+//     recycled after it;
+//   - the schedule buffer and the workload and delay sources, re-seeded
+//     per scenario, so each run draws exactly what fresh ones would.
+//
+// Runs on reused storage are bit-identical to runs on fresh storage, and
+// no Result points into it. Nil storage and sources mean fresh ones per
+// run: &worker{} is the reference path (Build, the migration prefix).
+type worker struct {
 	caches *check.CacheSet
 	check  check.Options
+	sim    *sim.Arena
+	sched  []workload.Invocation
+	rng    *rand.Rand
+	delay  *sim.RandomDelay
 }
 
-// run executes the scenario in isolation and reduces it to a Result.
-// cfg optionally shares checker transition state and scratch across a
-// grid's runs.
-func (sc Scenario) run(cfg runConfig) Result {
+// newWorker returns a worker with its own reusable storage.
+func newWorker(caches *check.CacheSet, workers int) *worker {
+	return &worker{
+		caches: caches,
+		check: check.Options{
+			Arena:     check.NewArena(),
+			Workers:   workers,
+			NoIslands: disableIslandCheck,
+		},
+		sim:   sim.NewArena(),
+		rng:   rand.New(rand.NewSource(0)),
+		delay: sim.NewRandomDelay(0, 0, 0),
+	}
+}
+
+// run executes the scenario in isolation on w's storage and reduces it to
+// a Result.
+func (sc Scenario) run(w *worker) Result {
 	sc = sc.resolved()
 	res := Result{
 		Name:    sc.Name,
@@ -294,25 +330,29 @@ func (sc Scenario) run(cfg runConfig) Result {
 		res.Object = sc.DataType.Name()
 	}
 	if sc.Runtime.Live() {
-		return sc.runLive(cfg)
+		return sc.runLive(w)
 	}
 	plan, in, err := sc.faultRuntime()
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	inst, err := sc.build(in)
+	inst, err := sc.build(in, w)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	sched, err := sc.Workload.Schedule(sc.Params, sc.Seed)
+	// The simulator's event storage goes back to the worker's arena once
+	// the Result is built; nothing the Result holds points into it.
+	defer inst.Simulator().Recycle()
+	sched, err := sc.Workload.AppendSchedule(w.sched[:0], w.rng, sc.Params, sc.Seed)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	opts := cfg.check
-	opts.Cache = cfg.caches.For(sc.DataType)
+	w.sched = sched.Invocations
+	opts := w.check
+	opts.Cache = w.caches.For(sc.DataType)
 	rep, err := workload.Run(inst, sched, workload.RunOptions{
 		Horizon:      sc.Horizon,
 		Verify:       sc.Verify,
@@ -383,7 +423,7 @@ func witnessOf(w WitnessSpec, res Result) *BoundWitness {
 	}
 	perKind := make(map[spec.OpKind]model.Time)
 	found := false
-	for _, op := range res.History.Ops() {
+	for op := range res.History.All() {
 		if op.Pending || !wanted(op.Kind) {
 			continue
 		}

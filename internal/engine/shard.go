@@ -376,7 +376,7 @@ func (p shardPlan) merge(rep Report) ShardedReport {
 		})
 		clientOps := res.Ops
 		if res.History != nil {
-			for _, op := range res.History.Ops() {
+			for op := range res.History.All() {
 				if op.Pending {
 					continue
 				}

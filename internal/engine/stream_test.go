@@ -33,9 +33,38 @@ func streamGrid(seeds int) []Scenario {
 	}.Scenarios()
 }
 
+// reuseGrid holds the scenario shapes that stress the storage a worker
+// reuses from one scenario to the next: random and extremal delays (the
+// re-seeded delay source), fault plans (crash events in the reused slab,
+// stranded deferrals), traced runs (read before the slab is recycled), an
+// open-loop burst (deferred invocations), runs cut at their horizon with
+// events still queued, and cluster sizes that change between scenarios.
+func reuseGrid() []Scenario {
+	scs := Grid{
+		Backends: []Backend{Algorithm1{}, TOB{}},
+		Objects:  []spec.DataType{types.NewRegister(0), types.NewDict()},
+		Params:   []model.Params{engParams(5), engParams(3)},
+		Delays:   []DelaySpec{{Mode: DelayRandom}, {Mode: DelayExtremal}},
+		Workloads: []workload.Spec{
+			{OpsPerProcess: 4},
+			{Name: "burst", Mode: workload.Open, OpsPerProcess: 6, Spacing: 1_000_000},
+		},
+		Faults: []FaultSpec{{}, FaultSpecs()[0], FaultSpecs()[4]}, // none, crash-recover, dup
+		Seeds:  []int64{3},
+		Verify: true,
+	}.Scenarios()
+	for i := range scs {
+		scs[i].Trace = i%3 == 0
+		if i%7 == 0 {
+			scs[i].Horizon = 3 * scs[i].Params.D
+		}
+	}
+	return scs
+}
+
 // referenceBatchRun is the pre-streaming batch path — the sequential
 // scenario loop Run used before it was rebuilt over Stream — retained here
-// as the bit-identical oracle.
+// as the bit-identical oracle. Every scenario runs on fresh storage.
 func referenceBatchRun(scenarios []Scenario) Report {
 	results := make([]Result, len(scenarios))
 	var caches *check.CacheSet
@@ -43,19 +72,33 @@ func referenceBatchRun(scenarios []Scenario) Report {
 		caches = check.NewCacheSet()
 	}
 	for i, sc := range scenarios {
-		results[i] = sc.run(runConfig{caches: caches, check: check.Options{NoIslands: disableIslandCheck}})
+		results[i] = sc.run(&worker{caches: caches, check: check.Options{NoIslands: disableIslandCheck}})
 	}
 	return Report{Results: results}
 }
 
 // TestRunOnStreamMatchesBatchPath asserts the acceptance criterion: Run
-// rebuilt on Stream produces bit-identical Reports vs. the batch path, at
-// workers 1 and 8.
+// rebuilt on Stream, whose workers reuse their run storage and sources
+// across scenarios, produces bit-identical Reports vs. the batch path on
+// fresh storage, at workers 1 and 8.
 func TestRunOnStreamMatchesBatchPath(t *testing.T) {
-	scenarios := streamGrid(4)
+	scenarios := append(streamGrid(4), reuseGrid()...)
 	want := referenceBatchRun(scenarios)
-	if err := want.Err(); err != nil {
-		t.Fatalf("reference batch run failed: %v", err)
+	traced, faulted, pending := 0, 0, 0
+	for i, res := range want.Results {
+		if res.Err != "" && scenarios[i].Horizon == 0 {
+			t.Fatalf("reference batch run failed: %s: %s", res.Name, res.Err)
+		}
+		if res.Run != nil {
+			traced++
+		}
+		if res.Fault != nil {
+			faulted++
+		}
+		pending += res.Pending
+	}
+	if traced == 0 || faulted == 0 || pending == 0 {
+		t.Fatalf("grid too tame: %d traced, %d faulted results, %d pending operations", traced, faulted, pending)
 	}
 	for _, workers := range []int{1, 8} {
 		got := New(workers).Run(scenarios)
@@ -67,7 +110,8 @@ func TestRunOnStreamMatchesBatchPath(t *testing.T) {
 		}
 		// Histories compare by content (pointers differ per run).
 		for i := range want.Results {
-			if want.Results[i].History.String() != got.Results[i].History.String() {
+			w, g := want.Results[i].History, got.Results[i].History
+			if (w == nil) != (g == nil) || w != nil && w.String() != g.String() {
 				t.Fatalf("workers=%d: scenario %d history differs", workers, i)
 			}
 		}

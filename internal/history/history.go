@@ -7,6 +7,7 @@ package history
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"slices"
 	"strings"
 
@@ -79,6 +80,11 @@ func (r Record) String() string {
 type History struct {
 	ops    []Record
 	nextID OpID
+	// unordered is set once a record is appended with an earlier Invoke
+	// than its predecessor. Ids grow with appends, so while it is clear
+	// the records are already in Ops() order — always the case for a
+	// simulator's history, which invokes in dispatch (real-time) order.
+	unordered bool
 }
 
 // New returns an empty history.
@@ -100,6 +106,9 @@ func (h *History) InvokeArrived(proc model.ProcessID, kind spec.OpKind, arg spec
 	}
 	id := h.nextID
 	h.nextID++
+	if n := len(h.ops); n > 0 && at < h.ops[n-1].Invoke {
+		h.unordered = true
+	}
 	h.ops = append(h.ops, Record{
 		ID: id, Proc: proc, Kind: kind, Arg: arg, Invoke: at, Arrival: arrival, Pending: true,
 	})
@@ -155,6 +164,27 @@ func (h *History) AppendOps(dst []Record) []Record {
 		return cmp.Compare(a.ID, b.ID)
 	})
 	return dst
+}
+
+// All iterates over the records in Ops() order. It is the read-only
+// alternative to Ops: when the records were appended in (Invoke, ID)
+// order — every simulator history — it walks them in place and copies
+// nothing; otherwise it iterates over a sorted copy. The history must not
+// change during the iteration.
+//
+//tb:hotpath
+func (h *History) All() iter.Seq[Record] {
+	return func(yield func(Record) bool) {
+		ops := h.ops
+		if h.unordered {
+			ops = h.Ops()
+		}
+		for _, r := range ops {
+			if !yield(r) {
+				return
+			}
+		}
+	}
 }
 
 // Grow reserves capacity for n additional records, so a run whose

@@ -1,6 +1,7 @@
 package history_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -54,6 +55,52 @@ func TestOpsSortedByInvocation(t *testing.T) {
 	ops := h.Ops()
 	if ops[0].ID != b || ops[1].ID != a {
 		t.Errorf("ops not sorted by invocation: %v", ops)
+	}
+}
+
+// collect drains All into a slice.
+func collect(h *history.History) []history.Record {
+	var out []history.Record
+	for r := range h.All() {
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestAllWalksOpsOrder: All yields exactly Ops() — on a history appended
+// in invocation order (walked in place) and on one appended with
+// decreasing invocation times (walked through a sorted copy) — and an
+// early break stops it.
+func TestAllWalksOpsOrder(t *testing.T) {
+	inOrder := history.New()
+	outOfOrder := history.New()
+	for i := 0; i < 6; i++ {
+		at := model.Time(i/2) * ms // pairs share an instant: ties break by id
+		a := inOrder.Invoke(model.ProcessID(i%2), types.OpWrite, i, at)
+		if i != 3 {
+			_ = inOrder.Respond(a, nil, at+ms)
+		}
+		back := model.Time(5-i) * ms
+		b := outOfOrder.Invoke(model.ProcessID(i%2), types.OpWrite, i, back)
+		_ = outOfOrder.Respond(b, nil, back+model.Time(i+1)*ms)
+	}
+	for name, h := range map[string]*history.History{"in-order": inOrder, "out-of-order": outOfOrder} {
+		if got, want := collect(h), h.Ops(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: All yielded\n%v\nwant Ops()\n%v", name, got, want)
+		}
+		n := 0
+		for range h.All() {
+			n++
+			if n == 2 {
+				break
+			}
+		}
+		if n != 2 {
+			t.Errorf("%s: break after 2 records, iterated %d", name, n)
+		}
+	}
+	if first := collect(outOfOrder)[0]; first.Arg != 5 {
+		t.Errorf("out-of-order history starts with arg %v, want the latest-appended 5", first.Arg)
 	}
 }
 

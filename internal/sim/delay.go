@@ -120,6 +120,15 @@ func NewRandomDelay(seed int64, min, max model.Time) *RandomDelay {
 	return &RandomDelay{Min: min, Max: max, rng: rand.New(rand.NewSource(seed))}
 }
 
+// Reseed rewinds the policy in place to the state NewRandomDelay(seed, min,
+// max) starts in — the same delay stream, without allocating a new source
+// — so a harness running scenarios back to back keeps one policy. The
+// policy must not be serving a simulator that is still running.
+func (r *RandomDelay) Reseed(seed int64, min, max model.Time) {
+	r.Min, r.Max = min, max
+	r.rng.Seed(seed)
+}
+
 // Delay implements DelayPolicy.
 func (r *RandomDelay) Delay(_, _ model.ProcessID, _ model.Time, _ int) model.Time {
 	if r.Max <= r.Min {

@@ -77,14 +77,14 @@ func (s *Simulator) applyCrash(proc model.ProcessID, at model.Time, retire bool)
 		s.record(proc, at, "crash")
 	}
 	s.epoch[proc]++
-	if n := len(s.deferred[proc]); n > 0 {
+	if q := &s.deferred[proc]; q.len() > 0 {
 		// The application layer invokes the next operation only after the
 		// previous responds (Chapter III.A); queued invocations were never
 		// issued, so they are stranded, not recorded.
-		for i := 0; i < n; i++ {
+		for i := 0; i < q.len(); i++ {
 			flt.NoteStrandedInvoke()
 		}
-		s.deferred[proc] = s.deferred[proc][:0]
+		q.drop()
 	}
 	if s.pending[proc] {
 		flt.NotePendingAtCrash()

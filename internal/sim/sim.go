@@ -154,6 +154,10 @@ type Config struct {
 	// must be freshly built (fault.NewInjector) for this run — injectors
 	// carry per-run mutable state and are never shared.
 	Faults *fault.Injector
+	// Arena, when set and idle, lends the run its event storage; the
+	// simulator hands it back on Recycle. Nil (or an Arena still lent to
+	// another simulator) means fresh storage.
+	Arena *Arena
 }
 
 // Simulator drives n processes through a single run.
@@ -182,7 +186,7 @@ type Simulator struct {
 	pending []bool // per-process: has an operation in flight
 	// deferred invocations waiting for the previous op of the process to
 	// respond (the application layer invokes back-to-back, Chapter III.A).
-	deferred [][]deferredInvoke
+	deferred []deferQueue
 	// timerLive[id] reports whether timer id is pending (armed, un-fired,
 	// un-canceled). Ids are dense, so a flat slice beats a map on the
 	// timer-heavy hot path; one byte per timer ever armed.
@@ -201,6 +205,9 @@ type Simulator struct {
 	epoch []int32
 	rates []int64
 	err   error
+	// arena is the Arena the event storage was borrowed from, until
+	// Recycle returns it; nil for fresh storage.
+	arena *Arena
 }
 
 type deferredInvoke struct {
@@ -209,6 +216,34 @@ type deferredInvoke struct {
 	// arrival is the instant the invocation was originally offered, kept
 	// so the history can record queueing wait (Record.Sojourn).
 	arrival model.Time
+}
+
+// deferQueue is one process's FIFO of deferred invocations, items[head:].
+// Popping advances the head index instead of reslicing the front off and
+// zeroes the popped slot, so no argument outlives its invocation; a
+// drained queue rewinds onto its own backing array, so an open-loop burst
+// reuses one buffer — the shape of tob's enqueue buffer.
+type deferQueue struct {
+	items []deferredInvoke
+	head  int
+}
+
+func (q *deferQueue) len() int { return len(q.items) - q.head }
+
+func (q *deferQueue) pop() deferredInvoke {
+	d := q.items[q.head]
+	q.items[q.head] = deferredInvoke{}
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return d
+}
+
+// drop discards every queued invocation.
+func (q *deferQueue) drop() {
+	clear(q.items)
+	q.items, q.head = q.items[:0], 0
 }
 
 // New creates a simulator for the given processes. len(procs) must equal
@@ -247,7 +282,7 @@ func New(cfg Config, procs []Process) (*Simulator, error) {
 		hist:     history.New(),
 		trace:    !cfg.DiscardTraces,
 		pending:  make([]bool, cfg.Params.N),
-		deferred: make([][]deferredInvoke, cfg.Params.N),
+		deferred: make([]deferQueue, cfg.Params.N),
 		minD:     cfg.Params.MinDelay(),
 		maxD:     cfg.Params.D,
 	}
@@ -257,10 +292,14 @@ func New(cfg Config, procs []Process) (*Simulator, error) {
 			s.delayMat = mat
 		}
 	}
-	if in := cfg.Faults; in != nil {
-		if in.N() != cfg.Params.N {
-			return nil, faultMismatch(in.N(), cfg.Params.N)
-		}
+	in := cfg.Faults
+	if in != nil && in.N() != cfg.Params.N {
+		return nil, faultMismatch(in.N(), cfg.Params.N)
+	}
+	// Borrow only once nothing can fail, so an error never strands the
+	// arena lent to a simulator nobody will recycle.
+	cfg.Arena.lendTo(s)
+	if in != nil {
 		s.flt = in
 		s.rates = in.Rates()
 		s.epoch = make([]int32, cfg.Params.N)
@@ -302,7 +341,8 @@ func (s *Simulator) ClockOffset(p model.ProcessID) model.Time {
 // through the free list on top of the same slab). Harnesses that know the
 // schedule size up front (workload.Run) call this once so the event loop
 // reaches its allocation-free steady state immediately instead of growing
-// through the run.
+// through the run. On storage borrowed from a warm Arena the event slab
+// and heap already have the capacity, so only the history grows.
 func (s *Simulator) Reserve(ops int) {
 	if ops <= 0 {
 		return
@@ -494,7 +534,8 @@ func (s *Simulator) dispatch(ref int32) {
 		if s.pending[proc] {
 			// Defer until the current operation responds, remembering the
 			// offered instant so the history keeps the queueing wait.
-			s.deferred[proc] = append(s.deferred[proc], deferredInvoke{kind: opKind, arg: opArg, arrival: arrival})
+			q := &s.deferred[proc]
+			q.items = append(q.items, deferredInvoke{kind: opKind, arg: opArg, arrival: arrival})
 			return
 		}
 		s.pending[proc] = true
@@ -712,9 +753,8 @@ func (e *procEnv) Respond(id history.OpID, ret spec.Value) {
 	s := e.sim
 	p := e.proc
 	s.pending[p] = false
-	if len(s.deferred[p]) > 0 {
-		next := s.deferred[p][0]
-		s.deferred[p] = s.deferred[p][1:]
+	if q := &s.deferred[p]; q.len() > 0 {
+		next := q.pop()
 		// Invoke immediately after the response, as the paper's
 		// back-to-back operation sequences do. "After" is strict in the
 		// continuous-time model (Chapter III.B.2: increasing clock times),

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"timebounds/internal/model"
@@ -130,8 +131,18 @@ func (s Spec) Validate() error {
 // Schedule expands the spec into a concrete invocation schedule for an
 // n-process system. The result is a pure function of (spec, p.N, seed).
 func (s Spec) Schedule(p model.Params, seed int64) (Schedule, error) {
+	return s.AppendSchedule(nil, nil, p, seed)
+}
+
+// AppendSchedule is Schedule on caller-owned storage, for harnesses that
+// expand many specs back to back: it appends the invocations to dst and
+// draws from rng re-seeded with seed, which yields exactly the stream of a
+// fresh rand.New(rand.NewSource(seed)). A nil rng means a fresh source;
+// dst grows to the schedule size (N × OpsPerProcess) at most once. The
+// returned Schedule's Invocations is the extended dst.
+func (s Spec) AppendSchedule(dst []Invocation, rng *rand.Rand, p model.Params, seed int64) (Schedule, error) {
 	if len(s.Explicit) > 0 {
-		return Schedule{Invocations: append([]Invocation(nil), s.Explicit...)}, nil
+		return Schedule{Invocations: append(dst, s.Explicit...)}, nil
 	}
 	if s.Mix == nil && len(s.PerProcess) == 0 {
 		return Schedule{}, fmt.Errorf("workload: spec %q has no mix and no explicit schedule", s.Name)
@@ -139,9 +150,16 @@ func (s Spec) Schedule(p model.Params, seed int64) (Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return Schedule{}, err
 	}
-	rng := rand.New(rand.NewSource(seed))
+	if rng == nil {
+		rng = rand.New(rand.NewSource(seed))
+	} else {
+		rng.Seed(seed)
+	}
+	if n := p.N * s.OpsPerProcess; n > 0 {
+		dst = slices.Grow(dst, n)
+	}
 	counts := make(map[spec.OpKind]int)
-	var sched Schedule
+	sched := Schedule{Invocations: dst}
 	for proc := 0; proc < p.N; proc++ {
 		mix := s.Mix
 		if len(s.PerProcess) > 0 {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -39,6 +40,49 @@ func TestSpecScheduleDeterministic(t *testing.T) {
 	}
 	if got, want := len(a.Invocations), p.N*4; got != want {
 		t.Errorf("%d invocations, want %d", got, want)
+	}
+}
+
+// TestAppendScheduleReusesStorage: expanding into a buffer and a source
+// that a different spec just used — other N, mode, ramp, an explicit
+// schedule — gives exactly the schedule a fresh Schedule call does, and a
+// warm buffer is not regrown.
+func TestAppendScheduleReusesStorage(t *testing.T) {
+	specs := []struct {
+		spec Spec
+		p    model.Params
+		seed int64
+	}{
+		{Spec{Mix: DefaultMix(types.NewQueue()), OpsPerProcess: 6, Spacing: 20_000_000, Start: 10_000_000}, specParams(4), 3},
+		{Spec{Mode: Open, Mix: DefaultMix(types.NewDict()), OpsPerProcess: 9, Spacing: 5_000_000, Ramp: 0.5}, specParams(3), 8},
+		{Spec{Explicit: []Invocation{{At: 5, Proc: 1, Kind: types.OpRead}, {At: 2, Proc: 0, Kind: types.OpWrite, Arg: 4}}}, specParams(2), 1},
+		{Spec{PerProcess: []OpMix{DefaultMix(types.NewCounter()), DefaultMix(types.NewRegister(0))}, OpsPerProcess: 5, Spacing: 8_000_000}, specParams(5), 21},
+	}
+	want := make([]Schedule, len(specs))
+	for i, c := range specs {
+		s, err := c.spec.Schedule(c.p, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = s
+	}
+	rng := rand.New(rand.NewSource(99))
+	var buf []Invocation
+	for pass := 0; pass < 2; pass++ {
+		for i, c := range specs {
+			before := cap(buf)
+			got, err := c.spec.AppendSchedule(buf[:0], rng, c.p, c.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Invocations, want[i].Invocations) {
+				t.Fatalf("pass %d spec %d: reused storage drew a different schedule", pass, i)
+			}
+			if pass == 1 && cap(got.Invocations) != before {
+				t.Errorf("spec %d: warm buffer regrown from %d to %d", i, before, cap(got.Invocations))
+			}
+			buf = got.Invocations
+		}
 	}
 }
 

@@ -149,7 +149,8 @@ func Run(target Target, sched Schedule, opt RunOptions) (Report, error) {
 	}
 	// The schedule's length is the run's record count (open-loop deferrals
 	// reuse the same record), so the history and event slabs can be sized
-	// once up front instead of growing through the run.
+	// once up front instead of growing through the run; event storage
+	// borrowed from a warm sim.Arena is already big enough.
 	target.Simulator().Reserve(len(sched.Invocations))
 	for _, inv := range sched.Invocations {
 		target.Invoke(inv.At, inv.Proc, inv.Kind, inv.Arg)
@@ -185,7 +186,7 @@ func NewSimConfig(p model.Params, seed int64) sim.Config {
 // Summarize computes per-kind latency statistics from a history.
 func Summarize(h *history.History) map[spec.OpKind]Stats {
 	byKind := make(map[spec.OpKind][]model.Time)
-	for _, op := range h.Ops() {
+	for op := range h.All() {
 		if op.Pending {
 			continue
 		}

@@ -1,10 +1,12 @@
 package workload_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"timebounds/internal/core"
+	"timebounds/internal/history"
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
 	"timebounds/internal/types"
@@ -45,6 +47,47 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if want := p.N * opt.OpsPerProcess; len(a.Invocations) != want {
 		t.Errorf("generated %d invocations, want %d", len(a.Invocations), want)
+	}
+}
+
+// TestSummarizeIgnoresAppendOrder: the same operations recorded in
+// invocation order (which History.All walks in place) and in reverse
+// (which it walks through a sorted copy) summarize to identical Stats.
+func TestSummarizeIgnoresAppendOrder(t *testing.T) {
+	type op struct {
+		kind        spec.OpKind
+		invoke, lat model.Time
+	}
+	ms := model.Time(time.Millisecond)
+	var ops []op
+	for i := 0; i < 40; i++ {
+		kind := types.OpWrite
+		if i%3 == 0 {
+			kind = types.OpRead
+		}
+		ops = append(ops, op{kind: kind, invoke: model.Time(i/2) * ms, lat: model.Time(1+(i*7)%13) * ms})
+	}
+	record := func(order []int) *history.History {
+		h := history.New()
+		for _, i := range order {
+			id := h.Invoke(model.ProcessID(i%4), ops[i].kind, nil, ops[i].invoke)
+			if err := h.Respond(id, nil, ops[i].invoke+ops[i].lat); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return h
+	}
+	forward := make([]int, len(ops))
+	backward := make([]int, len(ops))
+	for i := range ops {
+		forward[i], backward[i] = i, len(ops)-1-i
+	}
+	a, b := workload.Summarize(record(forward)), workload.Summarize(record(backward))
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("stats depend on append order:\nin order: %v\nreversed: %v", a, b)
+	}
+	if a[types.OpRead].Count+a[types.OpWrite].Count != len(ops) {
+		t.Fatalf("summarized %v, want %d operations", a, len(ops))
 	}
 }
 
