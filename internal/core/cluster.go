@@ -14,7 +14,7 @@ import (
 type Cluster struct {
 	cfg      Config
 	dt       spec.DataType
-	replicas []*Replica
+	replicas []*SimReplica
 	sim      *sim.Simulator
 }
 
@@ -26,7 +26,7 @@ func NewCluster(cfg Config, dt spec.DataType, simCfg sim.Config) (*Cluster, erro
 		return nil, err
 	}
 	simCfg.Params = cfg.Params
-	replicas := make([]*Replica, cfg.Params.N)
+	replicas := make([]*SimReplica, cfg.Params.N)
 	procs := make([]sim.Process, cfg.Params.N)
 	for i := range replicas {
 		replicas[i] = NewReplica(cfg, dt)
@@ -57,7 +57,7 @@ func (c *Cluster) Simulator() *sim.Simulator { return c.sim }
 func (c *Cluster) DataType() spec.DataType { return c.dt }
 
 // Replica returns the i-th replica, for state inspection in tests.
-func (c *Cluster) Replica(i int) *Replica { return c.replicas[i] }
+func (c *Cluster) Replica(i int) *SimReplica { return c.replicas[i] }
 
 // ConvergedState returns the common canonical local-state encoding of the
 // serving replicas, or an error if they diverged (they must agree once the

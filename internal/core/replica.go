@@ -20,6 +20,10 @@
 //
 // X ∈ [0, d+ε-u] trades accessor latency against mutator latency, as in
 // Mavronicolas & Roth.
+//
+// Replica is the algorithm, written once behind a Host that also times its
+// Timers: SimReplica hosts it on the simulator, with the replica lifecycle,
+// and internal/live on the wall clock. Cluster wires SimReplicas together.
 package core
 
 import (
@@ -27,7 +31,6 @@ import (
 
 	"timebounds/internal/history"
 	"timebounds/internal/model"
-	"timebounds/internal/sim"
 	"timebounds/internal/spec"
 )
 
@@ -90,192 +93,59 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// opMsg is the broadcast payload for MOP/OOP operations.
-type opMsg struct {
+// Host is the process a Replica runs in; Respond answers its operations.
+type Host interface {
+	Responder
+	Self() model.ProcessID
+	// ClockTime is the local clock; Invoke reads it once, as the stamp.
+	ClockTime() model.Time
+	// Broadcast sends e to every other process's Replica.Deliver.
+	Broadcast(e Entry)
+	// After hands t to Replica.Fire once the host's wait for t.Class
+	// (Waits.For) has elapsed on the local clock.
+	After(t Timer)
+}
+
+// TimerClass names one of Algorithm 1's four waits.
+type TimerClass uint8
+
+const (
+	// TimerSelfAdd fires d-u after a local MOP/OOP invocation: the invoker
+	// adds its own entry as if by the fastest message (Chapter V.A.1).
+	TimerSelfAdd TimerClass = iota
+	// TimerExecute fires u+ε after an entry joined To_Execute: every entry
+	// up to and including it executes, in timestamp order.
+	TimerExecute
+	// TimerMutatorResponse fires ε+X after a pure-mutator invocation.
+	TimerMutatorResponse
+	// TimerAccessorResponse fires d+ε-X after a pure-accessor invocation.
+	TimerAccessorResponse
+
+	numTimerClasses
+)
+
+// Timer is one armed wait: its class, its entry (to self-add, to execute
+// up to, or the stamped accessor) and the operation a response answers.
+type Timer struct {
+	Class TimerClass
 	Entry Entry
+	ID    history.OpID
 }
 
-// syncReq solicits a full state copy from serving peers; a recovering
-// replica broadcasts it on restart.
-type syncReq struct{}
-
-// syncResp carries a serving replica's current state to a syncing peer.
-// The donor sends it through ToExecute.Share and the receiver adopts it
-// through SetState, so each clones before its next in-place update and
-// neither sees the other's later operations.
-type syncResp struct {
-	State spec.State
-}
-
-// bufferedInvoke is an invocation that arrived while the replica was
-// syncing; it is replayed through OnInvoke once the replica serves again.
-type bufferedInvoke struct {
-	id   history.OpID
-	kind spec.OpKind
-	arg  spec.Value
-}
-
-// Timer tick payloads. Each timer class fires after a duration that is
-// constant for a given replica (d-u, u+ε, ε+X, d+ε-X respectively), so
-// timers of one class fire in arming order; the replica keeps the timer's
-// data in a per-class FIFO and the payload itself is a zero-size marker —
-// boxing a zero-size value into the simulator's `any` payload does not
-// allocate, which keeps the per-operation timer traffic allocation-free.
-type (
-	// selfAddTick fires d-u after a local MOP/OOP invocation: the invoker
-	// inserts its own operation into its queue, pretending it arrived via
-	// the fastest message (Chapter V.A.1).
-	selfAddTick struct{}
-	// executeTick fires u+ε after an entry joined To_Execute: every
-	// buffered entry with a timestamp ≤ the armed entry's is executed in
-	// timestamp order.
-	executeTick struct{}
-	// mutatorRespondTick fires ε+X after a pure-mutator invocation.
-	mutatorRespondTick struct{}
-	// accessorRespondTick fires d+ε-X after a pure-accessor invocation.
-	accessorRespondTick struct{}
-)
-
-// accessorPending is the queued data of one armed accessor response.
-type accessorPending struct {
-	id   history.OpID
-	kind spec.OpKind
-	arg  spec.Value
-	ts   model.Timestamp
-}
-
-// fifo is a head-indexed queue; the backing array is reused once drained,
-// so steady-state traffic does not allocate. Each entry carries the local-
-// clock time its timer is due: the order-based payload pairing is only
-// sound while a class's delay stays constant and nothing cancels its
-// timers, so pop asserts the invariant instead of trusting it.
-type fifo[T any] struct {
-	buf  []timed[T]
-	head int
-}
-
-type timed[T any] struct {
-	due model.Time
-	v   T
-}
-
-func (f *fifo[T]) push(due model.Time, v T) { f.buf = append(f.buf, timed[T]{due: due, v: v}) }
-
-// reset drops every queued entry (and its payload references), keeping the
-// backing array. Used when a crash wipes the replica's volatile state — the
-// matching timers die with the restart epoch, so no pop will miss them.
-func (f *fifo[T]) reset() {
-	clear(f.buf)
-	f.buf = f.buf[:0]
-	f.head = 0
-}
-
-// pop dequeues the oldest entry, asserting it is the one due now — a
-// desync (a per-operation tuning or a canceled class timer would cause
-// one) must fail loudly, not silently corrupt histories.
-func (f *fifo[T]) pop(now model.Time) T {
-	it := f.buf[f.head]
-	if it.due != now {
-		panic(fmt.Sprintf("core: timer FIFO desync: entry due at %s popped at %s "+
-			"(a timer class's delay varied, or one of its timers was canceled)", it.due, now))
-	}
-	f.buf[f.head] = timed[T]{} // drop payload references
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
-	return it.v
-}
-
-// Replica is one process of Algorithm 1 hosted on the simulator. It
-// implements sim.Process: the shared ToExecute core does the ordering and
-// execution, the replica adds timers, broadcast and the lifecycle.
+// Replica is Algorithm 1's protocol for one process: To_Execute with the
+// local copy, the data type and X, driven through Invoke, Deliver and
+// Fire. Build one with NewProtocol.
 type Replica struct {
-	cfg  Config
+	host Host
 	dt   spec.DataType
+	x    model.Time
 	exec ToExecute
-	// waits are the four durations, fixed for the replica's lifetime — the
-	// invariant the per-class timer FIFOs rely on.
-	waits Waits
-	// Per-timer-class FIFOs; see the *Tick types.
-	selfQ fifo[Entry]
-	execQ fifo[model.Timestamp]
-	mutQ  fifo[history.OpID]
-	accQ  fifo[accessorPending]
-	// life is the replica's lifecycle HSM (lifecycle.go); the protocol above
-	// runs only in the serving state.
-	life Lifecycle
-	// joinBuf holds invocations that arrived while syncing.
-	joinBuf []bufferedInvoke
 }
 
-var (
-	_ sim.Process     = (*Replica)(nil)
-	_ sim.Restartable = (*Replica)(nil)
-	_ sim.Retireable  = (*Replica)(nil)
-	_ Responder       = sim.Env(nil)
-)
-
-// NewReplica builds one replica of dt under cfg. A fresh replica is born
-// holding the data type's initial state — the common starting point — so
-// its lifecycle passes through joining and syncing without soliciting a
-// copy and starts out serving.
-func NewReplica(cfg Config, dt spec.DataType) *Replica {
-	r := &Replica{
-		cfg:   cfg,
-		dt:    dt,
-		exec:  NewToExecute(dt),
-		waits: WaitsFor(cfg.Params, cfg.X, cfg.Tuning),
-	}
-	r.life = NewLifecycle()
-	r.life.OnEnterSuper = r.onEnterSuper
-	_ = r.life.Fire(EvAdmit, 0)
-	_ = r.life.Fire(EvSynced, 0)
-	return r
+// NewProtocol returns the protocol of one process of dt, hosted by h.
+func NewProtocol(h Host, dt spec.DataType, x model.Time) Replica {
+	return Replica{host: h, dt: dt, x: x, exec: NewToExecute(dt)}
 }
-
-// LifecycleState returns the replica's current lifecycle leaf state.
-func (r *Replica) LifecycleState() LifecycleState { return r.life.State() }
-
-// onEnterSuper is the HSM superstate entry action: leaving the active
-// superstate (crash or retirement) wipes the volatile protocol state.
-func (r *Replica) onEnterSuper(s SuperState, _ model.Time) {
-	if s != SuperActive {
-		r.dropVolatile()
-	}
-}
-
-// dropVolatile clears everything a crash loses: the To_Execute buffer and
-// the locally pending OOP responses, the four timer-class FIFOs (their
-// armed timers die with the restart epoch), and buffered invocations. The
-// applied copy of the object is lost too, logically — it is re-acquired
-// from a peer on recovery.
-func (r *Replica) dropVolatile() {
-	r.exec.Reset()
-	r.selfQ.reset()
-	r.execQ.reset()
-	r.mutQ.reset()
-	r.accQ.reset()
-	r.joinBuf = r.joinBuf[:0]
-}
-
-// Crash implements sim.Restartable: the simulator halted this replica.
-func (r *Replica) Crash(at model.Time) { _ = r.life.Fire(EvCrash, at) }
-
-// Recover implements sim.Restartable: the replica restarts, re-enters
-// state acquisition and solicits a copy of the object from serving peers.
-func (r *Replica) Recover(env sim.Env) {
-	now := env.ClockTime()
-	if r.life.Fire(EvRecover, now) != nil {
-		return
-	}
-	_ = r.life.Fire(EvResync, now)
-	env.Broadcast(syncReq{})
-}
-
-// Retire implements sim.Retireable: permanent departure.
-func (r *Replica) Retire(at model.Time) { _ = r.life.Fire(EvRetire, at) }
 
 // Applied returns the number of operations executed on the local copy.
 func (r *Replica) Applied() int { return r.exec.Applied() }
@@ -283,109 +153,50 @@ func (r *Replica) Applied() int { return r.exec.Applied() }
 // LocalStateEncoding returns the canonical encoding of the local copy.
 func (r *Replica) LocalStateEncoding() string { return r.dt.EncodeState(r.exec.State()) }
 
-// OnInvoke implements sim.Process.
-func (r *Replica) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg spec.Value) {
-	if !r.life.CanServe() {
-		// A syncing replica holds the invocation until it serves again; in
-		// any other non-serving state the operation stays pending forever
-		// (the dichotomy verdict accounts for it).
-		if r.life.State() == StateSyncing {
-			r.joinBuf = append(r.joinBuf, bufferedInvoke{id: id, kind: kind, arg: arg})
-		}
-		return
-	}
+// Invoke runs the per-class invocation step for a local operation.
+func (r *Replica) Invoke(id history.OpID, kind spec.OpKind, arg spec.Value) {
+	e := Entry{TS: model.Timestamp{Clock: r.host.ClockTime(), Proc: r.host.Self()}, Kind: kind, Arg: arg}
 	switch r.dt.Class(kind) {
 	case spec.ClassPureAccessor:
-		// Timestamp ⟨clock - X, pid⟩: pretend to be invoked X earlier.
-		ts := model.Timestamp{Clock: env.ClockTime() - r.cfg.X, Proc: env.Self()}
-		r.accQ.push(env.ClockTime()+r.waits.AccessorResponse, accessorPending{id: id, kind: kind, arg: arg, ts: ts})
-		env.SetTimerAfter(r.waits.AccessorResponse, accessorRespondTick{})
+		// Stamp ⟨clock - X, pid⟩: pretend to be invoked X earlier.
+		e.TS.Clock -= r.x
+		r.host.After(Timer{Class: TimerAccessorResponse, Entry: e, ID: id})
 	case spec.ClassPureMutator:
-		r.stampAndBroadcast(env, kind, arg)
-		r.mutQ.push(env.ClockTime()+r.waits.MutatorResponse, id)
-		env.SetTimerAfter(r.waits.MutatorResponse, mutatorRespondTick{})
-	default: // OOP
-		e := r.stampAndBroadcast(env, kind, arg)
+		r.broadcast(e)
+		r.host.After(Timer{Class: TimerMutatorResponse, ID: id})
+	default: // OOP: respond upon local execution.
+		r.broadcast(e)
 		r.exec.AwaitOOP(e.TS, id)
 	}
 }
 
-// stampAndBroadcast stamps a MOP/OOP operation, broadcasts it, and starts
+// broadcast sends a stamped MOP/OOP entry to the other processes and arms
 // the d-u self-insertion timer.
-func (r *Replica) stampAndBroadcast(env sim.Env, kind spec.OpKind, arg spec.Value) Entry {
-	e := Entry{
-		TS:   model.Timestamp{Clock: env.ClockTime(), Proc: env.Self()},
-		Kind: kind,
-		Arg:  arg,
-	}
-	env.Broadcast(opMsg{Entry: e})
-	r.selfQ.push(env.ClockTime()+r.waits.SelfAdd, e)
-	env.SetTimerAfter(r.waits.SelfAdd, selfAddTick{})
-	return e
+func (r *Replica) broadcast(e Entry) {
+	r.host.Broadcast(e)
+	r.host.After(Timer{Class: TimerSelfAdd, Entry: e})
 }
 
-// OnMessage implements sim.Process.
-func (r *Replica) OnMessage(env sim.Env, from model.ProcessID, payload any) {
-	switch m := payload.(type) {
-	case opMsg:
-		// Only a serving replica buffers operations: a syncing one cannot
-		// tell whether its eventual donor state already includes this entry,
-		// so it drops it — any resulting gap surfaces as divergence in the
-		// verdict, not as silent double application.
-		if !r.life.CanServe() {
-			return
-		}
-		r.enqueue(env, m.Entry)
-	case syncReq:
-		if r.life.CanServe() {
-			env.Send(from, syncResp{State: r.exec.Share()})
-		}
-	case syncResp:
-		if r.life.State() != StateSyncing {
-			return
-		}
-		r.exec.SetState(m.State)
-		_ = r.life.Fire(EvSynced, env.ClockTime())
-		r.drainJoinBuf(env)
-	}
-}
-
-// drainJoinBuf replays the invocations buffered while syncing through the
-// normal invoke path, in arrival order.
-func (r *Replica) drainJoinBuf(env sim.Env) {
-	if len(r.joinBuf) == 0 {
-		return
-	}
-	buf := r.joinBuf
-	r.joinBuf = nil
-	for _, b := range buf {
-		r.OnInvoke(env, b.id, b.kind, b.arg)
-	}
-}
-
-// enqueue adds an entry to To_Execute and arms its u+ε execution timer.
-func (r *Replica) enqueue(env sim.Env, e Entry) {
+// Deliver adds an entry to To_Execute and arms its u+ε execution timer.
+func (r *Replica) Deliver(e Entry) {
 	r.exec.Add(e)
-	r.execQ.push(env.ClockTime()+r.waits.Execute, e.TS)
-	env.SetTimerAfter(r.waits.Execute, executeTick{})
+	r.host.After(Timer{Class: TimerExecute, Entry: e})
 }
 
-// OnTimer implements sim.Process.
-func (r *Replica) OnTimer(env sim.Env, payload any) {
-	now := env.ClockTime()
-	switch payload.(type) {
-	case selfAddTick:
-		r.enqueue(env, r.selfQ.pop(now))
-	case executeTick:
-		r.exec.ExecuteUpTo(r.execQ.pop(now), true, env.Self(), env)
-	case mutatorRespondTick:
-		env.Respond(r.mutQ.pop(now), nil)
-	case accessorRespondTick:
+// Fire runs the action of an elapsed timer.
+func (r *Replica) Fire(t Timer) {
+	switch t.Class {
+	case TimerSelfAdd:
+		r.Deliver(t.Entry)
+	case TimerExecute:
+		r.exec.ExecuteUpTo(t.Entry.TS, true, r.host.Self(), r.host)
+	case TimerMutatorResponse:
+		r.host.Respond(t.ID, nil)
+	case TimerAccessorResponse:
 		// Execute every buffered operation with a smaller timestamp, then
 		// evaluate the accessor on the local copy.
-		a := r.accQ.pop(now)
-		r.exec.ExecuteUpTo(a.ts, false, env.Self(), env)
-		_, ret := r.dt.Apply(r.exec.State(), a.kind, a.arg)
-		env.Respond(a.id, ret)
+		r.exec.ExecuteUpTo(t.Entry.TS, false, r.host.Self(), r.host)
+		_, ret := r.dt.Apply(r.exec.State(), t.Entry.Kind, t.Entry.Arg)
+		r.host.Respond(t.ID, ret)
 	}
 }

@@ -7,15 +7,14 @@ import (
 )
 
 // Entry is one buffered operation in To_Execute: ⟨op, arg, ts⟩. It is also
-// what both hosts broadcast (the simulator's opMsg, the live Message).
+// what both hosts broadcast (the live host inside a Message).
 type Entry struct {
 	TS   model.Timestamp
 	Kind spec.OpKind
 	Arg  spec.Value
 }
 
-// Responder completes locally invoked operations. sim.Env satisfies it, and
-// so does the live runtime's recorder.
+// Responder completes locally invoked operations; every Host is one.
 type Responder interface {
 	Respond(id history.OpID, ret spec.Value)
 }
@@ -23,9 +22,8 @@ type Responder interface {
 // ToExecute is Algorithm 1's To_Execute priority queue together with the
 // local copy it drains into: the timestamp-keyed heap, the local state, the
 // count of applied entries, and the locally invoked OOP operations awaiting
-// their own execution. It is the replica core both hosts share — Replica on
-// the simulator and the live wall-clock replica — and holds no timer or
-// transport state. Build one with NewToExecute.
+// their own execution. Replica drives it; it holds no timer or transport
+// state. Build one with NewToExecute.
 //
 // The local copy is the replica's own (spec.Owned): for a spec.Mutator
 // data type it is cloned once, on the first execution after NewToExecute,
@@ -148,7 +146,8 @@ func (q *ToExecute) ExecuteUpTo(ts model.Timestamp, inclusive bool, self model.P
 }
 
 // Waits are Algorithm 1's four wait durations: self-add d−u, execute u+ε,
-// mutator response ε+X, accessor response d+ε−X.
+// mutator response ε+X, accessor response d+ε−X. Hosts hold them; the
+// Replica protocol holds none.
 type Waits struct {
 	SelfAdd          model.Time
 	Execute          model.Time
@@ -156,10 +155,15 @@ type Waits struct {
 	AccessorResponse model.Time
 }
 
+// For returns the wait of timer class c.
+func (w Waits) For(c TimerClass) model.Time {
+	return [numTimerClasses]model.Time{w.SelfAdd, w.Execute, w.MutatorResponse, w.AccessorResponse}[c]
+}
+
 // WaitsFor is the one wait formula: the four waits for the timing
 // parameters and X, with any Tuning overrides applied. Each wait is floored
 // at 0, mirroring sim.Env.SetTimerAfter's clamp so timer-FIFO due times
-// match actual fire times. Replica feeds it the true (d, u, ε); the live
+// match actual fire times. SimReplica feeds it the true (d, u, ε); the live
 // Tuner feeds it the estimated envelope.
 func WaitsFor(p model.Params, x model.Time, t Tuning) Waits {
 	return Waits{

@@ -16,8 +16,9 @@ import (
 //     loop; cold error paths must be extracted into unmarked helpers.
 //   - no boxing into interface{}/any: converting a non-pointer-shaped
 //     concrete value (int, string, struct, slice, ...) to an interface
-//     heap-allocates. Pointer-shaped values (*T, chan, map, func) convert
-//     without allocating and are allowed.
+//     heap-allocates. Pointer-shaped values (*T, chan, map, func) and
+//     zero-size values (struct{}, [0]T) convert without allocating and are
+//     allowed.
 //   - no escaping closures over loop variables: since Go 1.22 each
 //     iteration's variable is distinct, so a closure that outlives the
 //     loop body forces a heap allocation per iteration.
@@ -290,8 +291,11 @@ func (h *hotwalker) checkLitElems(lit *ast.CompositeLit, elem types.Type) {
 	}
 }
 
+// gcSizes lays types out as gc does; zero size is the same on every arch.
+var gcSizes = types.SizesFor("gc", "amd64")
+
 // checkBox reports expr if assigning it to a slot of type dst boxes a
-// concrete non-pointer-shaped value into an interface.
+// concrete non-pointer-shaped, non-zero-size value into an interface.
 func (h *hotwalker) checkBox(expr ast.Expr, dst types.Type) {
 	if dst == nil || !types.IsInterface(dst.Underlying()) {
 		return
@@ -308,6 +312,9 @@ func (h *hotwalker) checkBox(expr ast.Expr, dst types.Type) {
 		return // interface-to-interface carries the existing box
 	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
 		return // pointer-shaped: converts without allocating
+	}
+	if gcSizes.Sizeof(src) == 0 {
+		return // zero-size: every box points at the runtime's zero base
 	}
 	h.pass.Reportf(expr.Pos(), "%s value boxed into %s in //tb:hotpath function %s; keep hot data monomorphic", src.String(), dst.String(), h.fname)
 }

@@ -49,6 +49,11 @@ func PointerPass(s *stats) any {
 	return s
 }
 
+// Marker boxes a zero-size value: no allocation, no finding.
+//
+//tb:hotpath
+func Marker() any { return struct{}{} }
+
 // Immediate invokes its closure in place; nothing escapes.
 //
 //tb:hotpath

@@ -98,7 +98,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) validate() error {
+// validate checks the configuration and that every invocation names one
+// of its processes, before Run opens anything it would have to tear down.
+func (c Config) validate(invs []Invocation) error {
 	if c.N < 1 {
 		return fmt.Errorf("live: need n >= 1 replicas, got %d", c.N)
 	}
@@ -113,6 +115,11 @@ func (c Config) validate() error {
 	}
 	if c.ClockOffsets != nil && len(c.ClockOffsets) != c.N {
 		return fmt.Errorf("live: %d clock offsets for %d replicas", len(c.ClockOffsets), c.N)
+	}
+	for _, inv := range invs {
+		if inv.Proc < 0 || int(inv.Proc) >= c.N {
+			return fmt.Errorf("live: invocation for unknown process %d", int(inv.Proc))
+		}
 	}
 	return nil
 }
@@ -202,7 +209,7 @@ func (rec *recorder) complete() bool {
 // invocations closed-loop per process, then drain, settle, and collect
 // the history and final states.
 func Run(cfg Config, invs []Invocation) (RunResult, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validate(invs); err != nil {
 		return RunResult{}, err
 	}
 	cfg = cfg.withDefaults()
@@ -225,32 +232,27 @@ func Run(cfg Config, invs []Invocation) (RunResult, error) {
 
 	replicas := make([]*replica, cfg.N)
 	for i := range replicas {
-		off := model.Time(0)
+		var off model.Time
 		if cfg.ClockOffsets != nil {
 			off = cfg.ClockOffsets[i]
 		}
-		clock := func(off model.Time) func() model.Time {
-			return func() model.Time { return now() + off }
-		}(off)
-		replicas[i] = newReplica(model.ProcessID(i), cfg.N, cfg.X, cfg.DataType,
-			eps[i], tun, est, rec, clock)
-	}
-	for _, r := range replicas {
-		r.start()
+		replicas[i] = newReplica(model.ProcessID(i), cfg, eps[i], tun, est, rec,
+			func() model.Time { return now() + off })
+		replicas[i].start()
 	}
 
 	// Warm-up: probe rounds until the estimator leaves its prior, then
 	// install the first observed envelope before any load.
 	for k := 0; k < cfg.WarmupProbes; k++ {
 		for _, r := range replicas {
-			r.probe()
+			r.sendAll(Message{Probe: true})
 		}
 		time.Sleep(time.Duration(cfg.ProbeSpacing))
 	}
 	warmupDeadline := time.Now().Add(time.Duration(cfg.Drain))
 	for cfg.N > 1 && est.Snapshot().FromPrior && time.Now().Before(warmupDeadline) {
 		for _, r := range replicas {
-			r.probe()
+			r.sendAll(Message{Probe: true})
 		}
 		time.Sleep(time.Duration(cfg.ProbeSpacing))
 	}
@@ -282,10 +284,6 @@ func Run(cfg Config, invs []Invocation) (RunResult, error) {
 	}
 	var wg sync.WaitGroup
 	for proc, seq := range byProc {
-		if int(proc) < 0 || int(proc) >= cfg.N {
-			close(stopRetune)
-			return RunResult{}, fmt.Errorf("live: invocation for unknown process %d", int(proc))
-		}
 		sort.SliceStable(seq, func(i, j int) bool { return seq[i].At < seq[j].At })
 		wg.Add(1)
 		go func(r *replica, seq []Invocation) {
@@ -334,8 +332,7 @@ func Run(cfg Config, invs []Invocation) (RunResult, error) {
 	cur, peak, retunes := tun.Snapshot()
 	states := make([]string, cfg.N)
 	for i, r := range replicas {
-		r.stop()
-		states[i] = r.stateEncoding()
+		states[i] = r.stop()
 	}
 	for _, ep := range eps {
 		_ = ep.Close()

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -168,18 +169,34 @@ func TestRunClockOffsetsStillLinearizable(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: every invalid run is rejected before the cluster
+// starts, so a rejection leaves no replica, pump or driver goroutine
+// behind.
 func TestConfigValidation(t *testing.T) {
 	dt := types.NewRMWRegister(0)
-	cases := []Config{
-		{N: 0, DataType: dt},
-		{N: 3},
-		{N: 3, DataType: dt, X: -1},
-		{N: 3, DataType: dt, Undertune: 1.5},
-		{N: 3, DataType: dt, ClockOffsets: []model.Time{1, 2}},
+	cases := []struct {
+		cfg  Config
+		invs []Invocation
+	}{
+		{cfg: Config{N: 0, DataType: dt}},
+		{cfg: Config{N: 3}},
+		{cfg: Config{N: 3, DataType: dt, X: -1}},
+		{cfg: Config{N: 3, DataType: dt, Undertune: 1.5}},
+		{cfg: Config{N: 3, DataType: dt, ClockOffsets: []model.Time{1, 2}}},
+		{cfg: Config{N: 3, DataType: dt}, invs: []Invocation{{Proc: 0, Kind: types.OpRead}, {Proc: 7, Kind: types.OpRead}}},
+		{cfg: Config{N: 3, DataType: dt}, invs: []Invocation{{Proc: -1, Kind: types.OpRead}}},
 	}
-	for i, cfg := range cases {
-		if _, err := Run(cfg, nil); err == nil {
-			t.Errorf("case %d: invalid config %+v accepted", i, cfg)
+	before := runtime.NumGoroutine()
+	for i, c := range cases {
+		if _, err := Run(c.cfg, c.invs); err == nil {
+			t.Errorf("case %d: invalid run %+v accepted", i, c)
 		}
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("rejected runs left %d goroutines running", after-before)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"net"
-	"sync"
 
 	"timebounds/internal/model"
 )
@@ -64,7 +63,7 @@ func (t *TCPTransport) Open(n int) ([]Endpoint, error) {
 	tcpEps := make([]*tcpEndpoint, n)
 	eps := make([]Endpoint, n)
 	for i := 0; i < n; i++ {
-		e := &tcpEndpoint{ln: listeners[i], box: newInbox(), conns: make([]*tcpConn, n)}
+		e := &tcpEndpoint{ln: listeners[i], box: newInbox(), conns: make([]*inbox, n)}
 		tcpEps[i] = e
 		eps[i] = e
 		go e.acceptLoop()
@@ -90,7 +89,7 @@ func (t *TCPTransport) Open(n int) ([]Endpoint, error) {
 type tcpEndpoint struct {
 	ln    net.Listener
 	box   *inbox
-	conns []*tcpConn // outbound, indexed by destination; nil at self
+	conns []*inbox // outbound, indexed by destination; nil at self
 }
 
 func (e *tcpEndpoint) acceptLoop() {
@@ -134,62 +133,12 @@ func (e *tcpEndpoint) Close() error {
 	return err
 }
 
-// tcpConn is one outbound connection: an unbounded queue drained by a
-// writer goroutine that gob-encodes onto the socket, so replicas sending
-// under their own lock never block on the kernel's send buffer.
-type tcpConn struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []Message
-	closed bool
-	c      net.Conn
-}
-
-func newTCPConn(c net.Conn) *tcpConn {
-	tc := &tcpConn{c: c}
-	tc.cond = sync.NewCond(&tc.mu)
-	go tc.writeLoop()
-	return tc
-}
-
-func (tc *tcpConn) push(m Message) {
-	tc.mu.Lock()
-	if !tc.closed {
-		tc.q = append(tc.q, m)
-		tc.cond.Signal()
-	}
-	tc.mu.Unlock()
-}
-
-func (tc *tcpConn) close() {
-	tc.mu.Lock()
-	tc.closed = true
-	tc.cond.Signal()
-	tc.mu.Unlock()
-}
-
-func (tc *tcpConn) writeLoop() {
-	enc := gob.NewEncoder(tc.c)
-	for {
-		tc.mu.Lock()
-		for len(tc.q) == 0 && !tc.closed {
-			tc.cond.Wait()
-		}
-		if len(tc.q) == 0 && tc.closed {
-			tc.mu.Unlock()
-			_ = tc.c.Close()
-			return
-		}
-		m := tc.q[0]
-		tc.q = tc.q[1:]
-		tc.mu.Unlock()
-		if err := enc.Encode(&m); err != nil {
-			_ = tc.c.Close()
-			tc.mu.Lock()
-			tc.closed = true
-			tc.q = nil
-			tc.mu.Unlock()
-			return
-		}
-	}
+// newTCPConn returns one outbound connection: an inbox whose pump
+// gob-encodes onto the socket, so replicas sending under their own lock
+// never block on the kernel's send buffer.
+func newTCPConn(c net.Conn) *inbox {
+	enc := gob.NewEncoder(c)
+	b := &inbox{}
+	b.start(func(m Message) bool { return enc.Encode(&m) == nil }, func() { _ = c.Close() })
+	return b
 }

@@ -46,23 +46,29 @@ type Endpoint interface {
 	Close() error
 }
 
-// inbox is an unbounded FIFO feeding an Endpoint's Recv channel: pushes
-// never block the producer (senders may hold replica locks), and a pump
-// goroutine drains the queue into the channel. Close drains what is
-// queued, then closes the channel.
+// inbox is an unbounded FIFO drained in order by its own pump goroutine,
+// so a push never blocks the producer (senders may hold replica locks).
+// An endpoint's inbox drains into its Recv channel; a TCP connection's
+// into the socket. close lets the pump drain what is queued, then run its
+// done action; a sink that fails drops the rest and runs done at once.
 type inbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	q      []Message
 	closed bool
-	out    chan Message
+	out    chan Message // the Recv channel of an endpoint's inbox
 }
 
 func newInbox() *inbox {
 	b := &inbox{out: make(chan Message, 64)}
-	b.cond = sync.NewCond(&b.mu)
-	go b.pump()
+	b.start(func(m Message) bool { b.out <- m; return true }, func() { close(b.out) })
 	return b
+}
+
+// start launches the pump, handing each message to sink.
+func (b *inbox) start(sink func(Message) bool, done func()) {
+	b.cond = sync.NewCond(&b.mu)
+	go b.pump(sink, done)
 }
 
 func (b *inbox) push(m Message) {
@@ -81,21 +87,26 @@ func (b *inbox) close() {
 	b.mu.Unlock()
 }
 
-func (b *inbox) pump() {
+func (b *inbox) pump(sink func(Message) bool, done func()) {
+	defer done()
 	for {
 		b.mu.Lock()
 		for len(b.q) == 0 && !b.closed {
 			b.cond.Wait()
 		}
-		if len(b.q) == 0 && b.closed {
+		if len(b.q) == 0 {
 			b.mu.Unlock()
-			close(b.out)
 			return
 		}
 		m := b.q[0]
 		b.q = b.q[1:]
 		b.mu.Unlock()
-		b.out <- m
+		if !sink(m) {
+			b.mu.Lock()
+			b.closed, b.q = true, nil
+			b.mu.Unlock()
+			return
+		}
 	}
 }
 

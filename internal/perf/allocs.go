@@ -73,6 +73,15 @@ func AllocBudgets() []AllocBudget {
 			Make:   makeDictExecute,
 		},
 		{
+			Name:  "core/replica-wave",
+			Brief: "a write, a read and an rmw wave over a warm 3-replica Algorithm 1 cluster (all four timer classes)",
+			// One box per broadcast entry (the sim's any-typed payload
+			// surface): three writes and three rmws. Timers add none: each
+			// carries its class's FIFO, which reuses its backing array.
+			Budget: 6,
+			Make:   makeReplicaWave,
+		},
+		{
 			Name:   "sim/event-wave",
 			Brief:  "a 4-process invoke/broadcast/timer wave (20 events) through a warm event loop",
 			Budget: 8, // amortized history-record and timer-slice growth only
@@ -157,6 +166,36 @@ func makeDictExecute() func() {
 			q.Add(e)
 		}
 		q.ExecuteUpTo(model.Timestamp{Clock: clock}, true, 0, nopResponder{})
+	}
+	for i := 0; i < 5; i++ {
+		unit()
+	}
+	return unit
+}
+
+// makeReplicaWave: Algorithm 1 on the simulator, one wave per operation
+// class — write (MOP), read (AOP), rmw (OOP) — on every process, with the
+// arguments boxed up front.
+func makeReplicaWave() func() {
+	ms := model.Time(time.Millisecond)
+	p := model.Params{N: 3, D: 10 * ms, U: 4 * ms, Epsilon: 2 * ms}
+	c, err := core.NewCluster(core.Config{Params: p}, types.NewRMWRegister(0), sim.Config{
+		Delay: sim.FixedDelay(p.D), StrictDelays: true, DiscardTraces: true})
+	if err != nil {
+		panic(err)
+	}
+	kinds, args := []spec.OpKind{types.OpWrite, types.OpRead, types.OpRMW}, []spec.Value{1, nil, 2}
+	at := model.Time(0)
+	unit := func() {
+		for i, kind := range kinds {
+			for proc := 0; proc < p.N; proc++ {
+				c.Invoke(at, model.ProcessID(proc), kind, args[i])
+			}
+			at += 4 * p.D
+		}
+		if err := c.Run(at); err != nil {
+			panic(err)
+		}
 	}
 	for i := 0; i < 5; i++ {
 		unit()

@@ -8,7 +8,6 @@ package runs
 
 import (
 	"fmt"
-	"sort"
 
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
@@ -336,15 +335,4 @@ func EndTimes(r Run) []model.Time {
 		out[i] = v.End
 	}
 	return out
-}
-
-// SortMessages orders messages by (SentAt, Seq) in place and returns them.
-func SortMessages(ms []Message) []Message {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].SentAt != ms[j].SentAt {
-			return ms[i].SentAt < ms[j].SentAt
-		}
-		return ms[i].Seq < ms[j].Seq
-	})
-	return ms
 }
