@@ -45,10 +45,10 @@ examples:
 
 # The lower-bound adversary suites: engine witness machinery, the theorem
 # run families (correct witness ≥ bound, premature violation, shift
-# threshold), the cross-backend conformance grid, and the checker property
-# tests that back them.
+# threshold), the exhaustive delay/offset lattice, the cross-backend
+# conformance grid, and the checker property tests that back them.
 test-adversary:
-	$(GO) test -race -run 'Adversary|Witness|Conformance|Theorem|Figure1|Premature|Shrunk|Property|Family' ./internal/engine ./internal/adversary ./internal/check .
+	$(GO) test -race -run 'Adversary|Witness|Conformance|Theorem|Figure1|Premature|Shrunk|Property|Family|Lattice' ./internal/engine ./internal/adversary ./internal/check .
 
 # The fault battery: plan/injector unit tests, the replica lifecycle HSM,
 # the engine's dichotomy-verdict machinery, the engineered fault adversary

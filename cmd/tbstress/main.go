@@ -25,13 +25,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"time"
 
-	"timebounds/internal/core"
 	"timebounds/internal/engine"
-	"timebounds/internal/explore"
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
 	"timebounds/internal/types"
@@ -39,93 +38,123 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tbstress:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tbstress", flag.ExitOnError)
 	var (
-		mode    = flag.String("mode", "campaign", "exhaustive|campaign|sharded|live")
-		n       = flag.Int("n", 3, "number of processes")
-		d       = flag.Duration("d", 10*time.Millisecond, "delay bound d")
-		u       = flag.Duration("u", 4*time.Millisecond, "delay uncertainty u")
-		seeds   = flag.Int("seeds", 5, "seeds per object × policy (campaign) / per shard count (sharded) / per object (live)")
-		ops     = flag.Int("ops", 4, "operations per process (campaign, sharded, live)")
-		msgs    = flag.Int("msgs", 6, "independent delay slots (exhaustive)")
-		keys    = flag.Int("keys", 12, "key-space size (sharded)")
-		liveTCP = flag.Bool("live-tcp", false, "include a loopback-TCP cluster in the live sweep")
+		mode    = fs.String("mode", "campaign", "exhaustive|campaign|sharded|live")
+		n       = fs.Int("n", 3, "number of processes")
+		d       = fs.Duration("d", 10*time.Millisecond, "delay bound d")
+		u       = fs.Duration("u", 4*time.Millisecond, "delay uncertainty u")
+		seeds   = fs.Int("seeds", 5, "seeds per object × policy (campaign) / per shard count (sharded) / per object (live)")
+		ops     = fs.Int("ops", 4, "operations per process (campaign, sharded, live)")
+		msgs    = fs.Int("msgs", 6, "independent delay slots (exhaustive)")
+		keys    = fs.Int("keys", 12, "key-space size (sharded)")
+		liveTCP = fs.Bool("live-tcp", false, "include a loopback-TCP cluster in the live sweep")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits before Parse returns
 	p := model.Params{N: *n, D: *d, U: *u}
 	p.Epsilon = p.OptimalSkew()
 
 	switch *mode {
 	case "exhaustive":
-		sc := explore.Scenario{
-			Params:   p,
-			Config:   core.Config{Params: p},
-			DataType: types.NewRMWRegister(0),
-			Invocations: []explore.Invocation{
-				{At: 2 * p.D, Proc: 0, Kind: types.OpRMW, Arg: 1},
-				{At: 2*p.D + p.Epsilon - 1, Proc: 1, Kind: types.OpRMW, Arg: 2},
-				{At: 8 * p.D, Proc: 2, Kind: types.OpRead},
-			},
-			MaxMessages: *msgs,
-		}
-		rep, err := explore.Exhaustive(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("explored %d adversary worlds: %d violations\n", rep.Worlds, len(rep.Violations))
-		if !rep.OK() {
-			v := rep.Violations[0]
-			fmt.Printf("first violation: offsets=%v delays=%v diverged=%v\n%s\n",
-				v.World.Offsets, v.World.DelayChoice, v.Diverged, v.History)
-			return fmt.Errorf("%d violations", len(rep.Violations))
-		}
+		return exhaustive(stdout, p, *msgs)
 	case "campaign":
-		res, err := explore.Campaign(explore.CampaignConfig{
-			Params: p,
-			Objects: []spec.DataType{
-				types.NewRMWRegister(0),
-				types.NewQueue(),
-				types.NewStack(),
-				types.NewTree(),
-				types.NewSet(),
-				types.NewCounter(),
-				types.NewDict(),
-				types.NewPQueue(),
-				types.NewAccount(),
-			},
-			Seeds:         *seeds,
-			OpsPerProcess: *ops,
-			Verify:        true,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("campaign: %d runs, %d operations, worst latency %s\n",
-			res.Runs, res.Ops, res.WorstLatency)
-		if !res.OK() {
-			for _, f := range res.Failures {
-				fmt.Println("  FAIL:", f)
-			}
-			return fmt.Errorf("%d failures", len(res.Failures))
-		}
-		fmt.Println("all runs linearizable, convergent and within the class bounds")
+		return campaign(stdout, p, *seeds, *ops)
 	case "sharded":
-		if err := shardedSweep(p, *keys, *seeds, *ops); err != nil {
-			return err
-		}
+		return shardedSweep(stdout, p, *keys, *seeds, *ops)
 	case "live":
-		if err := liveSweep(p, *seeds, *ops, *liveTCP); err != nil {
-			return err
-		}
+		return liveSweep(stdout, p, *seeds, *ops, *liveTCP)
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
+}
+
+// exhaustive runs two racing RMWs and a late read in every world of the
+// adversary lattice; every world must be OK (linearizable, convergent,
+// within the class bounds).
+func exhaustive(stdout io.Writer, p model.Params, msgs int) error {
+	worlds, err := engine.Lattice{MaxMessages: msgs}.Worlds(engine.Scenario{
+		DataType: types.NewRMWRegister(0),
+		Params:   p,
+		Workload: workload.Spec{Explicit: []workload.Invocation{
+			{At: 2 * p.D, Proc: 0, Kind: types.OpRMW, Arg: 1},
+			{At: 2*p.D + p.Epsilon - 1, Proc: 1, Kind: types.OpRMW, Arg: 2},
+			{At: 8 * p.D, Proc: 2, Kind: types.OpRead},
+		}},
+		Verify: true,
+	})
+	if err != nil {
+		return err
+	}
+	rep := engine.New(0).Run(worlds)
+	var bad []engine.Result
+	for _, r := range rep.Results {
+		if !r.OK() {
+			bad = append(bad, r)
+		}
+	}
+	fmt.Fprintf(stdout, "explored %d adversary worlds: %d violations\n", len(rep.Results), len(bad))
+	if len(bad) > 0 {
+		if h := bad[0].History; h != nil {
+			fmt.Fprintf(stdout, "first violation: %s\n%s\n", bad[0].Name, h)
+		}
+		return fmt.Errorf("%d violations: %w", len(bad), rep.Err())
+	}
+	return nil
+}
+
+// campaign is the randomized sweep: every bundled object × delay adversary
+// × seed as one engine grid. Every run must complete, linearize, converge
+// and respect the class latency bounds.
+func campaign(stdout io.Writer, p model.Params, seeds, ops int) error {
+	seedList := make([]int64, seeds)
+	for i := range seedList {
+		seedList[i] = int64(i + 1)
+	}
+	rep := engine.New(0).Run(engine.Grid{
+		Objects: []spec.DataType{
+			types.NewRMWRegister(0),
+			types.NewQueue(),
+			types.NewStack(),
+			types.NewTree(),
+			types.NewSet(),
+			types.NewCounter(),
+			types.NewDict(),
+			types.NewPQueue(),
+			types.NewAccount(),
+		},
+		Params: []model.Params{p},
+		Seeds:  seedList,
+		Delays: []engine.DelaySpec{
+			{Mode: engine.DelayRandom},
+			{Mode: engine.DelayWorst},
+			{Mode: engine.DelayBest},
+			{Mode: engine.DelayExtremal},
+		},
+		Workloads: []workload.Spec{{OpsPerProcess: ops, Spacing: 2 * p.D, Start: p.D}},
+		Verify:    true,
+	}.Scenarios())
+	var worst model.Time
+	for _, r := range rep.Results {
+		worst = max(worst, r.WorstLatency())
+	}
+	fmt.Fprintf(stdout, "campaign: %d runs, %d operations, worst latency %s\n",
+		len(rep.Results), rep.Ops(), worst)
+	if err := rep.Err(); err != nil {
+		for _, r := range rep.Results {
+			if !r.OK() {
+				fmt.Fprintln(stdout, "  FAIL:", r.Name)
+			}
+		}
+		return err
+	}
+	fmt.Fprintln(stdout, "all runs linearizable, convergent and within the class bounds")
 	return nil
 }
 
@@ -134,7 +163,7 @@ func run() error {
 // verified for composed linearizability, convergence, and aggregate
 // bounds — and each merged report re-run single-threaded to pin the
 // worker-count determinism the engine promises.
-func shardedSweep(p model.Params, keys, seeds, ops int) error {
+func shardedSweep(stdout io.Writer, p model.Params, keys, seeds, ops int) error {
 	space := make([]string, keys)
 	for i := range space {
 		space[i] = fmt.Sprintf("key-%03d", i)
@@ -176,9 +205,9 @@ func shardedSweep(p model.Params, keys, seeds, ops int) error {
 			opsTotal += rep.Ops
 		}
 	}
-	fmt.Printf("sharded sweep: %d stores (%d keys, shard counts %v), %d operations\n",
+	fmt.Fprintf(stdout, "sharded sweep: %d stores (%d keys, shard counts %v), %d operations\n",
 		runs, keys, counts, opsTotal)
-	fmt.Println("all stores composed-linearizable, convergent, within bounds, and worker-count deterministic")
+	fmt.Fprintln(stdout, "all stores composed-linearizable, convergent, within bounds, and worker-count deterministic")
 	return nil
 }
 
@@ -187,7 +216,7 @@ func shardedSweep(p model.Params, keys, seeds, ops int) error {
 // synthetic message delays), optionally one over loopback TCP, and one
 // deliberately under-tuned run that must land on a horn of the
 // premature-tuning dichotomy.
-func liveSweep(p model.Params, seeds, ops int, tcp bool) error {
+func liveSweep(stdout io.Writer, p model.Params, seeds, ops int, tcp bool) error {
 	objects := []spec.DataType{
 		types.NewRMWRegister(0),
 		types.NewQueue(),
@@ -239,8 +268,8 @@ func liveSweep(p model.Params, seeds, ops int, tcp bool) error {
 		if !res.Linearizable || !res.Converged {
 			return fmt.Errorf("live tcp: linearizable=%v converged=%v", res.Linearizable, res.Converged)
 		}
-		fmt.Println("tcp cluster:")
-		fmt.Print(res.Live.Render())
+		fmt.Fprintln(stdout, "tcp cluster:")
+		fmt.Fprint(stdout, res.Live.Render())
 		runs++
 		opsTotal += res.Ops
 	}
@@ -265,9 +294,9 @@ func liveSweep(p model.Params, seeds, ops int, tcp bool) error {
 	}
 	runs++
 	opsTotal += res.Ops
-	fmt.Printf("live sweep: %d clusters, %d operations\n", runs, opsTotal)
-	fmt.Printf("undertuned dichotomy horn: violation=%v diverged=%v\n",
+	fmt.Fprintf(stdout, "live sweep: %d clusters, %d operations\n", runs, opsTotal)
+	fmt.Fprintf(stdout, "undertuned dichotomy horn: violation=%v diverged=%v\n",
 		res.Live.Violation, res.Live.Diverged)
-	fmt.Println("all safe live runs linearizable, convergent, and within the estimated bounds")
+	fmt.Fprintln(stdout, "all safe live runs linearizable, convergent, and within the estimated bounds")
 	return nil
 }

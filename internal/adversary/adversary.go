@@ -150,11 +150,9 @@ func (r *naiveRegister) OnTimer(sim.Env, any) {}
 // StateEncoding exposes the local copy for convergence checks.
 func (r *naiveRegister) StateEncoding() string { return fmt.Sprintf("%v", r.value) }
 
-// NaiveRegister returns the zero-latency register implementation of
-// Fig. 1(a) as an engine backend, so Figure 1 runs through the same
-// scenario machinery as every other construction.
-func NaiveRegister() engine.Backend { return naiveBackend{} }
-
+// naiveBackend is the zero-latency register implementation of Fig. 1(a)
+// as an engine backend, so Figure 1 runs through the same scenario
+// machinery as every other construction.
 type naiveBackend struct{}
 
 // Name implements engine.Backend.

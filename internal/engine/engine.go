@@ -13,12 +13,14 @@
 // sweeps open-loop offered load over the stream to find saturation knees.
 //
 // The public facade (package timebounds), every cmd/ tool, and the
-// experiment harnesses (internal/experiments, internal/explore) are built
-// on this package. The lower-bound proof machinery (internal/adversary)
-// runs through it too: an AdversarySpec expands a theorem's run family —
-// delay matrices, clock shifts, premature tunings — into ordinary
-// scenarios whose Results carry BoundWitnesses, so upper-bound workloads
-// and lower-bound constructions share one execution path.
+// experiment harnesses (internal/experiments) are built on this package.
+// The lower-bound proof machinery (internal/adversary) runs through it
+// too: an AdversarySpec expands a theorem's run family — delay matrices,
+// clock shifts, premature tunings — into ordinary scenarios whose Results
+// carry BoundWitnesses, and a Lattice expands one scenario into every
+// world of its finite delay/offset lattice, so upper-bound workloads,
+// lower-bound constructions and exhaustive checks share one execution
+// path.
 package engine
 
 import (

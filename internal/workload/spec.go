@@ -142,6 +142,11 @@ func (s Spec) Schedule(p model.Params, seed int64) (Schedule, error) {
 // returned Schedule's Invocations is the extended dst.
 func (s Spec) AppendSchedule(dst []Invocation, rng *rand.Rand, p model.Params, seed int64) (Schedule, error) {
 	if len(s.Explicit) > 0 {
+		for _, inv := range s.Explicit {
+			if inv.Proc < 0 || int(inv.Proc) >= p.N {
+				return Schedule{}, fmt.Errorf("workload: spec %q invokes process %d outside [0, %d)", s.Name, inv.Proc, p.N)
+			}
+		}
 		return Schedule{Invocations: append(dst, s.Explicit...)}, nil
 	}
 	if s.Mix == nil && len(s.PerProcess) == 0 {

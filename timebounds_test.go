@@ -195,22 +195,30 @@ func TestFacadeConfigValidation(t *testing.T) {
 		mutate func(*timebounds.Scenario)
 		// alg1Only marks X checks: only Algorithm 1 reads X.
 		alg1Only bool
+		// runOnly marks workload checks: Build does not read the workload.
+		runOnly bool
 	}{
-		{"n=0", func(sc *timebounds.Scenario) { sc.Params.N = 0 }, false},
-		{"n<0", func(sc *timebounds.Scenario) { sc.Params.N = -2 }, false},
-		{"d=0", func(sc *timebounds.Scenario) { sc.Params.D = 0 }, false},
-		{"u>d", func(sc *timebounds.Scenario) { sc.Params.U = 2 * sc.Params.D }, false},
-		{"negative-ε", func(sc *timebounds.Scenario) { sc.Params.Epsilon = -time.Millisecond }, false},
-		{"nil-datatype", func(sc *timebounds.Scenario) { sc.DataType = nil }, false},
+		{"n=0", func(sc *timebounds.Scenario) { sc.Params.N = 0 }, false, false},
+		{"n<0", func(sc *timebounds.Scenario) { sc.Params.N = -2 }, false, false},
+		{"d=0", func(sc *timebounds.Scenario) { sc.Params.D = 0 }, false, false},
+		{"u>d", func(sc *timebounds.Scenario) { sc.Params.U = 2 * sc.Params.D }, false, false},
+		{"negative-ε", func(sc *timebounds.Scenario) { sc.Params.Epsilon = -time.Millisecond }, false, false},
+		{"nil-datatype", func(sc *timebounds.Scenario) { sc.DataType = nil }, false, false},
 		{"skewed-offsets", func(sc *timebounds.Scenario) {
 			sc.ClockOffsets = []time.Duration{0, time.Second, 0}
-		}, false},
-		{"short-offsets", func(sc *timebounds.Scenario) { sc.ClockOffsets = []time.Duration{0} }, false},
-		{"negative-X", func(sc *timebounds.Scenario) { sc.X = -time.Millisecond }, true},
+		}, false, false},
+		{"short-offsets", func(sc *timebounds.Scenario) { sc.ClockOffsets = []time.Duration{0} }, false, false},
+		{"negative-X", func(sc *timebounds.Scenario) { sc.X = -time.Millisecond }, true, false},
 		{"X>d+ε-u", func(sc *timebounds.Scenario) {
 			p := sc.Params
 			sc.X = p.D + p.OptimalSkew() - p.U + 1
-		}, true},
+		}, true, false},
+		{"explicit-proc-7", func(sc *timebounds.Scenario) {
+			sc.Workload = timebounds.Workload{Explicit: []timebounds.Invocation{{Proc: 7, Kind: timebounds.OpRead}}}
+		}, false, true},
+		{"explicit-proc-negative", func(sc *timebounds.Scenario) {
+			sc.Workload = timebounds.Workload{Explicit: []timebounds.Invocation{{Proc: -1, Kind: timebounds.OpRead}}}
+		}, false, true},
 	}
 	for _, b := range timebounds.Backends() {
 		for _, c := range cases {
@@ -221,7 +229,7 @@ func TestFacadeConfigValidation(t *testing.T) {
 				sc := facadeScenario(3, timebounds.NewRegister(0))
 				sc.Backend = b
 				c.mutate(&sc)
-				if _, err := sc.Build(); err == nil {
+				if _, err := sc.Build(); err == nil && !c.runOnly {
 					t.Error("Build accepted the scenario")
 				}
 				if _, err := timebounds.RunScenario(sc); err == nil {
