@@ -46,9 +46,10 @@ examples:
 # The lower-bound adversary suites: engine witness machinery, the theorem
 # run families (correct witness ≥ bound, premature violation, shift
 # threshold), the exhaustive delay/offset lattice, the cross-backend
-# conformance grid, and the checker property tests that back them.
+# conformance grid, and the checker property tests that back them,
+# including the guard that every Algorithm 1 history certifies.
 test-adversary:
-	$(GO) test -race -run 'Adversary|Witness|Conformance|Theorem|Figure1|Premature|Shrunk|Property|Family|Lattice' ./internal/engine ./internal/adversary ./internal/check .
+	$(GO) test -race -run 'Adversary|Witness|Conformance|Theorem|Figure1|Premature|Shrunk|Property|Family|Lattice|Certif' ./internal/engine ./internal/adversary ./internal/check .
 
 # The fault battery: plan/injector unit tests, the replica lifecycle HSM,
 # the engine's dichotomy-verdict machinery, the engineered fault adversary

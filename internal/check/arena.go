@@ -8,8 +8,9 @@ import (
 )
 
 // Arena is reusable checker scratch: the sorted record copy, the
-// transition-key slab, the per-search link lists, bitsets, memo maps and
-// key buffers, and a per-data-type local transition cache. An engine
+// certificate keys and replay order, the transition-key slab, the
+// per-search link lists, bitsets, memo maps and key buffers, and a
+// per-data-type local transition cache. An engine
 // worker keeps one Arena for the lifetime of a grid and threads it
 // through workload.RunOptions, so steady-state verified runs allocate
 // nothing in the checker beyond the returned witness. Check/CheckOpts
@@ -21,6 +22,8 @@ import (
 // fan-out.)
 type Arena struct {
 	ops    []history.Record // sorted record copy (history slab)
+	keys   []certKey        // certificate sort keys
+	order  []int32          // replay order (record indexes)
 	argBuf []byte           // per-op transition-key suffixes, back to back
 	argOff []int32          // argBuf offsets, len(ops)+1 entries
 	bounds []int32          // island cut points scratch
@@ -193,7 +196,10 @@ func (a *Arena) check(dt spec.DataType, h *history.History, opt Options) Result 
 	if n == 0 {
 		return Result{Linearizable: true}
 	}
-	if res, ok := sequentialFastPath(dt, ops); ok {
+	if res, ok := a.sequentialFastPath(dt, ops); ok {
+		return res
+	}
+	if res, ok := a.certified(dt, ops); ok {
 		return res
 	}
 	a.buildArgKeys(ops)

@@ -14,6 +14,13 @@
 // The search is engineered for the engine's hot path (hundreds of
 // histories per grid):
 //
+//   - A history whose records all carry certificate keys — the order the
+//     implementation executed them in, which Algorithm 1 records on both
+//     its hosts (history.Record.CertKind) — is first checked against that
+//     one order in O(n log n): a sort, one real-time sweep, one replay. A
+//     certificate that holds is the witness (Result.Certified); one that
+//     fails, or a pending or unkeyed record, leaves the verdict to the
+//     search, so certificates never change a verdict.
 //   - Candidates come from the real-time frontier — the prefix, in
 //     invocation order, of undone operations invoked no later than every
 //     earlier undone response — walked via a doubly linked list, so each
@@ -46,7 +53,6 @@ package check
 
 import (
 	"encoding/binary"
-	"sort"
 	"sync"
 
 	"timebounds/internal/history"
@@ -66,6 +72,9 @@ type Result struct {
 	// diagnostics. Forced (non-branching) steps are not memoized, so a
 	// sequential history explores zero states.
 	StatesExplored int
+	// Certified reports that the history's certificate — the execution
+	// order its records state — held and is the Witness, so no search ran.
+	Certified bool
 }
 
 // Options configures a check beyond the data type and history.
@@ -113,27 +122,19 @@ func CheckOpts(dt spec.DataType, h *history.History, opt Options) Result {
 // real-time order is the only admissible permutation, so the history is
 // linearizable iff replaying it is legal. Conformance suites built from
 // closed-loop single-process workloads take this path and skip the search
-// machinery entirely.
-func sequentialFastPath(dt spec.DataType, ops []history.Record) (Result, bool) {
+// machinery entirely. The replay is the certificate's (certify.go).
+func (a *Arena) sequentialFastPath(dt spec.DataType, ops []history.Record) (Result, bool) {
+	order := a.order[:0]
 	for i := range ops {
-		if ops[i].Pending {
+		if ops[i].Pending || (i+1 < len(ops) && ops[i].Respond >= ops[i+1].Invoke) {
+			a.order = order
 			return Result{}, false
 		}
-		if i+1 < len(ops) && ops[i].Respond >= ops[i+1].Invoke {
-			return Result{}, false
-		}
+		order = append(order, int32(i))
 	}
-	state := dt.InitialState()
-	witness := make([]history.OpID, len(ops))
-	for i := range ops {
-		var ret spec.Value
-		state, ret = dt.Apply(state, ops[i].Kind, ops[i].Arg)
-		if !spec.ValueEqual(ret, ops[i].Ret) {
-			return Result{Linearizable: false}, true
-		}
-		witness[i] = ops[i].ID
-	}
-	return Result{Linearizable: true, Witness: witness}, true
+	a.order = order
+	wit, ok := replay(dt, ops, order)
+	return Result{Linearizable: ok, Witness: wit}, true
 }
 
 // stateID is a state's identity in the search: its canonical encoding,
@@ -473,28 +474,4 @@ func (c *checker) search(state spec.State, id stateID) bool {
 	}
 	c.markDead(state, id)
 	return false
-}
-
-// MustOrder returns the pairs (a, b) of completed operation ids where a
-// responds before b is invoked; useful in tests and diagnostics.
-func MustOrder(h *history.History) [][2]history.OpID {
-	ops := h.Ops()
-	var out [][2]history.OpID
-	for _, a := range ops {
-		for _, b := range ops {
-			if a.ID == b.ID || a.Pending {
-				continue
-			}
-			if a.Respond < b.Invoke {
-				out = append(out, [2]history.OpID{a.ID, b.ID})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }

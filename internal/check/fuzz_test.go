@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -111,11 +112,46 @@ func decodeFuzzHistory(data []byte) (spec.DataType, *history.History) {
 	return dt, h
 }
 
+// certifyFuzz gives h's records certificate keys chosen by mode. The base
+// order is the reference witness followed by every operation it leaves
+// out, in invocation order (invocation order alone when the reference
+// rejects). Mode%4 == 0 keys nothing; 1 keys the base order as update
+// stamps; 2 does so with the neighbours at mode>>2 swapped; 3 restates the
+// base order as alternating updates and accessors.
+func certifyFuzz(h *history.History, ref check.Result, mode byte) {
+	if mode%4 == 0 {
+		return
+	}
+	order := slices.Clone(ref.Witness)
+	for _, op := range h.Ops() {
+		if !slices.Contains(order, op.ID) {
+			order = append(order, op.ID)
+		}
+	}
+	if j := int(mode>>2) % len(order); mode%4 == 2 && j+1 < len(order) {
+		order[j], order[j+1] = order[j+1], order[j]
+	}
+	updates := 0
+	for pos, id := range order {
+		if mode%4 == 3 && pos%2 == 1 {
+			h.Certify(id, history.AccessorCert(updates))
+			continue
+		}
+		h.Certify(id, history.UpdateCert(model.Time(pos)))
+		updates++
+	}
+}
+
 // FuzzCheckIslands is the differential fuzz harness over the checker's
 // execution shapes: for every decoded history the island-decomposed search
 // (sequential and worker-parallel with a shared cache) and the
 // whole-history search must return the verdict of the textbook Wing–Gong
 // reference, and every positive verdict must carry a replayable witness.
+// A byte the decoder leaves over at the end keys the records
+// (certifyFuzz); the checker may take a certificate only where the
+// reference linearizes and nothing is pending. The committed
+// certificate-* seeds hold a certificate that is a witness, one that
+// breaks real time, and one over a pending write.
 func FuzzCheckIslands(f *testing.F) {
 	// Seeds cover each data type plus shapes that exercise the interesting
 	// paths: sequential fast path, overlap, pending ops, corrupted returns
@@ -134,11 +170,18 @@ func FuzzCheckIslands(f *testing.F) {
 			t.Skip("input too short to decode")
 		}
 		want := check.CheckReference(dt, h)
+		if (len(data)-1)%4 != 0 {
+			certifyFuzz(h, want, data[len(data)-1])
+		}
 
 		got := check.Check(dt, h)
 		if got.Linearizable != want.Linearizable {
 			t.Fatalf("island check disagrees with reference: got %v want %v\n%s",
 				got.Linearizable, want.Linearizable, h)
+		}
+		if got.Certified && (!want.Linearizable || h.PendingCount() > 0) {
+			t.Fatalf("certificate taken where the reference says %v with %d pending\n%s",
+				want.Linearizable, h.PendingCount(), h)
 		}
 		whole := check.CheckOpts(dt, h, check.Options{NoIslands: true})
 		if whole.Linearizable != want.Linearizable {

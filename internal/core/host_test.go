@@ -17,12 +17,14 @@ type fakeHost struct {
 	sent  []Entry
 	armed []Timer
 	resp  map[history.OpID]spec.Value
+	certs map[history.OpID]history.Cert
 }
 
-func (h *fakeHost) Self() model.ProcessID { return 1 }
-func (h *fakeHost) ClockTime() model.Time { return h.clock }
-func (h *fakeHost) Broadcast(e Entry)     { h.sent = append(h.sent, e) }
-func (h *fakeHost) After(t Timer)         { h.armed = append(h.armed, t) }
+func (h *fakeHost) Self() model.ProcessID                   { return 1 }
+func (h *fakeHost) ClockTime() model.Time                   { return h.clock }
+func (h *fakeHost) Broadcast(e Entry)                       { h.sent = append(h.sent, e) }
+func (h *fakeHost) After(t Timer)                           { h.armed = append(h.armed, t) }
+func (h *fakeHost) Certify(id history.OpID, c history.Cert) { h.certs[id] = c }
 func (h *fakeHost) Respond(id history.OpID, ret spec.Value) {
 	if _, dup := h.resp[id]; dup {
 		h.t.Errorf("operation %d answered twice", id)
@@ -87,6 +89,9 @@ func TestReplicaHostSeam(t *testing.T) {
 			if got := h.answered(1); !spec.ValueEqual(got, 6) || r.Applied() != 2 {
 				t.Fatalf("read = %v after %d executions, want 6 after the 2 strictly smaller stamps", got, r.Applied())
 			}
+			if c := h.certs[1]; c != history.AccessorCert(2) {
+				t.Fatalf("accessor certified %+v, want after the 2 updates it read", c)
+			}
 		}},
 		{"MOP", func(t *testing.T, r *Replica, h *fakeHost) {
 			r.Invoke(1, types.OpWrite, 9)
@@ -98,6 +103,9 @@ func TestReplicaHostSeam(t *testing.T) {
 			resp := h.take(TimerMutatorResponse)
 			if self.Entry != want || resp.ID != 1 || len(h.armed) != 0 {
 				t.Fatalf("mutator armed self-add %+v, response %+v and %+v", self, resp, h.armed)
+			}
+			if c := h.certs[1]; c != history.UpdateCert(100) {
+				t.Fatalf("mutator certified %+v, want its stamp clock 100", c)
 			}
 			r.Fire(resp)
 			if got := h.answered(1); got != nil || r.Applied() != 0 {
@@ -114,6 +122,9 @@ func TestReplicaHostSeam(t *testing.T) {
 			own := Entry{TS: ts(100, 1), Kind: types.OpRMW, Arg: 4}
 			if len(h.sent) != 1 || h.sent[0] != own {
 				t.Fatalf("OOP broadcast %+v, want [%+v]", h.sent, own)
+			}
+			if c := h.certs[1]; c != history.UpdateCert(100) {
+				t.Fatalf("OOP certified %+v, want its stamp clock 100", c)
 			}
 			r.Fire(h.take(TimerSelfAdd))
 			ownExec := h.take(TimerExecute)
@@ -140,7 +151,7 @@ func TestReplicaHostSeam(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			h := &fakeHost{t: t, clock: 100, resp: map[history.OpID]spec.Value{}}
+			h := &fakeHost{t: t, clock: 100, resp: map[history.OpID]spec.Value{}, certs: map[history.OpID]history.Cert{}}
 			r := NewProtocol(h, types.NewRMWRegister(0), x)
 			c.run(t, &r, h)
 		})

@@ -104,6 +104,9 @@ type Host interface {
 	// After hands t to Replica.Fire once the host's wait for t.Class
 	// (Waits.For) has elapsed on the local clock.
 	After(t Timer)
+	// Certify records operation id's certificate key (history.Cert): its
+	// place in the order every copy executes operations.
+	Certify(id history.OpID, c history.Cert)
 }
 
 // TimerClass names one of Algorithm 1's four waits.
@@ -162,17 +165,19 @@ func (r *Replica) Invoke(id history.OpID, kind spec.OpKind, arg spec.Value) {
 		e.TS.Clock -= r.x
 		r.host.After(Timer{Class: TimerAccessorResponse, Entry: e, ID: id})
 	case spec.ClassPureMutator:
-		r.broadcast(e)
+		r.broadcast(id, e)
 		r.host.After(Timer{Class: TimerMutatorResponse, ID: id})
 	default: // OOP: respond upon local execution.
-		r.broadcast(e)
+		r.broadcast(id, e)
 		r.exec.AwaitOOP(e.TS, id)
 	}
 }
 
-// broadcast sends a stamped MOP/OOP entry to the other processes and arms
-// the d-u self-insertion timer.
-func (r *Replica) broadcast(e Entry) {
+// broadcast sends operation id's stamped MOP/OOP entry to the other
+// processes and arms the d-u self-insertion timer. Every copy executes the
+// entry in stamp order, so the stamp is its certificate key.
+func (r *Replica) broadcast(id history.OpID, e Entry) {
+	r.host.Certify(id, history.UpdateCert(e.TS.Clock))
 	r.host.Broadcast(e)
 	r.host.After(Timer{Class: TimerSelfAdd, Entry: e})
 }
@@ -194,8 +199,11 @@ func (r *Replica) Fire(t Timer) {
 		r.host.Respond(t.ID, nil)
 	case TimerAccessorResponse:
 		// Execute every buffered operation with a smaller timestamp, then
-		// evaluate the accessor on the local copy.
+		// evaluate the accessor on the local copy. Its certificate key is
+		// the number of updates that copy has executed, not its stamp: by
+		// now the copy may hold updates stamped up to ε above it.
 		r.exec.ExecuteUpTo(t.Entry.TS, false, r.host.Self(), r.host)
+		r.host.Certify(t.ID, history.AccessorCert(r.exec.Applied()))
 		_, ret := r.dt.Apply(r.exec.State(), t.Entry.Kind, t.Entry.Arg)
 		r.host.Respond(t.ID, ret)
 	}

@@ -128,10 +128,12 @@ func NewReplica(cfg Config, dt spec.DataType) *SimReplica {
 	return r
 }
 
-// Self, ClockTime, Broadcast and Respond implement Host on the current Env.
+// Self, ClockTime, Broadcast, Certify and Respond implement Host on the
+// current Env.
 func (r *SimReplica) Self() model.ProcessID                   { return r.env.Self() }
 func (r *SimReplica) ClockTime() model.Time                   { return r.env.ClockTime() }
 func (r *SimReplica) Broadcast(e Entry)                       { r.env.Broadcast(e) }
+func (r *SimReplica) Certify(id history.OpID, c history.Cert) { r.env.Certify(id, c) }
 func (r *SimReplica) Respond(id history.OpID, ret spec.Value) { r.env.Respond(id, ret) }
 
 // After implements Host: t joins its class's fifo, and a simulator timer

@@ -186,6 +186,9 @@ func (sc Scenario) resolved() Scenario {
 	if sc.Params.Epsilon == 0 {
 		sc.Params.Epsilon = sc.Params.OptimalSkew()
 	}
+	if sc.expandErr == nil && sc.DataType != nil {
+		sc.expandErr = sc.Workload.CheckKinds(sc.DataType)
+	}
 	sc.Workload = sc.Workload.WithDefaults(sc.Params, sc.DataType)
 	if sc.Name == "" {
 		object := "?"

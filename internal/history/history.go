@@ -40,6 +40,49 @@ type Record struct {
 	Respond model.Time
 	// Pending is true if no response has been recorded.
 	Pending bool
+	// CertKind and CertVal are the operation's certificate key (Certify):
+	// its place in the order the implementation executed it. They pack
+	// into the padding after Pending, so a Record stays 96 bytes.
+	CertKind CertKind
+	CertVal  int32
+}
+
+// CertKind says how a certificate key orders its operation.
+type CertKind uint8
+
+const (
+	// CertNone marks an operation without a certificate key.
+	CertNone CertKind = iota
+	// CertUpdate orders an update by its timestamp ⟨stamp clock, Proc⟩;
+	// CertVal is the stamp clock minus Invoke.
+	CertUpdate
+	// CertAccessor places an accessor after the first CertVal updates in
+	// timestamp order.
+	CertAccessor
+)
+
+// Cert is a certificate key as its implementation states it.
+type Cert struct {
+	Kind CertKind
+	// Key is the stamp clock of a CertUpdate, or the number of updates
+	// executed before a CertAccessor evaluated.
+	Key int64
+}
+
+// UpdateCert is the key of an update stamped at local clock time stamp.
+func UpdateCert(stamp model.Time) Cert { return Cert{Kind: CertUpdate, Key: int64(stamp)} }
+
+// AccessorCert is the key of an accessor evaluated after applied updates.
+func AccessorCert(applied int) Cert { return Cert{Kind: CertAccessor, Key: int64(applied)} }
+
+// OrderKey returns the record's certificate key as (major, minor): the
+// stamp clock and Proc of an update, the update count and Invoke of an
+// accessor.
+func (r Record) OrderKey() (major, minor int64) {
+	if r.CertKind == CertUpdate {
+		return int64(r.Invoke) + int64(r.CertVal), int64(r.Proc)
+	}
+	return int64(r.CertVal), int64(r.Invoke)
 }
 
 // Latency returns the operation's response time (Respond - Invoke): the
@@ -117,18 +160,46 @@ func (h *History) InvokeArrived(proc model.ProcessID, kind spec.OpKind, arg spec
 
 // Respond records the response of a previously invoked operation.
 func (h *History) Respond(id OpID, ret spec.Value, at model.Time) error {
-	// Ids are assigned densely in invocation order, so the record for id
-	// lives at index id — the scan below only backs up the invariant.
-	if i := int(id); i >= 0 && i < len(h.ops) && h.ops[i].ID == id {
-		return h.respondAt(i, ret, at)
-	}
-	for i := range h.ops {
-		if h.ops[i].ID != id {
-			continue
-		}
+	if i := h.index(id); i >= 0 {
 		return h.respondAt(i, ret, at)
 	}
 	return fmt.Errorf("history: response for unknown op #%d", id)
+}
+
+// index returns the position of operation id's record, or -1.
+func (h *History) index(id OpID) int {
+	// Ids are assigned densely in invocation order, so the record for id
+	// lives at index id — the scan below only backs up the invariant.
+	if i := int(id); i >= 0 && i < len(h.ops) && h.ops[i].ID == id {
+		return i
+	}
+	for i := range h.ops {
+		if h.ops[i].ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// Certify records c as operation id's certificate key (Record.CertKind).
+// An update's stamp is stored relative to its Invoke; a key the record
+// cannot hold in an int32 leaves the operation uncertified, as does an
+// unknown id.
+func (h *History) Certify(id OpID, c Cert) {
+	i := h.index(id)
+	if i < 0 {
+		return
+	}
+	r := &h.ops[i]
+	v := c.Key
+	if c.Kind == CertUpdate {
+		v -= int64(r.Invoke)
+	}
+	if v != int64(int32(v)) {
+		r.CertKind, r.CertVal = CertNone, 0
+		return
+	}
+	r.CertKind, r.CertVal = c.Kind, int32(v)
 }
 
 func (h *History) respondAt(i int, ret spec.Value, at model.Time) error {
@@ -217,15 +288,8 @@ func (h *History) Complete() bool { return h.PendingCount() == 0 }
 // Completed reports whether the operation has a recorded response.
 // Unknown ids report false.
 func (h *History) Completed(id OpID) bool {
-	if i := int(id); i >= 0 && i < len(h.ops) && h.ops[i].ID == id {
-		return !h.ops[i].Pending
-	}
-	for i := range h.ops {
-		if h.ops[i].ID == id {
-			return !h.ops[i].Pending
-		}
-	}
-	return false
+	i := h.index(id)
+	return i >= 0 && !h.ops[i].Pending
 }
 
 // MaxLatency returns the largest completed-operation latency for the given

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"timebounds/internal/history"
 	"timebounds/internal/model"
@@ -31,6 +32,41 @@ func TestInvokeRespondLifecycle(t *testing.T) {
 	}
 	if op.Pending {
 		t.Error("op still marked pending")
+	}
+}
+
+// TestRecordSize pins a record at 96 bytes on 64-bit platforms: the
+// certificate key packs into the padding after Pending, and one more word
+// per record shows up in the benchmark's bytes_per_op.
+func TestRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the record layout is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(history.Record{}); got != 96 {
+		t.Fatalf("history.Record is %d bytes, want 96", got)
+	}
+}
+
+// TestCertify: an update's key is stored relative to its invocation and
+// read back as its stamp, an accessor's is its update count, and a key the
+// record cannot hold leaves the operation uncertified.
+func TestCertify(t *testing.T) {
+	h := history.New()
+	w := h.Invoke(2, types.OpWrite, 1, 5*ms)
+	h.Certify(w, history.UpdateCert(5*ms-3))
+	r := h.Invoke(1, types.OpRead, nil, 6*ms)
+	h.Certify(r, history.AccessorCert(4))
+	far := h.Invoke(0, types.OpWrite, 2, 7*ms)
+	h.Certify(far, history.UpdateCert(7*ms+time.Hour))
+	ops := h.Ops()
+	if major, minor := ops[0].OrderKey(); ops[0].CertKind != history.CertUpdate || major != int64(5*ms-3) || minor != 2 {
+		t.Errorf("update key (%d, %d) of kind %d, want (stamp, proc)", major, minor, ops[0].CertKind)
+	}
+	if major, minor := ops[1].OrderKey(); ops[1].CertKind != history.CertAccessor || major != 4 || minor != int64(6*ms) {
+		t.Errorf("accessor key (%d, %d) of kind %d, want (update count, invoke)", major, minor, ops[1].CertKind)
+	}
+	if ops[2].CertKind != history.CertNone {
+		t.Errorf("a stamp an hour past its invocation was recorded: %+v", ops[2])
 	}
 }
 

@@ -115,6 +115,18 @@ func (z Zipf) offset() float64 {
 	return z.V
 }
 
+// validate rejects what rand.NewZipf cannot sample (it returns nil for
+// them): an exponent S ≤ 1 or an offset V < 1, once resolved.
+func (z Zipf) validate() error {
+	if s := z.exponent(); !(s > 1) {
+		return fmt.Errorf("zipf exponent S=%g; want > 1", s)
+	}
+	if v := z.offset(); !(v >= 1) {
+		return fmt.Errorf("zipf offset V=%g; want ≥ 1", v)
+	}
+	return nil
+}
+
 // Sampler implements Model via the seeded rand.Zipf generator.
 func (z Zipf) Sampler(n int, rng *rand.Rand) func() int {
 	gen := rand.NewZipf(rng, z.exponent(), z.offset(), uint64(n-1))
@@ -253,9 +265,19 @@ func (w Workload) Validate() error {
 	if w.Spacing < 0 {
 		return fmt.Errorf("keyspace: workload %q spacing %v is negative", w.label(), w.Spacing)
 	}
+	if z, ok := w.model().(Zipf); ok {
+		if err := z.validate(); err != nil {
+			return fmt.Errorf("keyspace: workload %q: %w", w.label(), err)
+		}
+	}
 	for _, t := range w.Tenants {
 		if t.Weight <= 0 {
 			return fmt.Errorf("keyspace: tenant %q weight %d; want > 0", t.Name, t.Weight)
+		}
+		if z, ok := t.Model.(Zipf); ok {
+			if err := z.validate(); err != nil {
+				return fmt.Errorf("keyspace: tenant %q: %w", t.Name, err)
+			}
 		}
 	}
 	return nil

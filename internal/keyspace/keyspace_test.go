@@ -228,13 +228,19 @@ func TestWorkloadValidate(t *testing.T) {
 		"no ops":      {Space: Space{N: 10}},
 		"neg spacing": {Space: Space{N: 10}, Ops: 5, Spacing: -1},
 		"zero weight": {Space: Space{N: 10}, Ops: 5, Tenants: []Tenant{{Name: "t"}}},
+		"zipf s=1":    {Space: Space{N: 10}, Ops: 5, Model: Zipf{S: 1}},
+		"zipf s<0":    {Space: Space{N: 10}, Ops: 5, Model: Zipf{S: -1}},
+		"zipf v<1":    {Space: Space{N: 10}, Ops: 5, Model: Zipf{S: 1.2, V: 0.5}},
+		"tenant zipf": {Space: Space{N: 10}, Ops: 5, Tenants: []Tenant{{Name: "t", Weight: 1, Model: Zipf{S: 0.9}}}},
 	} {
 		if err := w.Validate(); err == nil {
 			t.Errorf("%s: validated", name)
 		}
 	}
-	if err := (Workload{Ops: 5}).Stream(testParams(), 1, func(workload.KeyOp) error { return nil }); err == nil {
-		t.Error("Stream accepted invalid workload")
+	for _, w := range []Workload{{Ops: 5}, {Space: Space{N: 10}, Ops: 5, Model: Zipf{S: -1}}} {
+		if err := w.Stream(testParams(), 1, func(workload.KeyOp) error { return nil }); err == nil {
+			t.Errorf("Stream accepted invalid workload %+v", w)
+		}
 	}
 }
 

@@ -186,6 +186,13 @@ func (rec *recorder) invoke(proc model.ProcessID, kind spec.OpKind, arg spec.Val
 	return id, ch
 }
 
+// certify records an operation's certificate key.
+func (rec *recorder) certify(id history.OpID, c history.Cert) {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	rec.h.Certify(id, c)
+}
+
 func (rec *recorder) Respond(id history.OpID, ret spec.Value) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()

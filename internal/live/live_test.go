@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"timebounds/internal/check"
+	"timebounds/internal/history"
 	"timebounds/internal/model"
 	"timebounds/internal/types"
 )
@@ -61,6 +62,11 @@ func TestRunSafeChanCluster(t *testing.T) {
 	res := check.Check(dt, rr.History)
 	if !res.Linearizable {
 		t.Fatalf("safe live run not linearizable")
+	}
+	for op := range rr.History.All() {
+		if op.CertKind != history.CertUpdate {
+			t.Fatalf("rmw %v carries no stamp certificate", op)
+		}
 	}
 }
 

@@ -61,9 +61,10 @@ func (r *replica) start() {
 	}()
 }
 
-// Self, Broadcast and Respond implement core.Host.
+// Self, Broadcast, Certify and Respond implement core.Host.
 func (r *replica) Self() model.ProcessID                   { return r.id }
 func (r *replica) Broadcast(e core.Entry)                  { r.sendAll(Message{Entry: e}) }
+func (r *replica) Certify(id history.OpID, c history.Cert) { r.rec.certify(id, c) }
 func (r *replica) Respond(id history.OpID, ret spec.Value) { r.rec.Respond(id, ret) }
 
 // ClockTime implements core.Host, strictly monotonic: two invocations on

@@ -65,6 +65,15 @@ func AllocBudgets() []AllocBudget {
 			Make:   makeCheckDictCold,
 		},
 		{
+			Name:  "check/certified-dict",
+			Brief: "check a 64-op bursty dict history through its certificate with a reused arena",
+			// No search runs: the witness slice, plus the dict copy the
+			// replay owns and grows in place — 6 measured, also under
+			// -race, where searching the same history costs check/dict-cold.
+			Budget: 6,
+			Make:   makeCheckCertifiedDict,
+		},
+		{
 			Name:  "core/dict-execute",
 			Brief: "execute one 16-put round overwriting keys of a warm 256-entry dict replica copy",
 			// The replica owns its copy and updates it in place: an
@@ -138,6 +147,26 @@ func makeCheckDictCold() func() {
 	h := burstyHistory(dt, 3, 64)
 	arena := check.NewArena()
 	unit := func() { check.CheckOpts(dt, h, check.Options{Arena: arena, Cache: check.NewCache()}) }
+	for i := 0; i < 5; i++ {
+		unit()
+	}
+	return unit
+}
+
+// makeCheckCertifiedDict: the dict history of makeCheckDictCold with every
+// record keyed in the order its returns were generated — a certificate
+// that holds, the shape every Algorithm 1 history records.
+func makeCheckCertifiedDict() func() {
+	dt := types.NewDict()
+	h := burstyHistory(dt, 3, 64)
+	for i := range h.Len() {
+		h.Certify(history.OpID(i), history.UpdateCert(model.Time(i)))
+	}
+	opts := check.Options{Arena: check.NewArena()}
+	if !check.CheckOpts(dt, h, opts).Certified {
+		panic("certified-dict budget harness: the certificate does not hold")
+	}
+	unit := func() { check.CheckOpts(dt, h, opts) }
 	for i := 0; i < 5; i++ {
 		unit()
 	}
@@ -361,6 +390,7 @@ func (e *captureEnv) Broadcast(payload any)                     { e.out = append
 func (e *captureEnv) SetTimerAfter(model.Time, any) sim.TimerID { return 0 }
 func (e *captureEnv) CancelTimer(sim.TimerID)                   {}
 func (e *captureEnv) Respond(history.OpID, spec.Value)          {}
+func (e *captureEnv) Certify(history.OpID, history.Cert)        {}
 
 func makeTOBRound() func() {
 	// A sequencer stamps 8 messages into the capture buffer; the receiver

@@ -45,6 +45,9 @@ type Env interface {
 	CancelTimer(id TimerID)
 	// Respond completes the operation with the given id and return value.
 	Respond(id history.OpID, ret spec.Value)
+	// Certify records the operation's certificate key (history.Cert): its
+	// place in the order the process executes operations.
+	Certify(id history.OpID, c history.Cert)
 }
 
 // TimerID is a cancellation handle for a pending timer.
@@ -736,6 +739,8 @@ func (e *procEnv) CancelTimer(id TimerID) {
 		e.sim.timerLive[id] = false
 	}
 }
+
+func (e *procEnv) Certify(id history.OpID, c history.Cert) { e.sim.hist.Certify(id, c) }
 
 func (e *procEnv) Respond(id history.OpID, ret spec.Value) {
 	if e.sim.flt != nil && e.sim.hist.Completed(id) {

@@ -128,6 +128,46 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// CheckKinds rejects an operation kind named in Mix, PerProcess or
+// Explicit that dt neither declares (DataType.Kinds) nor issues in its
+// DefaultMix (the register mix gives a plain register rmw). Nothing
+// downstream would: the bundled Apply methods treat an unknown kind as a
+// no-op, so a misspelled kind runs and verifies as linearizable.
+func (s Spec) CheckKinds(dt spec.DataType) error {
+	kinds := dt.Kinds()
+	var dflt OpMix
+	known := func(k spec.OpKind) error {
+		if slices.Contains(kinds, k) {
+			return nil
+		}
+		if dflt == nil {
+			dflt = DefaultMix(dt)
+		}
+		if slices.ContainsFunc(dflt, func(w WeightedOp) bool { return w.Kind == k }) {
+			return nil
+		}
+		return fmt.Errorf("workload: spec %q: operation kind %q is not a kind of %s (want one of %v)", s.Name, k, dt.Name(), kinds)
+	}
+	for _, w := range s.Mix {
+		if err := known(w.Kind); err != nil {
+			return err
+		}
+	}
+	for _, mix := range s.PerProcess {
+		for _, w := range mix {
+			if err := known(w.Kind); err != nil {
+				return err
+			}
+		}
+	}
+	for _, inv := range s.Explicit {
+		if err := known(inv.Kind); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Schedule expands the spec into a concrete invocation schedule for an
 // n-process system. The result is a pure function of (spec, p.N, seed).
 func (s Spec) Schedule(p model.Params, seed int64) (Schedule, error) {

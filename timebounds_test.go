@@ -219,6 +219,17 @@ func TestFacadeConfigValidation(t *testing.T) {
 		{"explicit-proc-negative", func(sc *timebounds.Scenario) {
 			sc.Workload = timebounds.Workload{Explicit: []timebounds.Invocation{{Proc: -1, Kind: timebounds.OpRead}}}
 		}, false, true},
+		{"mix-kind-misspelled", func(sc *timebounds.Scenario) {
+			sc.Workload = timebounds.Workload{Mix: timebounds.OpMix{{Kind: "wrte", Weight: 1}}}
+		}, false, true},
+		{"per-process-kind-misspelled", func(sc *timebounds.Scenario) {
+			sc.Workload = timebounds.Workload{PerProcess: []timebounds.OpMix{
+				{{Kind: timebounds.OpWrite, Weight: 1}}, {{Kind: "raed", Weight: 1}},
+			}}
+		}, false, true},
+		{"explicit-kind-unknown", func(sc *timebounds.Scenario) {
+			sc.Workload = timebounds.Workload{Explicit: []timebounds.Invocation{{Proc: 0, Kind: "bogus"}}}
+		}, false, true},
 	}
 	for _, b := range timebounds.Backends() {
 		for _, c := range cases {
@@ -237,6 +248,17 @@ func TestFacadeConfigValidation(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestUnknownKindNamed: a misspelled kind fails the run with an error that
+// names the kind and the data type.
+func TestUnknownKindNamed(t *testing.T) {
+	sc := facadeScenario(3, timebounds.NewRegister(0))
+	sc.Workload = timebounds.Workload{Mix: timebounds.OpMix{{Kind: "wrte", Weight: 1}}}
+	res := timebounds.RunScenarios([]timebounds.Scenario{sc}).Results[0]
+	if !strings.Contains(res.Err, `"wrte"`) || !strings.Contains(res.Err, "register") {
+		t.Fatalf("Result.Err = %q, want it to name kind \"wrte\" and data type register", res.Err)
 	}
 }
 
