@@ -149,9 +149,10 @@ func certifyFuzz(h *history.History, ref check.Result, mode byte) {
 // reference, and every positive verdict must carry a replayable witness.
 // A byte the decoder leaves over at the end keys the records
 // (certifyFuzz); the checker may take a certificate only where the
-// reference linearizes and nothing is pending. The committed
-// certificate-* seeds hold a certificate that is a witness, one that
-// breaks real time, and one over a pending write.
+// reference linearizes and nothing is pending. The keys go on a second
+// decode of the input, so the searches always run on the unkeyed history.
+// The committed certificate-* seeds hold a certificate that is a witness,
+// one that breaks real time, and one over a pending write.
 func FuzzCheckIslands(f *testing.F) {
 	// Seeds cover each data type plus shapes that exercise the interesting
 	// paths: sequential fast path, overlap, pending ops, corrupted returns
@@ -170,18 +171,14 @@ func FuzzCheckIslands(f *testing.F) {
 			t.Skip("input too short to decode")
 		}
 		want := check.CheckReference(dt, h)
-		if (len(data)-1)%4 != 0 {
-			certifyFuzz(h, want, data[len(data)-1])
-		}
 
 		got := check.Check(dt, h)
 		if got.Linearizable != want.Linearizable {
 			t.Fatalf("island check disagrees with reference: got %v want %v\n%s",
 				got.Linearizable, want.Linearizable, h)
 		}
-		if got.Certified && (!want.Linearizable || h.PendingCount() > 0) {
-			t.Fatalf("certificate taken where the reference says %v with %d pending\n%s",
-				want.Linearizable, h.PendingCount(), h)
+		if got.Certified {
+			t.Fatalf("certificate taken on a history without keys\n%s", h)
 		}
 		whole := check.CheckOpts(dt, h, check.Options{NoIslands: true})
 		if whole.Linearizable != want.Linearizable {
@@ -197,6 +194,24 @@ func FuzzCheckIslands(f *testing.F) {
 			assertWitness(t, dt, h, got.Witness)
 			assertWitness(t, dt, h, whole.Witness)
 			assertWitness(t, dt, h, par.Witness)
+		}
+
+		if (len(data)-1)%4 == 0 {
+			return
+		}
+		_, keyed := decodeFuzzHistory(data)
+		certifyFuzz(keyed, want, data[len(data)-1])
+		cert := check.Check(dt, keyed)
+		if cert.Linearizable != want.Linearizable {
+			t.Fatalf("keyed check disagrees with reference: got %v want %v\n%s",
+				cert.Linearizable, want.Linearizable, keyed)
+		}
+		if cert.Certified && (!want.Linearizable || keyed.PendingCount() > 0) {
+			t.Fatalf("certificate taken where the reference says %v with %d pending\n%s",
+				want.Linearizable, keyed.PendingCount(), keyed)
+		}
+		if cert.Linearizable {
+			assertWitness(t, dt, keyed, cert.Witness)
 		}
 	})
 }

@@ -129,43 +129,41 @@ func (s Spec) Validate() error {
 }
 
 // CheckKinds rejects an operation kind named in Mix, PerProcess or
-// Explicit that dt neither declares (DataType.Kinds) nor issues in its
-// DefaultMix (the register mix gives a plain register rmw). Nothing
-// downstream would: the bundled Apply methods treat an unknown kind as a
-// no-op, so a misspelled kind runs and verifies as linearizable.
+// Explicit that dt does not declare (DataType.Kinds). Nothing downstream
+// would: the bundled Apply methods treat an unknown kind as a no-op, so a
+// misspelled kind runs and verifies as linearizable. One mix is exempt as
+// a whole: DefaultMix(dt) itself, because the register mix gives a plain
+// register rmw.
 func (s Spec) CheckKinds(dt spec.DataType) error {
 	kinds := dt.Kinds()
-	var dflt OpMix
-	known := func(k spec.OpKind) error {
-		if slices.Contains(kinds, k) {
-			return nil
-		}
-		if dflt == nil {
-			dflt = DefaultMix(dt)
-		}
-		if slices.ContainsFunc(dflt, func(w WeightedOp) bool { return w.Kind == k }) {
-			return nil
-		}
+	unknown := func(k spec.OpKind) error {
 		return fmt.Errorf("workload: spec %q: operation kind %q is not a kind of %s (want one of %v)", s.Name, k, dt.Name(), kinds)
 	}
-	for _, w := range s.Mix {
-		if err := known(w.Kind); err != nil {
-			return err
+	for i := -1; i < len(s.PerProcess); i++ {
+		mix := s.Mix
+		if i >= 0 {
+			mix = s.PerProcess[i]
 		}
-	}
-	for _, mix := range s.PerProcess {
 		for _, w := range mix {
-			if err := known(w.Kind); err != nil {
-				return err
+			if !slices.Contains(kinds, w.Kind) && !isDefaultMix(mix, dt) {
+				return unknown(w.Kind)
 			}
 		}
 	}
 	for _, inv := range s.Explicit {
-		if err := known(inv.Kind); err != nil {
-			return err
+		if !slices.Contains(kinds, inv.Kind) {
+			return unknown(inv.Kind)
 		}
 	}
 	return nil
+}
+
+// isDefaultMix reports whether mix is DefaultMix(dt), kind for kind and
+// weight for weight.
+func isDefaultMix(mix OpMix, dt spec.DataType) bool {
+	return slices.EqualFunc(mix, DefaultMix(dt), func(a, b WeightedOp) bool {
+		return a.Kind == b.Kind && a.Weight == b.Weight
+	})
 }
 
 // Schedule expands the spec into a concrete invocation schedule for an

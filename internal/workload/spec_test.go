@@ -241,6 +241,36 @@ func TestSpecValidateRejectsDegenerateRates(t *testing.T) {
 	}
 }
 
+// TestCheckKinds: every kind a spec names must be a kind of the data type.
+// The one exemption is the default mix as a whole, whose register mix
+// gives a plain register rmw; rmw named on its own is rejected.
+func TestCheckKinds(t *testing.T) {
+	reg := types.NewRegister(0)
+	rmw := OpMix{{Kind: types.OpRMW, Weight: 1}}
+	for _, c := range []struct {
+		name string
+		spec Spec
+		ok   bool
+	}{
+		{"nil-mix", Spec{}, true},
+		{"declared-kinds", Spec{Mix: OpMix{{Kind: types.OpWrite, Weight: 1}, {Kind: types.OpRead, Weight: 1}}}, true},
+		{"default-mix", Spec{Mix: DefaultMix(reg)}, true},
+		{"default-mix-per-process", Spec{PerProcess: []OpMix{DefaultMix(reg)}}, true},
+		{"rmw-alone", Spec{Mix: rmw}, false},
+		{"rmw-per-process", Spec{PerProcess: []OpMix{DefaultMix(reg), rmw}}, false},
+		{"default-mix-reweighted", Spec{Mix: OpMix{
+			{Kind: types.OpWrite, Weight: 1}, {Kind: types.OpRead, Weight: 1}, {Kind: types.OpRMW, Weight: 1},
+		}}, false},
+		{"explicit-rmw", Spec{Explicit: []Invocation{{Proc: 0, Kind: types.OpRMW}}}, false},
+		{"explicit-misspelled", Spec{Explicit: []Invocation{{Proc: 0, Kind: "raed"}}}, false},
+	} {
+		err := c.spec.CheckKinds(reg)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: CheckKinds = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestSpecRate(t *testing.T) {
 	if r := (Spec{Spacing: 2 * time.Millisecond}).Rate(); r != 500 {
 		t.Errorf("rate %v, want 500 ops/s at 2ms spacing", r)

@@ -10,6 +10,7 @@ package timebounds_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,7 +25,11 @@ import (
 // of the draw, so every linearizable implementation must agree on it.
 func conformanceWorkload(p timebounds.Params, dt timebounds.DataType, seed int64, ops int) timebounds.Workload {
 	rng := rand.New(rand.NewSource(seed))
-	mix := timebounds.DefaultMix(dt)
+	// An explicit schedule may name only declared kinds; the default mix
+	// gives a plain register rmw, which it does not declare.
+	mix := slices.DeleteFunc(timebounds.DefaultMix(dt), func(w timebounds.WeightedOp) bool {
+		return !slices.Contains(dt.Kinds(), w.Kind)
+	})
 	counts := make(map[timebounds.OpKind]int)
 	var invs []timebounds.Invocation
 	at := p.D
