@@ -1,32 +1,8 @@
-// Command tbstress runs the systematic correctness harnesses:
-//
-//	-mode exhaustive  enumerate the full adversary lattice of a small RMW
-//	                  scenario (all delay/offset combinations) and check
-//	                  every world
-//	-mode campaign    randomized sweep across objects × delay policies ×
-//	                  seeds, verifying latency bounds, convergence and
-//	                  linearizability
-//
-//	-mode sharded     sharded keyed-workload sweep: shard counts × seeds,
-//	                  verifying composed linearizability, convergence,
-//	                  aggregate bounds, and worker-count determinism of
-//	                  the merged report
-//
-//	-mode live        wall-clock goroutine clusters over the in-process
-//	                  chan transport (and loopback TCP with -live-tcp):
-//	                  safe runs must linearize post hoc, converge, and
-//	                  answer under the estimated bounds; a deliberately
-//	                  under-tuned run must land on a horn of the
-//	                  premature-tuning dichotomy
-//
-// Exit status is non-zero if any world or run fails — suitable for CI.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"reflect"
 	"time"
 
@@ -37,39 +13,52 @@ import (
 	"timebounds/internal/workload"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "tbstress:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("tbstress", flag.ExitOnError)
+// runStress runs the systematic correctness harnesses:
+//
+//	-mode exhaustive  enumerate the full adversary lattice of a small RMW
+//	                  scenario (all delay/offset combinations) and check
+//	                  every world
+//	-mode campaign    randomized sweep across objects × delay policies ×
+//	                  seeds, verifying latency bounds, convergence and
+//	                  linearizability
+//	-mode sharded     sharded keyed-workload sweep: shard counts × seeds,
+//	                  verifying composed linearizability, convergence,
+//	                  aggregate bounds, and worker-count determinism of
+//	                  the merged report
+//	-mode live        wall-clock goroutine clusters over the in-process
+//	                  chan transport (and loopback TCP with -live-tcp):
+//	                  safe runs must linearize post hoc, converge, and
+//	                  answer under the estimated bounds; a deliberately
+//	                  under-tuned run must land on a horn of the
+//	                  premature-tuning dichotomy
+//
+// It fails if any world or run fails — suitable for CI.
+func runStress(args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("stress", stderr)
 	var (
 		mode    = fs.String("mode", "campaign", "exhaustive|campaign|sharded|live")
-		n       = fs.Int("n", 3, "number of processes")
-		d       = fs.Duration("d", 10*time.Millisecond, "delay bound d")
-		u       = fs.Duration("u", 4*time.Millisecond, "delay uncertainty u")
 		seeds   = fs.Int("seeds", 5, "seeds per object × policy (campaign) / per shard count (sharded) / per object (live)")
-		ops     = fs.Int("ops", 4, "operations per process (campaign, sharded, live)")
 		msgs    = fs.Int("msgs", 6, "independent delay slots (exhaustive)")
 		keys    = fs.Int("keys", 12, "key-space size (sharded)")
 		liveTCP = fs.Bool("live-tcp", false, "include a loopback-TCP cluster in the live sweep")
+		m       = addModelFlags(fs, "n d u ops", 3, 4)
 	)
-	_ = fs.Parse(args) // ExitOnError: a bad flag exits before Parse returns
-	p := model.Params{N: *n, D: *d, U: *u}
-	p.Epsilon = p.OptimalSkew()
-
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	p, err := m.params()
+	if err != nil {
+		return err
+	}
 	switch *mode {
 	case "exhaustive":
 		return exhaustive(stdout, p, *msgs)
 	case "campaign":
-		return campaign(stdout, p, *seeds, *ops)
+		return campaign(stdout, p, *seeds, m.ops)
 	case "sharded":
-		return shardedSweep(stdout, p, *keys, *seeds, *ops)
+		return shardedSweep(stdout, p, *keys, *seeds, m.ops)
 	case "live":
-		return liveSweep(stdout, p, *seeds, *ops, *liveTCP)
+		return liveSweep(stdout, p, *seeds, m.ops, *liveTCP)
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
@@ -164,10 +153,7 @@ func campaign(stdout io.Writer, p model.Params, seeds, ops int) error {
 // bounds — and each merged report re-run single-threaded to pin the
 // worker-count determinism the engine promises.
 func shardedSweep(stdout io.Writer, p model.Params, keys, seeds, ops int) error {
-	space := make([]string, keys)
-	for i := range space {
-		space[i] = fmt.Sprintf("key-%03d", i)
-	}
+	space := keyNames(keys)
 	var counts []int
 	for _, c := range []int{1, 2, keys / 2, keys} { // coarsest → finest (one per key)
 		if c >= 1 && (len(counts) == 0 || c > counts[len(counts)-1]) {

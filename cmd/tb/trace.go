@@ -1,16 +1,8 @@
-// Command tbtrace runs a small scenario and renders it as a space-time
-// diagram (the textual analogue of the paper's figures) and, optionally, as
-// JSON for external tooling.
-//
-// Usage:
-//
-//	tbtrace [-scenario quickstart|fig1|thmC1] [-width 100] [-json]
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"timebounds/internal/adversary"
@@ -22,28 +14,20 @@ import (
 	"timebounds/internal/types"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "tbtrace:", err)
-		os.Exit(1)
-	}
-}
-
-func params() model.Params {
-	p := model.Params{N: 3, D: 10 * time.Millisecond, U: 4 * time.Millisecond}
-	p.Epsilon = p.OptimalSkew()
-	return p
-}
-
-func run() error {
+// runTrace runs a small scenario and renders it as a space-time diagram
+// (the textual analogue of the paper's figures) or, with -json, as JSON
+// for external tooling.
+func runTrace(args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("trace", stderr)
 	var (
-		scenario = flag.String("scenario", "quickstart", "scenario: quickstart|fig1|thmC1")
-		width    = flag.Int("width", 100, "diagram width in columns")
-		asJSON   = flag.Bool("json", false, "emit the run as JSON instead of a diagram")
+		scenario = fs.String("scenario", "quickstart", "scenario: quickstart|fig1|thmC1")
+		width    = fs.Int("width", 100, "diagram width in columns")
+		asJSON   = fs.Bool("json", false, "emit the run as JSON instead of a diagram")
 	)
-	flag.Parse()
-
-	r, ops, caption, err := buildScenario(*scenario)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	r, ops, caption, err := traceScenario(*scenario)
 	if err != nil {
 		return err
 	}
@@ -52,16 +36,19 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(data))
+		fmt.Fprintln(stdout, string(data))
 		return nil
 	}
-	fmt.Println(caption)
-	fmt.Print(tracefmt.Diagram{Width: *width, ShowMessages: true}.Render(r, ops))
+	fmt.Fprintln(stdout, caption)
+	fmt.Fprint(stdout, tracefmt.Diagram{Width: *width, ShowMessages: true}.Render(r, ops))
 	return nil
 }
 
-func buildScenario(name string) (runs.Run, []history.Record, string, error) {
-	p := params()
+// traceScenario builds the named run at n=3, d=10ms, u=4ms, ε=(1-1/n)u and
+// returns it with its operations and a caption.
+func traceScenario(name string) (runs.Run, []history.Record, string, error) {
+	p := model.Params{N: 3, D: 10 * time.Millisecond, U: 4 * time.Millisecond}
+	p.Epsilon = p.OptimalSkew()
 	switch name {
 	case "quickstart":
 		inst, err := engine.Scenario{

@@ -1,6 +1,6 @@
 // Package bounds encodes the paper's time-bound formulas (Chapters IV–V)
 // and the per-object summaries of Chapter VI (Tables I–IV), so the tables
-// can be regenerated — including the measured column — by cmd/tbtables and
+// can be regenerated — including the measured column — by tb tables and
 // the benchmarks.
 package bounds
 

@@ -6,13 +6,13 @@
 // verdicts, replica convergence).
 //
 // Execution is streaming-first: Stream yields Results in completion order
-// as an iterator (StreamChan is the channel form), honoring context
-// cancellation without leaking workers; Run is a thin collect-over-Stream
-// that reassembles input order. Constant-memory consumers fold the stream
-// into an Aggregate (online statistics, no retained histories), and Study
-// sweeps open-loop offered load over the stream to find saturation knees.
+// as an iterator, honoring context cancellation without leaking workers;
+// Run is a thin collect-over-Stream that reassembles input order.
+// Constant-memory consumers fold the stream into an Aggregate (online
+// statistics, no retained histories), and Study sweeps open-loop offered
+// load over the stream to find saturation knees.
 //
-// The public facade (package timebounds), every cmd/ tool, and the
+// The public facade (package timebounds), the tb command, and the
 // experiment harnesses (internal/experiments) are built on this package.
 // The lower-bound proof machinery (internal/adversary) runs through it
 // too: an AdversarySpec expands a theorem's run family — delay matrices,
@@ -50,15 +50,6 @@ var disableSharedChecker = false
 // checking is unobservable in Reports.
 var disableIslandCheck = false
 
-// IndexedResult pairs a streamed Result with the input index of its
-// scenario, so completion-order consumers can reassemble input order.
-type IndexedResult struct {
-	// Index is the scenario's position in the Stream/StreamChan input.
-	Index int
-	// Result is the scenario's structured outcome.
-	Result Result
-}
-
 // Stream executes the scenarios across the worker pool and returns an
 // iterator yielding (input index, Result) pairs in completion order. Each
 // scenario gets fresh simulator state on storage its worker owns and
@@ -82,82 +73,76 @@ type IndexedResult struct {
 func (e *Engine) Stream(ctx context.Context, scenarios []Scenario) iter.Seq2[int, Result] {
 	return func(yield func(int, Result) bool) {
 		ctx, cancel := context.WithCancel(ctx)
-		ch := e.StreamChan(ctx, scenarios)
-		defer func() {
-			cancel()
-			for range ch { // unblock and drain the pool so workers exit
-			}
-		}()
-		for ir := range ch {
-			if !yield(ir.Index, ir.Result) {
-				return
-			}
+		var caches *check.CacheSet
+		if !disableSharedChecker {
+			caches = check.NewCacheSet()
 		}
-	}
-}
-
-// StreamChan is the channel form of Stream, for consumers that select
-// across sources (cmd/ progress loops). The channel closes once every
-// worker has exited — after all scenarios completed, or promptly after
-// ctx is cancelled. The caller must either drain the channel or cancel
-// ctx; otherwise workers block forever on the send.
-func (e *Engine) StreamChan(ctx context.Context, scenarios []Scenario) <-chan IndexedResult {
-	var caches *check.CacheSet
-	if !disableSharedChecker {
-		caches = check.NewCacheSet()
-	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	out := make(chan IndexedResult)
-	next := make(chan int)
-	done := ctx.Done()
-	go func() {
-		defer close(next)
-		for i := range scenarios {
-			select {
-			case next <- i:
-			case <-done:
-				return
-			}
+		workers := e.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
 		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		if workers > len(scenarios) {
+			workers = len(scenarios)
+		}
+		if workers < 1 {
+			workers = 1
+		}
+		type indexed struct {
+			i   int
+			res Result
+		}
+		out := make(chan indexed)
+		next := make(chan int)
+		done := ctx.Done()
 		go func() {
-			defer wg.Done()
-			// Each worker owns its run storage for the stream's lifetime —
-			// checker arena, simulator arena, schedule buffer, re-seeded
-			// workload and delay sources — so steady-state runs reuse it
-			// instead of allocating it per scenario. Verified histories may
-			// additionally fan their concurrency islands out across the
-			// pool's worker budget (see internal/check); like the shared
-			// caches, neither reuse nor fan-out can change a Result — only
-			// its cost.
-			w := newWorker(caches, workers)
-			for i := range next {
-				res := scenarios[i].run(w)
+			defer close(next)
+			for i := range scenarios {
 				select {
-				case out <- IndexedResult{Index: i, Result: res}:
+				case next <- i:
 				case <-done:
 					return
 				}
 			}
 		}()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Each worker owns its run storage for the stream's
+				// lifetime — checker arena, simulator arena, schedule
+				// buffer, re-seeded workload and delay sources — so
+				// steady-state runs reuse it instead of allocating it per
+				// scenario. Verified histories may additionally fan their
+				// concurrency islands out across the pool's worker budget
+				// (see internal/check); like the shared caches, neither
+				// reuse nor fan-out can change a Result — only its cost.
+				w := newWorker(caches, workers)
+				for i := range next {
+					res := scenarios[i].run(w)
+					select {
+					case out <- indexed{i, res}:
+					case <-done:
+						return
+					}
+				}
+			}()
+		}
+		go func() {
+			wg.Wait()
+			close(out)
+		}()
+		defer func() {
+			cancel()
+			for range out { // unblock and drain the pool so workers exit
+			}
+		}()
+		for r := range out {
+			if !yield(r.i, r.res) {
+				return
+			}
+		}
 	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
 }
 
 // Run executes every scenario and returns their results in input order.

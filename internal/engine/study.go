@@ -57,7 +57,7 @@ type Study struct {
 	MaxBisections int
 	// OnPoint, when set, observes each completed point in completion order
 	// (axis points first, then bisection probes) — the progress hook for
-	// cmd/ tools.
+	// tb sweep.
 	OnPoint func(StudyPoint)
 }
 

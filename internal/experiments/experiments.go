@@ -3,7 +3,7 @@
 // skew sweep, and the Algorithm-1-vs-baseline comparison. Everything runs
 // through the scenario engine (internal/engine) — each experiment declares a
 // scenario list and lets the engine execute it across the worker pool —
-// so cmd/tbtables, cmd/tbsweep and bench_test.go are thin wrappers over
+// so tb tables, tb sweep and bench_test.go are thin wrappers over
 // this package and the numbers in EXPERIMENTS.md are reproducible from one
 // place.
 package experiments

@@ -39,7 +39,7 @@ type LoadSweepOptions struct {
 	// Workers caps engine parallelism (≤0 = all cores).
 	Workers int
 	// OnPoint observes each measured point in completion order — the
-	// progress hook cmd/tbsweep uses.
+	// progress hook tb sweep uses.
 	OnPoint func(engine.StudyPoint)
 }
 

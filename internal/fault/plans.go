@@ -4,7 +4,7 @@ import "timebounds/internal/model"
 
 // Canonical parameter-generic plans, one per fault family. Windows are
 // placed over [d, ~16d] — where the default workload's invocations land —
-// so the same builders serve engine grids, the tbgrid/tbadv flags, and the
+// so the same builders serve engine grids, the tb grid/adv flags, and the
 // conformance battery. All builders are pure functions of p.
 
 // CrashRecover crashes the last replica at 3d and recovers it at 9d: a

@@ -2,7 +2,7 @@ package spec
 
 // Classification consolidates every Chapter II property of one operation
 // kind over a search domain, as re-derived by the brute-force classifiers.
-// It backs cmd/tbclassify and the cross-checking tests.
+// It backs tb classify and the cross-checking tests.
 type Classification struct {
 	Kind  OpKind
 	Class OpClass

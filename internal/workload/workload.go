@@ -1,6 +1,6 @@
 // Package workload generates operation schedules, runs them through an
 // implementation, and measures per-kind latency statistics. It is the
-// engine behind the measured columns of Tables I–IV (cmd/tbtables) and the
+// engine behind the measured columns of Tables I–IV (tb tables) and the
 // benchmarks in bench_test.go.
 package workload
 

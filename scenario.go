@@ -148,8 +148,7 @@ func DataTypeByName(name string) (DataType, error) {
 
 // NewEngine returns an engine with the given worker cap (≤0 = GOMAXPROCS).
 // Beyond Run, engines stream: Engine.Stream returns an iterator yielding
-// Results in completion order (Engine.StreamChan is the channel form),
-// honoring context cancellation without leaking workers, and
+// Results in completion order, honoring context cancellation without leaking workers, and
 // Engine.RunContext collects a (possibly partial) Report under a context.
 func NewEngine(workers int) *Engine { return engine.New(workers) }
 
@@ -363,9 +362,6 @@ func SplitHot(m PartitionMap, shardOps []int, hot []KeyLoad, at Time, threshold 
 // template across an offered-rate axis and bisect the saturation knee.
 
 type (
-	// IndexedResult pairs a streamed Result with its scenario's input
-	// index (Engine.StreamChan's element type).
-	IndexedResult = engine.IndexedResult
 	// Aggregate folds streamed Results into constant-memory summaries:
 	// online per-kind/per-class statistics, verdict counters, and
 	// utilization accounting — the streaming replacement for retaining
