@@ -78,14 +78,18 @@ test-keyspace:
 test-live:
 	$(GO) test -race -timeout 120s -run 'Estimator|Tuner|TestRun|TestConfig|TestScenarioLive|TestGridRuntimes' ./internal/live ./internal/engine
 
-# A bounded differential-fuzz pass over the linearizability checker: the
-# island-decomposed search (sequential and parallel) against the textbook
-# Wing–Gong reference on decoded random histories. The committed corpus
-# under internal/check/testdata/fuzz replays on every plain `go test`;
-# this target additionally mutates for FUZZTIME.
+# Bounded fuzz passes: the linearizability checker's island-decomposed
+# search (sequential and parallel) against the textbook Wing–Gong
+# reference on decoded random histories, and a migrating store's phased
+# run against its contract (op counts, stitched histories, verdicts the
+# reference search agrees with, caught corrupted transfers, shard runs
+# that Scenarios reproduces at any worker count). The committed corpora
+# under internal/{check,engine}/testdata/fuzz replay on every plain
+# `go test`; this target additionally mutates each for FUZZTIME.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCheckIslands -fuzztime $(FUZZTIME) ./internal/check
+	$(GO) test -run '^$$' -fuzz FuzzMigration -fuzztime $(FUZZTIME) ./internal/engine
 
 # Benchmarks report simulated-model-time latencies as custom *-ms metrics;
 # ns/op measures simulator throughput. Wall-clock regressions are judged

@@ -71,6 +71,10 @@ func (c *Centralized) OnMessage(env sim.Env, from model.ProcessID, payload any) 
 // OnTimer implements sim.Process; the centralized scheme uses no timers.
 func (c *Centralized) OnTimer(sim.Env, any) {}
 
+// State returns the local copy as a read-only view the next operation may
+// change; only the coordinator's is authoritative.
+func (c *Centralized) State() spec.State { return c.state.State() }
+
 // StateEncoding returns the coordinator's object encoding (diagnostics).
 func (c *Centralized) StateEncoding() string { return c.dt.EncodeState(c.state.State()) }
 

@@ -7,12 +7,6 @@ import (
 	"timebounds/internal/spec"
 )
 
-// CheckReference exposes the textbook Wing–Gong search (reference.go) as
-// the oracle for the equivalence tests.
-func CheckReference(dt spec.DataType, h *history.History) Result {
-	return checkReference(dt, h)
-}
-
 // SequentialFastPath exposes the totally-ordered-history fast path so
 // tests can assert exactly when it fires.
 func SequentialFastPath(dt spec.DataType, h *history.History) (Result, bool) {

@@ -10,12 +10,13 @@ import (
 // This file holds the textbook Wing–Gong search exactly as first
 // implemented: memoization on a (done-set, state) string key, an O(n)
 // completed-ops scan per node, and a full candidate sweep with per-pred
-// minimality checks. It is retained as the oracle the equivalence tests
-// compare the optimized checker against (TestCheckMatchesReference), and
-// as the engine behind Explain's diagnostics, where clarity beats speed.
+// minimality checks. It is retained as the oracle the equivalence and fuzz
+// tests here and in other packages compare the optimized checker against
+// (TestCheckMatchesReference, engine's FuzzMigration), and as the engine
+// behind Explain's diagnostics, where clarity beats speed.
 
-// checkReference decides linearizability with the unoptimized search.
-func checkReference(dt spec.DataType, h *history.History) Result {
+// CheckReference decides linearizability with the unoptimized search.
+func CheckReference(dt spec.DataType, h *history.History) Result {
 	ops := h.Ops()
 	n := len(ops)
 	if n == 0 {

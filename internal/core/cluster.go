@@ -88,6 +88,17 @@ func (c *Cluster) ConvergedState() (string, error) {
 	return enc, nil
 }
 
+// State returns the copy ConvergedState reports — the first serving
+// replica's — as a read-only view the run's next execution may change.
+func (c *Cluster) State() (spec.State, error) {
+	for _, r := range c.replicas {
+		if r.LifecycleState() == StateServing {
+			return r.exec.State(), nil
+		}
+	}
+	return nil, fmt.Errorf("core: no serving replica left to report a state")
+}
+
 // MaxSkewOffsets returns clock offsets that realize the worst admissible
 // skew for n processes under ε: process 0 at +ε/2, the rest at -ε/2…
 // spread evenly. Useful for stress tests.

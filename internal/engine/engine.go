@@ -24,6 +24,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"iter"
 	"runtime"
@@ -73,20 +74,6 @@ var disableIslandCheck = false
 func (e *Engine) Stream(ctx context.Context, scenarios []Scenario) iter.Seq2[int, Result] {
 	return func(yield func(int, Result) bool) {
 		ctx, cancel := context.WithCancel(ctx)
-		var caches *check.CacheSet
-		if !disableSharedChecker {
-			caches = check.NewCacheSet()
-		}
-		workers := e.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(scenarios) {
-			workers = len(scenarios)
-		}
-		if workers < 1 {
-			workers = 1
-		}
 		type indexed struct {
 			i   int
 			res Result
@@ -105,19 +92,13 @@ func (e *Engine) Stream(ctx context.Context, scenarios []Scenario) iter.Seq2[int
 			}
 		}()
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		// Workers reuse their run storage from scenario to scenario, and
+		// verified histories may fan their islands out across the pool's
+		// budget; like the shared caches, neither can change a Result.
+		for _, w := range e.pool(len(scenarios)) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				// Each worker owns its run storage for the stream's
-				// lifetime — checker arena, simulator arena, schedule
-				// buffer, re-seeded workload and delay sources — so
-				// steady-state runs reuse it instead of allocating it per
-				// scenario. Verified histories may additionally fan their
-				// concurrency islands out across the pool's worker budget
-				// (see internal/check); like the shared caches, neither
-				// reuse nor fan-out can change a Result — only its cost.
-				w := newWorker(caches, workers)
 				for i := range next {
 					res := scenarios[i].run(w)
 					select {
@@ -143,6 +124,42 @@ func (e *Engine) Stream(ctx context.Context, scenarios []Scenario) iter.Seq2[int
 			}
 		}
 	}
+}
+
+// pool returns the workers for n runs: e.Workers (GOMAXPROCS when unset)
+// but at most n and at least one, sharing a transition cache per type.
+func (e *Engine) pool(n int) []*worker {
+	var caches *check.CacheSet
+	if !disableSharedChecker {
+		caches = check.NewCacheSet()
+	}
+	k := cmp.Or(max(e.Workers, 0), runtime.GOMAXPROCS(0))
+	ws := make([]*worker, max(1, min(k, n)))
+	for i := range ws {
+		ws[i] = newWorker(caches, len(ws))
+	}
+	return ws
+}
+
+// each runs task(w, i) for every i < n across the workers ws, one
+// goroutine per worker, and returns once every task is done.
+func each(ws []*worker, n int, task func(w *worker, i int)) {
+	next := make(chan int, n)
+	for i := range n {
+		next <- i
+	}
+	close(next)
+	var wg sync.WaitGroup
+	for _, w := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				task(w, i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Run executes every scenario and returns their results in input order.

@@ -24,12 +24,18 @@ func SetIslandCheckDisabled(v bool) (restore func()) {
 	return func() { disableIslandCheck = prev }
 }
 
-// ExpandSharded exposes the sharded expansion, and MergeSharded the
-// fold from per-shard Results back into a ShardedReport, so tests can
-// inject doctored shard results (e.g. a per-shard linearizability
-// violation) and assert the composed verdict fails.
+// ExpandSharded exposes the sharded expansion as Scenarios returns it —
+// a migrating store's handoffs learned from a phased run up to its last
+// cutover and written into its shard scenarios — and MergeSharded the fold
+// from per-shard Results back into a ShardedReport, so tests can inject
+// doctored shard results (e.g. a per-shard linearizability violation) and
+// assert the composed verdict fails.
 func ExpandSharded(ss ShardedScenario) (plan ShardPlan, scs []Scenario, err error) {
-	return ss.expand()
+	plan, scs, err = ss.expand()
+	if err == nil && plan.mig != nil {
+		scs, err = plan.resolve(New(0), scs)
+	}
+	return plan, scs, err
 }
 
 // ShardPlan aliases the unexported plan type for test signatures.
@@ -57,6 +63,25 @@ func StitchedRecords(plan ShardPlan, rep ShardedReport, key string) []history.Re
 	for ri, idx := range plan.run {
 		byShard[idx] = &rep.Shards[ri]
 	}
-	_, stitched := plan.mig.keyRecords(key, byShard)
+	_, stitched := plan.mig.keyRecords(key, byShard, make(map[int]history.UpdateOrder))
 	return stitched
+}
+
+// KeyPieces returns key's per-epoch pieces from a merged migrating run,
+// indexed by epoch, with the certificate keys the merge checks them with.
+func KeyPieces(plan ShardPlan, rep ShardedReport, key string) [][]history.Record {
+	byShard := make(map[int]*Result)
+	for ri, idx := range plan.run {
+		byShard[idx] = &rep.Shards[ri]
+	}
+	pieces, _ := plan.mig.keyRecords(key, byShard, make(map[int]history.UpdateOrder))
+	return pieces
+}
+
+// SetCountInvocations installs a counter told how many invocations each
+// run queues into its simulator. It returns a restore function.
+func SetCountInvocations(f func(n int)) (restore func()) {
+	prev := countInvocations
+	countInvocations = f
+	return func() { countInvocations = prev }
 }

@@ -8,26 +8,28 @@ package engine
 //   - drain: operations on moving keys offered inside the drain window
 //     before the cutover are deferred past it (they run on the
 //     destination), so the source quiesces on those keys;
-//   - drained read: the key's settled source value is computed by a
-//     prefix simulation — the source shard's schedule truncated at the
-//     cutover, re-run under the same seed, delay policy, and backend,
-//     with a settled read appended. Event processing is time-ordered and
-//     delay draws are consumed in send order, so the prefix run's state
-//     at the cutover is bit-identical to the actual run's;
-//   - cutover: a synthetic handoff write seeds the destination shard with
-//     the drained value at the cutover instant, and post-cutover client
-//     operations on moved keys invoke only after a settle window, so they
-//     observe the transferred state.
+//   - drained read: every shard runs once, in phases (runPhased); all
+//     advance to just before the cutover, and each moved key's value is
+//     read off its source's authoritative copy once it has settled there
+//     (a source that a process backlog keeps busy on the key runs on
+//     alone until it has);
+//   - cutover: a handoff write queued with the destination's schedule, and
+//     bound to that value, seeds the destination at the cutover (a handoff
+//     delete clears a copy it kept from an earlier epoch); post-cutover
+//     client operations on moved keys wait out a settle window.
 //
-// Verification splits each migrated key's history at the handoff: the
-// per-epoch pieces (which include the synthetic write) and the stitched
-// whole-key client history (which excludes it) are checked as separate
-// check.Compose components. The stitched component is the cross-migration
+// Verification splits each migrated key's history at the handoffs: the
+// per-epoch pieces (which include the synthetic operations) and the
+// stitched whole-key client history (which excludes them) are separate
+// check.Compose components. The stitched one is the cross-migration
 // verdict — it fails exactly when the destination serves state no client
-// operation wrote, which per-shard and per-epoch checks cannot see.
+// operation wrote, which per-shard and per-epoch checks cannot see. Both
+// keep the shard histories' certificate keys, so they certify.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"timebounds/internal/check"
@@ -43,6 +45,10 @@ import (
 // synthetic handoff write. Test-only: it models a broken state transfer,
 // the failure mode only the stitched cross-epoch check can catch.
 var corruptHandoff func(key string, v spec.Value) spec.Value
+
+// countInvocations, when non-nil, is told how many invocations each run
+// queues. Test-only: it shows no stretch of a shard is simulated twice.
+var countInvocations func(n int)
 
 // Handoff records one migrated key's state transfer and its stitched
 // cross-epoch verdict.
@@ -78,22 +84,29 @@ type EpochStats struct {
 	Imbalance float64
 }
 
-// handoffSpec is the expansion-time record of one key's migration.
+// handoffSpec is the record of one key's migration: inv is its synthetic
+// invocation on the destination, at schedule index slot and held
+// invocation hold there, with an empty Kind until runPhased binds it; ops
+// counts the client operations on the key routed to the source before the
+// cutover, which must all settle before the key is read.
 type handoffSpec struct {
-	key         string
-	mig         int
-	cutover     model.Time
-	from, to    int
-	value       spec.Value
-	putAt       model.Time
-	transferred bool
+	key        string
+	mig        int
+	from, to   int
+	inv        workload.Invocation
+	slot, hold int
+	ops        int
 }
 
-// syntheticID identifies a synthetic handoff write inside one shard's
-// history: handoff writes get unique offered instants at the cutover, so
-// (shard, instant, key) pins the record. The instant is the record's
-// Arrival — a write offered while its process still has an operation
-// pending invokes later, but keeps the offered instant as its arrival.
+// moveKey names one key's move at one migration.
+type moveKey struct {
+	mig int
+	key string
+}
+
+// syntheticID pins a handoff operation in one shard's history by its
+// unique offered instant (the record's Arrival, kept when the invocation
+// waits behind a pending one) and key.
 type syntheticID struct {
 	shard int
 	at    model.Time
@@ -105,14 +118,16 @@ type migrateState struct {
 	plan      keyspace.Plan
 	maps      []keyspace.PartitionMap
 	drain     model.Time
-	settle    model.Time
+	settle    model.Time // an accessor's bound: a read issued when an update responds sees it within it
 	handoffs  []handoffSpec
+	held      [][]int // per shard, the schedule indexes of its handoffs
 	synthetic map[syntheticID]bool
 	// perEpoch[e][s] counts client operations routed to shard s during
 	// epoch e; keyOps counts client operations per touched key.
 	perEpoch [][]int
 	keyOps   map[string]int
 	deferred int
+	check    check.Options // the phased run's checker storage, for the merge
 }
 
 // routedInv is one bucketed invocation with its generation-order
@@ -123,8 +138,7 @@ type routedInv struct {
 }
 
 // shardScenario derives shard index's Scenario — the single construction
-// both the static and migrating expansions (and the prefix simulations,
-// which must replay a shard bit-identically) share.
+// the static and migrating expansions share.
 func (ss ShardedScenario) shardScenario(index int, sp workload.Spec) Scenario {
 	return Scenario{
 		Name:     fmt.Sprintf("%s/shard=%d", ss.Name, index),
@@ -161,11 +175,11 @@ func (ss ShardedScenario) resolvedDrain() model.Time {
 
 // expandMigrating is expand for scenarios with a migration plan: route
 // every keyed operation by its epoch's partition map, defer operations on
-// moving keys around each cutover, compute drained values by prefix
-// simulation, and seed destinations with synthetic handoff writes. It
-// runs serially before the worker pool, so the derived shard scenarios —
-// and therefore the merged report — stay bit-identical at any worker
-// count.
+// moving keys around each cutover, and queue a handoff invocation at each
+// cutover on the destination of every moved key, to be bound by
+// runPhased. It runs serially before the worker pool, so the derived
+// shard scenarios — and therefore the merged report — stay bit-identical
+// at any worker count.
 func (ss ShardedScenario) expandMigrating() (shardPlan, []Scenario, error) {
 	ss = ss.resolved()
 	fail := func(err error) (shardPlan, []Scenario, error) {
@@ -183,7 +197,12 @@ func (ss ShardedScenario) expandMigrating() (shardPlan, []Scenario, error) {
 			ss.Workload.Shards, kp.Base.Shards))
 	}
 	if ss.Faults.enabled() {
-		return fail(fmt.Errorf("migration plans do not compose with fault plans (the prefix simulation cannot replay injected faults)"))
+		return fail(fmt.Errorf("migration plans do not compose with fault plans (a handoff reads the source's settled copy, which injected faults do not guarantee)"))
+	}
+	drain := ss.resolvedDrain()
+	if n := len(kp.Migrations); n > 0 && ss.Horizon > 0 && ss.Horizon < kp.Migrations[n-1].At+drain {
+		return fail(fmt.Errorf("horizon %v ends inside the last cutover's settle window (%v + drain %v)",
+			ss.Horizon, kp.Migrations[n-1].At, drain))
 	}
 	maps, err := kp.Maps()
 	if err != nil {
@@ -193,12 +212,12 @@ func (ss ShardedScenario) expandMigrating() (shardPlan, []Scenario, error) {
 	st := &migrateState{
 		plan:      kp,
 		maps:      maps,
-		drain:     ss.resolvedDrain(),
+		drain:     drain,
+		settle:    ss.Backend.Bound(ss.Params, ss.X, spec.ClassPureAccessor),
 		synthetic: make(map[syntheticID]bool),
 		perEpoch:  make([][]int, kp.Epochs()),
 		keyOps:    make(map[string]int),
 	}
-	st.settle = st.drain
 	for e := range st.perEpoch {
 		st.perEpoch[e] = make([]int, shards)
 	}
@@ -208,11 +227,8 @@ func (ss ShardedScenario) expandMigrating() (shardPlan, []Scenario, error) {
 	// window. Deferred instants are spread one nanosecond apart so the
 	// deferral pileup keeps a deterministic total order.
 	buckets := make([][]routedInv, shards)
-	shardKeys := make([]map[string]bool, shards)
-	for i := range shardKeys {
-		shardKeys[i] = make(map[string]bool)
-	}
 	earliest := make(map[string]model.Time) // key -> earliest final invocation instant
+	before := make(map[moveKey]int)         // client operations on each move's source before it
 	total := 0
 	moves := func(mi int, key string) bool {
 		return maps[mi].ShardOf(key) != maps[mi+1].ShardOf(key)
@@ -223,23 +239,23 @@ func (ss ShardedScenario) expandMigrating() (shardPlan, []Scenario, error) {
 		for {
 			adjusted := false
 			if e > 0 {
-				if c := kp.Migrations[e-1].At; moves(e-1, op.Key) && t < c+st.settle {
+				if c := kp.Migrations[e-1].At; moves(e-1, op.Key) && t < c+st.drain {
 					st.deferred++
-					t = c + st.settle + model.Time(st.deferred)
+					t = c + st.drain + model.Time(st.deferred)
 					adjusted = true
 				}
 			}
 			if e < len(kp.Migrations) {
 				if c := kp.Migrations[e].At; moves(e, op.Key) && t >= c-st.drain {
 					st.deferred++
-					t = c + st.settle + model.Time(st.deferred)
-					e++
+					t = c + st.drain + model.Time(st.deferred)
 					adjusted = true
 				}
 			}
 			if !adjusted {
 				break
 			}
+			e = kp.EpochAt(t) // a settle window can reach past the next cutover
 		}
 		op.At = t
 		inv, err := op.Invocation()
@@ -248,7 +264,11 @@ func (ss ShardedScenario) expandMigrating() (shardPlan, []Scenario, error) {
 		}
 		sh := maps[e].ShardOf(op.Key)
 		buckets[sh] = append(buckets[sh], routedInv{inv: inv, ord: ord})
-		shardKeys[sh][op.Key] = true
+		for mi := e; mi < len(kp.Migrations); mi++ {
+			if moves(mi, op.Key) && maps[mi].ShardOf(op.Key) == sh {
+				before[moveKey{mi, op.Key}]++
+			}
+		}
 		st.perEpoch[e][sh]++
 		st.keyOps[op.Key]++
 		if first, ok := earliest[op.Key]; !ok || t < first {
@@ -261,283 +281,345 @@ func (ss ShardedScenario) expandMigrating() (shardPlan, []Scenario, error) {
 		return fail(err)
 	}
 
-	// Pass 2: one migration at a time, in cutover order, compute each
-	// moved touched key's drained source value by prefix simulation and
-	// seed the destination with a synthetic handoff write. Later
-	// migrations see earlier handoff writes in their prefixes, exactly as
-	// the actual runs will.
-	nextOrd := total
+	// Pass 2: in cutover order, give every moved key touched before the
+	// cutover a handoff on its destination, one nanosecond apart from the
+	// cutover on: a placeholder runPhased holds in place and binds.
 	for k, mig := range kp.Migrations {
-		c := mig.At
-		var moved []handoffSpec
+		var moved []string
 		for key, first := range earliest {
-			from, to := maps[k].ShardOf(key), maps[k+1].ShardOf(key)
-			if from == to || first >= c {
-				continue
-			}
-			moved = append(moved, handoffSpec{key: key, mig: k, cutover: c, from: from, to: to})
-		}
-		sort.Slice(moved, func(i, j int) bool { return moved[i].key < moved[j].key })
-		bySource := make(map[int][]int) // source shard -> indices into moved
-		var sources []int
-		for i := range moved {
-			s := moved[i].from
-			if _, ok := bySource[s]; !ok {
-				sources = append(sources, s)
-			}
-			bySource[s] = append(bySource[s], i)
-		}
-		sort.Ints(sources)
-		for _, s := range sources {
-			idxs := bySource[s]
-			prefix := prefixInvocations(buckets[s], c)
-			reads := len(prefix)
-			for j, mi := range idxs {
-				prefix = append(prefix, workload.Invocation{
-					At:   c + model.Time(j),
-					Proc: model.ProcessID(j % ss.Params.N),
-					Kind: types.OpDictGet,
-					Arg:  moved[mi].key,
-				})
-			}
-			drained, err := ss.runPrefix(s, prefix, reads)
-			if err != nil {
-				return fail(fmt.Errorf("migration %d drain of shard %d: %w", k, s, err))
-			}
-			for j, mi := range idxs {
-				moved[mi].value = drained[j]
+			if moves(k, key) && first < mig.At {
+				moved = append(moved, key)
 			}
 		}
-		for i := range moved {
-			h := &moved[i]
-			if h.value == nil {
-				// Absent at the cutover — nothing to transfer. (A key
-				// whose live value is nil is indistinguishable from an
-				// absent one; keyed generators write non-nil values.)
-				st.handoffs = append(st.handoffs, *h)
-				continue
-			}
-			v := h.value
-			if corruptHandoff != nil {
-				v = corruptHandoff(h.key, v)
-			}
-			h.transferred = true
-			h.putAt = c + model.Time(i)
-			buckets[h.to] = append(buckets[h.to], routedInv{
-				inv: workload.Invocation{
-					At:   h.putAt,
-					Proc: model.ProcessID(i % ss.Params.N),
-					Kind: types.OpPut,
-					Arg:  types.KV{Key: h.key, Value: v},
-				},
-				ord: nextOrd,
-			})
-			nextOrd++
-			shardKeys[h.to][h.key] = true
-			st.synthetic[syntheticID{shard: h.to, at: h.putAt, key: h.key}] = true
-			st.handoffs = append(st.handoffs, *h)
+		sort.Strings(moved)
+		for i, key := range moved {
+			h := handoffSpec{key: key, mig: k, from: maps[k].ShardOf(key), to: maps[k+1].ShardOf(key),
+				inv: workload.Invocation{At: mig.At + model.Time(i), Proc: model.ProcessID(i % ss.Params.N)},
+				ops: before[moveKey{k, key}]}
+			placeholder := h.inv
+			placeholder.Kind, placeholder.Arg = types.OpPut, types.KV{Key: key}
+			buckets[h.to] = append(buckets[h.to], routedInv{inv: placeholder, ord: total + len(st.handoffs)})
+			st.handoffs = append(st.handoffs, h)
 		}
 	}
 
 	// Materialize the per-shard scenarios, exactly like the static path.
-	plan := shardPlan{ss: ss, mig: st}
-	plan.shards = make([]workload.Shard, shards)
+	plan := shardPlan{ss: ss, mig: st, shards: make([]workload.Shard, shards)}
+	st.held = make([][]int, shards)
 	label := ss.Workload.Name
 	if label == "" {
 		label = "sharded"
 	}
 	var scs []Scenario
-	for i := range plan.shards {
-		plan.shards[i].Index = i
-		for key := range shardKeys[i] {
-			plan.shards[i].Keys = append(plan.shards[i].Keys, key)
-		}
-		sort.Strings(plan.shards[i].Keys)
-		b := buckets[i]
-		sort.SliceStable(b, func(x, y int) bool {
-			if b[x].inv.At != b[y].inv.At {
-				return b[x].inv.At < b[y].inv.At
-			}
-			return b[x].ord < b[y].ord
+	for i, b := range buckets {
+		slices.SortFunc(b, func(x, y routedInv) int {
+			return cmp.Or(cmp.Compare(x.inv.At, y.inv.At), cmp.Compare(x.ord, y.ord))
 		})
 		invs := make([]workload.Invocation, len(b))
 		for j, r := range b {
 			invs[j] = r.inv
+			if r.ord >= total {
+				h := &st.handoffs[r.ord-total]
+				h.slot, h.hold = j, len(st.held[i])
+				st.held[i] = append(st.held[i], j)
+			}
 		}
-		plan.shards[i].Spec = workload.Spec{
-			Name:     fmt.Sprintf("%s/shard=%d", label, i),
-			Explicit: invs,
+		if len(invs) > 0 {
+			plan.run = append(plan.run, i)
+			scs = append(scs, ss.shardScenario(i, workload.Spec{Name: fmt.Sprintf("%s/shard=%d", label, i), Explicit: invs}))
 		}
-		if len(invs) == 0 {
-			continue
-		}
-		plan.run = append(plan.run, i)
-		scs = append(scs, ss.shardScenario(i, plan.shards[i].Spec))
 	}
 	return plan, scs, nil
 }
 
-// prefixInvocations returns the shard's invocations strictly before the
-// cutover, in the final schedule order — the truncation the prefix
-// simulation replays.
-func prefixInvocations(b []routedInv, cutover model.Time) []workload.Invocation {
-	pre := make([]routedInv, 0, len(b))
-	for _, r := range b {
-		if r.inv.At < cutover {
-			pre = append(pre, r)
+// runPhased runs every shard once, on e's workers, with its handoffs held;
+// all advance to just before each cutover, where bind fills them in. With
+// finish the runs go on and reduce to Results, as Run's would. A shard
+// whose only invocations were handoffs with nothing to hand off is
+// dropped, with its scenario.
+func (p *shardPlan) runPhased(e *Engine, scs []Scenario, finish bool) ([]Scenario, []Result, error) {
+	st := p.mig
+	ws := e.pool(len(scs))
+	for _, w := range ws {
+		w.delay = nil // each shard's lives as long as its run
+	}
+	runs := make([]simRun, len(scs))
+	each(ws, len(scs), func(w *worker, i int) { runs[i] = scs[i].resolved().start(w, st.held[p.run[i]]) })
+	pos := p.positions()
+	for k, mig := range st.plan.Migrations {
+		each(ws, len(runs), func(_ *worker, i int) { runs[i].advance(mig.At - 1) })
+		if err := st.bind(k, runs, pos); err != nil {
+			return nil, nil, fmt.Errorf("engine: sharded scenario %q: %w", p.ss.Name, err)
 		}
 	}
-	sort.SliceStable(pre, func(x, y int) bool {
-		if pre[x].inv.At != pre[y].inv.At {
-			return pre[x].inv.At < pre[y].inv.At
+	kept := 0
+	for i := range runs {
+		if runs[i].live > 0 || runs[i].inst == nil {
+			runs[kept], scs[kept], p.run[kept] = runs[i], scs[i], p.run[i]
+			kept++
 		}
-		return pre[x].ord < pre[y].ord
-	})
-	out := make([]workload.Invocation, len(pre))
-	for i, r := range pre {
-		out[i] = r.inv
 	}
-	return out
+	runs, scs, p.run = runs[:kept], scs[:kept], p.run[:kept]
+	if !finish {
+		return scs, nil, nil
+	}
+	results := make([]Result, len(runs))
+	each(ws, len(runs), func(w *worker, i int) { results[i] = runs[i].finish(w) })
+	st.check = ws[0].check
+	st.check.Cache = ws[0].caches.For(types.NewDict())
+	return scs, results, nil
 }
 
-// runPrefix replays shard index's schedule prefix under the shard's exact
-// seed, delay policy, and backend, and returns the responses of the
-// appended settled reads (invocation indices ≥ reads). Delay draws are
-// consumed in send order and events process in time order, so every state
-// the prefix reaches before the cutover is bit-identical to the actual
-// shard run's — the reads observe the value the source will actually hold
-// at the handoff.
-func (ss ShardedScenario) runPrefix(index int, invs []workload.Invocation, reads int) ([]spec.Value, error) {
-	sc := ss.shardScenario(index, workload.Spec{
-		Name:     fmt.Sprintf("prefix/shard=%d", index),
-		Explicit: invs,
-	})
-	sc.Verify = false
-	sc = sc.resolved()
-	inst, err := sc.build(nil, &worker{})
-	if err != nil {
-		return nil, err
+// bind hands migration k's keys off: a value by a put, an absence by a
+// delete when the destination kept a copy from an earlier epoch, and
+// otherwise not at all. A key is read off its source's authoritative copy
+// once it has settled there (unsettled); a source that has not settled at
+// the cutover runs on alone — shards are independent — up to its own next
+// unbound handoff, which binding other keys first may move later. It is
+// an error for a key to settle no earlier than that.
+func (st *migrateState) bind(k int, runs []simRun, pos []int) error {
+	unbound := make([]bool, len(st.handoffs)) // handoffs from migration k on
+	for i, h := range st.handoffs {
+		unbound[i] = h.mig >= k
 	}
-	sched, err := sc.Workload.Schedule(sc.Params, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := workload.Run(inst, sched, workload.RunOptions{Horizon: sc.Horizon})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]spec.Value, len(invs)-reads)
-	found := 0
-	for op := range rep.History.All() {
-		if int(op.ID) < reads {
-			continue
+	for progress := true; progress; {
+		progress = false
+		left := make(map[int]map[string]int) // per source, its keys' unsettled operations
+		for i := range st.handoffs {
+			h := &st.handoffs[i]
+			if h.mig != k || !unbound[i] {
+				continue
+			}
+			var v spec.Value
+			if j := pos[h.from]; j >= 0 && runs[j].inst != nil { // a source that never ran holds nothing
+				src := &runs[j]
+				if left[j] == nil {
+					left[j] = st.unsettled(k, h.from, src)
+				}
+				if left[j][h.key] > 0 && src.advance(st.nextHandoff(h.from, unbound)-1) {
+					left[j] = st.unsettled(k, h.from, src)
+				}
+				switch {
+				case src.inst == nil: // the run failed; its Result says why
+				case left[j][h.key] > 0:
+					continue
+				default:
+					var err error
+					if v, err = src.read(h.key); err != nil {
+						return err
+					}
+				}
+			}
+			unbound[i], progress = false, true
+			dst := &runs[pos[h.to]] // its held handoff puts the destination in the run
+			switch {
+			case dst.inst == nil:
+				continue
+			case v != nil:
+				if corruptHandoff != nil {
+					v = corruptHandoff(h.key, v)
+				}
+				h.inv.Kind, h.inv.Arg = types.OpPut, types.KV{Key: h.key, Value: v}
+			case slices.ContainsFunc(st.maps[:k], func(m keyspace.PartitionMap) bool { return m.ShardOf(h.key) == h.to }):
+				h.inv.Kind, h.inv.Arg = types.OpDelete, h.key
+			default:
+				continue
+			}
+			dst.inst.Simulator().Bind(dst.held[h.hold], h.inv.Kind, h.inv.Arg)
+			dst.last, dst.live = max(dst.last, h.inv.At), dst.live+1
+			st.synthetic[syntheticID{shard: h.to, at: h.inv.At, key: h.key}] = true
 		}
-		if op.Pending {
-			return nil, fmt.Errorf("drained read #%d still pending", op.ID)
+	}
+	for i, h := range st.handoffs {
+		if h.mig == k && unbound[i] {
+			return fmt.Errorf("migration %d: %s on shard %d has not settled by that shard's next handoff", k, h.key, h.from)
 		}
-		out[int(op.ID)-reads] = op.Ret
-		found++
 	}
-	if found != len(out) {
-		return nil, fmt.Errorf("prefix run answered %d of %d drained reads", found, len(out))
-	}
-	return out, nil
+	return nil
 }
 
-// keyOf extracts the dictionary key of a history record; ok is false for
-// non-dictionary operations.
-func keyOf(op history.Record) (string, bool) {
-	switch op.Kind {
-	case types.OpPut:
-		kv, ok := op.Arg.(types.KV)
-		return kv.Key, ok
-	case types.OpDictGet, types.OpDelete:
-		k, ok := op.Arg.(string)
-		return k, ok
+// nextHandoff returns the instant of shard s's earliest unbound handoff,
+// the point its run cannot pass until that handoff is bound.
+func (st *migrateState) nextHandoff(s int, unbound []bool) model.Time {
+	next := model.Infinity
+	for i, h := range st.handoffs {
+		if unbound[i] && h.to == s {
+			next = min(next, h.inv.At)
+		}
+	}
+	return next
+}
+
+// unsettled counts, for each key migration k moves off shard s, the
+// client operations on it offered before the cutover that have not yet
+// settled in s's run: responded at least an accessor's bound before the
+// instant the run has reached, so a read of the copy at that instant
+// would have had to see them. A process backlog can issue one well after
+// the cutover; until it has settled the key's value is not final.
+func (st *migrateState) unsettled(k, s int, r *simRun) map[string]int {
+	c := st.plan.Migrations[k].At
+	left := make(map[string]int)
+	if r.inst == nil {
+		return left
+	}
+	for _, h := range st.handoffs {
+		if h.mig == k && h.from == s {
+			left[h.key] = h.ops
+		}
+	}
+	for op := range r.inst.History().All() {
+		key, ok := keyOf(op)
+		if n, moving := left[key]; ok && moving && op.Arrival < c && !op.Pending && op.Respond+st.settle <= r.at && !st.isHandoff(s, op) {
+			left[key] = n - 1
+		}
+	}
+	return left
+}
+
+// advance runs the simulation up to instant t, but not past its horizon,
+// and reports whether it moved on.
+func (r *simRun) advance(t model.Time) bool {
+	t = min(t, workload.RunOptions{Horizon: r.sc.Horizon}.HorizonAfter(r.last, r.sc.Params.D))
+	if r.inst == nil || t <= r.at {
+		return false
+	}
+	r.at = t
+	r.fail(r.inst.Run(t))
+	return true
+}
+
+// read returns key's value in the run's authoritative copy (the one
+// ConvergedState reports), through the dict's own get; nil when absent.
+func (r *simRun) read(key string) (spec.Value, error) {
+	var probe any = r.inst
+	if si, ok := r.inst.(*simInstance); ok {
+		probe = si.states[0]
+	}
+	var state spec.State
+	var err error
+	switch src := probe.(type) {
+	case interface{ State() (spec.State, error) }:
+		state, err = src.State()
+	case interface{ State() spec.State }:
+		state = src.State()
 	default:
-		return "", false
+		err = fmt.Errorf("backend %s exposes no state to migrate", r.sc.Backend.Name())
 	}
+	if err != nil {
+		return nil, err
+	}
+	_, v := types.NewDict().Apply(state, types.OpDictGet, key)
+	return v, nil
 }
 
-// isHandoff reports whether the record is a synthetic handoff write of
-// the given shard, deferred or not.
+// positions returns each shard's index in p.run, or -1 if it does not run.
+func (p *shardPlan) positions() []int {
+	pos := slices.Repeat([]int{-1}, len(p.shards))
+	for i, s := range p.run {
+		pos[s] = i
+	}
+	return pos
+}
+
+// resolve learns the handoffs by running the shards through the cutovers
+// and writes them into the shard scenarios, so each one run on its own
+// reproduces its shard of RunSharded.
+func (p *shardPlan) resolve(e *Engine, scs []Scenario) ([]Scenario, error) {
+	scs, _, err := p.runPhased(e, scs, false)
+	if err != nil {
+		return nil, err
+	}
+	pos := p.positions()
+	for _, h := range p.mig.handoffs {
+		if i := pos[h.to]; i >= 0 {
+			scs[i].Workload.Explicit[h.slot] = h.inv // an empty Kind marks it unbound
+		}
+	}
+	for i := range scs {
+		scs[i].Workload.Explicit = slices.DeleteFunc(scs[i].Workload.Explicit,
+			func(inv workload.Invocation) bool { return inv.Kind == "" })
+	}
+	return scs, nil
+}
+
+// isHandoff reports whether the record is a synthetic handoff operation
+// of the given shard, deferred or not.
 func (st *migrateState) isHandoff(shard int, op history.Record) bool {
-	if st == nil || shard < 0 || op.Kind != types.OpPut {
+	if st == nil || shard < 0 || op.Kind == types.OpDictGet {
 		return false
 	}
-	kv, ok := op.Arg.(types.KV)
-	if !ok {
-		return false
-	}
-	return st.synthetic[syntheticID{shard: shard, at: op.Arrival, key: kv.Key}]
+	key, ok := keyOf(op)
+	return ok && st.synthetic[syntheticID{shard: shard, at: op.Arrival, key: key}]
 }
 
 // migratedKeys returns the distinct migrated (touched) keys, sorted.
 func (st *migrateState) migratedKeys() []string {
-	seen := make(map[string]bool)
-	var keys []string
-	for _, h := range st.handoffs {
-		if !seen[h.key] {
-			seen[h.key] = true
-			keys = append(keys, h.key)
-		}
+	keys := make([]string, len(st.handoffs))
+	for i, h := range st.handoffs {
+		keys[i] = h.key
 	}
-	sort.Strings(keys)
-	return keys
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
-// keyRecords collects key's records from the per-shard histories, split
-// into per-epoch pieces following the plan's ownership timeline, plus the
-// stitched client-only sequence (synthetic handoff writes excluded).
-// Pieces and stitch are each in (Invoke, ID) order.
-func (st *migrateState) keyRecords(key string, byShard map[int]*Result) (pieces map[int][]history.Record, stitched []history.Record) {
-	pieces = make(map[int][]history.Record)
-	for e := range st.maps {
+// keyRecords collects key's records from the per-shard histories: pieces,
+// split at the cutovers that move it (pieces[e] holds those routed, by
+// Arrival, to the epochs from e one shard owns it), and the stitched
+// client-only history, each in (Invoke, ID) order. Both keep certificate
+// keys, accessors re-counted (UpdateOrder.Rekey) against the piece's, or
+// the stitch's client, updates: by Herlihy–Wing locality a certified
+// shard projects to certified key histories. orders memoizes each shard's
+// update order across keys.
+func (st *migrateState) keyRecords(key string, byShard map[int]*Result, orders map[int]history.UpdateOrder) (pieces [][]history.Record, stitched []history.Record) {
+	pieces = make([][]history.Record, len(st.maps))
+	base := 0 // client updates stitched from earlier epochs
+	for e, next := 0, 0; e < len(st.maps); e = next {
 		owner := st.maps[e].ShardOf(key)
+		for next = e + 1; next < len(st.maps) && st.maps[next].ShardOf(key) == owner; next++ {
+		}
 		res := byShard[owner]
 		if res == nil || res.History == nil {
 			continue
 		}
-		var lo, hi model.Time
+		lo, hi := model.Time(0), model.Infinity
 		if e > 0 {
 			lo = st.plan.Migrations[e-1].At
 		}
-		hi = model.Infinity
-		if e < len(st.plan.Migrations) {
-			hi = st.plan.Migrations[e].At
+		if next < len(st.maps) {
+			hi = st.plan.Migrations[next-1].At
 		}
+		from := len(stitched)
+		var all, client []history.Record // the piece's updates; client ones only
 		for op := range res.History.All() {
-			if k, ok := keyOf(op); !ok || k != key {
+			if k, ok := keyOf(op); !ok || k != key || op.Arrival < lo || op.Arrival >= hi {
 				continue
 			}
-			if op.Invoke < lo || op.Invoke >= hi {
-				continue
-			}
+			synthetic := st.isHandoff(owner, op)
 			pieces[e] = append(pieces[e], op)
-			if !st.isHandoff(owner, op) {
+			if !synthetic {
 				stitched = append(stitched, op)
 			}
+			if op.CertKind == history.CertUpdate {
+				all = append(all, op)
+				if !synthetic {
+					client = append(client, op)
+				}
+			}
 		}
+		if orders[owner] == nil {
+			orders[owner] = res.History.UpdateOrder()
+		}
+		orders[owner].Rekey(pieces[e], all, 0)
+		orders[owner].Rekey(stitched[from:], client, base)
+		base += len(client)
 	}
 	return pieces, stitched
 }
 
-// checkRecords runs the linearizability checker on a rebuilt history of
-// the given records (treated as a standalone object from the empty
-// state).
-func checkRecords(dt spec.DataType, records []history.Record) bool {
-	h := history.New()
-	h.Grow(len(records))
-	for _, op := range records {
-		id := h.InvokeArrived(op.Proc, op.Kind, op.Arg, op.Invoke, op.Arrival)
-		if !op.Pending {
-			// The source records come from completed fault-free runs;
-			// Respond always follows Invoke there, so the error path is
-			// unreachable.
-			_ = h.Respond(id, op.Ret, op.Respond)
-		}
-	}
-	return check.Check(dt, h).Linearizable
+// verify checks one key history from the empty dict on the phased run's
+// checker storage: certified when its keys hold, searched otherwise.
+func (st *migrateState) verify(records []history.Record) bool {
+	return check.CheckOpts(types.NewDict(), history.FromRecords(records), st.check).Linearizable
 }
 
 // finish folds the migration bookkeeping into the merged report: the
@@ -550,28 +632,22 @@ func (st *migrateState) finish(out *ShardedReport, p shardPlan, components []che
 			byShard[idx] = &out.Shards[ri]
 		}
 	}
-	dict := types.NewDict()
 	stitchedVerdict := make(map[string]bool)
 	if p.ss.Verify {
+		orders := make(map[int]history.UpdateOrder)
 		for _, key := range st.migratedKeys() {
-			pieces, stitched := st.keyRecords(key, byShard)
-			epochs := make([]int, 0, len(pieces))
-			for e := range pieces {
-				epochs = append(epochs, e)
-			}
-			sort.Ints(epochs)
-			for _, e := range epochs {
-				components = append(components, check.EpochComponent(
-					fmt.Sprintf("%s/key=%s/epoch=%d", p.ss.Name, key, e),
-					e, true, checkRecords(dict, pieces[e])))
-			}
-			sort.SliceStable(stitched, func(i, j int) bool {
-				if stitched[i].Invoke != stitched[j].Invoke {
-					return stitched[i].Invoke < stitched[j].Invoke
+			pieces, stitched := st.keyRecords(key, byShard, orders)
+			for e, piece := range pieces {
+				if len(piece) > 0 {
+					components = append(components, check.EpochComponent(
+						fmt.Sprintf("%s/key=%s/epoch=%d", p.ss.Name, key, e),
+						e, true, st.verify(piece)))
 				}
-				return stitched[i].ID < stitched[j].ID
+			}
+			slices.SortStableFunc(stitched, func(a, b history.Record) int {
+				return cmp.Or(cmp.Compare(a.Invoke, b.Invoke), cmp.Compare(a.ID, b.ID))
 			})
-			ok := checkRecords(dict, stitched)
+			ok := st.verify(stitched)
 			stitchedVerdict[key] = ok
 			components = append(components, check.EpochComponent(
 				fmt.Sprintf("%s/key=%s/stitched", p.ss.Name, key),
@@ -579,31 +655,22 @@ func (st *migrateState) finish(out *ShardedReport, p shardPlan, components []che
 		}
 	}
 
-	hs := append([]handoffSpec(nil), st.handoffs...)
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].mig != hs[j].mig {
-			return hs[i].mig < hs[j].mig
-		}
-		return hs[i].key < hs[j].key
-	})
-	movedSeen := make(map[string]bool)
-	for _, h := range hs {
+	for _, h := range st.handoffs { // in (migration, key) order
 		out.Handoffs = append(out.Handoffs, Handoff{
 			Key:          h.key,
 			Migration:    h.mig,
-			Cutover:      h.cutover,
+			Cutover:      st.plan.Migrations[h.mig].At,
 			From:         h.from,
 			To:           h.to,
-			Transferred:  h.transferred,
+			Transferred:  h.inv.Kind == types.OpPut,
 			Checked:      p.ss.Verify,
 			Linearizable: stitchedVerdict[h.key],
 		})
-		if h.transferred {
+		if h.inv.Kind != "" {
 			out.Stats.HandoffOps++
 		}
-		movedSeen[h.key] = true
 	}
-	out.Stats.MovedKeys = len(movedSeen)
+	out.Stats.MovedKeys = len(st.migratedKeys())
 	out.Stats.Epochs = st.plan.Epochs()
 	out.Stats.DrainDeferred = st.deferred
 
@@ -644,4 +711,19 @@ func topKeys(keyOps map[string]int, n int) []keyspace.KeyLoad {
 		loads = loads[:n]
 	}
 	return loads
+}
+
+// keyOf extracts the dictionary key of a history record; ok is false for
+// non-dictionary operations.
+func keyOf(op history.Record) (string, bool) {
+	switch op.Kind {
+	case types.OpPut:
+		kv, ok := op.Arg.(types.KV)
+		return kv.Key, ok
+	case types.OpDictGet, types.OpDelete:
+		k, ok := op.Arg.(string)
+		return k, ok
+	default:
+		return "", false
+	}
 }

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -370,6 +371,33 @@ func TestShardedMigrationGuards(t *testing.T) {
 	if _, err := engine.RunSharded(ss); err == nil {
 		t.Error("invalid plan accepted")
 	}
+
+	// A horizon inside the last cutover's settle window would stop the
+	// run before the handoff's deferred client operations are offered.
+	ss = base
+	ss.Horizon = base.Plan.Migrations[0].At + base.Drain/2
+	if _, err := engine.RunSharded(ss); err == nil || !strings.Contains(err.Error(), "horizon") {
+		t.Errorf("horizon inside the settle window accepted: %v", err)
+	}
+	ss.Horizon = base.Plan.Migrations[0].At + base.Drain
+	if rep, err := engine.RunSharded(ss); err != nil || rep.Err() != nil {
+		t.Errorf("horizon at the end of the settle window: %v, %v", err, rep.Err())
+	}
+
+	ss = base
+	ss.Backend = statelessBackend{}
+	if _, err := engine.RunSharded(ss); err == nil || !strings.Contains(err.Error(), "exposes no state") {
+		t.Errorf("a backend whose copies hide their state migrated: %v", err)
+	}
+}
+
+// statelessBackend is Centralized behind an Instance that exposes no copy
+// of the object, so a migration has nothing to read.
+type statelessBackend struct{ engine.Centralized }
+
+func (statelessBackend) Build(cfg engine.BuildConfig) (engine.Instance, error) {
+	inst, err := engine.Centralized{}.Build(cfg)
+	return struct{ engine.Instance }{inst}, err
 }
 
 // TestShardedDeferredHandoffNotCountedAsClientOp pins the seed where the
@@ -450,5 +478,231 @@ func TestShardedDeferredHandoffNotCountedAsClientOp(t *testing.T) {
 	}
 	if len(stitched) != clientOps {
 		t.Errorf("stitched history of %s has %d records, want its %d client operations", hot, len(stitched), clientOps)
+	}
+}
+
+// zipfMigrateScenario is the benchmark's zipf-migrate shape: a 2 400-op
+// Zipf(1.25) stream over 120 000 keys on 12 range shards, its hottest key
+// moved to the last shard halfway through.
+func zipfMigrateScenario(seed int64) engine.ShardedScenario {
+	const ops, shards = 2400, 12
+	space := keyspace.Space{N: 120_000}
+	p := model.Params{N: 4, D: 10 * time.Millisecond, U: 4 * time.Millisecond}
+	p.Epsilon = p.OptimalSkew()
+	w := keyspace.Workload{Name: "zipf-migrate", Space: space, Model: keyspace.Zipf{S: 1.25}, Ops: ops}
+	return engine.ShardedScenario{
+		Params:   p,
+		Seed:     seed,
+		Workload: w.Sharded(shards),
+		Plan: &keyspace.Plan{
+			Base: keyspace.RangePartition(space, shards),
+			Migrations: []keyspace.Migration{{
+				At:    p.D + ops/2*(2*p.D/model.Time(p.N)),
+				Moves: []keyspace.Move{keyspace.MoveKey(space.Key(0), shards-1)},
+			}},
+		},
+		Verify: true,
+	}
+}
+
+// TestMigrationMergeCertifies: the per-epoch pieces and the stitched
+// history of the moved key keep their shards' certificate keys, so the
+// checker verifies their recorded order instead of searching them — and
+// RunSharded simulates each shard's schedule exactly once.
+func TestMigrationMergeCertifies(t *testing.T) {
+	dict := types.NewDict()
+	for seed := int64(1); seed <= 3; seed++ {
+		ss := zipfMigrateScenario(seed)
+		hot := keyspace.Space{N: 120_000}.Key(0)
+		plan, scs, err := engine.ExpandSharded(ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := engine.MergeSharded(plan, engine.Run(scs))
+		if err := rep.Err(); err != nil {
+			t.Fatal(err)
+		}
+		pieces := engine.KeyPieces(plan, rep, hot)
+		histories := map[string][]history.Record{"stitched": engine.StitchedRecords(plan, rep, hot)}
+		for e, piece := range pieces {
+			if len(piece) > 0 {
+				histories[fmt.Sprintf("epoch=%d", e)] = piece
+			}
+		}
+		if len(histories) != 3 {
+			t.Fatalf("seed %d: %d key histories, want two epoch pieces and the stitch", seed, len(histories))
+		}
+		for name, recs := range histories {
+			if res := check.Check(dict, history.FromRecords(recs)); !res.Certified {
+				t.Errorf("seed %d: %s history of %s (%d records) did not certify: %+v", seed, name, hot, len(recs), res.Linearizable)
+			}
+		}
+
+		queued := 0
+		restore := engine.SetCountInvocations(func(n int) { queued += n })
+		if _, err := engine.New(1).RunSharded(ss); err != nil {
+			t.Fatal(err)
+		}
+		restore()
+		// Each shard queues its schedule once, plus a held handoff for
+		// every moved key that turned out to have nothing to hand off.
+		want := len(rep.Handoffs) - rep.Stats.HandoffOps
+		for _, sc := range scs {
+			want += len(sc.Workload.Explicit)
+		}
+		if queued != want {
+			t.Errorf("seed %d: RunSharded queued %d invocations, want the shard schedules' %d", seed, queued, want)
+		}
+	}
+}
+
+// BenchmarkRunShardedZipfMigrate times one zipf-migrate iteration on two
+// workers, the benchmark's pinned pool: go test -bench ZipfMigrate
+// -cpuprofile shows where a migrating store's time goes.
+func BenchmarkRunShardedZipfMigrate(b *testing.B) {
+	ss := zipfMigrateScenario(1)
+	eng := engine.New(2)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := eng.RunSharded(ss); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestShardedMigrationReturnClearsStaleCopy: a key deleted on the shard it
+// moved to, then moved back, must not resurface on the shard it left with
+// the value it had there. The handoff of the absence is a synthetic
+// delete, counted like a handoff write: outside the client counts and the
+// stitched history, inside its epoch piece.
+func TestShardedMigrationReturnClearsStaleCopy(t *testing.T) {
+	c1, c2 := 100*time.Millisecond, 300*time.Millisecond
+	ss := engine.ShardedScenario{
+		Params: model.Params{N: 3, D: 10 * time.Millisecond, U: 4 * time.Millisecond},
+		Seed:   5,
+		Workload: workload.Sharded{
+			Name: "return",
+			Explicit: []workload.KeyOp{
+				workload.Put(time.Millisecond, 0, "m", "v0"),
+				workload.Del(c1+60*time.Millisecond, 1, "m"),
+				workload.Get(c2+50*time.Millisecond, 2, "m"),
+			},
+		},
+		Plan: &keyspace.Plan{
+			Base: keyspace.PartitionMap{Shards: 2, Splits: []string{"n"}, Owners: []int{0, 1}},
+			Migrations: []keyspace.Migration{
+				{At: c1, Moves: []keyspace.Move{keyspace.MoveKey("m", 1)}},
+				{At: c2, Moves: []keyspace.Move{keyspace.MoveKey("m", 0)}},
+			},
+		},
+		Drain:  40 * time.Millisecond,
+		Verify: true,
+	}
+	plan, scs, err := engine.ExpandSharded(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := engine.RunSharded(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ops != 3 || rep.Stats.HandoffOps != 2 || len(rep.Handoffs) != 2 || rep.Handoffs[1].Transferred {
+		t.Fatalf("ops=%d handoff ops=%d handoffs=%+v; want 3 client ops, a put and a delete handed off",
+			rep.Ops, rep.Stats.HandoffOps, rep.Handoffs)
+	}
+	deletes := 0
+	for _, res := range rep.Shards {
+		for _, op := range res.History.Ops() {
+			if op.Kind == types.OpDictGet && op.Ret != nil {
+				t.Fatalf("read after the return got the stale %v, want nothing", op.Ret)
+			}
+			if op.Kind == types.OpDelete {
+				deletes++
+			}
+		}
+	}
+	if deletes != 2 {
+		t.Fatalf("%d deletes in the shard histories, want the client's and the handoff's", deletes)
+	}
+	merged := engine.MergeSharded(plan, engine.Run(scs))
+	if stitched := engine.StitchedRecords(plan, merged, "m"); len(stitched) != 3 {
+		t.Fatalf("stitched history has %d records, want the 3 client operations: %v", len(stitched), stitched)
+	}
+	pieces := engine.KeyPieces(plan, merged, "m")
+	if len(pieces[2]) != 2 || pieces[2][0].Kind != types.OpDelete {
+		t.Fatalf("epoch 2 piece = %v, want the handoff delete and the read", pieces[2])
+	}
+}
+
+// TestShardedMigrationPieceSpansUnmovedCutover: a cutover that moves other
+// keys does not split a key's history. Its piece runs from one move to the
+// next, so a read served in between still sees the value written before.
+func TestShardedMigrationPieceSpansUnmovedCutover(t *testing.T) {
+	c1, c2 := 100*time.Millisecond, 300*time.Millisecond
+	ss := handoffScenario()
+	ss.Workload.Explicit = []workload.KeyOp{
+		workload.Put(time.Millisecond, 0, "a", "v0"),
+		workload.Get(c1+100*time.Millisecond, 1, "a"),
+		workload.Get(c2+50*time.Millisecond, 2, "a"),
+	}
+	ss.Plan.Migrations = []keyspace.Migration{
+		{At: c1, Moves: []keyspace.Move{keyspace.MoveKey("b", 1)}},
+		{At: c2, Moves: []keyspace.Move{keyspace.MoveKey("a", 1)}},
+	}
+	rep, err := engine.RunSharded(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, comp := range rep.Composition.Components {
+		if strings.Contains(comp.Name, "/key=a/") {
+			names = append(names, comp.Name[strings.Index(comp.Name, "/key=a/"):])
+		}
+	}
+	if want := []string{"/key=a/epoch=0", "/key=a/epoch=2", "/key=a/stitched"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("components of a = %v, want %v", names, want)
+	}
+}
+
+// TestShardedMigrationWaitsOutSourceBacklog: a process backlog on the
+// source carries a write offered before the drain window past the cutover.
+// The handoff must carry that write, not the value the source's copy held
+// at the cutover, so the source's run goes on alone until the key settles.
+func TestShardedMigrationWaitsOutSourceBacklog(t *testing.T) {
+	ss := handoffScenario()
+	c := ss.Plan.Migrations[0].At
+	ss.Backend = engine.Centralized{} // a round trip per operation off the coordinator
+	ss.Workload.Explicit = nil
+	for i := range 8 {
+		ss.Workload.Explicit = append(ss.Workload.Explicit,
+			workload.Put(time.Duration(i+1)*time.Millisecond, 1, "m", fmt.Sprintf("v%d", i+1)))
+	}
+	ss.Workload.Explicit = append(ss.Workload.Explicit, workload.Get(c+2*ss.Drain, 2, "m"))
+	rep, err := engine.RunSharded(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var last history.Record
+	for op := range rep.Shards[0].History.All() {
+		if op.Invoke > last.Invoke {
+			last = op
+		}
+	}
+	if last.Invoke < c {
+		t.Fatalf("the last write was issued at %v, before the cutover at %v: no backlog to wait out", last.Invoke, c)
+	}
+	for op := range rep.Shards[1].History.All() {
+		if op.Kind == types.OpDictGet && op.Ret != "v8" {
+			t.Fatalf("read after the cutover got %v, want the backlogged write's v8", op.Ret)
+		}
 	}
 }

@@ -272,16 +272,7 @@ func (sc Scenario) liveTransport() (live.Transport, error) {
 // check the recorded history post hoc with the worker's checker
 // resources, and reduce to a Result carrying a LiveReport.
 func (sc Scenario) runLive(w *worker) Result {
-	res := Result{
-		Name:    sc.Name,
-		Backend: sc.Backend.Name(),
-		Params:  sc.Params,
-		X:       sc.X,
-		Seed:    sc.Seed,
-	}
-	if sc.DataType != nil {
-		res.Object = sc.DataType.Name()
-	}
+	res := sc.result()
 	fail := func(err error) Result {
 		res.Err = err.Error()
 		return res

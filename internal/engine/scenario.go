@@ -293,7 +293,9 @@ func (sc Scenario) build(in *fault.Injector, w *worker) (Instance, error) {
 //
 // Runs on reused storage are bit-identical to runs on fresh storage, and
 // no Result points into it. Nil storage and sources mean fresh ones per
-// run: &worker{} is the reference path (Build, the migration prefix).
+// run: &worker{} is the reference path (Build). A phased run's shards
+// outlive their turns on a worker, so they get delay sources of their own
+// and, while its sim.Arena is lent out, fresh event storage (runPhased).
 type worker struct {
 	caches *check.CacheSet
 	check  check.Options
@@ -318,45 +320,94 @@ func newWorker(caches *check.CacheSet, workers int) *worker {
 	}
 }
 
+// result returns the scenario's Result before it has run.
+func (sc Scenario) result() Result {
+	res := Result{Name: sc.Name, Backend: sc.Backend.Name(), Params: sc.Params, X: sc.X, Seed: sc.Seed}
+	if sc.DataType != nil {
+		res.Object = sc.DataType.Name()
+	}
+	return res
+}
+
 // run executes the scenario in isolation on w's storage and reduces it to
 // a Result.
 func (sc Scenario) run(w *worker) Result {
 	sc = sc.resolved()
-	res := Result{
-		Name:    sc.Name,
-		Backend: sc.Backend.Name(),
-		Params:  sc.Params,
-		X:       sc.X,
-		Seed:    sc.Seed,
-	}
-	if sc.DataType != nil {
-		res.Object = sc.DataType.Name()
-	}
 	if sc.Runtime.Live() {
 		return sc.runLive(w)
 	}
-	plan, in, err := sc.faultRuntime()
-	if err != nil {
-		res.Err = err.Error()
-		return res
+	return sc.start(w, nil).finish(w)
+}
+
+// simRun is a simulated run between its start and its finish; a migrating
+// store advances its shards' runs in phases (runPhased).
+type simRun struct {
+	sc   Scenario
+	res  Result
+	plan *fault.Plan
+	in   *fault.Injector
+	inst Instance // nil once the run has failed
+	held []sim.Held
+	last model.Time // latest invocation queued, a held one once bound
+	at   model.Time // the instant advance has run it to
+	live int        // invocations queued that will run
+}
+
+// start builds the resolved scenario on w's storage and queues its
+// schedule, holding the invocations at the ascending indexes hold.
+func (sc Scenario) start(w *worker, hold []int) (r simRun) {
+	r.sc, r.res = sc, sc.result()
+	var err error
+	if r.plan, r.in, err = sc.faultRuntime(); err == nil {
+		r.inst, err = sc.build(r.in, w)
 	}
-	inst, err := sc.build(in, w)
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		r.res.Err, r.inst = err.Error(), nil // build's failed Instance may be a typed nil
+		return r
 	}
-	// The simulator's event storage goes back to the worker's arena once
-	// the Result is built; nothing the Result holds points into it.
-	defer inst.Simulator().Recycle()
 	sched, err := sc.Workload.AppendSchedule(w.sched[:0], w.rng, sc.Params, sc.Seed)
-	if err != nil {
-		res.Err = err.Error()
-		return res
+	if r.fail(err); r.inst == nil {
+		return r
 	}
 	w.sched = sched.Invocations
+	s := r.inst.Simulator()
+	s.Reserve(len(sched.Invocations))
+	for i, inv := range sched.Invocations {
+		if len(r.held) < len(hold) && hold[len(r.held)] == i {
+			r.held = append(r.held, s.Hold(inv.At, inv.Proc))
+			continue
+		}
+		r.inst.Invoke(inv.At, inv.Proc, inv.Kind, inv.Arg)
+		r.last = max(r.last, inv.At)
+		r.live++
+	}
+	if countInvocations != nil {
+		countInvocations(len(sched.Invocations))
+	}
+	return r
+}
+
+// fail ends the run with err, when there is one, as its Result's error.
+func (r *simRun) fail(err error) {
+	if err != nil {
+		r.res.Err = err.Error()
+		r.inst.Simulator().Recycle()
+		r.inst = nil
+	}
+}
+
+// finish runs the simulation to its horizon and reduces it to a Result.
+func (r simRun) finish(w *worker) Result {
+	sc, res, inst, plan := r.sc, r.res, r.inst, r.plan
+	if inst == nil {
+		return res
+	}
+	// The simulator's event storage goes back to the arena it came from
+	// once the Result is built; nothing the Result holds points into it.
+	defer inst.Simulator().Recycle()
 	opts := w.check
 	opts.Cache = w.caches.For(sc.DataType)
-	rep, err := workload.Run(inst, sched, workload.RunOptions{
+	rep, err := workload.Finish(inst, r.last, workload.RunOptions{
 		Horizon:      sc.Horizon,
 		Verify:       sc.Verify,
 		Check:        opts,
@@ -385,7 +436,7 @@ func (sc Scenario) run(w *worker) Result {
 		if offsets == nil {
 			offsets = core.MaxSkewOffsets(sc.Params)
 		}
-		res.Fault = faultReport(sc, inst.DataType(), plan, in, res, offsets, stats)
+		res.Fault = faultReport(sc, inst.DataType(), plan, r.in, res, offsets, stats)
 	}
 	if sc.Witness != nil {
 		res.Witness = witnessOf(*sc.Witness, res)

@@ -136,9 +136,13 @@ func (ss ShardedScenario) expand() (shardPlan, []Scenario, error) {
 }
 
 // Scenarios returns the per-shard engine scenarios the sharded scenario
-// expands into, for tools that want to inspect or re-run the expansion.
+// expands into, for tools that want to inspect or re-run the expansion; a
+// migrating store's shards run to the last cutover to learn its handoffs.
 func (ss ShardedScenario) Scenarios() ([]Scenario, error) {
-	_, scs, err := ss.expand()
+	p, scs, err := ss.expand()
+	if err == nil && p.mig != nil {
+		return p.resolve(New(0), scs)
+	}
 	return scs, err
 }
 
@@ -167,9 +171,9 @@ type ShardStats struct {
 	PerShardOps []int
 	// Epochs, MovedKeys, HandoffOps, and DrainDeferred summarize a
 	// migration plan's execution: ownership epochs run, distinct keys
-	// relocated, synthetic state-transfer writes issued, and client
-	// operations deferred out of drain/settle windows. All zero without a
-	// Plan (Epochs is 0, not 1, for static partitions).
+	// relocated, synthetic state-transfer writes (and deletes) issued, and
+	// client operations deferred out of drain/settle windows. All zero
+	// without a Plan (Epochs is 0, not 1, for static partitions).
 	Epochs        int
 	MovedKeys     int
 	HandoffOps    int
@@ -304,15 +308,22 @@ func (r ShardedReport) String() string {
 }
 
 // RunSharded expands the sharded scenario, runs its shards across the
-// worker pool, and folds the per-shard Results into one ShardedReport.
-// Same scenario ⇒ bit-identical report at any worker count, exactly like
-// Run.
+// worker pool (a migrating store's in phases, migrate.go), and folds the
+// per-shard Results into one ShardedReport. Same scenario ⇒ bit-identical
+// report at any worker count, exactly like Run.
 func (e *Engine) RunSharded(ss ShardedScenario) (ShardedReport, error) {
 	plan, scs, err := ss.expand()
 	if err != nil {
 		return ShardedReport{}, err
 	}
-	return plan.merge(e.Run(scs)), nil
+	if plan.mig == nil {
+		return plan.merge(e.Run(scs)), nil
+	}
+	_, results, err := plan.runPhased(e, scs, true)
+	if err != nil {
+		return ShardedReport{}, err
+	}
+	return plan.merge(Report{Results: results}), nil
 }
 
 // RunSharded executes a sharded scenario on a default engine; shorthand

@@ -158,6 +158,63 @@ func (h *History) InvokeArrived(proc model.ProcessID, kind spec.OpKind, arg spec
 	return id
 }
 
+// FromRecords returns a history of copies of records, renumbered in order
+// — how a projection of a run (one key's operations, say) becomes a
+// history of its own that keeps its responses and certificate keys.
+func FromRecords(records []Record) *History {
+	h := &History{ops: make([]Record, len(records)), nextID: OpID(len(records))}
+	for i, r := range records {
+		r.ID = OpID(i)
+		h.unordered = h.unordered || i > 0 && r.Invoke < records[i-1].Invoke
+		h.ops[i] = r
+	}
+	return h
+}
+
+// UpdateOrder is the certificate keys (OrderKey) of a run's certified
+// updates in the order its copies executed them.
+type UpdateOrder [][2]int64
+
+// UpdateOrder returns h's update order.
+func (h *History) UpdateOrder() UpdateOrder {
+	var o UpdateOrder
+	for op := range h.All() {
+		if op.CertKind == CertUpdate {
+			o = append(o, orderKey(op))
+		}
+	}
+	slices.SortFunc(o, compareKeys)
+	return o
+}
+
+// Rekey re-counts the accessor certificate keys of recs, a projection of
+// the run, for the projection: an accessor that evaluated after the run's
+// first k updates is placed after base plus those of upd, updates of the
+// run, that are among them. Update keys need no change.
+func (o UpdateOrder) Rekey(recs, upd []Record, base int) {
+	keys := make([][2]int64, len(upd))
+	for i, u := range upd {
+		keys[i] = orderKey(u)
+	}
+	slices.SortFunc(keys, compareKeys)
+	for i := range recs {
+		if r := &recs[i]; r.CertKind == CertAccessor {
+			n := len(keys)
+			if int(r.CertVal) < len(o) {
+				n, _ = slices.BinarySearchFunc(keys, o[r.CertVal], compareKeys)
+			}
+			r.CertVal = int32(base + n)
+		}
+	}
+}
+
+func orderKey(r Record) [2]int64 {
+	major, minor := r.OrderKey()
+	return [2]int64{major, minor}
+}
+
+func compareKeys(a, b [2]int64) int { return slices.Compare(a[:], b[:]) }
+
 // Respond records the response of a previously invoked operation.
 func (h *History) Respond(id OpID, ret spec.Value, at model.Time) error {
 	if i := h.index(id); i >= 0 {

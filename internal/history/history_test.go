@@ -70,6 +70,37 @@ func TestCertify(t *testing.T) {
 	}
 }
 
+// TestRekeyProjection: projected onto some of a run's updates, an
+// accessor that evaluated after the run's first k updates counts the
+// projected ones among them, past base; FromRecords renumbers the result
+// and keeps every key.
+func TestRekeyProjection(t *testing.T) {
+	h := history.New()
+	var ids []history.OpID
+	for i, stamp := range []model.Time{3, 1, 2} { // executed as 1, 2, 3
+		id := h.Invoke(model.ProcessID(i), types.OpWrite, i, ms)
+		h.Certify(id, history.UpdateCert(ms+stamp))
+		ids = append(ids, id)
+	}
+	for _, applied := range []int{2, 3, 9} {
+		r := h.Invoke(0, types.OpRead, nil, 2*ms)
+		h.Certify(r, history.AccessorCert(applied))
+	}
+	ops := h.Ops()
+	// Keep the updates stamped 3 and 1 (ranks 2 and 0) and the reads.
+	upd := []history.Record{ops[ids[0]], ops[ids[1]]}
+	reads := ops[3:]
+	h.UpdateOrder().Rekey(reads, upd, 10)
+	var got []int64
+	for _, r := range history.FromRecords(reads).Ops() {
+		major, _ := r.OrderKey()
+		got = append(got, major)
+	}
+	if want := []int64{11, 12, 12}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-keyed reads = %v, want %v", got, want)
+	}
+}
+
 func TestPendingLatencyIsInfinite(t *testing.T) {
 	h := history.New()
 	h.Invoke(1, types.OpRead, nil, 0)

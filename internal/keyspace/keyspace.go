@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 
 	"timebounds/internal/model"
 	"timebounds/internal/types"
@@ -49,9 +50,23 @@ func (s Space) Width() int {
 	return w
 }
 
-// Key returns the name of the i-th key.
+// Key returns the name of the i-th key: the prefix, then i zero-padded to
+// Width digits — fmt's "%s%0*d", rendered into one sized buffer.
 func (s Space) Key(i int) string {
-	return fmt.Sprintf("%s%0*d", s.prefix(), s.Width(), i)
+	if i < 0 {
+		return fmt.Sprintf("%s%0*d", s.prefix(), s.Width(), i)
+	}
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	p, w := s.prefix(), s.Width()
+	var b strings.Builder
+	b.Grow(len(p) + max(w, len(d)))
+	b.WriteString(p)
+	for n := len(d); n < w; n++ {
+		b.WriteByte('0')
+	}
+	b.Write(d)
+	return b.String()
 }
 
 // Index parses a key name back to its index, rejecting names outside the

@@ -1,6 +1,7 @@
 package keyspace
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -54,6 +55,23 @@ func TestSpacePrefix(t *testing.T) {
 	}
 	if idx, err := s.Index("user:3"); err != nil || idx != 3 {
 		t.Fatalf("Index = %d, %v", idx, err)
+	}
+}
+
+// TestSpaceKeyMatchesFmt pins Key byte for byte against the fmt form it
+// replaced, at the widths' edges (N-1 = 9 is one digit, 10 is two) and
+// both ends of the range, with the default and a custom prefix.
+func TestSpaceKeyMatchesFmt(t *testing.T) {
+	for _, n := range []int{1, 10, 11, 120_000} {
+		for _, prefix := range []string{"", "user:"} {
+			s := Space{N: n, Prefix: prefix}
+			for _, i := range []int{0, n - 1} {
+				want := fmt.Sprintf("%s%0*d", s.prefix(), s.Width(), i)
+				if got := s.Key(i); got != want {
+					t.Errorf("Space{N: %d, Prefix: %q}.Key(%d) = %q, want %q", n, prefix, i, got, want)
+				}
+			}
+		}
 	}
 }
 

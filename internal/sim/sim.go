@@ -62,6 +62,8 @@ const (
 	evCrash
 	evRecover
 	evRetire
+	// evHold is an invocation whose operation Bind has not supplied.
+	evHold
 )
 
 type event struct {
@@ -438,6 +440,35 @@ func (s *Simulator) Invoke(at model.Time, proc model.ProcessID, kind spec.OpKind
 	e.at, e.kind, e.proc = at, evInvoke, proc
 	e.opKind, e.opArg, e.arrival = kind, arg, at
 	s.push(ref)
+}
+
+// Held is an invocation queued by Hold, for Bind to supply.
+type Held struct {
+	ref int32
+	seq int64
+}
+
+// Hold queues an invocation on proc at real time at whose operation is
+// supplied later by Bind. It takes its place in the event order now,
+// exactly as Invoke would, so binding it cannot reorder the run; a hold
+// that comes due unbound dispatches as nothing and leaves no record.
+func (s *Simulator) Hold(at model.Time, proc model.ProcessID) Held {
+	ref := s.alloc()
+	e := &s.events[ref]
+	e.at, e.kind, e.proc, e.arrival = at, evHold, proc, at
+	s.push(ref)
+	return Held{ref: ref, seq: e.seq}
+}
+
+// Bind supplies the operation of a held invocation. It reports false, and
+// does nothing, once the hold has come due.
+func (s *Simulator) Bind(h Held, kind spec.OpKind, arg spec.Value) bool {
+	if int(h.ref) >= len(s.events) || s.events[h.ref].seq != h.seq || s.events[h.ref].kind != evHold {
+		return false
+	}
+	e := &s.events[h.ref]
+	e.kind, e.opKind, e.opArg = evInvoke, kind, arg
+	return true
 }
 
 // Run processes events until the queue drains (quiescence) or the horizon

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -262,3 +263,48 @@ func (s *selfSender) OnInvoke(env sim.Env, id history.OpID, _ spec.OpKind, _ spe
 }
 func (s *selfSender) OnMessage(sim.Env, model.ProcessID, any) {}
 func (s *selfSender) OnTimer(sim.Env, any)                    {}
+
+// TestHoldBindsInPlace pins what a migrating store relies on: a held
+// invocation bound before it comes due runs exactly where Invoke would
+// have queued it — same history, same message order, even against events
+// created later for the same instant — and one left unbound leaves no
+// trace, while a late Bind is refused.
+func TestHoldBindsInPlace(t *testing.T) {
+	p := params(3)
+	run := func(mode string) ([]history.Record, []sim.MessageTrace, bool) {
+		s, _ := newSim(t, sim.Config{Params: p, Delay: sim.NewRandomDelay(7, p.MinDelay(), p.D)}, 3)
+		s.Invoke(0, 0, "broadcast", nil)
+		var h sim.Held
+		switch mode {
+		case "invoke":
+			s.Invoke(p.D, 1, "broadcast", nil)
+		case "hold", "unbound":
+			h = s.Hold(p.D, 1)
+		}
+		s.Invoke(p.D, 2, "broadcast", nil)
+		if err := s.Run(p.D - 1); err != nil {
+			t.Fatal(err)
+		}
+		if mode == "hold" && !s.Bind(h, "broadcast", nil) {
+			t.Fatal("Bind refused a hold that has not come due")
+		}
+		if err := s.Run(model.Infinity); err != nil {
+			t.Fatal(err)
+		}
+		late := s.Bind(h, "broadcast", nil)
+		return s.History().Ops(), s.Messages(), late
+	}
+	wantOps, wantMsgs, _ := run("invoke")
+	gotOps, gotMsgs, late := run("hold")
+	if !reflect.DeepEqual(gotOps, wantOps) || !reflect.DeepEqual(gotMsgs, wantMsgs) {
+		t.Fatalf("bound hold diverged from Invoke:\n%v\n%v", gotOps, wantOps)
+	}
+	if late {
+		t.Error("Bind accepted a hold that already came due")
+	}
+	noneOps, noneMsgs, _ := run("none")
+	unboundOps, unboundMsgs, _ := run("unbound")
+	if !reflect.DeepEqual(unboundOps, noneOps) || !reflect.DeepEqual(unboundMsgs, noneMsgs) {
+		t.Fatalf("unbound hold left a trace:\n%v\n%v", unboundOps, noneOps)
+	}
+}

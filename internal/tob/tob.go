@@ -184,5 +184,9 @@ func (o *Object) Deliver(env sim.Env, _ int, origin model.ProcessID, body any) {
 	}
 }
 
+// State returns the local copy as a read-only view the next delivery may
+// change.
+func (o *Object) State() spec.State { return o.state.State() }
+
 // StateEncoding returns the canonical encoding of the local copy.
 func (o *Object) StateEncoding() string { return o.dt.EncodeState(o.state.State()) }

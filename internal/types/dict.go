@@ -1,9 +1,9 @@
 package types
 
 import (
-	"fmt"
+	"bytes"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 
 	"timebounds/internal/spec"
@@ -144,19 +144,45 @@ func (Dict) Class(kind spec.OpKind) spec.OpClass {
 	}
 }
 
-// EncodeState implements spec.DataType.
+// EncodeState implements spec.DataType: "dict:{k=v,...}", every key and
+// value in its canonical rendering, entries in the order of their
+// renderings. Canonical rendering on both sides quotes and escapes keys,
+// so a key containing '=' or ',' cannot forge another state's encoding,
+// and int 1 / string "1" values do not collide — checker memo and the
+// shared transition caches treat encodings as injective. The entries are
+// rendered back to back into one buffer and sorted as byte spans; since
+// no quoted key is a proper prefix of another, that is the order of the
+// rendered keys.
 func (Dict) EncodeState(s spec.State) string {
 	d, _ := s.(dictState)
-	parts := make([]string, 0, len(d))
+	buf := make([]byte, 0, 32*len(d))
+	ends := make([]int, 0, len(d))
 	for k, v := range d {
-		// Canonical rendering on both sides: keys are quoted/escaped so a
-		// key containing '=' or ',' cannot forge another state's encoding,
-		// and int 1 / string "1" values do not collide — checker memo and
-		// the shared transition caches treat encodings as injective.
-		parts = append(parts, fmt.Sprintf("%s=%s", spec.CanonicalValue(k), spec.CanonicalValue(v)))
+		buf = spec.AppendCanonicalValue(buf, k)
+		buf = append(buf, '=')
+		buf = spec.AppendCanonicalValue(buf, v)
+		ends = append(ends, len(buf))
 	}
-	sort.Strings(parts)
-	return "dict:{" + strings.Join(parts, ",") + "}"
+	entries := make([][]byte, len(ends))
+	for i, end := range ends {
+		start := 0
+		if i > 0 {
+			start = ends[i-1]
+		}
+		entries[i] = buf[start:end]
+	}
+	slices.SortFunc(entries, bytes.Compare)
+	var b strings.Builder
+	b.Grow(len("dict:{}") + len(buf) + len(entries))
+	b.WriteString("dict:{")
+	for i, e := range entries {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.Write(e)
+	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 // Fingerprint implements spec.Fingerprinter.

@@ -137,25 +137,33 @@ var _ Target = (*core.Cluster)(nil)
 
 // Run executes a schedule on a fresh instance and collects statistics.
 func Run(target Target, sched Schedule, opt RunOptions) (Report, error) {
-	horizon := opt.Horizon
-	if horizon == 0 {
-		var last model.Time
-		for _, inv := range sched.Invocations {
-			if inv.At > last {
-				last = inv.At
-			}
-		}
-		horizon = last + 1000*target.Simulator().Params().D
-	}
 	// The schedule's length is the run's record count (open-loop deferrals
 	// reuse the same record), so the history and event slabs can be sized
 	// once up front instead of growing through the run; event storage
 	// borrowed from a warm sim.Arena is already big enough.
 	target.Simulator().Reserve(len(sched.Invocations))
+	var last model.Time
 	for _, inv := range sched.Invocations {
 		target.Invoke(inv.At, inv.Proc, inv.Kind, inv.Arg)
+		last = max(last, inv.At)
 	}
-	if err := target.Run(horizon); err != nil {
+	return Finish(target, last, opt)
+}
+
+// HorizonAfter returns the instant a run stops: opt.Horizon, or by default
+// a generous multiple of d past last, the schedule's latest invocation.
+func (opt RunOptions) HorizonAfter(last, d model.Time) model.Time {
+	if opt.Horizon == 0 {
+		return last + 1000*d
+	}
+	return opt.Horizon
+}
+
+// Finish is the second half of Run, for a harness that queues the
+// schedule itself and may drive the simulator part of the way first: it
+// runs the target to opt.HorizonAfter(last, d) and collects statistics.
+func Finish(target Target, last model.Time, opt RunOptions) (Report, error) {
+	if err := target.Run(opt.HorizonAfter(last, target.Simulator().Params().D)); err != nil {
 		return Report{}, err
 	}
 	h := target.History()
