@@ -37,6 +37,11 @@ import (
 type Engine struct {
 	// Workers caps concurrent scenario runs; ≤0 means GOMAXPROCS.
 	Workers int
+
+	// idle holds the workers of finished streams and sharded runs, at
+	// most the pool size, for the next pool to take up warm.
+	mu   sync.Mutex
+	idle []*worker
 }
 
 // New returns an engine with the given worker cap (≤0 means GOMAXPROCS).
@@ -95,7 +100,8 @@ func (e *Engine) Stream(ctx context.Context, scenarios []Scenario) iter.Seq2[int
 		// Workers reuse their run storage from scenario to scenario, and
 		// verified histories may fan their islands out across the pool's
 		// budget; like the shared caches, neither can change a Result.
-		for _, w := range e.pool(len(scenarios)) {
+		ws := e.pool(len(scenarios))
+		for _, w := range ws {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -111,6 +117,7 @@ func (e *Engine) Stream(ctx context.Context, scenarios []Scenario) iter.Seq2[int
 		}
 		go func() {
 			wg.Wait()
+			e.release(ws)
 			close(out)
 		}()
 		defer func() {
@@ -126,19 +133,46 @@ func (e *Engine) Stream(ctx context.Context, scenarios []Scenario) iter.Seq2[int
 	}
 }
 
-// pool returns the workers for n runs: e.Workers (GOMAXPROCS when unset)
-// but at most n and at least one, sharing a transition cache per type.
+// size is the pool size: e.Workers, or GOMAXPROCS when unset.
+func (e *Engine) size() int { return cmp.Or(max(e.Workers, 0), runtime.GOMAXPROCS(0)) }
+
+// pool returns the workers for n runs: the pool size but at most n and at
+// least one, sharing a fresh transition cache per type. It takes idle
+// workers first and builds new ones only when none is left; the caller
+// hands them back with release once it is done with every one.
 func (e *Engine) pool(n int) []*worker {
 	var caches *check.CacheSet
 	if !disableSharedChecker {
 		caches = check.NewCacheSet()
 	}
-	k := cmp.Or(max(e.Workers, 0), runtime.GOMAXPROCS(0))
-	ws := make([]*worker, max(1, min(k, n)))
-	for i := range ws {
-		ws[i] = newWorker(caches, len(ws))
+	ws := make([]*worker, max(1, min(e.size(), n)))
+	e.mu.Lock()
+	k := max(0, len(e.idle)-len(ws))
+	copy(ws, e.idle[k:])
+	clear(e.idle[k:])
+	e.idle = e.idle[:k]
+	e.mu.Unlock()
+	for i, w := range ws {
+		if w == nil {
+			w = newWorker()
+			ws[i] = w
+		}
+		w.caches = caches
+		w.check.Workers = len(ws)
+		w.check.NoIslands = disableIslandCheck
 	}
 	return ws
+}
+
+// release hands workers back to e once their runs are over, dropping the
+// stream's caches; e keeps at most the pool size of them.
+func (e *Engine) release(ws []*worker) {
+	for _, w := range ws {
+		w.caches = nil
+	}
+	e.mu.Lock()
+	e.idle = append(e.idle, ws[:min(len(ws), max(0, e.size()-len(e.idle)))]...)
+	e.mu.Unlock()
 }
 
 // each runs task(w, i) for every i < n across the workers ws, one

@@ -85,3 +85,23 @@ func SetCountInvocations(f func(n int)) (restore func()) {
 	countInvocations = f
 	return func() { countInvocations = prev }
 }
+
+// ReuseGrid exposes reuseGrid, the scenario shapes that stress the storage
+// a worker reuses, to the external tests.
+func ReuseGrid() []Scenario { return reuseGrid() }
+
+// IdleWorkers reports the workers e holds idle: how many, how many still
+// hold a stream's transition caches, and how many have no delay source.
+func (e *Engine) IdleWorkers() (n, withCaches, withoutDelay int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, w := range e.idle {
+		if w.caches != nil {
+			withCaches++
+		}
+		if w.delay == nil {
+			withoutDelay++
+		}
+	}
+	return len(e.idle), withCaches, withoutDelay
+}

@@ -36,6 +36,7 @@ import (
 	"timebounds/internal/history"
 	"timebounds/internal/keyspace"
 	"timebounds/internal/model"
+	"timebounds/internal/sim"
 	"timebounds/internal/spec"
 	"timebounds/internal/types"
 	"timebounds/internal/workload"
@@ -332,18 +333,29 @@ func (ss ShardedScenario) expandMigrating() (shardPlan, []Scenario, error) {
 	return plan, scs, nil
 }
 
-// runPhased runs every shard once, on e's workers, with its handoffs held;
-// all advance to just before each cutover, where bind fills them in. With
-// finish the runs go on and reduce to Results, as Run's would. A shard
-// whose only invocations were handoffs with nothing to hand off is
-// dropped, with its scenario.
-func (p *shardPlan) runPhased(e *Engine, scs []Scenario, finish bool) ([]Scenario, []Result, error) {
+// runPhased runs every shard once, on the workers ws, with its handoffs
+// held; all advance to just before each cutover, where bind fills them in.
+// With finish the runs go on and reduce to Results, as Run's would. A
+// shard whose only invocations were handoffs with nothing to hand off is
+// dropped, with its scenario. Every simulator is recycled by the return,
+// so ws go back to their engine with idle storage.
+func (p *shardPlan) runPhased(ws []*worker, scs []Scenario, finish bool) ([]Scenario, []Result, error) {
 	st := p.mig
-	ws := e.pool(len(scs))
-	for _, w := range ws {
-		w.delay = nil // each shard's lives as long as its run
+	delays := make([]*sim.RandomDelay, len(ws))
+	for i, w := range ws {
+		delays[i], w.delay = w.delay, nil // each shard's lives as long as its run
 	}
 	runs := make([]simRun, len(scs))
+	defer func() {
+		for i, w := range ws {
+			w.delay = delays[i]
+		}
+		for _, r := range runs {
+			if r.inst != nil {
+				r.inst.Simulator().Recycle() // idempotent: a finished run's already is
+			}
+		}
+	}()
 	each(ws, len(scs), func(w *worker, i int) { runs[i] = scs[i].resolved().start(w, st.held[p.run[i]]) })
 	pos := p.positions()
 	for k, mig := range st.plan.Migrations {
@@ -357,6 +369,8 @@ func (p *shardPlan) runPhased(e *Engine, scs []Scenario, finish bool) ([]Scenari
 		if runs[i].live > 0 || runs[i].inst == nil {
 			runs[kept], scs[kept], p.run[kept] = runs[i], scs[i], p.run[i]
 			kept++
+		} else {
+			runs[i].inst.Simulator().Recycle()
 		}
 	}
 	runs, scs, p.run = runs[:kept], scs[:kept], p.run[:kept]
@@ -525,7 +539,9 @@ func (p *shardPlan) positions() []int {
 // and writes them into the shard scenarios, so each one run on its own
 // reproduces its shard of RunSharded.
 func (p *shardPlan) resolve(e *Engine, scs []Scenario) ([]Scenario, error) {
-	scs, _, err := p.runPhased(e, scs, false)
+	ws := e.pool(len(scs))
+	scs, _, err := p.runPhased(ws, scs, false)
+	e.release(ws)
 	if err != nil {
 		return nil, err
 	}

@@ -281,11 +281,13 @@ func (sc Scenario) build(in *fault.Injector, w *worker) (Instance, error) {
 	})
 }
 
-// worker is what one pool worker owns for the life of a stream and reuses
-// from one scenario to the next:
-//   - the stream's shared per-data-type transition caches and the
-//     worker's check.Options (private check.Arena, island budget); the
-//     options' Cache is filled per run once the data type is known;
+// worker is what one pool worker owns for the life of its Engine and
+// reuses from one scenario to the next, and from one stream to the next
+// (Engine.pool, Engine.release):
+//   - while a stream has it, that stream's shared per-data-type
+//     transition caches and the island budget in the worker's
+//     check.Options; its private check.Arena stays with it. The options'
+//     Cache is filled per run once the data type is known;
 //   - the simulator's event storage (sim.Arena), lent to each run and
 //     recycled after it;
 //   - the schedule buffer and the workload and delay sources, re-seeded
@@ -305,15 +307,11 @@ type worker struct {
 	delay  *sim.RandomDelay
 }
 
-// newWorker returns a worker with its own reusable storage.
-func newWorker(caches *check.CacheSet, workers int) *worker {
+// newWorker returns a worker with its own reusable storage; pool gives it
+// the stream's caches and island budget.
+func newWorker() *worker {
 	return &worker{
-		caches: caches,
-		check: check.Options{
-			Arena:     check.NewArena(),
-			Workers:   workers,
-			NoIslands: disableIslandCheck,
-		},
+		check: check.Options{Arena: check.NewArena()},
 		sim:   sim.NewArena(),
 		rng:   rand.New(rand.NewSource(0)),
 		delay: sim.NewRandomDelay(0, 0, 0),

@@ -319,7 +319,9 @@ func (e *Engine) RunSharded(ss ShardedScenario) (ShardedReport, error) {
 	if plan.mig == nil {
 		return plan.merge(e.Run(scs)), nil
 	}
-	_, results, err := plan.runPhased(e, scs, true)
+	ws := e.pool(len(scs))
+	defer e.release(ws) // once merge is done with ws[0]'s check arena
+	_, results, err := plan.runPhased(ws, scs, true)
 	if err != nil {
 		return ShardedReport{}, err
 	}

@@ -195,3 +195,34 @@ func TestLoadRampGeometricAxis(t *testing.T) {
 		t.Fatalf("flat ramp: %v %v", flat, err)
 	}
 }
+
+// BenchmarkStudyOpenLoop times one load-study iteration on two workers:
+// Algorithm 1 on an rmw register under worst-case delays, n = 4, the
+// loads 30 … 1 200 ops/s with the knee bisection, 200 operations per
+// process and 8 seeds per point. go test -bench StudyOpenLoop
+// -cpuprofile shows where an open-loop study's time goes.
+func BenchmarkStudyOpenLoop(b *testing.B) {
+	seeds := make([]int64, 8)
+	for k := range seeds {
+		seeds[k] = 1 + int64(k)
+	}
+	study := Study{
+		Base: Scenario{
+			Backend:  Algorithm1{},
+			DataType: types.NewRMWRegister(0),
+			Params:   engParams(4),
+			Seed:     1,
+			Delay:    DelaySpec{Mode: DelayWorst},
+		},
+		Loads:       []float64{30, 60, 120, 240, 480, 1200},
+		OpsPerPoint: 200,
+		Seeds:       seeds,
+	}
+	eng := New(2)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := study.Run(context.Background(), eng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

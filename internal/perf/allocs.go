@@ -12,12 +12,14 @@
 package perf
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"time"
 
 	"timebounds/internal/check"
 	"timebounds/internal/core"
+	"timebounds/internal/engine"
 	"timebounds/internal/history"
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
@@ -107,6 +109,21 @@ func AllocBudgets() []AllocBudget {
 			// on fresh storage the same unit costs 23.
 			Budget: 8,
 			Make:   makeArenaRerun,
+		},
+		{
+			Name:  "engine/stream-rerun",
+			Brief: "a second Stream of the same 8 small open-loop scenarios on a warm 8-worker Engine",
+			// Counted per stream; the budget is 150 per scenario. The
+			// workers, with their simulator and check arenas, schedule
+			// buffers and sources, are the ones the first stream handed
+			// back, so what is left is each run's own: its Simulator,
+			// replicas, history and Result, plus the stream's goroutines,
+			// channels and caches — 1 140 measured (1 194–1 197 under
+			// -race, whose sync.Pool drops fmt's printers). On a fresh
+			// Engine the same stream costs 1 353 (about 1 436 under -race)
+			// and three times the bytes.
+			Budget: 8 * 150,
+			Make:   makeStreamRerun,
 		},
 		{
 			Name:   "workload/online-observe",
@@ -351,6 +368,43 @@ func makeArenaRerun() func() {
 			panic(err)
 		}
 		s.Recycle()
+	}
+	for i := 0; i < 5; i++ {
+		unit()
+	}
+	return unit
+}
+
+// streamRerunScenarios are 8 seeds of a small open-loop Algorithm 1
+// scenario, the shape of one Study load point.
+func streamRerunScenarios() []engine.Scenario {
+	p := model.Params{N: 4, D: 10 * model.Time(time.Millisecond), U: 4 * model.Time(time.Millisecond)}
+	p.Epsilon = p.OptimalSkew()
+	scs := make([]engine.Scenario, 8)
+	for i := range scs {
+		scs[i] = engine.Scenario{
+			Backend:  engine.Algorithm1{},
+			DataType: types.NewRMWRegister(0),
+			Params:   p,
+			Seed:     int64(i + 1),
+			Delay:    engine.DelaySpec{Mode: engine.DelayWorst},
+			Workload: workload.Spec{Mode: workload.Open, OpsPerProcess: 10, Spacing: 5 * p.D, Start: p.D},
+		}
+	}
+	return scs
+}
+
+// makeStreamRerun: what a Study pays per load point once its Engine is
+// warm — a Stream whose workers an earlier stream handed back.
+func makeStreamRerun() func() {
+	scs := streamRerunScenarios()
+	eng := engine.New(8)
+	unit := func() {
+		for _, res := range eng.Stream(context.Background(), scs) {
+			if res.Err != "" {
+				panic(res.Err)
+			}
+		}
 	}
 	for i := 0; i < 5; i++ {
 		unit()

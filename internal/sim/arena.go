@@ -1,11 +1,12 @@
 package sim
 
 // Arena is reusable run storage for a sequence of simulators: the event
-// slab, its free list, the 4-ary scheduling heap, the equal-timestamp
-// dispatch batch and the timer-liveness table. A harness that runs many
-// scenarios back to back (one engine worker) lends the same Arena to each
-// run through Config.Arena and takes it back with Simulator.Recycle, so
-// after the first few runs the event loop never grows a slice again.
+// slab, its free list, the schedule the cursor reads, the 4-ary heap, the
+// equal-timestamp dispatch batch and the timer-liveness table. A harness
+// that runs many scenarios back to back (one engine worker) lends the same
+// Arena to each run through Config.Arena and takes it back with
+// Simulator.Recycle, so after the first few runs the event loop never
+// grows a slice again.
 //
 // An Arena serves one simulator at a time. New borrows it only when it is
 // idle; a simulator built while the Arena is still lent out gets fresh
@@ -15,6 +16,7 @@ package sim
 type Arena struct {
 	events    []event
 	freed     []int32
+	sched     []qitem
 	queue     []qitem
 	batch     []int32
 	timerLive []bool
@@ -35,12 +37,13 @@ func (a *Arena) lendTo(s *Simulator) {
 	}
 	a.lent = true
 	s.arena = a
-	s.events, s.freed, s.queue = a.events[:0], a.freed[:0], a.queue[:0]
+	s.events, s.freed, s.sched, s.queue = a.events[:0], a.freed[:0], a.sched[:0], a.queue[:0]
 	s.batch, s.timerLive = a.batch[:0], a.timerLive[:0]
 }
 
-// Recycle ends the simulator's life: it zeroes every slab slot the run
-// used, so no event payload or operation argument stays reachable, and
+// Recycle ends the simulator's life: it zeroes every slab slot and
+// schedule entry the run used, so no event payload or operation argument
+// stays reachable and no stale slot reference is handed on, and
 // hands the event storage back to the Arena it was borrowed from (a
 // simulator built without one just drops it). Everything the run reports
 // — History, Steps, Messages, FaultStats — must be read before Recycle;
@@ -50,11 +53,12 @@ func (a *Arena) lendTo(s *Simulator) {
 //tb:hotpath
 func (s *Simulator) Recycle() {
 	clear(s.events)
+	clear(s.sched[:cap(s.sched)]) // its capacity may be the heap's, which is never cleared
 	if a := s.arena; a != nil {
-		a.events, a.freed, a.queue = s.events[:0], s.freed[:0], s.queue[:0]
+		a.events, a.freed, a.sched, a.queue = s.events[:0], s.freed[:0], s.sched[:0], s.queue[:0]
 		a.batch, a.timerLive = s.batch[:0], s.timerLive[:0]
 		a.lent = false
 		s.arena = nil
 	}
-	s.events, s.freed, s.queue, s.batch, s.timerLive = nil, nil, nil, nil, nil
+	s.events, s.freed, s.sched, s.queue, s.batch, s.timerLive = nil, nil, nil, nil, nil, nil
 }

@@ -83,8 +83,14 @@ func (r arenaRun) run(t *testing.T, arena *sim.Arena) outcome {
 	out := outcome{history: s.History().String(), steps: s.Steps(), messages: s.Messages()}
 	out.faults, _ = s.FaultStats()
 	s.Recycle()
-	if arena != nil && arena.HoldsPayload() {
+	if arena == nil {
+		return out
+	}
+	if arena.HoldsPayload() {
 		t.Fatalf("%s: the recycled slab still references event payloads", r.name)
+	}
+	if capacity, clean := arena.ScheduleStorage(); capacity == 0 || !clean {
+		t.Fatalf("%s: the recycled schedule has capacity %d, empty and zeroed=%v", r.name, capacity, clean)
 	}
 	return out
 }
@@ -92,7 +98,8 @@ func (r arenaRun) run(t *testing.T, arena *sim.Arena) outcome {
 // TestArenaReuseIsUnobservable: a run on storage an arena lent to an
 // earlier, different run — another N, a fault plan, a run cut at its
 // horizon with events still queued — reports exactly what the same run
-// reports on fresh storage.
+// reports on fresh storage, and its schedule storage comes back empty and
+// zeroed.
 func TestArenaReuseIsUnobservable(t *testing.T) {
 	runs := arenaRuns()
 	fresh := make([]outcome, len(runs))

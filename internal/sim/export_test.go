@@ -1,6 +1,10 @@
 package sim
 
-import "timebounds/internal/model"
+import (
+	"slices"
+
+	"timebounds/internal/model"
+)
 
 // RunUnbatched exposes the reference one-event-at-a-time loop to the
 // equivalence tests, which assert Run's batched dispatch is unobservable.
@@ -40,4 +44,14 @@ func (s *Simulator) DeferredQueue(p model.ProcessID) (waiting, capacity int, cle
 		}
 	}
 	return q.len(), cap(q.items), clean
+}
+
+// Scheduled reports how many events the schedule cursor still holds.
+func (s *Simulator) Scheduled() int { return len(s.sched) - s.cur }
+
+// ScheduleStorage reports the capacity of the arena's schedule storage and
+// whether it is empty and zeroed up to that capacity.
+func (a *Arena) ScheduleStorage() (capacity int, clean bool) {
+	used := slices.ContainsFunc(a.sched[:cap(a.sched)], func(it qitem) bool { return it != qitem{} })
+	return cap(a.sched), len(a.sched) == 0 && !used
 }

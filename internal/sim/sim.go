@@ -167,17 +167,25 @@ type Config struct {
 
 // Simulator drives n processes through a single run.
 //
-// Events live in an index-addressed slab; the scheduling heap holds
-// (at, seq, slab-index) triples, so heap maintenance compares and moves
-// small pointer-free values — no slab probes, no GC write barriers — and
+// Events live in an index-addressed slab and are scheduled by
+// (at, seq, slab-index) triples, so ordering compares and moves small
+// pointer-free values — no slab probes, no GC write barriers — and
 // dispatched slots are recycled through a free list, making the
-// steady-state event loop allocation-free per event. The heap is 4-ary:
-// pending sets are small and a shallower tree means fewer moves per pop.
+// steady-state event loop allocation-free per event. Everything queued
+// before the first Run (the schedule's invocations and holds, the fault
+// plan's lifecycle events) is sorted once into a schedule read through a
+// cursor; the heap holds only what the run itself pushes — messages,
+// timers, deferred invocations, anything queued between phased Runs — so
+// it stays as small as what is in flight. The heap is 4-ary: a shallower
+// tree means fewer moves per pop.
 type Simulator struct {
 	cfg     Config
 	procs   []Process
 	events  []event // slab; grows only when the free list is empty
 	freed   []int32 // recycled slab slots
+	sched   []qitem // events queued before the first Run, sorted by it
+	cur     int     // the cursor: sched[cur:] is still queued
+	started bool    // Run has begun; pushes go to the heap
 	queue   []qitem // 4-ary min-heap ordered by (at, seq)
 	batch   []int32 // reused equal-timestamp dispatch batch (slab indexes)
 	env     procEnv // reused Env; valid only during one handler call
@@ -341,20 +349,21 @@ func (s *Simulator) ClockOffset(p model.ProcessID) model.Time {
 }
 
 // Reserve presizes the run's hot allocations for a schedule of about ops
-// invocations: the history's record slab and the event slab and scheduling
-// heap (one slot per in-flight invocation; message and timer events recycle
-// through the free list on top of the same slab). Harnesses that know the
-// schedule size up front (workload.Run) call this once so the event loop
-// reaches its allocation-free steady state immediately instead of growing
-// through the run. On storage borrowed from a warm Arena the event slab
-// and heap already have the capacity, so only the history grows.
+// invocations: the history's record slab, the event slab (one slot per
+// queued invocation; message and timer events recycle through the free
+// list on top of the same slab) and the schedule the cursor reads.
+// Harnesses that know the schedule size up front (workload.Run) call this
+// once so the event loop reaches its allocation-free steady state
+// immediately instead of growing through the run. On storage borrowed
+// from a warm Arena the slab and schedule already have the capacity, so
+// only the history grows.
 func (s *Simulator) Reserve(ops int) {
 	if ops <= 0 {
 		return
 	}
 	s.hist.Grow(ops)
 	s.events = slices.Grow(s.events, ops)
-	s.queue = slices.Grow(s.queue, ops)
+	s.sched = slices.Grow(s.sched, ops)
 }
 
 // alloc reserves a slab slot for a new event.
@@ -374,7 +383,8 @@ func (s *Simulator) release(ref int32) {
 	s.freed = append(s.freed, ref)
 }
 
-// push stamps the event's creation sequence and enqueues its slot.
+// push stamps the event's creation sequence and enqueues its slot: on the
+// schedule before the first Run, on the heap after.
 //
 //tb:hotpath
 func (s *Simulator) push(ref int32) {
@@ -382,6 +392,10 @@ func (s *Simulator) push(ref int32) {
 	s.seq++
 	s.events[ref].seq = seq
 	it := qitem{at: s.events[ref].at, seq: seq, ref: ref}
+	if !s.started {
+		s.sched = append(s.sched, it)
+		return
+	}
 	q := append(s.queue, it)
 	i := len(q) - 1
 	for i > 0 {
@@ -430,6 +444,82 @@ func (s *Simulator) pop() int32 {
 	return top
 }
 
+// start orders the schedule by (at, seq) at the first Run. A schedule
+// arrives as a few ascending runs — one per process — so rather than sort
+// from scratch, start merges adjacent runs pairwise until one is left,
+// passing back and forth between the schedule and the heap's storage,
+// which nothing has used yet.
+func (s *Simulator) start() {
+	if s.started {
+		return
+	}
+	s.started = true
+	src, dst := s.sched, s.queue[:0]
+	for runEnd(src, 0) < len(src) {
+		dst = slices.Grow(dst, len(src))[:len(src)]
+		for lo := 0; lo < len(src); {
+			mid := runEnd(src, lo)
+			hi := runEnd(src, mid)
+			merge(dst[lo:hi], src[lo:mid], src[mid:hi])
+			lo = hi
+		}
+		src, dst = dst, src[:0]
+	}
+	s.sched, s.queue = src, dst
+}
+
+// runEnd returns the end of the ascending run of q that starts at lo.
+func runEnd(q []qitem, lo int) int {
+	hi := min(lo+1, len(q))
+	for hi < len(q) && q[hi-1].less(q[hi]) {
+		hi++
+	}
+	return hi
+}
+
+// merge fills dst with the ascending runs a and b, merged.
+func merge(dst, a, b []qitem) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || i < len(a) && a[i].less(b[j]) {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
+}
+
+// next reports the earliest queued event under less — the cursor's head
+// or the heap's top — and whether it is the cursor's; ok is false when
+// nothing is queued.
+//
+//tb:hotpath
+func (s *Simulator) next() (it qitem, cursor, ok bool) {
+	if s.cur < len(s.sched) {
+		it = s.sched[s.cur]
+		if len(s.queue) == 0 || it.less(s.queue[0]) {
+			return it, true, true
+		}
+	}
+	if len(s.queue) == 0 {
+		return it, false, false
+	}
+	return s.queue[0], false, true
+}
+
+// take removes the event next reported and returns its slot.
+//
+//tb:hotpath
+func (s *Simulator) take(cursor bool) int32 {
+	if cursor {
+		s.cur++
+		return s.sched[s.cur-1].ref
+	}
+	return s.pop()
+}
+
 // Invoke schedules an operation invocation at the given real time. If the
 // process still has a pending operation at that time, the invocation is
 // deferred until immediately after the pending operation responds,
@@ -475,16 +565,22 @@ func (s *Simulator) Bind(h Held, kind spec.OpKind, arg spec.Value) bool {
 // is reached. It returns the first configuration error encountered.
 //
 // Dispatch is batched: all events sharing the earliest delivery timestamp
-// are drained from the queue in one pass and dispatched in creation
-// order, so per-event heap traffic is paid once per distinct timestamp.
-// Events pushed during a batch (always at later sequence numbers) form
-// follow-up batches; the resulting dispatch order is identical to
-// one-at-a-time dispatch. Events beyond the horizon stay queued.
+// are drained from the schedule and the heap in one pass and dispatched
+// in creation order, so per-event ordering work is paid once per distinct
+// timestamp. Events pushed during a batch (always at later sequence
+// numbers) form follow-up batches; the resulting dispatch order is
+// identical to one-at-a-time dispatch. Events beyond the horizon stay
+// queued.
 //
 //tb:hotpath
 func (s *Simulator) Run(horizon model.Time) error {
-	for len(s.queue) > 0 {
-		t := s.queue[0].at
+	s.start()
+	for {
+		it, cursor, ok := s.next()
+		if !ok {
+			return s.err
+		}
+		t := it.at
 		if t > horizon {
 			return s.err
 		}
@@ -494,14 +590,16 @@ func (s *Simulator) Run(horizon model.Time) error {
 		s.now = t
 		// Drain the timestamp-t batch into the reused value buffer,
 		// recycling slots immediately — handlers dispatch against the
-		// copies. Heap pops yield ascending sequence numbers within an
-		// equal timestamp, so batch order is creation order — the same
-		// order repeated single-event dispatch would produce. Same-
-		// timestamp events pushed by handlers below carry later sequence
-		// numbers and are drained on the next pass.
+		// copies. The cursor and the heap both yield ascending sequence
+		// numbers within an equal timestamp, and next takes the lesser
+		// head, so batch order is creation order — the same order
+		// repeated single-event dispatch would produce. Same-timestamp
+		// events pushed by handlers below carry later sequence numbers
+		// and are drained on the next pass.
 		batch := s.batch[:0]
-		for len(s.queue) > 0 && s.queue[0].at == t {
-			batch = append(batch, s.pop())
+		for ok && it.at == t {
+			batch = append(batch, s.take(cursor))
+			it, cursor, ok = s.next()
 		}
 		s.batch = batch
 		for _, ref := range batch {
@@ -512,16 +610,20 @@ func (s *Simulator) Run(horizon model.Time) error {
 			}
 		}
 	}
-	return s.err
 }
 
-// runUnbatched is the reference event loop: one heap pop, one dispatch.
-// It is semantically identical to Run and exists so the equivalence tests
-// can assert that batched dispatch is unobservable (bit-identical
-// histories and traces).
+// runUnbatched is the reference event loop: one earliest event, one
+// dispatch. It is semantically identical to Run and exists so the
+// equivalence tests can assert that batched dispatch is unobservable
+// (bit-identical histories and traces).
 func (s *Simulator) runUnbatched(horizon model.Time) error {
-	for len(s.queue) > 0 {
-		t := s.queue[0].at
+	s.start()
+	for {
+		it, cursor, ok := s.next()
+		if !ok {
+			return s.err
+		}
+		t := it.at
 		if t > horizon {
 			return s.err
 		}
@@ -529,14 +631,13 @@ func (s *Simulator) runUnbatched(horizon model.Time) error {
 			return s.timeRegression(t)
 		}
 		s.now = t
-		ref := s.pop()
+		ref := s.take(cursor)
 		s.dispatch(ref)
 		s.release(ref)
 		if s.err != nil {
 			return s.err
 		}
 	}
-	return s.err
 }
 
 // timeRegression builds the monotonicity-violation error. It lives
