@@ -39,6 +39,7 @@ type Centralized struct {
 	Coordinator model.ProcessID
 	dt          spec.DataType
 	state       spec.Owned
+	order       history.ApplyOrder // the coordinator's apply order
 }
 
 var _ sim.Process = (*Centralized)(nil)
@@ -52,6 +53,7 @@ func NewCentralized(coordinator model.ProcessID, dt spec.DataType) *Centralized 
 // OnInvoke implements sim.Process.
 func (c *Centralized) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg spec.Value) {
 	if env.Self() == c.Coordinator {
+		env.Certify(id, c.order.Next(c.dt.Class(kind)))
 		env.Respond(id, c.state.Apply(kind, arg))
 		return
 	}
@@ -62,6 +64,7 @@ func (c *Centralized) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, a
 func (c *Centralized) OnMessage(env sim.Env, from model.ProcessID, payload any) {
 	switch m := payload.(type) {
 	case request:
+		env.Certify(m.ID, c.order.Next(c.dt.Class(m.Kind)))
 		env.Send(from, response{ID: m.ID, Ret: c.state.Apply(m.Kind, m.Arg)})
 	case response:
 		env.Respond(m.ID, m.Ret)

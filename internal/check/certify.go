@@ -37,12 +37,13 @@ func compareCertKeys(a, b certKey) int {
 }
 
 // certified tries the order the implementation executed the history in,
-// as its records' certificate keys state it: updates by ⟨stamp clock,
-// process⟩, each accessor after the number of updates its copy had
-// executed, accessors sharing that number in (Invoke, ID) order. That
-// order is a linearization iff no operation in it responds before an
-// operation ordered earlier was invoked, and replaying it reproduces every
-// return: a sort, one sweep and one replay. ok is false when a record is
+// as its records' certificate keys state it: updates by their key (a
+// ⟨stamp clock, process⟩ timestamp or an apply rank), each accessor
+// after the number of updates its copy had executed, accessors sharing
+// that number in (Invoke, ID) order. That order is a linearization iff
+// no operation in it responds before an operation ordered earlier was
+// invoked, and replaying it reproduces every return: a sort, one sweep
+// and one replay. ok is false when a record is
 // pending or uncertified or the order fails either test; the search then
 // decides, so a certificate never changes a verdict.
 func (a *Arena) certified(dt spec.DataType, ops []history.Record) (Result, bool) {
@@ -55,7 +56,7 @@ func (a *Arena) certified(dt spec.DataType, ops []history.Record) (Result, bool)
 			return Result{}, false
 		}
 		major, minor := op.OrderKey()
-		accessor := op.CertKind == history.CertAccessor
+		accessor := !op.CertKind.IsUpdate()
 		if !accessor {
 			updates++
 		}

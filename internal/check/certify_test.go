@@ -129,12 +129,12 @@ func TestCertificateNeedsEveryRecord(t *testing.T) {
 	}
 }
 
-// TestAlgorithm1HistoriesCertify: every fault-free Algorithm 1 and all-oop
-// history of a small grid — every data type, random and extremal delays,
+// TestCorrectBackendsHistoriesCertify: every fault-free history of every
+// backend in a small grid — every data type, random and extremal delays,
 // n ∈ {2, 3, 4}, X at 0, mid and max — records an order that is a
 // linearization, and the checker takes it whenever the history is not
 // totally ordered.
-func TestAlgorithm1HistoriesCertify(t *testing.T) {
+func TestCorrectBackendsHistoriesCertify(t *testing.T) {
 	objects := []spec.DataType{
 		types.NewRegister(0), types.NewRMWRegister(0), types.NewQueue(), types.NewStack(),
 		types.NewTree(), types.NewSet(), types.NewCounter(), types.NewDict(),
@@ -145,7 +145,7 @@ func TestAlgorithm1HistoriesCertify(t *testing.T) {
 		p := model.Params{N: n, D: 10 * ms, U: 4 * ms}
 		p.Epsilon = p.OptimalSkew()
 		maxX := p.D + p.Epsilon - p.U
-		for _, b := range []engine.Backend{engine.Algorithm1{}, engine.AllOOP{}} {
+		for _, b := range engine.Backends() {
 			for _, dt := range objects {
 				for _, x := range []model.Time{0, maxX / 2, maxX} {
 					for _, d := range []engine.DelayMode{engine.DelayRandom, engine.DelayExtremal} {
@@ -158,7 +158,7 @@ func TestAlgorithm1HistoriesCertify(t *testing.T) {
 			}
 		}
 	}
-	concurrent := 0
+	concurrent := make(map[string]int)
 	for i, res := range engine.New(0).Run(scs).Results {
 		if res.Err != "" {
 			t.Fatalf("%s: %s", res.Name, res.Err)
@@ -171,12 +171,102 @@ func TestAlgorithm1HistoriesCertify(t *testing.T) {
 		if _, sequential := check.SequentialFastPath(dt, res.History); sequential {
 			continue
 		}
-		concurrent++
+		concurrent[res.Backend]++
 		if !check.Check(dt, res.History).Certified {
 			t.Errorf("%s: Check searched a history whose certificate holds", res.Name)
 		}
 	}
-	if concurrent == 0 {
-		t.Fatal("no concurrent history in the grid")
+	for _, b := range engine.Backends() {
+		if concurrent[b.Name()] == 0 {
+			t.Errorf("no concurrent %s history in the grid", b.Name())
+		}
+	}
+}
+
+// concurrentRun returns the first history of backend b on an rmw register
+// (n = 4, random delays) that is not totally ordered, trying seeds in turn.
+func concurrentRun(t *testing.T, b engine.Backend, dt spec.DataType, faults engine.FaultSpec, seed int64) *history.History {
+	t.Helper()
+	p := model.Params{N: 4, D: 10 * ms, U: 4 * ms}
+	for ; seed < 100; seed++ {
+		res := engine.Run([]engine.Scenario{{
+			Backend: b, DataType: dt, Params: p, Seed: seed,
+			Delay: engine.DelaySpec{Mode: engine.DelayRandom}, Faults: faults,
+		}}).Results[0]
+		if res.Err != "" {
+			t.Fatalf("%s: %s", res.Name, res.Err)
+		}
+		if _, sequential := check.SequentialFastPath(dt, res.History); !sequential {
+			return res.History
+		}
+	}
+	t.Fatalf("%s: no concurrent history in 100 seeds", b.Name())
+	return nil
+}
+
+// TestMisrankedCertificateFallsBack: swapping the ranks of two adjacent
+// rmw updates with different arguments — which do not commute: each
+// returns what the other wrote — in a concurrent tob or centralized
+// history breaks its certificate, and the search still finds the history
+// linearizable.
+func TestMisrankedCertificateFallsBack(t *testing.T) {
+	dt := types.NewRMWRegister(0)
+	for _, b := range []engine.Backend{engine.TOB{}, engine.Centralized{}} {
+		t.Run(b.Name(), func(t *testing.T) {
+			ops := concurrentRun(t, b, dt, engine.FaultSpec{}, 1).Ops()
+			byRank := make(map[int32]int)
+			for i, op := range ops {
+				if op.CertKind == history.CertRank {
+					byRank[op.CertVal] = i
+				}
+			}
+			swapped := false
+			for r := int32(0); !swapped && int(r)+1 < len(byRank); r++ {
+				a, c := &ops[byRank[r]], &ops[byRank[r+1]]
+				if a.Kind == types.OpRMW && c.Kind == types.OpRMW && !spec.ValueEqual(a.Arg, c.Arg) {
+					a.CertVal, c.CertVal = c.CertVal, a.CertVal
+					swapped = true
+				}
+			}
+			if !swapped {
+				t.Fatalf("no adjacent rmw pair with different arguments\n%s", history.FromRecords(ops))
+			}
+			h := history.FromRecords(ops)
+			if _, ok := check.Certificate(dt, h); ok {
+				t.Fatalf("a misranked certificate held\n%s", h)
+			}
+			if res := check.Check(dt, h); !res.Linearizable || res.Certified {
+				t.Fatalf("Linearizable = %v, Certified = %v; want the search's linearizable verdict", res.Linearizable, res.Certified)
+			}
+		})
+	}
+}
+
+// TestRankCertificatesKeepVerdicts: under every built-in fault plan, the
+// verdict on a tob or centralized history equals the verdict on the same
+// records with their certificate keys stripped.
+func TestRankCertificatesKeepVerdicts(t *testing.T) {
+	certified := 0
+	for _, b := range []engine.Backend{engine.TOB{}, engine.Centralized{}} {
+		for _, dt := range []spec.DataType{types.NewRMWRegister(0), types.NewQueue()} {
+			for _, fs := range engine.FaultSpecs() {
+				h := concurrentRun(t, b, dt, fs, 1)
+				ops := h.Ops()
+				for i := range ops {
+					ops[i].CertKind, ops[i].CertVal = history.CertNone, 0
+				}
+				got, want := check.Check(dt, h), check.Check(dt, history.FromRecords(ops))
+				if got.Linearizable != want.Linearizable {
+					t.Errorf("%s/%s/%s: verdict %v, %v with the keys stripped\n%s",
+						b.Name(), dt.Name(), fs.Name, got.Linearizable, want.Linearizable, h)
+				}
+				if got.Certified {
+					certified++
+				}
+			}
+		}
+	}
+	if certified == 0 {
+		t.Fatal("no faulted history certified")
 	}
 }

@@ -15,8 +15,10 @@
 // histories per grid):
 //
 //   - A history whose records all carry certificate keys — the order the
-//     implementation executed them in, which Algorithm 1 records on both
-//     its hosts (history.Record.CertKind) — is first checked against that
+//     implementation executed them in, which every correct backend
+//     records (history.Record.CertKind): Algorithm 1 on both its hosts by
+//     timestamp, the coordinator and total-order broadcast by rank in
+//     their one apply order — is first checked against that
 //     one order in O(n log n): a sort, one real-time sweep, one replay. A
 //     certificate that holds is the witness (Result.Certified); one that
 //     fails, or a pending or unkeyed record, leaves the verdict to the

@@ -118,3 +118,32 @@ func TestReportStringRendersEveryScenario(t *testing.T) {
 		t.Error("ByName failed for an existing scenario")
 	}
 }
+
+// BenchmarkGridVerify times one grid-verify iteration on two workers, the
+// benchmark's pinned pool: every backend under random and extremal
+// delays, six seeds, n = 4, d = 10 ms, u = 4 ms, verified, with the
+// scalar objects at 50 operations per process and the containers at 4.
+// go test -bench GridVerify -cpuprofile shows where a verified grid's
+// time goes.
+func BenchmarkGridVerify(b *testing.B) {
+	base := Grid{
+		Backends: Backends(),
+		Params:   []model.Params{engParams(4)},
+		Delays:   []DelaySpec{{Mode: DelayRandom}, {Mode: DelayExtremal}},
+		Seeds:    []int64{1, 2, 3, 4, 5, 6},
+		Verify:   true,
+	}
+	scalar, container := base, base
+	scalar.Objects = []spec.DataType{types.NewRegister(0), types.NewRMWRegister(0), types.NewCounter(), types.NewAccount()}
+	scalar.Workloads = []workload.Spec{{OpsPerProcess: 50}}
+	container.Objects = []spec.DataType{types.NewQueue(), types.NewStack(), types.NewSet(), types.NewDict(), types.NewPQueue(), types.NewTree()}
+	container.Workloads = []workload.Spec{{OpsPerProcess: 4}}
+	scs := append(scalar.Scenarios(), container.Scenarios()...)
+	eng := New(2)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := eng.Run(scs).Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

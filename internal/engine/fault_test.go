@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"timebounds/internal/fault"
+	"timebounds/internal/history"
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
 	"timebounds/internal/types"
@@ -184,5 +185,41 @@ func TestFaultReportSummaryAndRender(t *testing.T) {
 	}
 	if err := rep.Err(); err != nil {
 		t.Errorf("faulted grid with verdicts should pass Report.Err: %v", err)
+	}
+}
+
+// TestTOBCompletesUnderDuplication: a late copy of a stamped message that
+// was already delivered must not block the deliveries after it. Under the
+// dup plan the sequencer's rebroadcasts arrive twice; before the fix the
+// tob run stopped after 11 of its 20 operations.
+func TestTOBCompletesUnderDuplication(t *testing.T) {
+	dup, err := FaultSpecByName("dup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dt := types.NewRMWRegister(0)
+	res := Run([]Scenario{{
+		Backend:  TOB{},
+		DataType: dt,
+		Params:   engParams(4),
+		Seed:     3,
+		Delay:    DelaySpec{Mode: DelayRandom},
+		Faults:   dup,
+		Verify:   true,
+	}}).Results[0]
+	if res.Err != "" {
+		t.Fatal(res.Err)
+	}
+	// The default workload: five operations per process.
+	if res.Pending != 0 || res.History.Len() != 20 {
+		t.Fatalf("%d of 20 operations invoked, %d pending\n%s", res.History.Len(), res.Pending, res.History)
+	}
+	if !res.Linearizable || !res.Converged {
+		t.Fatalf("linearizable %v, converged %v (%s)", res.Linearizable, res.Converged, res.Diverged)
+	}
+	for op := range res.History.All() {
+		if op.CertKind == history.CertNone {
+			t.Fatalf("%s carries no certificate key", op)
+		}
 	}
 }

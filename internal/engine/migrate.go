@@ -584,11 +584,13 @@ func (st *migrateState) migratedKeys() []string {
 // client-only history, each in (Invoke, ID) order. Both keep certificate
 // keys, accessors re-counted (UpdateOrder.Rekey) against the piece's, or
 // the stitch's client, updates: by Herlihy–Wing locality a certified
-// shard projects to certified key histories. orders memoizes each shard's
-// update order across keys.
+// shard projects to certified key histories. Apply ranks of two shards
+// are not comparable, so the stitch shifts each epoch's past the previous
+// epoch's highest. orders memoizes each shard's update order across keys.
 func (st *migrateState) keyRecords(key string, byShard map[int]*Result, orders map[int]history.UpdateOrder) (pieces [][]history.Record, stitched []history.Record) {
 	pieces = make([][]history.Record, len(st.maps))
-	base := 0 // client updates stitched from earlier epochs
+	base := 0     // client updates stitched from earlier epochs
+	var top int32 // one past the highest rank stitched so far
 	for e, next := 0, 0; e < len(st.maps); e = next {
 		owner := st.maps[e].ShardOf(key)
 		for next = e + 1; next < len(st.maps) && st.maps[next].ShardOf(key) == owner; next++ {
@@ -615,7 +617,7 @@ func (st *migrateState) keyRecords(key string, byShard map[int]*Result, orders m
 			if !synthetic {
 				stitched = append(stitched, op)
 			}
-			if op.CertKind == history.CertUpdate {
+			if op.CertKind.IsUpdate() {
 				all = append(all, op)
 				if !synthetic {
 					client = append(client, op)
@@ -628,6 +630,13 @@ func (st *migrateState) keyRecords(key string, byShard map[int]*Result, orders m
 		orders[owner].Rekey(pieces[e], all, 0)
 		orders[owner].Rekey(stitched[from:], client, base)
 		base += len(client)
+		shift := top
+		for i := from; i < len(stitched); i++ {
+			if r := &stitched[i]; r.CertKind == history.CertRank {
+				r.CertVal += shift
+				top = max(top, r.CertVal+1)
+			}
+		}
 	}
 	return pieces, stitched
 }

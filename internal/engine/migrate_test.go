@@ -505,54 +505,65 @@ func zipfMigrateScenario(seed int64) engine.ShardedScenario {
 	}
 }
 
-// TestMigrationMergeCertifies: the per-epoch pieces and the stitched
-// history of the moved key keep their shards' certificate keys, so the
-// checker verifies their recorded order instead of searching them — and
-// RunSharded simulates each shard's schedule exactly once.
+// TestMigrationMergeCertifies: on every backend, the per-epoch pieces and
+// the stitched history of the moved key keep their shards' certificate
+// keys, so the checker verifies their recorded order instead of searching
+// them — and RunSharded simulates each shard's schedule exactly once.
 func TestMigrationMergeCertifies(t *testing.T) {
 	dict := types.NewDict()
-	for seed := int64(1); seed <= 3; seed++ {
-		ss := zipfMigrateScenario(seed)
-		hot := keyspace.Space{N: 120_000}.Key(0)
-		plan, scs, err := engine.ExpandSharded(ss)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := engine.MergeSharded(plan, engine.Run(scs))
-		if err := rep.Err(); err != nil {
-			t.Fatal(err)
-		}
-		pieces := engine.KeyPieces(plan, rep, hot)
-		histories := map[string][]history.Record{"stitched": engine.StitchedRecords(plan, rep, hot)}
-		for e, piece := range pieces {
-			if len(piece) > 0 {
-				histories[fmt.Sprintf("epoch=%d", e)] = piece
+	for _, b := range engine.Backends() {
+		t.Run(b.Name(), func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				ss := zipfMigrateScenario(seed)
+				ss.Backend = b
+				checkMigrationCertifies(t, dict, ss)
 			}
-		}
-		if len(histories) != 3 {
-			t.Fatalf("seed %d: %d key histories, want two epoch pieces and the stitch", seed, len(histories))
-		}
-		for name, recs := range histories {
-			if res := check.Check(dict, history.FromRecords(recs)); !res.Certified {
-				t.Errorf("seed %d: %s history of %s (%d records) did not certify: %+v", seed, name, hot, len(recs), res.Linearizable)
-			}
-		}
+		})
+	}
+}
 
-		queued := 0
-		restore := engine.SetCountInvocations(func(n int) { queued += n })
-		if _, err := engine.New(1).RunSharded(ss); err != nil {
-			t.Fatal(err)
+func checkMigrationCertifies(t *testing.T, dict spec.DataType, ss engine.ShardedScenario) {
+	t.Helper()
+	seed := ss.Seed
+	hot := keyspace.Space{N: 120_000}.Key(0)
+	plan, scs, err := engine.ExpandSharded(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := engine.MergeSharded(plan, engine.Run(scs))
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	pieces := engine.KeyPieces(plan, rep, hot)
+	histories := map[string][]history.Record{"stitched": engine.StitchedRecords(plan, rep, hot)}
+	for e, piece := range pieces {
+		if len(piece) > 0 {
+			histories[fmt.Sprintf("epoch=%d", e)] = piece
 		}
-		restore()
-		// Each shard queues its schedule once, plus a held handoff for
-		// every moved key that turned out to have nothing to hand off.
-		want := len(rep.Handoffs) - rep.Stats.HandoffOps
-		for _, sc := range scs {
-			want += len(sc.Workload.Explicit)
+	}
+	if len(histories) != 3 {
+		t.Fatalf("seed %d: %d key histories, want two epoch pieces and the stitch", seed, len(histories))
+	}
+	for name, recs := range histories {
+		if res := check.Check(dict, history.FromRecords(recs)); !res.Certified {
+			t.Errorf("seed %d: %s history of %s (%d records) did not certify: %+v", seed, name, hot, len(recs), res.Linearizable)
 		}
-		if queued != want {
-			t.Errorf("seed %d: RunSharded queued %d invocations, want the shard schedules' %d", seed, queued, want)
-		}
+	}
+
+	queued := 0
+	restore := engine.SetCountInvocations(func(n int) { queued += n })
+	if _, err := engine.New(1).RunSharded(ss); err != nil {
+		t.Fatal(err)
+	}
+	restore()
+	// Each shard queues its schedule once, plus a held handoff for
+	// every moved key that turned out to have nothing to hand off.
+	want := len(rep.Handoffs) - rep.Stats.HandoffOps
+	for _, sc := range scs {
+		want += len(sc.Workload.Explicit)
+	}
+	if queued != want {
+		t.Errorf("seed %d: RunSharded queued %d invocations, want the shard schedules' %d", seed, queued, want)
 	}
 }
 

@@ -47,7 +47,10 @@ type Record struct {
 	CertVal  int32
 }
 
-// CertKind says how a certificate key orders its operation.
+// CertKind says how a certificate key orders its operation. A history's
+// updates are keyed by one update kind: CertUpdate where the copies
+// execute them in timestamp order (Algorithm 1), CertRank where one
+// process fixes their order (a coordinator, a sequencer).
 type CertKind uint8
 
 const (
@@ -57,30 +60,59 @@ const (
 	// CertVal is the stamp clock minus Invoke.
 	CertUpdate
 	// CertAccessor places an accessor after the first CertVal updates in
-	// timestamp order.
+	// update order.
 	CertAccessor
+	// CertRank orders an update by CertVal, its absolute rank in the
+	// implementation's single apply order.
+	CertRank
 )
+
+// IsUpdate reports whether k keys an update: the one predicate that
+// tells a history's updates from its accessors and unkeyed records.
+func (k CertKind) IsUpdate() bool { return k == CertUpdate || k == CertRank }
 
 // Cert is a certificate key as its implementation states it.
 type Cert struct {
 	Kind CertKind
-	// Key is the stamp clock of a CertUpdate, or the number of updates
-	// executed before a CertAccessor evaluated.
+	// Key is the stamp clock of a CertUpdate, the rank of a CertRank, or
+	// the number of updates executed before a CertAccessor evaluated.
 	Key int64
 }
 
 // UpdateCert is the key of an update stamped at local clock time stamp.
 func UpdateCert(stamp model.Time) Cert { return Cert{Kind: CertUpdate, Key: int64(stamp)} }
 
+// RankCert is the key of the update applied after rank others.
+func RankCert(rank int) Cert { return Cert{Kind: CertRank, Key: int64(rank)} }
+
 // AccessorCert is the key of an accessor evaluated after applied updates.
 func AccessorCert(applied int) Cert { return Cert{Kind: CertAccessor, Key: int64(applied)} }
 
+// ApplyOrder keys operations in the order one process applies them — a
+// coordinator's, or a sequencer's delivery order — by counting the
+// updates applied so far.
+type ApplyOrder struct{ updates int }
+
+// Next returns the key of the operation applied next, whose kind is of
+// class c: a pure accessor goes after the updates applied before it, any
+// other operation is the next update in rank.
+func (a *ApplyOrder) Next(c spec.OpClass) Cert {
+	if c == spec.ClassPureAccessor {
+		return AccessorCert(a.updates)
+	}
+	a.updates++
+	return RankCert(a.updates - 1)
+}
+
 // OrderKey returns the record's certificate key as (major, minor): the
-// stamp clock and Proc of an update, the update count and Invoke of an
-// accessor.
+// stamp clock and Proc of a CertUpdate, the rank and 0 of a CertRank, the
+// update count and Invoke of an accessor.
 func (r Record) OrderKey() (major, minor int64) {
-	if r.CertKind == CertUpdate {
+	switch r.CertKind {
+	case CertUpdate:
 		return int64(r.Invoke) + int64(r.CertVal), int64(r.Proc)
+	case CertRank:
+		return int64(r.CertVal), 0
 	}
 	return int64(r.CertVal), int64(r.Invoke)
 }
@@ -179,7 +211,7 @@ type UpdateOrder [][2]int64
 func (h *History) UpdateOrder() UpdateOrder {
 	var o UpdateOrder
 	for op := range h.All() {
-		if op.CertKind == CertUpdate {
+		if op.CertKind.IsUpdate() {
 			o = append(o, orderKey(op))
 		}
 	}

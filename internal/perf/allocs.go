@@ -76,6 +76,15 @@ func AllocBudgets() []AllocBudget {
 			Make:   makeCheckCertifiedDict,
 		},
 		{
+			Name:  "check/certified-rank",
+			Brief: "check a 64-op bursty register history through its rank certificate with a reused arena",
+			// The shape every tob and centralized history records: no
+			// search runs, and the witness slice is the one allocation —
+			// 1 measured, also under -race.
+			Budget: 1,
+			Make:   makeCheckCertifiedRank,
+		},
+		{
 			Name:  "core/dict-execute",
 			Brief: "execute one 16-put round overwriting keys of a warm 256-entry dict replica copy",
 			// The replica owns its copy and updates it in place: an
@@ -174,14 +183,30 @@ func makeCheckDictCold() func() {
 // record keyed in the order its returns were generated — a certificate
 // that holds, the shape every Algorithm 1 history records.
 func makeCheckCertifiedDict() func() {
-	dt := types.NewDict()
+	return makeCheckCertified(types.NewDict(), func(op history.Record) history.Cert {
+		return history.UpdateCert(model.Time(op.ID))
+	})
+}
+
+// makeCheckCertifiedRank: a register history keyed in the same order as
+// one apply order (history.ApplyOrder) keys a coordinator's or a
+// sequencer's operations.
+func makeCheckCertifiedRank() func() {
+	dt := types.NewRegister(0)
+	var order history.ApplyOrder
+	return makeCheckCertified(dt, func(op history.Record) history.Cert { return order.Next(dt.Class(op.Kind)) })
+}
+
+// makeCheckCertified checks a 64-op bursty history of dt whose records
+// key assigns, in the order their returns were generated.
+func makeCheckCertified(dt spec.DataType, key func(history.Record) history.Cert) func() {
 	h := burstyHistory(dt, 3, 64)
-	for i := range h.Len() {
-		h.Certify(history.OpID(i), history.UpdateCert(model.Time(i)))
+	for _, op := range h.Ops() {
+		h.Certify(op.ID, key(op))
 	}
 	opts := check.Options{Arena: check.NewArena()}
 	if !check.CheckOpts(dt, h, opts).Certified {
-		panic("certified-dict budget harness: the certificate does not hold")
+		panic("certified budget harness: the certificate does not hold")
 	}
 	unit := func() { check.CheckOpts(dt, h, opts) }
 	for i := 0; i < 5; i++ {

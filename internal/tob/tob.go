@@ -101,10 +101,15 @@ func (b *Broadcaster) HandleMessage(env sim.Env, payload any) bool {
 // enqueue buffers a stamped message and delivers every consecutive message
 // starting at nextDeliv, in order. Insertion keeps pending[head:] sorted
 // by sequence number (messages arrive nearly in order, so the shift is
-// short), and a drained buffer is rewound to reuse its capacity.
+// short), and a drained buffer is rewound to reuse its capacity. A copy
+// of a message already delivered or buffered (a duplicating network) is
+// dropped: buffered, it would block every later delivery.
 //
 //tb:hotpath
 func (b *Broadcaster) enqueue(env sim.Env, m stamped) {
+	if m.Seq < b.nextDeliv {
+		return
+	}
 	// Binary-search the insertion point in the sorted tail.
 	lo, hi := b.head, len(b.pending)
 	for lo < hi {
@@ -114,6 +119,9 @@ func (b *Broadcaster) enqueue(env sim.Env, m stamped) {
 		} else {
 			hi = mid
 		}
+	}
+	if lo < len(b.pending) && b.pending[lo].Seq == m.Seq {
+		return
 	}
 	b.pending = append(b.pending, stamped{})
 	copy(b.pending[lo+1:], b.pending[lo:len(b.pending)-1])
@@ -146,6 +154,9 @@ type Object struct {
 	bcast *Broadcaster
 	dt    spec.DataType
 	state spec.Owned
+	// order keys each delivery by its place in the delivery order every
+	// copy shares.
+	order history.ApplyOrder
 }
 
 var _ sim.Process = (*Object)(nil)
@@ -172,14 +183,17 @@ func (o *Object) OnMessage(env sim.Env, _ model.ProcessID, payload any) {
 // OnTimer implements sim.Process; the TOB object uses no timers.
 func (o *Object) OnTimer(sim.Env, any) {}
 
-// Deliver implements Deliverer: apply in order; the origin responds.
+// Deliver implements Deliverer: apply in order; the origin certifies the
+// operation's place in the delivery order and responds.
 func (o *Object) Deliver(env sim.Env, _ int, origin model.ProcessID, body any) {
 	op, ok := body.(opBody)
 	if !ok {
 		return
 	}
+	cert := o.order.Next(o.dt.Class(op.Kind))
 	ret := o.state.Apply(op.Kind, op.Arg)
 	if origin == env.Self() {
+		env.Certify(op.ID, cert)
 		env.Respond(op.ID, ret)
 	}
 }
