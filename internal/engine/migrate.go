@@ -129,17 +129,15 @@ type migrateState struct {
 	keyOps   map[string]int
 	deferred int
 	check    check.Options // the phased run's checker storage, for the merge
+	// procs is the shards' process count; earliest (each key's earliest
+	// routed instant) and before (client operations on each move's source
+	// before it) are what extra reads of the routed operations.
+	procs    int
+	earliest map[string]model.Time
+	before   map[moveKey]int
 }
 
-// routedInv is one bucketed invocation with its generation-order
-// tie-break.
-type routedInv struct {
-	inv workload.Invocation
-	ord int
-}
-
-// shardScenario derives shard index's Scenario — the single construction
-// the static and migrating expansions share.
+// shardScenario derives shard index's Scenario from its routed schedule.
 func (ss ShardedScenario) shardScenario(index int, sp workload.Spec) Scenario {
 	return Scenario{
 		Name:     fmt.Sprintf("%s/shard=%d", ss.Name, index),
@@ -174,163 +172,131 @@ func (ss ShardedScenario) resolvedDrain() model.Time {
 	return drain
 }
 
-// expandMigrating is expand for scenarios with a migration plan: route
-// every keyed operation by its epoch's partition map, defer operations on
-// moving keys around each cutover, and queue a handoff invocation at each
-// cutover on the destination of every moved key, to be bound by
-// runPhased. It runs serially before the worker pool, so the derived
-// shard scenarios — and therefore the merged report — stay bit-identical
-// at any worker count.
-func (ss ShardedScenario) expandMigrating() (shardPlan, []Scenario, error) {
-	ss = ss.resolved()
-	fail := func(err error) (shardPlan, []Scenario, error) {
-		return shardPlan{}, nil, fmt.Errorf("engine: sharded scenario %q: %w", ss.Name, err)
-	}
+// migration validates the plan and returns the placement that routes
+// the workload by it: every keyed operation by its epoch's partition map,
+// deferred around each cutover when its key moves (place), and a handoff
+// invocation at each cutover on the destination of every moved key
+// (extra), to be bound by runPhased.
+func (ss ShardedScenario) migration() (*migrateState, error) {
 	kp := *ss.Plan
 	if err := kp.Validate(); err != nil {
-		return fail(err)
-	}
-	if ss.Workload.Partition != nil {
-		return fail(fmt.Errorf("a migration plan owns the partitioning; unset Workload.Partition"))
+		return nil, err
 	}
 	if ss.Workload.Shards != 0 && ss.Workload.Shards != kp.Base.Shards {
-		return fail(fmt.Errorf("workload declares %d shards but the plan's base map has %d",
-			ss.Workload.Shards, kp.Base.Shards))
+		return nil, fmt.Errorf("workload declares %d shards but the plan's base map has %d",
+			ss.Workload.Shards, kp.Base.Shards)
 	}
 	if ss.Faults.enabled() {
-		return fail(fmt.Errorf("migration plans do not compose with fault plans (a handoff reads the source's settled copy, which injected faults do not guarantee)"))
+		return nil, fmt.Errorf("migration plans do not compose with fault plans (a handoff reads the source's settled copy, which injected faults do not guarantee)")
 	}
 	drain := ss.resolvedDrain()
 	if n := len(kp.Migrations); n > 0 && ss.Horizon > 0 && ss.Horizon < kp.Migrations[n-1].At+drain {
-		return fail(fmt.Errorf("horizon %v ends inside the last cutover's settle window (%v + drain %v)",
-			ss.Horizon, kp.Migrations[n-1].At, drain))
+		return nil, fmt.Errorf("horizon %v ends inside the last cutover's settle window (%v + drain %v)",
+			ss.Horizon, kp.Migrations[n-1].At, drain)
 	}
 	maps, err := kp.Maps()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	shards := kp.Base.Shards
 	st := &migrateState{
 		plan:      kp,
 		maps:      maps,
 		drain:     drain,
 		settle:    ss.Backend.Bound(ss.Params, ss.X, spec.ClassPureAccessor),
+		procs:     ss.Params.N,
+		held:      make([][]int, kp.Base.Shards),
 		synthetic: make(map[syntheticID]bool),
 		perEpoch:  make([][]int, kp.Epochs()),
 		keyOps:    make(map[string]int),
+		earliest:  make(map[string]model.Time),
+		before:    make(map[moveKey]int),
 	}
 	for e := range st.perEpoch {
-		st.perEpoch[e] = make([]int, shards)
+		st.perEpoch[e] = make([]int, kp.Base.Shards)
 	}
+	return st, nil
+}
 
-	// Pass 1: route every client operation to (epoch, shard), deferring
-	// operations on moving keys out of each drain window and settle
-	// window. Deferred instants are spread one nanosecond apart so the
-	// deferral pileup keeps a deterministic total order.
-	buckets := make([][]routedInv, shards)
-	earliest := make(map[string]model.Time) // key -> earliest final invocation instant
-	before := make(map[moveKey]int)         // client operations on each move's source before it
-	total := 0
-	moves := func(mi int, key string) bool {
-		return maps[mi].ShardOf(key) != maps[mi+1].ShardOf(key)
-	}
-	err = ss.Workload.ForEachOp(ss.Params, ss.Seed, func(op workload.KeyOp, ord int) error {
-		t := op.At
-		e := kp.EpochAt(t)
-		for {
-			adjusted := false
-			if e > 0 {
-				if c := kp.Migrations[e-1].At; moves(e-1, op.Key) && t < c+st.drain {
-					st.deferred++
-					t = c + st.drain + model.Time(st.deferred)
-					adjusted = true
-				}
-			}
-			if e < len(kp.Migrations) {
-				if c := kp.Migrations[e].At; moves(e, op.Key) && t >= c-st.drain {
-					st.deferred++
-					t = c + st.drain + model.Time(st.deferred)
-					adjusted = true
-				}
-			}
-			if !adjusted {
-				break
-			}
-			e = kp.EpochAt(t) // a settle window can reach past the next cutover
-		}
-		op.At = t
-		inv, err := op.Invocation()
-		if err != nil {
-			return err
-		}
-		sh := maps[e].ShardOf(op.Key)
-		buckets[sh] = append(buckets[sh], routedInv{inv: inv, ord: ord})
-		for mi := e; mi < len(kp.Migrations); mi++ {
-			if moves(mi, op.Key) && maps[mi].ShardOf(op.Key) == sh {
-				before[moveKey{mi, op.Key}]++
-			}
-		}
-		st.perEpoch[e][sh]++
-		st.keyOps[op.Key]++
-		if first, ok := earliest[op.Key]; !ok || t < first {
-			earliest[op.Key] = t
-		}
-		total++
-		return nil
-	})
-	if err != nil {
-		return fail(err)
-	}
+// moves reports whether migration mi relocates key.
+func (st *migrateState) moves(mi int, key string) bool {
+	return st.maps[mi].ShardOf(key) != st.maps[mi+1].ShardOf(key)
+}
 
-	// Pass 2: in cutover order, give every moved key touched before the
-	// cutover a handoff on its destination, one nanosecond apart from the
-	// cutover on: a placeholder runPhased holds in place and binds.
-	for k, mig := range kp.Migrations {
+// place routes a client operation to the shard its epoch's map names,
+// deferring operations on moving keys out of each drain window and settle
+// window. Deferred
+// instants are spread one nanosecond apart so the deferral pileup keeps a
+// deterministic total order.
+func (st *migrateState) place(op workload.KeyOp) (int, model.Time) {
+	kp := &st.plan
+	t := op.At
+	e := kp.EpochAt(t)
+	for {
+		adjusted := false
+		if e > 0 {
+			if c := kp.Migrations[e-1].At; st.moves(e-1, op.Key) && t < c+st.drain {
+				st.deferred++
+				t = c + st.drain + model.Time(st.deferred)
+				adjusted = true
+			}
+		}
+		if e < len(kp.Migrations) {
+			if c := kp.Migrations[e].At; st.moves(e, op.Key) && t >= c-st.drain {
+				st.deferred++
+				t = c + st.drain + model.Time(st.deferred)
+				adjusted = true
+			}
+		}
+		if !adjusted {
+			break
+		}
+		e = kp.EpochAt(t) // a settle window can reach past the next cutover
+	}
+	sh := st.maps[e].ShardOf(op.Key)
+	for mi := e; mi < len(kp.Migrations); mi++ {
+		if st.moves(mi, op.Key) && st.maps[mi].ShardOf(op.Key) == sh {
+			st.before[moveKey{mi, op.Key}]++
+		}
+	}
+	st.perEpoch[e][sh]++
+	st.keyOps[op.Key]++
+	if first, ok := st.earliest[op.Key]; !ok || t < first {
+		st.earliest[op.Key] = t
+	}
+	return sh, t
+}
+
+// extra gives, in cutover order, every moved key touched before the
+// cutover a handoff on its destination, one nanosecond apart from the
+// cutover on: a placeholder runPhased holds in place and binds.
+func (st *migrateState) extra() []placed {
+	var out []placed
+	for k, mig := range st.plan.Migrations {
 		var moved []string
-		for key, first := range earliest {
-			if moves(k, key) && first < mig.At {
+		for key, first := range st.earliest {
+			if st.moves(k, key) && first < mig.At {
 				moved = append(moved, key)
 			}
 		}
 		sort.Strings(moved)
 		for i, key := range moved {
-			h := handoffSpec{key: key, mig: k, from: maps[k].ShardOf(key), to: maps[k+1].ShardOf(key),
-				inv: workload.Invocation{At: mig.At + model.Time(i), Proc: model.ProcessID(i % ss.Params.N)},
-				ops: before[moveKey{k, key}]}
+			h := handoffSpec{key: key, mig: k, from: st.maps[k].ShardOf(key), to: st.maps[k+1].ShardOf(key),
+				inv: workload.Invocation{At: mig.At + model.Time(i), Proc: model.ProcessID(i % st.procs)},
+				ops: st.before[moveKey{k, key}]}
 			placeholder := h.inv
 			placeholder.Kind, placeholder.Arg = types.OpPut, types.KV{Key: key}
-			buckets[h.to] = append(buckets[h.to], routedInv{inv: placeholder, ord: total + len(st.handoffs)})
+			out = append(out, placed{shard: h.to, inv: placeholder})
 			st.handoffs = append(st.handoffs, h)
 		}
 	}
+	return out
+}
 
-	// Materialize the per-shard scenarios, exactly like the static path.
-	plan := shardPlan{ss: ss, mig: st, shards: make([]workload.Shard, shards)}
-	st.held = make([][]int, shards)
-	label := ss.Workload.Name
-	if label == "" {
-		label = "sharded"
-	}
-	var scs []Scenario
-	for i, b := range buckets {
-		slices.SortFunc(b, func(x, y routedInv) int {
-			return cmp.Or(cmp.Compare(x.inv.At, y.inv.At), cmp.Compare(x.ord, y.ord))
-		})
-		invs := make([]workload.Invocation, len(b))
-		for j, r := range b {
-			invs[j] = r.inv
-			if r.ord >= total {
-				h := &st.handoffs[r.ord-total]
-				h.slot, h.hold = j, len(st.held[i])
-				st.held[i] = append(st.held[i], j)
-			}
-		}
-		if len(invs) > 0 {
-			plan.run = append(plan.run, i)
-			scs = append(scs, ss.shardScenario(i, workload.Spec{Name: fmt.Sprintf("%s/shard=%d", label, i), Explicit: invs}))
-		}
-	}
-	return plan, scs, nil
+// slotted records that handoff x is index j of shard s's schedule.
+func (st *migrateState) slotted(x, s, j int) {
+	h := &st.handoffs[x]
+	h.slot, h.hold = j, len(st.held[s])
+	st.held[s] = append(st.held[s], j)
 }
 
 // runPhased runs every shard once, on the workers ws, with its handoffs
@@ -528,7 +494,7 @@ func (r *simRun) read(key string) (spec.Value, error) {
 
 // positions returns each shard's index in p.run, or -1 if it does not run.
 func (p *shardPlan) positions() []int {
-	pos := slices.Repeat([]int{-1}, len(p.shards))
+	pos := slices.Repeat([]int{-1}, p.shards)
 	for i, s := range p.run {
 		pos[s] = i
 	}

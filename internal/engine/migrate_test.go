@@ -347,12 +347,6 @@ func TestShardedMigrationGuards(t *testing.T) {
 	base := handoffScenario()
 
 	ss := base
-	ss.Workload.Partition = func(string, int) int { return 0 }
-	if _, err := engine.RunSharded(ss); err == nil || !strings.Contains(err.Error(), "Partition") {
-		t.Errorf("plan alongside Workload.Partition accepted: %v", err)
-	}
-
-	ss = base
 	ss.Workload.Shards = 5 // plan's base map has 2
 	if _, err := engine.RunSharded(ss); err == nil {
 		t.Error("shard-count mismatch accepted")

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -48,15 +50,14 @@ type ShardedScenario struct {
 	Verify bool
 	// Horizon bounds each shard simulation; zero picks a generous default.
 	Horizon model.Time
-	// Plan, when set, replaces the workload's partition function with a
+	// Plan, when set, replaces the workload's own placement with a
 	// versioned range partition map plus a migration schedule
 	// (internal/keyspace): operations route by the map of their ownership
 	// epoch, each migration runs drain-then-cutover with a synthetic
 	// state-transfer write, and — with Verify — every migrated key's
 	// history is split at the handoff and recomposed through check.Compose
 	// (see migrate.go). The plan's base map decides the shard count;
-	// Workload.Partition must be nil and Workload.Shards must be 0 or
-	// match.
+	// Workload.Shards must be 0 or match.
 	Plan *keyspace.Plan
 	// Drain is the quiesce window before each cutover: operations on
 	// moving keys offered within Drain of the cutover are deferred past
@@ -104,35 +105,115 @@ func (ss ShardedScenario) resolved() ShardedScenario {
 // shardPlan carries the expansion bookkeeping from expand to merge.
 type shardPlan struct {
 	ss     ShardedScenario
-	shards []workload.Shard // every shard, including empty ones
-	run    []int            // indices into shards of the scenarios actually run
-	mig    *migrateState    // migration bookkeeping; nil without a Plan
+	shards int           // the partition size, empty shards included
+	run    []int         // the shards whose scenarios actually run
+	mig    *migrateState // migration bookkeeping; nil without a Plan
 }
 
 // expand partitions the keyed workload and derives one Scenario per
-// non-empty shard. Empty shards (keys whose explicit schedule holds no
-// operations) contribute no history and are vacuously linearizable, so
-// they are planned but not run. Scenarios with a migration plan route by
-// ownership epoch instead (migrate.go).
+// non-empty shard, placing each operation by the workload's own
+// partition or, with a Plan, by ownership epoch (migrate.go). Empty
+// shards (keys whose explicit schedule holds no operations) contribute no
+// history and are vacuously linearizable, so they are planned but not
+// run.
 func (ss ShardedScenario) expand() (shardPlan, []Scenario, error) {
-	if ss.Plan != nil {
-		return ss.expandMigrating()
-	}
 	ss = ss.resolved()
-	shards, err := ss.Workload.Expand(ss.Params, ss.Seed)
+	plan := shardPlan{ss: ss}
+	var pl placement
+	var err error
+	if ss.Plan != nil {
+		plan.mig, err = ss.migration()
+		plan.shards, pl = ss.Plan.Base.Shards, plan.mig
+	} else {
+		var place func(key string) int
+		plan.shards, place, err = ss.Workload.Placement()
+		pl = staticPlacement(place)
+	}
+	var scs []Scenario
+	if err == nil {
+		scs, err = plan.route(pl)
+	}
 	if err != nil {
 		return shardPlan{}, nil, fmt.Errorf("engine: sharded scenario %q: %w", ss.Name, err)
 	}
-	plan := shardPlan{ss: ss, shards: shards}
-	var scs []Scenario
-	for i, sh := range shards {
-		if len(sh.Spec.Explicit) == 0 {
-			continue
-		}
-		plan.run = append(plan.run, i)
-		scs = append(scs, ss.shardScenario(sh.Index, sh.Spec))
-	}
 	return plan, scs, nil
+}
+
+// A placement decides where a sharded run's keyed operations go: place
+// returns an operation's shard and the instant it is offered there, which
+// a deferral may move; extra, called once every operation is placed,
+// returns invocations to queue behind them; slotted learns that extra
+// invocation x landed at index j of shard s's schedule.
+type placement interface {
+	place(op workload.KeyOp) (int, model.Time)
+	extra() []placed
+	slotted(x, s, j int)
+}
+
+// placed is an invocation bound for a shard.
+type placed struct {
+	shard int
+	inv   workload.Invocation
+}
+
+// staticPlacement places every operation by its key alone.
+type staticPlacement func(key string) int
+
+func (f staticPlacement) place(op workload.KeyOp) (int, model.Time) { return f(op.Key), op.At }
+func (staticPlacement) extra() []placed                             { return nil }
+func (staticPlacement) slotted(x, s, j int)                         {}
+
+// route is the one bucketer of keyed operations into shard schedules. It
+// walks the workload's operations (ForEachOp), puts each on the shard pl
+// places it on, queues pl's extra invocations behind them, and derives a
+// scenario for every non-empty shard, its schedule sorted by (At,
+// generation order). It runs serially before the worker pool, so the
+// shard scenarios — and therefore the merged report — stay bit-identical
+// at any worker count.
+func (p *shardPlan) route(pl placement) ([]Scenario, error) {
+	type ordered struct {
+		inv workload.Invocation
+		ord int
+	}
+	ss := p.ss
+	buckets := make([][]ordered, p.shards)
+	total := 0
+	err := ss.Workload.ForEachOp(ss.Params, ss.Seed, func(op workload.KeyOp, ord int) error {
+		var s int
+		s, op.At = pl.place(op)
+		inv, err := op.Invocation()
+		if err != nil {
+			return err
+		}
+		buckets[s] = append(buckets[s], ordered{inv: inv, ord: ord})
+		total++
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for x, e := range pl.extra() {
+		buckets[e.shard] = append(buckets[e.shard], ordered{inv: e.inv, ord: total + x})
+	}
+	label := cmp.Or(ss.Workload.Name, "sharded")
+	var scs []Scenario
+	for s, b := range buckets {
+		slices.SortFunc(b, func(x, y ordered) int {
+			return cmp.Or(cmp.Compare(x.inv.At, y.inv.At), cmp.Compare(x.ord, y.ord))
+		})
+		invs := make([]workload.Invocation, len(b))
+		for j, r := range b {
+			invs[j] = r.inv
+			if r.ord >= total {
+				pl.slotted(r.ord-total, s, j)
+			}
+		}
+		if len(invs) > 0 {
+			p.run = append(p.run, s)
+			scs = append(scs, ss.shardScenario(s, workload.Spec{Name: fmt.Sprintf("%s/shard=%d", label, s), Explicit: invs}))
+		}
+	}
+	return scs, nil
 }
 
 // Scenarios returns the per-shard engine scenarios the sharded scenario
@@ -342,10 +423,10 @@ func (p shardPlan) merge(rep Report) ShardedReport {
 		Name:   p.ss.Name,
 		Shards: rep.Results,
 	}
-	out.Stats.Shards = len(p.shards)
-	out.Stats.Empty = len(p.shards) - len(p.run)
+	out.Stats.Shards = p.shards
+	out.Stats.Empty = p.shards - len(p.run)
 	out.Stats.MinOps = -1 // sentinel until the first shard (or empty shard) is folded
-	out.Stats.PerShardOps = make([]int, len(p.shards))
+	out.Stats.PerShardOps = make([]int, p.shards)
 
 	// On the streaming path the cross-shard latency aggregate folds
 	// through OnlineStats sketches — constant memory per kind instead of

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"timebounds/internal/engine"
+	"timebounds/internal/keyspace"
 	"timebounds/internal/model"
 	"timebounds/internal/types"
 	"timebounds/internal/workload"
@@ -226,5 +227,31 @@ func TestShardedEmptyShardVacuous(t *testing.T) {
 	}
 	if !rep.Linearizable() {
 		t.Fatal("an empty shard is vacuously linearizable")
+	}
+}
+
+// TestShardedKeyOutsideKeySpaceRejectedOnEveryPath: an explicit operation
+// on an undeclared key fails the run whether the workload's own partition
+// or a migration plan's map routes it.
+func TestShardedKeyOutsideKeySpaceRejectedOnEveryPath(t *testing.T) {
+	ss := engine.ShardedScenario{
+		Params: model.Params{N: 3, D: 10 * time.Millisecond, U: 4 * time.Millisecond},
+		Workload: workload.Sharded{
+			Keys:   []string{"a", "b"},
+			Shards: 2,
+			Explicit: []workload.KeyOp{
+				workload.Put(0, 0, "a", 1),
+				workload.Put(time.Millisecond, 1, "b", 2),
+				workload.Put(2*time.Millisecond, 2, "zzz", 3),
+			},
+		},
+	}
+	planned := ss
+	planned.Plan = &keyspace.Plan{Base: keyspace.RangePartition(keyspace.Space{N: 26}, 2)}
+	for name, ss := range map[string]engine.ShardedScenario{"static": ss, "plan": planned} {
+		_, err := engine.RunSharded(ss)
+		if err == nil || !strings.Contains(err.Error(), `explicit operation on key "zzz" outside the declared key space`) {
+			t.Errorf("%s: RunSharded error = %v, want the undeclared key rejected", name, err)
+		}
 	}
 }

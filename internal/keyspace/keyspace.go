@@ -388,7 +388,6 @@ func (w Workload) Stream(p model.Params, seed int64, fn func(op workload.KeyOp) 
 // engine.ShardedScenario instead — the plan's partition map overrides
 // hashing.
 func (w Workload) Sharded(shards int) workload.Sharded {
-	ops := w.Ops
 	return workload.Sharded{
 		Name:     w.label(),
 		Shards:   shards,
@@ -396,7 +395,6 @@ func (w Workload) Sharded(shards int) workload.Sharded {
 		StreamOps: func(p model.Params, seed int64, fn func(op workload.KeyOp) error) error {
 			return w.Stream(p, seed, fn)
 		},
-		StreamLen: ops,
 	}
 }
 

@@ -272,7 +272,7 @@ func TestWorkloadRate(t *testing.T) {
 func TestWorkloadSharded(t *testing.T) {
 	w := Workload{Space: Space{N: 5000}, Model: Zipf{}, Ops: 120}
 	s := w.Sharded(8)
-	if s.Name != "zipf(1.2)/5000keys" || s.Shards != 8 || s.KeySpace != 5000 || s.StreamLen != 120 {
+	if s.Name != "zipf(1.2)/5000keys" || s.Shards != 8 || s.KeySpace != 5000 {
 		t.Fatalf("Sharded spec = %+v", s)
 	}
 	if s.StreamOps == nil {

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
@@ -11,25 +10,25 @@ import (
 )
 
 // A Sharded spec is the keyed analogue of Spec: a key space plus a per-key
-// operation stream, partitioned into shards. Each shard becomes one
-// ordinary explicit Spec over a dictionary object restricted to the
-// shard's keys; the engine runs one isolated sub-cluster per shard and
-// composes the per-shard verdicts (linearizability is local, so the
-// composed store is linearizable iff every shard is — see
-// internal/check.Compose).
+// operation stream, partitioned into shards. ForEachOp generates the
+// keyed operations and Placement says which shard each key's run on; the
+// engine buckets them into one ordinary explicit Spec per shard over a
+// dictionary object, runs one isolated sub-cluster per shard and composes
+// the per-shard verdicts (linearizability is local, so the composed store
+// is linearizable iff every shard is — see internal/check.Compose).
 type Sharded struct {
 	// Name labels the workload in reports ("" is fine).
 	Name string
 	// Keys is the key space. May be left empty when Explicit is set, in
 	// which case the key space is derived from the explicit operations in
-	// first-appearance order.
+	// first-appearance order; when set, an explicit operation on any other
+	// key is rejected, whatever partitions the run.
 	Keys []string
 	// Shards is the number of sub-clusters the key space is partitioned
-	// into; 0 means one shard per key (the finest partition).
+	// into, clamped to the key space; 0 means one shard per key (the
+	// finest partition). Placement maps keys to shards; an engine
+	// migration plan's partition map replaces it.
 	Shards int
-	// Partition maps a key to a shard index in [0, shards); nil means
-	// FNV-1a hash partitioning. It must be a pure function.
-	Partition func(key string, shards int) int
 	// PerKey generates each key's operation stream. Its Mix defaults to a
 	// put/get/delete mix on the key itself; Explicit inside PerKey is
 	// rejected (use the Sharded.Explicit hook for handcrafted schedules).
@@ -45,9 +44,6 @@ type Sharded struct {
 	// touched, never by the universe size. The stream must be a pure
 	// function of (p, seed).
 	StreamOps func(p model.Params, seed int64, fn func(op KeyOp) error) error
-	// StreamLen is the number of operations StreamOps emits, used to size
-	// buffers up front; 0 is allowed (buffers grow).
-	StreamLen int
 	// KeySpace is the size of the streaming key universe, used to clamp
 	// the shard count; required (> 0) when StreamOps is set.
 	KeySpace int
@@ -101,13 +97,9 @@ func keyOpOf(inv Invocation, key string) (KeyOp, error) {
 	return op, nil
 }
 
-// Invocation translates the keyed operation into its dictionary form —
-// the exported face of the translation Expand applies, for routers
-// (engine migration expansion) that bucket KeyOps themselves.
-func (op KeyOp) Invocation() (Invocation, error) { return op.invocation() }
-
-// invocation translates the keyed operation into its dictionary form.
-func (op KeyOp) invocation() (Invocation, error) {
+// Invocation translates the keyed operation into its dictionary form, the
+// invocation its shard runs.
+func (op KeyOp) Invocation() (Invocation, error) {
 	inv := Invocation{At: op.At, Proc: op.Proc, Kind: op.Kind}
 	switch op.Kind {
 	case types.OpPut:
@@ -153,42 +145,47 @@ func (s Sharded) keySpace() ([]string, error) {
 	return keys, nil
 }
 
-// ShardCount returns the effective shard count for the given key space
-// size: Shards clamped to [1, keys], with 0 meaning one shard per key.
-func (s Sharded) ShardCount(keys int) int {
-	n := s.Shards
-	if n <= 0 || n > keys {
-		n = keys
+// Placement is the spec's static partition: the shard count, and the
+// shard of each key. A finest split (Shards 0, or at least one shard per
+// key) gives each key the shard at its key-space position, where hashing
+// could only collide; a coarser one hashes the key with FNV-1a, once per
+// touched key. A streaming spec always hashes, over Shards clamped to
+// KeySpace, and must set Shards: one shard per key would materialize the
+// universe.
+func (s Sharded) Placement() (int, func(key string) int, error) {
+	shards := s.Shards
+	if s.StreamOps != nil {
+		if shards <= 0 {
+			return 0, nil, fmt.Errorf("workload: streaming sharded spec %q needs explicit Shards ≥ 1", s.Name)
+		}
+		if err := s.streaming(); err != nil {
+			return 0, nil, err
+		}
+		shards = min(shards, s.KeySpace)
+	} else {
+		keys, err := s.keySpace()
+		if err != nil {
+			return 0, nil, err
+		}
+		if shards <= 0 || shards >= len(keys) {
+			pos := make(map[string]int, len(keys))
+			for i, k := range keys {
+				pos[k] = i
+			}
+			return len(keys), func(key string) int { return pos[key] }, nil
+		}
 	}
-	return n
-}
-
-// hashShard is the default partition: FNV-1a of the key, mod shards.
-func hashShard(key string, shards int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(shards))
-}
-
-// shardOf places the key at key-space position pos: the explicit
-// Partition if set; otherwise each key gets its own shard when the
-// partition is finest (shards == keys, so hashing could only collide),
-// and FNV hashing when it is coarser. Out-of-range placements from a
-// buggy Partition are rejected.
-func (s Sharded) shardOf(key string, pos, shards, keyCount int) (int, error) {
-	var idx int
-	switch {
-	case s.Partition != nil:
-		idx = s.Partition(key, shards)
-	case shards == keyCount:
-		idx = pos
-	default:
-		idx = hashShard(key, shards)
-	}
-	if idx < 0 || idx >= shards {
-		return 0, fmt.Errorf("workload: partition placed key %q in shard %d of %d", key, idx, shards)
-	}
-	return idx, nil
+	memo := make(map[string]int)
+	return shards, func(key string) int {
+		idx, ok := memo[key]
+		if !ok {
+			h := fnv.New32a()
+			h.Write([]byte(key))
+			idx = int(h.Sum32() % uint32(shards))
+			memo[key] = idx
+		}
+		return idx
+	}, nil
 }
 
 // keySeed derives the per-key schedule seed: independent streams per key,
@@ -211,30 +208,27 @@ func keyMix(key string) OpMix {
 	}
 }
 
-// Shard is one expanded shard: its keys and the merged explicit Spec the
-// engine runs on the shard's own dictionary sub-cluster.
-type Shard struct {
-	// Index is the shard's position in [0, ShardCount).
-	Index int
-	// Keys are the shard's keys, in key-space order.
-	Keys []string
-	// Spec is the shard's explicit operation schedule.
-	Spec Spec
+// streaming reports why a StreamOps spec cannot stream, or nil.
+func (s Sharded) streaming() error {
+	if len(s.Keys) > 0 || len(s.Explicit) > 0 {
+		return fmt.Errorf("workload: sharded spec %q sets StreamOps alongside Keys/Explicit; a streaming spec is the whole schedule", s.Name)
+	}
+	if s.KeySpace <= 0 {
+		return fmt.Errorf("workload: streaming sharded spec %q needs KeySpace > 0", s.Name)
+	}
+	return nil
 }
 
 // ForEachOp walks every keyed operation of the spec in generation order —
-// the ord tie-break Expand sorts with: explicit operations in slice order,
-// per-key generated streams key by key, or the StreamOps stream. It is the
-// one iterator behind Expand's streaming path and the engine's
-// migration-aware routing, and never materializes more than one key's
-// schedule at a time.
+// the ord tie-break a shard schedule sorts with: explicit operations in
+// slice order, per-key generated streams key by key, or the StreamOps
+// stream. It is the one generator of a sharded run's operations, checks
+// the key space once for every route that reads it, and never
+// materializes more than one key's schedule at a time.
 func (s Sharded) ForEachOp(p model.Params, seed int64, fn func(op KeyOp, ord int) error) error {
 	if s.StreamOps != nil {
-		if len(s.Keys) > 0 || len(s.Explicit) > 0 {
-			return fmt.Errorf("workload: sharded spec %q sets StreamOps alongside Keys/Explicit; a streaming spec is the whole schedule", s.Name)
-		}
-		if s.KeySpace <= 0 {
-			return fmt.Errorf("workload: streaming sharded spec %q needs KeySpace > 0", s.Name)
+		if err := s.streaming(); err != nil {
+			return err
 		}
 		ord := 0
 		return s.StreamOps(p, seed, func(op KeyOp) error {
@@ -242,6 +236,10 @@ func (s Sharded) ForEachOp(p model.Params, seed int64, fn func(op KeyOp, ord int
 			ord++
 			return err
 		})
+	}
+	keys, err := s.keySpace()
+	if err != nil {
+		return err
 	}
 	if len(s.Explicit) > 0 {
 		for ord, op := range s.Explicit {
@@ -253,10 +251,6 @@ func (s Sharded) ForEachOp(p model.Params, seed int64, fn func(op KeyOp, ord int
 	}
 	if len(s.PerKey.Explicit) > 0 {
 		return fmt.Errorf("workload: sharded spec %q sets PerKey.Explicit; use Sharded.Explicit for handcrafted schedules", s.Name)
-	}
-	keys, err := s.keySpace()
-	if err != nil {
-		return err
 	}
 	ord := 0
 	for _, key := range keys {
@@ -281,162 +275,4 @@ func (s Sharded) ForEachOp(p model.Params, seed int64, fn func(op KeyOp, ord int
 		}
 	}
 	return nil
-}
-
-// expandStream is Expand for streaming specs: one pass over the stream,
-// bucketing operations into shards by the partition function. Memory is
-// O(operations + touched keys) — the key universe (KeySpace) is never
-// enumerated, which is the whole point of the streaming path.
-func (s Sharded) expandStream(p model.Params, seed int64) ([]Shard, error) {
-	if s.Shards <= 0 {
-		// "One shard per key" would materialize the universe; a streaming
-		// spec must pick its partition size.
-		return nil, fmt.Errorf("workload: streaming sharded spec %q needs explicit Shards ≥ 1", s.Name)
-	}
-	shards := s.ShardCount(s.KeySpace)
-	out := make([]Shard, shards)
-	for i := range out {
-		out[i].Index = i
-	}
-	type timed struct {
-		inv Invocation
-		ord int
-	}
-	buckets := make([][]timed, shards)
-	touched := make(map[string]int) // key -> shard, also the dedup set
-	err := s.ForEachOp(p, seed, func(op KeyOp, ord int) error {
-		idx, ok := touched[op.Key]
-		if !ok {
-			var err error
-			if idx, err = s.shardOf(op.Key, -1, shards, -1); err != nil {
-				return err
-			}
-			touched[op.Key] = idx
-			out[idx].Keys = append(out[idx].Keys, op.Key)
-		}
-		inv, err := op.invocation()
-		if err != nil {
-			return err
-		}
-		buckets[idx] = append(buckets[idx], timed{inv: inv, ord: ord})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	name := s.Name
-	if name == "" {
-		name = "sharded"
-	}
-	for i := range out {
-		sort.Strings(out[i].Keys)
-		b := buckets[i]
-		sort.SliceStable(b, func(x, y int) bool {
-			if b[x].inv.At != b[y].inv.At {
-				return b[x].inv.At < b[y].inv.At
-			}
-			return b[x].ord < b[y].ord
-		})
-		invs := make([]Invocation, len(b))
-		for j, t := range b {
-			invs[j] = t.inv
-		}
-		out[i].Spec = Spec{
-			Name:     fmt.Sprintf("%s/shard=%d", name, i),
-			Explicit: invs,
-		}
-	}
-	return out, nil
-}
-
-// Expand partitions the key space and merges each shard's per-key
-// operation streams into one explicit Spec per shard, ordered by
-// invocation time (ties in key-space order). The result is a pure
-// function of (spec, p, seed): same inputs ⇒ identical shards, which is
-// what makes engine-level sharded reports bit-reproducible.
-func (s Sharded) Expand(p model.Params, seed int64) ([]Shard, error) {
-	if s.StreamOps != nil {
-		return s.expandStream(p, seed)
-	}
-	keys, err := s.keySpace()
-	if err != nil {
-		return nil, err
-	}
-	shards := s.ShardCount(len(keys))
-	out := make([]Shard, shards)
-	for i := range out {
-		out[i].Index = i
-	}
-	place := make(map[string]int, len(keys))
-	for i, k := range keys {
-		idx, err := s.shardOf(k, i, shards, len(keys))
-		if err != nil {
-			return nil, err
-		}
-		place[k] = idx
-		out[idx].Keys = append(out[idx].Keys, k)
-	}
-
-	type timed struct {
-		inv Invocation
-		ord int // global generation order, the tie-break
-	}
-	buckets := make([][]timed, shards)
-	add := func(key string, inv Invocation, ord int) {
-		idx := place[key]
-		buckets[idx] = append(buckets[idx], timed{inv: inv, ord: ord})
-	}
-
-	if len(s.Explicit) > 0 {
-		for ord, op := range s.Explicit {
-			inv, err := op.invocation()
-			if err != nil {
-				return nil, err
-			}
-			add(op.Key, inv, ord)
-		}
-	} else {
-		if len(s.PerKey.Explicit) > 0 {
-			return nil, fmt.Errorf("workload: sharded spec %q sets PerKey.Explicit; use Sharded.Explicit for handcrafted schedules", s.Name)
-		}
-		ord := 0
-		for _, key := range keys {
-			per := s.PerKey
-			if per.Mix == nil && len(per.PerProcess) == 0 {
-				per.Mix = keyMix(key)
-			}
-			per = per.WithDefaults(p, nil)
-			sched, err := per.Schedule(p, keySeed(seed, key))
-			if err != nil {
-				return nil, fmt.Errorf("workload: key %q: %w", key, err)
-			}
-			for _, inv := range sched.Invocations {
-				add(key, inv, ord)
-				ord++
-			}
-		}
-	}
-
-	name := s.Name
-	if name == "" {
-		name = "sharded"
-	}
-	for i := range out {
-		b := buckets[i]
-		sort.SliceStable(b, func(x, y int) bool {
-			if b[x].inv.At != b[y].inv.At {
-				return b[x].inv.At < b[y].inv.At
-			}
-			return b[x].ord < b[y].ord
-		})
-		invs := make([]Invocation, len(b))
-		for j, t := range b {
-			invs[j] = t.inv
-		}
-		out[i].Spec = Spec{
-			Name:     fmt.Sprintf("%s/shard=%d", name, i),
-			Explicit: invs,
-		}
-	}
-	return out, nil
 }

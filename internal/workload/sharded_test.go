@@ -1,12 +1,14 @@
-package workload
+package workload_test
 
 import (
 	"reflect"
 	"testing"
 	"time"
 
+	"timebounds/internal/engine"
 	"timebounds/internal/model"
 	"timebounds/internal/types"
+	"timebounds/internal/workload"
 )
 
 func shardedParams() model.Params {
@@ -15,160 +17,123 @@ func shardedParams() model.Params {
 	return p
 }
 
+// walk returns the spec's keyed operations in generation order.
+func walk(t *testing.T, s workload.Sharded, p model.Params, seed int64) []workload.KeyOp {
+	t.Helper()
+	var ops []workload.KeyOp
+	if err := s.ForEachOp(p, seed, func(op workload.KeyOp, ord int) error {
+		if ord != len(ops) {
+			t.Fatalf("ord %d at position %d", ord, len(ops))
+		}
+		ops = append(ops, op)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return ops
+}
+
+// placement returns the spec's shard count and the shard of every key,
+// failing the test on an out-of-range placement.
+func placement(t *testing.T, s workload.Sharded, keys []string) (int, map[string]int) {
+	t.Helper()
+	shards, place, err := s.Placement()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := make(map[string]int, len(keys))
+	for _, k := range keys {
+		at[k] = place(k)
+		if at[k] < 0 || at[k] >= shards {
+			t.Fatalf("key %q placed in shard %d of %d", k, at[k], shards)
+		}
+	}
+	return shards, at
+}
+
+// scenarios routes the spec through the engine into its shard scenarios.
+func scenarios(s workload.Sharded) ([]engine.Scenario, error) {
+	return engine.ShardedScenario{Params: shardedParams(), Seed: 1, Workload: s}.Scenarios()
+}
+
 func TestShardedExpandDeterministic(t *testing.T) {
-	s := Sharded{
+	s := workload.Sharded{
 		Keys:   []string{"alpha", "beta", "gamma", "delta", "epsilon"},
 		Shards: 2,
-		PerKey: Spec{OpsPerProcess: 3},
+		PerKey: workload.Spec{OpsPerProcess: 3},
 	}
 	p := shardedParams()
-	a, err := s.Expand(p, 42)
-	if err != nil {
-		t.Fatal(err)
+	a, b := walk(t, s, p, 42), walk(t, s, p, 42)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("identical walks generated different operations")
 	}
-	b, err := s.Expand(p, 42)
-	if err != nil {
-		t.Fatal(err)
+	if shards, at := placement(t, s, s.Keys); shards != 2 {
+		t.Fatalf("placed over %d shards, want 2", shards)
+	} else if _, again := placement(t, s, s.Keys); !reflect.DeepEqual(at, again) {
+		t.Fatalf("placements differ: %v vs %v", at, again)
 	}
-	if len(a) != 2 {
-		t.Fatalf("expanded to %d shards, want 2", len(a))
-	}
-	for i := range a {
-		if !reflect.DeepEqual(a[i].Keys, b[i].Keys) {
-			t.Fatalf("shard %d keys differ across expansions: %v vs %v", i, a[i].Keys, b[i].Keys)
-		}
-		if !reflect.DeepEqual(a[i].Spec.Explicit, b[i].Spec.Explicit) {
-			t.Fatalf("shard %d schedules differ across identical expansions", i)
-		}
-	}
-	c, err := s.Expand(p, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range a {
-		if !reflect.DeepEqual(a[i].Spec.Explicit, c[i].Spec.Explicit) {
-			same = false
-		}
-	}
-	if same {
+	if reflect.DeepEqual(a, walk(t, s, p, 43)) {
 		t.Fatal("different seeds should draw different per-key schedules")
 	}
 }
 
 func TestShardedPartitionCoversEveryKeyOnce(t *testing.T) {
-	s := Sharded{
+	s := workload.Sharded{
 		Keys:   []string{"a", "b", "c", "d", "e", "f", "g"},
 		Shards: 3,
-		PerKey: Spec{OpsPerProcess: 1},
+		PerKey: workload.Spec{OpsPerProcess: 1},
 	}
-	shards, err := s.Expand(shardedParams(), 1)
-	if err != nil {
-		t.Fatal(err)
+	shards, at := placement(t, s, s.Keys)
+	if shards != 3 {
+		t.Fatalf("placed over %d shards, want 3", shards)
 	}
-	seen := make(map[string]int)
-	for _, sh := range shards {
-		for _, k := range sh.Keys {
-			seen[k]++
+	touched := make(map[string]bool)
+	for _, op := range walk(t, s, shardedParams(), 1) {
+		if _, ok := at[op.Key]; !ok {
+			t.Fatalf("operation on key %q outside the key space", op.Key)
 		}
+		touched[op.Key] = true
 	}
-	for _, k := range s.Keys {
-		if seen[k] != 1 {
-			t.Fatalf("key %q placed in %d shards, want exactly 1", k, seen[k])
-		}
-	}
-}
-
-func TestShardedExplicitPartitionFunc(t *testing.T) {
-	order := []string{"a", "b", "c", "d"}
-	s := Sharded{
-		Keys:   order,
-		Shards: 2,
-		// Round-robin by key-space position via a lookup, so the function
-		// stays pure in its (key, shards) arguments.
-		Partition: func(key string, shards int) int {
-			for i, k := range order {
-				if k == key {
-					return i % shards
-				}
-			}
-			return 0
-		},
-		PerKey: Spec{OpsPerProcess: 1},
-	}
-	shards, err := s.Expand(shardedParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := shards[0].Keys; !reflect.DeepEqual(got, []string{"a", "c"}) {
-		t.Fatalf("shard 0 keys = %v, want [a c]", got)
-	}
-	if got := shards[1].Keys; !reflect.DeepEqual(got, []string{"b", "d"}) {
-		t.Fatalf("shard 1 keys = %v, want [b d]", got)
-	}
-}
-
-func TestShardedOutOfRangePartitionRejected(t *testing.T) {
-	s := Sharded{
-		Keys:      []string{"a", "b"},
-		Shards:    2,
-		Partition: func(string, int) int { return 7 },
-		PerKey:    Spec{OpsPerProcess: 1},
-	}
-	if _, err := s.Expand(shardedParams(), 1); err == nil {
-		t.Fatal("an out-of-range partition must be rejected")
+	if len(touched) != len(s.Keys) {
+		t.Fatalf("operations touched %d of the %d keys", len(touched), len(s.Keys))
 	}
 }
 
 func TestShardedZeroShardsMeansOnePerKey(t *testing.T) {
-	s := Sharded{Keys: []string{"x", "y", "z"}, PerKey: Spec{OpsPerProcess: 1}}
-	shards, err := s.Expand(shardedParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 3 {
-		t.Fatalf("Shards=0 expanded to %d shards, want one per key", len(shards))
-	}
-	for _, sh := range shards {
-		if len(sh.Keys) != 1 {
-			t.Fatalf("shard %d holds keys %v, want exactly one", sh.Index, sh.Keys)
-		}
+	s := workload.Sharded{Keys: []string{"x", "y", "z"}, PerKey: workload.Spec{OpsPerProcess: 1}}
+	shards, at := placement(t, s, s.Keys)
+	if want := map[string]int{"x": 0, "y": 1, "z": 2}; shards != 3 || !reflect.DeepEqual(at, want) {
+		t.Fatalf("Shards=0 placed %v over %d shards, want %v: one per key, in key-space order", at, shards, want)
 	}
 }
 
 func TestShardedShardsClampedToKeySpace(t *testing.T) {
-	s := Sharded{Keys: []string{"x", "y"}, Shards: 10, PerKey: Spec{OpsPerProcess: 1}}
-	shards, err := s.Expand(shardedParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 2 {
-		t.Fatalf("10 shards over 2 keys expanded to %d shards, want 2", len(shards))
+	s := workload.Sharded{Keys: []string{"x", "y"}, Shards: 10, PerKey: workload.Spec{OpsPerProcess: 1}}
+	if shards, _ := placement(t, s, s.Keys); shards != 2 {
+		t.Fatalf("10 shards over 2 keys placed over %d shards, want 2", shards)
 	}
 }
 
 func TestShardedExplicitScheduleRoutesByKey(t *testing.T) {
-	s := Sharded{
-		Explicit: []KeyOp{
-			Put(0, 0, "k1", 1),
-			Put(time.Millisecond, 1, "k2", "v"),
-			Get(2*time.Millisecond, 2, "k1"),
-			Del(3*time.Millisecond, 0, "k2"),
+	s := workload.Sharded{
+		Explicit: []workload.KeyOp{
+			workload.Put(0, 0, "k1", 1),
+			workload.Put(time.Millisecond, 1, "k2", "v"),
+			workload.Get(2*time.Millisecond, 2, "k1"),
+			workload.Del(3*time.Millisecond, 0, "k2"),
 		},
 	}
-	shards, err := s.Expand(shardedParams(), 1)
-	if err != nil {
-		t.Fatal(err)
+	// The derived key space is the explicit keys in first-appearance order.
+	if shards, at := placement(t, s, []string{"k1", "k2"}); shards != 2 || at["k1"] != 0 || at["k2"] != 1 {
+		t.Fatalf("derived key space placed %v over %d shards, want k1→0, k2→1", at, shards)
 	}
-	if len(shards) != 2 {
-		t.Fatalf("derived key space expanded to %d shards, want 2 (one per key)", len(shards))
-	}
-	byKey := make(map[string][]Invocation)
-	for _, sh := range shards {
-		if len(sh.Keys) != 1 {
-			t.Fatalf("shard holds keys %v, want one", sh.Keys)
+	byKey := make(map[string][]workload.Invocation)
+	for _, op := range walk(t, s, shardedParams(), 1) {
+		inv, err := op.Invocation()
+		if err != nil {
+			t.Fatal(err)
 		}
-		byKey[sh.Keys[0]] = sh.Spec.Explicit
+		byKey[op.Key] = append(byKey[op.Key], inv)
 	}
 	k1 := byKey["k1"]
 	if len(k1) != 2 || k1[0].Kind != types.OpPut || k1[1].Kind != types.OpDictGet {
@@ -187,20 +152,23 @@ func TestShardedExplicitScheduleRoutesByKey(t *testing.T) {
 }
 
 func TestShardedExplicitSchedulesSortedByTime(t *testing.T) {
-	s := Sharded{
+	s := workload.Sharded{
 		Keys:   []string{"a", "b"},
 		Shards: 1,
-		Explicit: []KeyOp{
-			Put(5*time.Millisecond, 0, "a", 1),
-			Put(time.Millisecond, 1, "b", 2),
-			Get(3*time.Millisecond, 2, "a"),
+		Explicit: []workload.KeyOp{
+			workload.Put(5*time.Millisecond, 0, "a", 1),
+			workload.Put(time.Millisecond, 1, "b", 2),
+			workload.Get(3*time.Millisecond, 2, "a"),
 		},
 	}
-	shards, err := s.Expand(shardedParams(), 1)
+	scs, err := scenarios(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	invs := shards[0].Spec.Explicit
+	if len(scs) != 1 || len(scs[0].Workload.Explicit) != 3 {
+		t.Fatalf("routed into %d shards, want all 3 operations on one", len(scs))
+	}
+	invs := scs[0].Workload.Explicit
 	for i := 1; i < len(invs); i++ {
 		if invs[i].At < invs[i-1].At {
 			t.Fatalf("shard schedule out of time order at %d: %v", i, invs)
@@ -209,17 +177,20 @@ func TestShardedExplicitSchedulesSortedByTime(t *testing.T) {
 }
 
 func TestShardedValidation(t *testing.T) {
-	p := shardedParams()
-	cases := map[string]Sharded{
+	cases := map[string]workload.Sharded{
 		"no keys":           {},
-		"duplicate keys":    {Keys: []string{"a", "a"}, PerKey: Spec{OpsPerProcess: 1}},
-		"undeclared key":    {Keys: []string{"a"}, Explicit: []KeyOp{Put(0, 0, "b", 1)}},
-		"non-dict keyed op": {Explicit: []KeyOp{{At: 0, Proc: 0, Kind: types.OpRead, Key: "a"}}},
-		"per-key explicit":  {Keys: []string{"a"}, PerKey: Spec{Explicit: []Invocation{{Kind: types.OpPut}}}},
+		"duplicate keys":    {Keys: []string{"a", "a"}, PerKey: workload.Spec{OpsPerProcess: 1}},
+		"undeclared key":    {Keys: []string{"a"}, Explicit: []workload.KeyOp{workload.Put(0, 0, "b", 1)}},
+		"non-dict keyed op": {Explicit: []workload.KeyOp{{At: 0, Proc: 0, Kind: types.OpRead, Key: "a"}}},
+		"per-key explicit":  {Keys: []string{"a"}, PerKey: workload.Spec{Explicit: []workload.Invocation{{Kind: types.OpPut}}}},
 	}
 	for name, s := range cases {
-		if _, err := s.Expand(p, 1); err == nil {
-			t.Errorf("%s: expected an expansion error", name)
+		if _, err := scenarios(s); err == nil {
+			t.Errorf("%s: expected a routing error", name)
 		}
+	}
+	// ForEachOp itself rejects an undeclared key, whatever routes the walk.
+	if err := cases["undeclared key"].ForEachOp(shardedParams(), 1, func(workload.KeyOp, int) error { return nil }); err == nil {
+		t.Error("ForEachOp walked an operation on an undeclared key")
 	}
 }

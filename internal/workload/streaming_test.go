@@ -1,4 +1,4 @@
-package workload
+package workload_test
 
 import (
 	"errors"
@@ -9,29 +9,30 @@ import (
 
 	"timebounds/internal/model"
 	"timebounds/internal/types"
+	"timebounds/internal/workload"
 )
 
 // streamSpec is a small deterministic streaming workload over an oversized
 // key universe: only a handful of keys are touched, which is what the
 // constant-memory claim rests on.
-func streamSpec(ops int) Sharded {
-	return Sharded{
+func streamSpec(ops int) workload.Sharded {
+	return workload.Sharded{
 		Name:     "stream",
 		Shards:   3,
 		KeySpace: 1_000_000,
-		StreamOps: func(p model.Params, seed int64, fn func(op KeyOp) error) error {
+		StreamOps: func(p model.Params, seed int64, fn func(op workload.KeyOp) error) error {
 			at := p.D
 			for i := 0; i < ops; i++ {
 				key := fmt.Sprintf("key-%06d", (i*3+int(seed))%7)
 				proc := model.ProcessID(i % p.N)
-				var op KeyOp
+				var op workload.KeyOp
 				switch i % 3 {
 				case 0:
-					op = Put(at, proc, key, i)
+					op = workload.Put(at, proc, key, i)
 				case 1:
-					op = Get(at, proc, key)
+					op = workload.Get(at, proc, key)
 				default:
-					op = Del(at, proc, key)
+					op = workload.Del(at, proc, key)
 				}
 				if err := fn(op); err != nil {
 					return err
@@ -40,59 +41,59 @@ func streamSpec(ops int) Sharded {
 			}
 			return nil
 		},
-		StreamLen: ops,
 	}
 }
 
 func TestStreamingExpandDeterministic(t *testing.T) {
 	s := streamSpec(60)
 	p := shardedParams()
-	a, err := s.Expand(p, 42)
-	if err != nil {
-		t.Fatal(err)
+	a := walk(t, s, p, 42)
+	if !reflect.DeepEqual(a, walk(t, s, p, 42)) {
+		t.Fatal("streaming walk not deterministic")
 	}
-	b, err := s.Expand(p, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("streaming expansion not deterministic")
-	}
-	c, err := s.Expand(p, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a, c) {
+	if reflect.DeepEqual(a, walk(t, s, p, 43)) {
 		t.Fatal("different seeds produced identical streams")
+	}
+	keys := make([]string, len(a))
+	for i, op := range a {
+		keys[i] = op.Key
+	}
+	if shards, at := placement(t, s, keys); shards != 3 {
+		t.Fatalf("placed over %d shards, want 3", shards)
+	} else if _, again := placement(t, s, keys); !reflect.DeepEqual(at, again) {
+		t.Fatalf("streaming placements differ: %v vs %v", at, again)
 	}
 }
 
 func TestStreamingExpandCoversStream(t *testing.T) {
-	s := streamSpec(60)
-	p := shardedParams()
-	shards, err := s.Expand(p, 1)
+	scs, err := scenarios(streamSpec(60))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shards) != 3 {
-		t.Fatalf("expanded to %d shards, want 3", len(shards))
+	if len(scs) != 3 {
+		t.Fatalf("routed into %d shards, want 3", len(scs))
 	}
-	totalOps, totalKeys := 0, 0
-	seen := map[string]int{}
-	for i, sh := range shards {
-		if sh.Index != i {
-			t.Fatalf("shard %d has index %d", i, sh.Index)
+	totalOps := 0
+	shardOf := map[string]int{}
+	for i, sc := range scs {
+		if want := fmt.Sprintf("stream/shard=%d", i); sc.Workload.Name != want {
+			t.Fatalf("shard name %q, want %q", sc.Workload.Name, want)
 		}
-		if want := fmt.Sprintf("stream/shard=%d", i); sh.Spec.Name != want {
-			t.Fatalf("shard name %q, want %q", sh.Spec.Name, want)
-		}
-		totalOps += len(sh.Spec.Explicit)
-		totalKeys += len(sh.Keys)
-		for _, k := range sh.Keys {
-			seen[k]++
-		}
-		for j := 1; j < len(sh.Spec.Explicit); j++ {
-			if sh.Spec.Explicit[j].At < sh.Spec.Explicit[j-1].At {
+		invs := sc.Workload.Explicit
+		totalOps += len(invs)
+		for j, inv := range invs {
+			key, ok := inv.Arg.(string)
+			if kv, isKV := inv.Arg.(types.KV); isKV {
+				key, ok = kv.Key, true
+			}
+			if !ok {
+				t.Fatalf("shard %d invocation %d carries %T", i, j, inv.Arg)
+			}
+			if s, seen := shardOf[key]; seen && s != i {
+				t.Fatalf("key %q routed to shards %d and %d", key, s, i)
+			}
+			shardOf[key] = i
+			if j > 0 && inv.At < invs[j-1].At {
 				t.Fatalf("shard %d schedule out of order at %d", i, j)
 			}
 		}
@@ -100,53 +101,22 @@ func TestStreamingExpandCoversStream(t *testing.T) {
 	if totalOps != 60 {
 		t.Fatalf("shards hold %d ops, want 60", totalOps)
 	}
-	// Only the touched keys (7 of the million) appear, each exactly once.
-	if totalKeys != 7 {
-		t.Fatalf("shards hold %d keys, want the 7 touched", totalKeys)
-	}
-	for k, n := range seen {
-		if n != 1 {
-			t.Fatalf("key %q assigned to %d shards", k, n)
-		}
-	}
-}
-
-func TestStreamingRoutesByPartition(t *testing.T) {
-	s := streamSpec(30)
-	s.Partition = func(key string, shards int) int { return 1 } // everything on shard 1
-	shards, err := s.Expand(shardedParams(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards[0].Spec.Explicit) != 0 || len(shards[2].Spec.Explicit) != 0 {
-		t.Fatal("constant partition leaked ops off shard 1")
-	}
-	if len(shards[1].Spec.Explicit) != 30 {
-		t.Fatalf("shard 1 holds %d ops, want 30", len(shards[1].Spec.Explicit))
+	// Only the touched keys (7 of the million) appear, each on one shard.
+	if len(shardOf) != 7 {
+		t.Fatalf("shards hold %d keys, want the 7 touched", len(shardOf))
 	}
 }
 
 func TestForEachOpStreamOrdinals(t *testing.T) {
 	s := streamSpec(10)
 	p := shardedParams()
-	next := 0
-	err := s.ForEachOp(p, 1, func(op KeyOp, ord int) error {
-		if ord != next {
-			t.Fatalf("ord %d, want %d", ord, next)
-		}
-		next++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != 10 {
-		t.Fatalf("iterated %d ops, want 10", next)
+	if n := len(walk(t, s, p, 1)); n != 10 {
+		t.Fatalf("iterated %d ops, want 10", n)
 	}
 	// Errors from fn stop the walk and propagate.
 	sentinel := errors.New("stop")
 	calls := 0
-	err = s.ForEachOp(p, 1, func(KeyOp, int) error {
+	err := s.ForEachOp(p, 1, func(workload.KeyOp, int) error {
 		calls++
 		if calls == 3 {
 			return sentinel
@@ -158,92 +128,45 @@ func TestForEachOpStreamOrdinals(t *testing.T) {
 	}
 }
 
-func TestForEachOpMatchesExpandModes(t *testing.T) {
-	p := shardedParams()
-	for name, s := range map[string]Sharded{
-		"explicit": {
-			Explicit: []KeyOp{
-				Put(p.D, 0, "a", 1),
-				Get(p.D+time.Millisecond, 1, "b"),
-				Del(p.D+2*time.Millisecond, 2, "a"),
-			},
-		},
-		"perkey": {
-			Keys:   []string{"a", "b"},
-			Shards: 2,
-			PerKey: Spec{OpsPerProcess: 2},
-		},
-	} {
-		var walked []KeyOp
-		if err := s.ForEachOp(p, 9, func(op KeyOp, ord int) error {
-			if ord != len(walked) {
-				t.Fatalf("%s: ord %d at position %d", name, ord, len(walked))
-			}
-			walked = append(walked, op)
-			return nil
-		}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// The walk carries exactly the ops Expand buckets.
-		shards, err := s.Expand(p, 9)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		total := 0
-		for _, sh := range shards {
-			total += len(sh.Spec.Explicit)
-		}
-		if total != len(walked) {
-			t.Fatalf("%s: walk saw %d ops, expansion %d", name, len(walked), total)
-		}
-	}
-}
-
 func TestStreamingSpecGuards(t *testing.T) {
 	p := shardedParams()
 	base := streamSpec(5)
 
 	s := base
 	s.Keys = []string{"a"}
-	if _, err := s.Expand(p, 1); err == nil {
+	if _, err := scenarios(s); err == nil {
 		t.Error("StreamOps alongside Keys accepted")
 	}
 
 	s = base
-	s.Explicit = []KeyOp{Put(p.D, 0, "a", 1)}
-	if _, err := s.Expand(p, 1); err == nil {
+	s.Explicit = []workload.KeyOp{workload.Put(p.D, 0, "a", 1)}
+	if _, err := scenarios(s); err == nil {
 		t.Error("StreamOps alongside Explicit accepted")
 	}
 
 	s = base
 	s.KeySpace = 0
-	if _, err := s.Expand(p, 1); err == nil {
+	if _, err := scenarios(s); err == nil {
 		t.Error("streaming spec without KeySpace accepted")
 	}
 
 	s = base
 	s.Shards = 0
-	if _, err := s.Expand(p, 1); err == nil {
+	if _, err := scenarios(s); err == nil {
 		t.Error("streaming spec with one-shard-per-key accepted (would materialize the universe)")
 	}
 
 	s = base
-	s.Partition = func(string, int) int { return 99 }
-	if _, err := s.Expand(p, 1); err == nil {
-		t.Error("out-of-range partition accepted on the streaming path")
+	s.StreamOps = func(p model.Params, seed int64, fn func(op workload.KeyOp) error) error {
+		return fn(workload.KeyOp{At: p.D, Kind: "bogus", Key: "a"})
 	}
-
-	s = base
-	s.StreamOps = func(p model.Params, seed int64, fn func(op KeyOp) error) error {
-		return fn(KeyOp{At: p.D, Kind: "bogus", Key: "a"})
-	}
-	if _, err := s.Expand(p, 1); err == nil {
+	if _, err := scenarios(s); err == nil {
 		t.Error("non-dictionary op kind accepted")
 	}
 }
 
 func TestKeyOpInvocation(t *testing.T) {
-	put := Put(time.Second, 1, "k", "v")
+	put := workload.Put(time.Second, 1, "k", "v")
 	inv, err := put.Invocation()
 	if err != nil {
 		t.Fatal(err)
@@ -251,11 +174,11 @@ func TestKeyOpInvocation(t *testing.T) {
 	if inv.Kind != types.OpPut || inv.Arg != (types.KV{Key: "k", Value: "v"}) {
 		t.Fatalf("put invocation = %+v", inv)
 	}
-	get, err := Get(time.Second, 1, "k").Invocation()
+	get, err := workload.Get(time.Second, 1, "k").Invocation()
 	if err != nil || get.Arg != "k" {
 		t.Fatalf("get invocation = %+v, %v", get, err)
 	}
-	if _, err := (KeyOp{Kind: "bogus"}).Invocation(); err == nil {
+	if _, err := (workload.KeyOp{Kind: "bogus"}).Invocation(); err == nil {
 		t.Fatal("bogus kind accepted")
 	}
 }
