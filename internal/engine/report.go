@@ -179,38 +179,45 @@ type Result struct {
 // outcomes of a premature tuning, and the theorem dichotomy is judged
 // across the whole family — by Report.OK and Report.Err via
 // WitnessFamilies — not per run.
-func (r Result) OK() bool {
-	if r.Err != "" {
-		return false
-	}
-	if r.Fault != nil {
+func (r Result) OK() bool { return r.failure() == nil }
+
+// failure is the one verdict decision for a single run: why it failed, as
+// Report.Err words it, or nil when it is OK.
+func (r Result) failure() error {
+	switch {
+	case r.Err != "":
+		return fmt.Errorf("engine: scenario %q: %s", r.Name, r.Err)
+	case r.Fault != nil:
 		// A faulted run is OK when it completed and landed on one of the
 		// dichotomy's two horns — the broken horn is a valid outcome, not
 		// a failure. Verdict completeness is judged per family.
-		return r.Fault.Verdict != ""
-	}
-	if r.Witness != nil {
-		return true
-	}
-	if r.Live != nil && r.Live.Undertuned() {
+		if r.Fault.Verdict == "" {
+			return fmt.Errorf("engine: scenario %q: faulted run produced no dichotomy verdict", r.Name)
+		}
+		return nil
+	case r.Witness != nil:
+		return nil // violations and divergence are judged per family
+	case r.Live != nil && r.Live.Undertuned():
 		// A deliberately under-tuned live run is the premature-tuning
 		// adversary on the wall clock: breaking (violation, divergence) or
 		// bound-level latency are its expected outcomes. It fails only by
 		// falsifying the dichotomy.
-		return r.Live.Dichotomy()
-	}
-	if !r.Converged {
-		return false
-	}
-	if r.Checked && !r.Linearizable {
-		return false
+		if !r.Live.Dichotomy() {
+			return fmt.Errorf("engine: scenario %q: under-tuned live run linearizable, converged, and below every estimated bound — dichotomy falsified", r.Name)
+		}
+		return nil
+	case !r.Converged:
+		return fmt.Errorf("engine: scenario %q: %s", r.Name, r.Diverged)
+	case r.Checked && !r.Linearizable:
+		return fmt.Errorf("engine: scenario %q: history not linearizable", r.Name)
 	}
 	for _, b := range r.Bounds {
 		if !b.OK {
-			return false
+			return fmt.Errorf("engine: scenario %q: %s worst latency %s exceeds bound %s",
+				r.Name, b.Class, b.Measured, b.Bound)
 		}
 	}
-	return true
+	return nil
 }
 
 // WorstLatency returns the largest completed-operation latency of the run.
@@ -249,19 +256,7 @@ type Report struct {
 // OK reports whether every scenario run is OK and every adversary run
 // family upholds its witness dichotomy — the same verdict Err reports,
 // as a boolean.
-func (r Report) OK() bool {
-	for _, res := range r.Results {
-		if !res.OK() {
-			return false
-		}
-	}
-	for _, f := range r.WitnessFamilies() {
-		if !f.Holds() {
-			return false
-		}
-	}
-	return true
-}
+func (r Report) OK() bool { return r.Err() == nil }
 
 // Err returns the first scenario failure as an error, or nil. Witness
 // scenarios fail only when their family's witness dichotomy breaks (every
@@ -269,35 +264,8 @@ func (r Report) OK() bool {
 // violations a premature tuning is expected to produce.
 func (r Report) Err() error {
 	for _, res := range r.Results {
-		if res.Err != "" {
-			return fmt.Errorf("engine: scenario %q: %s", res.Name, res.Err)
-		}
-		if res.Fault != nil {
-			if res.Fault.Verdict == "" {
-				return fmt.Errorf("engine: scenario %q: faulted run produced no dichotomy verdict", res.Name)
-			}
-			continue // the broken horn is a valid faulted-run outcome
-		}
-		if res.Witness != nil {
-			continue // violations and divergence are judged per family below
-		}
-		if res.Live != nil && res.Live.Undertuned() {
-			if !res.Live.Dichotomy() {
-				return fmt.Errorf("engine: scenario %q: under-tuned live run linearizable, converged, and below every estimated bound — dichotomy falsified", res.Name)
-			}
-			continue // breaking is the expected outcome of under-tuning
-		}
-		if !res.Converged {
-			return fmt.Errorf("engine: scenario %q: %s", res.Name, res.Diverged)
-		}
-		if res.Checked && !res.Linearizable {
-			return fmt.Errorf("engine: scenario %q: history not linearizable", res.Name)
-		}
-		for _, b := range res.Bounds {
-			if !b.OK {
-				return fmt.Errorf("engine: scenario %q: %s worst latency %s exceeds bound %s",
-					res.Name, b.Class, b.Measured, b.Bound)
-			}
+		if err := res.failure(); err != nil {
+			return err
 		}
 	}
 	for _, f := range r.WitnessFamilies() {
