@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-adversary test-faults test-keyspace test-live fuzz-smoke bench cover vet vet-json fmt examples
+.PHONY: build test test-adversary test-faults test-keyspace test-live fuzz-smoke bench cover vet vet-json fmt examples loc
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,13 @@ fmt:
 
 test: vet
 	$(GO) test -race ./...
+
+# Size, the two numbers ROADMAP tracks per change: non-test Go lines
+# outside the benchmark module and test data, and the line count of the
+# facade's exported surface (testdata/api.golden).
+loc:
+	@printf 'non-test LOC: '; find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs cat | wc -l
+	@printf 'api.golden lines: '; wc -l < testdata/api.golden
 
 # Coverage summary per package (uploaded as a CI artifact).
 cover:
