@@ -11,7 +11,7 @@ import (
 
 // A Sharded spec is the keyed analogue of Spec: a key space plus a per-key
 // operation stream, partitioned into shards. ForEachOp generates the
-// keyed operations and Placement says which shard each key's run on; the
+// keyed operations and Placement says which shard each key runs on; the
 // engine buckets them into one ordinary explicit Spec per shard over a
 // dictionary object, runs one isolated sub-cluster per shard and composes
 // the per-shard verdicts (linearizability is local, so the composed store
