@@ -16,7 +16,7 @@ import (
 	"timebounds/internal/workload"
 )
 
-var updateRouting = flag.Bool("update", false, "rewrite testdata/sharded-routing.golden from the current routing")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
 
 // TestShardedRoutingGolden pins how every shape of keyed workload is
 // routed into shard schedules: per shape, each shard scenario's name and
@@ -79,7 +79,7 @@ func TestShardedRoutingGolden(t *testing.T) {
 		}
 	}
 	path := filepath.Join("testdata", "sharded-routing.golden")
-	if *updateRouting {
+	if *updateGolden {
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
