@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -376,7 +376,7 @@ func (sc Scenario) runLive(w *worker) Result {
 	for class := range samples {
 		classes = append(classes, class)
 	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+	slices.Sort(classes)
 
 	lr := &LiveReport{
 		Transport:       tr.Name(),
@@ -395,7 +395,7 @@ func (sc Scenario) runLive(w *worker) Result {
 	res.Bounds = res.Bounds[:0]
 	for _, class := range classes {
 		ls := samples[class]
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+		slices.Sort(ls)
 		idx := (len(ls)*99 + 99) / 100
 		if idx >= len(ls) {
 			idx = len(ls) - 1

@@ -3,7 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"timebounds/internal/check"
 	"timebounds/internal/core"
@@ -518,7 +518,7 @@ func boundChecks(sc Scenario, dt spec.DataType, perKind map[spec.OpKind]workload
 	for class := range worst {
 		classes = append(classes, class)
 	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+	slices.Sort(classes)
 	out := make([]BoundCheck, 0, len(classes))
 	for _, class := range classes {
 		bound := sc.Backend.Bound(sc.Params, sc.X, class)

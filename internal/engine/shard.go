@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"timebounds/internal/check"
@@ -534,7 +533,7 @@ func (p shardPlan) merge(rep Report) ShardedReport {
 	for class := range worstByClass {
 		classes = append(classes, class)
 	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+	slices.Sort(classes)
 	for _, class := range classes {
 		bound := p.ss.Backend.Bound(p.ss.Params, p.ss.X, class)
 		out.Bounds = append(out.Bounds, BoundCheck{

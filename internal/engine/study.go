@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -332,7 +333,7 @@ func (s Study) runPoint(ctx context.Context, e *Engine, load float64, probe bool
 	for class := range agg.PerClass {
 		classes = append(classes, class)
 	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+	slices.Sort(classes)
 	for _, class := range classes {
 		cs := agg.PerClass[class]
 		cl := ClassLoad{

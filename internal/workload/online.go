@@ -3,7 +3,7 @@ package workload
 import (
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
@@ -155,7 +155,7 @@ func (s *OnlineStats) Percentile(p int) model.Time {
 	}
 	// Bucket indexes order by magnitude, so a sorted scan visits
 	// observations in nondecreasing value order.
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i] < buckets[j] })
+	slices.Sort(buckets)
 	var seen int64
 	for _, b := range buckets {
 		seen += s.sketch[b]

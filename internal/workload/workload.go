@@ -6,7 +6,7 @@ package workload
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"timebounds/internal/check"
 	"timebounds/internal/core"
@@ -210,7 +210,7 @@ func Summarize(h *history.History) map[spec.OpKind]Stats {
 func SummarizeSamples(byKind map[spec.OpKind][]model.Time) map[spec.OpKind]Stats {
 	out := make(map[spec.OpKind]Stats, len(byKind))
 	for kind, ls := range byKind {
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+		slices.Sort(ls)
 		var sum int64
 		for _, l := range ls {
 			sum += int64(l)
