@@ -126,23 +126,20 @@ type naiveRegister struct {
 
 var _ sim.Process = (*naiveRegister)(nil)
 
-type naiveWrite struct{ v spec.Value }
-
 func (r *naiveRegister) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg spec.Value) {
 	switch kind {
 	case types.OpWrite:
 		r.value = arg
-		env.Broadcast(naiveWrite{v: arg})
+		env.Broadcast(sim.Msg{Arg: arg}) // the written value
 		env.Respond(id, nil)
 	case types.OpRead:
 		env.Respond(id, r.value)
 	}
 }
 
-func (r *naiveRegister) OnMessage(_ sim.Env, _ model.ProcessID, payload any) {
-	if m, ok := payload.(naiveWrite); ok {
-		r.value = m.v
-	}
+// OnMessage adopts a written value: every message is a write.
+func (r *naiveRegister) OnMessage(_ sim.Env, _ model.ProcessID, m sim.Msg) {
+	r.value = m.Arg
 }
 
 func (r *naiveRegister) OnTimer(sim.Env, any) {}

@@ -18,18 +18,15 @@ import (
 	"timebounds/internal/spec"
 )
 
-// request is the client→coordinator message of the centralized scheme.
-type request struct {
-	ID   history.OpID
-	Kind spec.OpKind
-	Arg  spec.Value
-}
-
-// response is the coordinator→client reply.
-type response struct {
-	ID  history.OpID
-	Ret spec.Value
-}
+// The tags of the centralized scheme's messages (sim.Msg.Tag).
+const (
+	// msgRequest is the client→coordinator message: the operation in Op,
+	// Kind and Arg.
+	msgRequest uint8 = iota + 1
+	// msgResponse is the coordinator→client reply: the operation in Op,
+	// its return value in Arg.
+	msgResponse
+)
 
 // Centralized is one process of the centralized implementation. The process
 // with id Coordinator owns the object; all others forward their operations
@@ -51,23 +48,27 @@ func NewCentralized(coordinator model.ProcessID, dt spec.DataType) *Centralized 
 }
 
 // OnInvoke implements sim.Process.
+//
+//tb:hotpath
 func (c *Centralized) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg spec.Value) {
 	if env.Self() == c.Coordinator {
 		env.Certify(id, c.order.Next(c.dt.Class(kind)))
 		env.Respond(id, c.state.Apply(kind, arg))
 		return
 	}
-	env.Send(c.Coordinator, request{ID: id, Kind: kind, Arg: arg})
+	env.Send(c.Coordinator, sim.Msg{Tag: msgRequest, Op: id, Kind: kind, Arg: arg})
 }
 
 // OnMessage implements sim.Process.
-func (c *Centralized) OnMessage(env sim.Env, from model.ProcessID, payload any) {
-	switch m := payload.(type) {
-	case request:
-		env.Certify(m.ID, c.order.Next(c.dt.Class(m.Kind)))
-		env.Send(from, response{ID: m.ID, Ret: c.state.Apply(m.Kind, m.Arg)})
-	case response:
-		env.Respond(m.ID, m.Ret)
+//
+//tb:hotpath
+func (c *Centralized) OnMessage(env sim.Env, from model.ProcessID, m sim.Msg) {
+	switch m.Tag {
+	case msgRequest:
+		env.Certify(m.Op, c.order.Next(c.dt.Class(m.Kind)))
+		env.Send(from, sim.Msg{Tag: msgResponse, Op: m.Op, Arg: c.state.Apply(m.Kind, m.Arg)})
+	case msgResponse:
+		env.Respond(m.Op, m.Arg)
 	}
 }
 

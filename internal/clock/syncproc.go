@@ -7,11 +7,6 @@ import (
 	"timebounds/internal/spec"
 )
 
-// reading carries the sender's clock value at send time.
-type reading struct {
-	Clock model.Time
-}
-
 // startSync is the timer payload that kicks off a process's broadcast.
 type startSync struct{}
 
@@ -76,16 +71,12 @@ func (s *SyncProcess) OnTimer(env sim.Env, payload any) {
 	if _, ok := payload.(startSync); !ok {
 		return
 	}
-	env.Broadcast(reading{Clock: env.ClockTime()})
+	env.Broadcast(sim.Msg{Clock: env.ClockTime()}) // a reading: the clock at send time
 	s.maybeFinish(env)
 }
 
-// OnMessage implements sim.Process.
-func (s *SyncProcess) OnMessage(env sim.Env, _ model.ProcessID, payload any) {
-	msg, ok := payload.(reading)
-	if !ok {
-		return
-	}
+// OnMessage implements sim.Process: every message is a reading.
+func (s *SyncProcess) OnMessage(env sim.Env, _ model.ProcessID, msg sim.Msg) {
 	// The sender's clock showed msg.Clock when it sent; assuming the
 	// midpoint delay d-u/2, the sender's clock now reads
 	// msg.Clock + (d - u/2). The difference to our own clock estimates

@@ -121,10 +121,10 @@ func TestCrashRecoverResyncsDictAndConverges(t *testing.T) {
 // sendEnv records what a replica sends; the rest of sim.Env is unused.
 type sendEnv struct {
 	sim.Env
-	sent []any
+	sent []sim.Msg
 }
 
-func (e *sendEnv) Send(_ model.ProcessID, payload any) { e.sent = append(e.sent, payload) }
+func (e *sendEnv) Send(_ model.ProcessID, m sim.Msg) { e.sent = append(e.sent, m) }
 
 // TestResyncDonorSharesItsState: the state a serving replica sends to a
 // syncing peer must keep its encoding while the donor executes further
@@ -142,11 +142,11 @@ func TestResyncDonorSharesItsState(t *testing.T) {
 	}
 	execute(types.OpPut, types.KV{Key: "a", Value: 1})
 	env := &sendEnv{}
-	r.OnMessage(env, 2, syncReq{})
-	if len(env.sent) != 1 {
-		t.Fatalf("donor sent %d messages, want one syncResp", len(env.sent))
+	r.OnMessage(env, 2, sim.Msg{Tag: msgSyncReq})
+	if len(env.sent) != 1 || env.sent[0].Tag != msgSyncResp {
+		t.Fatalf("donor sent %+v, want one msgSyncResp", env.sent)
 	}
-	sent := env.sent[0].(syncResp).State
+	sent := env.sent[0].Arg
 	want := dt.EncodeState(sent)
 	execute(types.OpPut, types.KV{Key: "a", Value: 2})
 	execute(types.OpPut, types.KV{Key: "b", Value: 3})

@@ -9,17 +9,20 @@ import (
 	"timebounds/internal/spec"
 )
 
-// syncReq solicits a full state copy from serving peers; a recovering
-// replica broadcasts it on restart.
-type syncReq struct{}
-
-// syncResp carries a serving replica's current state to a syncing peer.
-// The donor sends it through ToExecute.Share and the receiver adopts it
-// through SetState, so each clones before its next in-place update and
-// neither sees the other's later operations.
-type syncResp struct {
-	State spec.State
-}
+// The tags of a SimReplica's messages (sim.Msg.Tag).
+const (
+	// msgEntry carries a broadcast Entry: its stamp in Clock and Origin,
+	// its operation in Kind and Arg.
+	msgEntry uint8 = iota + 1
+	// msgSyncReq solicits a full state copy from serving peers; a
+	// recovering replica broadcasts it on restart.
+	msgSyncReq
+	// msgSyncResp carries a serving replica's current state, in Arg, to a
+	// syncing peer. The donor sends it through ToExecute.Share and the
+	// receiver adopts it through SetState, so each clones before its next
+	// in-place update and neither sees the other's later operations.
+	msgSyncResp
+)
 
 // bufferedInvoke is an invocation that arrived while the replica was
 // syncing; it is replayed through OnInvoke once the replica serves again.
@@ -128,13 +131,18 @@ func NewReplica(cfg Config, dt spec.DataType) *SimReplica {
 	return r
 }
 
-// Self, ClockTime, Broadcast, Certify and Respond implement Host on the
-// current Env.
+// Self, ClockTime, Certify and Respond implement Host on the current Env.
 func (r *SimReplica) Self() model.ProcessID                   { return r.env.Self() }
 func (r *SimReplica) ClockTime() model.Time                   { return r.env.ClockTime() }
-func (r *SimReplica) Broadcast(e Entry)                       { r.env.Broadcast(e) }
 func (r *SimReplica) Certify(id history.OpID, c history.Cert) { r.env.Certify(id, c) }
 func (r *SimReplica) Respond(id history.OpID, ret spec.Value) { r.env.Respond(id, ret) }
+
+// Broadcast implements Host: e travels as one msgEntry.
+//
+//tb:hotpath
+func (r *SimReplica) Broadcast(e Entry) {
+	r.env.Broadcast(sim.Msg{Tag: msgEntry, Origin: e.TS.Proc, Clock: e.TS.Clock, Kind: e.Kind, Arg: e.Arg})
+}
 
 // After implements Host: t joins its class's fifo, and a simulator timer
 // carrying that fifo fires after the class's wait.
@@ -178,7 +186,7 @@ func (r *SimReplica) Recover(env sim.Env) {
 		return
 	}
 	_ = r.life.Fire(EvResync, now)
-	env.Broadcast(syncReq{})
+	env.Broadcast(sim.Msg{Tag: msgSyncReq})
 }
 
 // Retire implements sim.Retireable: permanent departure.
@@ -200,26 +208,28 @@ func (r *SimReplica) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, ar
 }
 
 // OnMessage implements sim.Process.
-func (r *SimReplica) OnMessage(env sim.Env, from model.ProcessID, payload any) {
-	switch m := payload.(type) {
-	case Entry:
+//
+//tb:hotpath
+func (r *SimReplica) OnMessage(env sim.Env, from model.ProcessID, m sim.Msg) {
+	switch m.Tag {
+	case msgEntry:
 		// Only a serving replica buffers operations: a syncing one cannot
 		// tell whether its eventual donor state already includes this entry,
 		// so it drops it — any resulting gap surfaces as divergence in the
 		// verdict, not as silent double application.
 		if r.life.CanServe() {
 			r.env = env
-			r.Deliver(m)
+			r.Deliver(Entry{TS: model.Timestamp{Clock: m.Clock, Proc: m.Origin}, Kind: m.Kind, Arg: m.Arg})
 		}
-	case syncReq:
+	case msgSyncReq:
 		if r.life.CanServe() {
-			env.Send(from, syncResp{State: r.exec.Share()})
+			env.Send(from, sim.Msg{Tag: msgSyncResp, Arg: r.exec.Share()})
 		}
-	case syncResp:
+	case msgSyncResp:
 		if r.life.State() != StateSyncing {
 			return
 		}
-		r.exec.SetState(m.State)
+		r.exec.SetState(m.Arg)
 		_ = r.life.Fire(EvSynced, env.ClockTime())
 		// Replay the invocations buffered while syncing, in arrival order.
 		buf := r.joinBuf

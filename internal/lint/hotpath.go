@@ -261,13 +261,21 @@ func (h *hotwalker) checkCall(call *ast.CallExpr) {
 }
 
 // checkCompositeLit reports boxing of elements into interface-typed
-// slots of slice, array, and map literals.
+// slots of struct, slice, array, and map literals.
 func (h *hotwalker) checkCompositeLit(lit *ast.CompositeLit) {
 	t := h.pass.Pkg.Info.TypeOf(lit)
 	if t == nil {
 		return
 	}
 	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i, e := range lit.Elts {
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				h.checkBox(kv.Value, h.pass.Pkg.Info.TypeOf(kv.Key)) // the key resolves to its field
+			} else if i < u.NumFields() {
+				h.checkBox(e, u.Field(i).Type())
+			}
+		}
 	case *types.Slice:
 		h.checkLitElems(lit, u.Elem())
 	case *types.Array:

@@ -31,6 +31,19 @@ func Widen(v int) any {
 	return v // want "value boxed into"
 }
 
+// slot holds any value.
+type slot struct {
+	n int
+	v any
+}
+
+// Pack boxes into a struct literal's interface field, keyed and not.
+//
+//tb:hotpath
+func Pack(v int) (slot, slot) {
+	return slot{n: v, v: v}, slot{v, v} // want "value boxed into" // want "value boxed into"
+}
+
 // Capture lets closures over the loop variable escape.
 //
 //tb:hotpath

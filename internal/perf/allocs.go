@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"time"
 
+	"timebounds/internal/baseline"
 	"timebounds/internal/check"
 	"timebounds/internal/core"
 	"timebounds/internal/engine"
@@ -95,16 +96,23 @@ func AllocBudgets() []AllocBudget {
 		{
 			Name:  "core/replica-wave",
 			Brief: "a write, a read and an rmw wave over a warm 3-replica Algorithm 1 cluster (all four timer classes)",
-			// One box per broadcast entry (the sim's any-typed payload
-			// surface): three writes and three rmws. Timers add none: each
-			// carries its class's FIFO, which reuses its backing array.
-			Budget: 6,
+			// Entries travel as sim.Msg values, and timers carry their
+			// class's FIFO, which reuses its backing array.
+			Budget: 0,
 			Make:   makeReplicaWave,
+		},
+		{
+			Name:  "baseline/centralized-round",
+			Brief: "an rmw on each process of a warm 3-process Centralized cluster: one request/response round per client",
+			// Requests and responses are sim.Msg values, and the
+			// coordinator updates its copy in place.
+			Budget: 0,
+			Make:   makeCentralizedRound,
 		},
 		{
 			Name:   "sim/event-wave",
 			Brief:  "a 4-process invoke/broadcast/timer wave (20 events) through a warm event loop",
-			Budget: 8, // amortized history-record and timer-slice growth only
+			Budget: 0,
 			Make:   makeSimWave,
 		},
 		{
@@ -122,16 +130,15 @@ func AllocBudgets() []AllocBudget {
 		{
 			Name:  "engine/stream-rerun",
 			Brief: "a second Stream of the same 8 small open-loop scenarios on a warm 8-worker Engine",
-			// Counted per stream; the budget is 150 per scenario. The
+			// Counted per stream; the budget is 120 per scenario. The
 			// workers, with their simulator and check arenas, schedule
 			// buffers and sources, are the ones the first stream handed
 			// back, so what is left is each run's own: its Simulator,
 			// replicas, history and Result, plus the stream's goroutines,
-			// channels and caches — 1 140 measured (1 194–1 197 under
-			// -race, whose sync.Pool drops fmt's printers). On a fresh
-			// Engine the same stream costs 1 353 (about 1 436 under -race)
-			// and three times the bytes.
-			Budget: 8 * 150,
+			// channels and caches — 859 measured (916 under -race, whose
+			// sync.Pool drops fmt's printers). On a fresh Engine the same
+			// stream costs 1 072 (1 156 under -race).
+			Budget: 8 * 120,
 			Make:   makeStreamRerun,
 		},
 		{
@@ -143,10 +150,9 @@ func AllocBudgets() []AllocBudget {
 		{
 			Name:  "tob/enqueue-drain",
 			Brief: "sequence, buffer out-of-order, and deliver one 8-message round of total-order broadcast",
-			// One box per stamped message (the sim's any-typed payload
-			// surface); the enqueue buffer itself must contribute zero —
-			// it rewinds to its own backing array when drained.
-			Budget: 8,
+			// Stamped messages are sim.Msg values, and the enqueue buffer
+			// rewinds to its own backing array when drained.
+			Budget: 0,
 			Make:   makeTOBRound,
 		},
 	}
@@ -159,11 +165,7 @@ func makeCheckSteady() func() {
 	h := burstyHistory(dt, 3, 16)
 	arena := check.NewArena()
 	opts := check.Options{Arena: arena, Cache: check.NewCache()}
-	unit := func() { check.CheckOpts(dt, h, opts) }
-	for i := 0; i < 5; i++ {
-		unit()
-	}
-	return unit
+	return warm(func() { check.CheckOpts(dt, h, opts) })
 }
 
 // makeCheckDictCold: a first check of a dict history, where no transition
@@ -172,11 +174,7 @@ func makeCheckDictCold() func() {
 	dt := types.NewDict()
 	h := burstyHistory(dt, 3, 64)
 	arena := check.NewArena()
-	unit := func() { check.CheckOpts(dt, h, check.Options{Arena: arena, Cache: check.NewCache()}) }
-	for i := 0; i < 5; i++ {
-		unit()
-	}
-	return unit
+	return warm(func() { check.CheckOpts(dt, h, check.Options{Arena: arena, Cache: check.NewCache()}) })
 }
 
 // makeCheckCertifiedDict: the dict history of makeCheckDictCold with every
@@ -208,11 +206,7 @@ func makeCheckCertified(dt spec.DataType, key func(history.Record) history.Cert)
 	if !check.CheckOpts(dt, h, opts).Certified {
 		panic("certified budget harness: the certificate does not hold")
 	}
-	unit := func() { check.CheckOpts(dt, h, opts) }
-	for i := 0; i < 5; i++ {
-		unit()
-	}
-	return unit
+	return warm(func() { check.CheckOpts(dt, h, opts) })
 }
 
 // makeDictExecute: Algorithm 1's execution step on a replica's local dict
@@ -230,26 +224,21 @@ func makeDictExecute() func() {
 	for i := range round {
 		round[i] = core.Entry{Kind: types.OpPut, Arg: types.KV{Key: strconv.Itoa(i * 16), Value: -i}}
 	}
-	unit := func() {
+	return warm(func() {
 		for _, e := range round {
 			clock++
 			e.TS = model.Timestamp{Clock: clock}
 			q.Add(e)
 		}
 		q.ExecuteUpTo(model.Timestamp{Clock: clock}, true, 0, nopResponder{})
-	}
-	for i := 0; i < 5; i++ {
-		unit()
-	}
-	return unit
+	})
 }
 
 // makeReplicaWave: Algorithm 1 on the simulator, one wave per operation
 // class — write (MOP), read (AOP), rmw (OOP) — on every process, with the
 // arguments boxed up front.
 func makeReplicaWave() func() {
-	ms := model.Time(time.Millisecond)
-	p := model.Params{N: 3, D: 10 * ms, U: 4 * ms, Epsilon: 2 * ms}
+	p := waveParams(3)
 	c, err := core.NewCluster(core.Config{Params: p}, types.NewRMWRegister(0), sim.Config{
 		Delay: sim.FixedDelay(p.D), StrictDelays: true, DiscardTraces: true})
 	if err != nil {
@@ -257,7 +246,7 @@ func makeReplicaWave() func() {
 	}
 	kinds, args := []spec.OpKind{types.OpWrite, types.OpRead, types.OpRMW}, []spec.Value{1, nil, 2}
 	at := model.Time(0)
-	unit := func() {
+	return warm(func() {
 		for i, kind := range kinds {
 			for proc := 0; proc < p.N; proc++ {
 				c.Invoke(at, model.ProcessID(proc), kind, args[i])
@@ -267,7 +256,50 @@ func makeReplicaWave() func() {
 		if err := c.Run(at); err != nil {
 			panic(err)
 		}
+	})
+}
+
+// makeCentralizedRound: the centralized scheme on the simulator, every
+// process invoking one rmw per round with its argument boxed up front.
+func makeCentralizedRound() func() {
+	procs := make([]sim.Process, 3)
+	for i := range procs {
+		procs[i] = baseline.NewCentralized(0, types.NewRMWRegister(0))
 	}
+	return simRounds(procs, types.OpRMW, 1)
+}
+
+// simRounds returns a unit that invokes kind(arg) on every process of one
+// warm simulator of procs and runs until each has responded.
+func simRounds(procs []sim.Process, kind spec.OpKind, arg spec.Value) func() {
+	p := waveParams(len(procs))
+	s, err := sim.New(sim.Config{Params: p, Delay: sim.FixedDelay(p.D),
+		StrictDelays: true, DiscardTraces: true}, procs)
+	if err != nil {
+		panic(err)
+	}
+	at := model.Time(0)
+	return warm(func() {
+		for proc := range procs {
+			s.Invoke(at, model.ProcessID(proc), kind, arg)
+		}
+		at += 4 * p.D
+		if err := s.Run(at); err != nil {
+			panic(err)
+		}
+	})
+}
+
+// waveParams are the timing parameters of every simulated budget: n
+// processes, d = 10ms, u = 4ms, ε = 2ms.
+func waveParams(n int) model.Params {
+	ms := model.Time(time.Millisecond)
+	return model.Params{N: n, D: 10 * ms, U: 4 * ms, Epsilon: 2 * ms}
+}
+
+// warm runs unit five times, so a budget counts its steady state, and
+// returns it.
+func warm(unit func()) func() {
 	for i := 0; i < 5; i++ {
 		unit()
 	}
@@ -329,58 +361,37 @@ func opArg(rng *rand.Rand, kind spec.OpKind) spec.Value {
 
 // waveProc answers each invocation with a broadcast, a timer, and a
 // response on the timer — the sim package's allocation-test process shape.
-type waveProc struct{}
+// It holds its one operation in flight, so the timer carries no payload:
+// boxing an OpID of 256 or more into one would allocate.
+type waveProc struct{ id history.OpID }
 
-func (waveProc) OnInvoke(env sim.Env, id history.OpID, _ spec.OpKind, _ spec.Value) {
-	env.Broadcast(struct{}{})
-	env.SetTimerAfter(5*model.Time(time.Millisecond), id)
+func (w *waveProc) OnInvoke(env sim.Env, id history.OpID, _ spec.OpKind, _ spec.Value) {
+	w.id = id
+	env.Broadcast(sim.Msg{})
+	env.SetTimerAfter(5*model.Time(time.Millisecond), nil)
 }
-func (waveProc) OnMessage(sim.Env, model.ProcessID, any) {}
-func (waveProc) OnTimer(env sim.Env, payload any) {
-	env.Respond(payload.(history.OpID), nil)
-}
+func (*waveProc) OnMessage(sim.Env, model.ProcessID, sim.Msg) {}
+func (w *waveProc) OnTimer(env sim.Env, _ any)                { env.Respond(w.id, nil) }
 
-func makeSimWave() func() {
-	ms := model.Time(time.Millisecond)
-	p := model.Params{N: 4, D: 10 * ms, U: 4 * ms, Epsilon: 2 * ms}
-	procs := make([]sim.Process, p.N)
+// waveProcs returns n waveProcs.
+func waveProcs(n int) []sim.Process {
+	procs := make([]sim.Process, n)
 	for i := range procs {
-		procs[i] = waveProc{}
+		procs[i] = &waveProc{}
 	}
-	s, err := sim.New(sim.Config{Params: p, Delay: sim.FixedDelay(10 * ms),
-		StrictDelays: true, DiscardTraces: true}, procs)
-	if err != nil {
-		panic(err)
-	}
-	at := model.Time(0)
-	unit := func() {
-		for proc := 0; proc < p.N; proc++ {
-			s.Invoke(at, model.ProcessID(proc), "op", nil)
-		}
-		at += 20 * ms
-		if err := s.Run(at); err != nil {
-			panic(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		unit()
-	}
-	return unit
+	return procs
 }
+
+func makeSimWave() func() { return simRounds(waveProcs(4), "op", nil) }
 
 // makeArenaRerun: one engine worker's per-scenario simulator life cycle —
 // build on storage borrowed from the worker's arena, reserve, run, and
 // recycle — with the processes built up front.
 func makeArenaRerun() func() {
-	ms := model.Time(time.Millisecond)
-	p := model.Params{N: 4, D: 10 * ms, U: 4 * ms, Epsilon: 2 * ms}
-	procs := make([]sim.Process, p.N)
-	for i := range procs {
-		procs[i] = waveProc{}
-	}
-	cfg := sim.Config{Params: p, Delay: sim.FixedDelay(10 * ms),
+	p, procs := waveParams(4), waveProcs(4)
+	cfg := sim.Config{Params: p, Delay: sim.FixedDelay(p.D),
 		StrictDelays: true, DiscardTraces: true, Arena: sim.NewArena()}
-	unit := func() {
+	return warm(func() {
 		s, err := sim.New(cfg, procs)
 		if err != nil {
 			panic(err)
@@ -393,11 +404,7 @@ func makeArenaRerun() func() {
 			panic(err)
 		}
 		s.Recycle()
-	}
-	for i := 0; i < 5; i++ {
-		unit()
-	}
-	return unit
+	})
 }
 
 // streamRerunScenarios are 8 seeds of a small open-loop Algorithm 1
@@ -424,17 +431,13 @@ func streamRerunScenarios() []engine.Scenario {
 func makeStreamRerun() func() {
 	scs := streamRerunScenarios()
 	eng := engine.New(8)
-	unit := func() {
+	return warm(func() {
 		for _, res := range eng.Stream(context.Background(), scs) {
 			if res.Err != "" {
 				panic(res.Err)
 			}
 		}
-	}
-	for i := 0; i < 5; i++ {
-		unit()
-	}
-	return unit
+	})
 }
 
 func makeOnlineObserve() func() {
@@ -451,21 +454,19 @@ func makeOnlineObserve() func() {
 // the broadcast layer alone.
 type drainCount struct{ n int }
 
-func (d *drainCount) Deliver(_ sim.Env, _ int, _ model.ProcessID, _ any) { d.n++ }
+func (d *drainCount) Deliver(sim.Env, sim.Msg) { d.n++ }
 
-// captureEnv is a sim.Env stub that only records Broadcast payloads, so
-// the TOB budget can replay the sequencer's (unexported) stamped messages
-// into a receiving Broadcaster without the full simulator — isolating the
-// enqueue/drain path the budget gates.
-type captureEnv struct{ out []any }
+// captureEnv is a sim.Env stub that only records sent messages, so the
+// TOB budget can replay the sequencer's stamped messages into a receiving
+// Broadcaster without the full simulator — isolating the enqueue/drain
+// path the budget gates.
+type captureEnv struct{ out []sim.Msg }
 
-func (e *captureEnv) Self() model.ProcessID { return 0 }
-func (e *captureEnv) N() int                { return 2 }
-func (e *captureEnv) ClockTime() model.Time { return 0 }
-func (e *captureEnv) Send(_ model.ProcessID, payload any) {
-	e.out = append(e.out, payload)
-}
-func (e *captureEnv) Broadcast(payload any)                     { e.out = append(e.out, payload) }
+func (e *captureEnv) Self() model.ProcessID                     { return 0 }
+func (e *captureEnv) N() int                                    { return 2 }
+func (e *captureEnv) ClockTime() model.Time                     { return 0 }
+func (e *captureEnv) Send(_ model.ProcessID, m sim.Msg)         { e.out = append(e.out, m) }
+func (e *captureEnv) Broadcast(m sim.Msg)                       { e.out = append(e.out, m) }
 func (e *captureEnv) SetTimerAfter(model.Time, any) sim.TimerID { return 0 }
 func (e *captureEnv) CancelTimer(sim.TimerID)                   {}
 func (e *captureEnv) Respond(history.OpID, spec.Value)          {}
@@ -482,18 +483,15 @@ func makeTOBRound() func() {
 	recv := &tob.Broadcaster{Self: 1, Sequencer: 0, Target: sink}
 	env := &captureEnv{}
 	order := []int{1, 0, 3, 2, 5, 4, 7, 6}
-	unit := func() {
+	unit := warm(func() {
 		env.out = env.out[:0]
 		for range order {
-			seqB.Broadcast(env, nil)
+			seqB.Broadcast(env, sim.Msg{})
 		}
 		for _, off := range order {
 			recv.HandleMessage(env, env.out[off])
 		}
-	}
-	for i := 0; i < 5; i++ {
-		unit()
-	}
+	})
 	if sink.n != 5*len(order) {
 		panic("tob budget harness: deliveries lost during warmup")
 	}

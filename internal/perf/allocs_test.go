@@ -22,7 +22,9 @@ func TestAllocBudgets(t *testing.T) {
 		seen[b.Name] = true
 		t.Run(b.Name, func(t *testing.T) {
 			unit := b.Make()
-			if avg := testing.AllocsPerRun(100, unit); avg > b.Budget {
+			avg := testing.AllocsPerRun(100, unit)
+			t.Logf("%.2f allocs per unit, budget %.0f", avg, b.Budget)
+			if avg > b.Budget {
 				t.Errorf("%s: %.2f allocs per unit, budget %.0f (%s)",
 					b.Name, avg, b.Budget, b.Brief)
 			}

@@ -18,33 +18,27 @@ type chatterProc struct {
 	echoed map[int]bool
 }
 
-type chatterMsg struct {
-	Hop int
-	Tag int
-}
-
 type respondTimer struct{ id history.OpID }
 type doomedTimer struct{}
 
 func (c *chatterProc) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg spec.Value) {
 	tag, _ := arg.(int)
-	env.Broadcast(chatterMsg{Hop: 0, Tag: tag})
+	env.Broadcast(sim.Msg{Seq: int64(tag)}) // hop 0 of round tag
 	doomed := env.SetTimerAfter(3*model.Time(time.Millisecond), doomedTimer{})
 	env.SetTimerAfter(5*model.Time(time.Millisecond), respondTimer{id: id})
 	env.CancelTimer(doomed)
 }
 
-func (c *chatterProc) OnMessage(env sim.Env, from model.ProcessID, payload any) {
-	m, ok := payload.(chatterMsg)
-	if !ok || m.Hop > 0 {
+func (c *chatterProc) OnMessage(env sim.Env, from model.ProcessID, m sim.Msg) {
+	if m.Tag > 0 { // an echo: hop 1
 		return
 	}
 	if c.echoed == nil {
 		c.echoed = make(map[int]bool)
 	}
-	if !c.echoed[m.Tag] {
-		c.echoed[m.Tag] = true
-		env.Send(from, chatterMsg{Hop: 1, Tag: m.Tag})
+	if tag := int(m.Seq); !c.echoed[tag] {
+		c.echoed[tag] = true
+		env.Send(from, sim.Msg{Tag: 1, Seq: m.Seq})
 	}
 }
 
@@ -161,10 +155,10 @@ func TestStaticMatrixMatchesPolicyDelays(t *testing.T) {
 type quietProc struct{}
 
 func (quietProc) OnInvoke(env sim.Env, id history.OpID, _ spec.OpKind, _ spec.Value) {
-	env.Broadcast(7)
+	env.Broadcast(sim.Msg{Arg: 7})
 	env.SetTimerAfter(2*model.Time(time.Millisecond), respondTimer{id: id})
 }
-func (quietProc) OnMessage(sim.Env, model.ProcessID, any) {}
+func (quietProc) OnMessage(sim.Env, model.ProcessID, sim.Msg) {}
 func (q quietProc) OnTimer(env sim.Env, payload any) {
 	if t, ok := payload.(respondTimer); ok {
 		env.Respond(t.id, nil)

@@ -24,7 +24,7 @@ func (s *Simulator) Borrowed() bool { return s.arena != nil }
 // payload.
 func (a *Arena) HoldsPayload() bool {
 	for _, e := range a.events[:cap(a.events)] {
-		if e.opKind != "" || e.opArg != nil || e.payload != nil {
+		if e.msg.Kind != "" || e.msg.Arg != nil || e.payload != nil {
 			return true
 		}
 	}

@@ -117,7 +117,7 @@ func (s *Simulator) applyRecover(env *procEnv, proc model.ProcessID, at model.Ti
 // deliverCopies schedules a duplicated message: copies deliveries spaced
 // spacing apart, the first at the policy's delay. Extra copies take fresh
 // message sequence numbers so traces stay uniquely keyed.
-func (e *procEnv) deliverCopies(seq int, to model.ProcessID, payload any, delay, spacing model.Time, copies int) {
+func (e *procEnv) deliverCopies(seq int, to model.ProcessID, m Msg, delay, spacing model.Time, copies int) {
 	s := e.sim
 	for c := 0; c < copies; c++ {
 		recv := e.real + delay + spacing*model.Time(c)
@@ -134,7 +134,7 @@ func (e *procEnv) deliverCopies(seq int, to model.ProcessID, payload any, delay,
 		ref := s.alloc()
 		ev := &s.events[ref]
 		ev.at, ev.kind, ev.proc = recv, evDeliver, to
-		ev.from, ev.payload, ev.sentAt, ev.msgSeq = e.proc, payload, e.real, sq
+		ev.from, ev.msg = e.proc, m
 		s.push(ref)
 	}
 }

@@ -17,9 +17,25 @@ type Process interface {
 	// OnInvoke delivers an operation invocation from the application layer.
 	OnInvoke(env Env, id history.OpID, kind spec.OpKind, arg spec.Value)
 	// OnMessage delivers a message from another process.
-	OnMessage(env Env, from model.ProcessID, payload any)
+	OnMessage(env Env, from model.ProcessID, m Msg)
 	// OnTimer fires a timer previously set via Env.SetTimer*.
 	OnTimer(env Env, payload any)
+}
+
+// Msg is one message, carried by value from Env.Send through the event
+// slab to Process.OnMessage, so sending allocates nothing. It is flat: a
+// protocol names its message kinds with its own Tag constants and reads
+// only the fields its kind uses. Arg is the one interface; it holds an
+// operation argument the workload has already boxed, a return value, or a
+// state.
+type Msg struct {
+	Tag    uint8
+	Origin model.ProcessID
+	Seq    int64
+	Clock  model.Time
+	Op     history.OpID
+	Kind   spec.OpKind
+	Arg    spec.Value
 }
 
 // Env is the narrow world interface handed to Process handlers during a
@@ -34,9 +50,9 @@ type Env interface {
 	// ClockTime returns the local clock time of the current step.
 	ClockTime() model.Time
 	// Send transmits a message to another process (not to self).
-	Send(to model.ProcessID, payload any)
+	Send(to model.ProcessID, m Msg)
 	// Broadcast transmits a message to every other process.
-	Broadcast(payload any)
+	Broadcast(m Msg)
 	// SetTimerAfter schedules OnTimer(payload) after the given local-clock
 	// duration and returns a handle for cancellation.
 	SetTimerAfter(d model.Time, payload any) TimerID
@@ -72,20 +88,17 @@ type event struct {
 	kind eventKind
 	proc model.ProcessID
 
+	// msg is an evDeliver's message; an evInvoke keeps its operation in
+	// msg.Kind and msg.Arg.
+	msg Msg
 	// evInvoke
-	opID    history.OpID
-	opKind  spec.OpKind
-	opArg   spec.Value
 	arrival model.Time // offered instant; < at for deferred invocations
-
 	// evDeliver
-	from    model.ProcessID
-	payload any
-	sentAt  model.Time
-	msgSeq  int
+	from model.ProcessID
 
 	// evTimer
 	timerID TimerID
+	payload any
 	// due is the exact local-clock deadline of a timer armed under clock
 	// drift; during its dispatch ClockTime returns due verbatim, so clock
 	// arithmetic chained across timers stays exact despite the nonlinear
@@ -528,7 +541,7 @@ func (s *Simulator) Invoke(at model.Time, proc model.ProcessID, kind spec.OpKind
 	ref := s.alloc()
 	e := &s.events[ref]
 	e.at, e.kind, e.proc = at, evInvoke, proc
-	e.opKind, e.opArg, e.arrival = kind, arg, at
+	e.msg.Kind, e.msg.Arg, e.arrival = kind, arg, at
 	s.push(ref)
 }
 
@@ -557,7 +570,7 @@ func (s *Simulator) Bind(h Held, kind spec.OpKind, arg spec.Value) bool {
 		return false
 	}
 	e := &s.events[h.ref]
-	e.kind, e.opKind, e.opArg = evInvoke, kind, arg
+	e.kind, e.msg.Kind, e.msg.Arg = evInvoke, kind, arg
 	return true
 }
 
@@ -665,7 +678,7 @@ func (s *Simulator) dispatch(ref int32) {
 			s.flt.NoteStrandedInvoke()
 			return
 		}
-		opKind, opArg, arrival := e.opKind, e.opArg, e.arrival
+		opKind, opArg, arrival := e.msg.Kind, e.msg.Arg, e.arrival
 		if s.pending[proc] {
 			// Defer until the current operation responds, remembering the
 			// offered instant so the history keeps the queueing wait.
@@ -682,9 +695,9 @@ func (s *Simulator) dispatch(ref int32) {
 			s.flt.NoteDroppedToDown()
 			return
 		}
-		from, payload := e.from, e.payload
+		from, m := e.from, e.msg
 		s.record(proc, at, "deliver")
-		s.procs[proc].OnMessage(env, from, payload)
+		s.procs[proc].OnMessage(env, from, m)
 	case evTimer:
 		tid, payload := e.timerID, e.payload
 		if !s.timerLive[tid] {
@@ -770,7 +783,7 @@ func (e *procEnv) ClockTime() model.Time {
 // cold helpers so the function body stays fmt-free.
 //
 //tb:hotpath
-func (e *procEnv) Send(to model.ProcessID, payload any) {
+func (e *procEnv) Send(to model.ProcessID, m Msg) {
 	s := e.sim
 	if to == e.proc {
 		s.err = e.selfSendError()
@@ -795,7 +808,7 @@ func (e *procEnv) Send(to model.ProcessID, payload any) {
 			return
 		}
 		if copies > 1 {
-			e.deliverCopies(seq, to, payload, delay, spacing, copies)
+			e.deliverCopies(seq, to, m, delay, spacing, copies)
 			return
 		}
 	}
@@ -808,7 +821,7 @@ func (e *procEnv) Send(to model.ProcessID, payload any) {
 	ref := s.alloc()
 	ev := &s.events[ref]
 	ev.at, ev.kind, ev.proc = recv, evDeliver, to
-	ev.from, ev.payload, ev.sentAt, ev.msgSeq = e.proc, payload, e.real, seq
+	ev.from, ev.msg = e.proc, m
 	s.push(ref)
 }
 
@@ -825,10 +838,10 @@ func (e *procEnv) strictDelayError(seq int, to model.ProcessID, delay model.Time
 		ValidateDelay(e.sim.cfg.Params, delay))
 }
 
-func (e *procEnv) Broadcast(payload any) {
+func (e *procEnv) Broadcast(m Msg) {
 	for p := 0; p < e.sim.cfg.Params.N; p++ {
 		if model.ProcessID(p) != e.proc {
-			e.Send(model.ProcessID(p), payload)
+			e.Send(model.ProcessID(p), m)
 		}
 	}
 }
@@ -899,7 +912,7 @@ func (e *procEnv) Respond(id history.OpID, ret spec.Value) {
 		ref := s.alloc()
 		ev := &s.events[ref]
 		ev.at, ev.kind, ev.proc = e.real+1, evInvoke, p
-		ev.opKind, ev.opArg, ev.arrival = next.kind, next.arg, next.arrival
+		ev.msg.Kind, ev.msg.Arg, ev.arrival = next.kind, next.arg, next.arrival
 		s.push(ref)
 	}
 }

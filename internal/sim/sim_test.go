@@ -23,7 +23,7 @@ func params(n int) model.Params {
 // echoProc responds to every invocation immediately with its argument, and
 // can ping-pong messages and set timers, for exercising the simulator.
 type echoProc struct {
-	gotMsgs   []any
+	gotMsgs   []sim.Msg
 	timerFire []model.Time
 }
 
@@ -32,10 +32,10 @@ func (e *echoProc) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg 
 	case "echo":
 		env.Respond(id, arg)
 	case "send":
-		env.Send(model.ProcessID(arg.(int)), "ping")
+		env.Send(model.ProcessID(arg.(int)), ping)
 		env.Respond(id, nil)
 	case "broadcast":
-		env.Broadcast("hello")
+		env.Broadcast(sim.Msg{Arg: "hello"})
 		env.Respond(id, nil)
 	case "timer":
 		env.SetTimerAfter(arg.(model.Time), "t")
@@ -47,9 +47,12 @@ func (e *echoProc) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg 
 	}
 }
 
-func (e *echoProc) OnMessage(_ sim.Env, _ model.ProcessID, payload any) {
-	e.gotMsgs = append(e.gotMsgs, payload)
+func (e *echoProc) OnMessage(_ sim.Env, _ model.ProcessID, m sim.Msg) {
+	e.gotMsgs = append(e.gotMsgs, m)
 }
+
+// ping is the message echoProc sends, with every field set.
+var ping = sim.Msg{Tag: 1, Origin: 2, Seq: 3, Clock: 4, Op: 5, Kind: "ping", Arg: "ping"}
 
 func (e *echoProc) OnTimer(env sim.Env, _ any) {
 	e.timerFire = append(e.timerFire, env.ClockTime())
@@ -102,8 +105,8 @@ func TestMessageDelayApplied(t *testing.T) {
 	if msgs[0].Delay != p.D || msgs[0].RecvAt != p.D {
 		t.Errorf("message delay %s recv %s, want %s", msgs[0].Delay, msgs[0].RecvAt, p.D)
 	}
-	if len(echos[1].gotMsgs) != 1 {
-		t.Errorf("recipient got %d messages, want 1", len(echos[1].gotMsgs))
+	if len(echos[1].gotMsgs) != 1 || echos[1].gotMsgs[0] != ping {
+		t.Errorf("recipient got %+v, want [%+v]", echos[1].gotMsgs, ping)
 	}
 }
 
@@ -205,7 +208,7 @@ type slowProc struct{ wait model.Time }
 func (s *slowProc) OnInvoke(env sim.Env, id history.OpID, _ spec.OpKind, _ spec.Value) {
 	env.SetTimerAfter(s.wait, id)
 }
-func (s *slowProc) OnMessage(sim.Env, model.ProcessID, any) {}
+func (s *slowProc) OnMessage(sim.Env, model.ProcessID, sim.Msg) {}
 func (s *slowProc) OnTimer(env sim.Env, payload any) {
 	if id, ok := payload.(history.OpID); ok {
 		env.Respond(id, nil)
@@ -258,11 +261,11 @@ func TestSelfSendRejected(t *testing.T) {
 type selfSender struct{}
 
 func (s *selfSender) OnInvoke(env sim.Env, id history.OpID, _ spec.OpKind, _ spec.Value) {
-	env.Send(env.Self(), "oops")
+	env.Send(env.Self(), sim.Msg{})
 	env.Respond(id, nil)
 }
-func (s *selfSender) OnMessage(sim.Env, model.ProcessID, any) {}
-func (s *selfSender) OnTimer(sim.Env, any)                    {}
+func (s *selfSender) OnMessage(sim.Env, model.ProcessID, sim.Msg) {}
+func (s *selfSender) OnTimer(sim.Env, any)                        {}
 
 // TestHoldBindsInPlace pins what a migrating store relies on: a held
 // invocation bound before it comes due runs exactly where Invoke would

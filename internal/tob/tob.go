@@ -21,28 +21,26 @@ import (
 	"timebounds/internal/spec"
 )
 
-// forward carries an unordered payload from a sender to the sequencer.
-type forward struct {
-	Origin model.ProcessID
-	Body   any
-}
-
-// stamped carries a payload with its global sequence number.
-type stamped struct {
-	Seq    int
-	Origin model.ProcessID
-	Body   any
-}
+// The tags of total-order broadcast messages (sim.Msg.Tag). A process
+// that embeds a Broadcaster tags its own messages otherwise.
+const (
+	// msgForward carries an unordered body from its sender, in Origin, to
+	// the sequencer.
+	msgForward uint8 = iota + 1
+	// msgStamped carries a body with its global sequence number, in Seq.
+	msgStamped
+)
 
 // Deliverer receives totally ordered deliveries.
 type Deliverer interface {
 	// Deliver is called exactly once per broadcast, in the same (sequence)
-	// order at every process.
-	Deliver(env sim.Env, seq int, origin model.ProcessID, body any)
+	// order at every process, with the body as broadcast, its sequence
+	// number in m.Seq and its sender in m.Origin.
+	Deliver(env sim.Env, m sim.Msg)
 }
 
 // Broadcaster is the total-order broadcast endpoint of one process. Embed
-// it in a sim.Process and route OnMessage payloads through HandleMessage.
+// it in a sim.Process and route OnMessage messages through HandleMessage.
 type Broadcaster struct {
 	// Self is this process's id.
 	Self model.ProcessID
@@ -51,46 +49,55 @@ type Broadcaster struct {
 	// Target receives ordered deliveries.
 	Target Deliverer
 
-	nextSeq   int // sequencer only: next sequence number to assign
-	nextDeliv int // next sequence number to deliver locally
+	nextSeq   int64 // sequencer only: next sequence number to assign
+	nextDeliv int64 // next sequence number to deliver locally
 	// pending[head:] buffers out-of-order stamped messages sorted by Seq.
 	// The head index (instead of reslicing the front off) keeps the
 	// buffer's capacity, so the steady state of enqueue→drain reuses one
 	// backing array instead of reallocating per message.
-	pending []stamped
+	pending []sim.Msg
 	head    int
 }
 
-// Broadcast submits a payload for total ordering.
-func (b *Broadcaster) Broadcast(env sim.Env, body any) {
+// Broadcast submits a body — the Op, Kind, Arg and Clock of body — for
+// total ordering.
+//
+//tb:hotpath
+func (b *Broadcaster) Broadcast(env sim.Env, body sim.Msg) {
+	body.Origin = b.Self
 	if b.Self == b.Sequencer {
-		b.stampAndSend(env, b.Self, body)
+		b.stampAndSend(env, body)
 		return
 	}
-	env.Send(b.Sequencer, forward{Origin: b.Self, Body: body})
+	body.Tag = msgForward
+	env.Send(b.Sequencer, body)
 }
 
 // stampAndSend runs at the sequencer: assign the next number, rebroadcast,
 // and deliver locally.
-func (b *Broadcaster) stampAndSend(env sim.Env, origin model.ProcessID, body any) {
-	msg := stamped{Seq: b.nextSeq, Origin: origin, Body: body}
+//
+//tb:hotpath
+func (b *Broadcaster) stampAndSend(env sim.Env, m sim.Msg) {
+	m.Tag, m.Seq = msgStamped, b.nextSeq
 	b.nextSeq++
-	env.Broadcast(msg)
-	b.enqueue(env, msg)
+	env.Broadcast(m)
+	b.enqueue(env, m)
 }
 
-// HandleMessage routes a network payload through the broadcast layer. It
-// returns false if the payload was not a TOB message (callers may then
+// HandleMessage routes a network message through the broadcast layer. It
+// returns false if the message was not a TOB message (callers may then
 // interpret it themselves).
-func (b *Broadcaster) HandleMessage(env sim.Env, payload any) bool {
-	switch m := payload.(type) {
-	case forward:
+//
+//tb:hotpath
+func (b *Broadcaster) HandleMessage(env sim.Env, m sim.Msg) bool {
+	switch m.Tag {
+	case msgForward:
 		if b.Self != b.Sequencer {
 			return false
 		}
-		b.stampAndSend(env, m.Origin, m.Body)
+		b.stampAndSend(env, m)
 		return true
-	case stamped:
+	case msgStamped:
 		b.enqueue(env, m)
 		return true
 	default:
@@ -106,7 +113,7 @@ func (b *Broadcaster) HandleMessage(env sim.Env, payload any) bool {
 // dropped: buffered, it would block every later delivery.
 //
 //tb:hotpath
-func (b *Broadcaster) enqueue(env sim.Env, m stamped) {
+func (b *Broadcaster) enqueue(env sim.Env, m sim.Msg) {
 	if m.Seq < b.nextDeliv {
 		return
 	}
@@ -123,27 +130,20 @@ func (b *Broadcaster) enqueue(env sim.Env, m stamped) {
 	if lo < len(b.pending) && b.pending[lo].Seq == m.Seq {
 		return
 	}
-	b.pending = append(b.pending, stamped{})
+	b.pending = append(b.pending, sim.Msg{})
 	copy(b.pending[lo+1:], b.pending[lo:len(b.pending)-1])
 	b.pending[lo] = m
 	for b.head < len(b.pending) && b.pending[b.head].Seq == b.nextDeliv {
 		next := b.pending[b.head]
-		b.pending[b.head] = stamped{} // drop the Body reference
+		b.pending[b.head] = sim.Msg{} // drop the Arg reference
 		b.head++
 		b.nextDeliv++
 		if b.head == len(b.pending) {
 			b.pending = b.pending[:0]
 			b.head = 0
 		}
-		b.Target.Deliver(env, next.Seq, next.Origin, next.Body)
+		b.Target.Deliver(env, next)
 	}
-}
-
-// opBody is the payload of an object operation routed over TOB.
-type opBody struct {
-	ID   history.OpID
-	Kind spec.OpKind
-	Arg  spec.Value
 }
 
 // Object is a linearizable shared object built directly on total-order
@@ -170,14 +170,16 @@ func NewObject(self, sequencer model.ProcessID, dt spec.DataType) *Object {
 	return o
 }
 
-// OnInvoke implements sim.Process.
+// OnInvoke implements sim.Process: the operation is the broadcast body.
+//
+//tb:hotpath
 func (o *Object) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg spec.Value) {
-	o.bcast.Broadcast(env, opBody{ID: id, Kind: kind, Arg: arg})
+	o.bcast.Broadcast(env, sim.Msg{Op: id, Kind: kind, Arg: arg})
 }
 
 // OnMessage implements sim.Process.
-func (o *Object) OnMessage(env sim.Env, _ model.ProcessID, payload any) {
-	o.bcast.HandleMessage(env, payload)
+func (o *Object) OnMessage(env sim.Env, _ model.ProcessID, m sim.Msg) {
+	o.bcast.HandleMessage(env, m)
 }
 
 // OnTimer implements sim.Process; the TOB object uses no timers.
@@ -185,16 +187,14 @@ func (o *Object) OnTimer(sim.Env, any) {}
 
 // Deliver implements Deliverer: apply in order; the origin certifies the
 // operation's place in the delivery order and responds.
-func (o *Object) Deliver(env sim.Env, _ int, origin model.ProcessID, body any) {
-	op, ok := body.(opBody)
-	if !ok {
-		return
-	}
-	cert := o.order.Next(o.dt.Class(op.Kind))
-	ret := o.state.Apply(op.Kind, op.Arg)
-	if origin == env.Self() {
-		env.Certify(op.ID, cert)
-		env.Respond(op.ID, ret)
+//
+//tb:hotpath
+func (o *Object) Deliver(env sim.Env, m sim.Msg) {
+	cert := o.order.Next(o.dt.Class(m.Kind))
+	ret := o.state.Apply(m.Kind, m.Arg)
+	if m.Origin == env.Self() {
+		env.Certify(m.Op, cert)
+		env.Respond(m.Op, ret)
 	}
 }
 
