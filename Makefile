@@ -11,9 +11,7 @@ build:
 # scope but carries a recorded exemption — wall-clock is its point),
 # hotpath (//tb:hotpath functions stay fmt-free, boxing-free,
 # closure-capture-free), ctxhygiene (pipeline goroutine sends guarded by
-# a cancellation arm), deprecated (no references to Deprecated-marked
-# symbols or struct fields outside their declaring package), and pkgdoc
-# (every package documented). See docs/STATIC_ANALYSIS.md; suppress a
+# a cancellation arm), and pkgdoc (every package documented). See docs/STATIC_ANALYSIS.md; suppress a
 # finding only with a reasoned //tbvet:ignore directive.
 vet:
 	$(GO) vet ./...

@@ -11,6 +11,7 @@ import (
 	"timebounds/internal/check"
 	"timebounds/internal/clock"
 	"timebounds/internal/core"
+	"timebounds/internal/engine"
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
 	"timebounds/internal/tob"
@@ -49,6 +50,12 @@ func BenchmarkTOBBaseline(b *testing.B) {
 	b.ReportMetric(ms(2*p.D), "centralized-2d-ms")
 }
 
+// dequeueAt builds the C.1 construction on a queue for an implementation
+// whose dequeues take latency l.
+func dequeueAt(l model.Time) engine.AdversarySpec {
+	return adversary.C1SpecFor("c1-queue", true, fixedLatency(l), adversary.ShiftFraction{})
+}
+
 // BenchmarkEmpiricalThresholds (E16) binary-searches the latency at which
 // violations stop in each theorem's run family and reports it next to the
 // proved bound.
@@ -57,11 +64,11 @@ func BenchmarkEmpiricalThresholds(b *testing.B) {
 	var c1, d1 model.Time
 	for i := 0; i < b.N; i++ {
 		var err error
-		c1, err = adversary.FindThreshold(adversary.C1Violates(p, true), p.D/2, p.D+2*p.Epsilon)
+		c1, err = adversary.FindThreshold(adversary.ViolatesAt(dequeueAt, p), p.D/2, p.D+2*p.Epsilon)
 		if err != nil {
 			b.Fatal(err)
 		}
-		d1, err = adversary.FindThreshold(adversary.D1Violates(p), 0, p.U)
+		d1, err = adversary.FindThreshold(adversary.ViolatesAt(writeAt, p), 0, p.U)
 		if err != nil {
 			b.Fatal(err)
 		}

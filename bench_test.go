@@ -14,6 +14,7 @@ import (
 	"timebounds/internal/adversary"
 	"timebounds/internal/bounds"
 	"timebounds/internal/check"
+	"timebounds/internal/engine"
 	"timebounds/internal/experiments"
 	"timebounds/internal/model"
 	"timebounds/internal/runs"
@@ -63,11 +64,11 @@ func BenchmarkFig1NaiveRegister(b *testing.B) {
 	p := benchParams(3)
 	violations := 0
 	for i := 0; i < b.N; i++ {
-		out, err := adversary.Figure1(p)
+		rep, err := adversary.Run(adversary.Figure1Spec(true), p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !out.Linearizable() {
+		if !rep.Results[0].Linearizable {
 			violations++
 		}
 	}
@@ -134,6 +135,21 @@ func figureRun(p model.Params, dij, dji model.Time) runs.Run {
 	}
 }
 
+// fixedLatency is a latency function that ignores the parameters.
+func fixedLatency(l model.Time) func(model.Params) model.Time {
+	return func(model.Params) model.Time { return l }
+}
+
+// rmwAt and writeAt build the C.1 (read-modify-write) and D.1 (k = n)
+// constructions for an implementation tuned to one latency.
+func rmwAt(l model.Time) engine.AdversarySpec {
+	return adversary.C1SpecFor("c1", false, fixedLatency(l), adversary.ShiftFraction{})
+}
+
+func writeAt(l model.Time) engine.AdversarySpec {
+	return adversary.D1SpecFor("d1", 0, fixedLatency(l), adversary.ShiftFraction{})
+}
+
 // BenchmarkThmC1LowerBound runs the Theorem C.1 construction (experiment
 // E8): a premature RMW (latency just under d+m) must violate in the run
 // family while the correct d+ε implementation passes.
@@ -142,25 +158,18 @@ func BenchmarkThmC1LowerBound(b *testing.B) {
 	bound := p.D + model.MinOf3(p.Epsilon, p.U, p.D/3)
 	violations, correctOK := 0, 0
 	for i := 0; i < b.N; i++ {
-		outs, err := adversary.TheoremC1(adversary.C1Config{Params: p, OOPLatency: bound - 1})
+		violated, err := adversary.ViolatesAt(rmwAt, p)(bound - 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, o := range outs {
-			if !o.Linearizable() {
-				violations++
-				break
-			}
+		if violated {
+			violations++
 		}
-		outs, err = adversary.TheoremC1(adversary.C1Config{Params: p, OOPLatency: p.D + p.Epsilon})
+		violated, err = adversary.ViolatesAt(rmwAt, p)(p.D + p.Epsilon)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ok := true
-		for _, o := range outs {
-			ok = ok && o.Linearizable()
-		}
-		if ok {
+		if !violated {
 			correctOK++
 		}
 	}
@@ -176,11 +185,11 @@ func BenchmarkThmD1LowerBound(b *testing.B) {
 	bound := bounds.PermuteLower(p.N, p.U)
 	violations := 0
 	for i := 0; i < b.N; i++ {
-		outs, err := adversary.TheoremD1(adversary.D1Config{Params: p, MutatorLatency: bound - 1})
+		rep, err := adversary.Run(writeAt(bound-1), p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !outs[1].Linearizable() {
+		if !rep.Results[1].Linearizable {
 			violations++
 		}
 	}
@@ -193,19 +202,21 @@ func BenchmarkThmD1LowerBound(b *testing.B) {
 func BenchmarkThmE1LowerBound(b *testing.B) {
 	p := benchParams(3)
 	m := model.MinOf3(p.Epsilon, p.U, p.D/3)
-	cfg := adversary.E1Config{Params: p, X: p.Epsilon + m/2, MutatorLatency: 0}
+	x, lm := p.Epsilon+m/2, model.Time(0)
+	as := adversary.E1SpecFor("e1", types.NewQueue(), types.OpEnqueue, types.OpPeek, "x", nil,
+		fixedLatency(x), fixedLatency(lm), adversary.ShiftFraction{})
 	violations := 0
 	for i := 0; i < b.N; i++ {
-		out, err := adversary.TheoremE1(cfg)
+		rep, err := adversary.Run(as, p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !out.Linearizable() {
+		if !rep.Results[0].Linearizable {
 			violations++
 		}
 	}
 	b.ReportMetric(float64(violations)/float64(b.N), "premature-violation-rate")
-	b.ReportMetric(ms(cfg.PairLatency()), "pair-latency-ms")
+	b.ReportMetric(ms(lm+p.D+p.Epsilon-x), "pair-latency-ms")
 	b.ReportMetric(ms(p.D+m), "lower-bound-ms")
 }
 

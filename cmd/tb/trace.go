@@ -71,27 +71,27 @@ func traceScenario(name string) (runs.Run, []history.Record, string, error) {
 		return runs.FromSim(inst.Simulator()), inst.History().Ops(),
 			"Algorithm 1: write acks in ε+X; reads settle in d+ε-X (messages are the broadcast).", nil
 	case "fig1":
-		out, err := adversary.Figure1(p)
+		rep, err := adversary.Run(adversary.Figure1Spec(true), p)
 		if err != nil {
 			return runs.Run{}, nil, "", err
 		}
+		res := rep.Results[0]
 		caption := fmt.Sprintf(
 			"Figure 1(a): zero-latency register; read misses the completed write(1): linearizable=%v",
-			out.Linearizable())
-		return out.Run, out.History.Ops(), caption, nil
+			res.Linearizable)
+		return *res.Run, res.History.Ops(), caption, nil
 	case "thmC1":
 		// Render R3 of the Theorem C.1 family with a premature dequeue.
-		outs, err := adversary.TheoremC1(adversary.C1Config{
-			Params: p, OOPLatency: p.D, UseQueue: true,
-		})
+		rep, err := adversary.Run(adversary.C1SpecFor("c1", true,
+			func(p model.Params) model.Time { return p.D }, adversary.ShiftFraction{}), p)
 		if err != nil {
 			return runs.Run{}, nil, "", err
 		}
-		last := outs[len(outs)-1]
+		last := rep.Results[len(rep.Results)-1]
 		caption := fmt.Sprintf(
 			"Theorem C.1 run R3, premature dequeues (latency d < d+m): linearizable=%v",
-			last.Linearizable())
-		return last.Run, last.History.Ops(), caption, nil
+			last.Linearizable)
+		return *last.Run, last.History.Ops(), caption, nil
 	default:
 		return runs.Run{}, nil, "", fmt.Errorf("unknown scenario %q", name)
 	}

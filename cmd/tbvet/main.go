@@ -1,7 +1,7 @@
 // Command tbvet runs the repository's static-analysis suite
-// (internal/lint) over the module tree: the determinism, hotpath,
-// ctxhygiene, and deprecated analyzers plus the original package-doc
-// check, all on a shared typed AST. It is wired into `make vet` next to
+// (internal/lint) over the module tree: the determinism, hotpath and
+// ctxhygiene analyzers plus the original package-doc check, all on a
+// shared typed AST. It is wired into `make vet` next to
 // go vet and into the dedicated CI lint job.
 //
 // Usage:

@@ -11,8 +11,10 @@ import (
 
 	"timebounds/internal/adversary"
 	"timebounds/internal/bounds"
+	"timebounds/internal/engine"
 	"timebounds/internal/experiments"
 	"timebounds/internal/model"
+	"timebounds/internal/types"
 )
 
 func main() {
@@ -28,6 +30,21 @@ func verdict(linearizable bool) string {
 	return "VIOLATION"
 }
 
+// at returns a latency function that ignores the parameters.
+func at(l model.Time) func(model.Params) model.Time {
+	return func(model.Params) model.Time { return l }
+}
+
+// dequeueAt and writeAt build the C.1 construction on a queue and the
+// D.1 construction (k = n) for an implementation tuned to latency l.
+func dequeueAt(l model.Time) engine.AdversarySpec {
+	return adversary.C1SpecFor("c1-queue", true, at(l), adversary.ShiftFraction{})
+}
+
+func writeAt(l model.Time) engine.AdversarySpec {
+	return adversary.D1SpecFor("d1", 0, at(l), adversary.ShiftFraction{})
+}
+
 func run() error {
 	p := experiments.DefaultParams(3)
 	m := bounds.M(p)
@@ -37,22 +54,22 @@ func run() error {
 	bound := p.D + m
 	fmt.Printf("Theorem C.1 — dequeue on a queue: lower bound d+m = %s\n", bound)
 	for _, latency := range []model.Time{bound - 1, p.D + p.Epsilon} {
-		outs, err := adversary.TheoremC1(adversary.C1Config{Params: p, OOPLatency: latency, UseQueue: true})
+		rep, err := adversary.Run(dequeueAt(latency), p)
 		if err != nil {
 			return err
 		}
 		worst := "LINEARIZABLE"
-		for _, o := range outs {
-			if !o.Linearizable() {
+		for _, res := range rep.Results {
+			if !res.Linearizable {
 				worst = "VIOLATION"
 			}
 		}
 		fmt.Printf("  dequeue latency %-12s → %s across runs R1/R2/R3\n", latency, worst)
 		if worst == "VIOLATION" {
-			for i, o := range outs {
-				if !o.Linearizable() {
+			for i, res := range rep.Results {
+				if !res.Linearizable {
 					fmt.Printf("    violating run R%d (both dequeues take the one element):\n", i+1)
-					fmt.Println(indent(o.History.String()))
+					fmt.Println(indent(res.History.String()))
 					break
 				}
 			}
@@ -63,36 +80,39 @@ func run() error {
 	wBound := bounds.PermuteLower(p.N, p.U)
 	fmt.Printf("\nTheorem D.1 — write on a register: lower bound (1-1/n)u = %s\n", wBound)
 	for _, latency := range []model.Time{wBound - 1, wBound} {
-		outs, err := adversary.TheoremD1(adversary.D1Config{Params: p, MutatorLatency: latency})
+		rep, err := adversary.Run(writeAt(latency), p)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  write latency %-12s → R1 %s, R2 (shifted) %s\n",
-			latency, verdict(outs[0].Linearizable()), verdict(outs[1].Linearizable()))
+			latency, verdict(rep.Results[0].Linearizable), verdict(rep.Results[1].Linearizable))
 	}
 
 	// --- Theorem E.1: enqueue + peek need d+m ---------------------------
 	fmt.Printf("\nTheorem E.1 — enqueue+peek on a queue: pair lower bound d+m = %s\n", p.D+m)
-	for _, cfg := range []adversary.E1Config{
-		{Params: p, X: p.Epsilon + m/2, MutatorLatency: 0},       // pair below the bound
-		{Params: p, X: 0, MutatorLatency: p.Epsilon},             // Algorithm 1 at X=0
-		{Params: p, X: p.Epsilon, MutatorLatency: 2 * p.Epsilon}, // Algorithm 1 at X=ε
+	for _, c := range []struct{ x, lm model.Time }{
+		{p.Epsilon + m/2, 0},       // pair below the bound
+		{0, p.Epsilon},             // Algorithm 1 at X=0
+		{p.Epsilon, 2 * p.Epsilon}, // Algorithm 1 at X=ε
 	} {
-		out, err := adversary.TheoremE1(cfg)
+		rep, err := adversary.Run(adversary.E1SpecFor("e1", types.NewQueue(), types.OpEnqueue, types.OpPeek,
+			"x", nil, at(c.x), at(c.lm), adversary.ShiftFraction{}), p)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  pair latency %-12s (X=%s) → %s\n", cfg.PairLatency(), cfg.X, verdict(out.Linearizable()))
+		// The accessor responds in d+ε-X, so the pair takes Lm + d+ε-X.
+		pair := c.lm + p.D + p.Epsilon - c.x
+		fmt.Printf("  pair latency %-12s (X=%s) → %s\n", pair, c.x, verdict(rep.Results[0].Linearizable))
 	}
 
 	// --- Empirical thresholds -------------------------------------------
 	fmt.Println("\nEmpirical thresholds (binary search over the run families):")
-	th, err := adversary.FindThreshold(adversary.C1Violates(p, true), p.D/2, p.D+2*p.Epsilon)
+	th, err := adversary.FindThreshold(adversary.ViolatesAt(dequeueAt, p), p.D/2, p.D+2*p.Epsilon)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("  dequeue: smallest passing latency %-12s (proved bound %s)\n", th, bound)
-	th, err = adversary.FindThreshold(adversary.D1Violates(p), 0, p.U)
+	th, err = adversary.FindThreshold(adversary.ViolatesAt(writeAt, p), 0, p.U)
 	if err != nil {
 		return err
 	}

@@ -9,107 +9,60 @@
 // linearizable history whose witness operation pays at least the bound,
 // demonstrating tightness at the construction.
 //
-// Every construction executes through internal/engine grids: the spec
-// builders (Figure1Spec, C1Spec, D1Spec, E1Spec) compose with Backend and
-// Params for sweeps, and the theorem functions below are thin wrappers that
-// expand a config-bound spec and convert engine Results back to Outcomes.
+// Every construction is one engine.AdversarySpec and executes through
+// internal/engine: the named builders (Figure1Spec, C1Spec, D1Spec, E1Spec,
+// E1DictSpec) tune the implementation just below or at the bound, the
+// latency-parameterised ones (C1SpecFor, D1SpecFor, E1SpecFor) take any
+// target latency, and Run executes one spec's family and returns the
+// engine Report; ViolatesAt and FindThreshold search a family's latency
+// threshold.
 //
 // Scenario inventory:
 //
-//   - Figure1: Chapter I's motivating example — a zero-latency replicated
-//     register whose read misses a completed remote write.
-//   - TheoremC1: the d+min{ε,u,d/3} bound for strongly immediately
+//   - Figure1Spec: Chapter I's motivating example — a zero-latency
+//     replicated register whose read misses a completed remote write.
+//   - C1Spec: the d+min{ε,u,d/3} bound for strongly immediately
 //     non-self-commuting operations (run family R1/R2/R3, Figs. 6–9),
 //     instantiated with read-modify-write and with dequeue.
-//   - TheoremD1: the (1-1/k)u bound for eventually non-self-last-permuting
+//   - D1Spec: the (1-1/k)u bound for eventually non-self-last-permuting
 //     mutators (ring delays, Figs. 10–14), instantiated with write.
-//   - TheoremE1: the d+min{ε,u,d/3} bound on |OP|+|AOP| for non-overwriting
-//     pure mutators with a pure accessor (Figs. 15–17), instantiated with
-//     enqueue+peek.
+//   - E1Spec, E1DictSpec: the d+min{ε,u,d/3} bound on |OP|+|AOP| for
+//     non-overwriting pure mutators with a pure accessor (Figs. 15–17),
+//     instantiated with enqueue+peek and with put+get.
 package adversary
 
 import (
 	"fmt"
 
-	"timebounds/internal/check"
 	"timebounds/internal/engine"
 	"timebounds/internal/history"
 	"timebounds/internal/model"
-	"timebounds/internal/runs"
 	"timebounds/internal/sim"
 	"timebounds/internal/spec"
 	"timebounds/internal/types"
 	"timebounds/internal/workload"
 )
 
-// Outcome reports one scenario execution.
-type Outcome struct {
-	// History is the recorded invocation/response history.
-	History *history.History
-	// Result is the linearizability verdict, taken from the engine's
-	// check of the run. Only Linearizable is populated — re-run
-	// check.Check on History for the witness order or search statistics.
-	Result check.Result
-	// WorstLatency is the maximum completed-operation latency observed for
-	// the operations the scenario constrains.
-	WorstLatency model.Time
-	// Run is the recorded run (views + messages) for rendering/analysis.
-	Run runs.Run
-	// Witness is the engine's bound witness for the run.
-	Witness engine.BoundWitness
-}
-
-// Linearizable is shorthand for Result.Linearizable.
-func (o Outcome) Linearizable() bool { return o.Result.Linearizable }
-
-// runSpec expands one adversary spec at cfg's parameter point and executes
-// the whole family on the engine, converting each Result to an Outcome in
-// family order. All wrappers in this package funnel through here — the
-// engine grid is the only execution path.
-func runSpec(as engine.AdversarySpec, b engine.Backend, p model.Params) ([]Outcome, error) {
-	scs, err := as.Scenarios(b, p, 1)
+// Run executes the whole run family of one construction at p, in family
+// order, on Algorithm 1 unless the spec pins its own backend, with traces
+// recorded so every Result carries its Run. A run that failed outright is
+// an error; a non-linearizable history is not — it is what a premature
+// tuning is expected to produce.
+func Run(as engine.AdversarySpec, p model.Params) (engine.Report, error) {
+	scs, err := as.Scenarios(nil, p, 1)
 	if err != nil {
-		return nil, err
+		return engine.Report{}, err
 	}
 	for i := range scs {
 		scs[i].Trace = true
 	}
 	rep := engine.Run(scs)
-	outs := make([]Outcome, 0, len(rep.Results))
 	for _, res := range rep.Results {
-		out, err := outcomeOf(res, as.WitnessKinds...)
-		if err != nil {
-			return nil, err
-		}
-		outs = append(outs, out)
-	}
-	return outs, nil
-}
-
-// outcomeOf converts one engine Result back into this package's Outcome
-// surface. The linearizability verdict is the engine's own (the scenario
-// ran with Verify set), so the Wing–Gong search — the profile-dominating
-// cost of these runs — executes exactly once per history.
-func outcomeOf(res engine.Result, kinds ...spec.OpKind) (Outcome, error) {
-	if res.Err != "" {
-		return Outcome{}, fmt.Errorf("adversary: %s", res.Err)
-	}
-	out := Outcome{History: res.History, Result: check.Result{Linearizable: res.Linearizable}}
-	if len(kinds) == 0 {
-		kinds = []spec.OpKind{""} // MaxLatency("") scans every kind
-	}
-	for _, k := range kinds {
-		if l, ok := res.History.MaxLatency(k); ok && l > out.WorstLatency {
-			out.WorstLatency = l
+		if res.Err != "" {
+			return rep, fmt.Errorf("adversary: %s", res.Err)
 		}
 	}
-	if res.Run != nil {
-		out.Run = *res.Run
-	}
-	if res.Witness != nil {
-		out.Witness = *res.Witness
-	}
-	return out, nil
+	return rep, nil
 }
 
 // M returns the proof's m = min{ε, u, d/3}.
@@ -215,14 +168,4 @@ func Figure1Spec(naive bool) engine.AdversarySpec {
 		as.RequireLinearizable = true
 	}
 	return as
-}
-
-// Figure1 reproduces Fig. 1(a) against the naive zero-latency register via
-// an engine grid. The returned outcome's Result.Linearizable is false.
-func Figure1(p model.Params) (Outcome, error) {
-	outs, err := runSpec(Figure1Spec(true), nil, p)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return outs[0], nil
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"timebounds/internal/engine"
 	"timebounds/internal/model"
+	"timebounds/internal/types"
 )
 
 func params(n int) model.Params {
@@ -17,13 +19,42 @@ func params(n int) model.Params {
 	return p
 }
 
-func TestFigure1NaiveRegisterViolates(t *testing.T) {
-	out, err := Figure1(params(3))
-	if err != nil {
-		t.Fatalf("Figure1: %v", err)
+// fixed is a latency function that ignores the parameters.
+func fixed(l model.Time) func(model.Params) model.Time {
+	return func(model.Params) model.Time { return l }
+}
+
+// c1At, d1At and e1At build the C.1, D.1 (k = n) and E.1 (queue, at the
+// given X) constructions for an implementation tuned to one latency, at
+// the full shift.
+func c1At(useQueue bool) func(model.Time) engine.AdversarySpec {
+	return func(l model.Time) engine.AdversarySpec { return C1SpecFor("c1", useQueue, fixed(l), ShiftFraction{}) }
+}
+
+func d1At(k int) func(model.Time) engine.AdversarySpec {
+	return func(l model.Time) engine.AdversarySpec { return D1SpecFor("d1", k, fixed(l), ShiftFraction{}) }
+}
+
+func e1At(x model.Time) func(model.Time) engine.AdversarySpec {
+	return func(l model.Time) engine.AdversarySpec {
+		return E1SpecFor("e1", types.NewQueue(), types.OpEnqueue, types.OpPeek, "x", nil, fixed(x), fixed(l), ShiftFraction{})
 	}
-	if out.Linearizable() {
-		t.Fatalf("naive zero-latency register should violate linearizability:\n%s", out.History)
+}
+
+// run executes one construction through Run and fails the test on error.
+func run(t *testing.T, as engine.AdversarySpec, p model.Params) []engine.Result {
+	t.Helper()
+	rep, err := Run(as, p)
+	if err != nil {
+		t.Fatalf("%s: %v", as.Name, err)
+	}
+	return rep.Results
+}
+
+func TestFigure1NaiveRegisterViolates(t *testing.T) {
+	res := run(t, Figure1Spec(true), params(3))[0]
+	if res.Linearizable {
+		t.Fatalf("naive zero-latency register should violate linearizability:\n%s", res.History)
 	}
 }
 
@@ -42,17 +73,13 @@ func TestTheoremC1PrematureViolates(t *testing.T) {
 		{"dequeue-just-below-bound", bound - 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			outs, err := TheoremC1(C1Config{Params: p, OOPLatency: tc.latency, UseQueue: tc.queue})
-			if err != nil {
-				t.Fatalf("TheoremC1: %v", err)
-			}
 			anyViolation := false
-			for i, o := range outs {
-				if o.WorstLatency >= bound {
+			for i, res := range run(t, c1At(tc.queue)(tc.latency), p) {
+				if res.Witness.Latency >= bound {
 					t.Errorf("run %d: worst latency %s not below bound %s; premature tuning ineffective",
-						i, o.WorstLatency, bound)
+						i, res.Witness.Latency, bound)
 				}
-				if !o.Linearizable() {
+				if !res.Linearizable {
 					anyViolation = true
 				}
 			}
@@ -66,17 +93,13 @@ func TestTheoremC1PrematureViolates(t *testing.T) {
 func TestTheoremC1CorrectAlgorithmPasses(t *testing.T) {
 	p := params(3)
 	for _, queue := range []bool{false, true} {
-		outs, err := TheoremC1(C1Config{Params: p, OOPLatency: p.D + p.Epsilon, UseQueue: queue})
-		if err != nil {
-			t.Fatalf("TheoremC1: %v", err)
-		}
-		for i, o := range outs {
-			if !o.Linearizable() {
+		for i, res := range run(t, c1At(queue)(p.D+p.Epsilon), p) {
+			if !res.Linearizable {
 				t.Errorf("queue=%v run %d: correct algorithm produced a violation:\n%s",
-					queue, i, o.History)
+					queue, i, res.History)
 			}
-			if o.WorstLatency > p.D+p.Epsilon {
-				t.Errorf("queue=%v run %d: latency %s exceeds d+ε", queue, i, o.WorstLatency)
+			if res.Witness.Latency > p.D+p.Epsilon {
+				t.Errorf("queue=%v run %d: latency %s exceeds d+ε", queue, i, res.Witness.Latency)
 			}
 		}
 	}
@@ -86,19 +109,16 @@ func TestTheoremD1PrematureViolates(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8} {
 		p := params(n)
 		bound := model.Time(int64(p.U) * int64(n-1) / int64(n))
-		outs, err := TheoremD1(D1Config{Params: p, MutatorLatency: bound - 1})
-		if err != nil {
-			t.Fatalf("n=%d TheoremD1: %v", n, err)
+		results := run(t, d1At(0)(bound-1), p)
+		if len(results) != 2 {
+			t.Fatalf("n=%d: want results [R1, R2], got %d", n, len(results))
 		}
-		if len(outs) != 2 {
-			t.Fatalf("n=%d: want outcomes [R1, R2], got %d", n, len(outs))
+		if !results[0].Linearizable {
+			t.Errorf("n=%d: R1 (fully concurrent) should be linearizable:\n%s", n, results[0].History)
 		}
-		if !outs[0].Linearizable() {
-			t.Errorf("n=%d: R1 (fully concurrent) should be linearizable:\n%s", n, outs[0].History)
-		}
-		if outs[1].Linearizable() {
+		if results[1].Linearizable {
 			t.Errorf("n=%d: R2 (shifted) should violate with latency %s < (1-1/k)u=%s:\n%s",
-				n, bound-1, bound, outs[1].History)
+				n, bound-1, bound, results[1].History)
 		}
 	}
 }
@@ -107,13 +127,9 @@ func TestTheoremD1AtBoundPasses(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
 		p := params(n)
 		bound := model.Time(int64(p.U) * int64(n-1) / int64(n))
-		outs, err := TheoremD1(D1Config{Params: p, MutatorLatency: bound})
-		if err != nil {
-			t.Fatalf("n=%d TheoremD1: %v", n, err)
-		}
-		for i, o := range outs {
-			if !o.Linearizable() {
-				t.Errorf("n=%d run %d: latency = bound (1-1/k)u should pass:\n%s", n, i, o.History)
+		for i, res := range run(t, d1At(0)(bound), p) {
+			if !res.Linearizable {
+				t.Errorf("n=%d run %d: latency = bound (1-1/k)u should pass:\n%s", n, i, res.History)
 			}
 		}
 	}
@@ -127,29 +143,20 @@ func TestTheoremE1PrematurePairViolates(t *testing.T) {
 	// delay) must catch.
 	x := p.Epsilon + M(p)/2
 	lm := model.Time(0)
-	cfg := E1Config{Params: p, X: x, MutatorLatency: lm}
-	if got := cfg.PairLatency(); got >= bound {
-		t.Fatalf("test bug: pair %s not below bound %s", got, bound)
+	pair := lm + p.D + p.Epsilon - x
+	if pair >= bound {
+		t.Fatalf("test bug: pair %s not below bound %s", pair, bound)
 	}
-	out, err := TheoremE1(cfg)
-	if err != nil {
-		t.Fatalf("TheoremE1: %v", err)
-	}
-	if out.Linearizable() {
-		t.Fatalf("pair latency %s < bound %s should violate:\n%s", cfg.PairLatency(), bound, out.History)
+	if res := run(t, e1At(x)(lm), p)[0]; res.Linearizable {
+		t.Fatalf("pair latency %s < bound %s should violate:\n%s", pair, bound, res.History)
 	}
 }
 
 func TestTheoremE1CorrectPairPasses(t *testing.T) {
 	p := params(3)
 	for _, x := range []model.Time{0, p.Epsilon, p.D + p.Epsilon - p.U} {
-		cfg := E1Config{Params: p, X: x, MutatorLatency: p.Epsilon + x}
-		out, err := TheoremE1(cfg)
-		if err != nil {
-			t.Fatalf("X=%s TheoremE1: %v", x, err)
-		}
-		if !out.Linearizable() {
-			t.Errorf("X=%s: correct pair (|mop|+|aop| = d+2ε) should pass:\n%s", x, out.History)
+		if res := run(t, e1At(x)(p.Epsilon+x), p)[0]; !res.Linearizable {
+			t.Errorf("X=%s: correct pair (|mop|+|aop| = d+2ε) should pass:\n%s", x, res.History)
 		}
 	}
 }

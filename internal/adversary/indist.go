@@ -2,11 +2,11 @@ package adversary
 
 import (
 	"fmt"
+	"slices"
 
 	"timebounds/internal/engine"
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
-	"timebounds/internal/types"
 	"timebounds/internal/workload"
 )
 
@@ -65,10 +65,7 @@ func TheoremC1Indistinguishability(p model.Params, useQueue bool) (IndistResult,
 	if err := rep.Err(); err != nil {
 		return IndistResult{}, err
 	}
-	var kind spec.OpKind = types.OpRMW
-	if useQueue {
-		kind = types.OpDequeue
-	}
+	_, kind := c1Object(useQueue)
 	focalRet, err := opReturn(rep.Results[0], kind, 0)
 	if err != nil {
 		return IndistResult{}, fmt.Errorf("R1 focal: %w", err)
@@ -94,30 +91,14 @@ func TheoremC1Indistinguishability(p model.Params, useQueue bool) (IndistResult,
 }
 
 // c1IndistScenario builds one member of the indistinguishability grid: run
-// R1's delays and clocks on the correct algorithm, optionally suppressing
-// either operation.
+// R1's delays, clocks and schedule on the correct algorithm, with p_i's or
+// p_j's operation dropped when withI or withJ is false (R'1 executes p_i's
+// operation alone).
 func c1IndistScenario(p model.Params, useQueue bool, r c1Run, withI, withJ bool) engine.Scenario {
-	var dt spec.DataType = types.NewRMWRegister(0)
-	if useQueue {
-		dt = types.NewQueue()
-	}
-	var invs []workload.Invocation
-	if useQueue {
-		invs = append(invs, workload.Invocation{At: 0, Proc: 2, Kind: types.OpEnqueue, Arg: "X"})
-		if withI {
-			invs = append(invs, workload.Invocation{At: r.invokeI, Proc: 0, Kind: types.OpDequeue})
-		}
-		if withJ {
-			invs = append(invs, workload.Invocation{At: r.invokeJ, Proc: 1, Kind: types.OpDequeue})
-		}
-	} else {
-		if withI {
-			invs = append(invs, workload.Invocation{At: r.invokeI, Proc: 0, Kind: types.OpRMW, Arg: 1})
-		}
-		if withJ {
-			invs = append(invs, workload.Invocation{At: r.invokeJ, Proc: 1, Kind: types.OpRMW, Arg: 2})
-		}
-	}
+	dt, _ := c1Object(useQueue)
+	invs := slices.DeleteFunc(c1Schedule(useQueue, r), func(inv workload.Invocation) bool {
+		return inv.Proc == 0 && !withI || inv.Proc == 1 && !withJ
+	})
 	return engine.Scenario{
 		Name:         fmt.Sprintf("indist/%s/withI=%v,withJ=%v", r.name, withI, withJ),
 		Backend:      engine.Algorithm1{},

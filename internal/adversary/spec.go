@@ -68,23 +68,17 @@ func C1Spec(useQueue, correct bool, shift ShiftFraction) engine.AdversarySpec {
 	} else {
 		name += ":premature"
 	}
-	as := c1SpecFor(name, useQueue, latency, shift)
+	as := C1SpecFor(name, useQueue, latency, shift)
 	as.RequireLinearizable = correct
 	return as
 }
 
-// c1SpecFor builds the C.1 spec for an arbitrary target-latency function;
-// the config-driven TheoremC1 wrapper reuses it with a fixed latency.
-func c1SpecFor(name string, useQueue bool, latency func(model.Params) model.Time, shift ShiftFraction) engine.AdversarySpec {
-	var dt spec.DataType
-	var kind spec.OpKind
-	if useQueue {
-		dt = types.NewQueue()
-		kind = types.OpDequeue
-	} else {
-		dt = types.NewRMWRegister(0)
-		kind = types.OpRMW
-	}
+// C1SpecFor builds the C.1 spec for an implementation whose OOP latency is
+// latency(p): below d + min{ε,u,d/3} at least one run of the family is
+// non-linearizable; at or above the bound (the correct algorithm's d+ε)
+// every run linearizes.
+func C1SpecFor(name string, useQueue bool, latency func(model.Params) model.Time, shift ShiftFraction) engine.AdversarySpec {
+	dt, kind := c1Object(useQueue)
 	return engine.AdversarySpec{
 		Name:         name,
 		DataType:     dt,
@@ -110,27 +104,32 @@ func c1SpecFor(name string, useQueue bool, latency func(model.Params) model.Time
 	}
 }
 
-// c1Schedule is the invocation schedule of one C.1 run: for the queue
-// instantiation an early enqueue seeds the single element the two dequeues
-// race for (Chapter II.B's witness); a negative invokeJ suppresses op2
-// (runs R'1, R”'3 execute a single operation).
-func c1Schedule(useQueue bool, r c1Run) []workload.Invocation {
-	var invs []workload.Invocation
+// c1Object is the strongly immediately non-self-commuting instantiation
+// of C.1: dequeue on a queue, or read-modify-write on a register.
+func c1Object(useQueue bool) (spec.DataType, spec.OpKind) {
 	if useQueue {
-		invs = append(invs, workload.Invocation{At: 0, Proc: 2, Kind: types.OpEnqueue, Arg: "X"})
-		invs = append(invs, workload.Invocation{At: r.invokeI, Proc: 0, Kind: types.OpDequeue})
-		if r.invokeJ >= 0 {
-			invs = append(invs, workload.Invocation{At: r.invokeJ, Proc: 1, Kind: types.OpDequeue})
+		return types.NewQueue(), types.OpDequeue
+	}
+	return types.NewRMWRegister(0), types.OpRMW
+}
+
+// c1Schedule is the invocation schedule of one C.1 run: op1 at pi, op2 at
+// pj. For the queue instantiation an early enqueue seeds the single
+// element the two dequeues race for (Chapter II.B's witness); rmw(arg)
+// returns the old value and installs arg, so two concurrent instances must
+// not both observe the initial value.
+func c1Schedule(useQueue bool, r c1Run) []workload.Invocation {
+	if useQueue {
+		return []workload.Invocation{
+			{At: 0, Proc: 2, Kind: types.OpEnqueue, Arg: "X"},
+			{At: r.invokeI, Proc: 0, Kind: types.OpDequeue},
+			{At: r.invokeJ, Proc: 1, Kind: types.OpDequeue},
 		}
-		return invs
 	}
-	// rmw(arg) returns the old value and installs arg; two concurrent
-	// instances must not both observe the initial value.
-	invs = append(invs, workload.Invocation{At: r.invokeI, Proc: 0, Kind: types.OpRMW, Arg: 1})
-	if r.invokeJ >= 0 {
-		invs = append(invs, workload.Invocation{At: r.invokeJ, Proc: 1, Kind: types.OpRMW, Arg: 2})
+	return []workload.Invocation{
+		{At: r.invokeI, Proc: 0, Kind: types.OpRMW, Arg: 1},
+		{At: r.invokeJ, Proc: 1, Kind: types.OpRMW, Arg: 2},
 	}
-	return invs
 }
 
 // --- Theorem D.1 ----------------------------------------------------------
@@ -149,7 +148,7 @@ func D1Spec(k int, correct bool, shift ShiftFraction) engine.AdversarySpec {
 	} else {
 		name += ":premature"
 	}
-	as := d1SpecFor(name, k, latency, shift)
+	as := D1SpecFor(name, k, latency, shift)
 	as.RequireLinearizable = correct
 	return as
 }
@@ -178,8 +177,10 @@ func d1RealizedBound(p model.Params, k int, shift ShiftFraction) model.Time {
 	return 2 * model.Time(int64(u)*int64(k-1)/int64(2*k))
 }
 
-// d1SpecFor builds the D.1 spec for an arbitrary mutator-latency function.
-func d1SpecFor(name string, k int, latency func(model.Params) model.Time, shift ShiftFraction) engine.AdversarySpec {
+// D1SpecFor builds the D.1 spec for k writers (k = 0 means n) whose pure
+// mutator responds in latency(p): below (1-1/k)u the shifted run R2 is
+// non-linearizable; at the bound or above every run linearizes.
+func D1SpecFor(name string, k int, latency func(model.Params) model.Time, shift ShiftFraction) engine.AdversarySpec {
 	return engine.AdversarySpec{
 		Name:     name,
 		DataType: types.NewRegister(-1),
@@ -273,7 +274,7 @@ func E1Spec(correct bool, shift ShiftFraction) engine.AdversarySpec {
 	} else {
 		name += ":premature"
 	}
-	as := e1SpecFor(name, types.NewQueue(), types.OpEnqueue, types.OpPeek, "x", nil,
+	as := E1SpecFor(name, types.NewQueue(), types.OpEnqueue, types.OpPeek, "x", nil,
 		func(model.Params) model.Time { return 0 }, lm, shift)
 	as.RequireLinearizable = correct
 	return as
@@ -290,19 +291,22 @@ func E1DictSpec(correct bool, shift ShiftFraction) engine.AdversarySpec {
 	} else {
 		name += ":premature"
 	}
-	as := e1SpecFor(name, types.NewDict(), types.OpPut, types.OpDictGet,
+	as := E1SpecFor(name, types.NewDict(), types.OpPut, types.OpDictGet,
 		types.KV{Key: "k", Value: "x"}, "k",
 		func(model.Params) model.Time { return 0 }, lm, shift)
 	as.RequireLinearizable = correct
 	return as
 }
 
-// e1SpecFor builds the E.1 spec for an arbitrary object instantiation and
-// (X, mutator-latency) functions. The accessor's clock runs the (scaled)
-// shift behind the mutator's; delays are slowest-admissible; the accessor
-// is invoked strictly after the mutator's (possibly premature) ack, and a
-// later observer double-checks convergence.
-func e1SpecFor(name string, dt spec.DataType, mutKind, accKind spec.OpKind, mutArg, accArg spec.Value,
+// E1SpecFor builds the E.1 spec for an arbitrary object instantiation and
+// (X, mutator-latency) functions; the accessor responds in d+ε-X as usual,
+// so the pair latency is lmf(p) + d+ε-xf(p). The accessor's clock runs the
+// (scaled) shift behind the mutator's; delays are slowest-admissible; the
+// accessor is invoked strictly after the mutator's (possibly premature)
+// ack, so a pair faster than the bound answers off a local copy whose
+// timestamp horizon excludes the completed mutator. A later observer
+// double-checks convergence.
+func E1SpecFor(name string, dt spec.DataType, mutKind, accKind spec.OpKind, mutArg, accArg spec.Value,
 	xf, lmf func(model.Params) model.Time, shift ShiftFraction) engine.AdversarySpec {
 	return engine.AdversarySpec{
 		Name:     name,

@@ -2,27 +2,11 @@ package adversary
 
 import (
 	"timebounds/internal/core"
-	"timebounds/internal/engine"
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
 )
 
-// C1Config selects the strongly immediately non-self-commuting operation
-// used to instantiate Theorem C.1.
-type C1Config struct {
-	// Params are the system parameters; Params.N must be ≥ 3.
-	Params model.Params
-	// OOPLatency is the target worst-case latency of the premature OOP
-	// implementation. The theorem proves any value < d + min{ε,u,d/3}
-	// yields a violation in one of the constructed runs; the proven-correct
-	// algorithm achieves d+ε.
-	OOPLatency model.Time
-	// UseQueue instantiates the scenario with dequeue on a queue instead of
-	// read-modify-write on a register.
-	UseQueue bool
-}
-
-// c1Runs enumerates the proof's admissible run family. pi = process 0,
+// c1Run is one run of the proof's admissible family. pi = process 0,
 // pj = process 1, pk = process 2 (Fig. 6). Each run fixes a pairwise
 // uniform delay matrix, a clock assignment, and the two invocation times.
 type c1Run struct {
@@ -33,8 +17,7 @@ type c1Run struct {
 	// delays is the pairwise-uniform delay matrix.
 	delays sim.MatrixDelay
 	// invokeI and invokeJ are the real invocation times of op1 (at pi) and
-	// op2 (at pj); a negative invokeJ means op2 is not invoked (runs R'1,
-	// R'''3 execute a single operation).
+	// op2 (at pj).
 	invokeI, invokeJ model.Time
 }
 
@@ -70,17 +53,6 @@ func c1Family(p model.Params, t, m model.Time) []c1Run {
 		// R3 (Fig. 9): op1 at t+m; pi's messages to pj re-extended to d.
 		mk("R3", -m, 0, 0, [6]model.Time{d, d, d - m, d, d - m, d - m}, t+m, t),
 	}
-}
-
-// TheoremC1 executes the Theorem C.1 run family — as an engine grid —
-// against an implementation whose OOP latency is cfg.OOPLatency and returns
-// the outcome of every run. If cfg.OOPLatency < d+m, at least one outcome
-// is non-linearizable; if the latency budget respects the bound (e.g. the
-// d+ε tuning of the correct algorithm), all outcomes are linearizable.
-func TheoremC1(cfg C1Config) ([]Outcome, error) {
-	as := c1SpecFor("c1", cfg.UseQueue,
-		func(model.Params) model.Time { return cfg.OOPLatency }, ShiftFraction{})
-	return runSpec(as, engine.Algorithm1{}, cfg.Params)
 }
 
 // c1Tuning builds a premature tuning whose own-operation OOP response time

@@ -1,31 +1,8 @@
 package adversary
 
 import (
-	"timebounds/internal/engine"
 	"timebounds/internal/model"
 )
-
-// D1Config configures the Theorem D.1 scenario: k concurrent instances of
-// an eventually non-self-last-permuting pure mutator (write on a register)
-// against the (1-1/k)u lower bound.
-type D1Config struct {
-	// Params are the system parameters. Params.Epsilon must be at least
-	// (1-1/k)u for the shifted run's clock assignment to be admissible
-	// (the optimal skew (1-1/n)u suffices when k ≤ n).
-	Params model.Params
-	// K is the number of concurrent writers (2 ≤ K ≤ Params.N). Zero
-	// defaults to Params.N — the eventually non-self-last-permuting case
-	// where the bound is largest. The theorem is stated for any n ≥ k;
-	// the remaining processes idle with mid-range delays (Fig. 10).
-	K int
-	// MutatorLatency is the pure-mutator response time of the
-	// implementation under test. Values < (1-1/k)u produce a violation in
-	// the shifted run R2; the bound value or above does not.
-	MutatorLatency model.Time
-}
-
-// Bound returns the (1-1/k)u lower bound the configuration tests.
-func (c D1Config) Bound() model.Time { return d1Bound(c.Params, c.K, ShiftFraction{}) }
 
 // d1Shift returns the proof's Step 2 shift vector for last-operation z:
 // x_i = (((z-i) mod k)/k - (k-1)/(2k)) · u, so that p_z moves
@@ -77,22 +54,6 @@ func shiftDelays(base [][]model.Time, xs []model.Time) [][]model.Time {
 		}
 	}
 	return out
-}
-
-// TheoremD1 executes the Theorem D.1 construction as an engine grid. It
-// runs R1 (all k writers invoke concurrently at identical clocks over the
-// ring delays, Fig. 11) and R2 (the standard shift of R1 by the Step 2
-// vector, Fig. 14), followed in each case by a read that exposes the final
-// register value. The returned outcomes are [R1, R2].
-//
-// In R2 the writer p_z whose write the implementation orders last responds
-// (k-1)/k·u before p_{(z+1) mod k}'s write begins, so any implementation
-// whose writes respond in under (1-1/k)u leaves a final state that no
-// real-time-respecting permutation explains.
-func TheoremD1(cfg D1Config) ([]Outcome, error) {
-	as := d1SpecFor("d1", cfg.K,
-		func(model.Params) model.Time { return cfg.MutatorLatency }, ShiftFraction{})
-	return runSpec(as, engine.Algorithm1{}, cfg.Params)
 }
 
 func uniformTimes(k int, t model.Time) []model.Time {

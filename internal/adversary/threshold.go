@@ -2,7 +2,9 @@ package adversary
 
 import (
 	"fmt"
+	"slices"
 
+	"timebounds/internal/engine"
 	"timebounds/internal/model"
 )
 
@@ -47,51 +49,16 @@ func FindThreshold(v Violates, lo, hi model.Time) (model.Time, error) {
 	return hi, nil
 }
 
-// C1Violates builds the Violates predicate for the Theorem C.1 scenario:
-// the run family R1/R2/R3 with an OOP implementation tuned to the given
-// latency.
-func C1Violates(p model.Params, useQueue bool) Violates {
+// ViolatesAt builds the Violates predicate of one construction at p: at
+// returns the construction's spec for an implementation tuned to the given
+// latency, and the predicate reports whether any run of its family is
+// non-linearizable.
+func ViolatesAt(at func(latency model.Time) engine.AdversarySpec, p model.Params) Violates {
 	return func(latency model.Time) (bool, error) {
-		outs, err := TheoremC1(C1Config{Params: p, OOPLatency: latency, UseQueue: useQueue})
+		rep, err := Run(at(latency), p)
 		if err != nil {
 			return false, err
 		}
-		for _, o := range outs {
-			if !o.Linearizable() {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-}
-
-// D1Violates builds the Violates predicate for the Theorem D.1 scenario:
-// the shifted ring run R2 with pure mutators tuned to the given latency.
-func D1Violates(p model.Params) Violates {
-	return func(latency model.Time) (bool, error) {
-		outs, err := TheoremD1(D1Config{Params: p, MutatorLatency: latency})
-		if err != nil {
-			return false, err
-		}
-		for _, o := range outs {
-			if !o.Linearizable() {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-}
-
-// E1Violates builds the Violates predicate for the Theorem E.1 scenario
-// with fixed X, varying the mutator's acknowledgment latency. For the
-// Algorithm 1 implementation family this isolates how much of the ε+X
-// mutator wait is load-bearing for the accessor's timestamp horizon.
-func E1Violates(p model.Params, x model.Time) Violates {
-	return func(latency model.Time) (bool, error) {
-		out, err := TheoremE1(E1Config{Params: p, X: x, MutatorLatency: latency})
-		if err != nil {
-			return false, err
-		}
-		return !out.Linearizable(), nil
+		return slices.ContainsFunc(rep.Results, func(res engine.Result) bool { return !res.Linearizable }), nil
 	}
 }

@@ -20,7 +20,7 @@ func TestEmpiricalThresholdTheoremC1(t *testing.T) {
 	p := params(3)
 	bound := p.D + M(p)
 	for _, useQueue := range []bool{false, true} {
-		got, err := FindThreshold(C1Violates(p, useQueue), p.D/2, p.D+2*p.Epsilon)
+		got, err := FindThreshold(ViolatesAt(c1At(useQueue), p), p.D/2, p.D+2*p.Epsilon)
 		if err != nil {
 			t.Fatalf("queue=%v: %v", useQueue, err)
 		}
@@ -34,7 +34,7 @@ func TestEmpiricalThresholdTheoremD1(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 5, 8} {
 		p := params(n)
 		bound := model.Time(int64(p.U) * int64(n-1) / int64(n))
-		got, err := FindThreshold(D1Violates(p), 0, p.U)
+		got, err := FindThreshold(ViolatesAt(d1At(0), p), 0, p.U)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -52,7 +52,7 @@ func TestEmpiricalThresholdTheoremE1(t *testing.T) {
 	p := params(3)
 	for _, x := range []model.Time{0, p.Epsilon / 2, p.Epsilon} {
 		want := p.Epsilon + x
-		got, err := FindThreshold(E1Violates(p, x), 0, p.D)
+		got, err := FindThreshold(ViolatesAt(e1At(x), p), 0, p.D)
 		if err != nil {
 			t.Fatalf("X=%s: %v", x, err)
 		}

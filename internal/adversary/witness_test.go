@@ -9,11 +9,13 @@ package adversary
 // threshold — the shift is exactly what powers the bound.
 
 import (
+	"errors"
 	"testing"
 
 	"timebounds/internal/core"
 	"timebounds/internal/engine"
 	"timebounds/internal/model"
+	"timebounds/internal/runs"
 )
 
 // runFamily expands one spec at params(3) (or the given n) and returns the
@@ -209,4 +211,34 @@ func TestAdversaryGridSurfacesInadmissibleFamilies(t *testing.T) {
 	if len(rep.Results) != 1 || rep.Results[0].Err == "" {
 		t.Fatalf("want one error result for the inadmissible family, got %+v", rep.Results)
 	}
+}
+
+func TestAdversaryFamiliesAreAdmissible(t *testing.T) {
+	// Every bundled construction, premature and correct, builds runs the
+	// Chapter III model admits: well-formed timed views, each delivered
+	// message's delay in [d-u, d] and every pair of clocks within ε. The shrunk-shift
+	// variants weaken the adversary and must stay admissible too.
+	total, msgs := 0, 0
+	for _, n := range []int{3, 4} {
+		p := params(n)
+		for _, name := range SpecNames() {
+			for _, v := range []struct {
+				correct bool
+				shift   ShiftFraction
+			}{{false, ShiftFraction{}}, {true, ShiftFraction{}}, {false, Frac(0.5)}} {
+				as, err := SpecByName(name, v.correct, v.shift)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, res := range run(t, as, p) {
+					if err := errors.Join(runs.CheckRun(*res.Run), runs.Admissible(*res.Run)); err != nil {
+						t.Errorf("%s: %v", res.Name, err)
+					}
+					total++
+					msgs += len(res.Run.Msgs)
+				}
+			}
+		}
+	}
+	t.Logf("%d runs, %d messages, all admissible", total, msgs)
 }

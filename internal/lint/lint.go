@@ -7,8 +7,8 @@
 // The suite enforces statically the invariants the test suite pins
 // dynamically — determinism of Reports, allocation discipline on
 // //tb:hotpath functions, cancellation hygiene in the streaming pipeline,
-// and the retirement of deprecated symbols — so new code
-// cannot quietly regress them between test runs. See
+// and package documentation — so new code cannot quietly regress them
+// between test runs. See
 // docs/STATIC_ANALYSIS.md for the analyzer catalogue and the
 // //tbvet:ignore suppression directive.
 package lint
@@ -121,7 +121,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Hotpath, CtxHygiene, Deprecated, PkgDoc}
+	return []*Analyzer{Determinism, Hotpath, CtxHygiene, PkgDoc}
 }
 
 // ByName resolves a comma-separated analyzer selection against All.

@@ -95,7 +95,6 @@ func runFixture(t *testing.T, name string) []Diagnostic {
 func TestDeterminismGolden(t *testing.T) { runFixture(t, "determinism") }
 func TestHotpathGolden(t *testing.T)     { runFixture(t, "hotpath") }
 func TestCtxHygieneGolden(t *testing.T)  { runFixture(t, "ctxhygiene") }
-func TestDeprecatedGolden(t *testing.T)  { runFixture(t, "deprecated") }
 func TestPkgDocGolden(t *testing.T)      { runFixture(t, "pkgdoc") }
 func TestIgnoreDirectives(t *testing.T)  { runFixture(t, "ignoredir") }
 

@@ -17,8 +17,8 @@ import (
 
 // Package is one type-checked, non-test package of a loaded module tree.
 // Test files (_test.go) are deliberately excluded: the analyzers state
-// invariants about shipped code, and tests are free to use wall clocks,
-// global randomness, and deprecated symbols.
+// invariants about shipped code, and tests are free to use wall clocks
+// and global randomness.
 type Package struct {
 	// ImportPath is the module-qualified import path.
 	ImportPath string
@@ -48,8 +48,7 @@ type Program struct {
 	// Packages lists every package under Root, sorted by import path.
 	Packages []*Package
 
-	byPath     map[string]*Package
-	deprecated map[types.Object]string // lazily built by deprecatedObjects
+	byPath map[string]*Package
 }
 
 var moduleRe = regexp.MustCompile(`(?m)^module\s+(\S+)`)

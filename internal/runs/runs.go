@@ -86,22 +86,18 @@ func FromSim(s *sim.Simulator) Run {
 }
 
 // CheckView verifies the timed-view well-formedness conditions of Chapter
-// III.B.2 that are observable here: steps strictly ordered in real time and
-// contained in [0, End).
+// III.B.2 that are observable here: steps ordered in real time and
+// contained in [0, End). Steps share real times only via distinct events
+// in the sim, so equal times are allowed but decreasing ones are not, at
+// any sign: a shifted view's steps may lie before real time 0.
 func CheckView(v TimedView) error {
-	var last model.Time = -1
-	for _, st := range v.Steps {
-		if st.RealTime <= last && last >= 0 {
-			// Steps share real times only via distinct events in the sim;
-			// allow equal times but not decreasing.
-			if st.RealTime < last {
-				return fmt.Errorf("runs: %s steps not ordered: %s after %s", v.Proc, st.RealTime, last)
-			}
+	for i, st := range v.Steps {
+		if i > 0 && st.RealTime < v.Steps[i-1].RealTime {
+			return fmt.Errorf("runs: %s steps not ordered: %s after %s", v.Proc, st.RealTime, v.Steps[i-1].RealTime)
 		}
 		if st.RealTime >= v.End {
 			return fmt.Errorf("runs: %s step at %s beyond view end %s", v.Proc, st.RealTime, v.End)
 		}
-		last = st.RealTime
 	}
 	return nil
 }

@@ -255,3 +255,31 @@ func TestAdmissibleRejectsLateUnreceived(t *testing.T) {
 		t.Errorf("cut view should excuse unreceived message: %v", err)
 	}
 }
+
+func TestCheckViewRejectsOutOfOrderSteps(t *testing.T) {
+	// A view's steps must not go back in real time, whatever their sign:
+	// ShiftView with a negative x moves steps before real time 0.
+	view := func(times ...model.Time) runs.TimedView {
+		v := runs.TimedView{Proc: 1, End: model.Infinity}
+		for _, rt := range times {
+			v.Steps = append(v.Steps, runs.Step{RealTime: rt, Kind: "deliver"})
+		}
+		return v
+	}
+	for _, ok := range []runs.TimedView{view(3, 5), view(-7, -5, -5, 0, 4)} {
+		if err := runs.CheckView(ok); err != nil {
+			t.Errorf("ordered steps %v rejected: %v", ok.Steps, err)
+		}
+	}
+	for _, bad := range []runs.TimedView{view(5, 3), view(-5, -7), view(2, -1)} {
+		if runs.CheckView(bad) == nil {
+			t.Errorf("out-of-order steps %v accepted", bad.Steps)
+		}
+	}
+	if err := runs.CheckView(runs.ShiftView(view(3, 5), -10*ms)); err != nil {
+		t.Errorf("a negatively shifted ordered view rejected: %v", err)
+	}
+	if runs.CheckView(runs.ShiftView(view(5, 3), -10*ms)) == nil {
+		t.Error("a negatively shifted out-of-order view accepted")
+	}
+}

@@ -1,12 +1,11 @@
 package sim
 
 // Arena is reusable run storage for a sequence of simulators: the event
-// slab, its free list, the schedule the cursor reads, the 4-ary heap, the
-// equal-timestamp dispatch batch and the timer-liveness table. A harness
-// that runs many scenarios back to back (one engine worker) lends the same
-// Arena to each run through Config.Arena and takes it back with
-// Simulator.Recycle, so after the first few runs the event loop never
-// grows a slice again.
+// slab, its free list, the schedule the cursor reads, the 4-ary heap and
+// the timer-liveness table. A harness that runs many scenarios back to
+// back (one engine worker) lends the same Arena to each run through
+// Config.Arena and takes it back with Simulator.Recycle, so after the
+// first few runs the event loop never grows a slice again.
 //
 // An Arena serves one simulator at a time. New borrows it only when it is
 // idle; a simulator built while the Arena is still lent out gets fresh
@@ -18,7 +17,6 @@ type Arena struct {
 	freed     []int32
 	sched     []qitem
 	queue     []qitem
-	batch     []int32
 	timerLive []bool
 	lent      bool
 }
@@ -38,7 +36,7 @@ func (a *Arena) lendTo(s *Simulator) {
 	a.lent = true
 	s.arena = a
 	s.events, s.freed, s.sched, s.queue = a.events[:0], a.freed[:0], a.sched[:0], a.queue[:0]
-	s.batch, s.timerLive = a.batch[:0], a.timerLive[:0]
+	s.timerLive = a.timerLive[:0]
 }
 
 // Recycle ends the simulator's life: it zeroes every slab slot and
@@ -56,9 +54,9 @@ func (s *Simulator) Recycle() {
 	clear(s.sched[:cap(s.sched)]) // its capacity may be the heap's, which is never cleared
 	if a := s.arena; a != nil {
 		a.events, a.freed, a.sched, a.queue = s.events[:0], s.freed[:0], s.sched[:0], s.queue[:0]
-		a.batch, a.timerLive = s.batch[:0], s.timerLive[:0]
+		a.timerLive = s.timerLive[:0]
 		a.lent = false
 		s.arena = nil
 	}
-	s.events, s.freed, s.sched, s.queue, s.batch, s.timerLive = nil, nil, nil, nil, nil, nil
+	s.events, s.freed, s.sched, s.queue, s.timerLive = nil, nil, nil, nil, nil
 }

@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -79,42 +78,6 @@ func chatterSim(t *testing.T, delay sim.DelayPolicy) *sim.Simulator {
 		}
 	}
 	return s
-}
-
-// TestBatchedDispatchEquivalence: Run's batched equal-timestamp dispatch
-// must be unobservable — bit-identical history, step trace, and message
-// trace versus the reference one-event-at-a-time loop, under both a
-// static (matrix-precomputed) and a dynamic delay policy.
-func TestBatchedDispatchEquivalence(t *testing.T) {
-	ms := model.Time(time.Millisecond)
-	policies := map[string]func() sim.DelayPolicy{
-		"static-fixed":   func() sim.DelayPolicy { return sim.FixedDelay(10 * ms) },
-		"dynamic-random": func() sim.DelayPolicy { return sim.NewRandomDelay(42, 6*ms, 10*ms) },
-	}
-	for name, mk := range policies {
-		t.Run(name, func(t *testing.T) {
-			batched := chatterSim(t, mk())
-			reference := chatterSim(t, mk())
-			if err := batched.Run(model.Infinity); err != nil {
-				t.Fatalf("batched run: %v", err)
-			}
-			if err := reference.RunUnbatched(model.Infinity); err != nil {
-				t.Fatalf("reference run: %v", err)
-			}
-			if got, want := batched.History().String(), reference.History().String(); got != want {
-				t.Errorf("histories differ:\nbatched:\n%s\nreference:\n%s", got, want)
-			}
-			if !reflect.DeepEqual(batched.Steps(), reference.Steps()) {
-				t.Error("step traces differ between batched and reference dispatch")
-			}
-			if !reflect.DeepEqual(batched.Messages(), reference.Messages()) {
-				t.Error("message traces differ between batched and reference dispatch")
-			}
-			if batched.History().Len() == 0 {
-				t.Fatal("empty run proves nothing")
-			}
-		})
-	}
 }
 
 // TestStaticDelayMatrixPrecomputed: fixed and matrix policies flatten into

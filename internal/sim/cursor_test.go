@@ -102,7 +102,7 @@ func cursorCases() []cursorCase {
 // run drives the case on a fresh simulator. With heapOnly every
 // invocation and hold is queued after a Run to a horizon before the first
 // event, so it goes on the heap and the cursor holds nothing of it.
-func (c cursorCase) run(t *testing.T, heapOnly, unbatched bool) (outcome, int) {
+func (c cursorCase) run(t *testing.T, heapOnly bool) (outcome, int) {
 	t.Helper()
 	ms := model.Time(time.Millisecond)
 	p := model.Params{N: c.n, D: 10 * ms, U: 4 * ms, Epsilon: 2 * ms}
@@ -122,26 +122,22 @@ func (c cursorCase) run(t *testing.T, heapOnly, unbatched bool) (outcome, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := s.Run
-	if unbatched {
-		run = s.RunUnbatched
-	}
 	if heapOnly {
-		if err := run(-1); err != nil {
+		if err := s.Run(-1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	held := c.queue(s)
 	scheduled := s.Scheduled()
 	for _, cut := range c.cuts {
-		if err := run(cut); err != nil {
+		if err := s.Run(cut); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if c.mid != nil {
 		c.mid(t, s, held)
 	}
-	if err := run(model.Infinity); err != nil {
+	if err := s.Run(model.Infinity); err != nil {
 		t.Fatal(err)
 	}
 	out := outcome{history: s.History().String(), steps: s.Steps(), messages: s.Messages()}
@@ -152,14 +148,13 @@ func (c cursorCase) run(t *testing.T, heapOnly, unbatched bool) (outcome, int) {
 // TestScheduleCursorIsUnobservable: dispatching the schedule queued before
 // the first Run through the cursor, merged with the heap on (at, seq),
 // reports exactly what the same schedule reports when every invocation
-// goes through the heap — under batched and unbatched dispatch, for
-// unsorted schedules with shared instants, deferring bursts, faults on
+// goes through the heap, for unsorted schedules with shared instants, deferring bursts, faults on
 // invocation instants, holds bound between partial Runs and invocations
 // queued mid-run at instants the cursor still holds.
 func TestScheduleCursorIsUnobservable(t *testing.T) {
 	for _, c := range cursorCases() {
 		t.Run(c.name, func(t *testing.T) {
-			want, viaHeap := c.run(t, true, false)
+			want, viaHeap := c.run(t, true)
 			if want.history == "" || len(want.steps) == 0 || len(want.messages) == 0 {
 				t.Fatal("empty run proves nothing")
 			}
@@ -172,27 +167,21 @@ func TestScheduleCursorIsUnobservable(t *testing.T) {
 					t.Fatalf("%s of p%d at %s dispatched after a same-instant %s", st.Kind, st.Proc, st.RealTime, prev.Kind)
 				}
 			}
-			for _, unbatched := range []bool{false, true} {
-				got, viaCursor := c.run(t, false, unbatched)
-				if viaCursor <= viaHeap {
-					t.Fatalf("the cursor held %d events, the heap-only reference %d", viaCursor, viaHeap)
-				}
-				if got.history != want.history {
-					t.Errorf("unbatched=%v: history differs:\ncursor:\n%s\nheap:\n%s", unbatched, got.history, want.history)
-				}
-				if !reflect.DeepEqual(got.steps, want.steps) {
-					t.Errorf("unbatched=%v: step trace differs", unbatched)
-				}
-				if !reflect.DeepEqual(got.messages, want.messages) {
-					t.Errorf("unbatched=%v: message trace differs", unbatched)
-				}
-				if !reflect.DeepEqual(got.faults, want.faults) {
-					t.Errorf("unbatched=%v: fault stats %+v, heap %+v", unbatched, got.faults, want.faults)
-				}
-				ref, _ := c.run(t, true, unbatched)
-				if ref.history != want.history || !reflect.DeepEqual(ref.steps, want.steps) {
-					t.Errorf("unbatched=%v: the heap-only reference differs from itself batched", unbatched)
-				}
+			got, viaCursor := c.run(t, false)
+			if viaCursor <= viaHeap {
+				t.Fatalf("the cursor held %d events, the heap-only reference %d", viaCursor, viaHeap)
+			}
+			if got.history != want.history {
+				t.Errorf("history differs:\ncursor:\n%s\nheap:\n%s", got.history, want.history)
+			}
+			if !reflect.DeepEqual(got.steps, want.steps) {
+				t.Error("step trace differs")
+			}
+			if !reflect.DeepEqual(got.messages, want.messages) {
+				t.Error("message trace differs")
+			}
+			if !reflect.DeepEqual(got.faults, want.faults) {
+				t.Errorf("fault stats %+v, heap %+v", got.faults, want.faults)
 			}
 		})
 	}

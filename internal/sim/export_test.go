@@ -6,12 +6,6 @@ import (
 	"timebounds/internal/model"
 )
 
-// RunUnbatched exposes the reference one-event-at-a-time loop to the
-// equivalence tests, which assert Run's batched dispatch is unobservable.
-func (s *Simulator) RunUnbatched(horizon model.Time) error {
-	return s.runUnbatched(horizon)
-}
-
 // StaticDelayMatrix reports whether the simulator precomputed a static
 // delay matrix for its policy.
 func (s *Simulator) StaticDelayMatrix() bool { return s.delayMat != nil }

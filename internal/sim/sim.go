@@ -200,7 +200,6 @@ type Simulator struct {
 	cur     int     // the cursor: sched[cur:] is still queued
 	started bool    // Run has begun; pushes go to the heap
 	queue   []qitem // 4-ary min-heap ordered by (at, seq)
-	batch   []int32 // reused equal-timestamp dispatch batch (slab indexes)
 	env     procEnv // reused Env; valid only during one handler call
 	seq     int64
 	msgSeq  int
@@ -577,59 +576,13 @@ func (s *Simulator) Bind(h Held, kind spec.OpKind, arg spec.Value) bool {
 // Run processes events until the queue drains (quiescence) or the horizon
 // is reached. It returns the first configuration error encountered.
 //
-// Dispatch is batched: all events sharing the earliest delivery timestamp
-// are drained from the schedule and the heap in one pass and dispatched
-// in creation order, so per-event ordering work is paid once per distinct
-// timestamp. Events pushed during a batch (always at later sequence
-// numbers) form follow-up batches; the resulting dispatch order is
-// identical to one-at-a-time dispatch. Events beyond the horizon stay
-// queued.
+// Each step takes the earliest event — the lesser (at, seq) head of the
+// schedule cursor and the heap, so equal timestamps dispatch in creation
+// order — dispatches it and recycles its slot. Events beyond the horizon
+// stay queued.
 //
 //tb:hotpath
 func (s *Simulator) Run(horizon model.Time) error {
-	s.start()
-	for {
-		it, cursor, ok := s.next()
-		if !ok {
-			return s.err
-		}
-		t := it.at
-		if t > horizon {
-			return s.err
-		}
-		if t < s.now {
-			return s.timeRegression(t)
-		}
-		s.now = t
-		// Drain the timestamp-t batch into the reused value buffer,
-		// recycling slots immediately — handlers dispatch against the
-		// copies. The cursor and the heap both yield ascending sequence
-		// numbers within an equal timestamp, and next takes the lesser
-		// head, so batch order is creation order — the same order
-		// repeated single-event dispatch would produce. Same-timestamp
-		// events pushed by handlers below carry later sequence numbers
-		// and are drained on the next pass.
-		batch := s.batch[:0]
-		for ok && it.at == t {
-			batch = append(batch, s.take(cursor))
-			it, cursor, ok = s.next()
-		}
-		s.batch = batch
-		for _, ref := range batch {
-			s.dispatch(ref)
-			s.release(ref)
-			if s.err != nil {
-				return s.err
-			}
-		}
-	}
-}
-
-// runUnbatched is the reference event loop: one earliest event, one
-// dispatch. It is semantically identical to Run and exists so the
-// equivalence tests can assert that batched dispatch is unobservable
-// (bit-identical histories and traces).
-func (s *Simulator) runUnbatched(horizon model.Time) error {
 	s.start()
 	for {
 		it, cursor, ok := s.next()
