@@ -59,9 +59,11 @@ test-adversary:
 # The fault battery: plan/injector unit tests, the replica lifecycle HSM,
 # the engine's dichotomy-verdict machinery, the engineered fault adversary
 # families (both horns pinned per run), crash-pending history semantics,
-# and the facade-level fault conformance grid. Every faulted run must land
-# on exactly one dichotomy horn — within the crash-adjusted bound, or a
-# breach naming the broken model assumption. See docs/FAULTS.md.
+# the facade-level fault conformance grid, and the admissibility judge's
+# two readers (Result.Model, runs.Admissible) agreeing on every plan. Every
+# faulted run must land on exactly one dichotomy horn — within the
+# crash-adjusted bound, or a breach naming the broken model assumption.
+# See docs/FAULTS.md.
 test-faults:
 	$(GO) test -race -run 'Fault|Lifecycle|Dichotomy|Horn|Crash|Churn|Drift' ./internal/fault ./internal/core ./internal/history ./internal/engine ./internal/adversary .
 
@@ -85,16 +87,21 @@ test-live:
 
 # Bounded fuzz passes: the linearizability checker's island-decomposed
 # search (sequential and parallel) against the textbook Wing–Gong
-# reference on decoded random histories, and a migrating store's phased
+# reference on decoded random histories, a migrating store's phased
 # run against its contract (op counts, stitched histories, verdicts the
 # reference search agrees with, caught corrupted transfers, shard runs
-# that Scenarios reproduces at any worker count). The committed corpora
-# under internal/{check,engine}/testdata/fuzz replay on every plain
-# `go test`; this target additionally mutates each for FUZZTIME.
+# that Scenarios reproduces at any worker count), and a faulted run
+# against the dichotomy's (hostile parameters rejected without a panic,
+# exactly one horn, bounded-skew named by the report exactly when
+# Result.Model names it, identical Results at any worker count). The
+# committed corpora under internal/{check,engine}/testdata/fuzz replay on
+# every plain `go test`; this target additionally mutates each for
+# FUZZTIME.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCheckIslands -fuzztime $(FUZZTIME) ./internal/check
 	$(GO) test -run '^$$' -fuzz FuzzMigration -fuzztime $(FUZZTIME) ./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzFaultPlan -fuzztime $(FUZZTIME) ./internal/engine
 
 # Benchmarks report simulated-model-time latencies as custom *-ms metrics;
 # ns/op measures simulator throughput. Wall-clock regressions are judged

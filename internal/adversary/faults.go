@@ -3,6 +3,7 @@ package adversary
 import (
 	"fmt"
 
+	"timebounds/internal/bounds"
 	"timebounds/internal/engine"
 	"timebounds/internal/fault"
 	"timebounds/internal/model"
@@ -55,7 +56,7 @@ func CrashFaultSpec() engine.AdversarySpec {
 		Name:           "fault-crash",
 		DataType:       types.NewRMWRegister(0),
 		WitnessKinds:   []spec.OpKind{types.OpRMW},
-		Bound:          func(p model.Params) model.Time { return p.D + p.Epsilon },
+		Bound:          bounds.UpperOOP,
 		FaultDichotomy: true,
 		Runs: func(p model.Params) ([]engine.AdversaryRun, error) {
 			if err := needN(p, 3, "fault-crash"); err != nil {
@@ -120,7 +121,7 @@ func ChurnFaultSpec() engine.AdversarySpec {
 		Name:           "fault-churn",
 		DataType:       types.NewRMWRegister(0),
 		WitnessKinds:   []spec.OpKind{types.OpRMW},
-		Bound:          func(p model.Params) model.Time { return p.D + p.Epsilon },
+		Bound:          bounds.UpperOOP,
 		FaultDichotomy: true,
 		Runs: func(p model.Params) ([]engine.AdversaryRun, error) {
 			if err := needN(p, 3, "fault-churn"); err != nil {
@@ -171,7 +172,7 @@ func LossFaultSpec() engine.AdversarySpec {
 		Name:           "fault-loss",
 		DataType:       types.NewRegister(0),
 		WitnessKinds:   []spec.OpKind{types.OpWrite},
-		Bound:          func(p model.Params) model.Time { return p.D + p.Epsilon },
+		Bound:          bounds.UpperOOP,
 		FaultDichotomy: true,
 		Runs: func(p model.Params) ([]engine.AdversaryRun, error) {
 			if err := needN(p, 3, "fault-loss"); err != nil {
@@ -220,7 +221,7 @@ func DupRegisterFaultSpec() engine.AdversarySpec {
 		Name:           "fault-dup-register",
 		DataType:       types.NewRegister(0),
 		WitnessKinds:   []spec.OpKind{types.OpWrite},
-		Bound:          func(p model.Params) model.Time { return p.D + p.Epsilon },
+		Bound:          bounds.UpperOOP,
 		FaultDichotomy: true,
 		Runs: func(p model.Params) ([]engine.AdversaryRun, error) {
 			if err := needN(p, 3, "fault-dup-register"); err != nil {
@@ -246,7 +247,7 @@ func DupCounterFaultSpec() engine.AdversarySpec {
 		Name:           "fault-dup-counter",
 		DataType:       types.NewCounter(),
 		WitnessKinds:   []spec.OpKind{types.OpIncrement},
-		Bound:          func(p model.Params) model.Time { return p.D + p.Epsilon },
+		Bound:          bounds.UpperOOP,
 		FaultDichotomy: true,
 		Runs: func(p model.Params) ([]engine.AdversaryRun, error) {
 			if err := needN(p, 3, "fault-dup-counter"); err != nil {
@@ -279,7 +280,7 @@ func PartitionFaultSpec() engine.AdversarySpec {
 		Name:           "fault-partition",
 		DataType:       types.NewRegister(0),
 		WitnessKinds:   []spec.OpKind{types.OpWrite},
-		Bound:          func(p model.Params) model.Time { return p.D + p.Epsilon },
+		Bound:          bounds.UpperOOP,
 		FaultDichotomy: true,
 		Runs: func(p model.Params) ([]engine.AdversaryRun, error) {
 			if err := needN(p, 3, "fault-partition"); err != nil {
@@ -321,7 +322,7 @@ func DriftFaultSpec() engine.AdversarySpec {
 		Name:           "fault-drift",
 		DataType:       types.NewRMWRegister(0),
 		WitnessKinds:   []spec.OpKind{types.OpRMW},
-		Bound:          func(p model.Params) model.Time { return p.D + p.Epsilon },
+		Bound:          bounds.UpperOOP,
 		FaultDichotomy: true,
 		Runs: func(p model.Params) ([]engine.AdversaryRun, error) {
 			if err := needN(p, 3, "fault-drift"); err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"timebounds/internal/core"
 	"timebounds/internal/engine"
+	"timebounds/internal/fault"
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
 	"timebounds/internal/spec"
@@ -210,7 +211,7 @@ func d1Runs(p model.Params, k int, shift ShiftFraction) ([]engine.AdversaryRun, 
 	if k < 2 || k > p.N {
 		return nil, fmt.Errorf("adversary: Theorem D.1 needs 2 ≤ k ≤ n, got k=%d n=%d", k, p.N)
 	}
-	if want := d1RealizedBound(p, k, shift); p.Epsilon < want {
+	if want := d1RealizedBound(p, k, shift); !fault.AdmitsSkew(p.Epsilon, want) {
 		return nil, fmt.Errorf("adversary: ε=%s < (1-1/k)u=%s; shifted run inadmissible", p.Epsilon, want)
 	}
 	base := d1BaseDelays(p, k)

@@ -7,6 +7,7 @@ package clock
 import (
 	"fmt"
 
+	"timebounds/internal/fault"
 	"timebounds/internal/model"
 )
 
@@ -27,25 +28,11 @@ func TwoPoint(n int, p model.ProcessID, skew model.Time) Assignment {
 }
 
 // MaxSkew returns the largest pairwise offset difference max|c_i - c_j|.
-func (a Assignment) MaxSkew() model.Time {
-	if len(a) == 0 {
-		return 0
-	}
-	minOff, maxOff := a[0], a[0]
-	for _, c := range a[1:] {
-		if c < minOff {
-			minOff = c
-		}
-		if c > maxOff {
-			maxOff = c
-		}
-	}
-	return maxOff - minOff
-}
+func (a Assignment) MaxSkew() model.Time { return fault.WorstSkew(a, nil, 0) }
 
 // Validate checks that the assignment satisfies the ε bound.
 func (a Assignment) Validate(epsilon model.Time) error {
-	if skew := a.MaxSkew(); skew > epsilon {
+	if skew := a.MaxSkew(); !fault.AdmitsSkew(epsilon, skew) {
 		return fmt.Errorf("clock: max skew %s exceeds ε=%s", skew, epsilon)
 	}
 	return nil
@@ -76,7 +63,7 @@ func Synchronize(p model.Params, initial Assignment, delay DelayFunc) (Assignmen
 				continue
 			}
 			dl := delay(model.ProcessID(i), model.ProcessID(j))
-			if dl < p.MinDelay() || dl > p.D {
+			if !fault.AdmitsDelay(p, dl) {
 				return nil, fmt.Errorf("clock: delay %s from p%d to p%d outside [%s, %s]",
 					dl, i, j, p.MinDelay(), p.D)
 			}

@@ -7,6 +7,7 @@ import (
 	"timebounds/internal/fault"
 	"timebounds/internal/history"
 	"timebounds/internal/model"
+	"timebounds/internal/sim"
 	"timebounds/internal/spec"
 )
 
@@ -116,6 +117,9 @@ func (sc Scenario) faultRuntime() (*fault.Plan, *fault.Injector, error) {
 	if !sc.Faults.enabled() {
 		return nil, nil, nil
 	}
+	if err := sc.Params.Validate(); err != nil {
+		return nil, nil, err // plan builders may assume valid parameters
+	}
 	plan := sc.Faults.Build(sc.Params, sc.Seed)
 	in, err := fault.NewInjector(plan, sc.Params.N)
 	if err != nil {
@@ -126,27 +130,25 @@ func (sc Scenario) faultRuntime() (*fault.Plan, *fault.Injector, error) {
 
 // faultReport renders the run's dichotomy verdict. The clean horn requires
 // the history to linearize (when checked), the serving copies to agree, no
-// operation stranded pending, and every completed operation within its
-// class bound plus the plan's crash-adjusted allowance. Anything else is
-// the broken horn, with the injected faults and observed symptoms rendered
-// as breaches — which model assumption broke, and by how much.
+// operation stranded pending, every completed operation within its class
+// bound plus the plan's crash-adjusted allowance, and the clocks within
+// the ε skew envelope (res.Model). Anything else is the broken horn, with
+// the injected faults and observed symptoms rendered as breaches — which
+// model assumption broke, and by how much.
 func faultReport(sc Scenario, dt spec.DataType, plan *fault.Plan, in *fault.Injector,
-	res Result, offsets []model.Time, stats fault.Stats) *FaultReport {
+	res Result, s *sim.Simulator) *FaultReport {
 
+	stats, _ := s.FaultStats()
 	fr := &FaultReport{
 		Family:  sc.Faults.label(),
 		Plan:    plan.Name,
 		Stats:   stats,
 		Pending: res.Pending,
 	}
-	// The drift/window horizon is the run's last response: fault activity
-	// after every operation answered cannot have delayed one.
-	var lastRespond model.Time
-	for op := range res.History.All() {
-		if !op.Pending && op.Respond > lastRespond {
-			lastRespond = op.Respond
-		}
-	}
+	// The drift/window horizon is the run's last response, the instant the
+	// judge takes skew at: fault activity after every operation answered
+	// cannot have delayed one.
+	lastRespond := s.LastResponse()
 	// Crash-adjusted class bounds: the theoretical bound plus the plan's
 	// allowance for the fault windows overlapping the operation.
 	var worstExcess model.Time
@@ -163,11 +165,12 @@ func faultReport(sc Scenario, dt spec.DataType, plan *fault.Plan, in *fault.Inje
 		}
 	}
 	// Drift past the ε skew envelope breaks the model's precondition even
-	// before a symptom materializes, so it is itself the broken horn.
-	skewExcess := plan.SkewExcess(offsets, sc.Params.Epsilon, lastRespond)
+	// before a symptom materializes, so it is itself the broken horn. The
+	// judge takes skew at the same instant, the last response.
+	skewBroken := res.Model.Condition == fault.SkewBroken
 
 	clean := res.Converged && (!res.Checked || res.Linearizable) &&
-		res.Pending == 0 && worstExcess == 0 && skewExcess == 0
+		res.Pending == 0 && worstExcess == 0 && !skewBroken
 	if clean {
 		fr.Verdict = VerdictWithinBound
 		return fr
@@ -176,11 +179,11 @@ func faultReport(sc Scenario, dt spec.DataType, plan *fault.Plan, in *fault.Inje
 	if in != nil {
 		fr.Breaches = in.InjectedBreaches(lastRespond)
 	}
-	if skewExcess > 0 {
+	if skewBroken {
 		fr.Breaches = append(fr.Breaches, fault.Breach{
 			Assumption: fault.AssumptionBoundedSkew,
-			Detail:     fmt.Sprintf("worst pairwise clock skew exceeds ε=%s by %s by the run's end", sc.Params.Epsilon, skewExcess),
-			Amount:     skewExcess,
+			Detail:     fmt.Sprintf("worst pairwise clock skew exceeds ε=%s by %s by the run's end", sc.Params.Epsilon, res.Model.Amount),
+			Amount:     res.Model.Amount,
 		})
 	}
 	if res.Checked && !res.Linearizable {

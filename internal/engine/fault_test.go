@@ -1,13 +1,16 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"timebounds/internal/fault"
 	"timebounds/internal/history"
 	"timebounds/internal/model"
+	"timebounds/internal/runs"
 	"timebounds/internal/spec"
 	"timebounds/internal/types"
 	"timebounds/internal/workload"
@@ -220,6 +223,65 @@ func TestTOBCompletesUnderDuplication(t *testing.T) {
 	for op := range res.History.All() {
 		if op.CertKind == history.CertNone {
 			t.Fatalf("%s carries no certificate key", op)
+		}
+	}
+}
+
+// TestFaultModelMatchesAdmissible holds the admissibility judge's two
+// readers to one verdict. On every backend, fault-free and under every
+// bundled plan, seeds 1–2, the simulator's Result.Model and
+// runs.Admissible over the traced run agree to the amount, the fault
+// report names bounded-skew exactly when the model does, and the plan →
+// assumption table is pinned. Dropped messages, at a down replica too,
+// are unreceived; the mild drift is common to every clock and keeps them
+// within ε. Crashing the last replica drops nothing under Centralized,
+// whose clients talk to replica 0 alone.
+func TestFaultModelMatchesAdmissible(t *testing.T) {
+	want := map[string]fault.Condition{
+		"":              fault.Admissible,
+		"crash-recover": fault.DeliveryBroken,
+		"crash":         fault.DeliveryBroken,
+		"churn":         fault.DeliveryBroken,
+		"loss":          fault.DeliveryBroken,
+		"dup":           fault.OnceBroken,
+		"partition":     fault.DeliveryBroken,
+		"drift-mild":    fault.Admissible,
+		"drift":         fault.SkewBroken,
+	}
+	var scs []Scenario
+	for _, b := range Backends() {
+		for _, fs := range append([]FaultSpec{{}}, FaultSpecs()...) {
+			for seed := int64(1); seed <= 2; seed++ {
+				scs = append(scs, Scenario{
+					Backend: b, DataType: types.NewRMWRegister(0), Params: engParams(3),
+					Seed: seed, Faults: fs, Trace: true,
+				})
+			}
+		}
+	}
+	for i, res := range Run(scs).Results {
+		if res.Err != "" {
+			t.Fatalf("%s: %s", res.Name, res.Err)
+		}
+		judged := fault.Admissibility{Condition: fault.Admissible}
+		if err := runs.Admissible(*res.Run); err != nil && !errors.As(err, &judged) {
+			t.Fatalf("%s: runs.Admissible: %v", res.Name, err)
+		}
+		if res.Model != judged {
+			t.Errorf("%s: Result.Model %v, runs.Admissible %v", res.Name, res.Model, judged)
+		}
+		plan := scs[i].Faults.Name
+		wantCond := want[plan]
+		if _, central := scs[i].Backend.(Centralized); central && (plan == "crash" || plan == "crash-recover") {
+			wantCond = fault.Admissible
+		}
+		if res.Model.Condition != wantCond {
+			t.Errorf("%s: judged %s, want %s", res.Name, res.Model.Condition, wantCond)
+		}
+		if res.Fault != nil && slices.ContainsFunc(res.Fault.Breaches, func(b fault.Breach) bool {
+			return b.Assumption == fault.AssumptionBoundedSkew
+		}) != (res.Model.Condition == fault.SkewBroken) {
+			t.Errorf("%s: fault report %s, model %v", res.Name, res.Fault.Summary(), res.Model)
 		}
 	}
 }

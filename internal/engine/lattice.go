@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"timebounds/internal/fault"
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
 )
@@ -45,7 +46,7 @@ func (l Lattice) Worlds(base Scenario) ([]Scenario, error) {
 		delayMenu = []model.Time{p.MinDelay(), p.D}
 	}
 	for _, d := range delayMenu {
-		if d < p.MinDelay() || d > p.D {
+		if !fault.AdmitsDelay(p, d) {
 			return nil, fmt.Errorf("engine: lattice menu delay %s outside [%s, %s]", d, p.MinDelay(), p.D)
 		}
 	}
@@ -67,7 +68,7 @@ func (l Lattice) Worlds(base Scenario) ([]Scenario, error) {
 		for i, k := range oi {
 			offsets[i] = offsetMenu[k]
 		}
-		if slices.Max(offsets)-slices.Min(offsets) <= p.Epsilon {
+		if fault.AdmitsSkew(p.Epsilon, fault.WorstSkew(offsets, nil, 0)) {
 			for di := make([]int, maxMsgs); ; {
 				choice := slices.Clone(di) // each world runs on its own copy, possibly in parallel
 				w := base

@@ -459,7 +459,7 @@ func (st *migrateState) unsettled(k, s int, r *simRun) map[string]int {
 // advance runs the simulation up to instant t, but not past its horizon,
 // and reports whether it moved on.
 func (r *simRun) advance(t model.Time) bool {
-	t = min(t, workload.RunOptions{Horizon: r.sc.Horizon}.HorizonAfter(r.last, r.sc.Params.D))
+	t = min(t, workload.RunOptions{Horizon: r.sc.Horizon}.HorizonAfter(r.last, r.sc.Params))
 	if r.inst == nil || t <= r.at {
 		return false
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"timebounds/internal/fault"
 	"timebounds/internal/history"
 	"timebounds/internal/model"
 	"timebounds/internal/runs"
@@ -158,6 +159,12 @@ type Result struct {
 	// Pending counts operations still pending at the horizon — nonzero
 	// only in faulted runs, where a crash can orphan an in-flight op.
 	Pending int
+	// Model is the admissibility verdict — did the model of Chapter
+	// III.B.3 hold — on every simulated run: admissible, or the first
+	// assumption the run broke with its amount. Fault reports whether the
+	// guarantees survived; a run can break the model and keep them. Live
+	// runs leave it fault.Unmonitored.
+	Model fault.Admissibility
 	// Fault records the dichotomy verdict when the scenario injected a
 	// fault plan; nil for fault-free runs.
 	Fault *FaultReport

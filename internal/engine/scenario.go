@@ -411,6 +411,7 @@ func (r simRun) finish(w *worker) Result {
 		Check:        opts,
 		AllowPending: plan.Active(), // crash-orphaned ops stay pending forever
 	})
+	res.Model = inst.Simulator().Model()
 	if err != nil {
 		res.Err = err.Error()
 		return res
@@ -429,12 +430,7 @@ func (r simRun) finish(w *worker) Result {
 	}
 	res.Bounds = boundChecks(sc, inst.DataType(), rep.PerKind)
 	if plan.Active() {
-		stats, _ := inst.Simulator().FaultStats()
-		offsets := sc.ClockOffsets
-		if offsets == nil {
-			offsets = core.MaxSkewOffsets(sc.Params)
-		}
-		res.Fault = faultReport(sc, inst.DataType(), plan, r.in, res, offsets, stats)
+		res.Fault = faultReport(sc, inst.DataType(), plan, r.in, res, inst.Simulator())
 	}
 	if sc.Witness != nil {
 		res.Witness = witnessOf(*sc.Witness, res)

@@ -181,7 +181,7 @@ type Window struct {
 // Windows returns the plan's fault-activity spans: crash downtimes (open
 // ones closed at horizon), retirement tails, and the loss/duplication/
 // partition windows. Drift is excluded — it is active over the whole run
-// and is accounted separately (SkewExcess, Allowance's rate term).
+// and is accounted separately (WorstSkew, Allowance's rate term).
 func (p *Plan) Windows(horizon model.Time) []Window {
 	if p == nil {
 		return nil
@@ -248,34 +248,6 @@ func (p *Plan) maxAbsRate() int64 {
 	return r
 }
 
-// SkewExcess returns how far the worst pairwise clock skew exceeds ε by the
-// horizon (0 when the run stays within the model's bounded-skew assumption).
-// Skew between two clocks is |offᵢ−offⱼ + (rᵢ−rⱼ)·t/1e6|, linear in t, so
-// the maximum over [0, horizon] is attained at an endpoint; t=0 skews are
-// admissible by construction, so only the horizon needs checking.
-func (p *Plan) SkewExcess(offsets []model.Time, eps, horizon model.Time) model.Time {
-	if p == nil || len(p.Drifts) == 0 {
-		return 0
-	}
-	rates := p.Rates(len(offsets))
-	var worst model.Time
-	for i := range offsets {
-		for j := i + 1; j < len(offsets); j++ {
-			skew := offsets[i] - offsets[j] + model.Time((rates[i]-rates[j])*int64(horizon)/1_000_000)
-			if skew < 0 {
-				skew = -skew
-			}
-			if skew > worst {
-				worst = skew
-			}
-		}
-	}
-	if worst <= eps {
-		return 0
-	}
-	return worst - eps
-}
-
 // ClockAt maps real time to the clock time of a process with the given
 // fixed offset and drift rate: real + offset + ppm·real/1e6 (truncating
 // division). For |ppm| ≤ maxDriftPPM the map is nondecreasing, and strictly
@@ -318,6 +290,9 @@ const (
 	AssumptionConnectivity = "full-connectivity"
 	// AssumptionBoundedSkew is pairwise clock skew within ε.
 	AssumptionBoundedSkew = "bounded-skew"
+	// AssumptionBoundedDelay is every received message delayed by a time
+	// in [d−u, d]; no fault family breaks it, only a delay policy can.
+	AssumptionBoundedDelay = "bounded-delay"
 
 	// SymptomLinearizability: the faulted history failed the checker.
 	SymptomLinearizability = "linearizability"

@@ -184,16 +184,82 @@ func TestAllowanceCoversWindowsAndDrift(t *testing.T) {
 }
 
 func TestSkewExcess(t *testing.T) {
+	p := model.Params{N: 3, D: 1000, U: 200, Epsilon: 100}
 	offsets := []model.Time{-50, 0, 50} // ε = 100 spread
+	judge := func(plan *Plan, until model.Time) Admissibility {
+		return Judge(p, Facts{Skew: WorstSkew(offsets, plan.Rates(p.N), until)})
+	}
 	common := &Plan{Drifts: []Drift{{Proc: 0, PPM: -400}, {Proc: 1, PPM: -400}, {Proc: 2, PPM: -400}}}
-	if got := common.SkewExcess(offsets, 100, 1_000_000); got != 0 {
-		t.Fatalf("common-mode drift skew excess = %s, want 0", got)
+	if got := judge(common, 1_000_000); got != (Admissibility{Condition: Admissible}) {
+		t.Fatalf("common-mode drift judged %+v, want admissible", got)
 	}
 	diff := &Plan{Drifts: []Drift{{Proc: 0, PPM: -20_000}, {Proc: 2, PPM: 20_000}}}
 	// At horizon 10_000: relative drift 40_000 ppm → 400 extra skew, plus the
 	// fixed 100 spread, minus ε=100 → 400 excess.
-	if got := diff.SkewExcess(offsets, 100, 10_000); got != 400 {
-		t.Fatalf("differential drift skew excess = %s, want 400", got)
+	if got := judge(diff, 10_000); got != (Admissibility{Condition: SkewBroken, Amount: 400}) {
+		t.Fatalf("differential drift judged %+v, want bounded-skew by 400", got)
+	}
+	// The worst skew over [0, until] lies at an end: a drift that closes
+	// the initial spread is judged by it.
+	closing := &Plan{Drifts: []Drift{{Proc: 0, PPM: 10_000}}}
+	if got := WorstSkew([]model.Time{0, 150}, closing.Rates(2), 15_000); got != 150 {
+		t.Fatalf("closing drift worst skew = %s, want the initial 150", got)
+	}
+}
+
+// TestJudge pins the judge's order and amounts: the clocks first, then
+// the messages' delays, deliveries and duplicates.
+func TestJudge(t *testing.T) {
+	p := model.Params{N: 3, D: 1000, U: 200, Epsilon: 100}
+	received := func(delays ...model.Time) Facts {
+		var f Facts
+		for _, d := range delays {
+			f.Receive(d)
+		}
+		return f
+	}
+	missed := func(sent, end model.Time) Facts {
+		var f Facts
+		f.Miss(p, sent, end)
+		return f
+	}
+	for _, c := range []struct {
+		name  string
+		facts Facts
+		want  Admissibility
+	}{
+		{"no messages", Facts{}, Admissibility{Condition: Admissible}},
+		{"delays at both ends", received(800, 1000, 900), Admissibility{Condition: Admissible}},
+		{"early delay", received(900, 790), Admissibility{Condition: DelayBroken, Amount: 10}},
+		{"late delay", received(1003, 900), Admissibility{Condition: DelayBroken, Amount: 3}},
+		{"unreceived, complete view", missed(10, model.Infinity), Admissibility{Condition: DeliveryBroken, Count: 1}},
+		{"unreceived, view ends in time", missed(10, 1009), Admissibility{Condition: Admissible}},
+		{"unreceived, view ends late", missed(10, 1011), Admissibility{Condition: DeliveryBroken, Count: 1}},
+		{"duplicate", Facts{Duplicates: 2}, Admissibility{Condition: OnceBroken, Count: 2}},
+		{"skew before delay", Facts{Skew: 101, Received: 1, MinDelay: 1, MaxDelay: 1}, Admissibility{Condition: SkewBroken, Amount: 1}},
+		{"delay before delivery", Facts{Received: 1, MinDelay: 1001, MaxDelay: 1001, Unreceived: 1}, Admissibility{Condition: DelayBroken, Amount: 1}},
+		{"delivery before duplicates", Facts{Unreceived: 1, Duplicates: 1}, Admissibility{Condition: DeliveryBroken, Count: 1}},
+	} {
+		got := Judge(p, c.facts)
+		if got != c.want {
+			t.Errorf("%s: judged %+v, want %+v", c.name, got, c.want)
+		}
+		if (got.Err() == nil) != (c.want.Condition == Admissible) {
+			t.Errorf("%s: Err() = %v for %s", c.name, got.Err(), got.Condition)
+		}
+	}
+	if (Admissibility{}).Err() != nil || (Admissibility{}).Condition.String() != "not-monitored" {
+		t.Error("the zero verdict must read as an unmonitored run, not an error")
+	}
+}
+
+// TestAdmitsDelay pins the delay range's closed ends.
+func TestAdmitsDelay(t *testing.T) {
+	p := model.Params{N: 2, D: 1000, U: 200}
+	for d, want := range map[model.Time]bool{p.D: true, p.MinDelay(): true, p.D + 1: false, p.MinDelay() - 1: false} {
+		if AdmitsDelay(p, d) != want {
+			t.Errorf("AdmitsDelay(%s) = %v, want %v", d, !want, want)
+		}
 	}
 }
 

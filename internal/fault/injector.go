@@ -197,6 +197,14 @@ func linkMatch(ruleFrom, ruleTo int, from, to model.ProcessID) bool {
 	return (ruleFrom < 0 || ruleFrom == int(from)) && (ruleTo < 0 || ruleTo == int(to))
 }
 
+// Undelivered reports the messages the injector kept from their
+// recipients — lost, cut by a partition, or arriving at a down process —
+// and the extra copies it delivered.
+func (in *Injector) Undelivered() (dropped, duplicates int) {
+	st := &in.stats
+	return st.Lost + st.PartitionDrops + st.DroppedToDown, st.Duplicates
+}
+
 // NoteDroppedToDown counts a message that arrived at a down process.
 func (in *Injector) NoteDroppedToDown() { in.stats.DroppedToDown++ }
 

@@ -21,7 +21,7 @@ func Appendable(r1, r2 Run) error {
 		if v1.End == model.Infinity {
 			return fmt.Errorf("runs: %s view in r1 is not finite", v1.Proc)
 		}
-		if v1.ClockOffset != v2.ClockOffset {
+		if v1.ClockOffset != v2.ClockOffset || v1.Rate != v2.Rate {
 			return fmt.Errorf("runs: %s clock functions differ (%s vs %s)",
 				v1.Proc, v1.ClockOffset, v2.ClockOffset)
 		}
@@ -43,12 +43,13 @@ func Append(r1, r2 Run) (Run, error) {
 	if err := Appendable(r1, r2); err != nil {
 		return Run{}, err
 	}
-	out := Run{Params: r1.Params, Views: make([]TimedView, len(r1.Views))}
+	out := Run{Params: r1.Params, Views: make([]TimedView, len(r1.Views)), LastResponse: r2.LastResponse}
 	for i := range r1.Views {
 		v1, v2 := r1.Views[i], r2.Views[i]
 		nv := TimedView{
 			Proc:        v1.Proc,
 			ClockOffset: v1.ClockOffset,
+			Rate:        v1.Rate,
 			End:         v2.End,
 			Steps:       make([]Step, 0, len(v1.Steps)+len(v2.Steps)),
 		}
@@ -87,9 +88,9 @@ func Truncate(r Run, cut []model.Time) (Run, error) {
 	if len(cut) != len(r.Views) {
 		return Run{}, fmt.Errorf("runs: %d horizons for %d views", len(cut), len(r.Views))
 	}
-	out := Run{Params: r.Params, Views: make([]TimedView, len(r.Views))}
+	out := Run{Params: r.Params, Views: make([]TimedView, len(r.Views)), LastResponse: r.LastResponse}
 	for i, v := range r.Views {
-		nv := TimedView{Proc: v.Proc, ClockOffset: v.ClockOffset, End: minTime(v.End, cut[i])}
+		nv := TimedView{Proc: v.Proc, ClockOffset: v.ClockOffset, Rate: v.Rate, End: minTime(v.End, cut[i])}
 		for _, st := range v.Steps {
 			if st.RealTime < nv.End {
 				nv.Steps = append(nv.Steps, st)

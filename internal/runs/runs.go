@@ -9,6 +9,7 @@ package runs
 import (
 	"fmt"
 
+	"timebounds/internal/fault"
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
 )
@@ -22,19 +23,25 @@ type Step struct {
 }
 
 // TimedView is the timed view of one process: its steps in increasing real
-// time, its constant clock offset c_j, and an exclusive end-of-view horizon
+// time, its clock — the constant offset c_j, and a drift rate when a fault
+// plan made the clock drift — and an exclusive end-of-view horizon
 // (Infinity for complete views).
 type TimedView struct {
 	Proc        model.ProcessID
 	ClockOffset model.Time
-	Steps       []Step
+	// Rate is the clock's drift in ppm (fault.Drift); 0 for the model's
+	// drift-free clocks, the only ones the time shift is defined for.
+	Rate  int64
+	Steps []Step
 	// End is the exclusive horizon: the view contains exactly the steps
 	// with RealTime < End.
 	End model.Time
 }
 
 // ClockTime returns the clock time of a step at the given real time.
-func (v TimedView) ClockTime(real model.Time) model.Time { return real + v.ClockOffset }
+func (v TimedView) ClockTime(real model.Time) model.Time {
+	return fault.ClockAt(real, v.ClockOffset, v.Rate)
+}
 
 // Message is one message of a run with its real send and receive times.
 // RecvAt == model.Infinity marks a message sent but not received in the run.
@@ -43,6 +50,8 @@ type Message struct {
 	From, To model.ProcessID
 	SentAt   model.Time
 	RecvAt   model.Time
+	// Dup marks an extra receipt of a message a duplication fault copied.
+	Dup bool
 }
 
 // Received reports whether the message is delivered within the run.
@@ -57,6 +66,10 @@ type Run struct {
 	Params model.Params
 	Views  []TimedView
 	Msgs   []Message
+	// LastResponse is the real time of the run's latest response, the
+	// instant Admissible takes drifting clocks' skew at, as the simulator
+	// does; drift-free clocks keep one skew throughout.
+	LastResponse model.Time
 }
 
 // FromSim extracts a Run from a completed simulation.
@@ -64,11 +77,8 @@ func FromSim(s *sim.Simulator) Run {
 	p := s.Params()
 	views := make([]TimedView, p.N)
 	for i := range views {
-		views[i] = TimedView{
-			Proc:        model.ProcessID(i),
-			ClockOffset: s.ClockOffset(model.ProcessID(i)),
-			End:         model.Infinity,
-		}
+		offset, ppm := s.Clock(model.ProcessID(i))
+		views[i] = TimedView{Proc: model.ProcessID(i), ClockOffset: offset, Rate: ppm, End: model.Infinity}
 	}
 	for _, st := range s.Steps() {
 		views[st.Proc].Steps = append(views[st.Proc].Steps, Step{
@@ -79,10 +89,10 @@ func FromSim(s *sim.Simulator) Run {
 	msgs := make([]Message, 0, len(s.Messages()))
 	for _, m := range s.Messages() {
 		msgs = append(msgs, Message{
-			Seq: m.Seq, From: m.From, To: m.To, SentAt: m.SentAt, RecvAt: m.RecvAt,
+			Seq: m.Seq, From: m.From, To: m.To, SentAt: m.SentAt, RecvAt: m.RecvAt, Dup: m.Dup,
 		})
 	}
-	return Run{Params: p, Views: views, Msgs: msgs}
+	return Run{Params: p, Views: views, Msgs: msgs, LastResponse: s.LastResponse()}
 }
 
 // CheckView verifies the timed-view well-formedness conditions of Chapter
@@ -127,37 +137,30 @@ func CheckRun(r Run) error {
 	return nil
 }
 
-// Admissible verifies the admissibility conditions of Chapter III.B.3:
-// received delays within [d-u, d]; unreceived messages excused only when the
-// recipient's view ends before sendTime+d; pairwise clock skew ≤ ε.
+// Admissible judges r by the admissibility conditions of Chapter III.B.3
+// (fault.Judge) and returns its verdict as an error, nil when r is
+// admissible: received delays within [d-u, d]; unreceived messages
+// excused only when the recipient's view ends before sendTime+d; pairwise
+// clock skew ≤ ε, taken for drifting clocks at r.LastResponse.
 func Admissible(r Run) error {
-	p := r.Params
+	var f fault.Facts
+	offsets, rates := make([]model.Time, len(r.Views)), make([]int64, len(r.Views))
+	for i, v := range r.Views {
+		offsets[i], rates[i] = v.ClockOffset, v.Rate
+	}
+	f.Skew = fault.WorstSkew(offsets, rates, r.LastResponse)
 	for _, m := range r.Msgs {
-		if m.Received() {
-			d := m.Delay()
-			if d < p.MinDelay() || d > p.D {
-				return fmt.Errorf("runs: msg %d delay %s outside [%s, %s]",
-					m.Seq, d, p.MinDelay(), p.D)
-			}
-			continue
+		if m.Dup {
+			f.Duplicates++
 		}
-		if end := r.Views[m.To].End; end > m.SentAt+p.D {
-			return fmt.Errorf("runs: msg %d unreceived but recipient view extends to %s > %s",
-				m.Seq, end, m.SentAt+p.D)
+		switch {
+		case !m.Received():
+			f.Miss(r.Params, m.SentAt, r.Views[m.To].End)
+		case !m.Dup:
+			f.Receive(m.Delay())
 		}
 	}
-	for i := range r.Views {
-		for j := range r.Views {
-			skew := r.Views[i].ClockOffset - r.Views[j].ClockOffset
-			if skew < 0 {
-				skew = -skew
-			}
-			if skew > p.Epsilon {
-				return fmt.Errorf("runs: clock skew |c%d-c%d| = %s exceeds ε=%s", i, j, skew, p.Epsilon)
-			}
-		}
-	}
-	return nil
+	return fault.Judge(r.Params, f).Err()
 }
 
 // ShiftView implements shift(V, x) (Chapter III.B.2): each step's real time
@@ -167,6 +170,7 @@ func ShiftView(v TimedView, x model.Time) TimedView {
 	out := TimedView{
 		Proc:        v.Proc,
 		ClockOffset: v.ClockOffset - x,
+		Rate:        v.Rate,
 		Steps:       make([]Step, len(v.Steps)),
 		End:         shiftHorizon(v.End, x),
 	}
@@ -191,7 +195,8 @@ func Shift(r Run, x []model.Time) (Run, error) {
 	if len(x) != len(r.Views) {
 		return Run{}, fmt.Errorf("runs: %d shift amounts for %d views", len(x), len(r.Views))
 	}
-	out := Run{Params: r.Params, Views: make([]TimedView, len(r.Views)), Msgs: make([]Message, len(r.Msgs))}
+	out := Run{Params: r.Params, Views: make([]TimedView, len(r.Views)), Msgs: make([]Message, len(r.Msgs)),
+		LastResponse: r.LastResponse}
 	for i, v := range r.Views {
 		out.Views[i] = ShiftView(v, x[i])
 	}
@@ -266,7 +271,7 @@ func ShortestPaths(delays [][]model.Time) [][]model.Time {
 // unreceived; messages sent beyond their sender's cut are dropped.
 func Chop(r Run, delays [][]model.Time, from, to model.ProcessID, delta model.Time) (Run, error) {
 	p := r.Params
-	if delta < p.MinDelay() || delta > p.D {
+	if !fault.AdmitsDelay(p, delta) {
 		return Run{}, fmt.Errorf("runs: δ=%s outside [%s, %s]", delta, p.MinDelay(), p.D)
 	}
 	// Locate the first message from → to.
@@ -294,9 +299,9 @@ func Chop(r Run, delays [][]model.Time, from, to model.ProcessID, delta model.Ti
 		}
 		cut[k] = tStar + dist[to][k]
 	}
-	out := Run{Params: p, Views: make([]TimedView, len(r.Views))}
+	out := Run{Params: p, Views: make([]TimedView, len(r.Views)), LastResponse: r.LastResponse}
 	for k, v := range r.Views {
-		nv := TimedView{Proc: v.Proc, ClockOffset: v.ClockOffset, End: minTime(v.End, cut[k])}
+		nv := TimedView{Proc: v.Proc, ClockOffset: v.ClockOffset, Rate: v.Rate, End: minTime(v.End, cut[k])}
 		for _, st := range v.Steps {
 			if st.RealTime < nv.End {
 				nv.Steps = append(nv.Steps, st)

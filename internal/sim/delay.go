@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 
 	"timebounds/internal/model"
@@ -162,12 +161,4 @@ func (e ExtremalDelay) Delay(from, to model.ProcessID, _ model.Time, seq int) mo
 		return e.Params.D
 	}
 	return e.Params.MinDelay()
-}
-
-// ValidateDelay checks that a chosen delay is admissible under p.
-func ValidateDelay(p model.Params, d model.Time) error {
-	if d < p.MinDelay() || d > p.D {
-		return fmt.Errorf("sim: delay %s outside admissible range [%s, %s]", d, p.MinDelay(), p.D)
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"timebounds/internal/fault"
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
 )
@@ -78,18 +79,23 @@ func TestFuncDelay(t *testing.T) {
 	}
 }
 
+// TestValidateDelay runs one message at each end of [d-u, d] and one
+// step outside it: a strict simulator fails exactly the runs whose delay
+// the judge rejects, and a lenient one reports it as the broken
+// assumption.
 func TestValidateDelay(t *testing.T) {
 	p := params(2)
-	if err := sim.ValidateDelay(p, p.D); err != nil {
-		t.Errorf("d rejected: %v", err)
-	}
-	if err := sim.ValidateDelay(p, p.MinDelay()); err != nil {
-		t.Errorf("d-u rejected: %v", err)
-	}
-	if err := sim.ValidateDelay(p, p.D+1); err == nil {
-		t.Error("d+1 accepted")
-	}
-	if err := sim.ValidateDelay(p, p.MinDelay()-1); err == nil {
-		t.Error("d-u-1 accepted")
+	for d, ok := range map[model.Time]bool{p.D: true, p.MinDelay(): true, p.D + 1: false, p.MinDelay() - 1: false} {
+		for _, strict := range []bool{true, false} {
+			s, _ := newSim(t, sim.Config{Params: p, Delay: sim.FixedDelay(d), StrictDelays: strict}, 2)
+			s.Invoke(0, 0, "send", 1)
+			err := s.Run(model.Infinity)
+			if (err == nil) != (ok || !strict) {
+				t.Errorf("delay %s, strict %v: Run error %v", d, strict, err)
+			}
+			if got := s.Model().Condition; (got == fault.Admissible) != ok {
+				t.Errorf("delay %s, strict %v: judged %s", d, strict, got)
+			}
+		}
 	}
 }

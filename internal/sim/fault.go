@@ -128,7 +128,7 @@ func (e *procEnv) deliverCopies(seq int, to model.ProcessID, m Msg, delay, spaci
 		}
 		if s.trace {
 			s.msgs = append(s.msgs, MessageTrace{
-				Seq: sq, From: e.proc, To: to, SentAt: e.real, RecvAt: recv, Delay: recv - e.real,
+				Seq: sq, From: e.proc, To: to, SentAt: e.real, RecvAt: recv, Delay: recv - e.real, Dup: c > 0,
 			})
 		}
 		ref := s.alloc()
@@ -146,6 +146,20 @@ func (e *procEnv) traceLost(seq int, to model.ProcessID, delay model.Time) {
 		s.msgs = append(s.msgs, MessageTrace{
 			Seq: seq, From: e.proc, To: to, SentAt: e.real, RecvAt: model.Infinity, Delay: delay,
 		})
+	}
+}
+
+// traceDropped marks the traced message from→to due at real time at as
+// never received: it arrived at a down process. Lifecycle events dispatch
+// before any same-instant delivery, so every message due at one process
+// at one instant meets the same availability, and the latest unmarked
+// match is as good as any.
+func (s *Simulator) traceDropped(from, to model.ProcessID, at model.Time) {
+	for i := len(s.msgs) - 1; i >= 0; i-- {
+		if m := &s.msgs[i]; m.From == from && m.To == to && m.RecvAt == at {
+			m.RecvAt = model.Infinity
+			return
+		}
 	}
 }
 

@@ -135,6 +135,8 @@ type MessageTrace struct {
 	SentAt   model.Time // real time
 	RecvAt   model.Time // real time; model.Infinity if never delivered
 	Delay    model.Time
+	// Dup marks an extra delivery a duplication fault added.
+	Dup bool
 }
 
 // StepTrace records one process step (Chapter III.B.1: a quintuple; we
@@ -158,10 +160,9 @@ type Config struct {
 	// Policies implementing StaticDelays are flattened into a per-pair
 	// matrix once at construction, so per-message lookups are a slice index.
 	Delay DelayPolicy
-	// StrictDelays makes the simulator return an error from Run if the
-	// policy ever emits a delay outside [D-U, D]. Adversary experiments
-	// that intentionally model inadmissible runs leave this false and
-	// inspect the trace instead.
+	// StrictDelays makes Run fail as soon as the admissibility judge
+	// rejects a delay the policy emits (fault.AdmitsDelay). Without it the
+	// run goes on and Model reports the delay as the broken assumption.
 	StrictDelays bool
 	// DiscardTraces skips recording the step and message traces, for runs
 	// that will never be rendered or shifted (large measurement grids).
@@ -221,8 +222,11 @@ type Simulator struct {
 	// (FixedDelay, MatrixDelay): delayMat[from*n+to]. Nil for dynamic
 	// policies, which go through the DelayPolicy interface per message.
 	delayMat []model.Time
-	minD     model.Time // admissible delay range, for the strict fast path
-	maxD     model.Time
+	// facts is the admissibility monitor: what the run's messages did so
+	// far, for Model to judge. responded is the real time of the latest
+	// response, the instant Model takes clock skew at.
+	facts     fault.Facts
+	responded model.Time
 	// flt is cfg.Faults; nil on the fault-free fast path. epoch holds each
 	// process's restart epoch (crashes invalidate earlier timers); rates
 	// holds per-process clock drift in ppm, nil when no clock drifts.
@@ -286,17 +290,8 @@ func New(cfg Config, procs []Process) (*Simulator, error) {
 	if len(cfg.ClockOffsets) != cfg.Params.N {
 		return nil, fmt.Errorf("sim: %d clock offsets for N=%d", len(cfg.ClockOffsets), cfg.Params.N)
 	}
-	for i, ci := range cfg.ClockOffsets {
-		for j, cj := range cfg.ClockOffsets {
-			skew := ci - cj
-			if skew < 0 {
-				skew = -skew
-			}
-			if skew > cfg.Params.Epsilon {
-				return nil, fmt.Errorf("sim: clock skew |c%d-c%d|=%s exceeds ε=%s",
-					i, j, skew, cfg.Params.Epsilon)
-			}
-		}
+	if skew := fault.WorstSkew(cfg.ClockOffsets, nil, 0); !fault.AdmitsSkew(cfg.Params.Epsilon, skew) {
+		return nil, fmt.Errorf("sim: clock skew %s exceeds ε=%s", skew, cfg.Params.Epsilon)
 	}
 	if cfg.Delay == nil {
 		cfg.Delay = FixedDelay(cfg.Params.D)
@@ -308,8 +303,6 @@ func New(cfg Config, procs []Process) (*Simulator, error) {
 		trace:    !cfg.DiscardTraces,
 		pending:  make([]bool, cfg.Params.N),
 		deferred: make([]deferQueue, cfg.Params.N),
-		minD:     cfg.Params.MinDelay(),
-		maxD:     cfg.Params.D,
 	}
 	s.env.sim = s
 	if sd, ok := cfg.Delay.(StaticDelays); ok {
@@ -355,9 +348,30 @@ func (s *Simulator) Steps() []StepTrace {
 	return out
 }
 
-// ClockOffset returns process p's clock offset c_p.
-func (s *Simulator) ClockOffset(p model.ProcessID) model.Time {
-	return s.cfg.ClockOffsets[p]
+// Clock returns process p's clock: its offset c_p and its drift rate in
+// ppm (0 for a drift-free clock).
+func (s *Simulator) Clock(p model.ProcessID) (offset model.Time, ppm int64) {
+	if s.rates != nil {
+		ppm = s.rates[p]
+	}
+	return s.cfg.ClockOffsets[p], ppm
+}
+
+// LastResponse returns the real time of the run's latest response.
+func (s *Simulator) LastResponse() model.Time { return s.responded }
+
+// Model judges the run so far by the admissibility conditions of Chapter
+// III.B.3 (fault.Judge). Views never end in a simulated run, so every
+// message the fault injector dropped is unreceived and unexcused; clock
+// skew is taken at the latest response — drift only matters while an
+// operation can still feel it.
+func (s *Simulator) Model() fault.Admissibility {
+	f := s.facts
+	if s.flt != nil {
+		f.Unreceived, f.Duplicates = s.flt.Undelivered()
+	}
+	f.Skew = fault.WorstSkew(s.cfg.ClockOffsets, s.rates, s.responded)
+	return fault.Judge(s.cfg.Params, f)
 }
 
 // Reserve presizes the run's hot allocations for a schedule of about ops
@@ -646,6 +660,9 @@ func (s *Simulator) dispatch(ref int32) {
 	case evDeliver:
 		if s.flt != nil && s.flt.Unavailable(proc) {
 			s.flt.NoteDroppedToDown()
+			if s.trace {
+				s.traceDropped(e.from, proc, at)
+			}
 			return
 		}
 		from, m := e.from, e.msg
@@ -750,8 +767,8 @@ func (e *procEnv) Send(to model.ProcessID, m Msg) {
 	} else {
 		delay = s.cfg.Delay.Delay(e.proc, to, e.real, seq)
 	}
-	if s.cfg.StrictDelays && (delay < s.minD || delay > s.maxD) {
-		s.err = e.strictDelayError(seq, to, delay)
+	if s.cfg.StrictDelays && !fault.AdmitsDelay(s.cfg.Params, delay) {
+		s.err = e.rejectDelay(seq, to, delay)
 		return
 	}
 	if s.flt != nil {
@@ -761,10 +778,12 @@ func (e *procEnv) Send(to model.ProcessID, m Msg) {
 			return
 		}
 		if copies > 1 {
+			s.facts.Receive(delay)
 			e.deliverCopies(seq, to, m, delay, spacing, copies)
 			return
 		}
 	}
+	s.facts.Receive(delay)
 	recv := e.real + delay
 	if s.trace {
 		s.msgs = append(s.msgs, MessageTrace{
@@ -784,11 +803,13 @@ func (e *procEnv) selfSendError() error {
 	return fmt.Errorf("sim: %s attempted to send to itself", e.proc)
 }
 
-// strictDelayError builds the inadmissible-delay error, off the Send hot
-// path.
-func (e *procEnv) strictDelayError(seq int, to model.ProcessID, delay model.Time) error {
-	return fmt.Errorf("sim: message %d %s→%s: %w", seq, e.proc, to,
-		ValidateDelay(e.sim.cfg.Params, delay))
+// rejectDelay records the delay the judge rejected, so Model names it, and
+// builds the run's error, off the Send hot path.
+func (e *procEnv) rejectDelay(seq int, to model.ProcessID, delay model.Time) error {
+	p := e.sim.cfg.Params
+	e.sim.facts.Receive(delay)
+	return fmt.Errorf("sim: message %d %s→%s: delay %s outside admissible range [%s, %s]",
+		seq, e.proc, to, delay, p.MinDelay(), p.D)
 }
 
 func (e *procEnv) Broadcast(m Msg) {
@@ -854,6 +875,7 @@ func (e *procEnv) Respond(id history.OpID, ret spec.Value) {
 		return
 	}
 	s := e.sim
+	s.responded = e.real
 	p := e.proc
 	s.pending[p] = false
 	if q := &s.deferred[p]; q.len() > 0 {

@@ -151,19 +151,20 @@ func Run(target Target, sched Schedule, opt RunOptions) (Report, error) {
 }
 
 // HorizonAfter returns the instant a run stops: opt.Horizon, or by default
-// a generous multiple of d past last, the schedule's latest invocation.
-func (opt RunOptions) HorizonAfter(last, d model.Time) model.Time {
+// a generous multiple of the longer of d and ε — operations wait out
+// both — past last, the schedule's latest invocation.
+func (opt RunOptions) HorizonAfter(last model.Time, p model.Params) model.Time {
 	if opt.Horizon == 0 {
-		return last + 1000*d
+		return last + 1000*max(p.D, p.Epsilon)
 	}
 	return opt.Horizon
 }
 
 // Finish is the second half of Run, for a harness that queues the
 // schedule itself and may drive the simulator part of the way first: it
-// runs the target to opt.HorizonAfter(last, d) and collects statistics.
+// runs the target to opt.HorizonAfter(last, params) and collects statistics.
 func Finish(target Target, last model.Time, opt RunOptions) (Report, error) {
-	if err := target.Run(opt.HorizonAfter(last, target.Simulator().Params().D)); err != nil {
+	if err := target.Run(opt.HorizonAfter(last, target.Simulator().Params())); err != nil {
 		return Report{}, err
 	}
 	h := target.History()
