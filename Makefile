@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-adversary test-faults test-keyspace test-live fuzz-smoke bench cover vet vet-json fmt examples loc
+.PHONY: build test test-adversary test-faults test-keyspace test-live fuzz-smoke bench profile cover vet vet-json fmt examples loc
 
 build:
 	$(GO) build ./...
@@ -108,3 +108,24 @@ fuzz-smoke:
 # by the repository benchmark (BENCHMARK.json, bash benchmark/run.sh).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Where the time and the allocations go in the two simulated benches the
+# ROADMAP's profiles read (BenchmarkGridVerify, BenchmarkStudyOpenLoop in
+# internal/engine), at -cpu 2, the repository benchmark's pinned pool: a
+# CPU profile and an alloc profile (-memprofilerate 1, every allocation)
+# of each, written with the test binary to $(PROFILE_DIR) (git-ignored),
+# then each profile's top 25. CI runs it as information only.
+PROFILE_DIR ?= profiles
+profile:
+	@mkdir -p $(PROFILE_DIR)
+	@set -e; for b in GridVerify StudyOpenLoop; do \
+		$(GO) test -run '^$$' -bench "^Benchmark$$b$$" -benchmem -benchtime 30x -cpu 2 \
+			-o $(PROFILE_DIR)/engine.test -cpuprofile $(PROFILE_DIR)/$$b.cpu.pprof ./internal/engine | grep '^Benchmark'; \
+		$(GO) test -run '^$$' -bench "^Benchmark$$b$$" -benchtime 20x -cpu 2 -memprofilerate 1 \
+			-o $(PROFILE_DIR)/engine.test -memprofile $(PROFILE_DIR)/$$b.alloc.pprof ./internal/engine > /dev/null; \
+		echo "== $$b: CPU, top 25"; \
+		$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/$$b.cpu.pprof 2> /dev/null; \
+		echo "== $$b: allocated objects, top 25"; \
+		$(GO) tool pprof -sample_index alloc_objects -top -nodecount 25 \
+			$(PROFILE_DIR)/engine.test $(PROFILE_DIR)/$$b.alloc.pprof 2> /dev/null; \
+	done

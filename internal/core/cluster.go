@@ -16,27 +16,93 @@ type Cluster struct {
 	dt       spec.DataType
 	replicas []*SimReplica
 	sim      *sim.Simulator
+	// arena is the Arena the replicas were borrowed from, until Recycle
+	// returns them; nil for fresh replicas.
+	arena *Arena
 }
+
+// Arena is reusable replica storage for a sequence of clusters: the
+// SimReplicas of the last cluster built on it — with their timer FIFOs,
+// To_Execute heaps, awaited-OOP maps and join buffers — and the process
+// list its simulator read. A harness that builds many clusters back to
+// back (one engine worker) lends the same Arena to each through
+// NewClusterOn and takes it back with Cluster.Recycle; each cluster
+// renews the replicas it borrows, so on a warm Arena a cluster of at most
+// as many replicas as an earlier one allocates none.
+//
+// An Arena follows sim.Arena's lending rule: it serves one cluster at a
+// time, a cluster built while it is lent out gets fresh replicas instead,
+// and it is not safe for concurrent use. The zero value is ready to use.
+type Arena struct {
+	replicas []*SimReplica
+	procs    []sim.Process
+	lent     bool
+}
+
+// NewArena returns an empty arena; its replicas come with the first
+// clusters it serves.
+func NewArena() *Arena { return &Arena{} }
 
 // NewCluster builds a cluster of cfg.Params.N replicas of dt.
 // simCfg.Params is overwritten with cfg.Params; other sim options (delay
 // policy, clock offsets, strictness) pass through.
 func NewCluster(cfg Config, dt spec.DataType, simCfg sim.Config) (*Cluster, error) {
+	return NewClusterOn(nil, cfg, dt, simCfg)
+}
+
+// NewClusterOn is NewCluster on the replicas of a, when a is set and
+// idle; Recycle hands them back. Fresh storage is an empty Arena's: each
+// replica is built once and renewed by the same code.
+func NewClusterOn(a *Arena, cfg Config, dt spec.DataType, simCfg sim.Config) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	simCfg.Params = cfg.Params
-	replicas := make([]*SimReplica, cfg.Params.N)
-	procs := make([]sim.Process, cfg.Params.N)
-	for i := range replicas {
-		replicas[i] = NewReplica(cfg, dt)
-		procs[i] = replicas[i]
+	c := &Cluster{cfg: cfg, dt: dt}
+	var replicas []*SimReplica
+	var procs []sim.Process
+	if a != nil && !a.lent {
+		a.lent, c.arena = true, a
+		replicas, procs = a.replicas, a.procs
 	}
-	s, err := sim.New(simCfg, procs)
+	n := cfg.Params.N
+	for i := range n {
+		if i == len(replicas) {
+			replicas = append(replicas, newSimReplica())
+			procs = append(procs, replicas[i])
+		}
+		replicas[i].renew(cfg, dt)
+	}
+	if c.arena != nil {
+		a.replicas, a.procs = replicas, procs
+	}
+	c.replicas = replicas[:n]
+	s, err := sim.New(simCfg, procs[:n])
 	if err != nil {
+		c.giveBack()
 		return nil, err
 	}
-	return &Cluster{cfg: cfg, dt: dt, replicas: replicas, sim: s}, nil
+	c.sim = s
+	return c, nil
+}
+
+// Recycle ends the cluster's life: the simulator's storage goes back to
+// its sim.Arena (Simulator.Recycle) and the replicas to the Arena they
+// were borrowed from, which renews them for its next cluster. Everything
+// the run reports — History, ConvergedState, State, the simulator's
+// traces — must be read first; the cluster must not be used afterwards.
+// Recycle is idempotent.
+func (c *Cluster) Recycle() {
+	c.sim.Recycle()
+	c.giveBack()
+}
+
+// giveBack returns the borrowed replicas to their Arena.
+func (c *Cluster) giveBack() {
+	if a := c.arena; a != nil {
+		a.lent = false
+		c.arena = nil
+	}
 }
 
 // Invoke schedules an operation at real time at on process proc.

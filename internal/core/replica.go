@@ -147,7 +147,16 @@ type Replica struct {
 
 // NewProtocol returns the protocol of one process of dt, hosted by h.
 func NewProtocol(h Host, dt spec.DataType, x model.Time) Replica {
-	return Replica{host: h, dt: dt, x: x, exec: NewToExecute(dt)}
+	var r Replica
+	r.renew(h, dt, x)
+	return r
+}
+
+// renew makes r the protocol of a fresh process of dt, hosted by h, on the
+// storage of r's To_Execute.
+func (r *Replica) renew(h Host, dt spec.DataType, x model.Time) {
+	r.host, r.dt, r.x = h, dt, x
+	r.exec.renew(dt)
 }
 
 // Applied returns the number of operations executed on the local copy.

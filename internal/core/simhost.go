@@ -123,12 +123,35 @@ var (
 // starting point — so its lifecycle passes through joining and syncing
 // without soliciting a copy and starts out serving.
 func NewReplica(cfg Config, dt spec.DataType) *SimReplica {
-	r := &SimReplica{waits: WaitsFor(cfg.Params, cfg.X, cfg.Tuning), life: NewLifecycle()}
-	r.Replica = NewProtocol(r, dt, cfg.X)
+	r := newSimReplica()
+	r.renew(cfg, dt)
+	return r
+}
+
+// newSimReplica returns an empty replica with its lifecycle hook bound;
+// renew makes it a replica of some data type.
+func newSimReplica() *SimReplica {
+	r := &SimReplica{}
 	r.life.OnEnterSuper = r.onEnterSuper
+	return r
+}
+
+// renew makes r what NewReplica builds — a serving replica of dt under
+// cfg, holding dt's initial state, with a fresh lifecycle and waits — on
+// the storage of r's timer FIFOs, To_Execute and join buffer, emptied. The
+// lifecycle hook stays bound from newSimReplica.
+//
+//tb:hotpath
+func (r *SimReplica) renew(cfg Config, dt spec.DataType) {
+	r.Replica.renew(r, dt, cfg.X)
+	r.env = nil
+	r.waits = WaitsFor(cfg.Params, cfg.X, cfg.Tuning)
+	r.dropVolatile()
+	hook := r.life.OnEnterSuper
+	r.life = NewLifecycle()
+	r.life.OnEnterSuper = hook
 	_ = r.life.Fire(EvAdmit, 0)
 	_ = r.life.Fire(EvSynced, 0)
-	return r
 }
 
 // Self, ClockTime, Certify and Respond implement Host on the current Env.
@@ -169,9 +192,16 @@ func (r *SimReplica) onEnterSuper(s SuperState, _ model.Time) {
 		return
 	}
 	r.exec.Reset()
+	r.dropVolatile()
+}
+
+// dropVolatile empties the timer FIFOs and the join buffer, keeping their
+// storage.
+func (r *SimReplica) dropVolatile() {
 	for i := range r.fifos {
 		r.fifos[i].reset()
 	}
+	clear(r.joinBuf)
 	r.joinBuf = r.joinBuf[:0]
 }
 
@@ -231,12 +261,13 @@ func (r *SimReplica) OnMessage(env sim.Env, from model.ProcessID, m sim.Msg) {
 		}
 		r.exec.SetState(m.Arg)
 		_ = r.life.Fire(EvSynced, env.ClockTime())
-		// Replay the invocations buffered while syncing, in arrival order.
-		buf := r.joinBuf
-		r.joinBuf = nil
-		for _, b := range buf {
+		// Replay the invocations buffered while syncing, in arrival order;
+		// the replica serves now, so none joins the buffer meanwhile.
+		for _, b := range r.joinBuf {
 			r.OnInvoke(env, b.id, b.kind, b.arg)
 		}
+		clear(r.joinBuf)
+		r.joinBuf = r.joinBuf[:0]
 	}
 }
 

@@ -39,10 +39,23 @@ type ToExecute struct {
 
 // NewToExecute returns an empty queue over dt's initial state.
 func NewToExecute(dt spec.DataType) ToExecute {
-	return ToExecute{
-		local:  spec.NewOwned(dt),
-		ownOOP: make(map[model.Timestamp]history.OpID),
+	var q ToExecute
+	q.renew(dt)
+	return q
+}
+
+// renew empties q over a fresh copy of dt's initial state, keeping the
+// storage of its heap and of its awaited-OOP map: a queue built by
+// NewToExecute is a renewed empty one.
+//
+//tb:hotpath
+func (q *ToExecute) renew(dt spec.DataType) {
+	q.Reset()
+	if q.ownOOP == nil {
+		q.ownOOP = make(map[model.Timestamp]history.OpID)
 	}
+	q.local = spec.NewOwned(dt)
+	q.applied = 0
 }
 
 // State returns the local copy of the object for reading; the next

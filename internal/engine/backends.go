@@ -34,6 +34,9 @@ type BuildConfig struct {
 	// Sim is the simulator configuration (delay policy, clock offsets,
 	// strictness). Params is overwritten with BuildConfig.Params.
 	Sim sim.Config
+	// replicas lends an engine worker's Algorithm 1 replicas to the run,
+	// as Sim.Arena lends its event storage; nil means fresh replicas.
+	replicas *core.Arena
 }
 
 // Backend is an implementation strategy for a linearizable shared object:
@@ -63,7 +66,7 @@ func (Algorithm1) Name() string { return "algorithm1" }
 
 // Build implements Backend.
 func (a Algorithm1) Build(cfg BuildConfig) (Instance, error) {
-	return core.NewCluster(core.Config{Params: cfg.Params, X: cfg.X, Tuning: a.Tuning},
+	return core.NewClusterOn(cfg.replicas, core.Config{Params: cfg.Params, X: cfg.X, Tuning: a.Tuning},
 		cfg.DataType, cfg.Sim)
 }
 
@@ -97,7 +100,7 @@ func (AllOOP) Name() string { return "all-oop" }
 
 // Build implements Backend.
 func (AllOOP) Build(cfg BuildConfig) (Instance, error) {
-	return core.NewCluster(core.Config{Params: cfg.Params, X: cfg.X},
+	return core.NewClusterOn(cfg.replicas, core.Config{Params: cfg.Params, X: cfg.X},
 		baseline.AllOOP{Inner: cfg.DataType}, cfg.Sim)
 }
 
@@ -171,6 +174,17 @@ func withParams(cfg BuildConfig) sim.Config {
 	sc := cfg.Sim
 	sc.Params = cfg.Params
 	return sc
+}
+
+// recycle ends an instance's run once its Result is built: the
+// simulator's event storage, and an Algorithm 1 cluster's replicas, go
+// back to the worker they were borrowed from (core.Cluster.Recycle).
+func recycle(inst Instance) {
+	if c, ok := inst.(*core.Cluster); ok {
+		c.Recycle()
+		return
+	}
+	inst.Simulator().Recycle()
 }
 
 // NewSimInstance adapts a raw simulator plus per-process state probes to

@@ -318,7 +318,7 @@ func (p *shardPlan) runPhased(ws []*worker, scs []Scenario, finish bool) ([]Scen
 		}
 		for _, r := range runs {
 			if r.inst != nil {
-				r.inst.Simulator().Recycle() // idempotent: a finished run's already is
+				recycle(r.inst) // idempotent: a finished run's already is
 			}
 		}
 	}()
@@ -336,7 +336,7 @@ func (p *shardPlan) runPhased(ws []*worker, scs []Scenario, finish bool) ([]Scen
 			runs[kept], scs[kept], p.run[kept] = runs[i], scs[i], p.run[i]
 			kept++
 		} else {
-			runs[i].inst.Simulator().Recycle()
+			recycle(runs[i].inst)
 		}
 	}
 	runs, scs, p.run = runs[:kept], scs[:kept], p.run[:kept]

@@ -7,9 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"timebounds/internal/core"
 	"timebounds/internal/engine"
+	"timebounds/internal/fault"
 	"timebounds/internal/model"
+	"timebounds/internal/spec"
 	"timebounds/internal/types"
+	"timebounds/internal/workload"
 )
 
 // reuseStudy is a small open-loop study whose axis brackets a knee, so it
@@ -96,6 +100,107 @@ func TestWorkerReuseIsUnobservable(t *testing.T) {
 			if withCaches != 0 || withoutDelay != 0 {
 				t.Errorf("workers=%d %s: %d idle workers keep a stream's caches, %d have no delay source",
 					workers, c.name, withCaches, withoutDelay)
+			}
+		}
+	}
+}
+
+// warmSteps is a back-to-back sequence of runs that a warm worker's
+// storage carries from one to the next: replicas over 4, 3 then 5
+// processes; a run cut at its horizon with an OOP's self-add timer queued
+// and its response awaited, followed by a pure mutator stamped exactly
+// where that OOP was (a stale timer FIFO or awaited-OOP map would replay
+// the old operation); a Mutator type (dict) then a queue; a premature
+// tuning; all-oop; a replica that recovers from a crash and stays
+// syncing, buffering invocations; open-loop bursts that defer, once cut
+// at the horizon with invocations still deferred; and a study.
+func warmSteps() []struct {
+	name string
+	run  func(e *engine.Engine) (any, error)
+} {
+	params := func(n int) model.Params {
+		p := model.Params{N: n, D: 10 * time.Millisecond, U: 4 * time.Millisecond}
+		p.Epsilon = p.OptimalSkew()
+		return p
+	}
+	closed := func(b engine.Backend, dt spec.DataType, n int) engine.Scenario {
+		return engine.Scenario{Backend: b, DataType: dt, Params: params(n), Seed: int64(n),
+			Workload: workload.Spec{OpsPerProcess: 6}, Verify: true}
+	}
+	explicit := func(kind spec.OpKind, arg spec.Value, horizon model.Time) engine.Scenario {
+		return engine.Scenario{DataType: types.NewRMWRegister(0), Params: params(3), Seed: 1,
+			Workload: workload.Spec{Explicit: []workload.Invocation{
+				{At: time.Millisecond, Proc: 0, Kind: kind, Arg: arg},
+				{At: 40 * time.Millisecond, Proc: 1, Kind: types.OpRead},
+			}},
+			Horizon: horizon, Verify: true}
+	}
+	// The last replica crashes at 3d and recovers at 9d, but no sync
+	// response ever reaches it, so it buffers its invocations from then on.
+	syncing := engine.FaultSpec{Name: "syncing", Build: func(p model.Params, _ int64) *fault.Plan {
+		last := p.N - 1
+		return &fault.Plan{
+			Name:    "syncing",
+			Crashes: []fault.Crash{{Proc: model.ProcessID(last), At: 3 * p.D, RecoverAt: 9 * p.D}},
+			Losses:  []fault.Loss{{From: -1, To: last, Start: 9 * p.D, End: model.Infinity}},
+		}
+	}}
+	churn := closed(engine.Algorithm1{}, types.NewRMWRegister(0), 4)
+	churn.Faults, churn.Verify = syncing, false
+	burst := func(horizon model.Time) engine.Scenario {
+		sc := closed(engine.Algorithm1{}, types.NewRMWRegister(0), 4)
+		sc.Workload = workload.Spec{Mode: workload.Open, OpsPerProcess: 12, Spacing: time.Millisecond, Start: sc.Params.D}
+		sc.Horizon, sc.Verify = horizon, false
+		return sc
+	}
+	premature := engine.Algorithm1{}.WithTuning(core.Tuning{
+		AccessorResponse: core.OverrideTime{Override: true, Value: time.Millisecond},
+	})
+	runs := func(scs ...engine.Scenario) func(e *engine.Engine) (any, error) {
+		return func(e *engine.Engine) (any, error) { return e.Run(scs), nil }
+	}
+	return []struct {
+		name string
+		run  func(e *engine.Engine) (any, error)
+	}{
+		{"n=4", runs(closed(engine.Algorithm1{}, types.NewRegister(0), 4))},
+		{"oop-cut", runs(explicit(types.OpRMW, 1, 2*time.Millisecond))},
+		{"mop-on-the-cut-stamp", runs(explicit(types.OpWrite, 2, 0))},
+		{"n=5", runs(closed(engine.Algorithm1{}, types.NewRegister(0), 5))},
+		{"dict", runs(closed(engine.Algorithm1{}, types.NewDict(), 4))},
+		{"queue", runs(closed(engine.Algorithm1{}, types.NewQueue(), 4))},
+		{"premature", runs(closed(premature, types.NewRMWRegister(0), 4))},
+		{"all-oop", runs(closed(engine.AllOOP{}, types.NewQueue(), 3))},
+		{"syncing", runs(churn)},
+		{"deferred-cut", runs(burst(3 * time.Millisecond * 10))},
+		{"open-loop", runs(burst(0))},
+		{"study", func(e *engine.Engine) (any, error) {
+			rep, err := reuseStudy().Run(context.Background(), e)
+			return studyView(rep), err
+		}},
+		{"n=4-again", runs(closed(engine.Algorithm1{}, types.NewRegister(0), 4))},
+	}
+}
+
+// TestWarmWorkerRunsBackToBack: each step of warmSteps, run on an Engine
+// that ran every earlier step, reports what it reports on a fresh Engine,
+// at 1 and 8 workers — a replica, timer FIFO, To_Execute, join buffer,
+// deferral queue or sample buffer that kept anything of an earlier run
+// shows up as a difference.
+func TestWarmWorkerRunsBackToBack(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		warm := engine.New(workers)
+		for _, step := range warmSteps() {
+			got, err := step.run(warm)
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, step.name, err)
+			}
+			want, err := step.run(engine.New(workers))
+			if err != nil {
+				t.Fatalf("workers=%d %s on a fresh engine: %v", workers, step.name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("workers=%d %s: the report on a warm worker differs from a fresh engine's", workers, step.name)
 			}
 		}
 	}

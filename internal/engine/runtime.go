@@ -11,7 +11,6 @@ import (
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
 	"timebounds/internal/types"
-	"timebounds/internal/workload"
 )
 
 func init() {
@@ -341,7 +340,7 @@ func (sc Scenario) runLive(w *worker) Result {
 	if rr.Pending > 0 {
 		return fail(fmt.Errorf("live run left %d operations without a response within the drain window", rr.Pending))
 	}
-	res.PerKind = workload.Summarize(h)
+	res.PerKind = w.samples.Summarize(h)
 	if sc.Verify {
 		opts := w.check
 		opts.Cache = w.caches.For(sc.DataType)

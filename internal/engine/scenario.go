@@ -278,6 +278,7 @@ func (sc Scenario) build(in *fault.Injector, w *worker) (Instance, error) {
 			Faults:        in,
 			Arena:         w.sim,
 		},
+		replicas: w.replicas,
 	})
 }
 
@@ -288,8 +289,14 @@ func (sc Scenario) build(in *fault.Injector, w *worker) (Instance, error) {
 //     transition caches and the island budget in the worker's
 //     check.Options; its private check.Arena stays with it. The options'
 //     Cache is filled per run once the data type is known;
-//   - the simulator's event storage (sim.Arena), lent to each run and
+//   - the simulator's run storage (sim.Arena: event slab, heap, timer
+//     table, pending flags and deferral queues), lent to each run and
 //     recycled after it;
+//   - an Algorithm 1 run's replicas (core.Arena: timer FIFOs, To_Execute
+//     heaps, awaited-OOP maps, join buffers), lent and recycled the same
+//     way and renewed by each run;
+//   - the latency sample buffer Summarize folds each Result's per-kind
+//     statistics through;
 //   - the schedule buffer and the workload and delay sources, re-seeded
 //     per scenario, so each run draws exactly what fresh ones would.
 //
@@ -297,24 +304,28 @@ func (sc Scenario) build(in *fault.Injector, w *worker) (Instance, error) {
 // no Result points into it. Nil storage and sources mean fresh ones per
 // run: &worker{} is the reference path (Build). A phased run's shards
 // outlive their turns on a worker, so they get delay sources of their own
-// and, while its sim.Arena is lent out, fresh event storage (runPhased).
+// and, while its arenas are lent out, fresh event storage and replicas
+// (runPhased).
 type worker struct {
-	caches *check.CacheSet
-	check  check.Options
-	sim    *sim.Arena
-	sched  []workload.Invocation
-	rng    *rand.Rand
-	delay  *sim.RandomDelay
+	caches   *check.CacheSet
+	check    check.Options
+	sim      *sim.Arena
+	replicas *core.Arena
+	samples  workload.Samples
+	sched    []workload.Invocation
+	rng      *rand.Rand
+	delay    *sim.RandomDelay
 }
 
 // newWorker returns a worker with its own reusable storage; pool gives it
 // the stream's caches and island budget.
 func newWorker() *worker {
 	return &worker{
-		check: check.Options{Arena: check.NewArena()},
-		sim:   sim.NewArena(),
-		rng:   rand.New(rand.NewSource(0)),
-		delay: sim.NewRandomDelay(0, 0, 0),
+		check:    check.Options{Arena: check.NewArena()},
+		sim:      sim.NewArena(),
+		replicas: core.NewArena(),
+		rng:      rand.New(rand.NewSource(0)),
+		delay:    sim.NewRandomDelay(0, 0, 0),
 	}
 }
 
@@ -389,7 +400,7 @@ func (sc Scenario) start(w *worker, hold []int) (r simRun) {
 func (r *simRun) fail(err error) {
 	if err != nil {
 		r.res.Err = err.Error()
-		r.inst.Simulator().Recycle()
+		recycle(r.inst)
 		r.inst = nil
 	}
 }
@@ -400,9 +411,9 @@ func (r simRun) finish(w *worker) Result {
 	if inst == nil {
 		return res
 	}
-	// The simulator's event storage goes back to the arena it came from
-	// once the Result is built; nothing the Result holds points into it.
-	defer inst.Simulator().Recycle()
+	// The simulator's event storage and the replicas go back to the worker
+	// once the Result is built; nothing the Result holds points into them.
+	defer recycle(inst)
 	opts := w.check
 	opts.Cache = w.caches.For(sc.DataType)
 	rep, err := workload.Finish(inst, r.last, workload.RunOptions{
@@ -410,6 +421,7 @@ func (r simRun) finish(w *worker) Result {
 		Verify:       sc.Verify,
 		Check:        opts,
 		AllowPending: plan.Active(), // crash-orphaned ops stay pending forever
+		Samples:      &w.samples,
 	})
 	res.Model = inst.Simulator().Model()
 	if err != nil {

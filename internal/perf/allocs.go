@@ -102,6 +102,20 @@ func AllocBudgets() []AllocBudget {
 			Make:   makeReplicaWave,
 		},
 		{
+			Name:  "core/cluster-rerun",
+			Brief: "build, run and recycle a 4-replica Algorithm 1 cluster (a write, a read and an rmw on every process) on a warm sim.Arena and core.Arena",
+			// A whole cluster life per unit, as an engine worker runs each
+			// Algorithm 1 scenario: the replicas with their timer FIFOs,
+			// To_Execute heaps and awaited-OOP maps come back renewed, and
+			// the event storage, pending flags and deferral queues come from
+			// the sim.Arena. What is left is the Cluster, the Simulator, its
+			// flattened delay matrix, and the history with its record slab —
+			// 5 measured, 6 under -race. On fresh storage the same unit
+			// costs 84.
+			Budget: 6,
+			Make:   makeClusterRerun,
+		},
+		{
 			Name:  "baseline/centralized-round",
 			Brief: "an rmw on each process of a warm 3-process Centralized cluster: one request/response round per client",
 			// Requests and responses are sim.Msg values, and the
@@ -119,26 +133,26 @@ func AllocBudgets() []AllocBudget {
 			Name:  "sim/arena-rerun",
 			Brief: "build, run and recycle a 4-process invoke/broadcast/timer wave (20 events) on a warm sim.Arena",
 			// A whole simulator life per unit, as an engine worker runs each
-			// scenario: the Simulator, its per-process slices (pending,
-			// deferred, zero clock offsets, the flattened delay matrix), and
-			// the history with its record slab — 7 measured, 8 under -race.
-			// The event slab and heap come from the arena and never grow;
-			// on fresh storage the same unit costs 23.
-			Budget: 8,
+			// scenario: the Simulator, its zero clock offsets and flattened
+			// delay matrix, and the history with its record slab — 5
+			// measured, 6 under -race. The event slab, heap, pending flags
+			// and deferral queues come from the arena and never grow; on
+			// fresh storage the same unit costs 23.
+			Budget: 6,
 			Make:   makeArenaRerun,
 		},
 		{
 			Name:  "engine/stream-rerun",
 			Brief: "a second Stream of the same 8 small open-loop scenarios on a warm 8-worker Engine",
-			// Counted per stream; the budget is 120 per scenario. The
-			// workers, with their simulator and check arenas, schedule
-			// buffers and sources, are the ones the first stream handed
-			// back, so what is left is each run's own: its Simulator,
-			// replicas, history and Result, plus the stream's goroutines,
-			// channels and caches — 859 measured (916 under -race, whose
-			// sync.Pool drops fmt's printers). On a fresh Engine the same
-			// stream costs 1 072 (1 156 under -race).
-			Budget: 8 * 120,
+			// Counted per stream; the budget is 45 per scenario. The
+			// workers, with their simulator, replica and check arenas,
+			// sample buffers, schedule buffers and sources, are the ones
+			// the first stream handed back, so what is left is each run's
+			// own: its Cluster, Simulator, history and Result, plus the
+			// stream's goroutines, channels and caches — 291 measured (346
+			// under -race, whose sync.Pool drops fmt's printers). On a
+			// fresh Engine the same stream costs 950 (1 055 under -race).
+			Budget: 8 * 45,
 			Make:   makeStreamRerun,
 		},
 		{
@@ -256,6 +270,35 @@ func makeReplicaWave() func() {
 		if err := c.Run(at); err != nil {
 			panic(err)
 		}
+	})
+}
+
+// makeClusterRerun: one engine worker's per-scenario Algorithm 1 life
+// cycle — build on replicas and event storage borrowed from the worker's
+// arenas, reserve, run a write, a read and an rmw on every process, and
+// recycle — with the clock offsets and arguments built up front.
+func makeClusterRerun() func() {
+	p := waveParams(4)
+	cfg := core.Config{Params: p}
+	simCfg := sim.Config{ClockOffsets: core.MaxSkewOffsets(p), Delay: sim.FixedDelay(p.D),
+		StrictDelays: true, DiscardTraces: true, Arena: sim.NewArena()}
+	replicas, dt := core.NewArena(), types.NewRMWRegister(0)
+	kinds, args := []spec.OpKind{types.OpWrite, types.OpRead, types.OpRMW}, []spec.Value{1, nil, 2}
+	return warm(func() {
+		c, err := core.NewClusterOn(replicas, cfg, dt, simCfg)
+		if err != nil {
+			panic(err)
+		}
+		c.Simulator().Reserve(len(kinds) * p.N)
+		for i, kind := range kinds {
+			for proc := 0; proc < p.N; proc++ {
+				c.Invoke(model.Time(i)*4*p.D, model.ProcessID(proc), kind, args[i])
+			}
+		}
+		if err := c.Run(model.Infinity); err != nil {
+			panic(err)
+		}
+		c.Recycle()
 	})
 }
 

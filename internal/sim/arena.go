@@ -1,8 +1,9 @@
 package sim
 
 // Arena is reusable run storage for a sequence of simulators: the event
-// slab, its free list, the schedule the cursor reads, the 4-ary heap and
-// the timer-liveness table. A harness that runs many scenarios back to
+// slab, its free list, the schedule the cursor reads, the 4-ary heap, the
+// timer-liveness table, and each process's pending flag and queue of
+// deferred invocations. A harness that runs many scenarios back to
 // back (one engine worker) lends the same Arena to each run through
 // Config.Arena and takes it back with Simulator.Recycle, so after the
 // first few runs the event loop never grows a slice again.
@@ -18,6 +19,8 @@ type Arena struct {
 	sched     []qitem
 	queue     []qitem
 	timerLive []bool
+	pending   []bool
+	deferred  []deferQueue
 	lent      bool
 }
 
@@ -37,6 +40,7 @@ func (a *Arena) lendTo(s *Simulator) {
 	s.arena = a
 	s.events, s.freed, s.sched, s.queue = a.events[:0], a.freed[:0], a.sched[:0], a.queue[:0]
 	s.timerLive = a.timerLive[:0]
+	s.pending, s.deferred = a.pending[:0], a.deferred[:0]
 }
 
 // Recycle ends the simulator's life: it zeroes every slab slot and
@@ -52,11 +56,17 @@ func (a *Arena) lendTo(s *Simulator) {
 func (s *Simulator) Recycle() {
 	clear(s.events)
 	clear(s.sched[:cap(s.sched)]) // its capacity may be the heap's, which is never cleared
+	clear(s.pending)
+	for i := range s.deferred {
+		s.deferred[i].drop() // a run cut at its horizon may leave some queued
+	}
 	if a := s.arena; a != nil {
 		a.events, a.freed, a.sched, a.queue = s.events[:0], s.freed[:0], s.sched[:0], s.queue[:0]
 		a.timerLive = s.timerLive[:0]
+		a.pending, a.deferred = s.pending[:0], s.deferred[:0]
 		a.lent = false
 		s.arena = nil
 	}
 	s.events, s.freed, s.sched, s.queue, s.timerLive = nil, nil, nil, nil, nil
+	s.pending, s.deferred = nil, nil
 }

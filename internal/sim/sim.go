@@ -297,12 +297,10 @@ func New(cfg Config, procs []Process) (*Simulator, error) {
 		cfg.Delay = FixedDelay(cfg.Params.D)
 	}
 	s := &Simulator{
-		cfg:      cfg,
-		procs:    procs,
-		hist:     history.New(),
-		trace:    !cfg.DiscardTraces,
-		pending:  make([]bool, cfg.Params.N),
-		deferred: make([]deferQueue, cfg.Params.N),
+		cfg:   cfg,
+		procs: procs,
+		hist:  history.New(),
+		trace: !cfg.DiscardTraces,
 	}
 	s.env.sim = s
 	if sd, ok := cfg.Delay.(StaticDelays); ok {
@@ -317,6 +315,9 @@ func New(cfg Config, procs []Process) (*Simulator, error) {
 	// Borrow only once nothing can fail, so an error never strands the
 	// arena lent to a simulator nobody will recycle.
 	cfg.Arena.lendTo(s)
+	// Idle storage is all zero: no process pending, no invocation deferred.
+	s.pending = slices.Grow(s.pending, cfg.Params.N)[:cfg.Params.N]
+	s.deferred = slices.Grow(s.deferred, cfg.Params.N)[:cfg.Params.N]
 	if in != nil {
 		s.flt = in
 		s.rates = in.Rates()

@@ -140,20 +140,26 @@ func latestEvent(r runs.Run, ops []history.Record) model.Time {
 
 // RunJSON is the JSON form of a run.
 type RunJSON struct {
-	NumProcesses int           `json:"numProcesses"`
-	DNanos       int64         `json:"dNanos"`
-	UNanos       int64         `json:"uNanos"`
-	EpsilonNanos int64         `json:"epsilonNanos"`
-	Views        []ViewJSON    `json:"views"`
-	Messages     []MessageJSON `json:"messages"`
+	NumProcesses int   `json:"numProcesses"`
+	DNanos       int64 `json:"dNanos"`
+	UNanos       int64 `json:"uNanos"`
+	EpsilonNanos int64 `json:"epsilonNanos"`
+	// LastResponseNanos is the run's latest response, the instant
+	// runs.Admissible takes drifting clocks' skew at; it is written only
+	// when some view drifts, since drift-free clocks keep one skew.
+	LastResponseNanos int64         `json:"lastResponseNanos,omitempty"`
+	Views             []ViewJSON    `json:"views"`
+	Messages          []MessageJSON `json:"messages"`
 }
 
 // ViewJSON is the JSON form of a timed view.
 type ViewJSON struct {
-	Proc             int        `json:"proc"`
-	ClockOffsetNanos int64      `json:"clockOffsetNanos"`
-	EndNanos         *int64     `json:"endNanos,omitempty"` // nil = infinite
-	Steps            []StepJSON `json:"steps"`
+	Proc             int   `json:"proc"`
+	ClockOffsetNanos int64 `json:"clockOffsetNanos"`
+	// RatePPM is the clock's drift rate; omitted for a drift-free clock.
+	RatePPM  int64      `json:"ratePPM,omitempty"`
+	EndNanos *int64     `json:"endNanos,omitempty"` // nil = infinite
+	Steps    []StepJSON `json:"steps"`
 }
 
 // StepJSON is the JSON form of one step.
@@ -169,6 +175,8 @@ type MessageJSON struct {
 	To          int    `json:"to"`
 	SentAtNanos int64  `json:"sentAtNanos"`
 	RecvAtNanos *int64 `json:"recvAtNanos,omitempty"` // nil = not received
+	// Dup marks an extra receipt a duplication fault added.
+	Dup bool `json:"dup,omitempty"`
 }
 
 // MarshalRun serializes a run to JSON.
@@ -180,7 +188,10 @@ func MarshalRun(r runs.Run) ([]byte, error) {
 		EpsilonNanos: int64(r.Params.Epsilon),
 	}
 	for _, v := range r.Views {
-		vj := ViewJSON{Proc: int(v.Proc), ClockOffsetNanos: int64(v.ClockOffset)}
+		vj := ViewJSON{Proc: int(v.Proc), ClockOffsetNanos: int64(v.ClockOffset), RatePPM: v.Rate}
+		if v.Rate != 0 {
+			out.LastResponseNanos = int64(r.LastResponse)
+		}
 		if v.End != model.Infinity {
 			end := int64(v.End)
 			vj.EndNanos = &end
@@ -191,7 +202,7 @@ func MarshalRun(r runs.Run) ([]byte, error) {
 		out.Views = append(out.Views, vj)
 	}
 	for _, m := range r.Msgs {
-		mj := MessageJSON{Seq: m.Seq, From: int(m.From), To: int(m.To), SentAtNanos: int64(m.SentAt)}
+		mj := MessageJSON{Seq: m.Seq, From: int(m.From), To: int(m.To), SentAtNanos: int64(m.SentAt), Dup: m.Dup}
 		if m.Received() {
 			recv := int64(m.RecvAt)
 			mj.RecvAtNanos = &recv
@@ -214,11 +225,13 @@ func UnmarshalRun(data []byte) (runs.Run, error) {
 			U:       model.Time(in.UNanos),
 			Epsilon: model.Time(in.EpsilonNanos),
 		},
+		LastResponse: model.Time(in.LastResponseNanos),
 	}
 	for _, vj := range in.Views {
 		v := runs.TimedView{
 			Proc:        model.ProcessID(vj.Proc),
 			ClockOffset: model.Time(vj.ClockOffsetNanos),
+			Rate:        vj.RatePPM,
 			End:         model.Infinity,
 		}
 		if vj.EndNanos != nil {
@@ -232,7 +245,7 @@ func UnmarshalRun(data []byte) (runs.Run, error) {
 	for _, mj := range in.Messages {
 		m := runs.Message{
 			Seq: mj.Seq, From: model.ProcessID(mj.From), To: model.ProcessID(mj.To),
-			SentAt: model.Time(mj.SentAtNanos), RecvAt: model.Infinity,
+			SentAt: model.Time(mj.SentAtNanos), RecvAt: model.Infinity, Dup: mj.Dup,
 		}
 		if mj.RecvAtNanos != nil {
 			m.RecvAt = model.Time(*mj.RecvAtNanos)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"timebounds/internal/core"
+	"timebounds/internal/engine"
 	"timebounds/internal/model"
 	"timebounds/internal/runs"
 	"timebounds/internal/sim"
@@ -134,6 +135,42 @@ func TestUnreceivedMessageJSON(t *testing.T) {
 	}
 	if back.Views[0].End == model.Infinity {
 		t.Error("finite view end lost in round trip")
+	}
+}
+
+// TestRunJSONKeepsAdmissibility: a traced run that breaks the model gets
+// the same runs.Admissible verdict after a JSON round trip — Algorithm 1
+// under a harsh clock drift (the views' drift rates and the last response
+// carry the skew) and under message duplication (the copies' Dup marks).
+func TestRunJSONKeepsAdmissibility(t *testing.T) {
+	p := model.Params{N: 3, D: 10 * time.Millisecond, U: 4 * time.Millisecond}
+	p.Epsilon = p.OptimalSkew()
+	for _, name := range []string{"drift", "dup"} {
+		fs, err := engine.FaultSpecByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := engine.New(1).Run([]engine.Scenario{{
+			DataType: types.NewRMWRegister(0), Params: p, Seed: 1, Faults: fs, Trace: true,
+		}}).Results[0]
+		if res.Err != "" {
+			t.Fatalf("%s: %s", name, res.Err)
+		}
+		before := runs.Admissible(*res.Run)
+		if before == nil {
+			t.Fatalf("%s: the traced run is admissible; the plan should break the model", name)
+		}
+		data, err := tracefmt.MarshalRun(*res.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := tracefmt.UnmarshalRun(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := runs.Admissible(back); after == nil || after.Error() != before.Error() {
+			t.Errorf("%s: runs.Admissible says %q before a JSON round trip and %v after it", name, before, after)
+		}
 	}
 }
 

@@ -287,7 +287,7 @@ func Race(p model.Params, start, gap model.Time, rounds int, kinds ...spec.OpKin
 // type (the mixes behind the measured columns of Tables I–IV); unknown
 // types get a uniform mix over their kinds.
 func DefaultMix(dt spec.DataType) OpMix {
-	intArg := func(i int) spec.Value { return i }
+	intArg := func(i int) spec.Value { return spec.BoxInt(i) }
 	switch dt.Name() {
 	case "register", "rmw-register":
 		return OpMix{

@@ -120,6 +120,10 @@ type RunOptions struct {
 	// checker treats forever-pending operations as removable, so Verify
 	// still composes.
 	AllowPending bool
+	// Samples is the storage Summarize folds the run's latencies through;
+	// nil means fresh storage. A harness running many scenarios back to
+	// back (one engine worker) passes the same Samples to each.
+	Samples *Samples
 }
 
 // Target is the slice of a shared-object instance the harness needs: the
@@ -171,7 +175,7 @@ func Finish(target Target, last model.Time, opt RunOptions) (Report, error) {
 	if !h.Complete() && !opt.AllowPending {
 		return Report{}, fmt.Errorf("workload: %d operations still pending at horizon", h.PendingCount())
 	}
-	rep := Report{PerKind: Summarize(h), History: h, Pending: h.PendingCount()}
+	rep := Report{PerKind: opt.Samples.Summarize(h), History: h, Pending: h.PendingCount()}
 	if opt.Verify {
 		rep.Checked = true
 		rep.Linearizable = check.CheckOpts(target.DataType(), h, opt.Check).Linearizable
@@ -194,40 +198,107 @@ func NewSimConfig(p model.Params, seed int64) sim.Config {
 
 // Summarize computes per-kind latency statistics from a history.
 func Summarize(h *history.History) map[spec.OpKind]Stats {
-	byKind := make(map[spec.OpKind][]model.Time)
-	for op := range h.All() {
-		if op.Pending {
-			continue
-		}
-		byKind[op.Kind] = append(byKind[op.Kind], op.Latency())
+	return new(Samples).Summarize(h)
+}
+
+// Samples is reusable storage for Summarize: one buffer holding a
+// history's latency samples grouped by kind, plus the kinds and their
+// group bounds. Only the returned map is allocated once the buffer has
+// grown to a history's size. A nil *Samples folds through fresh storage;
+// the zero value is ready to use. Not safe for concurrent use.
+type Samples struct {
+	kinds []spec.OpKind
+	// ends holds, per kind, first its sample count, then where its group
+	// ends in lat.
+	ends []int
+	lat  []model.Time
+}
+
+// Summarize computes per-kind latency statistics from h, exactly as the
+// package-level Summarize does, on s's storage.
+//
+//tb:hotpath
+func (s *Samples) Summarize(h *history.History) map[spec.OpKind]Stats {
+	if s == nil {
+		s = new(Samples)
 	}
-	return SummarizeSamples(byKind)
+	s.kinds, s.ends = s.kinds[:0], s.ends[:0]
+	n := 0
+	for op := range h.All() {
+		if !op.Pending {
+			s.ends[s.kind(op.Kind)]++
+			n++
+		}
+	}
+	start := 0
+	for k, count := range s.ends {
+		s.ends[k], start = start, start+count
+	}
+	s.lat = slices.Grow(s.lat[:0], n)[:n]
+	for op := range h.All() {
+		if !op.Pending {
+			k := s.kind(op.Kind)
+			s.lat[s.ends[k]] = op.Latency()
+			s.ends[k]++
+		}
+	}
+	out := make(map[spec.OpKind]Stats, len(s.kinds))
+	start = 0
+	for k, kind := range s.kinds {
+		out[kind] = stats(kind, s.lat[start:s.ends[k]])
+		start = s.ends[k]
+	}
+	return out
+}
+
+// kind returns the index of kind among s.kinds, adding it with a zero
+// count when it is new. Histories hold a handful of kinds, so a scan
+// beats a map.
+//
+//tb:hotpath
+func (s *Samples) kind(kind spec.OpKind) int {
+	for k, seen := range s.kinds {
+		if seen == kind {
+			return k
+		}
+	}
+	s.kinds = append(s.kinds, kind)
+	s.ends = append(s.ends, 0)
+	return len(s.kinds) - 1
 }
 
 // SummarizeSamples folds raw per-kind latency samples into Stats — the
-// single fold behind Summarize and the engine's cross-shard aggregation
-// (which must recompute from samples, because percentiles do not compose
-// across shards). Sample slices are sorted in place.
+// engine's cross-shard aggregation (which must recompute from samples,
+// because percentiles do not compose across shards) through the same fold
+// as Summarize. Sample slices are sorted in place.
 func SummarizeSamples(byKind map[spec.OpKind][]model.Time) map[spec.OpKind]Stats {
 	out := make(map[spec.OpKind]Stats, len(byKind))
 	for kind, ls := range byKind {
-		slices.Sort(ls)
-		var sum int64
-		for _, l := range ls {
-			sum += int64(l)
-		}
-		idx := (len(ls)*99 + 99) / 100
-		if idx >= len(ls) {
-			idx = len(ls) - 1
-		}
-		out[kind] = Stats{
-			Kind:  kind,
-			Count: len(ls),
-			Min:   ls[0],
-			Max:   ls[len(ls)-1],
-			Mean:  model.Time(sum / int64(len(ls))),
-			P99:   ls[idx],
-		}
+		out[kind] = stats(kind, ls)
 	}
 	return out
+}
+
+// stats is the one fold from a kind's latency samples, at least one, to
+// its Stats; it sorts ls in place.
+//
+//tb:hotpath
+func stats(kind spec.OpKind, ls []model.Time) Stats {
+	slices.Sort(ls)
+	var sum int64
+	for _, l := range ls {
+		sum += int64(l)
+	}
+	idx := (len(ls)*99 + 99) / 100
+	if idx >= len(ls) {
+		idx = len(ls) - 1
+	}
+	return Stats{
+		Kind:  kind,
+		Count: len(ls),
+		Min:   ls[0],
+		Max:   ls[len(ls)-1],
+		Mean:  model.Time(sum / int64(len(ls))),
+		P99:   ls[idx],
+	}
 }
