@@ -83,7 +83,7 @@ test-keyspace:
 # runs are wall-clock (seconds, not simulated), so the hard timeout keeps
 # a wedged cluster from hanging CI.
 test-live:
-	$(GO) test -race -timeout 120s -run 'Estimator|Tuner|TestRun|TestConfig|TestScenarioLive|TestGridRuntimes' ./internal/live ./internal/engine
+	$(GO) test -race -timeout 120s -run 'Estimator|Tuner|TestRun|TestConfig|TestScenarioLive' ./internal/live ./internal/engine
 
 # Bounded fuzz passes: the linearizability checker's island-decomposed
 # search (sequential and parallel) against the textbook Wing–Gong

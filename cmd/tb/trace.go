@@ -40,7 +40,7 @@ func runTrace(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 	fmt.Fprintln(stdout, caption)
-	fmt.Fprint(stdout, tracefmt.Diagram{Width: *width, ShowMessages: true}.Render(r, ops))
+	fmt.Fprint(stdout, tracefmt.Diagram{Width: *width}.Render(r, ops))
 	return nil
 }
 

@@ -24,8 +24,8 @@ type AdversaryRun struct {
 	Delay DelaySpec
 	// Schedule is the explicit invocation schedule of the run.
 	Schedule []workload.Invocation
-	// Faults, when set, overrides the spec-level fault plan for this run —
-	// for families whose members differ in when (or whether) faults strike.
+	// Faults injects a fault plan into the run — per run, since a family's
+	// members differ in when (or whether) faults strike.
 	Faults FaultSpec
 }
 
@@ -73,9 +73,6 @@ type AdversarySpec struct {
 	// algorithm itself. Leave false for premature tunings, whose
 	// violations are the expected outcome.
 	RequireLinearizable bool
-	// Faults injects a fault plan into every member run (individual runs
-	// may override it via AdversaryRun.Faults).
-	Faults FaultSpec
 	// FaultDichotomy judges the family by the fault-verdict dichotomy:
 	// every member must land on exactly one of within-bound or
 	// assumption-broken — a run with neither verdict falsifies the family.
@@ -126,10 +123,6 @@ func (as AdversarySpec) Scenarios(b Backend, p model.Params, seed int64) ([]Scen
 		if delay.Policy != nil && delay.Label == "" {
 			delay.Label = as.Name
 		}
-		faults := as.Faults
-		if r.Faults.enabled() {
-			faults = r.Faults
-		}
 		out = append(out, Scenario{
 			Name: fmt.Sprintf("adversary/%s/%s/%s/%s/n=%d,d=%s,u=%s,ε=%s/x=%s/seed=%d",
 				as.Name, r.Name, b.Name(), as.DataType.Name(),
@@ -143,7 +136,7 @@ func (as AdversarySpec) Scenarios(b Backend, p model.Params, seed int64) ([]Scen
 			ClockOffsets: r.ClockOffsets,
 			Workload:     workload.Spec{Name: r.Name, Explicit: append([]workload.Invocation(nil), r.Schedule...)},
 			Verify:       true,
-			Faults:       faults,
+			Faults:       r.Faults,
 			Witness: &WitnessSpec{
 				Family:              family,
 				Kinds:               append([]spec.OpKind(nil), as.WitnessKinds...),

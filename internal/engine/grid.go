@@ -32,8 +32,8 @@ type Grid struct {
 	// regular cross product: every adversary's run family is expanded per
 	// backend × params, with the first seed (an adversary brings its own
 	// object, delay matrices, clock shifts, explicit schedule, and
-	// simulation horizon, so the Objects / Delays / Workloads / Xs /
-	// Horizon axes do not apply, and its runs are seed-independent so the
+	// simulation horizon, so the Objects / Delays / Workloads / Xs axes
+	// do not apply, and its runs are seed-independent so the
 	// Seeds axis would only duplicate them; a spec with its own Backend
 	// override expands once, not per grid backend). An inadmissible family
 	// surfaces as an error Result under the adversary's name.
@@ -43,15 +43,8 @@ type Grid struct {
 	// fault-free run per point. Include a zero FaultSpec member to keep the
 	// fault-free point alongside the faulted ones.
 	Faults []FaultSpec
-	// Runtimes are execution runtimes crossed with the product; empty
-	// means the simulator. Include the zero Runtime to keep simulated
-	// points alongside live ones. Live runtimes reject fault axes — a
-	// grid crossing both surfaces the rejection as error Results.
-	Runtimes []Runtime
 	// Verify runs the linearizability checker on every run.
 	Verify bool
-	// Horizon bounds each simulation; zero picks a generous default.
-	Horizon model.Time
 }
 
 // Scenarios expands the grid into the full cross product, in a fixed
@@ -82,10 +75,6 @@ func (g Grid) Scenarios() []Scenario {
 	if len(faults) == 0 {
 		faults = []FaultSpec{{}}
 	}
-	runtimes := g.Runtimes
-	if len(runtimes) == 0 {
-		runtimes = []Runtime{{}}
-	}
 	var out []Scenario
 	for bi, b := range backends {
 		for _, as := range g.Adversaries {
@@ -114,23 +103,19 @@ func (g Grid) Scenarios() []Scenario {
 				for _, x := range xs {
 					for _, d := range delays {
 						for _, wl := range workloads {
-							for _, rt := range runtimes {
-								for _, fs := range faults {
-									for _, seed := range seeds {
-										out = append(out, Scenario{
-											Backend:  b,
-											DataType: dt,
-											Params:   p,
-											X:        x,
-											Seed:     seed,
-											Delay:    d,
-											Workload: wl,
-											Runtime:  rt,
-											Faults:   fs,
-											Verify:   g.Verify,
-											Horizon:  g.Horizon,
-										})
-									}
+							for _, fs := range faults {
+								for _, seed := range seeds {
+									out = append(out, Scenario{
+										Backend:  b,
+										DataType: dt,
+										Params:   p,
+										X:        x,
+										Seed:     seed,
+										Delay:    d,
+										Workload: wl,
+										Faults:   fs,
+										Verify:   g.Verify,
+									})
 								}
 							}
 						}

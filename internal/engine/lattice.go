@@ -4,27 +4,20 @@ import (
 	"fmt"
 	"slices"
 
-	"timebounds/internal/fault"
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
 )
 
 // Lattice is the finite adversary lattice of one scenario: every message
-// delay drawn from a menu inside [d-u, d] and every clock offset drawn from
-// a menu, kept where the offsets lie pairwise within ε. In the model of
-// Chapter III a run is fixed by exactly these choices, so running every
-// world proves (or refutes) an implementation over the whole lattice.
+// delay drawn from the extremes {d-u, d} of its admissible range and every
+// clock offset from {0, -ε}, so the offsets lie pairwise within ε. In the
+// model of Chapter III a run is fixed by exactly these choices, so running
+// every world proves (or refutes) an implementation over the whole
+// lattice.
 type Lattice struct {
-	// DelayMenu lists the admissible delays each message may take. Empty
-	// means {d-u, d}.
-	DelayMenu []model.Time
-	// OffsetMenu lists the candidate clock offsets of each process. Empty
-	// means {0, -ε}.
-	OffsetMenu []model.Time
 	// MaxMessages is the number of messages that get an independent delay
 	// choice; later messages reuse the choices cyclically, which caps the
-	// lattice at |DelayMenu|^MaxMessages worlds per offset assignment. Zero
-	// means 8.
+	// lattice at 2^MaxMessages worlds per offset assignment. Zero means 8.
 	MaxMessages int
 }
 
@@ -41,19 +34,8 @@ func (l Lattice) Worlds(base Scenario) ([]Scenario, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	delayMenu := l.DelayMenu
-	if len(delayMenu) == 0 {
-		delayMenu = []model.Time{p.MinDelay(), p.D}
-	}
-	for _, d := range delayMenu {
-		if !fault.AdmitsDelay(p, d) {
-			return nil, fmt.Errorf("engine: lattice menu delay %s outside [%s, %s]", d, p.MinDelay(), p.D)
-		}
-	}
-	offsetMenu := l.OffsetMenu
-	if len(offsetMenu) == 0 {
-		offsetMenu = []model.Time{0, -p.Epsilon}
-	}
+	delayMenu := []model.Time{p.MinDelay(), p.D}
+	offsetMenu := []model.Time{0, -p.Epsilon}
 	maxMsgs := l.MaxMessages
 	if maxMsgs < 0 {
 		return nil, fmt.Errorf("engine: lattice MaxMessages %d is negative", maxMsgs)
@@ -68,26 +50,24 @@ func (l Lattice) Worlds(base Scenario) ([]Scenario, error) {
 		for i, k := range oi {
 			offsets[i] = offsetMenu[k]
 		}
-		if fault.AdmitsSkew(p.Epsilon, fault.WorstSkew(offsets, nil, 0)) {
-			for di := make([]int, maxMsgs); ; {
-				choice := slices.Clone(di) // each world runs on its own copy, possibly in parallel
-				w := base
-				w.ClockOffsets = offsets
-				w.Delay = DelaySpec{
-					Policy: func(model.Params, int64) sim.DelayPolicy {
-						return sim.FuncDelay(func(_, _ model.ProcessID, _ model.Time, seq int) model.Time {
-							return delayMenu[choice[seq%len(choice)]]
-						})
-					},
-					Label: fmt.Sprintf("lattice/offsets=%v/delays=%v", offsets, choice),
-				}
-				if w.Name != "" {
-					w.Name += "/" + w.Delay.Label
-				}
-				worlds = append(worlds, w)
-				if !nextDigits(di, len(delayMenu)) {
-					break
-				}
+		for di := make([]int, maxMsgs); ; {
+			choice := slices.Clone(di) // each world runs on its own copy, possibly in parallel
+			w := base
+			w.ClockOffsets = offsets
+			w.Delay = DelaySpec{
+				Policy: func(model.Params, int64) sim.DelayPolicy {
+					return sim.FuncDelay(func(_, _ model.ProcessID, _ model.Time, seq int) model.Time {
+						return delayMenu[choice[seq%len(choice)]]
+					})
+				},
+				Label: fmt.Sprintf("lattice/offsets=%v/delays=%v", offsets, choice),
+			}
+			if w.Name != "" {
+				w.Name += "/" + w.Delay.Label
+			}
+			worlds = append(worlds, w)
+			if !nextDigits(di, len(delayMenu)) {
+				break
 			}
 		}
 		if !nextDigits(oi, len(offsetMenu)) {

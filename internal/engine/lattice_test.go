@@ -120,24 +120,22 @@ func TestLatticeQueueScenario(t *testing.T) {
 func TestLatticeRejectsBadInput(t *testing.T) {
 	p := latticeParams(2)
 	base := Scenario{DataType: types.NewRegister(0), Params: p}
-	for name, l := range map[string]Lattice{
-		"negative MaxMessages": {MaxMessages: -1},
-		"menu delay beyond d":  {DelayMenu: []model.Time{p.D + 1}},
-		"menu delay below d-u": {DelayMenu: []model.Time{p.MinDelay() - 1}},
-	} {
-		if worlds, err := l.Worlds(base); err == nil {
-			t.Errorf("%s: accepted, %d worlds", name, len(worlds))
-		}
+	if worlds, err := (Lattice{MaxMessages: -1}).Worlds(base); err == nil {
+		t.Errorf("negative MaxMessages: accepted, %d worlds", len(worlds))
+	}
+	base.Params.U = base.Params.D + 1
+	if worlds, err := (Lattice{}).Worlds(base); err == nil {
+		t.Errorf("u > d: accepted, %d worlds", len(worlds))
 	}
 }
 
-// TestLatticeSoakWiderMenu enumerates the RMW race over a three-point delay
-// menu (fastest, midpoint, slowest): 2^3 × 3^6 worlds. Skipped under -short.
-func TestLatticeSoakWiderMenu(t *testing.T) {
+// TestLatticeSoakFourProcesses enumerates the RMW race on four processes,
+// with an independent delay choice for each of its six messages: 2^4 × 2^6
+// distinct worlds. Skipped under -short.
+func TestLatticeSoakFourProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped with -short")
 	}
-	p := latticeParams(3)
-	l := Lattice{DelayMenu: []model.Time{p.MinDelay(), p.D - p.U/2, p.D}, MaxMessages: 6}
-	requireAllOK(t, runLattice(t, l, rmwRace(p, core.Tuning{}), 5832))
+	l := Lattice{MaxMessages: 6}
+	requireAllOK(t, runLattice(t, l, rmwRace(latticeParams(4), core.Tuning{}), 1024))
 }

@@ -151,9 +151,7 @@ func (ss ShardedScenario) shardScenario(index int, sp workload.Spec) Scenario {
 		Seed:     ss.Seed + int64(index)*1_000_003,
 		Delay:    ss.Delay,
 		Workload: sp,
-		Faults:   ss.Faults,
 		Verify:   ss.Verify,
-		Horizon:  ss.Horizon,
 	}
 }
 
@@ -186,14 +184,7 @@ func (ss ShardedScenario) migration() (*migrateState, error) {
 		return nil, fmt.Errorf("workload declares %d shards but the plan's base map has %d",
 			ss.Workload.Shards, kp.Base.Shards)
 	}
-	if ss.Faults.enabled() {
-		return nil, fmt.Errorf("migration plans do not compose with fault plans (a handoff reads the source's settled copy, which injected faults do not guarantee)")
-	}
 	drain := ss.resolvedDrain()
-	if n := len(kp.Migrations); n > 0 && ss.Horizon > 0 && ss.Horizon < kp.Migrations[n-1].At+drain {
-		return nil, fmt.Errorf("horizon %v ends inside the last cutover's settle window (%v + drain %v)",
-			ss.Horizon, kp.Migrations[n-1].At, drain)
-	}
 	maps, err := kp.Maps()
 	if err != nil {
 		return nil, err

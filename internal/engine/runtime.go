@@ -45,61 +45,30 @@ const (
 	TransportTCP
 )
 
-// TransportSpec selects a live scenario's transport as a value, so grids
-// can sweep it. Custom, when set, overrides Kind with a user-provided
-// live.Transport implementation.
-type TransportSpec struct {
-	Kind TransportKind
-	// Custom plugs in a user transport; the bundled Kinds ignore it.
-	Custom live.Transport
-	// Label names a Custom transport in derived scenario names; empty
-	// falls back to its Name.
-	Label string
-}
-
-func (t TransportSpec) name() string {
-	if t.Custom != nil {
-		if t.Label != "" {
-			return t.Label
-		}
-		return t.Custom.Name()
-	}
-	switch t.Kind {
-	case TransportTCP:
+// name labels the transport in derived scenario names.
+func (k TransportKind) name() string {
+	if k == TransportTCP {
 		return "tcp"
-	default:
-		return "chan"
 	}
+	return "chan"
 }
-
-// EstimatorConfig re-exports the live estimator configuration as part of
-// the engine's runtime surface.
-type EstimatorConfig = live.EstimatorConfig
 
 // Estimate re-exports the live estimator's padded (d̂, û, ε̂) envelope.
 type Estimate = live.Estimate
 
 // Runtime is the scenario axis selecting simulated versus live execution.
 // The zero value is the simulator — zero-cost, and every existing
-// scenario keeps its exact meaning. A live runtime selects the transport,
-// estimator configuration, warm-up, and retuning cadence; scaling
-// Undertune below 1 deliberately tunes Algorithm 1's waits under the
-// estimated envelope, which must reproduce the premature-tuning
-// dichotomy (violation, divergence, or bound-level latency).
+// scenario keeps its exact meaning. A live runtime selects the transport
+// (the estimator, warm-up and retuning cadence are internal/live's fixed
+// defaults); scaling Undertune below 1 deliberately tunes Algorithm 1's
+// waits under the estimated envelope, which must reproduce the
+// premature-tuning dichotomy (violation, divergence, or bound-level
+// latency).
 type Runtime struct {
 	// Mode selects the runtime; the zero value is the simulator.
 	Mode RuntimeMode
 	// Transport selects the live transport (chan by default).
-	Transport TransportSpec
-	// Estimator configures the (u, d) estimator window, margin, and
-	// prior; the zero value gets conservative defaults.
-	Estimator EstimatorConfig
-	// WarmupProbes is how many probe rounds warm the estimator before
-	// load starts; 0 picks the default.
-	WarmupProbes int
-	// RetuneEvery is the adaptive retuning period; 0 picks the default,
-	// negative disables mid-run retuning.
-	RetuneEvery model.Time
+	Transport TransportKind
 	// Undertune, when in (0, 1), scales every tuned wait below the
 	// estimated envelope — the live premature-tuning adversary.
 	Undertune float64
@@ -107,9 +76,6 @@ type Runtime struct {
 	// operational bound checks (a wall-clock run pays timer-firing and
 	// goroutine-wakeup costs the model does not know); 0 picks 10ms.
 	Overhead model.Time
-	// Drain bounds the post-load wait for responses and quiescence;
-	// 0 picks the live default (the scenario Horizon, when set, wins).
-	Drain model.Time
 }
 
 // Live reports whether the runtime executes on the wall clock.
@@ -133,7 +99,7 @@ func LiveRuntime() Runtime { return Runtime{Mode: RuntimeLive} }
 
 // LiveTCPRuntime returns a live Runtime over loopback TCP.
 func LiveTCPRuntime() Runtime {
-	return Runtime{Mode: RuntimeLive, Transport: TransportSpec{Kind: TransportTCP}}
+	return Runtime{Mode: RuntimeLive, Transport: TransportTCP}
 }
 
 // overhead resolves the scheduling-lateness allowance.
@@ -239,15 +205,12 @@ func (l *LiveReport) Render() string {
 // drawn from [d−u, d], giving the estimator a known ground truth; TCP
 // takes the loopback path as it is.
 func (sc Scenario) liveTransport() (live.Transport, error) {
-	if tr := sc.Runtime.Transport.Custom; tr != nil {
-		return tr, nil
-	}
-	switch sc.Runtime.Transport.Kind {
+	switch sc.Runtime.Transport {
 	case TransportTCP:
 		return &live.TCPTransport{}, nil
 	case TransportChan:
 	default:
-		return nil, fmt.Errorf("unknown live transport kind %d", int(sc.Runtime.Transport.Kind))
+		return nil, fmt.Errorf("unknown live transport kind %d", int(sc.Runtime.Transport))
 	}
 	if sc.Delay.Policy != nil {
 		return nil, fmt.Errorf("custom delay policies are simulator-bound; live scenarios use the bundled modes")
@@ -314,21 +277,14 @@ func (sc Scenario) runLive(w *worker) Result {
 	for i, inv := range sched.Invocations {
 		invs[i] = live.Invocation{At: inv.At, Proc: inv.Proc, Kind: inv.Kind, Arg: inv.Arg}
 	}
-	drain := sc.Runtime.Drain
-	if sc.Horizon > 0 {
-		drain = sc.Horizon
-	}
 	rr, err := live.Run(live.Config{
 		N:            sc.Params.N,
 		X:            sc.X,
 		DataType:     sc.DataType,
 		Transport:    tr,
-		Estimator:    sc.Runtime.Estimator,
 		Undertune:    sc.Runtime.Undertune,
-		WarmupProbes: sc.Runtime.WarmupProbes,
-		RetuneEvery:  sc.Runtime.RetuneEvery,
 		ClockOffsets: sc.ClockOffsets,
-		Drain:        drain,
+		Drain:        sc.Horizon,
 	}, invs)
 	if err != nil {
 		return fail(err)

@@ -9,7 +9,6 @@ import (
 	"timebounds/internal/fault"
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
-	"timebounds/internal/spec"
 	"timebounds/internal/types"
 	"timebounds/internal/workload"
 )
@@ -146,24 +145,5 @@ func TestScenarioLiveRejections(t *testing.T) {
 				t.Fatalf("live scenario with %s accepted; want rejection", name)
 			}
 		})
-	}
-}
-
-// TestGridRuntimesAxis checks the Runtimes axis expands alongside the
-// simulator and stamps the runtime coordinate into scenario names.
-func TestGridRuntimesAxis(t *testing.T) {
-	scs := Grid{
-		Objects:  []spec.DataType{types.NewRMWRegister(0)},
-		Params:   []model.Params{liveParams()},
-		Runtimes: []Runtime{{}, LiveRuntime()},
-		Workloads: []workload.Spec{
-			liveWorkload(),
-		},
-	}.Scenarios()
-	if len(scs) != 2 {
-		t.Fatalf("got %d scenarios, want 2", len(scs))
-	}
-	if scs[0].Runtime.Live() || !scs[1].Runtime.Live() {
-		t.Fatalf("runtime axis misordered: %+v", scs)
 	}
 }

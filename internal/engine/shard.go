@@ -42,13 +42,9 @@ type ShardedScenario struct {
 	Delay DelaySpec
 	// Workload is the keyed operation-stream spec.
 	Workload workload.Sharded
-	// Faults injects a fault plan into every shard's sub-cluster.
-	Faults FaultSpec
 	// Verify runs the linearizability checker on every shard history and
 	// composes the verdicts.
 	Verify bool
-	// Horizon bounds each shard simulation; zero picks a generous default.
-	Horizon model.Time
 	// Plan, when set, replaces the workload's own placement with a
 	// versioned range partition map plus a migration schedule
 	// (internal/keyspace): operations route by the map of their ownership

@@ -28,14 +28,10 @@ import (
 // service rate while service latency stays within its bound. A Study maps
 // where that detachment happens for a backend and mix.
 type Study struct {
-	// Name labels the study in reports; empty derives one.
-	Name string
 	// Base is the scenario template: Backend, DataType, Params, X, Delay,
 	// ClockOffsets, Verify and Seed are used; its Workload is replaced per
 	// point by an open-loop spec realizing the offered load.
 	Base Scenario
-	// Mix optionally fixes the operation mix; nil uses the object default.
-	Mix workload.OpMix
 	// Loads is the explicit offered-load axis in aggregate operations per
 	// second across all processes, ascending. Empty means Ramp.
 	Loads []float64
@@ -47,20 +43,27 @@ type Study struct {
 	// Seeds are the seeds run per point (default {Base.Seed}); the point's
 	// summaries aggregate across them.
 	Seeds []int64
-	// KneeFactor is the detachment threshold K: a point is saturated when
-	// some class's p99 sojourn ≥ K × the backend's bound for that class
-	// (default 2).
-	KneeFactor float64
-	// KneeTol is the relative load tolerance the knee bisection narrows
-	// the bracket to (default 0.10, i.e. knee located within 10%).
-	KneeTol float64
-	// MaxBisections caps the bisection steps (default 8).
-	MaxBisections int
 	// OnPoint, when set, observes each completed point in completion order
 	// (axis points first, then bisection probes) — the progress hook for
 	// tb sweep.
 	OnPoint func(StudyPoint)
+
+	// name and mix are resolved once per study: "backend/object" and the
+	// object's default operation mix.
+	name string
+	mix  workload.OpMix
 }
+
+const (
+	// KneeFactor is the detachment threshold K: a point is saturated when
+	// some class's p99 sojourn ≥ K × the backend's bound for that class.
+	KneeFactor = 2
+	// kneeTol is the relative load tolerance the knee bisection narrows
+	// the bracket to: the knee is located within 10%.
+	kneeTol = 0.10
+	// maxBisections caps the knee bisection's steps.
+	maxBisections = 8
+)
 
 // LoadRamp generates a geometric offered-load axis: Points samples from
 // From to To inclusive, each a constant factor above the last.
@@ -234,24 +237,8 @@ func (s Study) resolve() (Study, []float64, error) {
 		}
 		s.Seeds = []int64{seed}
 	}
-	if s.KneeFactor == 0 {
-		s.KneeFactor = 2
-	}
-	if s.KneeFactor <= 1 {
-		return s, nil, fmt.Errorf("engine: study knee factor %g must exceed 1 (p99 ≥ K×bound)", s.KneeFactor)
-	}
-	if s.KneeTol == 0 {
-		s.KneeTol = 0.10
-	}
-	if s.MaxBisections == 0 {
-		s.MaxBisections = 8
-	}
-	if s.Mix == nil {
-		s.Mix = workload.DefaultMix(s.Base.DataType)
-	}
-	if s.Name == "" {
-		s.Name = fmt.Sprintf("%s/%s", s.Base.Backend.Name(), s.Base.DataType.Name())
-	}
+	s.mix = workload.DefaultMix(s.Base.DataType)
+	s.name = fmt.Sprintf("%s/%s", s.Base.Backend.Name(), s.Base.DataType.Name())
 	axis := s.Loads
 	if len(axis) == 0 {
 		var err error
@@ -293,11 +280,11 @@ func (s Study) scenarios(load float64) []Scenario {
 	for _, seed := range s.Seeds {
 		sc := s.Base
 		sc.Seed = seed
-		sc.Name = fmt.Sprintf("study/%s/load=%.1f/seed=%d", s.Name, load, seed)
+		sc.Name = fmt.Sprintf("study/%s/load=%.1f/seed=%d", s.name, load, seed)
 		sc.Workload = workload.Spec{
 			Name:          fmt.Sprintf("open-%.1f", load),
 			Mode:          workload.Open,
-			Mix:           s.Mix,
+			Mix:           s.mix,
 			OpsPerProcess: s.OpsPerPoint,
 			Spacing:       gap,
 			Start:         s.Base.Params.D,
@@ -345,7 +332,7 @@ func (s Study) runPoint(ctx context.Context, e *Engine, load float64, probe bool
 			Max:   cs.Max(),
 		}
 		pt.PerClass = append(pt.PerClass, cl)
-		if cl.Detached(s.KneeFactor) {
+		if cl.Detached(KneeFactor) {
 			pt.Saturated = true
 		}
 	}
@@ -358,7 +345,7 @@ func (s Study) runPoint(ctx context.Context, e *Engine, load float64, probe bool
 
 // Run executes the study on the engine: every axis point streams through
 // the worker pool and folds online, then — when the axis brackets a
-// detachment — a geometric bisection narrows the knee to within KneeTol.
+// detachment — a geometric bisection narrows the knee to within 10%.
 // Cancelling ctx returns promptly with the points measured so far and
 // Incomplete set. The report is a pure function of the study declaration:
 // same study ⇒ identical report at any worker count.
@@ -370,7 +357,7 @@ func (s Study) Run(ctx context.Context, e *Engine) (StudyReport, error) {
 	if e == nil {
 		e = New(0)
 	}
-	rep := StudyReport{Name: s.Name}
+	rep := StudyReport{Name: s.name}
 	emit := func(pt StudyPoint) {
 		rep.Points = append(rep.Points, pt)
 		if s.OnPoint != nil {
@@ -403,7 +390,7 @@ func (s Study) Run(ctx context.Context, e *Engine) (StudyReport, error) {
 		return rep, nil // never saturated, or no attached point below
 	}
 	lo, hi := rep.Points[first-1], rep.Points[first]
-	for i := 0; i < s.MaxBisections && hi.Load/lo.Load > 1+s.KneeTol; i++ {
+	for i := 0; i < maxBisections && hi.Load/lo.Load > 1+kneeTol; i++ {
 		mid := math.Sqrt(lo.Load * hi.Load)
 		pt, ok, err := s.runPoint(ctx, e, mid, true)
 		if err != nil {
@@ -421,7 +408,7 @@ func (s Study) Run(ctx context.Context, e *Engine) (StudyReport, error) {
 		}
 	}
 	for _, cl := range hi.PerClass {
-		if cl.Detached(s.KneeFactor) {
+		if cl.Detached(KneeFactor) {
 			rep.Knee = &Knee{
 				Load: hi.Load, Low: lo.Load,
 				Class: cl.Class, P99: cl.P99, Bound: cl.Bound,

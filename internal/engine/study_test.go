@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"timebounds/internal/types"
-	"timebounds/internal/workload"
 )
 
 // studyBase is a small template that saturates quickly: worst-case delays
@@ -131,12 +130,14 @@ func TestStudyCancellationPartial(t *testing.T) {
 // TestStudySurfacesScenarioFailures: a study whose scenarios fail must
 // error out, never report a clean "no knee" answer.
 func TestStudySurfacesScenarioFailures(t *testing.T) {
+	base := studyBase()
+	// A delay mode outside the bundled set makes every point's scenarios
+	// fail to build.
+	base.Delay = DelaySpec{Mode: DelayMode(99)}
 	study := Study{
-		Base:        studyBase(),
+		Base:        base,
 		Loads:       []float64{50},
 		OpsPerPoint: 4,
-		// A zero-weight mix makes every point's schedule generation fail.
-		Mix: workload.OpMix{{Kind: types.OpRMW, Weight: 0}},
 	}
 	_, err := study.Run(context.Background(), New(1))
 	if err == nil {
@@ -164,7 +165,6 @@ func TestStudyValidation(t *testing.T) {
 		{"NaN breaks ascent", Study{Base: base, Loads: []float64{10, math.NaN()}}, ""},
 		{"NaN ramp", Study{Base: base, Ramp: LoadRamp{From: math.NaN(), To: 10, Points: 3}}, "finite"},
 		{"descending loads", Study{Base: base, Loads: []float64{100, 50}}, "ascend"},
-		{"knee factor below 1", Study{Base: base, Loads: []float64{10}, KneeFactor: 0.5}, "knee factor"},
 	}
 	for _, tc := range cases {
 		_, err := tc.s.Run(context.Background(), New(1))

@@ -36,8 +36,6 @@ type MeasureOptions struct {
 	// WorstCaseDelays uses the slowest admissible delay (d) everywhere
 	// instead of seeded random delays, to surface worst-case latencies.
 	WorstCaseDelays bool
-	// Verify runs the linearizability checker (only for small workloads).
-	Verify bool
 }
 
 // scenario builds the measurement scenario for a table object.
@@ -63,7 +61,6 @@ func (opt MeasureOptions) scenario(dt spec.DataType, p model.Params) engine.Scen
 			Spacing:       2 * p.D,
 			Start:         p.D,
 		},
-		Verify: opt.Verify,
 	}
 }
 
@@ -84,12 +81,7 @@ func MeasureTable(t bounds.Table, p model.Params, opt MeasureOptions) (map[strin
 			measured[row.Label] = res.PerKind[row.Ops[0]].Max + res.PerKind[row.Ops[1]].Max
 		}
 	}
-	return measured, workload.Report{
-		PerKind:      res.PerKind,
-		History:      res.History,
-		Checked:      res.Checked,
-		Linearizable: res.Linearizable,
-	}, nil
+	return measured, workload.Report{PerKind: res.PerKind, History: res.History}, nil
 }
 
 // TradeoffPoint is one X-sweep sample (experiment E13).

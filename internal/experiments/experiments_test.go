@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"timebounds/internal/bounds"
+	"timebounds/internal/engine"
 	"timebounds/internal/model"
 	"timebounds/internal/types"
 )
@@ -144,16 +145,17 @@ func TestCompareBaselinesShape(t *testing.T) {
 
 func TestMeasureTableVerifySmall(t *testing.T) {
 	// Small verified workloads confirm linearizability end-to-end under
-	// random delays and max skew.
+	// random delays and max skew: each table's measurement scenario, with
+	// the checker on.
 	p := DefaultParams(3)
 	for _, tbl := range []bounds.Table{bounds.TableI(), bounds.TableII()} {
-		_, rep, err := MeasureTable(tbl, p, MeasureOptions{
-			Seed: 7, OpsPerProcess: 3, Verify: true,
-		})
-		if err != nil {
-			t.Fatalf("table %d: %v", tbl.Number, err)
+		sc := MeasureOptions{Seed: 7, OpsPerProcess: 3}.scenario(tbl.Object, p)
+		sc.Verify = true
+		res := engine.Run([]engine.Scenario{sc}).Results[0]
+		if res.Err != "" {
+			t.Fatalf("table %d: %s", tbl.Number, res.Err)
 		}
-		if !rep.Checked || !rep.Linearizable {
+		if !res.Checked || !res.Linearizable {
 			t.Errorf("table %d: verified workload not linearizable", tbl.Number)
 		}
 	}

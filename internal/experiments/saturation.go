@@ -8,22 +8,17 @@ import (
 	"timebounds/internal/bounds"
 	"timebounds/internal/engine"
 	"timebounds/internal/model"
-	"timebounds/internal/spec"
 )
 
 // LoadSweepOptions configures a saturation/queueing study (the ROADMAP's
-// latency-vs-offered-load experiment): one backend × object template
-// driven open-loop across an offered-rate axis, each point folded online
-// (constant memory) with a knee search on top.
+// latency-vs-offered-load experiment): one backend on Table I's rmw
+// register at X = 0, driven open-loop across an offered-rate axis, each
+// point folded online (constant memory) with a knee search on top.
 type LoadSweepOptions struct {
 	// Backend is the implementation under load; nil means Algorithm 1.
 	Backend engine.Backend
-	// Object is the replicated data type; nil means the rmw register.
-	Object spec.DataType
 	// Params are the model timing parameters.
 	Params model.Params
-	// X is Algorithm 1's tradeoff parameter.
-	X model.Time
 	// Seed drives workloads and random delays.
 	Seed int64
 	// Loads is the explicit offered-load axis (aggregate ops/sec); empty
@@ -36,8 +31,6 @@ type LoadSweepOptions struct {
 	Ramp engine.LoadRamp
 	// OpsPerPoint sizes each point (ops per process; default 50).
 	OpsPerPoint int
-	// Workers caps engine parallelism (≤0 = all cores).
-	Workers int
 	// OnPoint observes each measured point in completion order — the
 	// progress hook tb sweep uses.
 	OnPoint func(engine.StudyPoint)
@@ -50,10 +43,6 @@ func LoadSweep(ctx context.Context, opt LoadSweepOptions) (engine.StudyReport, e
 	backend := opt.Backend
 	if backend == nil {
 		backend = engine.Algorithm1{}
-	}
-	object := opt.Object
-	if object == nil {
-		object = defaultLoadObject()
 	}
 	ramp := opt.Ramp
 	if len(opt.Loads) == 0 && ramp.From == 0 && ramp.To == 0 {
@@ -70,9 +59,8 @@ func LoadSweep(ctx context.Context, opt LoadSweepOptions) (engine.StudyReport, e
 	study := engine.Study{
 		Base: engine.Scenario{
 			Backend:  backend,
-			DataType: object,
+			DataType: bounds.TableI().Object,
 			Params:   opt.Params,
-			X:        opt.X,
 			Seed:     opt.Seed,
 			Delay:    engine.DelaySpec{Mode: engine.DelayWorst},
 		},
@@ -81,11 +69,7 @@ func LoadSweep(ctx context.Context, opt LoadSweepOptions) (engine.StudyReport, e
 		OpsPerPoint: opt.OpsPerPoint,
 		OnPoint:     opt.OnPoint,
 	}
-	return study.Run(ctx, engine.New(opt.Workers))
-}
-
-func defaultLoadObject() spec.DataType {
-	return bounds.TableI().Object
+	return study.Run(ctx, engine.New(0))
 }
 
 // LoadSweepCSV renders a study report as CSV: one row per measured point

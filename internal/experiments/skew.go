@@ -18,14 +18,14 @@ import (
 // range partition a hotter head piles traffic onto one shard, so the
 // store's effective capacity is the hottest shard's — the knee load falls
 // as the exponent rises, which is exactly the planet-scale argument for
-// live rebalancing (keyspace.SplitHot).
+// live rebalancing (keyspace.SplitHot). Shards run at X = 0, and a point
+// saturates when some shard's per-kind p99 sojourn reaches
+// engine.KneeFactor × that class's service bound.
 type SkewSweepOptions struct {
 	// Backend is the implementation under load; nil means Algorithm 1.
 	Backend engine.Backend
 	// Params are the model timing parameters.
 	Params model.Params
-	// X is Algorithm 1's tradeoff parameter.
-	X model.Time
 	// Seed drives workload generation and per-shard delay draws.
 	Seed int64
 	// Space is the key universe; a zero value means 100 000 keys.
@@ -42,12 +42,6 @@ type SkewSweepOptions struct {
 	// OpsPerPoint is the operations streamed per measured point
 	// (default 300).
 	OpsPerPoint int
-	// KneeFactor is the detachment threshold K: a point saturates when
-	// some shard's per-kind p99 sojourn ≥ K × that class's service bound
-	// (default 2).
-	KneeFactor float64
-	// Workers caps engine parallelism (≤0 = all cores).
-	Workers int
 	// OnPoint observes each measured point in completion order.
 	OnPoint func(SkewCell)
 }
@@ -120,20 +114,13 @@ func SkewSweep(ctx context.Context, opt SkewSweepOptions) (SkewReport, error) {
 	if ops <= 0 {
 		ops = 300
 	}
-	kneeFactor := opt.KneeFactor
-	if kneeFactor == 0 {
-		kneeFactor = 2
-	}
-	if kneeFactor <= 1 {
-		return SkewReport{}, fmt.Errorf("experiments: skew knee factor %g must exceed 1", kneeFactor)
-	}
 	for i := 1; i < len(loads); i++ {
 		if loads[i] <= loads[i-1] {
 			return SkewReport{}, fmt.Errorf("experiments: skew load axis not ascending at %g", loads[i])
 		}
 	}
 
-	eng := engine.New(opt.Workers)
+	eng := engine.New(0)
 	dict := types.NewDict()
 	var rep SkewReport
 	for _, s := range exponents {
@@ -151,7 +138,6 @@ func SkewSweep(ctx context.Context, opt SkewSweepOptions) (SkewReport, error) {
 			sr, err := eng.RunSharded(engine.ShardedScenario{
 				Backend:  backend,
 				Params:   opt.Params,
-				X:        opt.X,
 				Seed:     opt.Seed,
 				Workload: w.Sharded(shards),
 				Plan:     &keyspace.Plan{Base: keyspace.RangePartition(space, shards)},
@@ -186,12 +172,12 @@ func SkewSweep(ctx context.Context, opt SkewSweepOptions) (SkewReport, error) {
 				}
 				for kind, os := range online {
 					st := os.Stats(kind)
-					bound := backend.Bound(opt.Params, opt.X, dict.Class(kind))
+					bound := backend.Bound(opt.Params, 0, dict.Class(kind))
 					if st.P99 > pt.WorstP99 {
 						pt.WorstP99 = st.P99
 						pt.Bound = bound
 					}
-					if float64(st.P99) >= kneeFactor*float64(bound) {
+					if float64(st.P99) >= engine.KneeFactor*float64(bound) {
 						pt.Saturated = true
 					}
 				}

@@ -97,11 +97,6 @@ func TestSkewSweepDeterministic(t *testing.T) {
 
 func TestSkewSweepOptionValidation(t *testing.T) {
 	opt := skewTestOptions()
-	opt.KneeFactor = 0.5
-	if _, err := SkewSweep(context.Background(), opt); err == nil {
-		t.Error("knee factor ≤ 1 accepted")
-	}
-	opt = skewTestOptions()
 	opt.Loads = []float64{100, 50}
 	if _, err := SkewSweep(context.Background(), opt); err == nil {
 		t.Error("descending load axis accepted")

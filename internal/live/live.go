@@ -55,21 +55,10 @@ type Config struct {
 	// Transport connects the replicas; nil means an in-process
 	// ChanTransport with no synthetic delay.
 	Transport Transport
-	// Estimator configures the (u, d) estimator window and safety margin.
-	Estimator EstimatorConfig
 	// Undertune, when in (0, 1), scales every tuned wait below the
 	// estimated envelope — the live premature-tuning adversary. 0 (or 1)
 	// keeps the safe envelope.
 	Undertune float64
-	// WarmupProbes is how many probe rounds each replica broadcasts
-	// before load starts (default 24); the estimator must leave its
-	// prior before the first real operation.
-	WarmupProbes int
-	// ProbeSpacing separates warm-up probe rounds (default 500µs).
-	ProbeSpacing model.Time
-	// RetuneEvery is the period of the retuner loop re-snapshotting the
-	// estimator while load runs (default 2ms; negative disables).
-	RetuneEvery model.Time
 	// ClockOffsets optionally skews each replica's local clock (length
 	// N). Unlike the simulator, live clock skew defaults to zero — the
 	// replicas share the host's monotonic clock.
@@ -79,18 +68,19 @@ type Config struct {
 	Drain model.Time
 }
 
+// The live run's fixed cadence: warmupProbes probe rounds, probeSpacing
+// apart, warm the estimator before load starts (it must leave its prior
+// before the first real operation), and the retuner re-snapshots the
+// estimator every retuneEvery while load runs.
+const (
+	warmupProbes = 24
+	probeSpacing = 500 * time.Microsecond
+	retuneEvery  = 2 * time.Millisecond
+)
+
 func (c Config) withDefaults() Config {
 	if c.Transport == nil {
 		c.Transport = &ChanTransport{}
-	}
-	if c.WarmupProbes <= 0 {
-		c.WarmupProbes = 24
-	}
-	if c.ProbeSpacing <= 0 {
-		c.ProbeSpacing = 500 * time.Microsecond
-	}
-	if c.RetuneEvery == 0 {
-		c.RetuneEvery = 2 * time.Millisecond
 	}
 	if c.Drain <= 0 {
 		c.Drain = 5 * time.Second
@@ -229,7 +219,7 @@ func Run(cfg Config, invs []Invocation) (RunResult, error) {
 	epoch := time.Now()
 	now := func() model.Time { return model.Time(time.Since(epoch)) }
 	rec := newRecorder(now)
-	est := NewEstimator(cfg.N, cfg.Estimator)
+	est := NewEstimator(cfg.N, EstimatorConfig{})
 	scale := cfg.Undertune
 	if scale == 0 {
 		scale = 1
@@ -250,38 +240,36 @@ func Run(cfg Config, invs []Invocation) (RunResult, error) {
 
 	// Warm-up: probe rounds until the estimator leaves its prior, then
 	// install the first observed envelope before any load.
-	for k := 0; k < cfg.WarmupProbes; k++ {
+	for k := 0; k < warmupProbes; k++ {
 		for _, r := range replicas {
 			r.sendAll(Message{Probe: true})
 		}
-		time.Sleep(time.Duration(cfg.ProbeSpacing))
+		time.Sleep(probeSpacing)
 	}
 	warmupDeadline := time.Now().Add(time.Duration(cfg.Drain))
 	for cfg.N > 1 && est.Snapshot().FromPrior && time.Now().Before(warmupDeadline) {
 		for _, r := range replicas {
 			r.sendAll(Message{Probe: true})
 		}
-		time.Sleep(time.Duration(cfg.ProbeSpacing))
+		time.Sleep(probeSpacing)
 	}
 	tun.Apply(est.Snapshot())
 	warmup := now()
 
 	// Retuner: periodically re-snapshot the estimator while load runs.
 	stopRetune := make(chan struct{})
-	if cfg.RetuneEvery > 0 {
-		go func() {
-			t := time.NewTicker(time.Duration(cfg.RetuneEvery))
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					tun.Apply(est.Snapshot())
-				case <-stopRetune:
-					return
-				}
+	go func() {
+		t := time.NewTicker(retuneEvery)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				tun.Apply(est.Snapshot())
+			case <-stopRetune:
+				return
 			}
-		}()
-	}
+		}
+	}()
 
 	// Drive: one closed-loop goroutine per process, sleeping to each
 	// invocation's offered instant and awaiting the previous response.

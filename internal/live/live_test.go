@@ -38,7 +38,6 @@ func TestRunSafeChanCluster(t *testing.T) {
 		Transport: &ChanTransport{
 			Delay: UniformDelay(7, model.Time(200*time.Microsecond), model.Time(800*time.Microsecond)),
 		},
-		Estimator: EstimatorConfig{Window: 128, MinSamples: 6},
 	}
 	rr, err := Run(cfg, raceInvocations(3, 6, model.Time(2*time.Millisecond)))
 	if err != nil {
@@ -116,7 +115,6 @@ func TestRunUndertunedDichotomy(t *testing.T) {
 		Transport: &ChanTransport{
 			Delay: UniformDelay(11, model.Time(1*time.Millisecond), model.Time(4*time.Millisecond)),
 		},
-		Estimator: EstimatorConfig{Window: 128, MinSamples: 6},
 		Undertune: 0.03,
 	}
 	rr, err := Run(cfg, raceInvocations(3, 10, model.Time(1*time.Millisecond)))

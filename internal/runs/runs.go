@@ -267,8 +267,9 @@ func ShortestPaths(delays [][]model.Time) [][]model.Time {
 // first message from `from` to `to`, sent at t_s; then t* = t_s +
 // min(d_{from,to}, δ), the recipient's view is cut just before t*, and
 // every other view k is cut just before t* + D_{to,k} (shortest-path
-// distance over the delay graph). Messages received beyond a cut become
-// unreceived; messages sent beyond their sender's cut are dropped.
+// distance over the delay graph). The cut itself is Truncate's: messages
+// received beyond a cut become unreceived, and messages sent beyond their
+// sender's cut are dropped.
 func Chop(r Run, delays [][]model.Time, from, to model.ProcessID, delta model.Time) (Run, error) {
 	p := r.Params
 	if !fault.AdmitsDelay(p, delta) {
@@ -299,27 +300,7 @@ func Chop(r Run, delays [][]model.Time, from, to model.ProcessID, delta model.Ti
 		}
 		cut[k] = tStar + dist[to][k]
 	}
-	out := Run{Params: p, Views: make([]TimedView, len(r.Views)), LastResponse: r.LastResponse}
-	for k, v := range r.Views {
-		nv := TimedView{Proc: v.Proc, ClockOffset: v.ClockOffset, Rate: v.Rate, End: minTime(v.End, cut[k])}
-		for _, st := range v.Steps {
-			if st.RealTime < nv.End {
-				nv.Steps = append(nv.Steps, st)
-			}
-		}
-		out.Views[k] = nv
-	}
-	for _, m := range r.Msgs {
-		if m.SentAt >= out.Views[m.From].End {
-			continue // sent beyond the prefix: drop entirely
-		}
-		nm := m
-		if m.Received() && m.RecvAt >= out.Views[m.To].End {
-			nm.RecvAt = model.Infinity
-		}
-		out.Msgs = append(out.Msgs, nm)
-	}
-	return out, nil
+	return Truncate(r, cut)
 }
 
 func minTime(a, b model.Time) model.Time {

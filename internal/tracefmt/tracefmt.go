@@ -1,7 +1,7 @@
 // Package tracefmt renders recorded runs as space-time diagrams — the
 // textual analogue of the paper's figures (one horizontal lane per process,
 // operations as bracketed intervals, messages as send/receive markers) —
-// and serializes runs and histories to JSON for external tooling.
+// and serializes runs to JSON for external tooling.
 package tracefmt
 
 import (
@@ -19,14 +19,10 @@ import (
 // history. Each process occupies one lane; time flows left to right.
 // Operation intervals appear as [===]; message sends as digits and their
 // receives as the matching digit on the recipient lane (modulo 10).
+// The rendered real-time window ends at the run's latest event.
 type Diagram struct {
 	// Width is the number of character columns (default 100).
 	Width int
-	// Horizon bounds the rendered real-time window; zero means the latest
-	// event in the run.
-	Horizon model.Time
-	// ShowMessages toggles the message markers.
-	ShowMessages bool
 }
 
 // Render draws the diagram. ops may be nil to draw only messages.
@@ -35,10 +31,7 @@ func (d Diagram) Render(r runs.Run, ops []history.Record) string {
 	if width <= 0 {
 		width = 100
 	}
-	horizon := d.Horizon
-	if horizon == 0 {
-		horizon = latestEvent(r, ops)
-	}
+	horizon := latestEvent(r, ops)
 	if horizon <= 0 {
 		horizon = 1
 	}
@@ -76,13 +69,11 @@ func (d Diagram) Render(r runs.Run, ops []history.Record) string {
 		}
 		lane[end] = ']'
 	}
-	if d.ShowMessages {
-		for _, m := range r.Msgs {
-			marker := byte('0' + m.Seq%10)
-			setIfFree(lanes[m.From], col(m.SentAt), marker)
-			if m.Received() {
-				setIfFree(lanes[m.To], col(m.RecvAt), marker)
-			}
+	for _, m := range r.Msgs {
+		marker := byte('0' + m.Seq%10)
+		setIfFree(lanes[m.From], col(m.SentAt), marker)
+		if m.Received() {
+			setIfFree(lanes[m.To], col(m.RecvAt), marker)
 		}
 	}
 
@@ -253,34 +244,4 @@ func UnmarshalRun(data []byte) (runs.Run, error) {
 		out.Msgs = append(out.Msgs, m)
 	}
 	return out, nil
-}
-
-// OpJSON is the JSON form of one history record.
-type OpJSON struct {
-	ID           int    `json:"id"`
-	Proc         int    `json:"proc"`
-	Kind         string `json:"kind"`
-	Arg          any    `json:"arg"`
-	Ret          any    `json:"ret,omitempty"`
-	InvokeNanos  int64  `json:"invokeNanos"`
-	RespondNanos *int64 `json:"respondNanos,omitempty"` // nil = pending
-}
-
-// MarshalHistory serializes a history to JSON.
-func MarshalHistory(h *history.History) ([]byte, error) {
-	ops := h.Ops()
-	out := make([]OpJSON, 0, len(ops))
-	for _, op := range ops {
-		oj := OpJSON{
-			ID: int(op.ID), Proc: int(op.Proc), Kind: string(op.Kind),
-			Arg: op.Arg, InvokeNanos: int64(op.Invoke),
-		}
-		if !op.Pending {
-			resp := int64(op.Respond)
-			oj.RespondNanos = &resp
-			oj.Ret = op.Ret
-		}
-		out = append(out, oj)
-	}
-	return json.MarshalIndent(out, "", "  ")
 }

@@ -36,7 +36,7 @@ func sampleCluster(t *testing.T) *core.Cluster {
 func TestDiagramRender(t *testing.T) {
 	c := sampleCluster(t)
 	r := runs.FromSim(c.Simulator())
-	out := tracefmt.Diagram{Width: 80, ShowMessages: true}.Render(r, c.History().Ops())
+	out := tracefmt.Diagram{Width: 80}.Render(r, c.History().Ops())
 	if !strings.Contains(out, "p0") || !strings.Contains(out, "p2") {
 		t.Errorf("missing lanes:\n%s", out)
 	}
@@ -170,20 +170,6 @@ func TestRunJSONKeepsAdmissibility(t *testing.T) {
 		}
 		if after := runs.Admissible(back); after == nil || after.Error() != before.Error() {
 			t.Errorf("%s: runs.Admissible says %q before a JSON round trip and %v after it", name, before, after)
-		}
-	}
-}
-
-func TestMarshalHistory(t *testing.T) {
-	c := sampleCluster(t)
-	data, err := tracefmt.MarshalHistory(c.History())
-	if err != nil {
-		t.Fatalf("MarshalHistory: %v", err)
-	}
-	s := string(data)
-	for _, want := range []string{`"kind": "write"`, `"kind": "read"`, `"invokeNanos"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("missing %s in:\n%s", want, s)
 		}
 	}
 }

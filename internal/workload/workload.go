@@ -43,35 +43,6 @@ type Invocation struct {
 	Arg  spec.Value
 }
 
-// Options configures schedule generation.
-type Options struct {
-	// Seed makes generation deterministic.
-	Seed int64
-	// OpsPerProcess is how many operations each process issues.
-	OpsPerProcess int
-	// Spacing is the mean gap between consecutive invocations of one
-	// process; actual gaps are uniform in [Spacing/2, 3·Spacing/2].
-	Spacing model.Time
-	// Start is the real time of the first wave of invocations.
-	Start model.Time
-}
-
-// Generate builds a random closed-loop schedule: each process issues
-// OpsPerProcess operations drawn from the mix, with jittered spacing.
-// It is shorthand for a closed-loop Spec; Spec is the richer surface
-// (open loops, ramps, per-process mixes, explicit schedules).
-func Generate(p model.Params, mix OpMix, opt Options) (Schedule, error) {
-	if len(mix) == 0 {
-		return Schedule{}, fmt.Errorf("workload: empty mix")
-	}
-	return Spec{
-		Mix:           mix,
-		OpsPerProcess: opt.OpsPerProcess,
-		Spacing:       opt.Spacing,
-		Start:         opt.Start,
-	}.Schedule(p, opt.Seed)
-}
-
 // Stats summarizes the latency distribution of one operation kind.
 type Stats struct {
 	Kind  spec.OpKind
@@ -183,24 +154,6 @@ func Finish(target Target, last model.Time, opt RunOptions) (Report, error) {
 	return rep, nil
 }
 
-// NewSimConfig builds a sim.Config with a seeded random delay policy over
-// the admissible range and evenly spread clock offsets within ε — the
-// wiring the engine uses for DelayRandom scenarios, exposed for
-// hand-driven core clusters in tests.
-func NewSimConfig(p model.Params, seed int64) sim.Config {
-	return sim.Config{
-		Params:       p,
-		ClockOffsets: core.MaxSkewOffsets(p),
-		Delay:        sim.NewRandomDelay(seed, p.MinDelay(), p.D),
-		StrictDelays: true,
-	}
-}
-
-// Summarize computes per-kind latency statistics from a history.
-func Summarize(h *history.History) map[spec.OpKind]Stats {
-	return new(Samples).Summarize(h)
-}
-
 // Samples is reusable storage for Summarize: one buffer holding a
 // history's latency samples grouped by kind, plus the kinds and their
 // group bounds. Only the returned map is allocated once the buffer has
@@ -214,8 +167,8 @@ type Samples struct {
 	lat  []model.Time
 }
 
-// Summarize computes per-kind latency statistics from h, exactly as the
-// package-level Summarize does, on s's storage.
+// Summarize computes per-kind latency statistics from h's completed
+// operations, on s's storage.
 //
 //tb:hotpath
 func (s *Samples) Summarize(h *history.History) map[spec.OpKind]Stats {

@@ -8,6 +8,7 @@ import (
 	"timebounds/internal/core"
 	"timebounds/internal/history"
 	"timebounds/internal/model"
+	"timebounds/internal/sim"
 	"timebounds/internal/spec"
 	"timebounds/internal/types"
 	"timebounds/internal/workload"
@@ -26,16 +27,34 @@ func regMix() workload.OpMix {
 	}
 }
 
+// simConfig is the engine's DelayRandom wiring for a hand-driven cluster:
+// a seeded random delay over [d-u, d] and clock offsets spread within ε.
+func simConfig(p model.Params, seed int64) sim.Config {
+	return sim.Config{
+		Params:       p,
+		ClockOffsets: core.MaxSkewOffsets(p),
+		Delay:        sim.NewRandomDelay(seed, p.MinDelay(), p.D),
+		StrictDelays: true,
+	}
+}
+
+// closedLoop is a closed-loop register spec of ops operations per process.
+func closedLoop(p model.Params, ops int, spacing model.Time) workload.Spec {
+	return workload.Spec{Mix: regMix(), OpsPerProcess: ops, Spacing: spacing, Start: p.D}
+}
+
+// TestGenerateDeterministic: schedule generation from a Spec is a pure
+// function of (params, seed).
 func TestGenerateDeterministic(t *testing.T) {
 	p := params(3)
-	opt := workload.Options{Seed: 9, OpsPerProcess: 10, Spacing: p.D, Start: p.D}
-	a, err := workload.Generate(p, regMix(), opt)
+	s := closedLoop(p, 10, p.D)
+	a, err := s.Schedule(p, 9)
 	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatalf("Schedule: %v", err)
 	}
-	b, err := workload.Generate(p, regMix(), opt)
+	b, err := s.Schedule(p, 9)
 	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatalf("Schedule: %v", err)
 	}
 	if len(a.Invocations) != len(b.Invocations) {
 		t.Fatal("different lengths")
@@ -45,7 +64,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("invocation %d differs: %+v vs %+v", i, a.Invocations[i], b.Invocations[i])
 		}
 	}
-	if want := p.N * opt.OpsPerProcess; len(a.Invocations) != want {
+	if want := p.N * s.OpsPerProcess; len(a.Invocations) != want {
 		t.Errorf("generated %d invocations, want %d", len(a.Invocations), want)
 	}
 }
@@ -82,7 +101,7 @@ func TestSummarizeIgnoresAppendOrder(t *testing.T) {
 	for i := range ops {
 		forward[i], backward[i] = i, len(ops)-1-i
 	}
-	a, b := workload.Summarize(record(forward)), workload.Summarize(record(backward))
+	a, b := new(workload.Samples).Summarize(record(forward)), new(workload.Samples).Summarize(record(backward))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("stats depend on append order:\nin order: %v\nreversed: %v", a, b)
 	}
@@ -93,11 +112,11 @@ func TestSummarizeIgnoresAppendOrder(t *testing.T) {
 
 func TestGenerateRejectsBadMix(t *testing.T) {
 	p := params(2)
-	if _, err := workload.Generate(p, nil, workload.Options{OpsPerProcess: 1}); err == nil {
+	if _, err := (workload.Spec{OpsPerProcess: 1}).Schedule(p, 1); err == nil {
 		t.Error("empty mix accepted")
 	}
-	bad := workload.OpMix{{Kind: types.OpRead, Weight: 0}}
-	if _, err := workload.Generate(p, bad, workload.Options{OpsPerProcess: 1}); err == nil {
+	bad := workload.Spec{Mix: workload.OpMix{{Kind: types.OpRead, Weight: 0}}, OpsPerProcess: 1}
+	if _, err := bad.Schedule(p, 1); err == nil {
 		t.Error("zero weight accepted")
 	}
 }
@@ -105,15 +124,13 @@ func TestGenerateRejectsBadMix(t *testing.T) {
 func TestRunProducesStats(t *testing.T) {
 	p := params(3)
 	cluster, err := core.NewCluster(core.Config{Params: p}, types.NewRegister(0),
-		workload.NewSimConfig(p, 3))
+		simConfig(p, 3))
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
-	sched, err := workload.Generate(p, regMix(), workload.Options{
-		Seed: 3, OpsPerProcess: 5, Spacing: 2 * p.D, Start: p.D,
-	})
+	sched, err := closedLoop(p, 5, 2*p.D).Schedule(p, 3)
 	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatalf("Schedule: %v", err)
 	}
 	rep, err := workload.Run(cluster, sched, workload.RunOptions{Verify: true})
 	if err != nil {
@@ -147,15 +164,13 @@ func TestRunProducesStats(t *testing.T) {
 func TestWorstPair(t *testing.T) {
 	p := params(3)
 	cluster, err := core.NewCluster(core.Config{Params: p}, types.NewRegister(0),
-		workload.NewSimConfig(p, 4))
+		simConfig(p, 4))
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
-	sched, err := workload.Generate(p, regMix(), workload.Options{
-		Seed: 4, OpsPerProcess: 4, Spacing: 2 * p.D, Start: p.D,
-	})
+	sched, err := closedLoop(p, 4, 2*p.D).Schedule(p, 4)
 	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatalf("Schedule: %v", err)
 	}
 	rep, err := workload.Run(cluster, sched, workload.RunOptions{})
 	if err != nil {
@@ -170,7 +185,7 @@ func TestWorstPair(t *testing.T) {
 func TestSummarizeSkipsPending(t *testing.T) {
 	p := params(2)
 	cluster, err := core.NewCluster(core.Config{Params: p}, types.NewRegister(0),
-		workload.NewSimConfig(p, 5))
+		simConfig(p, 5))
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -179,19 +194,8 @@ func TestSummarizeSkipsPending(t *testing.T) {
 	if err := cluster.Run(p.Epsilon / 2); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	stats := workload.Summarize(cluster.History())
+	stats := new(workload.Samples).Summarize(cluster.History())
 	if len(stats) != 0 {
 		t.Errorf("pending-only history should yield no stats, got %v", stats)
-	}
-}
-
-func TestNewSimConfig(t *testing.T) {
-	p := params(4)
-	cfg := workload.NewSimConfig(p, 1)
-	if cfg.Delay == nil || !cfg.StrictDelays {
-		t.Error("NewSimConfig should set a strict delay policy")
-	}
-	if len(cfg.ClockOffsets) != p.N {
-		t.Errorf("offsets length %d", len(cfg.ClockOffsets))
 	}
 }

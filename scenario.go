@@ -9,7 +9,6 @@ import (
 	"timebounds/internal/engine"
 	"timebounds/internal/fault"
 	"timebounds/internal/keyspace"
-	"timebounds/internal/live"
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
 	"timebounds/internal/workload"
@@ -395,8 +394,8 @@ func NewAggregate() *Aggregate { return engine.NewAggregate() }
 // RunStudy executes a load-sweep saturation study on a default engine:
 // every axis point streams through the worker pool and folds online, then
 // a geometric bisection narrows the saturation knee (the lowest offered
-// load at which some class's p99 sojourn time reaches KneeFactor × its
-// service bound). Same study ⇒ identical report at any worker count.
+// load at which some class's p99 sojourn time reaches twice its service
+// bound). Same study ⇒ identical report at any worker count.
 func RunStudy(ctx context.Context, s Study) (StudyReport, error) {
 	return s.Run(ctx, engine.New(0))
 }
@@ -469,9 +468,9 @@ func FaultFamilyByName(name string) (AdversarySpec, error) {
 //
 // Scenario.Runtime selects where a scenario executes. The zero value is
 // the deterministic simulator; a live Runtime runs the same Backend ×
-// Workload declaration as a wall-clock goroutine cluster over a real
-// Transport (in-process channels or loopback TCP), discovers (u, d) with
-// a windowed online estimator, retunes Algorithm 1's waits adaptively,
+// Workload declaration as a wall-clock goroutine cluster over a bundled
+// transport (in-process channels or loopback TCP), discovers (u, d) with
+// a windowed online estimator, retunes Algorithm 1's waits every 2ms,
 // and verifies the recorded history with the same Wing–Gong checker post
 // hoc. Result.Live reports the estimated envelope and the per-class
 // measured-latency-vs-estimated-bound margins; Runtime.Undertune scales
@@ -484,20 +483,8 @@ type (
 	Runtime = engine.Runtime
 	// RuntimeMode selects where a scenario executes.
 	RuntimeMode = engine.RuntimeMode
-	// TransportSpec selects a live scenario's transport as a value.
-	TransportSpec = engine.TransportSpec
 	// TransportKind names a bundled live transport.
 	TransportKind = engine.TransportKind
-	// Transport connects the replicas of one live cluster; implement it
-	// (with Endpoint) to plug a custom transport into TransportSpec.
-	Transport = live.Transport
-	// Endpoint is one process's attachment to a live Transport.
-	Endpoint = live.Endpoint
-	// LiveMessage is the wire unit live replicas exchange.
-	LiveMessage = live.Message
-	// EstimatorConfig tunes the online (u, d) estimator: window size,
-	// safety margin, slack, and the prior used before enough samples.
-	EstimatorConfig = engine.EstimatorConfig
 	// Estimate is one padded (d̂, û, ε̂) envelope snapshot of the
 	// estimator.
 	Estimate = engine.Estimate

@@ -47,9 +47,9 @@
 //   - §5 Faults — FaultSpec injection axes and the within-bound /
 //     assumption-broken dichotomy verdict (FaultReport).
 //   - §6 Live runtime — Scenario.Runtime: the same declaration executed as
-//     a wall-clock goroutine cluster over a real Transport with online
+//     a wall-clock goroutine cluster over a bundled transport with online
 //     (u, d) estimation, adaptive retuning, and post-hoc checking
-//     (Runtime, TransportSpec, LiveReport).
+//     (Runtime, TransportKind, LiveReport).
 //
 // This file (timebounds.go) holds the fundamental aliases (DataType, Time,
 // History, …), the bundled data types of Chapter VI, the linearizability
