@@ -28,12 +28,16 @@ fmt:
 test: vet
 	$(GO) test -race ./...
 
-# Size, the two numbers ROADMAP tracks per change: non-test Go lines
-# outside the benchmark module and test data, and the line count of the
-# facade's exported surface (testdata/api.golden).
+# Size, the numbers ROADMAP tracks per change: non-test Go lines outside
+# the benchmark module and test data, the line count of the facade's
+# exported surface (testdata/api.golden), and non-test lines per package,
+# largest first.
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*'
 loc:
-	@printf 'non-test LOC: '; find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs cat | wc -l
+	@printf 'non-test LOC: '; $(LOC_FILES) | xargs cat | wc -l
 	@printf 'api.golden lines: '; wc -l < testdata/api.golden
+	@echo 'non-test LOC per package:'
+	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); sub("^[.]/", "", d); n[d] += $$1 } END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k1,1nr -k2
 
 # Coverage summary per package (uploaded as a CI artifact).
 cover:

@@ -127,22 +127,25 @@ func runAdv(args []string, stdout, stderr io.Writer) error {
 	}
 
 	rep := engine.New(*workers).Run(grid.Scenarios())
-	verdicts := make(map[string]bool)
+	holds := make(map[string]bool)
 	for _, f := range rep.WitnessFamilies() {
-		verdicts[f.Family] = f.Holds()
+		holds[f.Family] = f.Holds()
 	}
 	rows := make([]advRow, 0, len(rep.Results))
-	for _, nw := range rep.Witnesses() {
-		w := nw.Witness
+	for _, res := range rep.Results {
+		w := res.Witness
+		if w == nil {
+			continue
+		}
 		rows = append(rows, advRow{
-			Scenario: nw.Scenario,
+			Scenario: res.Name,
 			Family:   w.Family,
 			Kind:     string(w.Kind),
 			Latency:  w.Latency,
 			Bound:    w.Bound,
 			Margin:   w.Margin(),
-			Violated: w.Violated,
-			Holds:    verdicts[w.Family],
+			Violated: res.Checked && !res.Linearizable,
+			Holds:    holds[w.Family],
 		})
 	}
 	var frows []faultRow

@@ -221,18 +221,10 @@ func liveSweep(stdout io.Writer, p model.Params, seeds, ops int, tcp bool) error
 				Runtime:  engine.LiveRuntime(),
 				Verify:   true,
 			})
+			// RunOne's error is the run's verdict: it completed, converged,
+			// linearized and stayed within every class bound.
 			if err != nil {
 				return fmt.Errorf("live %s seed=%d: %w", dt.Name(), seed, err)
-			}
-			if !res.Linearizable || !res.Converged {
-				return fmt.Errorf("live %s seed=%d: linearizable=%v converged=%v",
-					dt.Name(), seed, res.Linearizable, res.Converged)
-			}
-			for _, bc := range res.Bounds {
-				if !bc.OK {
-					return fmt.Errorf("live %s seed=%d: class %v measured %s over bound %s",
-						dt.Name(), seed, bc.Class, bc.Measured, bc.Bound)
-				}
 			}
 			runs++
 			opsTotal += res.Ops
@@ -250,9 +242,6 @@ func liveSweep(stdout io.Writer, p model.Params, seeds, ops int, tcp bool) error
 		})
 		if err != nil {
 			return fmt.Errorf("live tcp: %w", err)
-		}
-		if !res.Linearizable || !res.Converged {
-			return fmt.Errorf("live tcp: linearizable=%v converged=%v", res.Linearizable, res.Converged)
 		}
 		fmt.Fprintln(stdout, "tcp cluster:")
 		fmt.Fprint(stdout, res.Live.Render())
@@ -272,17 +261,15 @@ func liveSweep(stdout io.Writer, p model.Params, seeds, ops int, tcp bool) error
 		Runtime:  rt,
 		Verify:   true,
 	})
+	// An under-tuned run's verdict is the dichotomy itself.
 	if err != nil {
 		return fmt.Errorf("live undertuned: %w", err)
-	}
-	if res.Live == nil || !res.Live.Dichotomy() {
-		return fmt.Errorf("under-tuned live run linearizable, converged, and below every estimated bound — dichotomy falsified")
 	}
 	runs++
 	opsTotal += res.Ops
 	fmt.Fprintf(stdout, "live sweep: %d clusters, %d operations\n", runs, opsTotal)
 	fmt.Fprintf(stdout, "undertuned dichotomy horn: violation=%v diverged=%v\n",
-		res.Live.Violation, res.Live.Diverged)
+		!res.Linearizable, !res.Converged)
 	fmt.Fprintln(stdout, "all safe live runs linearizable, convergent, and within the estimated bounds")
 	return nil
 }

@@ -100,7 +100,7 @@ func TestAdversaryRunRecordsWitness(t *testing.T) {
 		if want := res.PerKind[types.OpWrite].Max; w.Latency != want {
 			t.Errorf("%s: witness latency %s, want worst write %s", res.Name, w.Latency, want)
 		}
-		if w.Violated {
+		if res.Checked && !res.Linearizable {
 			t.Errorf("%s: correct run flagged as violated", res.Name)
 		}
 		if w.Margin() != w.Latency-w.Bound {

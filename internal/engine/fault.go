@@ -63,9 +63,6 @@ type FaultReport struct {
 	Pending int
 }
 
-// WithinBound reports the verdict's clean horn.
-func (fr FaultReport) WithinBound() bool { return fr.Verdict == VerdictWithinBound }
-
 // Summary renders the verdict with its dominant breach, for tables.
 func (fr FaultReport) Summary() string {
 	if fr.Verdict != VerdictAssumptionBroken || len(fr.Breaches) == 0 {
@@ -169,7 +166,7 @@ func faultReport(sc Scenario, dt spec.DataType, plan *fault.Plan, in *fault.Inje
 	// judge takes skew at the same instant, the last response.
 	skewBroken := res.Model.Condition == fault.SkewBroken
 
-	clean := res.Converged && (!res.Checked || res.Linearizable) &&
+	clean := res.Converged && !res.violated() &&
 		res.Pending == 0 && worstExcess == 0 && !skewBroken
 	if clean {
 		fr.Verdict = VerdictWithinBound
@@ -186,7 +183,7 @@ func faultReport(sc Scenario, dt spec.DataType, plan *fault.Plan, in *fault.Inje
 			Amount:     res.Model.Amount,
 		})
 	}
-	if res.Checked && !res.Linearizable {
+	if res.violated() {
 		fr.Breaches = append(fr.Breaches, fault.Breach{
 			Assumption: fault.SymptomLinearizability,
 			Detail:     "the faulted history admits no linearization",

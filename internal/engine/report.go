@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,12 +17,13 @@ import (
 
 // BoundWitness records how one adversary-scenario run witnesses a
 // theoretical lower bound: the constrained operation with the largest
-// latency, the bound itself, and whether the run's history failed the
-// linearizability check. The theorems' dichotomy — an implementation
-// either pays at least the bound or produces a non-linearizable history
-// somewhere in the run family — is judged per family (FamilyWitness), not
-// per run: an indistinguishability family deliberately contains members
-// that linearize below the bound on their own.
+// latency and the bound itself. Whether the run broke (a non-linearizable
+// history, diverged copies) is the Result's own verdict. The theorems'
+// dichotomy — an implementation either pays at least the bound or produces
+// a non-linearizable history somewhere in the run family — is judged per
+// family (FamilyWitness), not per run: an indistinguishability family
+// deliberately contains members that linearize below the bound on their
+// own.
 type BoundWitness struct {
 	// Family groups the runs of one adversary family (one adversary ×
 	// backend × parameter point × seed) for the family-level verdict.
@@ -34,32 +37,17 @@ type BoundWitness struct {
 	Latency model.Time
 	// Bound is the theoretical lower bound under test.
 	Bound model.Time
-	// Violated reports that the run's history is not linearizable: the
-	// adversary caught an implementation tuned below the bound.
-	Violated bool
-	// Diverged reports that the authoritative copies disagreed after the
-	// run — another way a premature implementation breaks (recorded for
-	// diagnostics; the dichotomy is judged on Violated and Latency).
-	Diverged bool
 	// RequireLinearizable marks a proven-correct tuning, echoed from the
 	// witness spec: the family verdict then forbids violations.
 	RequireLinearizable bool
-	// FaultVerdict echoes the run's FaultReport verdict (empty when the
-	// run injected no faults); FaultDichotomy marks a fault family judged
-	// by the dichotomy — every member must land on exactly one horn.
-	FaultVerdict   string
+	// FaultDichotomy marks a fault family judged by the dichotomy — every
+	// member must land on exactly one horn of its FaultReport verdict.
 	FaultDichotomy bool
 }
 
 // Margin returns Latency - Bound: how far above the lower bound the
 // implementation paid (negative for premature implementations).
 func (w BoundWitness) Margin() model.Time { return w.Latency - w.Bound }
-
-// Holds reports the dichotomy restricted to this single run: either the
-// witnessed latency is at least the bound, or the run exposes a violation.
-// Only meaningful for single-run families; grids should judge
-// FamilyWitness.Holds.
-func (w BoundWitness) Holds() bool { return w.Violated || w.Latency >= w.Bound }
 
 // FamilyWitness aggregates one adversary run family: the theorem's
 // dichotomy says an implementation either pays at least the bound
@@ -89,22 +77,34 @@ type FamilyWitness struct {
 	Broken         int
 }
 
-// Holds reports the family-level verdict. For a premature tuning it is
-// the theorems' dichotomy — a violation somewhere, or witnessed latency
-// at least the bound; a correct implementation driven below the bound
-// through the whole family would falsify it. For a proven-correct tuning
-// (RequireLinearizable) the violation horn is a bug, not a witness: every
-// member must linearize and converge AND the latency must meet the bound.
-func (f FamilyWitness) Holds() bool {
-	if f.FaultDichotomy {
-		// A fault family holds exactly when every member produced one of
-		// the two horns — "unknown" (neither verdict) falsifies it.
-		return f.Runs > 0 && f.WithinBound+f.Broken == f.Runs
+// Holds reports the family-level verdict, the one Report.Err words when
+// it fails.
+func (f FamilyWitness) Holds() bool { return f.failure() == nil }
+
+// failure is the one verdict decision for a family: why it falsifies its
+// dichotomy, or nil when it holds. A fault family holds when every member
+// landed on one of the two horns. A premature tuning holds by a violation
+// somewhere or by witnessed latency at least the bound; a correct
+// implementation driven below the bound through the whole family would
+// falsify it. For a proven-correct tuning (RequireLinearizable) the
+// violation horn is a bug, not a witness: every member must linearize and
+// converge AND the latency must meet the bound.
+func (f FamilyWitness) failure() error {
+	switch {
+	case f.FaultDichotomy && (f.Runs == 0 || f.WithinBound+f.Broken != f.Runs):
+		return fmt.Errorf("engine: adversary family %q: %d of %d runs landed on neither dichotomy horn (%s or %s)",
+			f.Family, f.Runs-f.WithinBound-f.Broken, f.Runs, VerdictWithinBound, VerdictAssumptionBroken)
+	case f.FaultDichotomy:
+		return nil
+	case f.RequireLinearizable && f.Violated:
+		return fmt.Errorf("engine: adversary family %q: correct tuning produced a non-linearizable history", f.Family)
+	case f.RequireLinearizable && f.Diverged:
+		return fmt.Errorf("engine: adversary family %q: correct tuning diverged", f.Family)
+	case f.Violated || f.MaxLatency >= f.Bound:
+		return nil
 	}
-	if f.RequireLinearizable {
-		return !f.Violated && !f.Diverged && f.MaxLatency >= f.Bound
-	}
-	return f.Violated || f.MaxLatency >= f.Bound
+	return fmt.Errorf("engine: adversary family %q: every run linearizable yet max witness latency %s below lower bound %s",
+		f.Family, f.MaxLatency, f.Bound)
 }
 
 // BoundCheck compares the measured worst-case latency of one operation
@@ -207,24 +207,57 @@ func (r Result) failure() error {
 	case r.Live != nil && r.Live.Undertuned():
 		// A deliberately under-tuned live run is the premature-tuning
 		// adversary on the wall clock: breaking (violation, divergence) or
-		// bound-level latency are its expected outcomes. It fails only by
-		// falsifying the dichotomy.
-		if !r.Live.Dichotomy() {
-			return fmt.Errorf("engine: scenario %q: under-tuned live run linearizable, converged, and below every estimated bound — dichotomy falsified", r.Name)
+		// bound-level latency in some class are its expected outcomes. It
+		// fails only by falsifying that dichotomy.
+		if r.violated() || !r.Converged {
+			return nil
 		}
-		return nil
+		for _, c := range r.Live.Classes {
+			if c.Max >= c.Bound {
+				return nil
+			}
+		}
+		return fmt.Errorf("engine: scenario %q: under-tuned live run linearizable, converged, and below every estimated bound — dichotomy falsified", r.Name)
 	case !r.Converged:
 		return fmt.Errorf("engine: scenario %q: %s", r.Name, r.Diverged)
-	case r.Checked && !r.Linearizable:
+	case r.violated():
 		return fmt.Errorf("engine: scenario %q: history not linearizable", r.Name)
 	}
-	for _, b := range r.Bounds {
+	if err := exceeded(r.Bounds); err != nil {
+		return fmt.Errorf("engine: scenario %q: %w", r.Name, err)
+	}
+	return nil
+}
+
+// violated reports that the checker ran and found no linearization.
+func (r Result) violated() bool { return r.Checked && !r.Linearizable }
+
+// exceeded words the first class whose worst latency broke its bound, the
+// wording a run's and a sharded store's verdicts share; nil when every
+// class held.
+func exceeded(bounds []BoundCheck) error {
+	for _, b := range bounds {
 		if !b.OK {
-			return fmt.Errorf("engine: scenario %q: %s worst latency %s exceeds bound %s",
-				r.Name, b.Class, b.Measured, b.Bound)
+			return fmt.Errorf("%s worst latency %s exceeds bound %s", b.Class, b.Measured, b.Bound)
 		}
 	}
 	return nil
+}
+
+// foldBound is the one per-class worst-vs-bound fold: it folds a class's
+// worst latency and operation count into bounds, kept in class order, and
+// judges the class against bound. Any class value is a key, so a data
+// type's own classes fold like the three of Chapter V.
+func foldBound(bounds []BoundCheck, class spec.OpClass, worst model.Time, count int, bound model.Time) []BoundCheck {
+	i, found := slices.BinarySearchFunc(bounds, class, func(b BoundCheck, c spec.OpClass) int { return cmp.Compare(b.Class, c) })
+	if !found {
+		bounds = slices.Insert(bounds, i, BoundCheck{Class: class, Bound: bound})
+	}
+	b := &bounds[i]
+	b.Count += count
+	b.Measured = max(b.Measured, worst)
+	b.OK = b.Measured <= b.Bound
+	return bounds
 }
 
 // WorstLatency returns the largest completed-operation latency of the run.
@@ -266,9 +299,9 @@ type Report struct {
 func (r Report) OK() bool { return r.Err() == nil }
 
 // Err returns the first scenario failure as an error, or nil. Witness
-// scenarios fail only when their family's witness dichotomy breaks (every
-// member linearizable yet all below the declared lower bound), not on the
-// violations a premature tuning is expected to produce.
+// scenarios fail only when their family falsifies its dichotomy
+// (FamilyWitness.Holds), not on the violations a premature tuning is
+// expected to produce.
 func (r Report) Err() error {
 	for _, res := range r.Results {
 		if err := res.failure(); err != nil {
@@ -276,41 +309,16 @@ func (r Report) Err() error {
 		}
 	}
 	for _, f := range r.WitnessFamilies() {
-		if f.Holds() {
-			continue
+		if err := f.failure(); err != nil {
+			return err
 		}
-		if f.RequireLinearizable && f.Violated {
-			return fmt.Errorf("engine: adversary family %q: correct tuning produced a non-linearizable history", f.Family)
-		}
-		if f.RequireLinearizable && f.Diverged {
-			return fmt.Errorf("engine: adversary family %q: correct tuning diverged", f.Family)
-		}
-		return fmt.Errorf("engine: adversary family %q: every run linearizable yet max witness latency %s below lower bound %s",
-			f.Family, f.MaxLatency, f.Bound)
 	}
 	return nil
 }
 
-// Witnesses returns the lower-bound witnesses of the grid in input order,
-// paired with their scenario names. Non-witness scenarios are skipped.
-func (r Report) Witnesses() []NamedWitness {
-	var out []NamedWitness
-	for _, res := range r.Results {
-		if res.Witness != nil {
-			out = append(out, NamedWitness{Scenario: res.Name, Witness: *res.Witness})
-		}
-	}
-	return out
-}
-
-// NamedWitness pairs a scenario name with its BoundWitness.
-type NamedWitness struct {
-	Scenario string
-	Witness  BoundWitness
-}
-
 // WitnessFamilies aggregates the grid's witnesses per adversary run
-// family, in order of first appearance.
+// family, in order of first appearance. Each member's verdict is read from
+// its Result.
 func (r Report) WitnessFamilies() []FamilyWitness {
 	var order []string
 	byKey := make(map[string]*FamilyWitness)
@@ -318,11 +326,7 @@ func (r Report) WitnessFamilies() []FamilyWitness {
 		if res.Witness == nil {
 			continue
 		}
-		w := res.Witness
-		key := w.Family
-		if key == "" {
-			key = res.Name // ungrouped witnesses stand alone
-		}
+		w, key := res.Witness, res.family()
 		f, ok := byKey[key]
 		if !ok {
 			f = &FamilyWitness{
@@ -335,20 +339,16 @@ func (r Report) WitnessFamilies() []FamilyWitness {
 			order = append(order, key)
 		}
 		f.Runs++
-		if w.Latency > f.MaxLatency {
-			f.MaxLatency = w.Latency
-		}
-		if w.Violated {
-			f.Violated = true
-		}
-		if w.Diverged {
-			f.Diverged = true
-		}
-		switch w.FaultVerdict {
-		case VerdictWithinBound:
-			f.WithinBound++
-		case VerdictAssumptionBroken:
-			f.Broken++
+		f.MaxLatency = max(f.MaxLatency, w.Latency)
+		f.Violated = f.Violated || res.violated()
+		f.Diverged = f.Diverged || !res.Converged
+		if res.Fault != nil {
+			switch res.Fault.Verdict {
+			case VerdictWithinBound:
+				f.WithinBound++
+			case VerdictAssumptionBroken:
+				f.Broken++
+			}
 		}
 	}
 	out := make([]FamilyWitness, 0, len(order))
@@ -358,39 +358,47 @@ func (r Report) WitnessFamilies() []FamilyWitness {
 	return out
 }
 
+// family keys a witness run's family; an ungrouped witness stands alone
+// under its scenario name.
+func (r Result) family() string {
+	if r.Witness.Family == "" {
+		return r.Name
+	}
+	return r.Witness.Family
+}
+
 // RenderWitnesses renders the grid's witness table: one row per adversary
-// run with the witness operation, bound, and margin, and a verdict column
-// carrying the family-level dichotomy.
+// run with the witness operation, bound, margin and whether the run's
+// history linearized, and a verdict column carrying the family-level
+// dichotomy.
 func (r Report) RenderWitnesses() string {
-	ws := r.Witnesses()
-	if len(ws) == 0 {
+	holds := make(map[string]bool)
+	for _, f := range r.WitnessFamilies() {
+		holds[f.Family] = f.Holds()
+	}
+	if len(holds) == 0 {
 		return ""
 	}
-	verdicts := make(map[string]bool)
-	for _, f := range r.WitnessFamilies() {
-		verdicts[f.Family] = f.Holds()
-	}
 	w := 8
-	for _, nw := range ws {
-		if len(nw.Scenario) > w {
-			w = len(nw.Scenario)
+	for _, res := range r.Results {
+		if res.Witness != nil {
+			w = max(w, len(res.Name))
 		}
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-*s  %-14s  %10s  %10s  %10s  %-8s  %s\n",
 		w, "scenario", "witness-op", "latency", "bound", "margin", "violated", "family-verdict")
-	for _, nw := range ws {
-		bw := nw.Witness
-		key := bw.Family
-		if key == "" {
-			key = nw.Scenario
+	for _, res := range r.Results {
+		bw := res.Witness
+		if bw == nil {
+			continue
 		}
 		verdict := "HOLDS"
-		if !verdicts[key] {
+		if !holds[res.family()] {
 			verdict = "FALSIFIED"
 		}
 		fmt.Fprintf(&b, "%-*s  %-14s  %10s  %10s  %10s  %-8v  %s\n",
-			w, nw.Scenario, bw.Kind, bw.Latency, bw.Bound, bw.Margin(), bw.Violated, verdict)
+			w, res.Name, bw.Kind, bw.Latency, bw.Bound, bw.Margin(), res.violated(), verdict)
 	}
 	return b.String()
 }
@@ -486,10 +494,8 @@ func (r Report) String() string {
 			lin = fmt.Sprintf("%v", res.Linearizable)
 		}
 		boundsOK := "ok"
-		for _, bc := range res.Bounds {
-			if !bc.OK {
-				boundsOK = "EXCEED"
-			}
+		if exceeded(res.Bounds) != nil {
+			boundsOK = "EXCEED"
 		}
 		state := res.State
 		if !res.Converged {

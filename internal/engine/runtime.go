@@ -159,10 +159,6 @@ type LiveReport struct {
 	// Warmup and Elapsed are wall time before load and in total.
 	Warmup  model.Time
 	Elapsed model.Time
-	// Violation is a failed post-hoc linearizability check; Diverged
-	// unequal final replica states.
-	Violation bool
-	Diverged  bool
 	// Classes are the per-class measured-vs-estimated-bound margins.
 	Classes []LiveClass
 }
@@ -170,22 +166,6 @@ type LiveReport struct {
 // Undertuned reports whether the run deliberately tuned below the
 // estimated envelope.
 func (l *LiveReport) Undertuned() bool { return l.Undertune > 0 && l.Undertune < 1 }
-
-// Dichotomy reports the premature-tuning dichotomy for this run: an
-// under-tuned implementation must either break (violation or divergence)
-// or pay bound-level latency in some class. For a safe run it trivially
-// reports whether anything broke or hit a bound.
-func (l *LiveReport) Dichotomy() bool {
-	if l.Violation || l.Diverged {
-		return true
-	}
-	for _, c := range l.Classes {
-		if c.Max >= c.Bound {
-			return true
-		}
-	}
-	return false
-}
 
 // Render renders the per-class margin table with the estimator summary.
 func (l *LiveReport) Render() string {
@@ -316,23 +296,6 @@ func (sc Scenario) runLive(w *worker) Result {
 	peak := model.Params{N: sc.Params.N, D: rr.Peak.D, U: rr.Peak.U, Epsilon: rr.Peak.Epsilon}
 	overhead := sc.Runtime.overhead()
 
-	// Per-class wall-clock latency samples, classed by the data type.
-	samples := make(map[spec.OpClass][]model.Time)
-	counts := make(map[spec.OpClass]int)
-	for op := range h.All() {
-		if op.Pending {
-			continue
-		}
-		class := sc.DataType.Class(op.Kind)
-		samples[class] = append(samples[class], op.Latency())
-		counts[class]++
-	}
-	classes := make([]spec.OpClass, 0, len(samples))
-	for class := range samples {
-		classes = append(classes, class)
-	}
-	slices.Sort(classes)
-
 	lr := &LiveReport{
 		Transport:       tr.Name(),
 		Estimate:        rr.Estimate,
@@ -344,36 +307,31 @@ func (sc Scenario) runLive(w *worker) Result {
 		Overhead:        overhead,
 		Warmup:          rr.Warmup,
 		Elapsed:         rr.Elapsed,
-		Violation:       res.Checked && !res.Linearizable,
-		Diverged:        !res.Converged,
 	}
-	res.Bounds = res.Bounds[:0]
-	for _, class := range classes {
-		ls := samples[class]
-		slices.Sort(ls)
-		idx := (len(ls)*99 + 99) / 100
-		if idx >= len(ls) {
-			idx = len(ls) - 1
+	// The engine-level pass/fail envelope: waits armed during the run
+	// derive from estimates ≤ the peak, plus real scheduling lateness. The
+	// per-class table keeps the final-estimate margins on the p99.
+	samples := make(map[spec.OpClass][]model.Time)
+	for op := range h.All() {
+		if op.Pending {
+			continue
 		}
-		p99, max := ls[idx], ls[len(ls)-1]
-		bound := sc.Backend.Bound(estimated, sc.X, class)
+		class := sc.DataType.Class(op.Kind)
+		samples[class] = append(samples[class], op.Latency())
+		res.Bounds = foldBound(res.Bounds, class, op.Latency(), 1, sc.Backend.Bound(peak, sc.X, class)+overhead)
+	}
+	for _, b := range res.Bounds {
+		ls := samples[b.Class]
+		slices.Sort(ls)
+		p99 := ls[min((len(ls)*99+99)/100, len(ls)-1)]
+		bound := sc.Backend.Bound(estimated, sc.X, b.Class)
 		lr.Classes = append(lr.Classes, LiveClass{
-			Class: class,
-			Count: counts[class],
+			Class: b.Class,
+			Count: b.Count,
 			P99:   p99,
-			Max:   max,
+			Max:   b.Measured,
 			Bound: bound,
 			OK:    p99 <= bound+overhead,
-		})
-		// The engine-level pass/fail envelope: waits armed during the run
-		// derive from estimates ≤ the peak, plus real scheduling lateness.
-		opBound := sc.Backend.Bound(peak, sc.X, class) + overhead
-		res.Bounds = append(res.Bounds, BoundCheck{
-			Class:    class,
-			Count:    counts[class],
-			Bound:    opBound,
-			Measured: max,
-			OK:       max <= opBound,
 		})
 	}
 	res.Live = lr

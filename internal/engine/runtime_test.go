@@ -100,11 +100,8 @@ func TestScenarioLiveUndertunedDichotomy(t *testing.T) {
 	if !res.Live.Undertuned() {
 		t.Fatalf("report does not know it was undertuned: %+v", res.Live)
 	}
-	if !res.Live.Dichotomy() {
-		t.Fatalf("under-tuned live run linearizable, converged, and below every bound — dichotomy falsified: %s", res.Live.Render())
-	}
 	if !res.OK() {
-		t.Fatalf("dichotomy-satisfying undertuned run should be OK, got %+v", res)
+		t.Fatalf("under-tuned live run linearizable, converged, and below every bound — dichotomy falsified: %s", res.Live.Render())
 	}
 }
 

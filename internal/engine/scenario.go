@@ -440,7 +440,16 @@ func (r simRun) finish(w *worker) Result {
 	} else {
 		res.Diverged = err.Error()
 	}
-	res.Bounds = boundChecks(sc, inst.DataType(), rep.PerKind)
+	// The instance's data type decides classes, so all-OOP wrapping is
+	// respected. The fold runs on the stack for up to three classes; the
+	// Result keeps an exact-size copy.
+	var classes [3]BoundCheck
+	bounds := classes[:0]
+	for kind, st := range rep.PerKind {
+		class := inst.DataType().Class(kind)
+		bounds = foldBound(bounds, class, st.Max, st.Count, sc.Backend.Bound(sc.Params, sc.X, class))
+	}
+	res.Bounds = slices.Clone(bounds)
 	if plan.Active() {
 		res.Fault = faultReport(sc, inst.DataType(), plan, r.in, res, inst.Simulator())
 	}
@@ -473,13 +482,8 @@ func witnessOf(w WitnessSpec, res Result) *BoundWitness {
 	bw := &BoundWitness{
 		Family:              w.Family,
 		Bound:               w.Bound,
-		Violated:            res.Checked && !res.Linearizable,
-		Diverged:            res.Diverged != "",
 		RequireLinearizable: w.RequireLinearizable,
 		FaultDichotomy:      w.FaultDichotomy,
-	}
-	if res.Fault != nil {
-		bw.FaultVerdict = res.Fault.Verdict
 	}
 	perKind := make(map[spec.OpKind]model.Time)
 	found := false
@@ -504,39 +508,4 @@ func witnessOf(w WitnessSpec, res Result) *BoundWitness {
 		bw.Latency = sum
 	}
 	return bw
-}
-
-// boundChecks compares measured worst-case latencies per operation class
-// against the backend's theoretical bound for that class. The instance's
-// data type decides classes (so all-OOP wrapping is respected).
-func boundChecks(sc Scenario, dt spec.DataType, perKind map[spec.OpKind]workload.Stats) []BoundCheck {
-	worst := make(map[spec.OpClass]model.Time)
-	count := make(map[spec.OpClass]int)
-	for kind, st := range perKind {
-		class := dt.Class(kind)
-		if _, ok := worst[class]; !ok {
-			worst[class] = 0 // record the class even if its worst case is 0
-		}
-		if st.Max > worst[class] {
-			worst[class] = st.Max
-		}
-		count[class] += st.Count
-	}
-	classes := make([]spec.OpClass, 0, len(worst))
-	for class := range worst {
-		classes = append(classes, class)
-	}
-	slices.Sort(classes)
-	out := make([]BoundCheck, 0, len(classes))
-	for _, class := range classes {
-		bound := sc.Backend.Bound(sc.Params, sc.X, class)
-		out = append(out, BoundCheck{
-			Class:    class,
-			Count:    count[class],
-			Bound:    bound,
-			Measured: worst[class],
-			OK:       worst[class] <= bound,
-		})
-	}
-	return out
 }

@@ -315,11 +315,8 @@ func (r ShardedReport) Err() error {
 			return fmt.Errorf("engine: sharded scenario %q: %w", r.Name, err)
 		}
 	}
-	for _, b := range r.Bounds {
-		if !b.OK {
-			return fmt.Errorf("engine: sharded scenario %q: %s worst latency %s exceeds bound %s",
-				r.Name, b.Class, b.Measured, b.Bound)
-		}
+	if err := exceeded(r.Bounds); err != nil {
+		return fmt.Errorf("engine: sharded scenario %q: %w", r.Name, err)
 	}
 	return nil
 }
@@ -450,8 +447,6 @@ func (p shardPlan) merge(rep Report) ShardedReport {
 	}
 
 	components := make([]check.Component, 0, len(rep.Results))
-	worstByClass := make(map[spec.OpClass]model.Time)
-	countByClass := make(map[spec.OpClass]int)
 	for ri, res := range rep.Results {
 		shardIdx := -1
 		if ri < len(p.run) {
@@ -494,13 +489,8 @@ func (p shardPlan) merge(rep Report) ShardedReport {
 			out.Stats.SlowestShard = res.Name
 		}
 		for _, bc := range res.Bounds {
-			if _, ok := worstByClass[bc.Class]; !ok {
-				worstByClass[bc.Class] = 0
-			}
-			if bc.Measured > worstByClass[bc.Class] {
-				worstByClass[bc.Class] = bc.Measured
-			}
-			countByClass[bc.Class] += bc.Count
+			out.Bounds = foldBound(out.Bounds, bc.Class, bc.Measured, bc.Count,
+				p.ss.Backend.Bound(p.ss.Params, p.ss.X, bc.Class))
 		}
 	}
 	if out.Stats.Empty > 0 || out.Stats.MinOps < 0 {
@@ -525,20 +515,5 @@ func (p shardPlan) merge(rep Report) ShardedReport {
 		out.PerKind = workload.SummarizeSamples(latencies)
 	}
 
-	classes := make([]spec.OpClass, 0, len(worstByClass))
-	for class := range worstByClass {
-		classes = append(classes, class)
-	}
-	slices.Sort(classes)
-	for _, class := range classes {
-		bound := p.ss.Backend.Bound(p.ss.Params, p.ss.X, class)
-		out.Bounds = append(out.Bounds, BoundCheck{
-			Class:    class,
-			Count:    countByClass[class],
-			Bound:    bound,
-			Measured: worstByClass[class],
-			OK:       worstByClass[class] <= bound,
-		})
-	}
 	return out
 }

@@ -156,9 +156,10 @@ func TestAdversaryGridDeterministicAcrossParallelism(t *testing.T) {
 	}
 	// The report must carry populated witnesses, and every family must
 	// uphold the theorem dichotomy.
-	if len(parallel.Witnesses()) != len(scenarios) {
-		t.Fatalf("want a BoundWitness per adversary scenario, got %d/%d",
-			len(parallel.Witnesses()), len(scenarios))
+	for _, res := range parallel.Results {
+		if res.Witness == nil {
+			t.Fatalf("%s: no BoundWitness", res.Name)
+		}
 	}
 	for _, f := range parallel.WitnessFamilies() {
 		if !f.Holds() {
