@@ -97,15 +97,18 @@ test-live:
 # that Scenarios reproduces at any worker count), and a faulted run
 # against the dichotomy's (hostile parameters rejected without a panic,
 # exactly one horn, bounded-skew named by the report exactly when
-# Result.Model names it, identical Results at any worker count). The
-# committed corpora under internal/{check,engine}/testdata/fuzz replay on
-# every plain `go test`; this target additionally mutates each for
-# FUZZTIME.
+# Result.Model names it, identical Results at any worker count), and
+# every bundled spec.Mutator against its pure Apply (equal states and
+# returns, inputs left unchanged, returns that a later Mutate cannot
+# change). The committed corpora under internal/{check,engine}/testdata/fuzz
+# and the seeds in the fuzz targets replay on every plain `go test`; this
+# target additionally mutates each for FUZZTIME.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCheckIslands -fuzztime $(FUZZTIME) ./internal/check
 	$(GO) test -run '^$$' -fuzz FuzzMigration -fuzztime $(FUZZTIME) ./internal/engine
 	$(GO) test -run '^$$' -fuzz FuzzFaultPlan -fuzztime $(FUZZTIME) ./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzMutatorAgreesWithApply -fuzztime $(FUZZTIME) ./internal/types
 
 # Benchmarks report simulated-model-time latencies as custom *-ms metrics;
 # ns/op measures simulator throughput. Wall-clock regressions are judged

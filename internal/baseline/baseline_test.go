@@ -156,10 +156,14 @@ func TestAllOOPKeepsInnerOptionalInterfaces(t *testing.T) {
 		t.Error("all-oop dict hides the dict's Mutator")
 	}
 	queue := baseline.AllOOP{Inner: types.NewQueue()}
-	if _, ok := spec.Optional[spec.Fingerprinter](queue); ok {
-		t.Error("all-oop queue claims a Fingerprinter")
+	if _, ok := spec.Optional[spec.Mutator](queue); !ok {
+		t.Error("all-oop queue hides the queue's Mutator")
 	}
-	if _, ok := spec.Optional[spec.Mutator](queue); ok {
-		t.Error("all-oop queue claims a Mutator")
+	tree := baseline.AllOOP{Inner: types.NewTree()}
+	if _, ok := spec.Optional[spec.Fingerprinter](tree); ok {
+		t.Error("all-oop tree claims a Fingerprinter")
+	}
+	if _, ok := spec.Optional[spec.Mutator](tree); ok {
+		t.Error("all-oop tree claims a Mutator")
 	}
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
 	"timebounds/internal/workload"
@@ -25,8 +23,9 @@ type Aggregate struct {
 	// Scenarios counts folded Results; Failed counts those with Err set.
 	Scenarios int
 	Failed    int
-	// Errs keeps the first few failure messages verbatim (capped so a
-	// failing mega-grid cannot grow the aggregate unboundedly).
+	// Errs keeps why the first few runs that are not OK (Result.OK)
+	// failed, worded as Report.Err words it (capped so a failing
+	// mega-grid cannot grow the aggregate unboundedly).
 	Errs []string
 	// Ops counts completed operations.
 	Ops int
@@ -72,14 +71,14 @@ func NewAggregate() *Aggregate {
 // aggregation. The Result is not retained.
 func (a *Aggregate) Add(dt spec.DataType, res Result) {
 	a.Scenarios++
-	if !res.OK() {
+	if err := res.failure(); err != nil {
 		a.rejected++
+		if len(a.Errs) < a.errCap {
+			a.Errs = append(a.Errs, err.Error())
+		}
 	}
 	if res.Err != "" {
 		a.Failed++
-		if len(a.Errs) < a.errCap {
-			a.Errs = append(a.Errs, fmt.Sprintf("%s: %s", res.Name, res.Err))
-		}
 		return
 	}
 	if res.violated() {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"timebounds/internal/history"
 	"timebounds/internal/model"
@@ -167,6 +168,47 @@ func TestAggregateCountsFailures(t *testing.T) {
 	agg2.Add(nil, Result{Name: "exceed", Converged: true, Bounds: []BoundCheck{{OK: false}}})
 	if agg2.NotLinearizable != 1 || agg2.Diverged != 1 || agg2.BoundExceeded != 1 || agg2.OK() {
 		t.Fatalf("verdict counters wrong: %+v", agg2)
+	}
+}
+
+// TestAggregateNamesEveryFailure folds one Result down each branch of the
+// run verdict: the aggregate is not OK exactly when the run is not, and
+// then its reason is the run's own (Result.failure), whichever part of
+// the verdict broke — not only an outright error.
+func TestAggregateNamesEveryFailure(t *testing.T) {
+	held := func(r Result) Result { r.Checked, r.Linearizable, r.Converged = true, true, true; return r }
+	for _, tc := range []struct {
+		name string
+		res  Result
+		want string // "" when the run is OK
+	}{
+		{"error", Result{Err: "exploded"}, `engine: scenario "error": exploded`},
+		{"fault-no-verdict", held(Result{Fault: &FaultReport{}}),
+			`engine: scenario "fault-no-verdict": faulted run produced no dichotomy verdict`},
+		{"fault-broken-horn", Result{Fault: &FaultReport{Verdict: VerdictAssumptionBroken}}, ""},
+		{"witness-member", Result{Checked: true, Witness: &BoundWitness{}}, ""},
+		{"live-undertuned-held", held(Result{Live: &LiveReport{Undertune: 0.5,
+			Classes: []LiveClass{{Class: spec.ClassOther, Max: time.Millisecond, Bound: 2 * time.Millisecond}}}}),
+			`engine: scenario "live-undertuned-held": under-tuned live run linearizable, converged, and below every estimated bound — dichotomy falsified`},
+		{"live-undertuned-broken", Result{Checked: true, Converged: true, Live: &LiveReport{Undertune: 0.5}}, ""},
+		{"diverged", Result{Checked: true, Linearizable: true, Diverged: "replica 1 disagrees"},
+			`engine: scenario "diverged": replica 1 disagrees`},
+		{"not-linearizable", Result{Checked: true, Converged: true},
+			`engine: scenario "not-linearizable": history not linearizable`},
+		{"bound-exceeded", held(Result{Bounds: []BoundCheck{{Class: spec.ClassOther, Measured: 3 * time.Millisecond, Bound: 2 * time.Millisecond}}}),
+			`engine: scenario "bound-exceeded": OOP worst latency 3ms exceeds bound 2ms`},
+		{"ok", held(Result{Bounds: []BoundCheck{{Class: spec.ClassOther, Measured: time.Millisecond, Bound: 2 * time.Millisecond, OK: true}}}), ""},
+	} {
+		tc.res.Name = tc.name
+		agg := NewAggregate()
+		agg.Add(nil, tc.res)
+		var got string
+		if len(agg.Errs) > 0 {
+			got = agg.Errs[0]
+		}
+		if agg.OK() != (tc.want == "") || got != tc.want || len(agg.Errs) > 1 {
+			t.Errorf("%s: OK=%v Errs=%q, want reason %q", tc.name, agg.OK(), agg.Errs, tc.want)
+		}
 	}
 }
 

@@ -296,18 +296,18 @@ func (s Study) scenarios(load float64) []Scenario {
 
 // runPoint measures one offered load: its per-seed scenarios stream
 // through the engine and fold into one Aggregate. ok is false when ctx
-// was cancelled before every scenario reported; err surfaces scenario
-// failures (a study must never mistake a broken point for an attached
-// one).
+// was cancelled before every scenario reported; err surfaces any run
+// that is not OK, whatever its verdict broke (a study must never mistake
+// a broken point for an attached one).
 func (s Study) runPoint(ctx context.Context, e *Engine, load float64, probe bool) (StudyPoint, bool, error) {
 	scs := s.scenarios(load)
 	agg := NewAggregate()
 	for _, res := range e.Stream(ctx, scs) {
 		agg.Add(s.Base.DataType, res)
 	}
-	if agg.Failed > 0 {
+	if !agg.OK() {
 		return StudyPoint{}, false, fmt.Errorf("engine: study point at %.1f ops/s: %d of %d scenarios failed: %s",
-			load, agg.Failed, len(scs), agg.Errs[0])
+			load, agg.rejected, len(scs), agg.Errs[0])
 	}
 	pt := StudyPoint{
 		Load:        load,

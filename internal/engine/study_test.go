@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"timebounds/internal/model"
+	"timebounds/internal/spec"
 	"timebounds/internal/types"
 )
 
@@ -128,25 +130,43 @@ func TestStudyCancellationPartial(t *testing.T) {
 }
 
 // TestStudySurfacesScenarioFailures: a study whose scenarios fail must
-// error out, never report a clean "no knee" answer.
+// error out, never report a clean "no knee" answer — whether they fail
+// outright or complete and then break their verdict.
 func TestStudySurfacesScenarioFailures(t *testing.T) {
-	base := studyBase()
 	// A delay mode outside the bundled set makes every point's scenarios
 	// fail to build.
-	base.Delay = DelaySpec{Mode: DelayMode(99)}
-	study := Study{
-		Base:        base,
-		Loads:       []float64{50},
-		OpsPerPoint: 4,
-	}
-	_, err := study.Run(context.Background(), New(1))
-	if err == nil {
-		t.Fatal("study with failing scenarios returned a clean report")
-	}
-	if !strings.Contains(err.Error(), "scenarios failed") {
-		t.Errorf("error %q does not name the scenario failure", err)
+	unbuildable := studyBase()
+	unbuildable.Delay = DelaySpec{Mode: DelayMode(99)}
+	// Runs that complete, converge and linearize but exceed a bound no run
+	// can meet.
+	unmeetable := studyBase()
+	unmeetable.Backend = nanoBound{}
+	for _, tc := range []struct {
+		base Scenario
+		want string
+	}{
+		{unbuildable, "scenarios failed"},
+		{unmeetable, "exceeds bound 1ns"},
+	} {
+		study := Study{
+			Base:        tc.base,
+			Loads:       []float64{50},
+			OpsPerPoint: 4,
+		}
+		_, err := study.Run(context.Background(), New(1))
+		if err == nil {
+			t.Fatalf("study with failing scenarios (%s) returned a clean report", tc.want)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("error %q does not name the failure %q", err, tc.want)
+		}
 	}
 }
+
+// nanoBound is Algorithm 1 judged against a 1ns bound in every class.
+type nanoBound struct{ Algorithm1 }
+
+func (nanoBound) Bound(model.Params, model.Time, spec.OpClass) model.Time { return 1 }
 
 func TestStudyValidation(t *testing.T) {
 	base := studyBase()

@@ -16,12 +16,27 @@ const (
 	OpGet spec.OpKind = "get"
 )
 
+// counterState holds the counter's value; a nil pointer is zero. Apply
+// never modifies one; Mutate modifies the caller's own clone in place
+// (spec.Mutator), so an increment allocates nothing.
+type counterState struct{ n int }
+
+func (c *counterState) value() int {
+	if c == nil {
+		return 0
+	}
+	return c.n
+}
+
 // Counter is a shared integer counter supporting increment and get. It is
 // the paper's running example of a mutator that commutes with itself yet
 // does not overwrite the whole state (Chapter I.C, item 3).
 type Counter struct{}
 
-var _ spec.DataType = Counter{}
+var (
+	_ spec.DataType = Counter{}
+	_ spec.Mutator  = Counter{}
+)
 
 // NewCounter returns a counter starting at zero.
 func NewCounter() Counter { return Counter{} }
@@ -30,24 +45,40 @@ func NewCounter() Counter { return Counter{} }
 func (Counter) Name() string { return "counter" }
 
 // InitialState implements spec.DataType.
-func (Counter) InitialState() spec.State { return int(0) }
+func (Counter) InitialState() spec.State { return (*counterState)(nil) }
 
-// Apply implements spec.DataType.
-func (Counter) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
-	cur, _ := s.(int)
+// Apply implements spec.DataType: Mutate on a clone when the operation
+// changes the counter (a non-zero int increment), on c itself otherwise.
+func (dt Counter) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+	c, _ := s.(*counterState)
+	if delta, _ := arg.(int); kind == OpIncrement && delta != 0 {
+		c = &counterState{n: c.value()}
+	}
+	return dt.Mutate(c, kind, arg)
+}
+
+// Clone implements spec.Mutator.
+func (Counter) Clone(s spec.State) spec.State {
+	c, _ := s.(*counterState)
+	return &counterState{n: c.value()}
+}
+
+// Mutate implements spec.Mutator: increment adds to s in place. A get
+// boxes the value through spec.BoxInt, so only values past its cache
+// allocate.
+//
+//tb:hotpath
+func (Counter) Mutate(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+	c, _ := s.(*counterState)
 	switch kind {
 	case OpIncrement:
-		delta, _ := arg.(int)
-		// BoxInt (and returning s unchanged below) keeps the running value
-		// out of the allocator: every replica re-applies every mutator, so
-		// naive interface boxing here dominated grid-run allocations.
-		return spec.BoxInt(cur + delta), nil
+		if delta, _ := arg.(int); delta != 0 {
+			c.n += delta
+		}
 	case OpGet:
-		v := spec.BoxInt(cur)
-		return v, v
-	default:
-		return spec.BoxInt(cur), nil
+		return c, spec.BoxInt(c.value())
 	}
+	return c, nil
 }
 
 // Kinds implements spec.DataType.
@@ -67,6 +98,6 @@ func (Counter) Class(kind spec.OpKind) spec.OpClass {
 
 // EncodeState implements spec.DataType.
 func (Counter) EncodeState(s spec.State) string {
-	cur, _ := s.(int)
-	return "ctr:" + strconv.Itoa(cur)
+	c, _ := s.(*counterState)
+	return "ctr:" + strconv.Itoa(c.value())
 }

@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -23,17 +24,18 @@ const (
 	OpPQMin spec.OpKind = "pq-min"
 )
 
-// pqState is an immutable sorted multiset of int priorities.
-type pqState []int
-
 // PQueue is a min-priority queue. It rounds out the classification matrix:
 // its mutator commutes with itself (contrast enqueue/push) while its
 // delete-min is strongly immediately non-self-commuting (like
 // dequeue/pop), so the d+min{ε,u,d/3} bound applies to delete-min but the
-// (1-1/k)u last-permuting bound does not apply to insert.
+// (1-1/k)u last-permuting bound does not apply to insert. Its state is a
+// *seq[int], the priorities in ascending order.
 type PQueue struct{}
 
-var _ spec.DataType = PQueue{}
+var (
+	_ spec.DataType = PQueue{}
+	_ spec.Mutator  = PQueue{}
+)
 
 // NewPQueue returns an initially empty priority queue.
 func NewPQueue() PQueue { return PQueue{} }
@@ -42,37 +44,50 @@ func NewPQueue() PQueue { return PQueue{} }
 func (PQueue) Name() string { return "pqueue" }
 
 // InitialState implements spec.DataType.
-func (PQueue) InitialState() spec.State { return pqState(nil) }
+func (PQueue) InitialState() spec.State { return (*seq[int])(nil) }
 
-// Apply implements spec.DataType.
-func (PQueue) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
-	pq, _ := s.(pqState)
+// Apply implements spec.DataType: Mutate on a clone when the operation
+// changes the queue (an insert of an int, a delete-min of a non-empty
+// queue), on pq itself otherwise.
+func (dt PQueue) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+	pq, _ := s.(*seq[int])
+	_, isInt := arg.(int)
+	if kind == OpPQInsert && isInt || kind == OpPQDeleteMin && len(pq.values()) > 0 {
+		pq = pq.clone()
+	}
+	return dt.Mutate(pq, kind, arg)
+}
+
+// Clone implements spec.Mutator.
+func (PQueue) Clone(s spec.State) spec.State {
+	pq, _ := s.(*seq[int])
+	return pq.clone()
+}
+
+// Mutate implements spec.Mutator: insert and delete-min modify s in place.
+//
+//tb:hotpath
+func (PQueue) Mutate(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+	pq, _ := s.(*seq[int])
+	items := pq.values()
 	switch kind {
 	case OpPQInsert:
-		v, ok := arg.(int)
-		if !ok {
-			return pq, nil
+		if v, ok := arg.(int); ok {
+			pq.items = slices.Insert(items, sort.SearchInts(items, v), v)
 		}
-		next := make(pqState, 0, len(pq)+1)
-		next = append(next, pq...)
-		next = append(next, v)
-		sort.Ints(next)
-		return next, nil
 	case OpPQDeleteMin:
-		if len(pq) == 0 {
+		if len(items) == 0 {
 			return pq, nil
 		}
-		next := make(pqState, len(pq)-1)
-		copy(next, pq[1:])
-		return next, pq[0]
+		least := items[0]
+		pq.items = slices.Delete(items, 0, 1)
+		return pq, spec.BoxInt(least)
 	case OpPQMin:
-		if len(pq) == 0 {
-			return pq, nil
+		if len(items) > 0 {
+			return pq, spec.BoxInt(items[0])
 		}
-		return pq, pq[0]
-	default:
-		return pq, nil
 	}
+	return pq, nil
 }
 
 // Kinds implements spec.DataType.
@@ -94,9 +109,9 @@ func (PQueue) Class(kind spec.OpKind) spec.OpClass {
 
 // EncodeState implements spec.DataType.
 func (PQueue) EncodeState(s spec.State) string {
-	pq, _ := s.(pqState)
-	parts := make([]string, len(pq))
-	for i, v := range pq {
+	pq, _ := s.(*seq[int])
+	parts := make([]string, len(pq.values()))
+	for i, v := range pq.values() {
 		parts[i] = fmt.Sprintf("%d", v)
 	}
 	return "pq:[" + strings.Join(parts, " ") + "]"

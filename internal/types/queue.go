@@ -1,6 +1,7 @@
 package types
 
 import (
+	"slices"
 	"strings"
 
 	"timebounds/internal/spec"
@@ -19,13 +20,14 @@ const (
 	OpPeek spec.OpKind = "peek"
 )
 
-// queueState is an immutable FIFO snapshot.
-type queueState []spec.Value
-
-// Queue is a FIFO queue with enqueue/dequeue/peek (Chapter VI.B).
+// Queue is a FIFO queue with enqueue/dequeue/peek (Chapter VI.B). Its
+// state is a *seq[spec.Value], head first.
 type Queue struct{}
 
-var _ spec.DataType = Queue{}
+var (
+	_ spec.DataType = Queue{}
+	_ spec.Mutator  = Queue{}
+)
 
 // NewQueue returns an initially empty queue.
 func NewQueue() Queue { return Queue{} }
@@ -34,32 +36,48 @@ func NewQueue() Queue { return Queue{} }
 func (Queue) Name() string { return "queue" }
 
 // InitialState implements spec.DataType.
-func (Queue) InitialState() spec.State { return queueState(nil) }
+func (Queue) InitialState() spec.State { return (*seq[spec.Value])(nil) }
 
-// Apply implements spec.DataType.
-func (Queue) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
-	q, _ := s.(queueState)
+// Apply implements spec.DataType: Mutate on a clone when the operation
+// changes the queue (an enqueue, a dequeue of a non-empty queue), on q
+// itself otherwise.
+func (dt Queue) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+	q, _ := s.(*seq[spec.Value])
+	if kind == OpEnqueue || kind == OpDequeue && len(q.values()) > 0 {
+		q = q.clone()
+	}
+	return dt.Mutate(q, kind, arg)
+}
+
+// Clone implements spec.Mutator.
+func (Queue) Clone(s spec.State) spec.State {
+	q, _ := s.(*seq[spec.Value])
+	return q.clone()
+}
+
+// Mutate implements spec.Mutator: enqueue and dequeue modify s in place,
+// a dequeue shifting the rest forward so the backing array is reused.
+//
+//tb:hotpath
+func (Queue) Mutate(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+	q, _ := s.(*seq[spec.Value])
+	items := q.values()
 	switch kind {
 	case OpEnqueue:
-		next := make(queueState, 0, len(q)+1)
-		next = append(next, q...)
-		next = append(next, arg)
-		return next, nil
+		q.items = append(items, arg)
 	case OpDequeue:
-		if len(q) == 0 {
+		if len(items) == 0 {
 			return q, nil
 		}
-		next := make(queueState, len(q)-1)
-		copy(next, q[1:])
-		return next, q[0]
+		head := items[0]
+		q.items = slices.Delete(items, 0, 1)
+		return q, head
 	case OpPeek:
-		if len(q) == 0 {
-			return q, nil
+		if len(items) > 0 {
+			return q, items[0]
 		}
-		return q, q[0]
-	default:
-		return q, nil
 	}
+	return q, nil
 }
 
 // Kinds implements spec.DataType.
@@ -79,9 +97,9 @@ func (Queue) Class(kind spec.OpKind) spec.OpClass {
 
 // EncodeState implements spec.DataType.
 func (Queue) EncodeState(s spec.State) string {
-	q, _ := s.(queueState)
-	parts := make([]string, len(q))
-	for i, v := range q {
+	q, _ := s.(*seq[spec.Value])
+	parts := make([]string, len(q.values()))
+	for i, v := range q.values() {
 		// Type-faithful rendering: int 1 and string "1" must not collide
 		// (checker memo + shared transition caches key on encodings).
 		parts[i] = spec.CanonicalValue(v)

@@ -1,8 +1,10 @@
 package types
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"timebounds/internal/spec"
@@ -20,16 +22,24 @@ const (
 	OpContains spec.OpKind = "contains"
 )
 
-// setState is an immutable sorted-by-encoding element list.
-type setState []spec.Value
+// findElem returns where an element encoded like v sits, or would sit,
+// in set, and whether it is there.
+//
+//tb:hotpath
+func findElem(set []spec.Value, v spec.Value) (int, bool) {
+	return slices.BinarySearchFunc(set, v, compareElem)
+}
 
 // Set is a mathematical set with insert/remove/contains; the paper's
-// example of eventually self-commuting mutators (Chapter II.C).
+// example of eventually self-commuting mutators (Chapter II.C). Its state
+// is a *seq[spec.Value] sorted by encoding (encodeElem), no two elements
+// encoded alike.
 type Set struct{}
 
 var (
 	_ spec.DataType      = Set{}
 	_ spec.Fingerprinter = Set{}
+	_ spec.Mutator       = Set{}
 )
 
 // NewSet returns an initially empty set.
@@ -39,46 +49,71 @@ func NewSet() Set { return Set{} }
 func (Set) Name() string { return "set" }
 
 // InitialState implements spec.DataType.
-func (Set) InitialState() spec.State { return setState(nil) }
+func (Set) InitialState() spec.State { return (*seq[spec.Value])(nil) }
 
 func encodeElem(v spec.Value) string { return fmt.Sprintf("%#v", v) }
 
-// Apply implements spec.DataType.
-func (Set) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
-	set, _ := s.(setState)
+// compareElem orders two elements by their encodings. Two ints compare by
+// their decimal renderings — what encodeElem gives them — built in stack
+// buffers; any other pair is rendered.
+//
+//tb:hotpath
+func compareElem(a, b spec.Value) int {
+	x, xInt := a.(int)
+	y, yInt := b.(int)
+	if xInt && yInt {
+		var bx, by [24]byte
+		return bytes.Compare(strconv.AppendInt(bx[:0], int64(x), 10), strconv.AppendInt(by[:0], int64(y), 10))
+	}
+	return strings.Compare(encodeElem(a), encodeElem(b))
+}
+
+// contains' two return values, boxed once.
+var (
+	boxedFalse spec.Value = false
+	boxedTrue  spec.Value = true
+)
+
+// Apply implements spec.DataType: Mutate on a clone when the operation
+// changes the set, on set itself otherwise.
+func (st Set) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+	set, _ := s.(*seq[spec.Value])
+	if kind == OpInsert || kind == OpRemove {
+		if _, found := findElem(set.values(), arg); found == (kind == OpRemove) {
+			set = set.clone()
+		}
+	}
+	return st.Mutate(set, kind, arg)
+}
+
+// Clone implements spec.Mutator.
+func (Set) Clone(s spec.State) spec.State {
+	set, _ := s.(*seq[spec.Value])
+	return set.clone()
+}
+
+// Mutate implements spec.Mutator: insert and remove modify s in place,
+// keeping it sorted.
+//
+//tb:hotpath
+func (Set) Mutate(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+	set, _ := s.(*seq[spec.Value])
 	switch kind {
 	case OpInsert:
-		key := encodeElem(arg)
-		for _, v := range set {
-			if encodeElem(v) == key {
-				return set, nil
-			}
+		if i, found := findElem(set.values(), arg); !found {
+			set.items = slices.Insert(set.items, i, arg)
 		}
-		next := make(setState, 0, len(set)+1)
-		next = append(next, set...)
-		next = append(next, arg)
-		sort.Slice(next, func(i, j int) bool { return encodeElem(next[i]) < encodeElem(next[j]) })
-		return next, nil
 	case OpRemove:
-		key := encodeElem(arg)
-		next := make(setState, 0, len(set))
-		for _, v := range set {
-			if encodeElem(v) != key {
-				next = append(next, v)
-			}
+		if i, found := findElem(set.values(), arg); found {
+			set.items = slices.Delete(set.items, i, i+1)
 		}
-		return next, nil
 	case OpContains:
-		key := encodeElem(arg)
-		for _, v := range set {
-			if encodeElem(v) == key {
-				return set, true
-			}
+		if _, found := findElem(set.values(), arg); found {
+			return set, boxedTrue
 		}
-		return set, false
-	default:
-		return set, nil
+		return set, boxedFalse
 	}
+	return set, nil
 }
 
 // Kinds implements spec.DataType.
@@ -98,9 +133,9 @@ func (Set) Class(kind spec.OpKind) spec.OpClass {
 
 // EncodeState implements spec.DataType.
 func (Set) EncodeState(s spec.State) string {
-	set, _ := s.(setState)
-	parts := make([]string, len(set))
-	for i, v := range set {
+	set, _ := s.(*seq[spec.Value])
+	parts := make([]string, len(set.values()))
+	for i, v := range set.values() {
 		parts[i] = encodeElem(v)
 	}
 	return "set:{" + strings.Join(parts, ",") + "}"
@@ -108,9 +143,9 @@ func (Set) EncodeState(s spec.State) string {
 
 // Fingerprint implements spec.Fingerprinter.
 func (Set) Fingerprint(s spec.State) uint64 {
-	set, _ := s.(setState)
+	set, _ := s.(*seq[spec.Value])
 	var fp uint64
-	for _, v := range set {
+	for _, v := range set.values() {
 		fp += elemHash(v)
 	}
 	return fp
@@ -123,12 +158,12 @@ func (Set) Fingerprint(s spec.State) uint64 {
 //tb:hotpath
 func (st Set) ApplyFP(s spec.State, fp uint64, kind spec.OpKind, arg spec.Value) (spec.State, uint64, spec.Value) {
 	next, ret := st.Apply(s, kind, arg)
-	before, _ := s.(setState)
-	after, _ := next.(setState)
+	before, _ := s.(*seq[spec.Value])
+	after, _ := next.(*seq[spec.Value])
 	switch {
-	case len(after) > len(before):
+	case len(after.values()) > len(before.values()):
 		fp += elemHash(arg)
-	case len(after) < len(before):
+	case len(after.values()) < len(before.values()):
 		fp -= elemHash(arg)
 	}
 	return next, fp, ret
@@ -140,8 +175,9 @@ func (st Set) ApplyFP(s spec.State, fp uint64, kind spec.OpKind, arg spec.Value)
 //
 //tb:hotpath
 func (Set) EqualStates(a, b spec.State) bool {
-	x, _ := a.(setState)
-	y, _ := b.(setState)
+	sa, _ := a.(*seq[spec.Value])
+	sb, _ := b.(*seq[spec.Value])
+	x, y := sa.values(), sb.values()
 	if len(x) != len(y) {
 		return false
 	}

@@ -19,13 +19,14 @@ const (
 	OpTop spec.OpKind = "top"
 )
 
-// stackState is an immutable LIFO snapshot; the last element is the top.
-type stackState []spec.Value
-
-// Stack is a LIFO stack with push/pop/top (Chapter VI.B).
+// Stack is a LIFO stack with push/pop/top (Chapter VI.B). Its state is a
+// *seq[spec.Value] whose last element is the top.
 type Stack struct{}
 
-var _ spec.DataType = Stack{}
+var (
+	_ spec.DataType = Stack{}
+	_ spec.Mutator  = Stack{}
+)
 
 // NewStack returns an initially empty stack.
 func NewStack() Stack { return Stack{} }
@@ -34,32 +35,48 @@ func NewStack() Stack { return Stack{} }
 func (Stack) Name() string { return "stack" }
 
 // InitialState implements spec.DataType.
-func (Stack) InitialState() spec.State { return stackState(nil) }
+func (Stack) InitialState() spec.State { return (*seq[spec.Value])(nil) }
 
-// Apply implements spec.DataType.
-func (Stack) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
-	st, _ := s.(stackState)
+// Apply implements spec.DataType: Mutate on a clone when the operation
+// changes the stack (a push, a pop of a non-empty stack), on st itself
+// otherwise.
+func (dt Stack) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+	st, _ := s.(*seq[spec.Value])
+	if kind == OpPush || kind == OpPop && len(st.values()) > 0 {
+		st = st.clone()
+	}
+	return dt.Mutate(st, kind, arg)
+}
+
+// Clone implements spec.Mutator.
+func (Stack) Clone(s spec.State) spec.State {
+	st, _ := s.(*seq[spec.Value])
+	return st.clone()
+}
+
+// Mutate implements spec.Mutator: push and pop modify s in place.
+//
+//tb:hotpath
+func (Stack) Mutate(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+	st, _ := s.(*seq[spec.Value])
+	items := st.values()
 	switch kind {
 	case OpPush:
-		next := make(stackState, 0, len(st)+1)
-		next = append(next, st...)
-		next = append(next, arg)
-		return next, nil
+		st.items = append(items, arg)
 	case OpPop:
-		if len(st) == 0 {
+		if len(items) == 0 {
 			return st, nil
 		}
-		next := make(stackState, len(st)-1)
-		copy(next, st[:len(st)-1])
-		return next, st[len(st)-1]
+		top := items[len(items)-1]
+		items[len(items)-1] = nil
+		st.items = items[:len(items)-1]
+		return st, top
 	case OpTop:
-		if len(st) == 0 {
-			return st, nil
+		if len(items) > 0 {
+			return st, items[len(items)-1]
 		}
-		return st, st[len(st)-1]
-	default:
-		return st, nil
 	}
+	return st, nil
 }
 
 // Kinds implements spec.DataType.
@@ -79,9 +96,9 @@ func (Stack) Class(kind spec.OpKind) spec.OpClass {
 
 // EncodeState implements spec.DataType.
 func (Stack) EncodeState(s spec.State) string {
-	st, _ := s.(stackState)
-	parts := make([]string, len(st))
-	for i, v := range st {
+	st, _ := s.(*seq[spec.Value])
+	parts := make([]string, len(st.values()))
+	for i, v := range st.values() {
 		// Type-faithful rendering: int 1 and string "1" must not collide
 		// (checker memo + shared transition caches key on encodings).
 		parts[i] = spec.CanonicalValue(v)
