@@ -97,8 +97,8 @@ func (r *naiveRegister) OnMessage(_ sim.Env, _ model.ProcessID, m sim.Msg) {
 
 func (r *naiveRegister) OnTimer(sim.Env, any) {}
 
-// StateEncoding exposes the local copy for convergence checks.
-func (r *naiveRegister) StateEncoding() string { return fmt.Sprintf("%v", r.value) }
+// State exposes the local copy, a register state, for convergence checks.
+func (r *naiveRegister) State() spec.State { return r.value }
 
 // naiveBackend is the zero-latency register implementation of Fig. 1(a)
 // as an engine backend, so Figure 1 runs through the same scenario
@@ -113,7 +113,7 @@ func (naiveBackend) Build(cfg engine.BuildConfig) (engine.Instance, error) {
 	simCfg := cfg.Sim
 	simCfg.Params = cfg.Params
 	procs := make([]sim.Process, cfg.Params.N)
-	states := make([]interface{ StateEncoding() string }, cfg.Params.N)
+	states := make([]engine.StateProbe, cfg.Params.N)
 	for i := range procs {
 		r := &naiveRegister{value: 0}
 		procs[i] = r

@@ -79,9 +79,6 @@ func (c *Centralized) OnTimer(sim.Env, any) {}
 // change; only the coordinator's is authoritative.
 func (c *Centralized) State() spec.State { return c.state.State() }
 
-// StateEncoding returns the coordinator's object encoding (diagnostics).
-func (c *Centralized) StateEncoding() string { return c.dt.EncodeState(c.state.State()) }
-
 // AllOOP wraps a data type so that every operation kind is classified as
 // OOP. Running core.Replica over an AllOOP-wrapped type yields the folklore
 // total-order-broadcast implementation: all operations respond in ≤ d+ε.

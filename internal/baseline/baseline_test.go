@@ -145,8 +145,8 @@ func TestAllOOPDelegates(t *testing.T) {
 }
 
 // TestAllOOPKeepsInnerOptionalInterfaces: the wrapper changes only Class,
-// so spec.Optional finds the inner type's Fingerprinter and Mutator
-// through Unwrap — and finds none when the inner type has none.
+// so spec.Optional finds the inner type's Fingerprinter, Mutator and
+// Equaler through Unwrap — and finds none when the inner type has none.
 func TestAllOOPKeepsInnerOptionalInterfaces(t *testing.T) {
 	dict := baseline.AllOOP{Inner: types.NewDict()}
 	if _, ok := spec.Optional[spec.Fingerprinter](dict); !ok {
@@ -160,10 +160,17 @@ func TestAllOOPKeepsInnerOptionalInterfaces(t *testing.T) {
 		t.Error("all-oop queue hides the queue's Mutator")
 	}
 	tree := baseline.AllOOP{Inner: types.NewTree()}
-	if _, ok := spec.Optional[spec.Fingerprinter](tree); ok {
-		t.Error("all-oop tree claims a Fingerprinter")
+	if _, ok := spec.Optional[spec.Mutator](tree); !ok {
+		t.Error("all-oop tree hides the tree's Mutator")
 	}
-	if _, ok := spec.Optional[spec.Mutator](tree); ok {
-		t.Error("all-oop tree claims a Mutator")
+	if _, ok := spec.Optional[spec.Equaler](tree); !ok {
+		t.Error("all-oop tree hides the tree's Equaler")
+	}
+	pair := baseline.AllOOP{Inner: types.NewPairArray(0, 0)}
+	if _, ok := spec.Optional[spec.Fingerprinter](pair); ok {
+		t.Error("all-oop pair-array claims a Fingerprinter")
+	}
+	if _, ok := spec.Optional[spec.Mutator](pair); ok {
+		t.Error("all-oop pair-array claims a Mutator")
 	}
 }

@@ -139,13 +139,13 @@ func (c *Cluster) ConvergedState() (string, error) {
 		if r.LifecycleState() != StateServing {
 			continue
 		}
-		got := r.LocalStateEncoding()
 		if ref < 0 {
-			ref, enc = i, got
+			ref, enc = i, r.LocalStateEncoding()
 			continue
 		}
-		if got != enc {
-			return "", fmt.Errorf("core: replica %d state %q != replica %d state %q", i, got, ref, enc)
+		// Only the reference copy is rendered, unless a copy differs.
+		if !spec.SameState(c.dt, c.replicas[ref].exec.State(), enc, r.exec.State()) {
+			return "", fmt.Errorf("core: replica %d state %q != replica %d state %q", i, r.LocalStateEncoding(), ref, enc)
 		}
 	}
 	if ref < 0 {

@@ -120,7 +120,7 @@ func (Centralized) Name() string { return "centralized" }
 // Build implements Backend.
 func (Centralized) Build(cfg BuildConfig) (Instance, error) {
 	procs := make([]sim.Process, cfg.Params.N)
-	states := make([]interface{ StateEncoding() string }, cfg.Params.N)
+	states := make([]StateProbe, cfg.Params.N)
 	for i := range procs {
 		c := baseline.NewCentralized(0, cfg.DataType)
 		procs[i] = c
@@ -151,7 +151,7 @@ func (TOB) Name() string { return "tob" }
 // Build implements Backend.
 func (TOB) Build(cfg BuildConfig) (Instance, error) {
 	procs := make([]sim.Process, cfg.Params.N)
-	states := make([]interface{ StateEncoding() string }, cfg.Params.N)
+	states := make([]StateProbe, cfg.Params.N)
 	for i := range procs {
 		o := tob.NewObject(model.ProcessID(i), 0, cfg.DataType)
 		procs[i] = o
@@ -187,11 +187,15 @@ func recycle(inst Instance) {
 	inst.Simulator().Recycle()
 }
 
+// StateProbe reads one process's copy of the object, a state of the
+// instance's data type.
+type StateProbe interface{ State() spec.State }
+
 // NewSimInstance adapts a raw simulator plus per-process state probes to
 // the Instance interface, for custom backends defined outside this package
 // (e.g. the adversary package's deliberately broken Figure 1
 // implementation). Convergence compares every probe against the first.
-func NewSimInstance(s *sim.Simulator, dt spec.DataType, states []interface{ StateEncoding() string }) Instance {
+func NewSimInstance(s *sim.Simulator, dt spec.DataType, states []StateProbe) Instance {
 	return &simInstance{s: s, dt: dt, states: states}
 }
 
@@ -200,7 +204,7 @@ func NewSimInstance(s *sim.Simulator, dt spec.DataType, states []interface{ Stat
 type simInstance struct {
 	s      *sim.Simulator
 	dt     spec.DataType
-	states []interface{ StateEncoding() string }
+	states []StateProbe
 }
 
 var _ Instance = (*simInstance)(nil)
@@ -217,11 +221,14 @@ func (i *simInstance) DataType() spec.DataType { return i.dt }
 
 func (i *simInstance) Simulator() *sim.Simulator { return i.s }
 
+// ConvergedState compares every copy with copy 0 (spec.SameState) and
+// renders copy 0 alone, or a diverged copy too for the error.
 func (i *simInstance) ConvergedState() (string, error) {
-	enc := i.states[0].StateEncoding()
-	for j, st := range i.states {
-		if got := st.StateEncoding(); got != enc {
-			return "", fmt.Errorf("engine: copy %d state %q != copy 0 state %q", j, got, enc)
+	ref := i.states[0].State()
+	enc := i.dt.EncodeState(ref)
+	for j := 1; j < len(i.states); j++ {
+		if s := i.states[j].State(); !spec.SameState(i.dt, ref, enc, s) {
+			return "", fmt.Errorf("engine: copy %d state %q != copy 0 state %q", j, i.dt.EncodeState(s), enc)
 		}
 	}
 	return enc, nil

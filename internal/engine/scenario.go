@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 
 	"timebounds/internal/check"
 	"timebounds/internal/core"
@@ -191,35 +192,63 @@ func (sc Scenario) resolved() Scenario {
 	}
 	sc.Workload = sc.Workload.WithDefaults(sc.Params, sc.DataType)
 	if sc.Name == "" {
-		object := "?"
-		if sc.DataType != nil {
-			object = sc.DataType.Name()
-		}
-		faults := ""
-		if sc.Faults.enabled() {
-			faults = "/faults=" + sc.Faults.label()
-		}
-		rt := ""
-		if sc.Runtime.Live() {
-			rt = "/rt=" + sc.Runtime.label()
-		}
-		sc.Name = fmt.Sprintf("%s/%s/n=%d,d=%s,u=%s,ε=%s/x=%s/%s/%s%s%s/seed=%d",
-			sc.Backend.Name(), object, sc.Params.N, sc.Params.D, sc.Params.U,
-			sc.Params.Epsilon, sc.X, sc.Delay.name(), workloadLabel(sc.Workload), rt, faults, sc.Seed)
+		sc.Name = sc.derivedName()
 	}
 	return sc
 }
 
-// workloadLabel names a workload for derived scenario names, so grids that
-// sweep workloads (or parameter sets) keep distinct names.
-func workloadLabel(wl workload.Spec) string {
-	if wl.Name != "" {
-		return wl.Name
+// derivedName names a resolved scenario by its coordinates:
+// backend/object/n=…,d=…,u=…,ε=…/x=…/delay/workload[/rt=…][/faults=…]/seed=…,
+// rendered into one stack buffer and allocated once.
+func (sc *Scenario) derivedName() string {
+	var arr [192]byte
+	b := append(arr[:0], sc.Backend.Name()...)
+	b = append(b, '/')
+	if sc.DataType != nil {
+		b = append(b, sc.DataType.Name()...)
+	} else {
+		b = append(b, '?')
 	}
-	if len(wl.Explicit) > 0 {
-		return fmt.Sprintf("explicit-%d", len(wl.Explicit))
+	b = append(b, "/n="...)
+	b = strconv.AppendInt(b, int64(sc.Params.N), 10)
+	b = append(b, ",d="...)
+	b = append(b, sc.Params.D.String()...)
+	b = append(b, ",u="...)
+	b = append(b, sc.Params.U.String()...)
+	b = append(b, ",ε="...)
+	b = append(b, sc.Params.Epsilon.String()...)
+	b = append(b, "/x="...)
+	b = append(b, sc.X.String()...)
+	b = append(b, '/')
+	b = append(b, sc.Delay.name()...)
+	b = append(b, '/')
+	b = appendWorkloadLabel(b, sc.Workload)
+	if sc.Runtime.Live() {
+		b = append(b, "/rt="...)
+		b = append(b, sc.Runtime.label()...)
 	}
-	return fmt.Sprintf("%s-%d", wl.Mode, wl.OpsPerProcess)
+	if sc.Faults.enabled() {
+		b = append(b, "/faults="...)
+		b = append(b, sc.Faults.label()...)
+	}
+	b = append(b, "/seed="...)
+	b = strconv.AppendInt(b, sc.Seed, 10)
+	return string(b)
+}
+
+// appendWorkloadLabel appends a workload's name in derived scenario names,
+// so grids that sweep workloads (or parameter sets) keep distinct names.
+func appendWorkloadLabel(b []byte, wl workload.Spec) []byte {
+	switch {
+	case wl.Name != "":
+		return append(b, wl.Name...)
+	case len(wl.Explicit) > 0:
+		b = append(b, "explicit-"...)
+		return strconv.AppendInt(b, int64(len(wl.Explicit)), 10)
+	}
+	b = append(b, wl.Mode.String()...)
+	b = append(b, '-')
+	return strconv.AppendInt(b, int64(wl.OpsPerProcess), 10)
 }
 
 // Build constructs the scenario's isolated instance without running it —

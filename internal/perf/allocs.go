@@ -144,16 +144,28 @@ func AllocBudgets() []AllocBudget {
 		{
 			Name:  "engine/stream-rerun",
 			Brief: "a second Stream of the same 8 small open-loop scenarios on a warm 8-worker Engine",
-			// Counted per stream; the budget is 45 per scenario. The
+			// Counted per stream; the budget is 20 per scenario. The
 			// workers, with their simulator, replica and check arenas,
 			// sample buffers, schedule buffers and sources, are the ones
 			// the first stream handed back, so what is left is each run's
 			// own: its Cluster, Simulator, history and Result, plus the
-			// stream's goroutines, channels and caches — 291 measured (346
-			// under -race, whose sync.Pool drops fmt's printers). On a
-			// fresh Engine the same stream costs 950 (1 055 under -race).
-			Budget: 8 * 45,
+			// stream's goroutines, channels and caches — 119 measured (127
+			// under -race). When each run's name went through fmt and its
+			// convergence rendered every copy, the same stream cost 291
+			// (346 under -race).
+			Budget: 8 * 20,
 			Make:   makeStreamRerun,
+		},
+		{
+			Name:  "engine/converge",
+			Brief: "ConvergedState of a warm 4-copy Algorithm 1 instance and a warm 4-copy tob instance of each bundled data type, after its default workload",
+			// Copies compare through spec.Equaler without rendering, and
+			// only copy 0 is encoded, into a stack buffer: one allocation
+			// per instance, the returned string — 20 measured, also under
+			// -race. Encoding every copy with encoders that joined
+			// fmt-rendered parts cost 411 (551 under -race).
+			Budget: 20,
+			Make:   makeConverge,
 		},
 		{
 			Name:   "workload/online-observe",
@@ -489,6 +501,43 @@ func makeStreamRerun() func() {
 		for _, res := range eng.Stream(context.Background(), scs) {
 			if res.Err != "" {
 				panic(res.Err)
+			}
+		}
+	})
+}
+
+// makeConverge: what each scenario pays once its run is over to report
+// the object's state, on both ConvergedState implementations (a
+// core.Cluster's and the simulator instance every other backend builds).
+func makeConverge() func() {
+	p := waveParams(4)
+	var insts []engine.Instance
+	for _, b := range []engine.Backend{engine.Algorithm1{}, engine.TOB{}} {
+		for _, dt := range []spec.DataType{
+			types.NewRegister(0), types.NewRMWRegister(0), types.NewQueue(), types.NewStack(), types.NewSet(),
+			types.NewTree(), types.NewCounter(), types.NewDict(), types.NewPQueue(), types.NewAccount(),
+		} {
+			inst, err := engine.Scenario{Backend: b, DataType: dt, Params: p, Seed: 1}.Build()
+			if err != nil {
+				panic(err)
+			}
+			sched, err := workload.Spec{}.WithDefaults(p, dt).Schedule(p, 1)
+			if err != nil {
+				panic(err)
+			}
+			for _, inv := range sched.Invocations {
+				inst.Invoke(inv.At, inv.Proc, inv.Kind, inv.Arg)
+			}
+			if err := inst.Run(model.Infinity); err != nil {
+				panic(err)
+			}
+			insts = append(insts, inst)
+		}
+	}
+	return warm(func() {
+		for _, inst := range insts {
+			if _, err := inst.ConvergedState(); err != nil {
+				panic(err)
 			}
 		}
 	})

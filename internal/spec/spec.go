@@ -82,7 +82,10 @@ func (c OpClass) String() string {
 // Apply(s, kind, arg) — same encoding, same return value — while Apply
 // itself stays pure: the checker, Replay and classify share its states.
 //
-// Optional finds either interface, looking through wrappers that
+// A DataType may also implement Equaler, comparing two states without
+// rendering them; EqualStates then holds under the same contract.
+//
+// Optional finds any of these interfaces, looking through wrappers that
 // implement Unwrapper.
 type DataType interface {
 	// Name returns the human-readable type name, e.g. "queue".
@@ -113,8 +116,25 @@ type Fingerprinter interface {
 	// ApplyFP is Apply on a state whose fingerprint is fp; it also returns
 	// the fingerprint of the next state, updated without rescanning it.
 	ApplyFP(s State, fp uint64, kind OpKind, arg Value) (next State, nextFP uint64, ret Value)
+	Equaler
+}
+
+// Equaler is the optional state-comparison interface of a DataType (see
+// the DataType contract).
+type Equaler interface {
 	// EqualStates reports whether a and b encode equally, exactly.
 	EqualStates(a, b State) bool
+}
+
+// SameState reports whether s encodes like ref under dt, where refEnc is
+// dt.EncodeState(ref). A dt with an Equaler (following Unwrap) compares
+// the two states without rendering either; any other renders s alone, so
+// checking n copies against one reference renders each copy once.
+func SameState(dt DataType, ref State, refEnc string, s State) bool {
+	if eq, ok := Optional[Equaler](dt); ok {
+		return eq.EqualStates(ref, s)
+	}
+	return dt.EncodeState(s) == refEnc
 }
 
 // Mutator is the optional in-place update interface of a DataType (see
@@ -136,8 +156,9 @@ type Unwrapper interface {
 	Unwrap() DataType
 }
 
-// Optional returns dt as the optional interface T (Fingerprinter or
-// Mutator), following Unwrap through wrappers until one implements it.
+// Optional returns dt as the optional interface T (Fingerprinter,
+// Mutator or Equaler), following Unwrap through wrappers until one
+// implements it.
 func Optional[T any](dt DataType) (T, bool) {
 	for {
 		if t, ok := dt.(T); ok {

@@ -131,3 +131,30 @@ func TestValueEqual(t *testing.T) {
 		}
 	}
 }
+
+// countingType is a register-like type without spec.Equaler that counts
+// its renderings.
+type countingType struct{ encodes *int }
+
+func (countingType) Name() string                      { return "counting" }
+func (countingType) InitialState() spec.State          { return 0 }
+func (countingType) Kinds() []spec.OpKind              { return nil }
+func (countingType) Class(spec.OpKind) spec.OpClass    { return spec.ClassOther }
+func (c countingType) EncodeState(s spec.State) string { *c.encodes++; return spec.CanonicalValue(s) }
+func (countingType) Apply(s spec.State, _ spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+	return arg, s
+}
+
+// TestSameStateRendersOnlyTheCopy: without an Equaler, SameState compares
+// the copy's rendering with the reference's given one, rendering the
+// copy alone; with one (a bundled type), it renders nothing.
+func TestSameStateRendersOnlyTheCopy(t *testing.T) {
+	n := 0
+	dt := countingType{encodes: &n}
+	if !spec.SameState(dt, 1, "1", int64(1)) || spec.SameState(dt, 1, "1", "1") || n != 2 {
+		t.Fatalf("SameState without Equaler: %d renderings, want 2 and int64 1 equal to 1 only", n)
+	}
+	if !spec.SameState(types.NewRegister(0), 1, "never read", int64(1)) {
+		t.Fatal("SameState on a register: int64 1 differs from 1")
+	}
+}

@@ -201,6 +201,3 @@ func (o *Object) Deliver(env sim.Env, m sim.Msg) {
 // State returns the local copy as a read-only view the next delivery may
 // change.
 func (o *Object) State() spec.State { return o.state.State() }
-
-// StateEncoding returns the canonical encoding of the local copy.
-func (o *Object) StateEncoding() string { return o.dt.EncodeState(o.state.State()) }

@@ -51,8 +51,8 @@ func TestTOBLinearizable(t *testing.T) {
 		t.Fatalf("TOB history not linearizable:\n%s", s.History())
 	}
 	for i := 1; i < len(objs); i++ {
-		if objs[i].StateEncoding() != objs[0].StateEncoding() {
-			t.Errorf("replica %d diverged: %s vs %s", i, objs[i].StateEncoding(), objs[0].StateEncoding())
+		if got, want := dt.EncodeState(objs[i].State()), dt.EncodeState(objs[0].State()); got != want {
+			t.Errorf("replica %d diverged: %s vs %s", i, got, want)
 		}
 	}
 }
@@ -79,8 +79,8 @@ func TestTOBDictLinearizable(t *testing.T) {
 		t.Fatalf("TOB dict history not linearizable:\n%s", s.History())
 	}
 	for i := 1; i < len(objs); i++ {
-		if objs[i].StateEncoding() != objs[0].StateEncoding() {
-			t.Errorf("replica %d diverged: %s vs %s", i, objs[i].StateEncoding(), objs[0].StateEncoding())
+		if got, want := dt.EncodeState(objs[i].State()), dt.EncodeState(objs[0].State()); got != want {
+			t.Errorf("replica %d diverged: %s vs %s", i, got, want)
 		}
 	}
 }
@@ -98,8 +98,8 @@ func TestTOBDeliveryOrderIdenticalEverywhere(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	for i := 1; i < len(objs); i++ {
-		if objs[i].StateEncoding() != objs[0].StateEncoding() {
-			t.Fatalf("replica %d diverged: %s vs %s", i, objs[i].StateEncoding(), objs[0].StateEncoding())
+		if got, want := dt.EncodeState(objs[i].State()), dt.EncodeState(objs[0].State()); got != want {
+			t.Fatalf("replica %d diverged: %s vs %s", i, got, want)
 		}
 	}
 }

@@ -27,7 +27,10 @@ const (
 // answer it in less than d+min{ε,u,d/3}), and balance takes d+ε-X.
 type Account struct{}
 
-var _ spec.DataType = Account{}
+var (
+	_ spec.DataType = Account{}
+	_ spec.Equaler  = Account{}
+)
 
 // NewAccount returns an account with balance zero.
 func NewAccount() Account { return Account{} }
@@ -82,5 +85,13 @@ func (Account) Class(kind spec.OpKind) spec.OpClass {
 // EncodeState implements spec.DataType.
 func (Account) EncodeState(s spec.State) string {
 	bal, _ := s.(int)
-	return "acct:" + strconv.Itoa(bal)
+	var arr [32]byte
+	return string(strconv.AppendInt(append(arr[:0], "acct:"...), int64(bal), 10))
+}
+
+// EqualStates implements spec.Equaler.
+func (Account) EqualStates(a, b spec.State) bool {
+	x, _ := a.(int)
+	y, _ := b.(int)
+	return x == y
 }

@@ -31,7 +31,10 @@ type PairArray struct {
 	initial pairState
 }
 
-var _ spec.DataType = (*PairArray)(nil)
+var (
+	_ spec.DataType = (*PairArray)(nil)
+	_ spec.Equaler  = (*PairArray)(nil)
+)
 
 // NewPairArray returns an array initialized with [x, y].
 func NewPairArray(x, y int) *PairArray {
@@ -76,4 +79,11 @@ func (*PairArray) Class(spec.OpKind) spec.OpClass { return spec.ClassOther }
 func (*PairArray) EncodeState(s spec.State) string {
 	st, _ := s.(pairState)
 	return fmt.Sprintf("arr:[%d %d]", st[0], st[1])
+}
+
+// EqualStates implements spec.Equaler.
+func (*PairArray) EqualStates(a, b spec.State) bool {
+	x, _ := a.(pairState)
+	y, _ := b.(pairState)
+	return x == y
 }

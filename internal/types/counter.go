@@ -36,6 +36,7 @@ type Counter struct{}
 var (
 	_ spec.DataType = Counter{}
 	_ spec.Mutator  = Counter{}
+	_ spec.Equaler  = Counter{}
 )
 
 // NewCounter returns a counter starting at zero.
@@ -99,5 +100,13 @@ func (Counter) Class(kind spec.OpKind) spec.OpClass {
 // EncodeState implements spec.DataType.
 func (Counter) EncodeState(s spec.State) string {
 	c, _ := s.(*counterState)
-	return "ctr:" + strconv.Itoa(c.value())
+	var arr [24]byte
+	return string(strconv.AppendInt(append(arr[:0], "ctr:"...), int64(c.value()), 10))
+}
+
+// EqualStates implements spec.Equaler.
+func (Counter) EqualStates(a, b spec.State) bool {
+	x, _ := a.(*counterState)
+	y, _ := b.(*counterState)
+	return x.value() == y.value()
 }

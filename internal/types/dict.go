@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 
 	"timebounds/internal/spec"
@@ -152,36 +153,42 @@ func (Dict) Class(kind spec.OpKind) spec.OpClass {
 // shared transition caches treat encodings as injective. The entries are
 // rendered back to back into one buffer and sorted as byte spans; since
 // no quoted key is a proper prefix of another, that is the order of the
-// rendered keys.
+// rendered keys. A dict of up to 16 entries is rendered and sorted in
+// stack buffers, so it allocates only the returned string.
 func (Dict) EncodeState(s spec.State) string {
 	d, _ := s.(dictState)
-	buf := make([]byte, 0, 32*len(d))
-	ends := make([]int, 0, len(d))
+	var bufArr [256]byte
+	var spansArr [16][2]int
+	buf, spans := bufArr[:0], spansArr[:0]
+	if len(d) > len(spansArr) {
+		buf, spans = make([]byte, 0, 32*len(d)), make([][2]int, 0, len(d))
+	}
 	for k, v := range d {
-		buf = spec.AppendCanonicalValue(buf, k)
+		start := len(buf)
+		buf = strconv.AppendQuote(buf, k) // AppendCanonicalValue, without boxing k
 		buf = append(buf, '=')
 		buf = spec.AppendCanonicalValue(buf, v)
-		ends = append(ends, len(buf))
+		spans = append(spans, [2]int{start, len(buf)})
 	}
-	entries := make([][]byte, len(ends))
-	for i, end := range ends {
-		start := 0
-		if i > 0 {
-			start = ends[i-1]
-		}
-		entries[i] = buf[start:end]
-	}
-	slices.SortFunc(entries, bytes.Compare)
+	return joinSorted("dict:{", buf, spans, '}')
+}
+
+// joinSorted returns open, then the entries — spans of buf — in the byte
+// order of their renderings and separated by ',', then close, allocating
+// only the returned string: the encoding of Dict and Tree, whose entries
+// come in map order.
+func joinSorted(open string, buf []byte, spans [][2]int, close byte) string {
+	slices.SortFunc(spans, func(x, y [2]int) int { return bytes.Compare(buf[x[0]:x[1]], buf[y[0]:y[1]]) })
 	var b strings.Builder
-	b.Grow(len("dict:{}") + len(buf) + len(entries))
-	b.WriteString("dict:{")
-	for i, e := range entries {
+	b.Grow(len(open) + len(buf) + len(spans) + 1)
+	b.WriteString(open)
+	for i, sp := range spans {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.Write(e)
+		b.Write(buf[sp[0]:sp[1]])
 	}
-	b.WriteByte('}')
+	b.WriteByte(close)
 	return b.String()
 }
 

@@ -9,10 +9,12 @@ import (
 	"timebounds/internal/types"
 )
 
-// mutatorTypes are the bundled data types that implement spec.Mutator.
-var mutatorTypes = []spec.DataType{
+// fuzzTypes are the bundled data types FuzzMutatorAgreesWithApply
+// covers, those with a spec.Mutator first.
+var fuzzTypes = []spec.DataType{
 	types.NewDict(), types.NewQueue(), types.NewStack(),
-	types.NewPQueue(), types.NewSet(), types.NewCounter(),
+	types.NewPQueue(), types.NewSet(), types.NewCounter(), types.NewTree(),
+	types.NewRMWRegister(0), types.NewAccount(), types.NewPairArray(0, 0),
 }
 
 // mutatorArgs are the arguments FuzzMutatorAgreesWithApply draws from:
@@ -21,9 +23,14 @@ var mutatorTypes = []spec.DataType{
 // encoded like an int (int64 1) and some not ("1", nil, true, 2.5).
 var mutatorArgs = []spec.Value{0, 1, 2, 3, 10, 11, -1, -12, 4000, 5000, int64(1), "1", "a", nil, true, 2.5}
 
+// treeNodes are the tree node names the fuzz draws from. None holds '<'
+// or ',', which would let two different trees encode alike.
+var treeNodes = []string{types.TreeRoot, "a", "b", "c"}
+
 // mutatorOp decodes one script byte into an operation of dt: the byte
 // picks a kind, and what is left of it an argument (a dict put or key
-// from fpKeys).
+// from fpKeys, a tree edge or node from treeNodes, an UpdateNext index
+// from 0 to 3).
 func mutatorOp(dt spec.DataType, b byte) (spec.OpKind, spec.Value) {
 	kinds := dt.Kinds()
 	kind := kinds[int(b)%len(kinds)]
@@ -33,18 +40,28 @@ func mutatorOp(dt spec.DataType, b byte) (spec.OpKind, spec.Value) {
 		return kind, types.KV{Key: fpKeys[i%len(fpKeys)], Value: mutatorArgs[i%len(mutatorArgs)]}
 	case types.OpDelete, types.OpDictGet:
 		return kind, fpKeys[i%len(fpKeys)]
+	case types.OpTreeInsert:
+		return kind, types.Edge{Node: treeNodes[i%len(treeNodes)], Parent: treeNodes[i/len(treeNodes)%len(treeNodes)]}
+	case types.OpTreeDelete, types.OpTreeSearch:
+		return kind, treeNodes[i%len(treeNodes)]
+	case types.OpUpdateNext:
+		return kind, types.UpdateNextArg{I: i % 4, B: i / 4}
 	}
 	return kind, mutatorArgs[i%len(mutatorArgs)]
 }
 
-// FuzzMutatorAgreesWithApply checks the spec.Mutator contract of every
-// bundled Mutator type on the states a script of Apply calls reaches. At
-// each step, for state s and the step's operation:
+// FuzzMutatorAgreesWithApply checks the spec.Mutator and spec.Equaler
+// contracts of every bundled type on the states a script of Apply calls
+// reaches. At each step, for state s and the step's operation, s is
+// unchanged by Apply, and for a type with a Mutator:
 //   - Mutate(Clone(s)) and Apply(s) agree in encoding and return value;
-//   - s is unchanged by both;
+//   - s is unchanged by Mutate;
 //   - a second Mutate of that clone leaves the first return unchanged;
 //   - a copy mutated in place since the initial state tracks the Apply
 //     chain.
+//
+// Then, for every pair (a, b) of states the chain reached, EqualStates(a,
+// b) and spec.SameState hold exactly when the encodings are equal.
 //
 // The seeds are 40 random 25-step scripts for each type.
 func FuzzMutatorAgreesWithApply(f *testing.F) {
@@ -52,25 +69,38 @@ func FuzzMutatorAgreesWithApply(f *testing.F) {
 	for run := 0; run < 40; run++ {
 		script := make([]byte, 25)
 		rng.Read(script)
-		for i := range mutatorTypes {
+		for i := range fuzzTypes {
 			f.Add(uint8(i), script)
 		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, script []byte) {
-		dt := mutatorTypes[int(which)%len(mutatorTypes)]
-		mut, ok := spec.Optional[spec.Mutator](dt)
+		dt := fuzzTypes[int(which)%len(fuzzTypes)]
+		eq, ok := spec.Optional[spec.Equaler](dt)
 		if !ok {
-			t.Fatalf("%s has no spec.Mutator", dt.Name())
+			t.Fatalf("%s has no spec.Equaler", dt.Name())
 		}
+		mut, isMut := spec.Optional[spec.Mutator](dt)
 		s := dt.InitialState()
-		owned := mut.Clone(s)
+		reached := []spec.State{s}
+		var owned spec.State
+		if isMut {
+			owned = mut.Clone(s)
+		}
 		for _, b := range script {
 			kind, arg := mutatorOp(dt, b)
 			before := dt.EncodeState(s)
 			next, ret := dt.Apply(s, kind, arg)
-			c, cret := mut.Mutate(mut.Clone(s), kind, arg)
 			if got := dt.EncodeState(s); got != before {
 				t.Fatalf("%s %s(%v) changed its input state: %s → %s", dt.Name(), kind, arg, before, got)
+			}
+			reached = append(reached, next)
+			if !isMut {
+				s = next
+				continue
+			}
+			c, cret := mut.Mutate(mut.Clone(s), kind, arg)
+			if got := dt.EncodeState(s); got != before {
+				t.Fatalf("%s %s(%v) Mutate changed its clone's source: %s → %s", dt.Name(), kind, arg, before, got)
 			}
 			if dt.EncodeState(c) != dt.EncodeState(next) || !reflect.DeepEqual(cret, ret) {
 				t.Fatalf("%s %s(%v) from %s: Mutate gave (%s, %v), Apply (%s, %v)", dt.Name(), kind, arg, before,
@@ -89,6 +119,21 @@ func FuzzMutatorAgreesWithApply(f *testing.F) {
 					dt.EncodeState(owned), oret, dt.EncodeState(next), ret)
 			}
 			s = next
+		}
+		encs := make([]string, len(reached))
+		for i, st := range reached {
+			encs[i] = dt.EncodeState(st)
+		}
+		for i, a := range reached {
+			for j, b := range reached {
+				want := encs[i] == encs[j]
+				if got := eq.EqualStates(a, b); got != want {
+					t.Fatalf("%s EqualStates(%s, %s) = %v, encodings equal: %v", dt.Name(), encs[i], encs[j], got, want)
+				}
+				if got := spec.SameState(dt, a, encs[i], b); got != want {
+					t.Fatalf("%s SameState(%s, %s) = %v, encodings equal: %v", dt.Name(), encs[i], encs[j], got, want)
+				}
+			}
 		}
 	})
 }

@@ -1,10 +1,9 @@
 package types
 
 import (
-	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"timebounds/internal/spec"
 )
@@ -35,6 +34,7 @@ type PQueue struct{}
 var (
 	_ spec.DataType = PQueue{}
 	_ spec.Mutator  = PQueue{}
+	_ spec.Equaler  = PQueue{}
 )
 
 // NewPQueue returns an initially empty priority queue.
@@ -53,7 +53,7 @@ func (dt PQueue) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.Sta
 	pq, _ := s.(*seq[int])
 	_, isInt := arg.(int)
 	if kind == OpPQInsert && isInt || kind == OpPQDeleteMin && len(pq.values()) > 0 {
-		pq = pq.clone()
+		pq = pq.clone(0)
 	}
 	return dt.Mutate(pq, kind, arg)
 }
@@ -61,7 +61,7 @@ func (dt PQueue) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.Sta
 // Clone implements spec.Mutator.
 func (PQueue) Clone(s spec.State) spec.State {
 	pq, _ := s.(*seq[int])
-	return pq.clone()
+	return pq.clone(ownedRoom)
 }
 
 // Mutate implements spec.Mutator: insert and delete-min modify s in place.
@@ -110,9 +110,23 @@ func (PQueue) Class(kind spec.OpKind) spec.OpClass {
 // EncodeState implements spec.DataType.
 func (PQueue) EncodeState(s spec.State) string {
 	pq, _ := s.(*seq[int])
-	parts := make([]string, len(pq.values()))
+	var arr [64]byte
+	b := append(arr[:0], "pq:["...)
 	for i, v := range pq.values() {
-		parts[i] = fmt.Sprintf("%d", v)
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return "pq:[" + strings.Join(parts, " ") + "]"
+	return string(append(b, ']'))
+}
+
+// EqualStates implements spec.Equaler: equal items in the same order
+// encode alike.
+//
+//tb:hotpath
+func (PQueue) EqualStates(a, b spec.State) bool {
+	x, _ := a.(*seq[int])
+	y, _ := b.(*seq[int])
+	return x.equal(y, equalInts)
 }

@@ -2,7 +2,6 @@ package types
 
 import (
 	"slices"
-	"strings"
 
 	"timebounds/internal/spec"
 )
@@ -27,6 +26,7 @@ type Queue struct{}
 var (
 	_ spec.DataType = Queue{}
 	_ spec.Mutator  = Queue{}
+	_ spec.Equaler  = Queue{}
 )
 
 // NewQueue returns an initially empty queue.
@@ -44,7 +44,7 @@ func (Queue) InitialState() spec.State { return (*seq[spec.Value])(nil) }
 func (dt Queue) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
 	q, _ := s.(*seq[spec.Value])
 	if kind == OpEnqueue || kind == OpDequeue && len(q.values()) > 0 {
-		q = q.clone()
+		q = q.clone(0)
 	}
 	return dt.Mutate(q, kind, arg)
 }
@@ -52,7 +52,7 @@ func (dt Queue) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.Stat
 // Clone implements spec.Mutator.
 func (Queue) Clone(s spec.State) spec.State {
 	q, _ := s.(*seq[spec.Value])
-	return q.clone()
+	return q.clone(ownedRoom)
 }
 
 // Mutate implements spec.Mutator: enqueue and dequeue modify s in place,
@@ -98,11 +98,17 @@ func (Queue) Class(kind spec.OpKind) spec.OpClass {
 // EncodeState implements spec.DataType.
 func (Queue) EncodeState(s spec.State) string {
 	q, _ := s.(*seq[spec.Value])
-	parts := make([]string, len(q.values()))
-	for i, v := range q.values() {
-		// Type-faithful rendering: int 1 and string "1" must not collide
-		// (checker memo + shared transition caches key on encodings).
-		parts[i] = spec.CanonicalValue(v)
-	}
-	return "q:[" + strings.Join(parts, " ") + "]"
+	// Type-faithful rendering: int 1 and string "1" must not collide
+	// (checker memo + shared transition caches key on encodings).
+	return encodeValues("q:[", q.values(), ' ', ']')
+}
+
+// EqualStates implements spec.Equaler: equal items in the same order
+// encode alike.
+//
+//tb:hotpath
+func (Queue) EqualStates(a, b spec.State) bool {
+	x, _ := a.(*seq[spec.Value])
+	y, _ := b.(*seq[spec.Value])
+	return x.equal(y, spec.ValueEqual)
 }

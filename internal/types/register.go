@@ -28,7 +28,10 @@ type Register struct {
 	withRMW bool
 }
 
-var _ spec.DataType = (*Register)(nil)
+var (
+	_ spec.DataType = (*Register)(nil)
+	_ spec.Equaler  = (*Register)(nil)
+)
 
 // NewRegister returns a read/write register with the given initial value.
 func NewRegister(initial spec.Value) *Register {
@@ -95,4 +98,11 @@ func (r *Register) Class(kind spec.OpKind) spec.OpClass {
 // (spec.CanonicalValue): int 1 and string "1" are behaviourally distinct
 // states and must not share an encoding — checker memoization and the
 // engine's shared transition caches key on it.
-func (r *Register) EncodeState(s spec.State) string { return "reg:" + spec.CanonicalValue(s) }
+func (r *Register) EncodeState(s spec.State) string {
+	var arr [32]byte
+	return string(spec.AppendCanonicalValue(append(arr[:0], "reg:"...), s))
+}
+
+// EqualStates implements spec.Equaler: spec.ValueEqual compares values
+// as EncodeState renders them.
+func (r *Register) EqualStates(a, b spec.State) bool { return spec.ValueEqual(a, b) }

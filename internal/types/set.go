@@ -80,7 +80,7 @@ func (st Set) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State,
 	set, _ := s.(*seq[spec.Value])
 	if kind == OpInsert || kind == OpRemove {
 		if _, found := findElem(set.values(), arg); found == (kind == OpRemove) {
-			set = set.clone()
+			set = set.clone(0)
 		}
 	}
 	return st.Mutate(set, kind, arg)
@@ -89,7 +89,7 @@ func (st Set) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State,
 // Clone implements spec.Mutator.
 func (Set) Clone(s spec.State) spec.State {
 	set, _ := s.(*seq[spec.Value])
-	return set.clone()
+	return set.clone(ownedRoom)
 }
 
 // Mutate implements spec.Mutator: insert and remove modify s in place,
@@ -134,11 +134,7 @@ func (Set) Class(kind spec.OpKind) spec.OpClass {
 // EncodeState implements spec.DataType.
 func (Set) EncodeState(s spec.State) string {
 	set, _ := s.(*seq[spec.Value])
-	parts := make([]string, len(set.values()))
-	for i, v := range set.values() {
-		parts[i] = encodeElem(v)
-	}
-	return "set:{" + strings.Join(parts, ",") + "}"
+	return encodeValues("set:{", set.values(), ',', '}')
 }
 
 // Fingerprint implements spec.Fingerprinter.
@@ -175,19 +171,7 @@ func (st Set) ApplyFP(s spec.State, fp uint64, kind spec.OpKind, arg spec.Value)
 //
 //tb:hotpath
 func (Set) EqualStates(a, b spec.State) bool {
-	sa, _ := a.(*seq[spec.Value])
-	sb, _ := b.(*seq[spec.Value])
-	x, y := sa.values(), sb.values()
-	if len(x) != len(y) {
-		return false
-	}
-	if len(x) == 0 || &x[0] == &y[0] {
-		return true
-	}
-	for i := range x {
-		if !spec.ValueEqual(x[i], y[i]) {
-			return false
-		}
-	}
-	return true
+	x, _ := a.(*seq[spec.Value])
+	y, _ := b.(*seq[spec.Value])
+	return x.equal(y, spec.ValueEqual)
 }

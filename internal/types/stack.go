@@ -1,10 +1,6 @@
 package types
 
-import (
-	"strings"
-
-	"timebounds/internal/spec"
-)
+import "timebounds/internal/spec"
 
 // Operation kinds on stacks.
 const (
@@ -26,6 +22,7 @@ type Stack struct{}
 var (
 	_ spec.DataType = Stack{}
 	_ spec.Mutator  = Stack{}
+	_ spec.Equaler  = Stack{}
 )
 
 // NewStack returns an initially empty stack.
@@ -43,7 +40,7 @@ func (Stack) InitialState() spec.State { return (*seq[spec.Value])(nil) }
 func (dt Stack) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
 	st, _ := s.(*seq[spec.Value])
 	if kind == OpPush || kind == OpPop && len(st.values()) > 0 {
-		st = st.clone()
+		st = st.clone(0)
 	}
 	return dt.Mutate(st, kind, arg)
 }
@@ -51,7 +48,7 @@ func (dt Stack) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.Stat
 // Clone implements spec.Mutator.
 func (Stack) Clone(s spec.State) spec.State {
 	st, _ := s.(*seq[spec.Value])
-	return st.clone()
+	return st.clone(ownedRoom)
 }
 
 // Mutate implements spec.Mutator: push and pop modify s in place.
@@ -97,11 +94,17 @@ func (Stack) Class(kind spec.OpKind) spec.OpClass {
 // EncodeState implements spec.DataType.
 func (Stack) EncodeState(s spec.State) string {
 	st, _ := s.(*seq[spec.Value])
-	parts := make([]string, len(st.values()))
-	for i, v := range st.values() {
-		// Type-faithful rendering: int 1 and string "1" must not collide
-		// (checker memo + shared transition caches key on encodings).
-		parts[i] = spec.CanonicalValue(v)
-	}
-	return "s:[" + strings.Join(parts, " ") + "]"
+	// Type-faithful rendering: int 1 and string "1" must not collide
+	// (checker memo + shared transition caches key on encodings).
+	return encodeValues("s:[", st.values(), ' ', ']')
+}
+
+// EqualStates implements spec.Equaler: equal items in the same order
+// encode alike.
+//
+//tb:hotpath
+func (Stack) EqualStates(a, b spec.State) bool {
+	x, _ := a.(*seq[spec.Value])
+	y, _ := b.(*seq[spec.Value])
+	return x.equal(y, spec.ValueEqual)
 }

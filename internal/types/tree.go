@@ -1,12 +1,6 @@
 package types
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"timebounds/internal/spec"
-)
+import "timebounds/internal/spec"
 
 // Operation kinds on rooted trees (Chapter VI.C).
 const (
@@ -37,15 +31,24 @@ type Edge struct {
 const TreeRoot = "root"
 
 // treeState maps node name -> parent name; the root maps to itself.
-// States are immutable: Apply always copies.
+// Apply never modifies one; Mutate modifies the caller's own clone in
+// place (spec.Mutator).
 type treeState map[string]string
+
+// initialTree is every tree's initial state, shared: only clones of it
+// are ever modified.
+var initialTree = treeState{TreeRoot: TreeRoot}
 
 // Tree is a rooted tree with insert/delete (pure mutators) and search/depth
 // (pure accessors); there is no operation that is both mutator and
 // accessor (Chapter VI.C).
 type Tree struct{}
 
-var _ spec.DataType = Tree{}
+var (
+	_ spec.DataType = Tree{}
+	_ spec.Mutator  = Tree{}
+	_ spec.Equaler  = Tree{}
+)
 
 // NewTree returns a tree containing only the root.
 func NewTree() Tree { return Tree{} }
@@ -54,12 +57,10 @@ func NewTree() Tree { return Tree{} }
 func (Tree) Name() string { return "tree" }
 
 // InitialState implements spec.DataType.
-func (Tree) InitialState() spec.State {
-	return treeState{TreeRoot: TreeRoot}
-}
+func (Tree) InitialState() spec.State { return initialTree }
 
 func (t treeState) clone() treeState {
-	next := make(treeState, len(t))
+	next := make(treeState, len(t)+1)
 	for k, v := range t {
 		next[k] = v
 	}
@@ -107,39 +108,75 @@ func (t treeState) depthOf(node string) int {
 	return depth
 }
 
-// Apply implements spec.DataType.
-func (Tree) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+// insertable reports whether an insert of arg places a node: arg is an
+// Edge to a present parent that moves no node under its own descendant
+// nor the root anywhere.
+func (t treeState) insertable(arg spec.Value) (Edge, bool) {
+	e, ok := arg.(Edge)
+	if !ok || e.Node == TreeRoot {
+		return e, false
+	}
+	if _, parentExists := t[e.Parent]; !parentExists {
+		return e, false
+	}
+	return e, !t.inSubtree(e.Parent, e.Node)
+}
+
+// deletable reports whether a delete of arg removes a node: arg names a
+// present leaf other than the root.
+func (t treeState) deletable(arg spec.Value) (string, bool) {
+	node, ok := arg.(string)
+	if !ok || node == TreeRoot {
+		return node, false
+	}
+	_, exists := t[node]
+	return node, exists && !t.hasChildren(node)
+}
+
+// Apply implements spec.DataType: Mutate on a clone when the operation
+// changes the tree (an insert that places a node, a delete that removes
+// one), on t itself otherwise.
+func (dt Tree) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
 	t, _ := s.(treeState)
 	switch kind {
 	case OpTreeInsert:
-		e, ok := arg.(Edge)
-		if !ok || e.Node == TreeRoot {
-			return t, nil
+		if _, ok := t.insertable(arg); ok {
+			t = t.clone()
 		}
-		if _, parentExists := t[e.Parent]; !parentExists {
-			return t, nil
-		}
-		if t.inSubtree(e.Parent, e.Node) {
-			return t, nil // moving a node under its own descendant
-		}
-		next := t.clone()
-		next[e.Node] = e.Parent
-		return next, nil
 	case OpTreeDelete:
-		node, ok := arg.(string)
-		if !ok || node == TreeRoot {
-			return t, nil
+		if _, ok := t.deletable(arg); ok {
+			t = t.clone()
 		}
-		if _, exists := t[node]; !exists || t.hasChildren(node) {
-			return t, nil
+	}
+	return dt.Mutate(t, kind, arg)
+}
+
+// Clone implements spec.Mutator.
+func (Tree) Clone(s spec.State) spec.State {
+	t, _ := s.(treeState)
+	return t.clone()
+}
+
+// Mutate implements spec.Mutator: insert and delete modify s in place.
+//
+//tb:hotpath
+func (Tree) Mutate(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, spec.Value) {
+	t, _ := s.(treeState)
+	switch kind {
+	case OpTreeInsert:
+		if e, ok := t.insertable(arg); ok {
+			t[e.Node] = e.Parent
 		}
-		next := t.clone()
-		delete(next, node)
-		return next, nil
+	case OpTreeDelete:
+		if node, ok := t.deletable(arg); ok {
+			delete(t, node)
+		}
 	case OpTreeSearch:
 		node, _ := arg.(string)
-		_, exists := t[node]
-		return t, exists
+		if _, exists := t[node]; exists {
+			return t, boxedTrue
+		}
+		return t, boxedFalse
 	case OpTreeDepth:
 		maxDepth := 0
 		for n := range t {
@@ -147,10 +184,28 @@ func (Tree) Apply(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, s
 				maxDepth = d
 			}
 		}
-		return t, maxDepth
-	default:
-		return t, nil
+		return t, spec.BoxInt(maxDepth)
 	}
+	return t, nil
+}
+
+// EqualStates implements spec.Equaler: the same nodes under the same
+// parents. Node names with '<' or ',' in them can render two different
+// trees alike (EncodeState); EqualStates tells them apart.
+//
+//tb:hotpath
+func (Tree) EqualStates(a, b spec.State) bool {
+	x, _ := a.(treeState)
+	y, _ := b.(treeState)
+	if len(x) != len(y) {
+		return false
+	}
+	for n, p := range x {
+		if q, ok := y[n]; !ok || p != q {
+			return false
+		}
+	}
+	return true
 }
 
 // Kinds implements spec.DataType.
@@ -170,13 +225,22 @@ func (Tree) Class(kind spec.OpKind) spec.OpClass {
 	}
 }
 
-// EncodeState implements spec.DataType.
+// EncodeState implements spec.DataType: "tree:{node<parent,...}", the
+// entries in the byte order of their renderings. A tree of up to 16 nodes
+// is rendered and sorted in stack buffers, so it allocates only the
+// returned string.
 func (Tree) EncodeState(s spec.State) string {
 	t, _ := s.(treeState)
-	parts := make([]string, 0, len(t))
-	for n, p := range t {
-		parts = append(parts, fmt.Sprintf("%s<%s", n, p))
+	var bufArr [256]byte
+	var spansArr [16][2]int
+	buf, spans := bufArr[:0], spansArr[:0]
+	if len(t) > len(spansArr) {
+		buf, spans = make([]byte, 0, 16*len(t)), make([][2]int, 0, len(t))
 	}
-	sort.Strings(parts)
-	return "tree:{" + strings.Join(parts, ",") + "}"
+	for n, p := range t {
+		start := len(buf)
+		buf = append(append(append(buf, n...), '<'), p...)
+		spans = append(spans, [2]int{start, len(buf)})
+	}
+	return joinSorted("tree:{", buf, spans, '}')
 }

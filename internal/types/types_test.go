@@ -1,6 +1,9 @@
 package types_test
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"timebounds/internal/spec"
@@ -218,5 +221,29 @@ func TestEncodeStateCanonical(t *testing.T) {
 	c, _ := q.Apply(q.InitialState(), types.OpEnqueue, 2)
 	if q.EncodeState(a) == q.EncodeState(c) {
 		t.Error("different queue states encode equally")
+	}
+}
+
+// TestTreeEncodeStateOrder holds Tree.EncodeState to its rendering as a
+// sorted join of "node<parent" entries, on names where sorting nodes alone
+// would order entries differently ("a" < "a!", but "a!<…" < "a<…").
+func TestTreeEncodeStateOrder(t *testing.T) {
+	tr := types.NewTree()
+	parents := map[string]string{types.TreeRoot: types.TreeRoot}
+	s := tr.InitialState()
+	for _, e := range []types.Edge{
+		{Node: "a", Parent: types.TreeRoot}, {Node: "a!", Parent: "a"}, {Node: "a<", Parent: types.TreeRoot},
+		{Node: "ab", Parent: "a!"}, {Node: "", Parent: "ab"}, {Node: "z,", Parent: ""}, {Node: "a<b", Parent: "a<"},
+	} {
+		s, _ = tr.Apply(s, types.OpTreeInsert, e)
+		parents[e.Node] = e.Parent
+	}
+	var parts []string
+	for n, p := range parents {
+		parts = append(parts, fmt.Sprintf("%s<%s", n, p))
+	}
+	sort.Strings(parts)
+	if got, want := tr.EncodeState(s), "tree:{"+strings.Join(parts, ",")+"}"; got != want {
+		t.Fatalf("EncodeState = %s, want %s", got, want)
 	}
 }

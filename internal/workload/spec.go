@@ -85,7 +85,7 @@ func (s Spec) WithDefaults(p model.Params, dt spec.DataType) Spec {
 		s.Start = p.D
 	}
 	if s.Mix == nil && len(s.PerProcess) == 0 && dt != nil {
-		s.Mix = DefaultMix(dt)
+		s.Mix = defaultMix(dt)
 	}
 	return s
 }
@@ -135,10 +135,10 @@ func (s Spec) Validate() error {
 // a whole: DefaultMix(dt) itself, because the register mix gives a plain
 // register rmw.
 func (s Spec) CheckKinds(dt spec.DataType) error {
-	kinds := dt.Kinds()
-	unknown := func(k spec.OpKind) error {
-		return fmt.Errorf("workload: spec %q: operation kind %q is not a kind of %s (want one of %v)", s.Name, k, dt.Name(), kinds)
+	if s.Mix == nil && len(s.PerProcess) == 0 && len(s.Explicit) == 0 {
+		return nil // the default mix, which WithDefaults fills in
 	}
+	kinds := dt.Kinds()
 	for i := -1; i < len(s.PerProcess); i++ {
 		mix := s.Mix
 		if i >= 0 {
@@ -146,22 +146,27 @@ func (s Spec) CheckKinds(dt spec.DataType) error {
 		}
 		for _, w := range mix {
 			if !slices.Contains(kinds, w.Kind) && !isDefaultMix(mix, dt) {
-				return unknown(w.Kind)
+				return s.unknownKind(w.Kind, dt, kinds)
 			}
 		}
 	}
 	for _, inv := range s.Explicit {
 		if !slices.Contains(kinds, inv.Kind) {
-			return unknown(inv.Kind)
+			return s.unknownKind(inv.Kind, dt, kinds)
 		}
 	}
 	return nil
 }
 
+// unknownKind is CheckKinds' error for a kind k that dt, of kinds, lacks.
+func (s Spec) unknownKind(k spec.OpKind, dt spec.DataType, kinds []spec.OpKind) error {
+	return fmt.Errorf("workload: spec %q: operation kind %q is not a kind of %s (want one of %v)", s.Name, k, dt.Name(), kinds)
+}
+
 // isDefaultMix reports whether mix is DefaultMix(dt), kind for kind and
 // weight for weight.
 func isDefaultMix(mix OpMix, dt spec.DataType) bool {
-	return slices.EqualFunc(mix, DefaultMix(dt), func(a, b WeightedOp) bool {
+	return slices.EqualFunc(mix, defaultMix(dt), func(a, b WeightedOp) bool {
 		return a.Kind == b.Kind && a.Weight == b.Weight
 	})
 }
@@ -285,84 +290,94 @@ func Race(p model.Params, start, gap model.Time, rounds int, kinds ...spec.OpKin
 
 // DefaultMix returns a representative operation mix for each bundled data
 // type (the mixes behind the measured columns of Tables I–IV); unknown
-// types get a uniform mix over their kinds.
-func DefaultMix(dt spec.DataType) OpMix {
-	intArg := func(i int) spec.Value { return spec.BoxInt(i) }
-	switch dt.Name() {
-	case "register", "rmw-register":
-		return OpMix{
-			{Kind: types.OpWrite, Weight: 3, Arg: intArg},
-			{Kind: types.OpRead, Weight: 3},
-			{Kind: types.OpRMW, Weight: 2, Arg: intArg},
-		}
-	case "queue":
-		return OpMix{
-			{Kind: types.OpEnqueue, Weight: 4, Arg: intArg},
-			{Kind: types.OpDequeue, Weight: 2},
-			{Kind: types.OpPeek, Weight: 2},
-		}
-	case "stack":
-		return OpMix{
-			{Kind: types.OpPush, Weight: 4, Arg: intArg},
-			{Kind: types.OpPop, Weight: 2},
-			{Kind: types.OpTop, Weight: 2},
-		}
-	case "tree":
-		return OpMix{
-			{Kind: types.OpTreeInsert, Weight: 4, Arg: func(i int) spec.Value {
-				parent := types.TreeRoot
-				if i > 0 {
-					parent = "n" + strconv.Itoa((i-1)/2)
-				}
-				return types.Edge{Node: "n" + strconv.Itoa(i), Parent: parent}
-			}},
-			{Kind: types.OpTreeDelete, Weight: 1, Arg: func(i int) spec.Value {
-				return "n" + strconv.Itoa(i*3)
-			}},
-			{Kind: types.OpTreeSearch, Weight: 2, Arg: func(i int) spec.Value {
-				return "n" + strconv.Itoa(i)
-			}},
-			{Kind: types.OpTreeDepth, Weight: 1},
-		}
-	case "dict":
-		keys := []string{"a", "b", "c", "d"}
-		return OpMix{
-			{Kind: types.OpPut, Weight: 4, Arg: func(i int) spec.Value {
-				return types.KV{Key: keys[i%len(keys)], Value: i}
-			}},
-			{Kind: types.OpDelete, Weight: 1, Arg: func(i int) spec.Value { return keys[i%len(keys)] }},
-			{Kind: types.OpDictGet, Weight: 2, Arg: func(i int) spec.Value { return keys[i%len(keys)] }},
-			{Kind: types.OpSize, Weight: 1},
-		}
-	case "pqueue":
-		return OpMix{
-			{Kind: types.OpPQInsert, Weight: 4, Arg: intArg},
-			{Kind: types.OpPQDeleteMin, Weight: 2},
-			{Kind: types.OpPQMin, Weight: 2},
-		}
-	case "set":
-		return OpMix{
-			{Kind: types.OpInsert, Weight: 3, Arg: intArg},
-			{Kind: types.OpRemove, Weight: 1, Arg: intArg},
-			{Kind: types.OpContains, Weight: 2, Arg: intArg},
-		}
-	case "counter":
-		return OpMix{
-			{Kind: types.OpIncrement, Weight: 3, Arg: intArg},
-			{Kind: types.OpGet, Weight: 2},
-		}
-	case "account":
-		return OpMix{
-			{Kind: types.OpDeposit, Weight: 3, Arg: func(i int) spec.Value { return 50 + i }},
-			{Kind: types.OpWithdraw, Weight: 2, Arg: func(i int) spec.Value { return 40 + i*7 }},
-			{Kind: types.OpBalance, Weight: 2},
-		}
-	default:
-		kinds := dt.Kinds()
-		mix := make(OpMix, 0, len(kinds))
-		for _, k := range kinds {
-			mix = append(mix, WeightedOp{Kind: k, Weight: 1, Arg: intArg})
-		}
+// types get a uniform mix over their kinds. The caller owns the slice.
+func DefaultMix(dt spec.DataType) OpMix { return slices.Clone(defaultMix(dt)) }
+
+// registerMix is the default mix of both registers: a plain register
+// has no rmw, and CheckKinds exempts this mix for it.
+var registerMix = OpMix{
+	{Kind: types.OpWrite, Weight: 3, Arg: intArg},
+	{Kind: types.OpRead, Weight: 3},
+	{Kind: types.OpRMW, Weight: 2, Arg: intArg},
+}
+
+// dictKeys are the keys of the dict mix.
+var dictKeys = []string{"a", "b", "c", "d"}
+
+// bundledMixes is the default mix of each bundled data type, by name. Its
+// mixes are shared and never modified: WithDefaults and isDefaultMix read
+// them, and DefaultMix hands out copies.
+var bundledMixes = map[string]OpMix{
+	"register":     registerMix,
+	"rmw-register": registerMix,
+	"queue": {
+		{Kind: types.OpEnqueue, Weight: 4, Arg: intArg},
+		{Kind: types.OpDequeue, Weight: 2},
+		{Kind: types.OpPeek, Weight: 2},
+	},
+	"stack": {
+		{Kind: types.OpPush, Weight: 4, Arg: intArg},
+		{Kind: types.OpPop, Weight: 2},
+		{Kind: types.OpTop, Weight: 2},
+	},
+	"tree": {
+		{Kind: types.OpTreeInsert, Weight: 4, Arg: func(i int) spec.Value {
+			parent := types.TreeRoot
+			if i > 0 {
+				parent = "n" + strconv.Itoa((i-1)/2)
+			}
+			return types.Edge{Node: "n" + strconv.Itoa(i), Parent: parent}
+		}},
+		{Kind: types.OpTreeDelete, Weight: 1, Arg: func(i int) spec.Value {
+			return "n" + strconv.Itoa(i*3)
+		}},
+		{Kind: types.OpTreeSearch, Weight: 2, Arg: func(i int) spec.Value {
+			return "n" + strconv.Itoa(i)
+		}},
+		{Kind: types.OpTreeDepth, Weight: 1},
+	},
+	"dict": {
+		{Kind: types.OpPut, Weight: 4, Arg: func(i int) spec.Value {
+			return types.KV{Key: dictKeys[i%len(dictKeys)], Value: i}
+		}},
+		{Kind: types.OpDelete, Weight: 1, Arg: func(i int) spec.Value { return dictKeys[i%len(dictKeys)] }},
+		{Kind: types.OpDictGet, Weight: 2, Arg: func(i int) spec.Value { return dictKeys[i%len(dictKeys)] }},
+		{Kind: types.OpSize, Weight: 1},
+	},
+	"pqueue": {
+		{Kind: types.OpPQInsert, Weight: 4, Arg: intArg},
+		{Kind: types.OpPQDeleteMin, Weight: 2},
+		{Kind: types.OpPQMin, Weight: 2},
+	},
+	"set": {
+		{Kind: types.OpInsert, Weight: 3, Arg: intArg},
+		{Kind: types.OpRemove, Weight: 1, Arg: intArg},
+		{Kind: types.OpContains, Weight: 2, Arg: intArg},
+	},
+	"counter": {
+		{Kind: types.OpIncrement, Weight: 3, Arg: intArg},
+		{Kind: types.OpGet, Weight: 2},
+	},
+	"account": {
+		{Kind: types.OpDeposit, Weight: 3, Arg: func(i int) spec.Value { return 50 + i }},
+		{Kind: types.OpWithdraw, Weight: 2, Arg: func(i int) spec.Value { return 40 + i*7 }},
+		{Kind: types.OpBalance, Weight: 2},
+	},
+}
+
+// defaultMix is DefaultMix without the copy: a bundled type's mix is
+// shared, and the caller must not modify it.
+func defaultMix(dt spec.DataType) OpMix {
+	if mix, ok := bundledMixes[dt.Name()]; ok {
 		return mix
 	}
+	kinds := dt.Kinds()
+	mix := make(OpMix, 0, len(kinds))
+	for _, k := range kinds {
+		mix = append(mix, WeightedOp{Kind: k, Weight: 1, Arg: intArg})
+	}
+	return mix
 }
+
+// intArg is the argument of the i-th operation of a kind in most mixes.
+func intArg(i int) spec.Value { return spec.BoxInt(i) }
