@@ -21,7 +21,6 @@ func runTrace(args []string, stdout, stderr io.Writer) error {
 	fs := newFlags("trace", stderr)
 	var (
 		scenario = fs.String("scenario", "quickstart", "scenario: quickstart|fig1|thmC1")
-		width    = fs.Int("width", 100, "diagram width in columns")
 		asJSON   = fs.Bool("json", false, "emit the run as JSON instead of a diagram")
 	)
 	if err := parse(fs, args); err != nil {
@@ -40,7 +39,7 @@ func runTrace(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 	fmt.Fprintln(stdout, caption)
-	fmt.Fprint(stdout, tracefmt.Diagram{Width: *width}.Render(r, ops))
+	fmt.Fprint(stdout, tracefmt.Diagram(r, ops))
 	return nil
 }
 
@@ -68,7 +67,7 @@ func traceScenario(name string) (runs.Run, []history.Record, string, error) {
 		if err := inst.Run(model.Infinity); err != nil {
 			return runs.Run{}, nil, "", err
 		}
-		return runs.FromSim(inst.Simulator()), inst.History().Ops(),
+		return inst.Simulator().Trace(), inst.History().Ops(),
 			"Algorithm 1: write acks in ε+X; reads settle in d+ε-X (messages are the broadcast).", nil
 	case "fig1":
 		rep, err := adversary.Run(adversary.Figure1Spec(true), p)

@@ -10,7 +10,6 @@ import (
 	"timebounds/internal/core"
 	"timebounds/internal/fault"
 	"timebounds/internal/model"
-	"timebounds/internal/runs"
 	"timebounds/internal/sim"
 	"timebounds/internal/spec"
 	"timebounds/internal/workload"
@@ -254,8 +253,8 @@ func appendWorkloadLabel(b []byte, wl workload.Spec) []byte {
 // Build constructs the scenario's isolated instance without running it —
 // the hook for tools that drive the simulator directly (tracing, custom
 // invocation patterns) while still constructing every world via a Backend.
-// The simulator records step/message traces only when sc.Trace is set, as
-// in a run; a driver that reads them (runs.FromSim) must ask.
+// The simulator records the run's steps and messages only when sc.Trace is
+// set, as in a run; a driver that reads them (Simulator().Trace()) must ask.
 func (sc Scenario) Build() (Instance, error) {
 	sc = sc.resolved()
 	_, in, err := sc.faultRuntime()
@@ -486,7 +485,7 @@ func (r simRun) finish(w *worker) Result {
 		res.Witness = witnessOf(*sc.Witness, res)
 	}
 	if sc.Trace {
-		run := runs.FromSim(inst.Simulator())
+		run := inst.Simulator().Trace()
 		res.Run = &run
 	}
 	return res

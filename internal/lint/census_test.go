@@ -25,7 +25,6 @@ var censusTypes = map[string][]string{
 	"internal/workload":    {"Spec", "RunOptions"},
 	"internal/core":        {"Config"},
 	"internal/experiments": {"*Options"},
-	"internal/tracefmt":    {"Diagram"},
 }
 
 // censusKeep lists the option fields the census accepts without a

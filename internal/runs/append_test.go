@@ -103,9 +103,9 @@ func TestTruncateThenAppendRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromSimRoundTrip(t *testing.T) {
-	// Runs extracted from real simulations satisfy CheckRun and
-	// Admissible, and carry the simulator's offsets.
+func TestTraceRoundTrip(t *testing.T) {
+	// Runs the simulator records satisfy CheckRun and Admissible, and
+	// carry the simulator's offsets.
 	p := params(3)
 	p.Epsilon = 3 * time.Millisecond
 	offsets := []model.Time{0, -time.Millisecond, time.Millisecond}
@@ -123,7 +123,7 @@ func TestFromSimRoundTrip(t *testing.T) {
 	if err := cluster.Run(model.Infinity); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	r := runs.FromSim(cluster.Simulator())
+	r := cluster.Simulator().Trace()
 	if err := runs.CheckRun(r); err != nil {
 		t.Fatalf("CheckRun: %v", err)
 	}

@@ -11,15 +11,16 @@ import (
 
 	"timebounds/internal/fault"
 	"timebounds/internal/model"
-	"timebounds/internal/sim"
 )
 
 // Step is one process step, identified by its real time (its clock time is
-// real time + the view's clock offset; Chapter III.B.2).
+// real time + the view's clock offset; Chapter III.B.2). Its JSON form is
+// the one internal/tracefmt writes.
 type Step struct {
-	RealTime model.Time
-	// Kind labels the step ("invoke", "deliver", "timer"); informational.
-	Kind string
+	RealTime model.Time `json:"realTimeNanos"`
+	// Kind labels the step ("invoke", "deliver", "timer", "crash",
+	// "recover", "retire"); informational.
+	Kind string `json:"kind"`
 }
 
 // TimedView is the timed view of one process: its steps in increasing real
@@ -70,29 +71,6 @@ type Run struct {
 	// instant Admissible takes drifting clocks' skew at, as the simulator
 	// does; drift-free clocks keep one skew throughout.
 	LastResponse model.Time
-}
-
-// FromSim extracts a Run from a completed simulation.
-func FromSim(s *sim.Simulator) Run {
-	p := s.Params()
-	views := make([]TimedView, p.N)
-	for i := range views {
-		offset, ppm := s.Clock(model.ProcessID(i))
-		views[i] = TimedView{Proc: model.ProcessID(i), ClockOffset: offset, Rate: ppm, End: model.Infinity}
-	}
-	for _, st := range s.Steps() {
-		views[st.Proc].Steps = append(views[st.Proc].Steps, Step{
-			RealTime: st.RealTime,
-			Kind:     st.Kind,
-		})
-	}
-	msgs := make([]Message, 0, len(s.Messages()))
-	for _, m := range s.Messages() {
-		msgs = append(msgs, Message{
-			Seq: m.Seq, From: m.From, To: m.To, SentAt: m.SentAt, RecvAt: m.RecvAt, Dup: m.Dup,
-		})
-	}
-	return Run{Params: p, Views: views, Msgs: msgs, LastResponse: s.LastResponse()}
 }
 
 // CheckView verifies the timed-view well-formedness conditions of Chapter

@@ -48,7 +48,7 @@ func (a *Arena) lendTo(s *Simulator) {
 // stays reachable and no stale slot reference is handed on, and
 // hands the event storage back to the Arena it was borrowed from (a
 // simulator built without one just drops it). Everything the run reports
-// — History, Steps, Messages, FaultStats — must be read before Recycle;
+// — History, Trace, FaultStats — must be read before Recycle;
 // the history itself is the caller's and is not touched. The simulator
 // must not be run again afterwards. Recycle is idempotent.
 //

@@ -7,6 +7,7 @@ import (
 
 	"timebounds/internal/fault"
 	"timebounds/internal/model"
+	"timebounds/internal/runs"
 	"timebounds/internal/sim"
 )
 
@@ -33,12 +34,13 @@ func arenaRuns() []arenaRun {
 	}
 }
 
-// outcome is everything a run reports.
+// outcome is everything a run reports, and the order in which the
+// simulator called its processes.
 type outcome struct {
-	history  string
-	steps    []sim.StepTrace
-	messages []sim.MessageTrace
-	faults   fault.Stats
+	history string
+	run     runs.Run
+	log     dispatchLog
+	faults  fault.Stats
 }
 
 // run builds the simulator (on arena, when set), drives the chatter
@@ -47,10 +49,7 @@ func (r arenaRun) run(t *testing.T, arena *sim.Arena) outcome {
 	t.Helper()
 	ms := model.Time(time.Millisecond)
 	p := model.Params{N: r.n, D: 10 * ms, U: 4 * ms, Epsilon: 2 * ms}
-	procs := make([]sim.Process, p.N)
-	for i := range procs {
-		procs[i] = &chatterProc{}
-	}
+	var log dispatchLog
 	cfg := sim.Config{Params: p, Delay: r.delay(p), StrictDelays: true, Arena: arena}
 	if r.faults != nil {
 		in, err := fault.NewInjector(r.faults(p), p.N)
@@ -59,7 +58,7 @@ func (r arenaRun) run(t *testing.T, arena *sim.Arena) outcome {
 		}
 		cfg.Faults = in
 	}
-	s, err := sim.New(cfg, procs)
+	s, err := sim.New(cfg, chatterProcs(p.N, &log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func (r arenaRun) run(t *testing.T, arena *sim.Arena) outcome {
 	if err := s.Run(horizon); err != nil {
 		t.Fatalf("%s: %v", r.name, err)
 	}
-	out := outcome{history: s.History().String(), steps: s.Steps(), messages: s.Messages()}
+	out := outcome{history: s.History().String(), run: s.Trace(), log: log}
 	out.faults, _ = s.FaultStats()
 	s.Recycle()
 	if arena == nil {
@@ -105,7 +104,7 @@ func TestArenaReuseIsUnobservable(t *testing.T) {
 	fresh := make([]outcome, len(runs))
 	for i, r := range runs {
 		fresh[i] = r.run(t, nil)
-		if fresh[i].history == "" || len(fresh[i].steps) == 0 {
+		if fresh[i].history == "" || len(fresh[i].log) == 0 || len(fresh[i].run.Msgs) == 0 {
 			t.Fatalf("%s: empty run proves nothing", r.name)
 		}
 	}
@@ -117,11 +116,11 @@ func TestArenaReuseIsUnobservable(t *testing.T) {
 			if got.history != fresh[i].history {
 				t.Errorf("%s after %s: history differs from a fresh run", b.name, a.name)
 			}
-			if !reflect.DeepEqual(got.steps, fresh[i].steps) {
-				t.Errorf("%s after %s: step trace differs from a fresh run", b.name, a.name)
+			if !reflect.DeepEqual(got.run, fresh[i].run) {
+				t.Errorf("%s after %s: recorded run differs from a fresh run", b.name, a.name)
 			}
-			if !reflect.DeepEqual(got.messages, fresh[i].messages) {
-				t.Errorf("%s after %s: message trace differs from a fresh run", b.name, a.name)
+			if !reflect.DeepEqual(got.log, fresh[i].log) {
+				t.Errorf("%s after %s: dispatch order differs from a fresh run", b.name, a.name)
 			}
 			if !reflect.DeepEqual(got.faults, fresh[i].faults) {
 				t.Errorf("%s after %s: fault stats %+v, fresh %+v", b.name, a.name, got.faults, fresh[i].faults)

@@ -12,15 +12,41 @@ import (
 
 // chatterProc stresses every event kind: each invocation broadcasts a
 // round, arms two timers (one canceled), and responds on the second
-// timer; each received message is echoed back once.
+// timer; each received message is echoed back once. With a log it notes
+// every handler the simulator calls, crash and recovery included, in the
+// order of the calls.
 type chatterProc struct {
+	self   model.ProcessID
 	echoed map[int]bool
+	log    *dispatchLog
 }
+
+// dispatch is one handler call: the process, its clock at the call and
+// the step's kind. Runs that read a log use drift-free clocks at offset
+// zero, so the clock is also the real time.
+type dispatch struct {
+	proc model.ProcessID
+	now  model.Time
+	kind string
+}
+
+// dispatchLog is the global order in which the simulator called the
+// processes of one run, which per-process views cannot show.
+type dispatchLog []dispatch
+
+func (c *chatterProc) note(now model.Time, kind string) {
+	if c.log != nil {
+		*c.log = append(*c.log, dispatch{proc: c.self, now: now, kind: kind})
+	}
+}
+
+var _ sim.Restartable = (*chatterProc)(nil)
 
 type respondTimer struct{ id history.OpID }
 type doomedTimer struct{}
 
 func (c *chatterProc) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, arg spec.Value) {
+	c.note(env.ClockTime(), "invoke")
 	tag, _ := arg.(int)
 	env.Broadcast(sim.Msg{Seq: int64(tag)}) // hop 0 of round tag
 	doomed := env.SetTimerAfter(3*model.Time(time.Millisecond), doomedTimer{})
@@ -29,6 +55,7 @@ func (c *chatterProc) OnInvoke(env sim.Env, id history.OpID, kind spec.OpKind, a
 }
 
 func (c *chatterProc) OnMessage(env sim.Env, from model.ProcessID, m sim.Msg) {
+	c.note(env.ClockTime(), "deliver")
 	if m.Tag > 0 { // an echo: hop 1
 		return
 	}
@@ -42,6 +69,7 @@ func (c *chatterProc) OnMessage(env sim.Env, from model.ProcessID, m sim.Msg) {
 }
 
 func (c *chatterProc) OnTimer(env sim.Env, payload any) {
+	c.note(env.ClockTime(), "timer")
 	switch t := payload.(type) {
 	case respondTimer:
 		env.Respond(t.id, nil)
@@ -50,20 +78,30 @@ func (c *chatterProc) OnTimer(env sim.Env, payload any) {
 	}
 }
 
+// Crash and Recover only note the step: a chatterProc keeps its state
+// across an outage, as a process that is not Restartable would.
+func (c *chatterProc) Crash(at model.Time) { c.note(at, "crash") }
+func (c *chatterProc) Recover(env sim.Env) { c.note(env.ClockTime(), "recover") }
+
+// chatterProcs builds n chatter processes that share one log.
+func chatterProcs(n int, log *dispatchLog) []sim.Process {
+	procs := make([]sim.Process, n)
+	for i := range procs {
+		procs[i] = &chatterProc{self: model.ProcessID(i), log: log}
+	}
+	return procs
+}
+
 func chatterSim(t *testing.T, delay sim.DelayPolicy) *sim.Simulator {
 	t.Helper()
 	p := model.Params{N: 3, D: 10 * model.Time(time.Millisecond), U: 4 * model.Time(time.Millisecond),
 		Epsilon: 2 * model.Time(time.Millisecond)}
-	procs := make([]sim.Process, p.N)
-	for i := range procs {
-		procs[i] = &chatterProc{}
-	}
 	s, err := sim.New(sim.Config{
 		Params:       p,
 		ClockOffsets: []model.Time{0, p.Epsilon / 2, -p.Epsilon / 2},
 		Delay:        delay,
 		StrictDelays: true,
-	}, procs)
+	}, chatterProcs(p.N, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +142,11 @@ func TestStaticMatrixMatchesPolicyDelays(t *testing.T) {
 	if err := s.Run(model.Infinity); err != nil {
 		t.Fatal(err)
 	}
-	for _, msg := range s.Messages() {
+	for _, msg := range s.Trace().Msgs {
 		want := m.Delay(msg.From, msg.To, msg.SentAt, msg.Seq)
-		if msg.Delay != want {
+		if msg.Delay() != want {
 			t.Fatalf("message %d %s→%s delayed %s, policy says %s",
-				msg.Seq, msg.From, msg.To, msg.Delay, want)
+				msg.Seq, msg.From, msg.To, msg.Delay(), want)
 		}
 	}
 }

@@ -106,10 +106,7 @@ func (c cursorCase) run(t *testing.T, heapOnly bool) (outcome, int) {
 	t.Helper()
 	ms := model.Time(time.Millisecond)
 	p := model.Params{N: c.n, D: 10 * ms, U: 4 * ms, Epsilon: 2 * ms}
-	procs := make([]sim.Process, p.N)
-	for i := range procs {
-		procs[i] = &chatterProc{}
-	}
+	var log dispatchLog
 	cfg := sim.Config{Params: p, Delay: sim.NewRandomDelay(11, p.MinDelay(), p.D), StrictDelays: true}
 	if c.faults != nil {
 		in, err := fault.NewInjector(c.faults(p), p.N)
@@ -118,7 +115,7 @@ func (c cursorCase) run(t *testing.T, heapOnly bool) (outcome, int) {
 		}
 		cfg.Faults = in
 	}
-	s, err := sim.New(cfg, procs)
+	s, err := sim.New(cfg, chatterProcs(p.N, &log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +137,7 @@ func (c cursorCase) run(t *testing.T, heapOnly bool) (outcome, int) {
 	if err := s.Run(model.Infinity); err != nil {
 		t.Fatal(err)
 	}
-	out := outcome{history: s.History().String(), steps: s.Steps(), messages: s.Messages()}
+	out := outcome{history: s.History().String(), run: s.Trace(), log: log}
 	out.faults, _ = s.FaultStats()
 	return out, scheduled
 }
@@ -155,16 +152,17 @@ func TestScheduleCursorIsUnobservable(t *testing.T) {
 	for _, c := range cursorCases() {
 		t.Run(c.name, func(t *testing.T) {
 			want, viaHeap := c.run(t, true)
-			if want.history == "" || len(want.steps) == 0 || len(want.messages) == 0 {
+			if want.history == "" || len(want.log) == 0 || len(want.run.Msgs) == 0 {
 				t.Fatal("empty run proves nothing")
 			}
 			// The fault plan's events were queued first: at any instant
-			// they dispatch before the invocations and the run's events.
-			for i := 1; i < len(want.steps); i++ {
-				prev, st := want.steps[i-1], want.steps[i]
-				fault := st.Kind == "crash" || st.Kind == "recover"
-				if fault && prev.RealTime == st.RealTime && prev.Kind != "crash" && prev.Kind != "recover" {
-					t.Fatalf("%s of p%d at %s dispatched after a same-instant %s", st.Kind, st.Proc, st.RealTime, prev.Kind)
+			// they dispatch before the invocations and the run's events,
+			// at every process.
+			for i := 1; i < len(want.log); i++ {
+				prev, d := want.log[i-1], want.log[i]
+				fault := d.kind == "crash" || d.kind == "recover"
+				if fault && prev.now == d.now && prev.kind != "crash" && prev.kind != "recover" {
+					t.Fatalf("%s of %s at %s dispatched after a same-instant %s of %s", d.kind, d.proc, d.now, prev.kind, prev.proc)
 				}
 			}
 			got, viaCursor := c.run(t, false)
@@ -174,11 +172,11 @@ func TestScheduleCursorIsUnobservable(t *testing.T) {
 			if got.history != want.history {
 				t.Errorf("history differs:\ncursor:\n%s\nheap:\n%s", got.history, want.history)
 			}
-			if !reflect.DeepEqual(got.steps, want.steps) {
-				t.Error("step trace differs")
+			if !reflect.DeepEqual(got.run, want.run) {
+				t.Error("recorded run differs")
 			}
-			if !reflect.DeepEqual(got.messages, want.messages) {
-				t.Error("message trace differs")
+			if !reflect.DeepEqual(got.log, want.log) {
+				t.Error("dispatch order differs")
 			}
 			if !reflect.DeepEqual(got.faults, want.faults) {
 				t.Errorf("fault stats %+v, heap %+v", got.faults, want.faults)

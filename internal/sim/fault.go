@@ -11,6 +11,7 @@ import (
 
 	"timebounds/internal/fault"
 	"timebounds/internal/model"
+	"timebounds/internal/runs"
 )
 
 // Restartable is implemented by processes that survive a crash/recover
@@ -127,8 +128,8 @@ func (e *procEnv) deliverCopies(seq int, to model.ProcessID, m Msg, delay, spaci
 			s.msgSeq++
 		}
 		if s.trace {
-			s.msgs = append(s.msgs, MessageTrace{
-				Seq: sq, From: e.proc, To: to, SentAt: e.real, RecvAt: recv, Delay: recv - e.real, Dup: c > 0,
+			s.msgs = append(s.msgs, runs.Message{
+				Seq: sq, From: e.proc, To: to, SentAt: e.real, RecvAt: recv, Dup: c > 0,
 			})
 		}
 		ref := s.alloc()
@@ -140,16 +141,15 @@ func (e *procEnv) deliverCopies(seq int, to model.ProcessID, m Msg, delay, spaci
 }
 
 // traceLost records a dropped message with an infinite receive time.
-func (e *procEnv) traceLost(seq int, to model.ProcessID, delay model.Time) {
-	s := e.sim
-	if s.trace {
-		s.msgs = append(s.msgs, MessageTrace{
-			Seq: seq, From: e.proc, To: to, SentAt: e.real, RecvAt: model.Infinity, Delay: delay,
+func (e *procEnv) traceLost(seq int, to model.ProcessID) {
+	if s := e.sim; s.trace {
+		s.msgs = append(s.msgs, runs.Message{
+			Seq: seq, From: e.proc, To: to, SentAt: e.real, RecvAt: model.Infinity,
 		})
 	}
 }
 
-// traceDropped marks the traced message from→to due at real time at as
+// traceDropped marks the recorded message from→to due at real time at as
 // never received: it arrived at a down process. Lifecycle events dispatch
 // before any same-instant delivery, so every message due at one process
 // at one instant meets the same availability, and the latest unmarked

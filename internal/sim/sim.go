@@ -7,6 +7,7 @@ import (
 	"timebounds/internal/fault"
 	"timebounds/internal/history"
 	"timebounds/internal/model"
+	"timebounds/internal/runs"
 	"timebounds/internal/spec"
 )
 
@@ -127,27 +128,6 @@ func (a qitem) less(b qitem) bool {
 	return a.seq < b.seq
 }
 
-// MessageTrace records one delivered (or in-flight) message, for the run
-// machinery of internal/runs.
-type MessageTrace struct {
-	Seq      int
-	From, To model.ProcessID
-	SentAt   model.Time // real time
-	RecvAt   model.Time // real time; model.Infinity if never delivered
-	Delay    model.Time
-	// Dup marks an extra delivery a duplication fault added.
-	Dup bool
-}
-
-// StepTrace records one process step (Chapter III.B.1: a quintuple; we
-// record the observable coordinates).
-type StepTrace struct {
-	Proc      model.ProcessID
-	RealTime  model.Time
-	ClockTime model.Time
-	Kind      string // "invoke", "deliver", "timer", "crash", "recover", "retire"
-}
-
 // Config configures a Simulator.
 type Config struct {
 	// Params are the system timing parameters.
@@ -164,10 +144,10 @@ type Config struct {
 	// rejects a delay the policy emits (fault.AdmitsDelay). Without it the
 	// run goes on and Model reports the delay as the broken assumption.
 	StrictDelays bool
-	// DiscardTraces skips recording the step and message traces, for runs
+	// DiscardTraces skips recording the run's steps and messages, for runs
 	// that will never be rendered or shifted (large measurement grids).
-	// Steps and Messages return empty slices on such a simulator; the
-	// history is always recorded.
+	// Trace then returns views without steps and no messages; the history
+	// is always recorded.
 	DiscardTraces bool
 	// Faults is the run's fault injector, or nil for a fault-free run. It
 	// must be freshly built (fault.NewInjector) for this run — injectors
@@ -206,10 +186,10 @@ type Simulator struct {
 	msgSeq  int
 	now     model.Time
 	hist    *history.History
-	msgs    []MessageTrace
-	steps   []StepTrace
-	trace   bool   // record steps/msgs (= !cfg.DiscardTraces)
-	pending []bool // per-process: has an operation in flight
+	msgs    []runs.Message
+	steps   [][]runs.Step // per process
+	trace   bool          // record steps/msgs (= !cfg.DiscardTraces)
+	pending []bool        // per-process: has an operation in flight
 	// deferred invocations waiting for the previous op of the process to
 	// respond (the application layer invokes back-to-back, Chapter III.A).
 	deferred []deferQueue
@@ -303,6 +283,9 @@ func New(cfg Config, procs []Process) (*Simulator, error) {
 		trace: !cfg.DiscardTraces,
 	}
 	s.env.sim = s
+	if s.trace {
+		s.steps = make([][]runs.Step, cfg.Params.N)
+	}
 	if sd, ok := cfg.Delay.(StaticDelays); ok {
 		if mat, ok := sd.DelayMatrix(cfg.Params.N); ok && len(mat) == cfg.Params.N*cfg.Params.N {
 			s.delayMat = mat
@@ -333,29 +316,25 @@ func (s *Simulator) Params() model.Params { return s.cfg.Params }
 // History returns the history recorded so far.
 func (s *Simulator) History() *history.History { return s.hist }
 
-// Messages returns the message trace recorded so far (empty when
-// Config.DiscardTraces is set).
-func (s *Simulator) Messages() []MessageTrace {
-	out := make([]MessageTrace, len(s.msgs))
-	copy(out, s.msgs)
-	return out
-}
-
-// Steps returns the step trace recorded so far (empty when
-// Config.DiscardTraces is set).
-func (s *Simulator) Steps() []StepTrace {
-	out := make([]StepTrace, len(s.steps))
-	copy(out, s.steps)
-	return out
-}
-
-// Clock returns process p's clock: its offset c_p and its drift rate in
-// ppm (0 for a drift-free clock).
-func (s *Simulator) Clock(p model.ProcessID) (offset model.Time, ppm int64) {
-	if s.rates != nil {
-		ppm = s.rates[p]
+// Trace returns the run recorded so far (Chapter III.B.3): one complete
+// timed view per process, with its clock's offset and drift rate, and the
+// messages exchanged. Its slices are copies the caller owns. Without
+// traces (Config.DiscardTraces) the views hold no steps and the run no
+// messages.
+func (s *Simulator) Trace() runs.Run {
+	p := s.cfg.Params
+	views := make([]runs.TimedView, p.N)
+	for i := range views {
+		v := runs.TimedView{Proc: model.ProcessID(i), ClockOffset: s.cfg.ClockOffsets[i], End: model.Infinity}
+		if s.rates != nil {
+			v.Rate = s.rates[i]
+		}
+		if s.trace {
+			v.Steps = slices.Clone(s.steps[i])
+		}
+		views[i] = v
 	}
-	return s.cfg.ClockOffsets[p], ppm
+	return runs.Run{Params: p, Views: views, Msgs: slices.Clone(s.msgs), LastResponse: s.responded}
 }
 
 // LastResponse returns the real time of the run's latest response.
@@ -702,22 +681,7 @@ func (s *Simulator) record(p model.ProcessID, real model.Time, kind string) {
 	if !s.trace {
 		return
 	}
-	s.steps = append(s.steps, StepTrace{
-		Proc:      p,
-		RealTime:  real,
-		ClockTime: s.clockAt(p, real),
-		Kind:      kind,
-	})
-}
-
-// clockAt maps real time to process p's local clock, drift-aware.
-func (s *Simulator) clockAt(p model.ProcessID, real model.Time) model.Time {
-	if s.rates != nil {
-		if r := s.rates[p]; r != 0 {
-			return fault.ClockAt(real, s.cfg.ClockOffsets[p], r)
-		}
-	}
-	return real + s.cfg.ClockOffsets[p]
+	s.steps[p] = append(s.steps[p], runs.Step{RealTime: real, Kind: kind})
 }
 
 // procEnv implements Env for one step of one process. The simulator owns
@@ -775,7 +739,7 @@ func (e *procEnv) Send(to model.ProcessID, m Msg) {
 	if s.flt != nil {
 		copies, spacing := s.flt.Deliveries(e.proc, to, e.real)
 		if copies == 0 {
-			e.traceLost(seq, to, delay)
+			e.traceLost(seq, to)
 			return
 		}
 		if copies > 1 {
@@ -787,9 +751,7 @@ func (e *procEnv) Send(to model.ProcessID, m Msg) {
 	s.facts.Receive(delay)
 	recv := e.real + delay
 	if s.trace {
-		s.msgs = append(s.msgs, MessageTrace{
-			Seq: seq, From: e.proc, To: to, SentAt: e.real, RecvAt: recv, Delay: delay,
-		})
+		s.msgs = append(s.msgs, runs.Message{Seq: seq, From: e.proc, To: to, SentAt: e.real, RecvAt: recv})
 	}
 	ref := s.alloc()
 	ev := &s.events[ref]

@@ -1,12 +1,15 @@
 package sim_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"timebounds/internal/fault"
 	"timebounds/internal/history"
 	"timebounds/internal/model"
+	"timebounds/internal/runs"
 	"timebounds/internal/sim"
 	"timebounds/internal/spec"
 )
@@ -98,12 +101,12 @@ func TestMessageDelayApplied(t *testing.T) {
 	if err := s.Run(model.Infinity); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	msgs := s.Messages()
+	msgs := s.Trace().Msgs
 	if len(msgs) != 1 {
 		t.Fatalf("want 1 message, got %d", len(msgs))
 	}
-	if msgs[0].Delay != p.D || msgs[0].RecvAt != p.D {
-		t.Errorf("message delay %s recv %s, want %s", msgs[0].Delay, msgs[0].RecvAt, p.D)
+	if msgs[0].Delay() != p.D || msgs[0].RecvAt != p.D {
+		t.Errorf("message delay %s recv %s, want %s", msgs[0].Delay(), msgs[0].RecvAt, p.D)
 	}
 	if len(echos[1].gotMsgs) != 1 || echos[1].gotMsgs[0] != ping {
 		t.Errorf("recipient got %+v, want [%+v]", echos[1].gotMsgs, ping)
@@ -229,7 +232,7 @@ func TestDeterministicReplay(t *testing.T) {
 			t.Fatalf("Run: %v", err)
 		}
 		var log []string
-		for _, m := range s.Messages() {
+		for _, m := range s.Trace().Msgs {
 			log = append(log, m.From.String()+m.To.String()+m.RecvAt.String())
 		}
 		return log
@@ -274,7 +277,7 @@ func (s *selfSender) OnTimer(sim.Env, any)                        {}
 // trace, while a late Bind is refused.
 func TestHoldBindsInPlace(t *testing.T) {
 	p := params(3)
-	run := func(mode string) ([]history.Record, []sim.MessageTrace, bool) {
+	run := func(mode string) ([]history.Record, []runs.Message, bool) {
 		s, _ := newSim(t, sim.Config{Params: p, Delay: sim.NewRandomDelay(7, p.MinDelay(), p.D)}, 3)
 		s.Invoke(0, 0, "broadcast", nil)
 		var h sim.Held
@@ -295,7 +298,7 @@ func TestHoldBindsInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 		late := s.Bind(h, "broadcast", nil)
-		return s.History().Ops(), s.Messages(), late
+		return s.History().Ops(), s.Trace().Msgs, late
 	}
 	wantOps, wantMsgs, _ := run("invoke")
 	gotOps, gotMsgs, late := run("hold")
@@ -309,5 +312,70 @@ func TestHoldBindsInPlace(t *testing.T) {
 	unboundOps, unboundMsgs, _ := run("unbound")
 	if !reflect.DeepEqual(unboundOps, noneOps) || !reflect.DeepEqual(unboundMsgs, noneMsgs) {
 		t.Fatalf("unbound hold left a trace:\n%v\n%v", unboundOps, noneOps)
+	}
+}
+
+// TestTraceIsTheCallersCopy: the run Trace returns is the caller's to
+// change. A faulted run — a lost message, a duplicate, a message dropped
+// at a down process, a crash and a recovery — is traced twice, and
+// rewriting every step and message of the first trace leaves the second,
+// and a third taken after, as the run recorded them.
+func TestTraceIsTheCallersCopy(t *testing.T) {
+	ms := model.Time(time.Millisecond)
+	p := model.Params{N: 4, D: 10 * ms, U: 4 * ms, Epsilon: 2 * ms}
+	in, err := fault.NewInjector(&fault.Plan{
+		Name:    "mixed",
+		Crashes: []fault.Crash{{Proc: 3, At: 12 * ms, RecoverAt: 30 * ms}},
+		Losses:  []fault.Loss{{From: 0, To: -1, Start: 0, End: 8 * ms, Every: 2}},
+		Dups:    []fault.Duplicate{{From: 1, To: -1, Start: 0, End: 8 * ms, Copies: 2, Spacing: 1}},
+	}, p.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.New(sim.Config{Params: p, Delay: sim.FixedDelay(p.D), Faults: in}, chatterProcs(p.N, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wave := 0; wave < 4; wave++ {
+		for proc := 0; proc < p.N; proc++ {
+			s.Invoke(model.Time(wave)*7*ms, model.ProcessID(proc), "op", wave*10+proc)
+		}
+	}
+	if err := s.Run(model.Infinity); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := s.FaultStats()
+	if st.Lost == 0 || st.Duplicates == 0 || st.DroppedToDown == 0 || st.Crashes == 0 || st.Recoveries == 0 {
+		t.Fatalf("the plan did not bite: %+v", st)
+	}
+	first, second := s.Trace(), s.Trace()
+	want := fmt.Sprintf("%+v", second)
+	var dups, unreceived int
+	for _, m := range second.Msgs {
+		if m.Dup {
+			dups++
+		}
+		if !m.Received() {
+			unreceived++
+		}
+	}
+	if dups == 0 || unreceived < st.Lost+st.DroppedToDown {
+		t.Fatalf("%d duplicates and %d unreceived messages recorded; stats %+v", dups, unreceived, st)
+	}
+	for i := range first.Views {
+		for j := range first.Views[i].Steps {
+			first.Views[i].Steps[j] = runs.Step{RealTime: -1, Kind: "rewritten"}
+		}
+		first.Views[i].Steps = append(first.Views[i].Steps, runs.Step{Kind: "appended"})
+	}
+	for i := range first.Msgs {
+		first.Msgs[i] = runs.Message{Seq: -1, RecvAt: 0, Dup: true}
+	}
+	first.Msgs = append(first.Msgs, runs.Message{Seq: -2})
+	if got := fmt.Sprintf("%+v", second); got != want {
+		t.Fatalf("rewriting one trace changed another:\n%s\nwas\n%s", got, want)
+	}
+	if got := fmt.Sprintf("%+v", s.Trace()); got != want {
+		t.Fatalf("rewriting a trace changed the simulator's record:\n%s\nwas\n%s", got, want)
 	}
 }

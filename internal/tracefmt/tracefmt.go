@@ -15,22 +15,16 @@ import (
 	"timebounds/internal/runs"
 )
 
-// Diagram renders a space-time diagram of a run plus its operation
-// history. Each process occupies one lane; time flows left to right.
-// Operation intervals appear as [===]; message sends as digits and their
-// receives as the matching digit on the recipient lane (modulo 10).
-// The rendered real-time window ends at the run's latest event.
-type Diagram struct {
-	// Width is the number of character columns (default 100).
-	Width int
-}
+// width is a diagram's number of character columns.
+const width = 100
 
-// Render draws the diagram. ops may be nil to draw only messages.
-func (d Diagram) Render(r runs.Run, ops []history.Record) string {
-	width := d.Width
-	if width <= 0 {
-		width = 100
-	}
+// Diagram renders a space-time diagram of a run plus its operation
+// history; ops may be nil to draw only messages. Each process occupies one
+// lane; time flows left to right. Operation intervals appear as [===];
+// message sends as digits and their receives as the matching digit on the
+// recipient lane (modulo 10). The rendered real-time window ends at the
+// run's latest event.
+func Diagram(r runs.Run, ops []history.Record) string {
 	horizon := latestEvent(r, ops)
 	if horizon <= 0 {
 		horizon = 1
@@ -126,11 +120,10 @@ func latestEvent(r runs.Run, ops []history.Record) model.Time {
 	return latest
 }
 
-// JSON-serializable mirror types; durations are integer nanoseconds with
-// the unit in the field name (the time package's JSON guidance).
-
-// RunJSON is the JSON form of a run.
-type RunJSON struct {
+// The JSON wire form of a run; durations are integer nanoseconds with the
+// unit in the field name (the time package's JSON guidance). Steps are
+// written by runs.Step's own tags.
+type runJSON struct {
 	NumProcesses int   `json:"numProcesses"`
 	DNanos       int64 `json:"dNanos"`
 	UNanos       int64 `json:"uNanos"`
@@ -139,73 +132,77 @@ type RunJSON struct {
 	// runs.Admissible takes drifting clocks' skew at; it is written only
 	// when some view drifts, since drift-free clocks keep one skew.
 	LastResponseNanos int64         `json:"lastResponseNanos,omitempty"`
-	Views             []ViewJSON    `json:"views"`
-	Messages          []MessageJSON `json:"messages"`
+	Views             []viewJSON    `json:"views"`
+	Messages          []messageJSON `json:"messages"`
 }
 
-// ViewJSON is the JSON form of a timed view.
-type ViewJSON struct {
-	Proc             int   `json:"proc"`
-	ClockOffsetNanos int64 `json:"clockOffsetNanos"`
-	// RatePPM is the clock's drift rate; omitted for a drift-free clock.
-	RatePPM  int64      `json:"ratePPM,omitempty"`
-	EndNanos *int64     `json:"endNanos,omitempty"` // nil = infinite
-	Steps    []StepJSON `json:"steps"`
+type viewJSON struct {
+	Proc             int         `json:"proc"`
+	ClockOffsetNanos int64       `json:"clockOffsetNanos"`
+	RatePPM          int64       `json:"ratePPM,omitempty"`
+	EndNanos         *int64      `json:"endNanos,omitempty"` // nil = infinite
+	Steps            []runs.Step `json:"steps"`
 }
 
-// StepJSON is the JSON form of one step.
-type StepJSON struct {
-	RealTimeNanos int64  `json:"realTimeNanos"`
-	Kind          string `json:"kind"`
-}
-
-// MessageJSON is the JSON form of one message.
-type MessageJSON struct {
+type messageJSON struct {
 	Seq         int    `json:"seq"`
 	From        int    `json:"from"`
 	To          int    `json:"to"`
 	SentAtNanos int64  `json:"sentAtNanos"`
 	RecvAtNanos *int64 `json:"recvAtNanos,omitempty"` // nil = not received
-	// Dup marks an extra receipt a duplication fault added.
-	Dup bool `json:"dup,omitempty"`
+	Dup         bool   `json:"dup,omitempty"`
+}
+
+// finite maps model.Infinity to nil and any other time to its nanoseconds.
+func finite(t model.Time) *int64 {
+	if t == model.Infinity {
+		return nil
+	}
+	ns := int64(t)
+	return &ns
+}
+
+// orInfinity is finite's inverse.
+func orInfinity(ns *int64) model.Time {
+	if ns == nil {
+		return model.Infinity
+	}
+	return model.Time(*ns)
 }
 
 // MarshalRun serializes a run to JSON.
 func MarshalRun(r runs.Run) ([]byte, error) {
-	out := RunJSON{
+	out := runJSON{
 		NumProcesses: r.Params.N,
 		DNanos:       int64(r.Params.D),
 		UNanos:       int64(r.Params.U),
 		EpsilonNanos: int64(r.Params.Epsilon),
 	}
 	for _, v := range r.Views {
-		vj := ViewJSON{Proc: int(v.Proc), ClockOffsetNanos: int64(v.ClockOffset), RatePPM: v.Rate}
 		if v.Rate != 0 {
 			out.LastResponseNanos = int64(r.LastResponse)
 		}
-		if v.End != model.Infinity {
-			end := int64(v.End)
-			vj.EndNanos = &end
+		steps := v.Steps
+		if len(steps) == 0 {
+			steps = nil // a view without steps writes "steps": null, empty or not
 		}
-		for _, st := range v.Steps {
-			vj.Steps = append(vj.Steps, StepJSON{RealTimeNanos: int64(st.RealTime), Kind: st.Kind})
-		}
-		out.Views = append(out.Views, vj)
+		out.Views = append(out.Views, viewJSON{
+			Proc: int(v.Proc), ClockOffsetNanos: int64(v.ClockOffset), RatePPM: v.Rate,
+			EndNanos: finite(v.End), Steps: steps,
+		})
 	}
 	for _, m := range r.Msgs {
-		mj := MessageJSON{Seq: m.Seq, From: int(m.From), To: int(m.To), SentAtNanos: int64(m.SentAt), Dup: m.Dup}
-		if m.Received() {
-			recv := int64(m.RecvAt)
-			mj.RecvAtNanos = &recv
-		}
-		out.Messages = append(out.Messages, mj)
+		out.Messages = append(out.Messages, messageJSON{
+			Seq: m.Seq, From: int(m.From), To: int(m.To), SentAtNanos: int64(m.SentAt),
+			RecvAtNanos: finite(m.RecvAt), Dup: m.Dup,
+		})
 	}
 	return json.MarshalIndent(out, "", "  ")
 }
 
 // UnmarshalRun reconstructs a run from its JSON form.
 func UnmarshalRun(data []byte) (runs.Run, error) {
-	var in RunJSON
+	var in runJSON
 	if err := json.Unmarshal(data, &in); err != nil {
 		return runs.Run{}, err
 	}
@@ -219,29 +216,19 @@ func UnmarshalRun(data []byte) (runs.Run, error) {
 		LastResponse: model.Time(in.LastResponseNanos),
 	}
 	for _, vj := range in.Views {
-		v := runs.TimedView{
+		out.Views = append(out.Views, runs.TimedView{
 			Proc:        model.ProcessID(vj.Proc),
 			ClockOffset: model.Time(vj.ClockOffsetNanos),
 			Rate:        vj.RatePPM,
-			End:         model.Infinity,
-		}
-		if vj.EndNanos != nil {
-			v.End = model.Time(*vj.EndNanos)
-		}
-		for _, st := range vj.Steps {
-			v.Steps = append(v.Steps, runs.Step{RealTime: model.Time(st.RealTimeNanos), Kind: st.Kind})
-		}
-		out.Views = append(out.Views, v)
+			Steps:       vj.Steps,
+			End:         orInfinity(vj.EndNanos),
+		})
 	}
 	for _, mj := range in.Messages {
-		m := runs.Message{
+		out.Msgs = append(out.Msgs, runs.Message{
 			Seq: mj.Seq, From: model.ProcessID(mj.From), To: model.ProcessID(mj.To),
-			SentAt: model.Time(mj.SentAtNanos), RecvAt: model.Infinity, Dup: mj.Dup,
-		}
-		if mj.RecvAtNanos != nil {
-			m.RecvAt = model.Time(*mj.RecvAtNanos)
-		}
-		out.Msgs = append(out.Msgs, m)
+			SentAt: model.Time(mj.SentAtNanos), RecvAt: orInfinity(mj.RecvAtNanos), Dup: mj.Dup,
+		})
 	}
 	return out, nil
 }

@@ -35,8 +35,7 @@ func sampleCluster(t *testing.T) *core.Cluster {
 
 func TestDiagramRender(t *testing.T) {
 	c := sampleCluster(t)
-	r := runs.FromSim(c.Simulator())
-	out := tracefmt.Diagram{Width: 80}.Render(r, c.History().Ops())
+	out := tracefmt.Diagram(c.Simulator().Trace(), c.History().Ops())
 	if !strings.Contains(out, "p0") || !strings.Contains(out, "p2") {
 		t.Errorf("missing lanes:\n%s", out)
 	}
@@ -46,16 +45,26 @@ func TestDiagramRender(t *testing.T) {
 	if !strings.Contains(out, "ops:") {
 		t.Errorf("missing ops legend:\n%s", out)
 	}
-	// Lane lines must all have identical visual width.
-	var lens []int
+	checkLanes(t, out, 3)
+}
+
+// checkLanes asserts that out draws n lanes, each 100 columns wide.
+func checkLanes(t *testing.T, out string, n int) {
+	t.Helper()
+	var lanes []int
 	for _, line := range strings.Split(out, "\n") {
 		if strings.HasPrefix(line, "p") {
-			lens = append(lens, len(line))
+			_, lane, _ := strings.Cut(line, "|")
+			lanes = append(lanes, len(strings.TrimSuffix(lane, "|")))
 		}
 	}
-	for i := 1; i < len(lens); i++ {
-		if lens[i] != lens[0] {
-			t.Errorf("lane widths differ: %v", lens)
+	if len(lanes) != n {
+		t.Fatalf("%d lanes, want %d:\n%s", len(lanes), n, out)
+	}
+	for _, w := range lanes {
+		if w != 100 {
+			t.Errorf("lane widths %v, want 100 each", lanes)
+			return
 		}
 	}
 }
@@ -65,15 +74,11 @@ func TestDiagramEmptyRun(t *testing.T) {
 		Params: model.Params{N: 2, D: time.Millisecond, U: 0},
 		Views:  []runs.TimedView{{Proc: 0, End: model.Infinity}, {Proc: 1, End: model.Infinity}},
 	}
-	out := tracefmt.Diagram{Width: 40}.Render(r, nil)
-	if out == "" {
-		t.Error("empty render")
-	}
+	checkLanes(t, tracefmt.Diagram(r, nil), 2)
 }
 
 func TestRunJSONRoundTrip(t *testing.T) {
-	c := sampleCluster(t)
-	r := runs.FromSim(c.Simulator())
+	r := sampleCluster(t).Simulator().Trace()
 	data, err := tracefmt.MarshalRun(r)
 	if err != nil {
 		t.Fatalf("MarshalRun: %v", err)

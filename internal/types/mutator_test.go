@@ -3,6 +3,7 @@ package types_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"timebounds/internal/spec"
@@ -23,9 +24,10 @@ var fuzzTypes = []spec.DataType{
 // encoded like an int (int64 1) and some not ("1", nil, true, 2.5).
 var mutatorArgs = []spec.Value{0, 1, 2, 3, 10, 11, -1, -12, 4000, 5000, int64(1), "1", "a", nil, true, 2.5}
 
-// treeNodes are the tree node names the fuzz draws from. None holds '<'
-// or ',', which would let two different trees encode alike.
-var treeNodes = []string{types.TreeRoot, "a", "b", "c"}
+// treeNodes are the tree node names the fuzz draws from. "a<b" and
+// "b<root" hold the encoding's own punctuation: the trees {a<b←root} and
+// {a←b<root}, each with b<root←root, must still encode apart.
+var treeNodes = []string{types.TreeRoot, "a", "b", "c", "a<b", "b<root"}
 
 // mutatorOp decodes one script byte into an operation of dt: the byte
 // picks a kind, and what is left of it an argument (a dict put or key
@@ -50,6 +52,23 @@ func mutatorOp(dt spec.DataType, b byte) (spec.OpKind, spec.Value) {
 	return kind, mutatorArgs[i%len(mutatorArgs)]
 }
 
+// scriptOf encodes operations of dt as the script bytes mutatorOp decodes
+// back into them.
+func scriptOf(tb testing.TB, dt spec.DataType, ops ...spec.Invocation) []byte {
+	var script []byte
+next:
+	for _, op := range ops {
+		for b := 0; b < 256; b++ {
+			if kind, arg := mutatorOp(dt, byte(b)); kind == op.Kind && reflect.DeepEqual(arg, op.Arg) {
+				script = append(script, byte(b))
+				continue next
+			}
+		}
+		tb.Fatalf("no script byte decodes to %s(%v)", op.Kind, op.Arg)
+	}
+	return script
+}
+
 // FuzzMutatorAgreesWithApply checks the spec.Mutator and spec.Equaler
 // contracts of every bundled type on the states a script of Apply calls
 // reaches. At each step, for state s and the step's operation, s is
@@ -63,7 +82,9 @@ func mutatorOp(dt spec.DataType, b byte) (spec.OpKind, spec.Value) {
 // Then, for every pair (a, b) of states the chain reached, EqualStates(a,
 // b) and spec.SameState hold exactly when the encodings are equal.
 //
-// The seeds are 40 random 25-step scripts for each type.
+// The seeds are 40 random 25-step scripts for each type, and one tree
+// script that reaches two trees whose node names hold the encoding's own
+// punctuation: {a<b←root} and {a←b<root}, each beside b<root←root.
 func FuzzMutatorAgreesWithApply(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for run := 0; run < 40; run++ {
@@ -73,6 +94,12 @@ func FuzzMutatorAgreesWithApply(f *testing.F) {
 			f.Add(uint8(i), script)
 		}
 	}
+	tree := slices.IndexFunc(fuzzTypes, func(dt spec.DataType) bool { return dt.Name() == "tree" })
+	f.Add(uint8(tree), scriptOf(f, fuzzTypes[tree],
+		spec.Invocation{Kind: types.OpTreeInsert, Arg: types.Edge{Node: "b<root", Parent: types.TreeRoot}},
+		spec.Invocation{Kind: types.OpTreeInsert, Arg: types.Edge{Node: "a<b", Parent: types.TreeRoot}},
+		spec.Invocation{Kind: types.OpTreeDelete, Arg: "a<b"},
+		spec.Invocation{Kind: types.OpTreeInsert, Arg: types.Edge{Node: "a", Parent: "b<root"}}))
 	f.Fuzz(func(t *testing.T, which uint8, script []byte) {
 		dt := fuzzTypes[int(which)%len(fuzzTypes)]
 		eq, ok := spec.Optional[spec.Equaler](dt)

@@ -1,6 +1,11 @@
 package types
 
-import "timebounds/internal/spec"
+import (
+	"strconv"
+	"strings"
+
+	"timebounds/internal/spec"
+)
 
 // Operation kinds on rooted trees (Chapter VI.C).
 const (
@@ -190,8 +195,7 @@ func (Tree) Mutate(s spec.State, kind spec.OpKind, arg spec.Value) (spec.State, 
 }
 
 // EqualStates implements spec.Equaler: the same nodes under the same
-// parents. Node names with '<' or ',' in them can render two different
-// trees alike (EncodeState); EqualStates tells them apart.
+// parents.
 //
 //tb:hotpath
 func (Tree) EqualStates(a, b spec.State) bool {
@@ -226,9 +230,10 @@ func (Tree) Class(kind spec.OpKind) spec.OpClass {
 }
 
 // EncodeState implements spec.DataType: "tree:{node<parent,...}", the
-// entries in the byte order of their renderings. A tree of up to 16 nodes
-// is rendered and sorted in stack buffers, so it allocates only the
-// returned string.
+// entries in the byte order of their renderings. A name holding '<', ','
+// or '"' is quoted (strconv.Quote), so two different trees never render
+// alike. A tree of up to 16 nodes is rendered and sorted in stack buffers,
+// so it allocates only the returned string.
 func (Tree) EncodeState(s spec.State) string {
 	t, _ := s.(treeState)
 	var bufArr [256]byte
@@ -239,8 +244,17 @@ func (Tree) EncodeState(s spec.State) string {
 	}
 	for n, p := range t {
 		start := len(buf)
-		buf = append(append(append(buf, n...), '<'), p...)
+		buf = appendTreeName(append(appendTreeName(buf, n), '<'), p)
 		spans = append(spans, [2]int{start, len(buf)})
 	}
 	return joinSorted("tree:{", buf, spans, '}')
+}
+
+// appendTreeName renders a node name for EncodeState: as it is, or quoted
+// when it holds a character the encoding itself uses.
+func appendTreeName(buf []byte, name string) []byte {
+	if strings.ContainsAny(name, `<,"`) {
+		return strconv.AppendQuote(buf, name)
+	}
+	return append(buf, name...)
 }

@@ -3,6 +3,7 @@ package types_test
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -226,7 +227,8 @@ func TestEncodeStateCanonical(t *testing.T) {
 
 // TestTreeEncodeStateOrder holds Tree.EncodeState to its rendering as a
 // sorted join of "node<parent" entries, on names where sorting nodes alone
-// would order entries differently ("a" < "a!", but "a!<…" < "a<…").
+// would order entries differently ("a" < "a!", but "a!<…" < "a<…"); a
+// name holding '<', ',' or '"' renders quoted.
 func TestTreeEncodeStateOrder(t *testing.T) {
 	tr := types.NewTree()
 	parents := map[string]string{types.TreeRoot: types.TreeRoot}
@@ -238,9 +240,15 @@ func TestTreeEncodeStateOrder(t *testing.T) {
 		s, _ = tr.Apply(s, types.OpTreeInsert, e)
 		parents[e.Node] = e.Parent
 	}
+	name := func(n string) string {
+		if strings.ContainsAny(n, `<,"`) {
+			return strconv.Quote(n)
+		}
+		return n
+	}
 	var parts []string
 	for n, p := range parents {
-		parts = append(parts, fmt.Sprintf("%s<%s", n, p))
+		parts = append(parts, fmt.Sprintf("%s<%s", name(n), name(p)))
 	}
 	sort.Strings(parts)
 	if got, want := tr.EncodeState(s), "tree:{"+strings.Join(parts, ",")+"}"; got != want {
