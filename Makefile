@@ -116,16 +116,18 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Where the time and the allocations go in the two simulated benches the
-# ROADMAP's profiles read (BenchmarkGridVerify, BenchmarkStudyOpenLoop in
-# internal/engine), at -cpu 2, the repository benchmark's pinned pool: a
-# CPU profile and an alloc profile (-memprofilerate 1, every allocation)
-# of each, written with the test binary to $(PROFILE_DIR) (git-ignored),
-# then each profile's top 25. CI runs it as information only.
+# Where the time and the allocations go in the three simulated benches the
+# ROADMAP's profiles read (BenchmarkGridVerify, BenchmarkStudyOpenLoop and
+# BenchmarkRunShardedZipfMigrate in internal/engine, the shapes of the
+# grid-verify, load-study and zipf-migrate workloads), at -cpu 2, the
+# repository benchmark's pinned pool: a CPU profile and an alloc profile
+# (-memprofilerate 1, every allocation) of each, written with the test
+# binary to $(PROFILE_DIR) (git-ignored), then each profile's top 25. CI
+# runs it as information only.
 PROFILE_DIR ?= profiles
 profile:
 	@mkdir -p $(PROFILE_DIR)
-	@set -e; for b in GridVerify StudyOpenLoop; do \
+	@set -e; for b in GridVerify StudyOpenLoop RunShardedZipfMigrate; do \
 		$(GO) test -run '^$$' -bench "^Benchmark$$b$$" -benchmem -benchtime 30x -cpu 2 \
 			-o $(PROFILE_DIR)/engine.test -cpuprofile $(PROFILE_DIR)/$$b.cpu.pprof ./internal/engine | grep '^Benchmark'; \
 		$(GO) test -run '^$$' -bench "^Benchmark$$b$$" -benchtime 20x -cpu 2 -memprofilerate 1 \

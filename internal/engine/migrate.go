@@ -298,9 +298,15 @@ func (st *migrateState) slotted(x, s, j int) {
 // so ws go back to their engine with idle storage.
 func (p *shardPlan) runPhased(ws []*worker, scs []Scenario, finish bool) ([]Scenario, []Result, error) {
 	st := p.mig
-	delays := make([]*sim.RandomDelay, len(ws))
+	// Each shard's delay source lives as long as its run: the first worker
+	// keeps one per shard, which each run's build re-seeds.
+	for len(ws[0].shardDelays) < len(scs) {
+		ws[0].shardDelays = append(ws[0].shardDelays, sim.NewRandomDelay(0, 0, 0))
+	}
+	shardDelays := ws[0].shardDelays
+	delays := make([]*sim.RandomDelay, len(ws)) // the workers' own, restored on return
 	for i, w := range ws {
-		delays[i], w.delay = w.delay, nil // each shard's lives as long as its run
+		delays[i] = w.delay
 	}
 	runs := make([]simRun, len(scs))
 	defer func() {
@@ -313,7 +319,10 @@ func (p *shardPlan) runPhased(ws []*worker, scs []Scenario, finish bool) ([]Scen
 			}
 		}
 	}()
-	each(ws, len(scs), func(w *worker, i int) { runs[i] = scs[i].resolved().start(w, st.held[p.run[i]]) })
+	each(ws, len(scs), func(w *worker, i int) {
+		w.delay = shardDelays[i]
+		runs[i] = scs[i].resolved().start(w, st.held[p.run[i]])
+	})
 	pos := p.positions()
 	for k, mig := range st.plan.Migrations {
 		each(ws, len(runs), func(_ *worker, i int) { runs[i].advance(mig.At - 1) })

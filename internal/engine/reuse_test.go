@@ -113,7 +113,10 @@ func TestWorkerReuseIsUnobservable(t *testing.T) {
 // the old operation); a Mutator type (dict) then a queue; a premature
 // tuning; all-oop; a replica that recovers from a crash and stays
 // syncing, buffering invocations; open-loop bursts that defer, once cut
-// at the horizon with invocations still deferred; and a study.
+// at the horizon with invocations still deferred; a study; and migrating
+// sharded runs under random delays (their default) over 3, 12, then 3
+// shards, whose phased shards draw from per-shard delay sources the
+// engine re-seeds.
 func warmSteps() []struct {
 	name string
 	run  func(e *engine.Engine) (any, error)
@@ -159,6 +162,9 @@ func warmSteps() []struct {
 	runs := func(scs ...engine.Scenario) func(e *engine.Engine) (any, error) {
 		return func(e *engine.Engine) (any, error) { return e.Run(scs), nil }
 	}
+	sharded := func(ss engine.ShardedScenario) func(e *engine.Engine) (any, error) {
+		return func(e *engine.Engine) (any, error) { return e.RunSharded(ss) }
+	}
 	return []struct {
 		name string
 		run  func(e *engine.Engine) (any, error)
@@ -178,6 +184,9 @@ func warmSteps() []struct {
 			rep, err := reuseStudy().Run(context.Background(), e)
 			return studyView(rep), err
 		}},
+		{"migrate", sharded(migratingScenario(7))},
+		{"migrate-12-shards", sharded(zipfMigrateScenario(2))},
+		{"migrate-again", sharded(migratingScenario(8))},
 		{"n=4-again", runs(closed(engine.Algorithm1{}, types.NewRegister(0), 4))},
 	}
 }

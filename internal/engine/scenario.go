@@ -331,18 +331,20 @@ func (sc Scenario) build(in *fault.Injector, w *worker) (Instance, error) {
 // Runs on reused storage are bit-identical to runs on fresh storage, and
 // no Result points into it. Nil storage and sources mean fresh ones per
 // run: &worker{} is the reference path (Build). A phased run's shards
-// outlive their turns on a worker, so they get delay sources of their own
-// and, while its arenas are lent out, fresh event storage and replicas
-// (runPhased).
+// outlive their turns on a worker, so they get delay sources of their own,
+// one per shard kept on the first worker (shardDelays) and re-seeded the
+// same way, and, while its arenas are lent out, fresh event storage and
+// replicas (runPhased).
 type worker struct {
-	caches   *check.CacheSet
-	check    check.Options
-	sim      *sim.Arena
-	replicas *core.Arena
-	samples  workload.Samples
-	sched    []workload.Invocation
-	rng      *rand.Rand
-	delay    *sim.RandomDelay
+	caches      *check.CacheSet
+	check       check.Options
+	sim         *sim.Arena
+	replicas    *core.Arena
+	samples     workload.Samples
+	sched       []workload.Invocation
+	rng         *rand.Rand
+	delay       *sim.RandomDelay
+	shardDelays []*sim.RandomDelay
 }
 
 // newWorker returns a worker with its own reusable storage; pool gives it

@@ -10,6 +10,7 @@ import (
 	"timebounds/internal/keyspace"
 	"timebounds/internal/model"
 	"timebounds/internal/spec"
+	"timebounds/internal/types"
 	"timebounds/internal/workload"
 )
 
@@ -159,56 +160,78 @@ func (staticPlacement) extra() []placed                             { return nil
 func (staticPlacement) slotted(x, s, j int)                         {}
 
 // route is the one bucketer of keyed operations into shard schedules. It
-// walks the workload's operations (ForEachOp), puts each on the shard pl
-// places it on, queues pl's extra invocations behind them, and derives a
-// scenario for every non-empty shard, its schedule sorted by (At,
-// generation order). It runs serially before the worker pool, so the
-// shard scenarios — and therefore the merged report — stay bit-identical
-// at any worker count.
+// walks the workload's operations (ForEachOp), appends each to the shard
+// pl places it on, sorts every shard's schedule stably by At (appends
+// come in generation order, so that is the (At, generation order) sort),
+// inserts pl's extra invocations behind every operation offered no later,
+// and derives a scenario for every non-empty shard. It runs serially
+// before the worker pool, so the shard scenarios — and therefore the
+// merged report — stay bit-identical at any worker count.
 func (p *shardPlan) route(pl placement) ([]Scenario, error) {
-	type ordered struct {
-		inv workload.Invocation
-		ord int
-	}
 	ss := p.ss
-	buckets := make([][]ordered, p.shards)
-	total := 0
-	err := ss.Workload.ForEachOp(ss.Params, ss.Seed, func(op workload.KeyOp, ord int) error {
+	buckets := make([][]workload.Invocation, p.shards)
+	keys := make(keyArgs)
+	err := ss.Workload.ForEachOp(ss.Params, ss.Seed, func(op workload.KeyOp, _ int) error {
 		var s int
 		s, op.At = pl.place(op)
-		inv, err := op.Invocation()
+		inv, err := keys.invocation(op)
 		if err != nil {
 			return err
 		}
-		buckets[s] = append(buckets[s], ordered{inv: inv, ord: ord})
-		total++
+		buckets[s] = append(buckets[s], inv)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for x, e := range pl.extra() {
-		buckets[e.shard] = append(buckets[e.shard], ordered{inv: e.inv, ord: total + x})
+	for _, b := range buckets {
+		slices.SortStableFunc(b, func(x, y workload.Invocation) int { return cmp.Compare(x.At, y.At) })
+	}
+	extra := pl.extra()
+	order := make([]int, len(extra)) // extra's indexes in (shard, At, index) order
+	for x := range order {
+		order[x] = x
+	}
+	slices.SortStableFunc(order, func(x, y int) int {
+		return cmp.Or(cmp.Compare(extra[x].shard, extra[y].shard), cmp.Compare(extra[x].inv.At, extra[y].inv.At))
+	})
+	for _, x := range order {
+		e := extra[x]
+		j, _ := slices.BinarySearchFunc(buckets[e.shard], e.inv.At, func(inv workload.Invocation, at model.Time) int {
+			if inv.At <= at {
+				return -1
+			}
+			return 1
+		})
+		buckets[e.shard] = slices.Insert(buckets[e.shard], j, e.inv)
+		pl.slotted(x, e.shard, j)
 	}
 	label := cmp.Or(ss.Workload.Name, "sharded")
 	var scs []Scenario
-	for s, b := range buckets {
-		slices.SortFunc(b, func(x, y ordered) int {
-			return cmp.Or(cmp.Compare(x.inv.At, y.inv.At), cmp.Compare(x.ord, y.ord))
-		})
-		invs := make([]workload.Invocation, len(b))
-		for j, r := range b {
-			invs[j] = r.inv
-			if r.ord >= total {
-				pl.slotted(r.ord-total, s, j)
-			}
-		}
+	for s, invs := range buckets {
 		if len(invs) > 0 {
 			p.run = append(p.run, s)
 			scs = append(scs, ss.shardScenario(s, workload.Spec{Name: fmt.Sprintf("%s/shard=%d", label, s), Explicit: invs}))
 		}
 	}
 	return scs, nil
+}
+
+// keyArgs holds each get/delete key argument of a route, boxed once.
+type keyArgs map[string]spec.Value
+
+// invocation is op.Invocation with the key argument of a get or a delete
+// boxed once per distinct key.
+func (k keyArgs) invocation(op workload.KeyOp) (workload.Invocation, error) {
+	if op.Kind != types.OpDictGet && op.Kind != types.OpDelete {
+		return op.Invocation()
+	}
+	arg, ok := k[op.Key]
+	if !ok {
+		arg = op.Key
+		k[op.Key] = arg
+	}
+	return workload.Invocation{At: op.At, Proc: op.Proc, Kind: op.Kind, Arg: arg}, nil
 }
 
 // Scenarios returns the per-shard engine scenarios the sharded scenario

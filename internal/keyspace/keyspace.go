@@ -6,10 +6,10 @@
 // verifies across the handoff (internal/engine, ShardedScenario.Plan).
 //
 // The package never materializes the key universe: a Workload emits a
-// workload.Sharded whose schedule is a constant-memory stream — memory is
-// bounded by the operation count and the partition's range table, not by
-// Space.N — which is what makes the zipf-migrate benchmark workload
-// feasible at ≥100k keys.
+// workload.Sharded whose schedule is a stream — memory is bounded by the
+// operation count, the distinct keys the stream touches and the
+// partition's range table, not by Space.N — which is what makes the
+// zipf-migrate benchmark workload feasible at ≥100k keys.
 package keyspace
 
 import (
@@ -56,17 +56,30 @@ func (s Space) Key(i int) string {
 	if i < 0 {
 		return fmt.Sprintf("%s%0*d", s.prefix(), s.Width(), i)
 	}
+	var b strings.Builder
+	return s.writeKey(&b, i)
+}
+
+// writeKey writes the name of the i-th key (i ≥ 0) to b and returns it.
+func (s Space) writeKey(b *strings.Builder, i int) string {
 	var digits [20]byte
 	d := strconv.AppendInt(digits[:0], int64(i), 10)
-	p, w := s.prefix(), s.Width()
-	var b strings.Builder
-	b.Grow(len(p) + max(w, len(d)))
-	b.WriteString(p)
-	for n := len(d); n < w; n++ {
-		b.WriteByte('0')
+	return writeName(b, s.prefix(), '0', s.Width()-len(d), d)
+}
+
+// writeName writes head, n copies of fill and digits to b, growing it by
+// their length first, and returns them as one string: a substring of b's
+// buffer, which b never writes over.
+func writeName(b *strings.Builder, head string, fill byte, n int, digits []byte) string {
+	n = max(n, 0)
+	start := b.Len()
+	b.Grow(len(head) + n + len(digits))
+	b.WriteString(head)
+	for range n {
+		b.WriteByte(fill)
 	}
-	b.Write(d)
-	return b.String()
+	b.Write(digits)
+	return b.String()[start:]
 }
 
 // Index parses a key name back to its index, rejecting names outside the
@@ -323,11 +336,15 @@ func (w Workload) Rate(p model.Params) float64 {
 // Stream calls fn for every generated keyed operation in arrival order.
 // The sequence is a pure function of (workload, p, seed): one seeded
 // source drives tenant choice, key choice, and kind choice. Memory is
-// O(tenants), never O(Space.N).
+// O(operations + distinct keys touched), never O(Space.N): each key is
+// rendered once per stream, and the keys and put values are cut from
+// shared text chunks (streamText), so a put costs one allocation (its
+// value's box) and a get or delete none.
 func (w Workload) Stream(p model.Params, seed int64, fn func(op workload.KeyOp) error) error {
 	if err := w.Validate(); err != nil {
 		return err
 	}
+	text := streamText{keys: make(map[int]string)}
 	rng := rand.New(rand.NewSource(seed))
 	tenants := w.Tenants
 	if len(tenants) == 0 {
@@ -358,16 +375,15 @@ func (w Workload) Stream(p model.Params, seed int64, fn func(op workload.KeyOp) 
 				pick -= t.Weight
 			}
 		}
-		key := w.Space.Key(samplers[ti]())
 		proc := model.ProcessID(i % p.N)
-		op := workload.KeyOp{At: at, Proc: proc, Key: key}
+		op := workload.KeyOp{At: at, Proc: proc, Key: text.key(w.Space, samplers[ti]())}
 		switch pick := rng.Intn(mix.total()); {
 		case pick < mix.Put:
 			op.Kind = types.OpPut
 			// Values carry tenant provenance and the op ordinal, so every
 			// write is distinguishable and never nil (nil is the dict's
 			// "absent" and the migration handoff's empty-slot marker).
-			op.Value = tenants[ti].Name + "#" + strconv.Itoa(i)
+			op.Value = text.value(tenants[ti].Name, i)
 		case pick < mix.Put+mix.Get:
 			op.Kind = types.OpDictGet
 		default:
@@ -379,6 +395,51 @@ func (w Workload) Stream(p model.Params, seed int64, fn func(op workload.KeyOp) 
 		at += spacing
 	}
 	return nil
+}
+
+// textChunk is the size of one streamText chunk: a 2 400-operation stream
+// fills about five.
+const textChunk = 4 << 10
+
+// streamText renders one stream's keys and put values. Each distinct key
+// index is rendered once (keys), and every string is cut from the current
+// append-only chunk; a full chunk is dropped, never reused, so the strings
+// handed out of it stay as they were.
+type streamText struct {
+	chunk strings.Builder
+	keys  map[int]string
+}
+
+// key returns the name of s's i-th key, rendering it on first use.
+func (t *streamText) key(s Space, i int) string {
+	if k, ok := t.keys[i]; ok {
+		return k
+	}
+	var k string
+	if i < 0 {
+		k = s.Key(i)
+	} else {
+		t.room(len(s.prefix()) + 20) // Width and i both have at most 19 digits
+		k = s.writeKey(&t.chunk, i)
+	}
+	t.keys[i] = k
+	return k
+}
+
+// value returns the put value of the i-th operation, tenant's: name#i.
+func (t *streamText) value(tenant string, i int) string {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	t.room(len(tenant) + 1 + len(d))
+	return writeName(&t.chunk, tenant, '#', 1, d)
+}
+
+// room starts a new chunk unless the current one has n bytes free.
+func (t *streamText) room(n int) {
+	if t.chunk.Cap()-t.chunk.Len() < n {
+		t.chunk = strings.Builder{}
+		t.chunk.Grow(max(n, textChunk))
+	}
 }
 
 // Sharded emits the engine-ready keyed spec: a workload.Sharded whose

@@ -22,6 +22,7 @@ import (
 	"timebounds/internal/core"
 	"timebounds/internal/engine"
 	"timebounds/internal/history"
+	"timebounds/internal/keyspace"
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
 	"timebounds/internal/spec"
@@ -172,6 +173,18 @@ func AllocBudgets() []AllocBudget {
 			Brief:  "fold one latency sample into a warm OnlineStats sketch",
 			Budget: 0, // fixed-size sketch: zero once every bucket exists
 			Make:   makeOnlineObserve,
+		},
+		{
+			Name:  "keyspace/stream",
+			Brief: "generate one 2 400-op Zipf(1.25) stream over 120 000 keys with a no-op callback",
+			// Each of the 584 distinct keys is rendered once, and keys and
+			// put values are cut from 4 KB text chunks. What is left is the
+			// box of each of the 1 195 put values, five chunks, and the
+			// intern table, seeded source and Zipf sampler — 1 222
+			// measured, also under -race. Rendering every key and
+			// concatenating every value cost 5 939.
+			Budget: 1230,
+			Make:   makeKeyspaceStream,
 		},
 		{
 			Name:  "tob/enqueue-drain",
@@ -551,6 +564,19 @@ func makeOnlineObserve() func() {
 		unit() // populate every sketch bucket the distribution reaches
 	}
 	return unit
+}
+
+// makeKeyspaceStream: the keyed stream a sharded run routes, the shape of
+// the zipf-migrate benchmark workload's.
+func makeKeyspaceStream() func() {
+	w := keyspace.Workload{Space: keyspace.Space{N: 120_000}, Model: keyspace.Zipf{S: 1.25}, Ops: 2400}
+	p := waveParams(4)
+	nop := func(workload.KeyOp) error { return nil }
+	return warm(func() {
+		if err := w.Stream(p, 1, nop); err != nil {
+			panic(err)
+		}
+	})
 }
 
 // drainCount is a Deliverer that only counts, so the TOB budget measures
