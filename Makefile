@@ -12,10 +12,13 @@ build:
 # hotpath (//tb:hotpath functions stay fmt-free, boxing-free,
 # closure-capture-free), ctxhygiene (pipeline goroutine sends guarded by
 # a cancellation arm), and pkgdoc (every package documented). See docs/STATIC_ANALYSIS.md; suppress a
-# finding only with a reasoned //tbvet:ignore directive.
+# finding only with a reasoned //tbvet:ignore directive. The benchmark
+# is its own module, which `./...` skips, so it is vetted (and therefore
+# compiled against the packages it uses) on its own.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/tbvet .
+	cd benchmark && $(GO) vet ./...
 
 # The CI lint artifact: the same suite, machine-readable. @-silenced so
 # `make vet-json > findings.json` captures pure JSON.

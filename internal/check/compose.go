@@ -9,39 +9,25 @@ import (
 // a system of independently specified objects is linearizable iff each
 // per-object subhistory is linearizable. Composition is that theorem as a
 // verdict: it folds the per-component checker verdicts of a partitioned
-// system — the engine's per-shard sub-clusters — into the verdict for the
-// whole composed object, without ever checking the (exponentially larger)
+// system — the engine's per-shard sub-clusters, plus each migrated key's
+// per-epoch pieces and stitched history — into the verdict for the whole
+// composed object, without ever checking the (exponentially larger)
 // combined history.
 
-// WholeRun marks a component spanning every ownership epoch — the Epoch
-// value of components of systems whose partition never changes (and of the
-// per-shard components of a migrating store, which run the whole timeline).
-const WholeRun = -1
-
 // Component is one independently checked object of a composed system: a
-// shard of a sharded store, any disjoint sub-object, or — for a store
-// whose partition changes mid-run — one epoch slice of a migrated key's
-// history.
+// shard of a sharded store, any disjoint sub-object, or, for a store
+// whose partition changes mid-run, one epoch's piece of a migrated key's
+// history or that key's stitched whole-run history. The name says which
+// (the engine suffixes "/key=k/epoch=e" and "/key=k/stitched").
 type Component struct {
 	// Name identifies the component (e.g. the shard's scenario name).
 	Name string
-	// Epoch keys the component to one ownership epoch of a migrating
-	// system: epoch e is the interval between cutover e and cutover e+1.
-	// WholeRun (-1) marks components spanning every epoch. A stitched
-	// cross-migration component carries the epoch it stitches into (the
-	// later one).
-	Epoch int
 	// Checked reports whether the linearizability checker ran on the
 	// component's history.
 	Checked bool
 	// Linearizable is the component's checker verdict (meaningful only
 	// when Checked).
 	Linearizable bool
-}
-
-// EpochComponent builds a component pinned to one ownership epoch.
-func EpochComponent(name string, epoch int, checked, linearizable bool) Component {
-	return Component{Name: name, Epoch: epoch, Checked: checked, Linearizable: linearizable}
 }
 
 // Composition is the locality verdict over a set of components.
@@ -91,18 +77,6 @@ func (c Composition) Failing() []string {
 	for _, comp := range c.Components {
 		if comp.Checked && !comp.Linearizable {
 			out = append(out, comp.Name)
-		}
-	}
-	return out
-}
-
-// ByEpoch returns the components pinned to the given epoch, in
-// composition order (pass WholeRun for the epoch-spanning components).
-func (c Composition) ByEpoch(epoch int) []Component {
-	var out []Component
-	for _, comp := range c.Components {
-		if comp.Epoch == epoch {
-			out = append(out, comp)
 		}
 	}
 	return out

@@ -134,29 +134,17 @@ func TestComposeDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestComposeByEpoch(t *testing.T) {
+func TestComposeStitchedFailsAlone(t *testing.T) {
 	// A migrated key's verdict set: per-shard components spanning the whole
 	// run, one component per ownership epoch of the moved key, and the
 	// stitched cross-migration component.
 	c := Compose(
-		Component{Name: "shard-0", Epoch: WholeRun, Checked: true, Linearizable: true},
-		Component{Name: "shard-1", Epoch: WholeRun, Checked: true, Linearizable: true},
-		EpochComponent("key=a/epoch=0", 0, true, true),
-		EpochComponent("key=a/epoch=1", 1, true, true),
-		EpochComponent("key=a/stitched", WholeRun, true, false),
+		Component{Name: "shard-0", Checked: true, Linearizable: true},
+		Component{Name: "shard-1", Checked: true, Linearizable: true},
+		Component{Name: "key=a/epoch=0", Checked: true, Linearizable: true},
+		Component{Name: "key=a/epoch=1", Checked: true, Linearizable: true},
+		Component{Name: "key=a/stitched", Checked: true},
 	)
-	if got := c.ByEpoch(0); len(got) != 1 || got[0].Name != "key=a/epoch=0" {
-		t.Fatalf("ByEpoch(0) = %+v", got)
-	}
-	if got := c.ByEpoch(1); len(got) != 1 || got[0].Name != "key=a/epoch=1" {
-		t.Fatalf("ByEpoch(1) = %+v", got)
-	}
-	if got := c.ByEpoch(WholeRun); len(got) != 3 {
-		t.Fatalf("ByEpoch(WholeRun) = %+v", got)
-	}
-	if got := c.ByEpoch(7); len(got) != 0 {
-		t.Fatalf("ByEpoch(7) = %+v", got)
-	}
 	// The epoch-split pieces all pass; only the stitched whole-key view
 	// fails — exactly the handoff-violation shape — and the composition
 	// surfaces it.
@@ -165,16 +153,5 @@ func TestComposeByEpoch(t *testing.T) {
 	}
 	if f := c.Failing(); len(f) != 1 || f[0] != "key=a/stitched" {
 		t.Fatalf("Failing() = %v", f)
-	}
-}
-
-func TestEpochComponent(t *testing.T) {
-	comp := EpochComponent("n", 3, true, false)
-	want := Component{Name: "n", Epoch: 3, Checked: true, Linearizable: false}
-	if comp != want {
-		t.Fatalf("EpochComponent = %+v, want %+v", comp, want)
-	}
-	if WholeRun != -1 {
-		t.Fatalf("WholeRun = %d", WholeRun)
 	}
 }

@@ -51,8 +51,8 @@ var corruptHandoff func(key string, v spec.Value) spec.Value
 // queues. Test-only: it shows no stretch of a shard is simulated twice.
 var countInvocations func(n int)
 
-// Handoff records one migrated key's state transfer and its stitched
-// cross-epoch verdict.
+// Handoff records one migrated key's state transfer and where its stitched
+// cross-epoch verdict is.
 type Handoff struct {
 	// Key is the migrated key; Migration indexes the plan's migration and
 	// Cutover echoes its instant.
@@ -64,11 +64,11 @@ type Handoff struct {
 	// Transferred reports that a settled non-nil value was carried across
 	// (false when the key was absent at the cutover).
 	Transferred bool
-	// Checked/Linearizable carry the key's stitched component verdict:
-	// the whole client history of the key, across every epoch, excluding
-	// synthetic handoff writes, checked from the empty object.
-	Checked      bool
-	Linearizable bool
+	// Stitched indexes the key's "/key=<Key>/stitched" component in the
+	// report's Composition — the whole client history of the key, across
+	// every epoch, excluding synthetic handoff writes, checked from the
+	// empty object — or is -1 when the scenario did not verify.
+	Stitched int
 }
 
 // EpochStats summarizes shard skew within one ownership epoch.
@@ -623,45 +623,48 @@ func (st *migrateState) finish(out *ShardedReport, p shardPlan, components []che
 			byShard[idx] = &out.Shards[ri]
 		}
 	}
-	stitchedVerdict := make(map[string]bool)
+	keys := st.migratedKeys()
+	stitchedAt := make(map[string]int, len(keys)) // each key's stitched component index
 	if p.ss.Verify {
 		orders := make(map[int]history.UpdateOrder)
-		for _, key := range st.migratedKeys() {
+		for _, key := range keys {
 			pieces, stitched := st.keyRecords(key, byShard, orders)
 			for e, piece := range pieces {
 				if len(piece) > 0 {
-					components = append(components, check.EpochComponent(
-						fmt.Sprintf("%s/key=%s/epoch=%d", p.ss.Name, key, e),
-						e, true, st.verify(piece)))
+					components = append(components, check.Component{
+						Name:    fmt.Sprintf("%s/key=%s/epoch=%d", p.ss.Name, key, e),
+						Checked: true, Linearizable: st.verify(piece)})
 				}
 			}
 			slices.SortStableFunc(stitched, func(a, b history.Record) int {
 				return cmp.Or(cmp.Compare(a.Invoke, b.Invoke), cmp.Compare(a.ID, b.ID))
 			})
-			ok := st.verify(stitched)
-			stitchedVerdict[key] = ok
-			components = append(components, check.EpochComponent(
-				fmt.Sprintf("%s/key=%s/stitched", p.ss.Name, key),
-				check.WholeRun, true, ok))
+			stitchedAt[key] = len(components)
+			components = append(components, check.Component{
+				Name:    fmt.Sprintf("%s/key=%s/stitched", p.ss.Name, key),
+				Checked: true, Linearizable: st.verify(stitched)})
 		}
 	}
 
 	for _, h := range st.handoffs { // in (migration, key) order
+		at, verified := stitchedAt[h.key]
+		if !verified {
+			at = -1
+		}
 		out.Handoffs = append(out.Handoffs, Handoff{
-			Key:          h.key,
-			Migration:    h.mig,
-			Cutover:      st.plan.Migrations[h.mig].At,
-			From:         h.from,
-			To:           h.to,
-			Transferred:  h.inv.Kind == types.OpPut,
-			Checked:      p.ss.Verify,
-			Linearizable: stitchedVerdict[h.key],
+			Key:         h.key,
+			Migration:   h.mig,
+			Cutover:     st.plan.Migrations[h.mig].At,
+			From:        h.from,
+			To:          h.to,
+			Transferred: h.inv.Kind == types.OpPut,
+			Stitched:    at,
 		})
 		if h.inv.Kind != "" {
 			out.Stats.HandoffOps++
 		}
 	}
-	out.Stats.MovedKeys = len(st.migratedKeys())
+	out.Stats.MovedKeys = len(keys)
 	out.Stats.Epochs = st.plan.Epochs()
 	out.Stats.DrainDeferred = st.deferred
 

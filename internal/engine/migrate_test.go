@@ -38,6 +38,20 @@ func migratingScenario(seed int64) engine.ShardedScenario {
 	}
 }
 
+// stitchedOf returns h's stitched component, failing the test unless
+// h.Stitched indexes the report's "/key=<h.Key>/stitched" component.
+func stitchedOf(t *testing.T, rep engine.ShardedReport, h engine.Handoff) check.Component {
+	t.Helper()
+	if h.Stitched < 0 || h.Stitched >= len(rep.Composition.Components) {
+		t.Fatalf("handoff of %s indexes component %d of %d", h.Key, h.Stitched, len(rep.Composition.Components))
+	}
+	comp := rep.Composition.Components[h.Stitched]
+	if !strings.HasSuffix(comp.Name, "/key="+h.Key+"/stitched") {
+		t.Fatalf("handoff of %s indexes component %q", h.Key, comp.Name)
+	}
+	return comp
+}
+
 func TestRunShardedMigrationGreen(t *testing.T) {
 	rep, err := engine.RunSharded(migratingScenario(7))
 	if err != nil {
@@ -61,8 +75,8 @@ func TestRunShardedMigrationGreen(t *testing.T) {
 	if h.Key != "key-000" || h.From != 0 || h.To != 2 || h.Migration != 0 {
 		t.Fatalf("handoff = %+v", h)
 	}
-	if !h.Checked || !h.Linearizable {
-		t.Fatalf("stitched verdict missing: %+v", h)
+	if comp := stitchedOf(t, rep, h); !comp.Checked || !comp.Linearizable {
+		t.Fatalf("stitched verdict = %+v", comp)
 	}
 	if rep.Stats.HandoffOps != 1 || !h.Transferred {
 		// The hottest Zipf key sees puts long before the cutover, so a
@@ -70,11 +84,19 @@ func TestRunShardedMigrationGreen(t *testing.T) {
 		t.Fatalf("handoff did not transfer: %+v", h)
 	}
 	// Composition carries per-shard, per-epoch, and stitched components.
-	if got := len(rep.Composition.ByEpoch(check.WholeRun)); got < len(rep.Shards)+1 {
-		t.Fatalf("whole-run components = %d, want per-shard + stitched", got)
+	count := func(suffix string) int {
+		n := 0
+		for _, comp := range rep.Composition.Components {
+			if strings.HasSuffix(comp.Name, suffix) {
+				n++
+			}
+		}
+		return n
 	}
-	if len(rep.Composition.ByEpoch(0)) == 0 || len(rep.Composition.ByEpoch(1)) == 0 {
-		t.Fatalf("per-epoch components missing: %+v", rep.Composition.Components)
+	keyed := count("/stitched") + count("/epoch=0") + count("/epoch=1")
+	if count("/stitched") != 1 || count("/epoch=0") == 0 || count("/epoch=1") == 0 ||
+		len(rep.Composition.Components) != len(rep.Shards)+keyed {
+		t.Fatalf("components = %+v, want one per shard, per epoch piece, and one stitched", rep.Composition.Components)
 	}
 	// Client accounting: per-shard ops sum to the report total, and the
 	// synthetic handoff write stays out of both.
@@ -104,6 +126,22 @@ func TestRunShardedMigrationGreen(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "migrations:") {
 		t.Fatal("report rendering lost the migration block")
+	}
+
+	// Unverified, the same store composes no key components, and every
+	// handoff says so.
+	ss := migratingScenario(7)
+	ss.Verify = false
+	unverified, err := engine.RunSharded(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := unverified.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(unverified.Handoffs) != 1 || unverified.Handoffs[0].Stitched != -1 ||
+		!strings.Contains(unverified.String(), "stitched-linearizable=-") {
+		t.Fatalf("unverified handoffs = %+v, want Stitched -1; rendered:\n%s", unverified.Handoffs, unverified.String())
 	}
 }
 
@@ -169,7 +207,7 @@ func TestShardedHandoffCorruptionOnlyComposedCheckCatches(t *testing.T) {
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Handoffs) != 1 || !rep.Handoffs[0].Transferred || !rep.Handoffs[0].Linearizable {
+	if len(rep.Handoffs) != 1 || !rep.Handoffs[0].Transferred || !stitchedOf(t, rep, rep.Handoffs[0]).Linearizable {
 		t.Fatalf("honest handoff = %+v", rep.Handoffs)
 	}
 	for _, res := range rep.Shards {
@@ -210,7 +248,7 @@ func TestShardedHandoffCorruptionOnlyComposedCheckCatches(t *testing.T) {
 	if rep.Linearizable() {
 		t.Fatal("composed verdict accepted a corrupted handoff")
 	}
-	if rep.Handoffs[0].Linearizable {
+	if stitchedOf(t, rep, rep.Handoffs[0]).Linearizable {
 		t.Fatalf("handoff verdict accepted corruption: %+v", rep.Handoffs[0])
 	}
 	err = rep.Err()
@@ -257,7 +295,7 @@ func TestShardedMigrationChain(t *testing.T) {
 		t.Fatalf("epochs=%d handoffs=%d, want 3/2", rep.Stats.Epochs, len(rep.Handoffs))
 	}
 	for i, h := range rep.Handoffs {
-		if h.Migration != i || h.Key != "m" || !h.Transferred || !h.Linearizable {
+		if h.Migration != i || h.Key != "m" || !h.Transferred || !stitchedOf(t, rep, h).Linearizable {
 			t.Fatalf("handoff %d = %+v", i, h)
 		}
 	}

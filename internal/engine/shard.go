@@ -22,9 +22,6 @@ import (
 // ShardedReport — a composed linearizability verdict (linearizability is
 // local, so the store is linearizable iff every shard is), aggregate
 // latency-vs-bound margins, and shard-skew statistics.
-//
-// This is the engine-managed form of what examples/kvstore used to
-// hand-roll with per-key schedule bookkeeping.
 type ShardedScenario struct {
 	// Name labels the sharded run; empty names are derived from the
 	// coordinates.
@@ -70,8 +67,8 @@ func (ss ShardedScenario) resolved() ShardedScenario {
 		ss.Backend = Algorithm1{}
 	}
 	if ss.Params.Epsilon == 0 {
-		// Same default the per-shard scenarios resolve to; the merged
-		// bound checks must use identical parameters.
+		// Same default the per-shard scenarios resolve to; a migration's
+		// drain and settle windows must use identical parameters.
 		ss.Params.Epsilon = ss.Params.OptimalSkew()
 	}
 	if ss.Name == "" {
@@ -304,9 +301,9 @@ type ShardedReport struct {
 	// shards (synthetic handoff writes are accounted in
 	// Stats.HandoffOps, not here).
 	Ops int
-	// Handoffs records each migrated key's state transfer and its
-	// stitched cross-epoch verdict, in (migration, key) order; nil
-	// without a Plan.
+	// Handoffs records each migrated key's state transfer and the index
+	// of its stitched component in Composition, in (migration, key)
+	// order; nil without a Plan.
 	Handoffs []Handoff
 	// HotKeys are the most-operated observed keys (top 10, by client
 	// operation count), for load-driven hot-key splitting
@@ -318,28 +315,24 @@ type ShardedReport struct {
 // the scenario verified).
 func (r ShardedReport) Linearizable() bool { return r.Composition.Linearizable() }
 
-// OK reports whether every shard ran, converged, linearized (when
-// checked), and stayed within every class bound.
+// OK reports whether every shard is OK and, when checked, every migrated
+// key's components linearized.
 func (r ShardedReport) OK() bool { return r.Err() == nil }
 
-// Err returns the first shard failure, composition violation, or bound
-// violation as an error, or nil.
+// Err returns the first shard's failure, worded as Report.Err words that
+// Result, then — when the scenario verified — the first failing
+// migrated-key component, or nil. Shards run at the store's backend and
+// parameters, so the merged bounds hold when every shard's do.
 func (r ShardedReport) Err() error {
 	for _, res := range r.Shards {
-		if res.Err != "" {
-			return fmt.Errorf("engine: shard %q: %s", res.Name, res.Err)
-		}
-		if !res.Converged {
-			return fmt.Errorf("engine: shard %q: %s", res.Name, res.Diverged)
+		if err := res.failure(); err != nil {
+			return err
 		}
 	}
 	if len(r.Shards) > 0 && r.Shards[0].Checked {
 		if err := r.Composition.Err(); err != nil {
 			return fmt.Errorf("engine: sharded scenario %q: %w", r.Name, err)
 		}
-	}
-	if err := exceeded(r.Bounds); err != nil {
-		return fmt.Errorf("engine: sharded scenario %q: %w", r.Name, err)
 	}
 	return nil
 }
@@ -390,8 +383,8 @@ func (r ShardedReport) String() string {
 			r.Stats.MovedKeys, r.Stats.HandoffOps, r.Stats.DrainDeferred)
 		for _, h := range r.Handoffs {
 			verdict := "-"
-			if h.Checked {
-				verdict = fmt.Sprintf("%v", h.Linearizable)
+			if h.Stitched >= 0 {
+				verdict = fmt.Sprintf("%v", r.Composition.Components[h.Stitched].Linearizable)
 			}
 			fmt.Fprintf(&b, "  mig %d @%s  %s: shard %d → %d  transferred=%v  stitched-linearizable=%s\n",
 				h.Migration, h.Cutover, h.Key, h.From, h.To, h.Transferred, verdict)
@@ -477,7 +470,6 @@ func (p shardPlan) merge(rep Report) ShardedReport {
 		}
 		components = append(components, check.Component{
 			Name:         res.Name,
-			Epoch:        check.WholeRun,
 			Checked:      res.Checked,
 			Linearizable: res.Linearizable,
 		})
@@ -512,8 +504,7 @@ func (p shardPlan) merge(rep Report) ShardedReport {
 			out.Stats.SlowestShard = res.Name
 		}
 		for _, bc := range res.Bounds {
-			out.Bounds = foldBound(out.Bounds, bc.Class, bc.Measured, bc.Count,
-				p.ss.Backend.Bound(p.ss.Params, p.ss.X, bc.Class))
+			out.Bounds = foldBound(out.Bounds, bc.Class, bc.Measured, bc.Count, bc.Bound)
 		}
 	}
 	if out.Stats.Empty > 0 || out.Stats.MinOps < 0 {

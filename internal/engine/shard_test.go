@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -252,6 +253,42 @@ func TestShardedKeyOutsideKeySpaceRejectedOnEveryPath(t *testing.T) {
 		_, err := engine.RunSharded(ss)
 		if err == nil || !strings.Contains(err.Error(), `explicit operation on key "zzz" outside the declared key space`) {
 			t.Errorf("%s: RunSharded error = %v, want the undeclared key rejected", name, err)
+		}
+	}
+}
+
+// TestShardedErrWordsEachShardAsItsRun doctors one shard Result per
+// failure branch and expects the store's verdict to be that Result's own,
+// word for word as Report.Err gives it.
+func TestShardedErrWordsEachShardAsItsRun(t *testing.T) {
+	plan, scs, err := engine.ExpandSharded(shardedScenario(5, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := engine.Run(scs)
+	if err := honest.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		doctor func(*engine.Result)
+	}{
+		{"run error", func(r *engine.Result) { r.Err = "boom" }},
+		{"divergence", func(r *engine.Result) { r.Converged, r.Diverged = false, "copy 2 differs" }},
+		{"not linearizable", func(r *engine.Result) { r.Linearizable = false }},
+		{"class bound exceeded", func(r *engine.Result) {
+			r.Bounds = slices.Clone(r.Bounds)
+			r.Bounds[0].Measured, r.Bounds[0].OK = r.Bounds[0].Bound+1, false
+		}},
+	} {
+		rep := engine.Report{Results: slices.Clone(honest.Results)}
+		tc.doctor(&rep.Results[1])
+		want := rep.Err()
+		if want == nil {
+			t.Fatalf("%s: doctored Result still OK", tc.name)
+		}
+		if got := engine.MergeSharded(plan, rep).Err(); got == nil || got.Error() != want.Error() {
+			t.Errorf("%s:\n got %v\nwant %v", tc.name, got, want)
 		}
 	}
 }

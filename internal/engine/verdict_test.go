@@ -113,15 +113,24 @@ func TestFamilyAndRunVerdictWording(t *testing.T) {
 		want string
 	}{
 		{"shard error", ShardedReport{Name: "st", Shards: []Result{{Name: "s0", Err: "boom"}}},
-			`engine: shard "s0": boom`},
+			`engine: scenario "s0": boom`},
 		{"shard divergence", ShardedReport{Name: "st", Shards: shard(func(r *Result) { r.Converged, r.Diverged = false, "copy 1 differs" })},
-			`engine: shard "s0": copy 1 differs`},
+			`engine: scenario "s0": copy 1 differs`},
+		{"shard not linearizable", ShardedReport{Name: "st", Shards: shard(func(r *Result) { r.Linearizable = false })},
+			`engine: scenario "s0": history not linearizable`},
+		{"shard bound", ShardedReport{Name: "st", Shards: shard(func(r *Result) { r.Bounds = exceeded })},
+			`engine: scenario "s0": OOP worst latency 3ms exceeds bound 2ms`},
 		{"composition", ShardedReport{Name: "st", Shards: shard(func(*Result) {}),
-			Composition: check.Compose(check.Component{Name: "s0", Epoch: check.WholeRun, Checked: true})},
+			Composition: check.Compose(check.Component{Name: "s0", Checked: true})},
 			`engine: sharded scenario "st": check: composed object not linearizable: component "s0" failed (s0)`},
-		{"merged bound", ShardedReport{Name: "st", Shards: shard(func(*Result) {}), Bounds: exceeded,
-			Composition: check.Compose(check.Component{Name: "s0", Epoch: check.WholeRun, Checked: true, Linearizable: true})},
-			`engine: sharded scenario "st": OOP worst latency 3ms exceeds bound 2ms`},
+		{"migrated key's stitched history", ShardedReport{Name: "st", Shards: shard(func(*Result) {}),
+			Composition: check.Compose(
+				check.Component{Name: "s0", Checked: true, Linearizable: true},
+				check.Component{Name: "st/key=k/epoch=0", Checked: true, Linearizable: true},
+				check.Component{Name: "st/key=k/stitched", Checked: true})},
+			`engine: sharded scenario "st": check: composed object not linearizable: component "st/key=k/stitched" failed (st/key=k/stitched)`},
+		{"unverified store", ShardedReport{Name: "st", Shards: shard(func(r *Result) { r.Checked, r.Linearizable = false, false }),
+			Composition: check.Compose(check.Component{Name: "s0"})}, ""},
 	} {
 		if got := errText(tc.rep.Err()); got != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)

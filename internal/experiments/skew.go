@@ -142,8 +142,11 @@ func SkewSweep(ctx context.Context, opt SkewSweepOptions) (SkewReport, error) {
 				Workload: w.Sharded(shards),
 				Plan:     &keyspace.Plan{Base: keyspace.RangePartition(space, shards)},
 			})
+			if err == nil {
+				err = sr.Err() // a failing store is no measured point
+			}
 			if err != nil {
-				return rep, err
+				return rep, fmt.Errorf("experiments: skew point s=%g at %.1f ops/s: %w", s, load, err)
 			}
 			pt := SkewCell{
 				Exponent:  s,

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"timebounds/internal/engine"
 )
 
 // skewTestOptions is a small deterministic sweep: two exponents, three
@@ -100,5 +103,29 @@ func TestSkewSweepOptionValidation(t *testing.T) {
 	opt.Loads = []float64{100, 50}
 	if _, err := SkewSweep(context.Background(), opt); err == nil {
 		t.Error("descending load axis accepted")
+	}
+}
+
+// unbuildable is Algorithm 1 by name and bound, but no run of it builds.
+type unbuildable struct{ engine.Algorithm1 }
+
+func (unbuildable) Build(engine.BuildConfig) (engine.Instance, error) {
+	return nil, errors.New("no cluster")
+}
+
+// TestSkewSweepRejectsFailingStore: a store whose shards fail is no
+// measured point; the sweep returns the store's failure, naming the
+// point, instead of a row.
+func TestSkewSweepRejectsFailingStore(t *testing.T) {
+	opt := skewTestOptions()
+	opt.Backend = unbuildable{}
+	measured := 0
+	opt.OnPoint = func(SkewCell) { measured++ }
+	rep, err := SkewSweep(context.Background(), opt)
+	if err == nil || !strings.Contains(err.Error(), "s=1.1 at 60.0 ops/s") || !strings.Contains(err.Error(), "no cluster") {
+		t.Fatalf("err = %v, want the first point's shard build failure", err)
+	}
+	if measured != 0 || len(rep.Points) != 0 {
+		t.Fatalf("failing store measured as %d points: %+v", measured, rep.Points)
 	}
 }
