@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-adversary test-faults test-keyspace test-live fuzz-smoke bench profile cover vet vet-json fmt examples loc
+.PHONY: build test test-adversary test-faults test-keyspace test-live fuzz-smoke bench profile cover vet vet-json fmt examples loc golden
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,20 @@ loc:
 	@printf 'api.golden lines: '; wc -l < testdata/api.golden
 	@echo 'non-test LOC per package:'
 	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); sub("^[.]/", "", d); n[d] += $$1 } END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k1,1nr -k2
+
+# Re-record every golden file the main module's tests pin, after an
+# intended output change: the facade's exported surface
+# (testdata/api.golden), the engine's message-path and sharded-routing
+# digests, the experiments' load and skew sweep CSVs and every `tb`
+# subcommand's stdout (cmd/tb/testdata). Commit the diff with the change
+# that caused it; CI runs this target and fails on any diff. The
+# benchmark's digests (benchmark/golden/*.digest) are left out: only a
+# run of the benchmark itself re-records them (its -update-golden flag).
+golden:
+	$(GO) test -run '^TestPublicAPIGolden$$' . -update
+	$(GO) test -run '^(TestMessagePathGolden|TestShardedRoutingGolden)$$' ./internal/engine -update
+	$(GO) test -run '^(TestLoadSweepCSVGolden|TestSkewSweepCSVGolden)$$' ./internal/experiments -update-golden
+	$(GO) test -run '^TestGolden$$' ./cmd/tb -update
 
 # Coverage summary per package (uploaded as a CI artifact).
 cover:

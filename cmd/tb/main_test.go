@@ -2,49 +2,58 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
+
 // TestGolden pins every subcommand's stdout byte for byte against
-// testdata/<name>.golden. Each invocation is deterministic at any worker
-// count; progress lines go to stderr and are not compared.
+// testdata/<name>.golden; -update rewrites them. Each invocation is
+// deterministic at any worker count; progress lines go to stderr and are
+// not compared.
 func TestGolden(t *testing.T) {
 	for name, args := range map[string]string{
-		"sim-verify":              "sim -verify",
-		"grid-verify":             "grid -verify",
-		"grid-shards":             "grid -shards 3 -keys 12 -verify",
-		"grid-migrate":            "grid -backends algorithm1 -ns 3 -shards 3 -keys 60 -ops 6 -seeds 1 -verify -migrate",
-		"grid-adversary":          "grid -types register -adversary c1,d1,e1",
-		"grid-faults":             "grid -types register -faults all -verify",
-		"adv-default":             "adv",
-		"adv-faults-json":         "adv -faults all -json",
-		"adv-us-json":             "adv -us 1ms,2ms,4ms,8ms -json",
-		"sweep-x":                 "sweep",
-		"sweep-n":                 "sweep -sweep n",
-		"sweep-base":              "sweep -sweep base",
-		"sweep-gap":               "sweep -sweep gap",
-		"sweep-load":              "sweep -sweep load -ops 6 -steps 4",
-		"sweep-skew":              "sweep -sweep skew -n 3 -keys 2000 -shards 4 -exponents 1.2,2.0 -loads 60,600 -ops 40",
-		"tables-all":              "tables",
-		"trace-quickstart":        "trace",
-		"trace-fig1":              "trace -scenario fig1",
-		"trace-thmC1":             "trace -scenario thmC1",
-		"trace-json":              "trace -json",
-		"classify-bounds":         "classify -bounds",
-		"stress-sharded":          "stress -mode sharded",
-		"stress-exhaustive":       "stress -mode exhaustive",
-		"stress-exhaustive-msgs5": "stress -mode exhaustive -msgs 5",
-		"stress-campaign":         "stress -mode campaign",
+		"sim-verify":        "sim -verify",
+		"grid-verify":       "grid -verify",
+		"grid-shards":       "grid -shards 3 -keys 12 -verify",
+		"grid-migrate":      "grid -backends algorithm1 -ns 3 -shards 3 -keys 60 -ops 6 -seeds 1 -verify -migrate",
+		"grid-adversary":    "grid -types register -adversary c1,d1,e1",
+		"grid-faults":       "grid -types register -faults all -verify",
+		"adv-default":       "adv",
+		"adv-faults-json":   "adv -faults all -json",
+		"adv-us-json":       "adv -us 1ms,2ms,4ms,8ms -json",
+		"sweep-x":           "sweep",
+		"sweep-n":           "sweep -sweep n",
+		"sweep-base":        "sweep -sweep base",
+		"sweep-gap":         "sweep -sweep gap",
+		"sweep-load":        "sweep -sweep load -ops 6 -steps 4",
+		"sweep-skew":        "sweep -sweep skew -n 3 -keys 2000 -shards 4 -exponents 1.2,2.0 -loads 60,600 -ops 40",
+		"tables-all":        "tables",
+		"trace-quickstart":  "trace",
+		"trace-fig1":        "trace -scenario fig1",
+		"trace-thmC1":       "trace -scenario thmC1",
+		"trace-json":        "trace -json",
+		"classify-bounds":   "classify -bounds",
+		"stress-sharded":    "stress -mode sharded",
+		"stress-exhaustive": "stress -mode exhaustive",
+		"stress-campaign":   "stress -mode campaign",
 	} {
 		t.Run(name, func(t *testing.T) {
 			var out, errOut bytes.Buffer
 			if code := tb(strings.Fields(args), &out, &errOut); code != 0 {
 				t.Fatalf("tb %s: exit %d\n%s", args, code, errOut.String())
 			}
-			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			path := filepath.Join("testdata", name+".golden")
+			if *updateGolden {
+				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,7 +38,6 @@ func runStress(args []string, stdout, stderr io.Writer) error {
 	var (
 		mode    = fs.String("mode", "campaign", "exhaustive|campaign|sharded|live")
 		seeds   = fs.Int("seeds", 5, "seeds per object × policy (campaign) / per shard count (sharded) / per object (live)")
-		msgs    = fs.Int("msgs", 6, "independent delay slots (exhaustive)")
 		keys    = fs.Int("keys", 12, "key-space size (sharded)")
 		liveTCP = fs.Bool("live-tcp", false, "include a loopback-TCP cluster in the live sweep")
 		m       = addModelFlags(fs, "n d u ops", 3, 4)
@@ -52,7 +51,7 @@ func runStress(args []string, stdout, stderr io.Writer) error {
 	}
 	switch *mode {
 	case "exhaustive":
-		return exhaustive(stdout, p, *msgs)
+		return exhaustive(stdout, p)
 	case "campaign":
 		return campaign(stdout, p, *seeds, m.ops)
 	case "sharded":
@@ -67,8 +66,8 @@ func runStress(args []string, stdout, stderr io.Writer) error {
 // exhaustive runs two racing RMWs and a late read in every world of the
 // adversary lattice; every world must be OK (linearizable, convergent,
 // within the class bounds).
-func exhaustive(stdout io.Writer, p model.Params, msgs int) error {
-	worlds, err := engine.Lattice{MaxMessages: msgs}.Worlds(engine.Scenario{
+func exhaustive(stdout io.Writer, p model.Params) error {
+	rep, err := engine.New(0).RunLattice(engine.Scenario{
 		DataType: types.NewRMWRegister(0),
 		Params:   p,
 		Workload: workload.Spec{Explicit: []workload.Invocation{
@@ -81,7 +80,6 @@ func exhaustive(stdout io.Writer, p model.Params, msgs int) error {
 	if err != nil {
 		return err
 	}
-	rep := engine.New(0).Run(worlds)
 	var bad []engine.Result
 	for _, r := range rep.Results {
 		if !r.OK() {

@@ -17,8 +17,8 @@
 // The lower-bound proof machinery (internal/adversary) runs through it
 // too: an AdversarySpec expands a theorem's run family — delay matrices,
 // clock shifts, premature tunings — into ordinary scenarios whose Results
-// carry BoundWitnesses, and a Lattice expands one scenario into every
-// world of its finite delay/offset lattice, so upper-bound workloads,
+// carry BoundWitnesses, and RunLattice runs one scenario in every world
+// of its finite delay/offset lattice, so upper-bound workloads,
 // lower-bound constructions and exhaustive checks share one execution
 // path.
 package engine

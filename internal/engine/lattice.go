@@ -2,88 +2,88 @@ package engine
 
 import (
 	"fmt"
-	"slices"
+	"strings"
 
 	"timebounds/internal/model"
 	"timebounds/internal/sim"
 )
 
-// Lattice is the finite adversary lattice of one scenario: every message
-// delay drawn from the extremes {d-u, d} of its admissible range and every
-// clock offset from {0, -ε}, so the offsets lie pairwise within ε. In the
-// model of Chapter III a run is fixed by exactly these choices, so running
-// every world proves (or refutes) an implementation over the whole
-// lattice.
-type Lattice struct {
-	// MaxMessages is the number of messages that get an independent delay
-	// choice; later messages reuse the choices cyclically, which caps the
-	// lattice at 2^MaxMessages worlds per offset assignment. Zero means 8.
-	MaxMessages int
+// maxLatticeWorlds caps a lattice: 2^16 worlds, the race of `tb stress -n 6`.
+const maxLatticeWorlds = 1 << 16
+
+// world is a lattice point: clock offsets, and a prefix delaying messages
+// in send order, '1' by d and '0' or none by d-u. sent counts its sends.
+type world struct {
+	offsets []model.Time
+	prefix  string
+	sent    int
 }
 
-// Worlds expands base into one scenario per world of the lattice: offset
-// assignments outer, delay choices inner, each in menu order. A world is
-// base with the world's ClockOffsets and a delay policy over the world's
-// own choice vector, labelled with both, so a failing Result names its
-// world. Epsilon 0 resolves to the optimal skew first, as a run would.
-func (l Lattice) Worlds(base Scenario) ([]Scenario, error) {
-	p := base.Params
-	if p.Epsilon == 0 {
-		p.Epsilon = p.OptimalSkew()
-	}
+// RunLattice runs base in every world of its adversary lattice: each clock
+// offset 0 or -ε and each message the run sends delayed d-u or d, the
+// choices that fix a run in the model of Chapter III. It searches delay
+// prefixes depth-first, a generation of worlds at a time on e's workers:
+// each message a run sends past its world's prefix spawns a child that
+// keeps the earlier choices and delays that message by d. A child replays
+// its parent up to that send, so every reachable delay vector runs once,
+// even where what a run sends depends on earlier delays. Past 2^16 worlds
+// it returns an error naming the count found so far, not a partial report.
+func (e *Engine) RunLattice(base Scenario) (Report, error) {
+	p := base.resolved().Params // ε resolved, as a run would
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return Report{}, err
 	}
-	delayMenu := []model.Time{p.MinDelay(), p.D}
-	offsetMenu := []model.Time{0, -p.Epsilon}
-	maxMsgs := l.MaxMessages
-	if maxMsgs < 0 {
-		return nil, fmt.Errorf("engine: lattice MaxMessages %d is negative", maxMsgs)
+	if maxLatticeWorlds>>p.N == 0 { // the 2^n offset assignments alone pass the cap
+		return Report{}, fmt.Errorf("engine: adversary lattice has at least 2^%d worlds, more than %d", p.N, maxLatticeWorlds)
 	}
-	if maxMsgs == 0 {
-		maxMsgs = 8
-	}
-
-	var worlds []Scenario
-	for oi := make([]int, p.N); ; {
-		offsets := make([]model.Time, p.N)
-		for i, k := range oi {
-			offsets[i] = offsetMenu[k]
-		}
-		for di := make([]int, maxMsgs); ; {
-			choice := slices.Clone(di) // each world runs on its own copy, possibly in parallel
-			w := base
-			w.ClockOffsets = offsets
-			w.Delay = DelaySpec{
-				Policy: func(model.Params, int64) sim.DelayPolicy {
-					return sim.FuncDelay(func(_, _ model.ProcessID, _ model.Time, seq int) model.Time {
-						return delayMenu[choice[seq%len(choice)]]
-					})
-				},
-				Label: fmt.Sprintf("lattice/offsets=%v/delays=%v", offsets, choice),
-			}
-			if w.Name != "" {
-				w.Name += "/" + w.Delay.Label
-			}
-			worlds = append(worlds, w)
-			if !nextDigits(di, len(delayMenu)) {
-				break
-			}
-		}
-		if !nextDigits(oi, len(offsetMenu)) {
-			return worlds, nil
+	gen := make([]*world, 1<<p.N)
+	for m := range gen {
+		gen[m] = &world{offsets: make([]model.Time, p.N)}
+		for j := range p.N {
+			gen[m].offsets[j] = -p.Epsilon * model.Time(m>>j&1)
 		}
 	}
+	var rep Report
+	for len(gen) > 0 {
+		scs := make([]Scenario, len(gen))
+		for i, w := range gen {
+			scs[i] = w.scenario(base)
+		}
+		rep.Results = append(rep.Results, e.Run(scs).Results...)
+		n := len(rep.Results)
+		for _, w := range gen {
+			n += w.sent - len(w.prefix)
+		}
+		if n > maxLatticeWorlds {
+			return Report{}, fmt.Errorf("engine: adversary lattice has at least %d worlds, more than %d", n, maxLatticeWorlds)
+		}
+		next := make([]*world, 0, n-len(rep.Results))
+		for _, w := range gen {
+			for i := len(w.prefix); i < w.sent; i++ {
+				next = append(next, &world{offsets: w.offsets, prefix: w.prefix + strings.Repeat("0", i-len(w.prefix)) + "1"})
+			}
+		}
+		gen = next
+	}
+	return rep, nil
 }
 
-// nextDigits advances digits as a base-radix odometer, last digit fastest,
-// and reports false once it wraps back to all zeros.
-func nextDigits(digits []int, radix int) bool {
-	for i := len(digits) - 1; i >= 0; i-- {
-		if digits[i]++; digits[i] < radix {
-			return true
-		}
-		digits[i] = 0
+// scenario is base in world w, counting the messages it sends into w.sent.
+func (w *world) scenario(base Scenario) Scenario {
+	base.ClockOffsets = w.offsets
+	base.Delay = DelaySpec{
+		Policy: func(p model.Params, _ int64) sim.DelayPolicy {
+			return sim.FuncDelay(func(model.ProcessID, model.ProcessID, model.Time, int) model.Time {
+				if w.sent++; w.sent <= len(w.prefix) && w.prefix[w.sent-1] == '1' {
+					return p.D
+				}
+				return p.MinDelay()
+			})
+		},
+		Label: fmt.Sprintf("lattice/offsets=%v/delays=%s0…", w.offsets, w.prefix),
 	}
-	return false
+	if base.Name != "" {
+		base.Name += "/" + base.Delay.Label
+	}
+	return base
 }

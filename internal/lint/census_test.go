@@ -16,7 +16,7 @@ import (
 // package with that prefix and suffix ("*Options").
 var censusTypes = map[string][]string{
 	"internal/engine": {
-		"Scenario", "ShardedScenario", "Grid", "Lattice", "Study", "LoadRamp",
+		"Scenario", "ShardedScenario", "Grid", "Study", "LoadRamp",
 		"Runtime", "DelaySpec", "FaultSpec", "AdversarySpec", "AdversaryRun", "WitnessSpec",
 	},
 	"internal/check":       {"Options"},
