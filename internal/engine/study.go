@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"timebounds/internal/model"
@@ -238,7 +239,7 @@ func (s Study) resolve() (Study, []float64, error) {
 		s.Seeds = []int64{seed}
 	}
 	s.mix = workload.DefaultMix(s.Base.DataType)
-	s.name = fmt.Sprintf("%s/%s", s.Base.Backend.Name(), s.Base.DataType.Name())
+	s.name = s.Base.Backend.Name() + "/" + s.Base.DataType.Name()
 	axis := s.Loads
 	if len(axis) == 0 {
 		var err error
@@ -273,16 +274,26 @@ func (s Study) spacing(load float64) model.Time {
 	return gap
 }
 
-// scenarios expands one offered-load point into its per-seed scenarios.
+// scenarios expands one offered-load point into its per-seed scenarios,
+// named study/<name>/load=<load>/seed=<seed> in one stack buffer, the
+// way derivedName names a grid's.
 func (s Study) scenarios(load float64) []Scenario {
 	gap := s.spacing(load)
+	var arr [96]byte
+	wl := string(strconv.AppendFloat(append(arr[:0], "open-"...), load, 'f', 1, 64))
 	out := make([]Scenario, 0, len(s.Seeds))
 	for _, seed := range s.Seeds {
 		sc := s.Base
 		sc.Seed = seed
-		sc.Name = fmt.Sprintf("study/%s/load=%.1f/seed=%d", s.name, load, seed)
+		b := append(arr[:0], "study/"...)
+		b = append(b, s.name...)
+		b = append(b, "/load="...)
+		b = strconv.AppendFloat(b, load, 'f', 1, 64)
+		b = append(b, "/seed="...)
+		b = strconv.AppendInt(b, seed, 10)
+		sc.Name = string(b)
 		sc.Workload = workload.Spec{
-			Name:          fmt.Sprintf("open-%.1f", load),
+			Name:          wl,
 			Mode:          workload.Open,
 			Mix:           s.mix,
 			OpsPerProcess: s.OpsPerPoint,

@@ -175,6 +175,17 @@ func AllocBudgets() []AllocBudget {
 			Make:   makeOnlineObserve,
 		},
 		{
+			Name:  "workload/default-mix-schedule",
+			Brief: "expand each bundled data type's default mix at n = 4, 50 operations per process, into a reused buffer and source",
+			// Every argument comes from a table built at package init or
+			// from spec.BoxInt's cache: 0 measured, also under -race. When
+			// the mixes rendered tree names and boxed each edge, dict KV
+			// and account amount per call, the tree's expansion cost 429,
+			// the dict's 169 and the account's 29.
+			Budget: 0,
+			Make:   makeDefaultMixSchedule,
+		},
+		{
 			Name:  "keyspace/stream",
 			Brief: "generate one 2 400-op Zipf(1.25) stream over 120 000 keys with a no-op callback",
 			// Each of the 584 distinct keys is rendered once, and keys and
@@ -526,10 +537,7 @@ func makeConverge() func() {
 	p := waveParams(4)
 	var insts []engine.Instance
 	for _, b := range []engine.Backend{engine.Algorithm1{}, engine.TOB{}} {
-		for _, dt := range []spec.DataType{
-			types.NewRegister(0), types.NewRMWRegister(0), types.NewQueue(), types.NewStack(), types.NewSet(),
-			types.NewTree(), types.NewCounter(), types.NewDict(), types.NewPQueue(), types.NewAccount(),
-		} {
+		for _, dt := range bundledTypes() {
 			inst, err := engine.Scenario{Backend: b, DataType: dt, Params: p, Seed: 1}.Build()
 			if err != nil {
 				panic(err)
@@ -552,6 +560,35 @@ func makeConverge() func() {
 			if _, err := inst.ConvergedState(); err != nil {
 				panic(err)
 			}
+		}
+	})
+}
+
+// bundledTypes returns one instance of every bundled data type.
+func bundledTypes() []spec.DataType {
+	return []spec.DataType{
+		types.NewRegister(0), types.NewRMWRegister(0), types.NewQueue(), types.NewStack(), types.NewSet(),
+		types.NewTree(), types.NewCounter(), types.NewDict(), types.NewPQueue(), types.NewAccount(),
+	}
+}
+
+// makeDefaultMixSchedule: the schedule expansion an engine worker runs
+// for each grid scenario, on the buffer and source it keeps.
+func makeDefaultMixSchedule() func() {
+	p := waveParams(4)
+	var specs []workload.Spec
+	for _, dt := range bundledTypes() {
+		specs = append(specs, workload.Spec{OpsPerProcess: 50}.WithDefaults(p, dt))
+	}
+	var dst []workload.Invocation
+	rng := rand.New(rand.NewSource(1))
+	return warm(func() {
+		for _, s := range specs {
+			sched, err := s.AppendSchedule(dst[:0], rng, p, 1)
+			if err != nil {
+				panic(err)
+			}
+			dst = sched.Invocations
 		}
 	})
 }

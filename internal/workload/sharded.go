@@ -199,12 +199,14 @@ func keySeed(seed int64, key string) int64 {
 }
 
 // keyMix is the default per-key operation mix: a write-biased
-// put/get/delete stream on the key.
+// put/get/delete stream on the key, which is boxed once for the mix.
 func keyMix(key string) OpMix {
+	boxed := spec.Value(key)
+	keyArg := func(int) spec.Value { return boxed }
 	return OpMix{
-		{Kind: types.OpPut, Weight: 4, Arg: func(i int) spec.Value { return types.KV{Key: key, Value: i} }},
-		{Kind: types.OpDictGet, Weight: 3, Arg: func(int) spec.Value { return key }},
-		{Kind: types.OpDelete, Weight: 1, Arg: func(int) spec.Value { return key }},
+		{Kind: types.OpPut, Weight: 4, Arg: func(i int) spec.Value { return types.KV{Key: key, Value: spec.BoxInt(i)} }},
+		{Kind: types.OpDictGet, Weight: 3, Arg: keyArg},
+		{Kind: types.OpDelete, Weight: 1, Arg: keyArg},
 	}
 }
 

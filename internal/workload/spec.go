@@ -183,17 +183,14 @@ func (s Spec) Schedule(p model.Params, seed int64) (Schedule, error) {
 // fresh rand.New(rand.NewSource(seed)). A nil rng means a fresh source;
 // dst grows to the schedule size (N × OpsPerProcess) at most once. The
 // returned Schedule's Invocations is the extended dst.
+//
+//tb:hotpath
 func (s Spec) AppendSchedule(dst []Invocation, rng *rand.Rand, p model.Params, seed int64) (Schedule, error) {
 	if len(s.Explicit) > 0 {
-		for _, inv := range s.Explicit {
-			if inv.Proc < 0 || int(inv.Proc) >= p.N {
-				return Schedule{}, fmt.Errorf("workload: spec %q invokes process %d outside [0, %d)", s.Name, inv.Proc, p.N)
-			}
-		}
-		return Schedule{Invocations: append(dst, s.Explicit...)}, nil
+		return s.appendExplicit(dst, p.N)
 	}
 	if s.Mix == nil && len(s.PerProcess) == 0 {
-		return Schedule{}, fmt.Errorf("workload: spec %q has no mix and no explicit schedule", s.Name)
+		return Schedule{}, s.noMix()
 	}
 	if err := s.Validate(); err != nil {
 		return Schedule{}, err
@@ -213,15 +210,9 @@ func (s Spec) AppendSchedule(dst []Invocation, rng *rand.Rand, p model.Params, s
 		if len(s.PerProcess) > 0 {
 			mix = s.PerProcess[proc%len(s.PerProcess)]
 		}
-		total := 0
-		for _, w := range mix {
-			if w.Weight <= 0 {
-				return Schedule{}, fmt.Errorf("workload: weight %d for %q", w.Weight, w.Kind)
-			}
-			total += w.Weight
-		}
-		if total == 0 {
-			return Schedule{}, fmt.Errorf("workload: empty mix for process %d", proc)
+		total, err := mixTotal(mix, proc)
+		if err != nil {
+			return Schedule{}, err
 		}
 		at := s.Start
 		for i := 0; i < s.OpsPerProcess; i++ {
@@ -249,6 +240,41 @@ func (s Spec) AppendSchedule(dst []Invocation, rng *rand.Rand, p model.Params, s
 		}
 	}
 	return sched, nil
+}
+
+// appendExplicit, noMix and mixTotal are AppendSchedule's paths that
+// can fail: they live outside it so the //tb:hotpath function stays free
+// of fmt.
+
+// appendExplicit appends the explicit schedule to dst, rejecting any
+// invocation of a process outside [0, n).
+func (s Spec) appendExplicit(dst []Invocation, n int) (Schedule, error) {
+	for _, inv := range s.Explicit {
+		if inv.Proc < 0 || int(inv.Proc) >= n {
+			return Schedule{}, fmt.Errorf("workload: spec %q invokes process %d outside [0, %d)", s.Name, inv.Proc, n)
+		}
+	}
+	return Schedule{Invocations: append(dst, s.Explicit...)}, nil
+}
+
+func (s Spec) noMix() error {
+	return fmt.Errorf("workload: spec %q has no mix and no explicit schedule", s.Name)
+}
+
+// mixTotal sums the weights of proc's mix, rejecting a non-positive
+// weight and an empty mix.
+func mixTotal(mix OpMix, proc int) (int, error) {
+	total := 0
+	for _, w := range mix {
+		if w.Weight <= 0 {
+			return 0, fmt.Errorf("workload: weight %d for %q", w.Weight, w.Kind)
+		}
+		total += w.Weight
+	}
+	if total == 0 {
+		return 0, fmt.Errorf("workload: empty mix for process %d", proc)
+	}
+	return total, nil
 }
 
 // gap returns the pause after the i-th operation: the ramp-scaled spacing,
@@ -280,7 +306,7 @@ func Race(p model.Params, start, gap model.Time, rounds int, kinds ...spec.OpKin
 	for r := 0; r < rounds; r++ {
 		for _, k := range kinds {
 			for proc := 0; proc < p.N; proc++ {
-				invs = append(invs, Invocation{At: at, Proc: model.ProcessID(proc), Kind: k, Arg: r*p.N + proc})
+				invs = append(invs, Invocation{At: at, Proc: model.ProcessID(proc), Kind: k, Arg: spec.BoxInt(r*p.N + proc)})
 			}
 			at += gap
 		}
@@ -301,8 +327,34 @@ var registerMix = OpMix{
 	{Kind: types.OpRMW, Weight: 2, Arg: intArg},
 }
 
+// argTable is how many arguments of each kind the tree and dict mixes
+// box once, at package init: a schedule's counts are per kind, so a grid
+// scenario's indices stay far below it. A larger table saves no
+// allocation in such runs and only enlarges the heap every collection
+// marks.
+const argTable = 256
+
 // dictKeys are the keys of the dict mix.
 var dictKeys = []string{"a", "b", "c", "d"}
+
+// The boxed arguments the tree and dict mixes hand out: node names for
+// every index a delete (3i), insert or search below argTable reads, each
+// insert's Edge, the dict keys, and each put's KV.
+var (
+	treeNames = boxTable(3*argTable, nodeLabel)
+	treeEdges = boxTable(argTable, newEdge)
+	dictArgs  = boxTable(len(dictKeys), func(i int) string { return dictKeys[i] })
+	dictPuts  = boxTable(argTable, newPut)
+)
+
+// boxTable boxes gen(0), …, gen(n-1).
+func boxTable[T any](n int, gen func(int) T) []spec.Value {
+	vs := make([]spec.Value, n)
+	for i := range vs {
+		vs[i] = gen(i)
+	}
+	return vs
+}
 
 // bundledMixes is the default mix of each bundled data type, by name. Its
 // mixes are shared and never modified: WithDefaults and isDefaultMix read
@@ -321,27 +373,15 @@ var bundledMixes = map[string]OpMix{
 		{Kind: types.OpTop, Weight: 2},
 	},
 	"tree": {
-		{Kind: types.OpTreeInsert, Weight: 4, Arg: func(i int) spec.Value {
-			parent := types.TreeRoot
-			if i > 0 {
-				parent = "n" + strconv.Itoa((i-1)/2)
-			}
-			return types.Edge{Node: "n" + strconv.Itoa(i), Parent: parent}
-		}},
-		{Kind: types.OpTreeDelete, Weight: 1, Arg: func(i int) spec.Value {
-			return "n" + strconv.Itoa(i*3)
-		}},
-		{Kind: types.OpTreeSearch, Weight: 2, Arg: func(i int) spec.Value {
-			return "n" + strconv.Itoa(i)
-		}},
+		{Kind: types.OpTreeInsert, Weight: 4, Arg: treeEdge},
+		{Kind: types.OpTreeDelete, Weight: 1, Arg: func(i int) spec.Value { return nodeName(3 * i) }},
+		{Kind: types.OpTreeSearch, Weight: 2, Arg: nodeName},
 		{Kind: types.OpTreeDepth, Weight: 1},
 	},
 	"dict": {
-		{Kind: types.OpPut, Weight: 4, Arg: func(i int) spec.Value {
-			return types.KV{Key: dictKeys[i%len(dictKeys)], Value: i}
-		}},
-		{Kind: types.OpDelete, Weight: 1, Arg: func(i int) spec.Value { return dictKeys[i%len(dictKeys)] }},
-		{Kind: types.OpDictGet, Weight: 2, Arg: func(i int) spec.Value { return dictKeys[i%len(dictKeys)] }},
+		{Kind: types.OpPut, Weight: 4, Arg: dictPut},
+		{Kind: types.OpDelete, Weight: 1, Arg: dictKey},
+		{Kind: types.OpDictGet, Weight: 2, Arg: dictKey},
 		{Kind: types.OpSize, Weight: 1},
 	},
 	"pqueue": {
@@ -359,11 +399,62 @@ var bundledMixes = map[string]OpMix{
 		{Kind: types.OpGet, Weight: 2},
 	},
 	"account": {
-		{Kind: types.OpDeposit, Weight: 3, Arg: func(i int) spec.Value { return 50 + i }},
-		{Kind: types.OpWithdraw, Weight: 2, Arg: func(i int) spec.Value { return 40 + i*7 }},
+		{Kind: types.OpDeposit, Weight: 3, Arg: func(i int) spec.Value { return spec.BoxInt(50 + i) }},
+		{Kind: types.OpWithdraw, Weight: 2, Arg: func(i int) spec.Value { return spec.BoxInt(40 + i*7) }},
 		{Kind: types.OpBalance, Weight: 2},
 	},
 }
+
+// nodeLabel is the name of the i-th tree node, "n<i>".
+func nodeLabel(i int) string { return "n" + strconv.Itoa(i) }
+
+// newEdge is the i-th tree insert: node n<i> under its heap parent
+// n<(i-1)/2>, or under the root for i = 0.
+func newEdge(i int) types.Edge {
+	parent := types.TreeRoot
+	if i > 0 {
+		parent = nodeLabel((i - 1) / 2)
+	}
+	return types.Edge{Node: nodeLabel(i), Parent: parent}
+}
+
+// newPut is the i-th dict put, KV{key, i}.
+func newPut(i int) types.KV {
+	return types.KV{Key: dictKeys[i%len(dictKeys)], Value: spec.BoxInt(i)}
+}
+
+// nodeName, treeEdge and dictPut read the i-th argument from its table,
+// and build it only past the table.
+//
+//tb:hotpath
+func nodeName(i int) spec.Value {
+	if uint(i) < uint(len(treeNames)) {
+		return treeNames[i]
+	}
+	//tbvet:ignore hotpath -- past the name table each call builds and boxes its node name; grid schedules draw far fewer
+	return nodeLabel(i)
+}
+
+//tb:hotpath
+func treeEdge(i int) spec.Value {
+	if uint(i) < uint(len(treeEdges)) {
+		return treeEdges[i]
+	}
+	//tbvet:ignore hotpath -- past the edge table each call builds and boxes its edge; grid schedules draw far fewer
+	return newEdge(i)
+}
+
+//tb:hotpath
+func dictPut(i int) spec.Value {
+	if uint(i) < uint(len(dictPuts)) {
+		return dictPuts[i]
+	}
+	//tbvet:ignore hotpath -- past the put table each call boxes its KV; grid schedules draw far fewer
+	return newPut(i)
+}
+
+// dictKey is the key the i-th dict get or delete names.
+func dictKey(i int) spec.Value { return dictArgs[i%len(dictArgs)] }
 
 // defaultMix is DefaultMix without the copy: a bundled type's mix is
 // shared, and the caller must not modify it.

@@ -3,11 +3,13 @@ package workload
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"timebounds/internal/model"
+	"timebounds/internal/spec"
 	"timebounds/internal/types"
 )
 
@@ -289,5 +291,89 @@ func TestWithDefaultsFillsMixAndSizing(t *testing.T) {
 	explicit := Spec{Explicit: []Invocation{{At: 1, Proc: 0, Kind: types.OpRead}}}
 	if got := explicit.WithDefaults(p, types.NewQueue()); got.Mix != nil || got.OpsPerProcess != 0 {
 		t.Error("explicit specs must not grow generator defaults")
+	}
+}
+
+// referenceArgs are the argument generators the bundled mixes and keyMix
+// had before their arguments came from tables: every call renders and
+// boxes afresh. Kinds missing here drew the plain index, i.
+var referenceArgs = map[string]map[spec.OpKind]func(int) spec.Value{
+	"tree": {
+		types.OpTreeInsert: func(i int) spec.Value {
+			parent := types.TreeRoot
+			if i > 0 {
+				parent = "n" + strconv.Itoa((i-1)/2)
+			}
+			return types.Edge{Node: "n" + strconv.Itoa(i), Parent: parent}
+		},
+		types.OpTreeDelete: func(i int) spec.Value { return "n" + strconv.Itoa(i*3) },
+		types.OpTreeSearch: func(i int) spec.Value { return "n" + strconv.Itoa(i) },
+	},
+	"dict": {
+		types.OpPut:     func(i int) spec.Value { return types.KV{Key: referenceKeys[i%4], Value: i} },
+		types.OpDelete:  func(i int) spec.Value { return referenceKeys[i%4] },
+		types.OpDictGet: func(i int) spec.Value { return referenceKeys[i%4] },
+	},
+	"account": {
+		types.OpDeposit:  func(i int) spec.Value { return 50 + i },
+		types.OpWithdraw: func(i int) spec.Value { return 40 + i*7 },
+	},
+	"key": {
+		types.OpPut:     func(i int) spec.Value { return types.KV{Key: "k", Value: i} },
+		types.OpDictGet: func(int) spec.Value { return "k" },
+		types.OpDelete:  func(int) spec.Value { return "k" },
+	},
+}
+
+var referenceKeys = []string{"a", "b", "c", "d"}
+
+var argSink spec.Value
+
+// TestMixArgsMatchReference: every bundled mix, and keyMix, hands out the
+// value its reference generator renders, for every index in the tables
+// and past them; below the tables no argument allocates, so each is
+// shared rather than boxed per call (keyMix's put still boxes its KV).
+func TestMixArgsMatchReference(t *testing.T) {
+	mixes := map[string]OpMix{"key": keyMix("k")}
+	for name, mix := range bundledMixes {
+		mixes[name] = mix
+	}
+	for name, mix := range mixes {
+		for _, w := range mix {
+			if w.Arg == nil {
+				continue
+			}
+			ref := referenceArgs[name][w.Kind]
+			if ref == nil {
+				ref = func(i int) spec.Value { return i }
+			}
+			for i := 0; i < 3*argTable+64; i++ {
+				if got, want := w.Arg(i), ref(i); got != want {
+					t.Fatalf("%s %s arg %d = %#v, want %#v", name, w.Kind, i, got, want)
+				}
+			}
+			if name == "key" && w.Kind == types.OpPut {
+				continue
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				for i := 0; i < argTable; i++ {
+					argSink = w.Arg(i)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s %s: %v allocations for the first %d args, want 0", name, w.Kind, allocs, argTable)
+			}
+		}
+	}
+}
+
+// TestRaceArgs: the i-th process of round r races with argument r·n+i.
+func TestRaceArgs(t *testing.T) {
+	p := specParams(3)
+	s := Race(p, 0, 1, 2, types.OpWrite, types.OpRMW)
+	for j, inv := range s.Explicit {
+		if want := (j/(2*p.N))*p.N + j%p.N; inv.Arg != want {
+			t.Fatalf("invocation %d arg %#v, want %d", j, inv.Arg, want)
+		}
 	}
 }

@@ -16,7 +16,9 @@ import (
 	"timebounds/internal/spec"
 )
 
-// OpMix selects operation kinds with weights.
+// OpMix selects operation kinds with weights. The arguments a mix hands
+// out are immutable: the bundled mixes return values built once and
+// shared across runs and workers, so no caller may mutate one.
 type OpMix []WeightedOp
 
 // WeightedOp pairs an operation kind, its relative weight, and an argument
@@ -26,7 +28,9 @@ type WeightedOp struct {
 	// Weight is the relative selection weight (> 0).
 	Weight int
 	// Arg produces the argument for the i-th generated operation of this
-	// kind. Nil means nil arguments.
+	// kind. Nil means nil arguments. The value it returns may be shared
+	// with every other schedule that draws the same i, on any goroutine,
+	// and must not be mutated.
 	Arg func(i int) spec.Value
 }
 
